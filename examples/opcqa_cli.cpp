@@ -90,7 +90,11 @@
 // flag table (the normative list docs/KNOBS.md is CI-checked against)
 // and exits 0.
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -195,6 +199,30 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   return true;
 }
 
+/// Whole-string numeric flag values: "abc", "" or "0.1x" are usage
+/// errors, never a silent 0 (atof/strtoull would read them as 0).
+bool ParseDouble(const std::string& text, double* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  double value = std::strtod(text.c_str(), &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
+}
+
+bool ParseUint64(const std::string& text, uint64_t* out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0') return false;
+  *out = value;
+  return true;
+}
+
 Result<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::NotFound("cannot open file: " + path);
@@ -243,7 +271,8 @@ Result<Schema> ParseSchemaFile(const std::string& text) {
 //   1  hard failure — missing/unparseable input files, unwritable
 //      --serve-out, a chain too large for --mode=exact;
 //   2  usage — unknown flags or bad flag *values* (generator, mode,
-//      plan, keys), missing required flags.
+//      plan, keys, non-numeric or out-of-range --eps/--delta/--seed/
+//      --threads), missing required flags.
 
 // The complete flag reference, printed by --help (exit 0). One line per
 // flag: "  --name=VALUE  (default/required)  what it does". docs/KNOBS.md
@@ -403,21 +432,38 @@ int main(int argc, char** argv) {
     if (ParseFlag(arg, "keys", &opt.keys_spec)) continue;
     if (ParseFlag(arg, "generator", &opt.generator)) continue;
     if (ParseFlag(arg, "mode", &opt.mode)) continue;
+    // The sampler's guarantee needs ε > 0 and δ ∈ (0,1) (Hoeffding's
+    // n(ε,δ) = ⌈ln(2/δ) / 2ε²⌉); reject anything else here, as a usage
+    // error, instead of aborting inside Sampler::NumSamples.
     if (ParseFlag(arg, "eps", &value)) {
-      opt.eps = std::atof(value.c_str());
+      if (!ParseDouble(value, &opt.eps) || opt.eps <= 0) {
+        return UsageFail(Status::InvalidArgument(
+            "--eps must be a number > 0, got '" + value + "'"));
+      }
       continue;
     }
     if (ParseFlag(arg, "delta", &value)) {
-      opt.delta = std::atof(value.c_str());
+      if (!ParseDouble(value, &opt.delta) || opt.delta <= 0 ||
+          opt.delta >= 1) {
+        return UsageFail(Status::InvalidArgument(
+            "--delta must be a number in (0,1), got '" + value + "'"));
+      }
       continue;
     }
     if (ParseFlag(arg, "seed", &value)) {
-      opt.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseUint64(value, &opt.seed)) {
+        return UsageFail(Status::InvalidArgument(
+            "--seed must be a non-negative integer, got '" + value + "'"));
+      }
       continue;
     }
     if (ParseFlag(arg, "threads", &value)) {
-      opt.threads = static_cast<size_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
+      uint64_t threads = 0;
+      if (!ParseUint64(value, &threads)) {
+        return UsageFail(Status::InvalidArgument(
+            "--threads must be a non-negative integer, got '" + value + "'"));
+      }
+      opt.threads = static_cast<size_t>(threads);
       continue;
     }
     if (arg == "--memo") {

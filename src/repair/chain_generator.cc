@@ -4,6 +4,31 @@
 
 namespace opcqa {
 
+namespace {
+
+// The common shape of chain distributions — uniform shares over some
+// extensions, zero elsewhere: when every non-zero p_i is n_i/d for one
+// int64 d, Σ p_i == 1 exactly iff Σ n_i == d, which 128-bit arithmetic
+// decides without a BigInt. Returns false when the shape does not apply
+// or the sum differs; the caller's exact check then decides (and reports).
+bool SumsToOneOverCommonDenominator(const std::vector<Rational>& probs) {
+  int64_t den = 0;
+  __int128 num = 0;
+  for (const Rational& p : probs) {
+    if (p.is_zero()) continue;
+    if (!p.numerator().FitsInt64() || !p.denominator().FitsInt64()) {
+      return false;
+    }
+    int64_t d = p.denominator().ToInt64();
+    if (den == 0) den = d;
+    if (d != den) return false;
+    num += p.numerator().ToInt64();
+  }
+  return den != 0 && num == den;
+}
+
+}  // namespace
+
 std::vector<Rational> CheckedProbabilities(
     const ChainGenerator& generator, const RepairingState& state,
     const std::vector<Operation>& extensions) {
@@ -12,15 +37,17 @@ std::vector<Rational> CheckedProbabilities(
   OPCQA_CHECK_EQ(probs.size(), extensions.size())
       << "generator '" << generator.name()
       << "' returned a distribution of the wrong size";
-  // Accumulate the sum unreduced: Σ p_i == 1 iff num == den, and skipping
-  // the per-step gcd reduction keeps this per-state stochasticity check off
-  // the enumeration/sampling hot path.
-  BigInt num(0);
-  BigInt den(1);
   for (const Rational& p : probs) {
     OPCQA_CHECK(!p.is_negative())
         << "generator '" << generator.name() << "' returned probability "
         << p;
+  }
+  if (SumsToOneOverCommonDenominator(probs)) return probs;
+  // Exact check: accumulate the sum unreduced (Σ p_i == 1 iff num == den)
+  // — skipping the per-step gcd reduction keeps it off the hot path.
+  BigInt num(0);
+  BigInt den(1);
+  for (const Rational& p : probs) {
     num = num * p.denominator() + p.numerator() * den;
     den = den * p.denominator();
   }

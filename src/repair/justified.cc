@@ -1,8 +1,10 @@
 #include "repair/justified.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace opcqa {
@@ -142,6 +144,11 @@ std::vector<Operation> JustifiedDeletions(const Database& db,
 std::shared_ptr<const DeletionCandidateIndex> DeletionCandidateIndex::Build(
     const ConstraintSet& constraints, const ViolationSet& violations) {
   auto index = std::make_shared<DeletionCandidateIndex>();
+  index->violations_.assign(violations.begin(), violations.end());
+  index->hashes_.reserve(violations.size());
+  for (const Violation& v : violations) {
+    index->hashes_.push_back(HashMix64(v.Hash()));
+  }
   // Pass 1: the deduplicated candidate pool, in the emission order of
   // JustifiedDeletions (fact-value lexicographic).
   IdSubsetSet pool;
@@ -155,33 +162,48 @@ std::shared_ptr<const DeletionCandidateIndex> DeletionCandidateIndex::Build(
     rank_of.emplace(ids, static_cast<uint32_t>(index->ops_.size()));
     index->ops_.push_back(Operation::RemoveIds(ids));
   }
-  // Pass 2: each violation's subsets as sorted ranks into the pool.
+  // Pass 2: each violation's subsets as sorted ranks into the pool, and
+  // its image facts as (fact, violation rank) pairs for the kill lists.
+  std::vector<std::pair<FactId, uint32_t>> fact_violation;
+  index->cand_begin_.push_back(0);
+  uint32_t rank = 0;
   for (const Violation& v : violations) {
     IdSubsetSet subsets;
     EmitDeletionSubsets(constraints, v, &image, &subsets);
-    std::vector<uint32_t>& ranks = index->ranks_[v];
-    ranks.reserve(subsets.size());
+    size_t begin = index->candidates_.size();
     for (const std::vector<FactId>& ids : subsets) {
-      ranks.push_back(rank_of.at(ids));
+      index->candidates_.push_back(rank_of.at(ids));
     }
-    std::sort(ranks.begin(), ranks.end());
+    std::sort(index->candidates_.begin() + begin, index->candidates_.end());
+    index->cand_begin_.push_back(
+        static_cast<uint32_t>(index->candidates_.size()));
+    for (FactId id : image) fact_violation.emplace_back(id, rank);
+    ++rank;
   }
+  std::sort(fact_violation.begin(), fact_violation.end());
+  for (const auto& [id, v] : fact_violation) {
+    if (index->image_facts_.empty() || index->image_facts_.back() != id) {
+      index->image_facts_.push_back(id);
+      index->kill_begin_.push_back(
+          static_cast<uint32_t>(index->kills_.size()));
+    }
+    index->kills_.push_back(v);
+  }
+  index->kill_begin_.push_back(static_cast<uint32_t>(index->kills_.size()));
   return index;
 }
 
-bool DeletionCandidateIndex::AppendFor(const ViolationSet& violations,
-                                       std::vector<Operation>* ops) const {
-  std::vector<uint32_t> merged;
-  for (const Violation& v : violations) {
-    auto it = ranks_.find(v);
-    if (it == ranks_.end()) return false;
-    merged.insert(merged.end(), it->second.begin(), it->second.end());
-  }
-  std::sort(merged.begin(), merged.end());
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-  ops->reserve(ops->size() + merged.size());
-  for (uint32_t rank : merged) ops->push_back(ops_[rank]);
-  return true;
+size_t DeletionCandidateIndex::CandidatesFor(
+    const std::vector<uint64_t>& live, std::vector<uint64_t>* bits) const {
+  bits->assign((ops_.size() + 63) / 64, 0);
+  ForEachSetBit(live, [&](size_t v) {
+    for (uint32_t i = cand_begin_[v]; i < cand_begin_[v + 1]; ++i) {
+      (*bits)[candidates_[i] / 64] |= uint64_t{1} << (candidates_[i] % 64);
+    }
+  });
+  size_t count = 0;
+  for (uint64_t word : *bits) count += static_cast<size_t>(std::popcount(word));
+  return count;
 }
 
 std::vector<Operation> JustifiedOperations(const Database& db,

@@ -1,6 +1,7 @@
 #include "repair/memo.h"
 
 #include <algorithm>
+#include <optional>
 #include <tuple>
 
 #include "util/hash.h"
@@ -143,9 +144,10 @@ size_t TranspositionTable::FullPayloadBytes(const Entry& entry) const {
   return bytes;
 }
 
-std::shared_ptr<const MemoOutcome> TranspositionTable::Lookup(
+template <typename EliminatedEquals>
+std::shared_ptr<const MemoOutcome> TranspositionTable::LookupVerified(
     const StateKey& key, const std::set<FactId>& removed,
-    const ViolationSet& eliminated) {
+    EliminatedEquals eliminated_equals) {
   Stripe& stripe = StripeFor(key);
   std::lock_guard<std::mutex> lock(stripe.mutex);
   auto [begin, end] = stripe.map.equal_range(key.Combined());
@@ -153,7 +155,7 @@ std::shared_ptr<const MemoOutcome> TranspositionTable::Lookup(
   for (auto it = begin; it != end; ++it) {
     Entry& entry = it->second;
     if (entry.key == key && RemovedEquals(entry.removed, removed) &&
-        entry.eliminated == eliminated) {
+        eliminated_equals(entry.eliminated)) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       entry.chances = CostTier(*entry.outcome);  // second chance refresh
       return entry.outcome;
@@ -183,6 +185,24 @@ std::shared_ptr<const MemoOutcome> TranspositionTable::Lookup(
     }
   }
   return nullptr;
+}
+
+std::shared_ptr<const MemoOutcome> TranspositionTable::Lookup(
+    const StateKey& key, const std::set<FactId>& removed,
+    const ViolationSet& eliminated) {
+  return LookupVerified(key, removed, [&](const ViolationSet& stored) {
+    return stored == eliminated;
+  });
+}
+
+std::shared_ptr<const MemoOutcome> TranspositionTable::Lookup(
+    const RepairingState& state) {
+  std::optional<ViolationSet> eliminated;
+  return LookupVerified(
+      KeyOf(state), state.removed(), [&](const ViolationSet& stored) {
+        if (!eliminated) eliminated = state.eliminated();
+        return stored == *eliminated;
+      });
 }
 
 void TranspositionTable::EvictUntilWithinBudget(Stripe& stripe) {

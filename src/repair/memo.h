@@ -214,9 +214,9 @@ class TranspositionTable {
   std::shared_ptr<const MemoOutcome> Lookup(const StateKey& key,
                                             const std::set<FactId>& removed,
                                             const ViolationSet& eliminated);
-  std::shared_ptr<const MemoOutcome> Lookup(const RepairingState& state) {
-    return Lookup(KeyOf(state), state.removed(), state.eliminated());
-  }
+  /// Same for `state` under KeyOf(state); its eliminated set is built
+  /// only when a candidate entry already matches key and removed set.
+  std::shared_ptr<const MemoOutcome> Lookup(const RepairingState& state);
 
   /// Records the completed-subtree outcome below (key, removed,
   /// eliminated). Re-inserting an already-present state keeps the first
@@ -282,6 +282,12 @@ class TranspositionTable {
   MemoStats stats() const;
 
  private:
+  // Lookup's body; eliminated_equals(stored) verifies the eliminated set.
+  template <typename EliminatedEquals>
+  std::shared_ptr<const MemoOutcome> LookupVerified(
+      const StateKey& key, const std::set<FactId>& removed,
+      EliminatedEquals eliminated_equals);
+
   struct Entry {
     StateKey key;
     std::vector<FactId> removed;  // verification payload (vs chain root)

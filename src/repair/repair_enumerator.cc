@@ -76,8 +76,7 @@ class SubtreeWalker {
     StateKey key;
     if (memo_ != nullptr) {
       key = KeyOf(state);
-      std::shared_ptr<const MemoOutcome> cached =
-          memo_->Lookup(key, state.removed(), state.eliminated());
+      std::shared_ptr<const MemoOutcome> cached = memo_->Lookup(state);
       if (cached != nullptr && Replay(*cached, state, mass)) {
         return cached->depth_below;
       }

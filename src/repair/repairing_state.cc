@@ -16,7 +16,7 @@ std::shared_ptr<const RepairContext> RepairContext::Make(
   auto context = std::make_shared<RepairContext>(
       RepairContext{std::move(db), std::move(constraints), std::move(base),
                     std::move(initial_violations), denial_only});
-  if (denial_only && !context->initial_violations.empty()) {
+  if (denial_only) {
     context->deletion_index = DeletionCandidateIndex::Build(
         context->constraints, context->initial_violations);
   }
@@ -25,8 +25,43 @@ std::shared_ptr<const RepairContext> RepairContext::Make(
 
 RepairingState::RepairingState(std::shared_ptr<const RepairContext> context)
     : context_(std::move(context)),
-      db_(context_->initial),
-      violations_(context_->initial_violations) {}
+      index_(context_->deletion_index.get()),
+      db_(context_->initial) {
+  if (index_ == nullptr) {
+    violations_ = context_->initial_violations;
+    return;
+  }
+  // Every violation of V(D,Σ) starts live.
+  live_count_ = index_->num_violations();
+  live_.assign((live_count_ + 63) / 64, ~uint64_t{0});
+  if (live_count_ % 64 != 0) {
+    live_.back() = (uint64_t{1} << (live_count_ % 64)) - 1;
+  }
+  violations_stale_ = true;
+}
+
+const ViolationSet& RepairingState::violations() const {
+  if (violations_stale_) {
+    violations_.clear();
+    ForEachSetBit(live_, [&](size_t rank) {
+      violations_.insert(violations_.end(), index_->violation(rank));
+    });
+    violations_stale_ = false;
+  }
+  return violations_;
+}
+
+ViolationSet RepairingState::eliminated() const {
+  if (index_ == nullptr) return eliminated_;
+  // Deletions only kill violations, so everything not live was eliminated.
+  ViolationSet eliminated;
+  for (size_t rank = 0; rank < index_->num_violations(); ++rank) {
+    if (!IsLive(rank)) {
+      eliminated.insert(eliminated.end(), index_->violation(rank));
+    }
+  }
+  return eliminated;
+}
 
 bool RepairingState::CheckNoCancellation(const Operation& op) const {
   // "+F then −G with F ∩ G ≠ ∅" is forbidden in either order.
@@ -42,6 +77,9 @@ bool RepairingState::CheckReq2(const Operation& op,
   op.ApplyTo(&db_);
   *next_violations = ComputeViolations(db_, context_->constraints);
   op.RevertOn(&db_);
+  // Denial-only: deletions are violation-monotone, so V(D − F) ⊆ the live
+  // violations and nothing eliminated can reappear.
+  if (index_ != nullptr) return true;
   // No violation eliminated earlier (including by the candidate op itself,
   // which cannot re-introduce what it just removed) may be present again.
   for (const Violation& v : *next_violations) {
@@ -94,6 +132,10 @@ void RepairingState::Apply(const Operation& op) {
 }
 
 void RepairingState::ApplyTrusted(const Operation& op) {
+  if (index_ != nullptr) {
+    ApplyIndexed(op);
+    return;
+  }
   // Track fact provenance (no-cancellation) and addition records (global
   // justification). pre_db is captured before the in-place application.
   if (op.is_add()) {
@@ -115,20 +157,8 @@ void RepairingState::ApplyTrusted(const Operation& op) {
         << "ApplyTrusted requires an effective operation: "
         << op.ToString(context_->initial.schema());
   }
-  ViolationSet next_violations;
-  if (context_->denial_only && op.is_remove()) {
-    // Deletions under EGDs/DCs are violation-monotone: body matches of
-    // D − F are exactly those of D avoiding F, and the conclusions ignore
-    // the database. V(D − F) is therefore the surviving subset of V(D) —
-    // no homomorphism search needed on this hot path.
-    for (const Violation& v : violations_) {
-      if (!BodyImageIntersects(context_->constraints, v, op.fact_ids())) {
-        next_violations.insert(next_violations.end(), v);
-      }
-    }
-  } else {
-    next_violations = ComputeViolations(db_, context_->constraints);
-  }
+  ViolationSet next_violations =
+      ComputeViolations(db_, context_->constraints);
   // Track the violation delta (req2 bookkeeping + undo).
   UndoRecord undo;
   for (const Violation& v : violations_) {
@@ -148,8 +178,50 @@ void RepairingState::ApplyTrusted(const Operation& op) {
   undo_.push_back(std::move(undo));
 }
 
+void RepairingState::ApplyIndexed(const Operation& op) {
+  // Denial-only contexts justify deletions only (Apply's CanApply and
+  // ValidExtensions both guarantee it).
+  OPCQA_CHECK(op.is_remove())
+      << "denial-only state asked to apply an addition: "
+      << op.ToString(context_->initial.schema());
+  for (FactId id : op.fact_ids()) {
+    bool effective = db_.EraseId(id);
+    OPCQA_CHECK(effective)
+        << "ApplyTrusted requires an effective operation: "
+        << op.ToString(context_->initial.schema());
+    removed_.insert(id);
+  }
+  // Deletions under EGDs/DCs are violation-monotone: body matches of
+  // D − F are exactly those of D avoiding F, and the conclusions ignore
+  // the database. V(D − F) is therefore V(D) minus the live violations
+  // whose image meets F — and each of those is newly eliminated.
+  killed_begin_.push_back(static_cast<uint32_t>(killed_.size()));
+  index_->ForEachKilled(op.fact_ids(), [&](uint32_t rank) {
+    if (!IsLive(rank)) return;
+    live_[rank / 64] &= ~(uint64_t{1} << (rank % 64));
+    --live_count_;
+    eliminated_hash_ += index_->violation_hash(rank);
+    killed_.push_back(rank);
+  });
+  violations_stale_ = true;
+  sequence_.push_back(TakeSpare());
+  sequence_.back() = op;
+}
+
+Operation RepairingState::TakeSpare() const {
+  if (spare_ops_.empty()) return Operation();
+  Operation op = std::move(spare_ops_.back());
+  spare_ops_.pop_back();
+  return op;
+}
+
 void RepairingState::Revert() {
-  OPCQA_CHECK(!undo_.empty()) << "no step to revert (at ε or a fork point)";
+  OPCQA_CHECK(index_ != nullptr ? !killed_begin_.empty() : !undo_.empty())
+      << "no step to revert (at ε or a fork point)";
+  if (index_ != nullptr) {
+    RevertIndexed();
+    return;
+  }
   const Operation op = std::move(sequence_.back());
   sequence_.pop_back();
   UndoRecord undo = std::move(undo_.back());
@@ -176,6 +248,23 @@ void RepairingState::Revert() {
   }
 }
 
+void RepairingState::RevertIndexed() {
+  const Operation& op = sequence_.back();
+  op.RevertOn(&db_);
+  for (FactId id : op.fact_ids()) removed_.erase(id);
+  spare_ops_.push_back(std::move(sequence_.back()));
+  sequence_.pop_back();
+  for (size_t i = killed_begin_.back(); i < killed_.size(); ++i) {
+    uint32_t rank = killed_[i];
+    live_[rank / 64] |= uint64_t{1} << (rank % 64);
+    eliminated_hash_ -= index_->violation_hash(rank);
+  }
+  live_count_ += killed_.size() - killed_begin_.back();
+  killed_.resize(killed_begin_.back());
+  killed_begin_.pop_back();
+  violations_stale_ = true;
+}
+
 void RepairingState::Restore(size_t mark) {
   OPCQA_CHECK_LE(mark, sequence_.size());
   while (sequence_.size() > mark) Revert();
@@ -184,22 +273,42 @@ void RepairingState::Restore(size_t mark) {
 RepairingState RepairingState::Fork() const {
   RepairingState fork = *this;
   fork.undo_.clear();
+  fork.killed_.clear();
+  fork.killed_begin_.clear();
+  fork.spare_ops_.clear();
   return fork;
 }
 
+bool RepairingState::IsComplete() const {
+  // Denial-only: every live violation has a justified deletion.
+  if (index_ != nullptr) return live_count_ == 0;
+  return ValidExtensions().empty();
+}
+
 std::vector<Operation> RepairingState::ValidExtensions() const {
-  if (violations_.empty()) return {};  // consistent ⇒ nothing is justified
-  if (context_->denial_only) {
-    // Fast path: every justified deletion is a valid extension (no
-    // cancellation partners, no resurrections, no additions to
-    // re-justify). The shared candidate index answers from pre-built
-    // operations; an unindexed violation (never expected — deletions are
-    // violation-monotone) falls back to the from-scratch enumeration.
-    if (context_->deletion_index != nullptr) {
-      std::vector<Operation> ops;
-      if (context_->deletion_index->AppendFor(violations_, &ops)) return ops;
+  std::vector<Operation> ops;
+  ValidExtensions(&ops);
+  return ops;
+}
+
+void RepairingState::ValidExtensions(std::vector<Operation>* out) const {
+  if (index_ != nullptr) {
+    // Every justified deletion is a valid extension (no cancellation
+    // partners, no resurrections, no additions to re-justify).
+    size_t count = index_->CandidatesFor(live_, &candidate_scratch_);
+    while (out->size() > count) {
+      spare_ops_.push_back(std::move(out->back()));
+      out->pop_back();
     }
-    return JustifiedDeletions(db_, context_->constraints, violations_);
+    while (out->size() < count) out->push_back(TakeSpare());
+    size_t i = 0;
+    ForEachSetBit(candidate_scratch_,
+                  [&](size_t rank) { (*out)[i++] = index_->candidate(rank); });
+    return;
+  }
+  if (violations_.empty()) {  // consistent ⇒ nothing is justified
+    out->clear();
+    return;
   }
   std::vector<Operation> candidates = JustifiedOperations(
       db_, context_->constraints, violations_, context_->base);
@@ -214,7 +323,7 @@ std::vector<Operation> RepairingState::ValidExtensions() const {
     if (!CheckGlobalJustification(op)) continue;
     valid.push_back(op);
   }
-  return valid;
+  *out = std::move(valid);
 }
 
 std::string RepairingState::ToString() const {

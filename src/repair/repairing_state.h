@@ -17,6 +17,12 @@
 // aggregation keys, RepairInfo::repair — come from Snapshot(). States stay
 // copyable for frontier searches (top-k) via Fork(), which drops the undo
 // history: a forked state cannot Revert() past its fork point.
+//
+// Denial-only contexts replace the set arithmetic with an index-driven
+// step: the live violations are a rank bitset over the context's
+// DeletionCandidateIndex, so applying or reverting a deletion flips a few
+// bits and violations()/eliminated() are built only when someone reads
+// them. A walker keeps one state and Restore(0)s it between walks.
 
 #ifndef OPCQA_REPAIR_REPAIRING_STATE_H_
 #define OPCQA_REPAIR_REPAIRING_STATE_H_
@@ -41,12 +47,12 @@ struct RepairContext {
   ViolationSet initial_violations;  // V(D,Σ), shared by every root state
   // With EGDs/DCs only, justified operations are deletions, deletions are
   // violation-monotone (req2 holds for free) and there are no additions to
-  // re-justify — ValidExtensions takes a fast path.
+  // re-justify. Such contexts carry a DeletionCandidateIndex over V(D,Σ)
+  // (violation-monotonicity keeps any reachable state's violations inside
+  // it), and their states take the index-driven step: live violations are
+  // a rank bitset, extensions a union of pre-built candidate lists.
   bool denial_only = false;
-  // Denial-only contexts with initial violations also pre-materialize every
-  // candidate deletion once (violation-monotonicity keeps any reachable
-  // state's violations inside V(D,Σ)), so each chain step merges sorted
-  // rank lists instead of re-enumerating subsets. Null otherwise.
+  // Non-null exactly when denial_only.
   std::shared_ptr<const DeletionCandidateIndex> deletion_index;
 
   /// Builds the context, deriving B(D,Σ) from D and the constants of Σ.
@@ -68,14 +74,19 @@ class RepairingState {
   /// The sequence s itself.
   const OperationSequence& sequence() const { return sequence_; }
   size_t depth() const { return sequence_.size(); }
-  /// V(D^s_i, Σ).
-  const ViolationSet& violations() const { return violations_; }
-  bool IsConsistent() const { return violations_.empty(); }
+  /// V(D^s_i, Σ). Denial-only states materialize it from their live-rank
+  /// bitset on first use and cache it until the next Apply/Revert.
+  const ViolationSet& violations() const;
+  bool IsConsistent() const {
+    return index_ != nullptr ? live_count_ == 0 : violations_.empty();
+  }
 
   /// ∪_i V(D_{i-1}) − V(D_i): every violation eliminated so far (req2
   /// forbids their reappearance). Exposed for transposition-table
-  /// collision verification (repair/memo.h).
-  const ViolationSet& eliminated() const { return eliminated_; }
+  /// collision verification (repair/memo.h), which compares it only when
+  /// both fingerprints and the removed set already match — so it is built
+  /// on demand (denial-only: V(D,Σ) minus the live violations).
+  ViolationSet eliminated() const;
 
   /// Facts of D deleted by the sequence so far. On deletion-only chains
   /// current() = D − removed(), which is what lets the transposition
@@ -86,14 +97,19 @@ class RepairingState {
   // O(1) state-fingerprint accessors for repair-space memoization. Both
   // are maintained incrementally — the database hash by InsertId/EraseId
   // (O(delta) per operation), the eliminated-set hash by
-  // ApplyTrusted/Revert on the newly-eliminated delta — so keying a state
-  // never re-walks the database or the eliminated set.
+  // ApplyTrusted/Revert on the newly-eliminated delta (pre-mixed per rank
+  // on denial-only states) — so keying a state never re-walks the
+  // database or the eliminated set.
   size_t db_hash() const { return db_.Hash(); }
   size_t eliminated_hash() const { return eliminated_hash_; }
 
   /// Every operation op such that s · op is a repairing sequence. Sorted
   /// deterministically. Empty iff the sequence is complete.
   std::vector<Operation> ValidExtensions() const;
+  /// Same, written into a caller-owned buffer: on denial-only states the
+  /// pooled operations are copy-assigned over its elements, so a buffer
+  /// reused across steps and walks keeps its capacity.
+  void ValidExtensions(std::vector<Operation>* out) const;
 
   /// True when s · op is a repairing sequence (op need not come from
   /// ValidExtensions()).
@@ -122,7 +138,7 @@ class RepairingState {
   RepairingState Fork() const;
 
   /// Complete = no valid extension (absorbing state of the chain).
-  bool IsComplete() const { return ValidExtensions().empty(); }
+  bool IsComplete() const;
   /// A complete sequence is successful iff the result satisfies Σ.
   bool IsSuccessful() const { return IsConsistent() && IsComplete(); }
   /// Complete but inconsistent (the chain got stuck).
@@ -138,7 +154,8 @@ class RepairingState {
     std::set<FactId> removed_after; // H: facts deleted at steps k > i
   };
 
-  // Everything one Revert() needs besides the operation itself.
+  // Everything one Revert() needs besides the operation itself (general
+  // path; denial-only states log killed ranks instead).
   struct UndoRecord {
     std::vector<Violation> appeared;         // in V(D_i) − V(D_{i-1})
     std::vector<Violation> disappeared;      // in V(D_{i-1}) − V(D_i)
@@ -150,19 +167,44 @@ class RepairingState {
   // checks no eliminated violation reappeared. db_ is unchanged on return.
   bool CheckReq2(const Operation& op, ViolationSet* next_violations) const;
   bool CheckGlobalJustification(const Operation& op) const;
+  bool IsLive(size_t rank) const {
+    return (live_[rank / 64] >> (rank % 64)) & 1;
+  }
+  // The denial-only halves of ApplyTrusted / Revert.
+  void ApplyIndexed(const Operation& op);
+  void RevertIndexed();
+  // A recycled Operation from spare_ops_ (or a fresh one).
+  Operation TakeSpare() const;
 
   std::shared_ptr<const RepairContext> context_;
+  // context_->deletion_index.get(): non-null selects the index-driven
+  // denial-only representation below.
+  const DeletionCandidateIndex* index_ = nullptr;
   // mutable: CheckReq2 probes candidate operations by apply + revert
   // instead of copying the database per candidate.
   mutable Database db_;
   OperationSequence sequence_;
-  ViolationSet violations_;   // V(current)
-  ViolationSet eliminated_;   // ∪_i V(D_{i-1}) − V(D_i)
+  // V(current). On denial-only states a cache of live_, rebuilt by
+  // violations() when stale.
+  mutable ViolationSet violations_;
+  mutable bool violations_stale_ = false;
+  ViolationSet eliminated_;   // ∪_i V(D_{i-1}) − V(D_i) (general path)
   size_t eliminated_hash_ = 0;  // sum of mixed Violation hashes of eliminated_
   std::set<FactId> added_;
   std::set<FactId> removed_;
   std::vector<AdditionRecord> additions_;
-  std::vector<UndoRecord> undo_;
+  std::vector<UndoRecord> undo_;  // general path
+  // Denial-only path: the live violation ranks, their count, and the undo
+  // log — the ranks each step killed, step i's starting at killed_begin_[i].
+  std::vector<uint64_t> live_;
+  size_t live_count_ = 0;
+  std::vector<uint32_t> killed_;
+  std::vector<uint32_t> killed_begin_;
+  mutable std::vector<uint64_t> candidate_scratch_;
+  // Operations popped off sequence_ or off shrinking extension buffers,
+  // kept so their heap buffers serve the next copy-assignment: a walk
+  // that reuses its state and buffer stops allocating for operations.
+  mutable std::vector<Operation> spare_ops_;
 };
 
 }  // namespace opcqa

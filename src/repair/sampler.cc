@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -30,18 +31,27 @@ size_t Sampler::NumSamples(double epsilon, double delta) {
       std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon)));
 }
 
+size_t Sampler::Walk(RepairingState* state, Rng* rng,
+                     std::vector<Operation>* extensions) const {
+  state->Restore(0);
+  size_t steps = 0;
+  for (;;) {
+    state->ValidExtensions(extensions);
+    if (extensions->empty()) break;  // absorbing
+    std::vector<Rational> probs =
+        CheckedProbabilities(*generator_, *state, *extensions);
+    size_t pick = rng->WeightedIndex(probs);
+    state->ApplyTrusted((*extensions)[pick]);
+    ++steps;
+  }
+  return steps;
+}
+
 WalkResult Sampler::WalkWithRng(Rng* rng) const {
   RepairingState state(context_);
+  std::vector<Operation> extensions;
   WalkResult result;
-  for (;;) {
-    std::vector<Operation> extensions = state.ValidExtensions();
-    if (extensions.empty()) break;  // absorbing
-    std::vector<Rational> probs =
-        CheckedProbabilities(*generator_, state, extensions);
-    size_t pick = rng->WeightedIndex(probs);
-    state.ApplyTrusted(extensions[pick]);
-    ++result.steps;
-  }
+  result.steps = Walk(&state, rng, &extensions);
   result.successful = state.IsConsistent();
   result.final_db = state.Snapshot();
   return result;
@@ -77,33 +87,71 @@ std::vector<WalkRange> ChunkWalks(size_t walks, size_t chunks) {
   return ranges;
 }
 
+// The sampler's share of the metric catalog, recorded once per estimation
+// call (a per-walk clock read would cost more than a walk's bookkeeping).
+obs::Histogram* EstimateLatency() {
+  static obs::Histogram* const histogram =
+      obs::MetricsRegistry::Global().GetHistogram("sampler.estimate_ms");
+  return histogram;
+}
+
+void RecordWalks(size_t walks, size_t steps) {
+  static obs::Counter* const walk_counter =
+      obs::MetricsRegistry::Global().GetCounter("sampler.walks");
+  static obs::Counter* const step_counter =
+      obs::MetricsRegistry::Global().GetCounter("sampler.steps");
+  walk_counter->Add(walks);
+  step_counter->Add(steps);
+}
+
 }  // namespace
+
+template <typename Tally, typename Score>
+std::vector<Tally> Sampler::RunWalks(size_t walks, Score score) {
+  uint64_t base = walk_cursor_;
+  walk_cursor_ += walks;
+  size_t threads = options_.threads == 0 ? DefaultThreads() : options_.threads;
+  std::vector<WalkRange> ranges = ChunkWalks(walks, threads);
+  return ParallelMap<Tally>(ranges.size(), threads, [&](size_t c) {
+    Tally tally;
+    RepairingState state(context_);
+    std::vector<Operation> extensions;
+    for (size_t i = ranges[c].begin; i < ranges[c].end; ++i) {
+      Rng rng = Rng::Stream(seed_, base + i);
+      size_t steps = Walk(&state, &rng, &extensions);
+      score(state, steps, &tally);
+    }
+    return tally;
+  });
+}
 
 double Sampler::EstimateTuple(const Query& query, const Tuple& tuple,
                               double epsilon, double delta) {
+  obs::ScopedTimer timer(EstimateLatency());
   size_t n = NumSamples(epsilon, delta);
-  uint64_t base = walk_cursor_;
-  walk_cursor_ += n;
-  size_t threads = options_.threads == 0 ? DefaultThreads() : options_.threads;
-  std::vector<WalkRange> ranges = ChunkWalks(n, threads);
-  std::vector<size_t> hits = ParallelMap<size_t>(
-      ranges.size(), threads, [&](size_t c) {
-        size_t chunk_hits = 0;
-        for (size_t i = ranges[c].begin; i < ranges[c].end; ++i) {
-          WalkResult walk = RunWalkAt(base + i);
-          if (walk.successful && query.Contains(walk.final_db, tuple)) {
-            ++chunk_hits;
-          }
+  struct Tally {
+    size_t hits = 0;
+    size_t steps = 0;
+  };
+  std::vector<Tally> tallies = RunWalks<Tally>(
+      n, [&](const RepairingState& state, size_t steps, Tally* tally) {
+        tally->steps += steps;
+        if (state.IsConsistent() && query.Contains(state.current(), tuple)) {
+          ++tally->hits;
         }
-        return chunk_hits;
       });
-  size_t total = 0;
-  for (size_t h : hits) total += h;
-  return static_cast<double>(total) / static_cast<double>(n);
+  size_t hits = 0, steps = 0;
+  for (const Tally& tally : tallies) {
+    hits += tally.hits;
+    steps += tally.steps;
+  }
+  RecordWalks(n, steps);
+  return static_cast<double>(hits) / static_cast<double>(n);
 }
 
 ApproxOcaResult Sampler::EstimateOcaWithWalks(const Query& query,
                                               size_t walks) {
+  obs::ScopedTimer timer(EstimateLatency());
   ApproxOcaResult result;
   result.walks = walks;
   struct Tally {
@@ -112,26 +160,17 @@ ApproxOcaResult Sampler::EstimateOcaWithWalks(const Query& query,
     size_t failing = 0;
     size_t steps = 0;
   };
-  uint64_t base = walk_cursor_;
-  walk_cursor_ += walks;
-  size_t threads = options_.threads == 0 ? DefaultThreads() : options_.threads;
-  std::vector<WalkRange> ranges = ChunkWalks(walks, threads);
-  std::vector<Tally> tallies = ParallelMap<Tally>(
-      ranges.size(), threads, [&](size_t c) {
-        Tally tally;
-        for (size_t i = ranges[c].begin; i < ranges[c].end; ++i) {
-          WalkResult walk = RunWalkAt(base + i);
-          tally.steps += walk.steps;
-          if (!walk.successful) {
-            ++tally.failing;
-            continue;
-          }
-          ++tally.successful;
-          for (const Tuple& tuple : query.Evaluate(walk.final_db)) {
-            ++tally.counts[tuple];
-          }
+  std::vector<Tally> tallies = RunWalks<Tally>(
+      walks, [&](const RepairingState& state, size_t steps, Tally* tally) {
+        tally->steps += steps;
+        if (!state.IsConsistent()) {
+          ++tally->failing;
+          return;
         }
-        return tally;
+        ++tally->successful;
+        for (const Tuple& tuple : query.Evaluate(state.current())) {
+          ++tally->counts[tuple];
+        }
       });
   std::map<Tuple, size_t> counts;
   for (Tally& tally : tallies) {  // merged in chunk (index) order
@@ -144,6 +183,7 @@ ApproxOcaResult Sampler::EstimateOcaWithWalks(const Query& query,
     result.estimates[tuple] =
         static_cast<double>(count) / static_cast<double>(walks);
   }
+  RecordWalks(walks, result.total_steps);
   return result;
 }
 

@@ -15,8 +15,16 @@
 // own RNG stream Rng::Stream(seed, i), a pure function of (seed, i), and
 // per-walk tallies are integers merged in index order — so estimates are
 // bit-identical for every options.threads value (including 1) and every
-// scheduling. Walks run on states forked from one immutable RepairContext;
-// the generator must be safe for concurrent Probabilities() calls.
+// scheduling. All walks share one immutable RepairContext; each worker
+// chunk owns one RepairingState and one extension buffer, Restore(0)s the
+// state between walks and scores the query on its current() database, so
+// a walk copies no database and, on denial-only constraint sets (the
+// index-driven step of repair/repairing_state.h), allocates nothing for
+// its violations. The generator must be safe for concurrent
+// Probabilities() calls.
+//
+// Each estimation call records sampler.estimate_ms, sampler.walks and
+// sampler.steps in the metrics registry (docs/OBSERVABILITY.md).
 
 #ifndef OPCQA_REPAIR_SAMPLER_H_
 #define OPCQA_REPAIR_SAMPLER_H_
@@ -94,7 +102,17 @@ class Sampler {
   ApproxOcaResult EstimateOcaWithWalks(const Query& query, size_t walks);
 
  private:
+  // One execution of algorithm Sample: Restore(0)s `state`, then walks it
+  // to an absorbing state drawing from `rng`; `extensions` is a reused
+  // buffer. Returns the number of steps.
+  size_t Walk(RepairingState* state, Rng* rng,
+              std::vector<Operation>* extensions) const;
   WalkResult WalkWithRng(Rng* rng) const;
+  // Claims walk indices [cursor, cursor + walks) and runs them in
+  // per-worker chunks, each on one reused state; score(state, steps,
+  // &tally) sees every finished walk. Tallies come back in chunk order.
+  template <typename Tally, typename Score>
+  std::vector<Tally> RunWalks(size_t walks, Score score);
 
   std::shared_ptr<const RepairContext> context_;
   const ChainGenerator* generator_;

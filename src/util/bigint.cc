@@ -1,6 +1,7 @@
 #include "util/bigint.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <ostream>
@@ -529,13 +530,8 @@ std::string BigInt::ToString() const {
 
 size_t BigInt::BitLength() const {
   if (limbs_.empty()) return 0;
-  uint32_t top = limbs_.back();
-  size_t bits = (limbs_.size() - 1) * 32;
-  while (top) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  return limbs_.size() * 32 -
+         static_cast<size_t>(std::countl_zero(limbs_.back()));
 }
 
 void BigInt::ToMantissaExp(double* mantissa, int64_t* exponent) const {
@@ -552,18 +548,14 @@ void BigInt::ToMantissaExp(double* mantissa, int64_t* exponent) const {
     top = (top << 32) | limbs_[i];
     taken += 32;
   }
-  // `top` holds the top `taken` bits; significant bits within: bits
-  // mod 32 adjustment handled by shifting out leading zeros.
-  int lead_zeros =
-      taken - static_cast<int>(bits - (limbs_.size() - taken / 32) * 0);
-  (void)lead_zeros;
-  // Simpler: shift so the msb of `top` is bit (taken-1).
-  while ((top >> 63) == 0) {
-    top <<= 1;
-    --taken;
-  }
-  double m = static_cast<double>(top) / std::ldexp(1.0, 64);  // in [0.5, 1)
+  // Shift the most significant set bit of `top` up to bit 63.
+  top <<= std::countl_zero(top);
+  double m = static_cast<double>(top) / std::ldexp(1.0, 64);
   int64_t e = static_cast<int64_t>(bits);
+  if (m == 1.0) {  // top rounded up to 2^64: keep the mantissa in [0.5, 1)
+    m = 0.5;
+    ++e;
+  }
   if (negative_) m = -m;
   *mantissa = m;
   *exponent = e;

@@ -54,35 +54,46 @@ bool Rng::Bernoulli(double p) {
   return UniformDouble() < p;
 }
 
-size_t Rng::WeightedIndex(const std::vector<double>& weights) {
+namespace {
+
+// Index drawn with one UniformDouble() proportionally to value(w) ≥ 0 —
+// the one algorithm behind both WeightedIndex overloads. `value` must be
+// deterministic: it is re-evaluated per pass instead of cached in a
+// scratch vector.
+template <typename T, typename Value>
+size_t PickWeighted(Rng& rng, const std::vector<T>& weights, Value value) {
   OPCQA_CHECK(!weights.empty());
   double total = 0.0;
-  for (double w : weights) {
-    OPCQA_CHECK_GE(w, 0.0);
-    total += w;
+  for (const T& w : weights) {
+    double v = value(w);
+    OPCQA_CHECK_GE(v, 0.0);
+    total += v;
   }
   OPCQA_CHECK_GT(total, 0.0) << "all weights zero";
-  double x = UniformDouble() * total;
+  double x = rng.UniformDouble() * total;
   double cumulative = 0.0;
   for (size_t i = 0; i < weights.size(); ++i) {
-    cumulative += weights[i];
+    cumulative += value(weights[i]);
     if (x < cumulative) return i;
   }
   // Floating-point edge: return last non-zero weight.
   for (size_t i = weights.size(); i-- > 0;) {
-    if (weights[i] > 0.0) return i;
+    if (value(weights[i]) > 0.0) return i;
   }
   return weights.size() - 1;
 }
 
+}  // namespace
+
+size_t Rng::WeightedIndex(const std::vector<double>& weights) {
+  return PickWeighted(*this, weights, [](double w) { return w; });
+}
+
 size_t Rng::WeightedIndex(const std::vector<Rational>& weights) {
-  std::vector<double> approx;
-  approx.reserve(weights.size());
-  for (const Rational& w : weights) {
+  return PickWeighted(*this, weights, [](const Rational& w) {
     OPCQA_CHECK(!w.is_negative()) << "negative weight " << w;
-    approx.push_back(w.ToDouble());
-  }
-  return WeightedIndex(approx);
+    return w.ToDouble();
+  });
 }
 
 Rng Rng::Fork() { return Rng(Next()); }

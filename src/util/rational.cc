@@ -110,6 +110,17 @@ std::string Rational::ToString() const {
 
 double Rational::ToDouble() const {
   if (num_.is_zero()) return 0.0;
+  // Below 2^53 both conversions are exact, so the one correctly rounded
+  // division gives the same double as the mantissa/exponent route below
+  // (there, too, the only rounding is the division; the scaling by a
+  // power of two is exact for these magnitudes).
+  constexpr int64_t kExact = int64_t{1} << 53;
+  if (num_.FitsInt64() && den_.FitsInt64()) {
+    int64_t n = num_.ToInt64(), d = den_.ToInt64();
+    if (n > -kExact && n < kExact && d < kExact) {
+      return static_cast<double>(n) / static_cast<double>(d);
+    }
+  }
   double num_m, den_m;
   int64_t num_e, den_e;
   num_.ToMantissaExp(&num_m, &num_e);

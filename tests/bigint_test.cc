@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <random>
+#include <vector>
 
 namespace opcqa {
 namespace {
@@ -163,6 +165,41 @@ TEST(BigIntTest, ToDoubleApproximation) {
   EXPECT_DOUBLE_EQ(BigInt(-12345).ToDouble(), -12345.0);
   double big = BigInt(2).Pow(100).ToDouble();
   EXPECT_NEAR(big, std::ldexp(1.0, 100), std::ldexp(1.0, 60));
+}
+
+TEST(BigIntTest, MantissaIsNormalizedForMultiLimbValues) {
+  // value ≈ mantissa · 2^exponent with |mantissa| ∈ [0.5, 1) — including
+  // values whose top 64 bits are all ones and round up to 2^64.
+  std::mt19937_64 gen(1234);
+  std::vector<BigInt> values;
+  for (uint32_t bits : {63u, 64u, 65u, 96u, 128u, 200u}) {
+    values.push_back(BigInt(2).Pow(bits) - BigInt(1));  // all ones
+    values.push_back(BigInt(2).Pow(bits));
+  }
+  for (int i = 0; i < 500; ++i) {
+    BigInt value(1);
+    int limbs = 1 + static_cast<int>(gen() % 6);
+    for (int l = 0; l < limbs; ++l) {
+      value = value * BigInt(uint64_t{1} << 32) +
+              BigInt(static_cast<uint64_t>(gen() >> 32));
+    }
+    values.push_back((gen() & 1) ? -value : value);
+  }
+  for (const BigInt& value : values) {
+    double mantissa = 0;
+    int64_t exponent = 0;
+    value.ToMantissaExp(&mantissa, &exponent);
+    EXPECT_GE(std::abs(mantissa), 0.5) << value;
+    EXPECT_LT(std::abs(mantissa), 1.0) << value;
+    EXPECT_EQ(mantissa < 0, value.is_negative()) << value;
+    // The exponent is the bit length, one more when the top bits rounded
+    // up to the next power of two.
+    int64_t bits = static_cast<int64_t>(value.BitLength());
+    bool rounded_up = exponent == bits + 1 && std::abs(mantissa) == 0.5;
+    EXPECT_TRUE(exponent == bits || rounded_up) << value;
+    EXPECT_EQ(std::ldexp(mantissa, static_cast<int>(exponent)),
+              value.ToDouble());
+  }
 }
 
 TEST(BigIntTest, HashEqualValuesAgree) {

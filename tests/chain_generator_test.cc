@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "gen/workloads.h"
 #include "repair/preference_generator.h"
 #include "repair/trust_generator.h"
@@ -57,6 +59,75 @@ TEST(ChainGeneratorTest, LambdaGeneratorWrapsFunction) {
   EXPECT_EQ(gen.name(), "first-always");
   std::vector<Rational> probs = CheckedProbabilities(gen, root, exts);
   EXPECT_EQ(probs[0], Rational(1));
+}
+
+// ---- Stochasticity check: every non-distribution still CHECK-fails,
+// whether the common-denominator fast path or the exact BigInt sum sees it.
+
+LambdaChainGenerator Stub(std::vector<Rational> probs) {
+  return LambdaChainGenerator(
+      "stub", [probs](const RepairingState&, const std::vector<Operation>&) {
+        return probs;
+      });
+}
+
+class CheckedProbabilitiesTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // Death tests fork; re-exec instead, so threads started by other
+    // tests in this binary cannot deadlock the child.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ASSERT_EQ(exts_.size(), 3u);
+  }
+  std::vector<Rational> Check(std::vector<Rational> probs) {
+    return CheckedProbabilities(Stub(std::move(probs)), root_, exts_);
+  }
+
+  gen::Workload w_ = gen::PaperKeyPairExample();
+  RepairingState root_ = RootState(w_);
+  std::vector<Operation> exts_ = root_.ValidExtensions();
+};
+
+TEST_F(CheckedProbabilitiesTest, AcceptsExactDistributions) {
+  // One denominator with a zero entry (the fast path) and mixed
+  // denominators (the exact path).
+  EXPECT_EQ(Check({0, Rational(1, 2), Rational(1, 2)}).size(), 3u);
+  EXPECT_EQ(Check({Rational(1, 2), Rational(1, 3), Rational(1, 6)}).size(),
+            3u);
+  const int64_t d = (int64_t{1} << 62) + 3;
+  std::vector<Rational> near_overflow =
+      Check({Rational(d - 2, d), Rational(1, d), Rational(1, d)});
+  EXPECT_EQ(near_overflow.size(), 3u);
+}
+
+TEST_F(CheckedProbabilitiesTest, CommonDenominatorOffByOneDies) {
+  EXPECT_DEATH(Check({Rational(2, 7), Rational(2, 7), Rational(4, 7)}),
+               "sum to 8/7");
+  EXPECT_DEATH(Check({Rational(2, 7), Rational(2, 7), Rational(2, 7)}),
+               "sum to 6/7");
+  const int64_t d = (int64_t{1} << 62) + 3;
+  EXPECT_DEATH(Check({Rational(d - 2, d), Rational(1, d), Rational(2, d)}),
+               "sum to");
+  // Numerators summing to exactly e + 2^64: a 64-bit sum would wrap
+  // around to a false "== e" (each entry is already reduced: its
+  // numerator is coprime to e = 2^62 + 1).
+  const int64_t e = (int64_t{1} << 62) + 1;
+  const int64_t big = std::numeric_limits<int64_t>::max();  // 2^63 − 1
+  EXPECT_DEATH(Check({Rational(big, e), Rational(big, e), Rational(e + 2, e)}),
+               "sum to");
+}
+
+TEST_F(CheckedProbabilitiesTest, MixedDenominatorsNotSummingToOneDie) {
+  EXPECT_DEATH(Check({Rational(1, 2), Rational(1, 3), Rational(1, 5)}),
+               "sum to 31/30");
+  EXPECT_DEATH(Check({Rational(1, 2), Rational(1, 3), 0}), "sum to 5/6");
+  EXPECT_DEATH(Check({0, 0, 0}), "sum to 0");
+}
+
+TEST_F(CheckedProbabilitiesTest, NegativeEntryDies) {
+  // Sums to exactly 1, so only the sign check can catch it.
+  EXPECT_DEATH(Check({Rational(-1, 3), Rational(2, 3), Rational(2, 3)}),
+               "returned probability -1/3");
 }
 
 // ---- Example 4: the preference generator reproduces the figure's edges.

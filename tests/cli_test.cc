@@ -1,0 +1,142 @@
+// End-to-end checks of the opcqa_cli binary (fork + exec): the exit-code
+// contract for bad sampler flag values, and the sampler's metrics rows.
+
+#include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+namespace {
+
+namespace fs = std::filesystem;
+
+/// A fresh temp directory holding a small key-violation instance, removed
+/// on destruction.
+class CliInputs {
+ public:
+  CliInputs() {
+    std::string pattern =
+        (fs::temp_directory_path() / "opcqa_cli_XXXXXX").string();
+    std::vector<char> buffer(pattern.begin(), pattern.end());
+    buffer.push_back('\0');
+    char* made = ::mkdtemp(buffer.data());
+    EXPECT_NE(made, nullptr);
+    dir_ = made == nullptr ? std::string() : made;
+    Write("schema.txt", "R/2\n");
+    Write("db.txt", "R(a,b). R(a,c). R(d,e).\n");
+    Write("constraints.txt", "key: R(x,y), R(x,z) -> y = z\n");
+  }
+  ~CliInputs() {
+    std::error_code ignored;
+    if (!dir_.empty()) fs::remove_all(dir_, ignored);
+  }
+
+  std::vector<std::string> Args() const {
+    return {"--schema=" + dir_ + "/schema.txt", "--db=" + dir_ + "/db.txt",
+            "--constraints=" + dir_ + "/constraints.txt",
+            "--query=Q(x,y) := R(x,y)"};
+  }
+  std::string Path(const std::string& name) const {
+    return dir_ + "/" + name;
+  }
+
+ private:
+  void Write(const std::string& name, const std::string& text) {
+    std::ofstream(dir_ + "/" + name) << text;
+  }
+
+  std::string dir_;
+};
+
+struct CliRun {
+  int exit_code = -1;  // -1 when the process did not exit normally
+  std::string err;     // everything it wrote to stderr
+};
+
+/// Runs opcqa_cli with `args`, stdout discarded, stderr captured.
+CliRun RunCli(const std::vector<std::string>& args,
+              const std::string& err_path) {
+  pid_t pid = ::fork();
+  if (pid == 0) {
+    std::vector<char*> argv;
+    argv.push_back(const_cast<char*>(OPCQA_CLI_PATH));
+    for (const std::string& arg : args) {
+      argv.push_back(const_cast<char*>(arg.c_str()));
+    }
+    argv.push_back(nullptr);
+    if (!std::freopen("/dev/null", "w", stdout) ||
+        !std::freopen(err_path.c_str(), "w", stderr)) {
+      std::_Exit(126);
+    }
+    ::execv(OPCQA_CLI_PATH, argv.data());
+    std::_Exit(127);  // exec failed
+  }
+  CliRun run;
+  int status = 0;
+  if (pid < 0 || ::waitpid(pid, &status, 0) != pid) return run;
+  if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
+  std::ifstream in(err_path);
+  std::stringstream text;
+  text << in.rdbuf();
+  run.err = text.str();
+  return run;
+}
+
+TEST(CliTest, BadSamplerFlagValuesAreUsageErrors) {
+  // Each used to abort in Sampler::NumSamples (SIGABRT) or, for the seed,
+  // silently become 0; the CLI contract maps bad flag values to exit 2.
+  CliInputs inputs;
+  const std::vector<std::string> bad = {
+      "--eps=0",
+      "--eps=-0.1",
+      "--eps=abc",
+      "--eps=",
+      "--eps=0.1x",
+      "--eps=nan",
+      "--delta=0",
+      "--delta=1",
+      "--delta=1.5",
+      "--delta=abc",
+      "--delta=inf",
+      "--seed=abc",
+      "--seed=-3",
+      "--seed=",
+      "--threads=x",
+  };
+  for (const std::string& flag : bad) {
+    std::vector<std::string> args = inputs.Args();
+    args.push_back("--mode=approx");
+    args.push_back(flag);
+    CliRun run = RunCli(args, inputs.Path("err.txt"));
+    EXPECT_EQ(run.exit_code, 2) << flag << "\n" << run.err;
+    std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(run.err.find(name), std::string::npos) << run.err;
+  }
+}
+
+TEST(CliTest, ApproxRunReportsSamplerMetrics) {
+  CliInputs inputs;
+  std::vector<std::string> args = inputs.Args();
+  for (const char* flag : {"--mode=approx", "--eps=0.1", "--delta=0.1",
+                           "--seed=7", "--metrics"}) {
+    args.push_back(flag);
+  }
+  CliRun run = RunCli(args, inputs.Path("err.txt"));
+  ASSERT_EQ(run.exit_code, 0) << run.err;
+  // n(0.1, 0.1) = 150 walks, recorded once per estimation call.
+  EXPECT_NE(run.err.find("sampler.walks"), std::string::npos) << run.err;
+  EXPECT_NE(run.err.find(" 150\n"), std::string::npos) << run.err;
+  EXPECT_NE(run.err.find("sampler.steps"), std::string::npos) << run.err;
+  EXPECT_NE(run.err.find("sampler.estimate_ms"), std::string::npos)
+      << run.err;
+  EXPECT_NE(run.err.find("count=1 "), std::string::npos) << run.err;
+}
+
+}  // namespace

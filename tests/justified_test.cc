@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "constraints/constraint_parser.h"
 #include "gen/workloads.h"
 #include "relational/fact_parser.h"
@@ -204,33 +206,57 @@ TEST(DeletionCandidateIndexTest, MatchesJustifiedDeletionsOnEverySubset) {
       DeletionCandidateIndex::Build(w.constraints, all);
   EXPECT_EQ(index->num_violations(), all.size());
 
+  // Ranks follow ViolationSet order.
   std::vector<Violation> ordered(all.begin(), all.end());
+  for (size_t i = 0; i < ordered.size(); ++i) {
+    EXPECT_EQ(index->violation(i), ordered[i]);
+  }
+  std::vector<uint64_t> bits;
   for (size_t mask = 0; mask < (size_t{1} << ordered.size()); ++mask) {
     ViolationSet subset;
+    std::vector<uint64_t> live(1, 0);
     for (size_t i = 0; i < ordered.size(); ++i) {
-      if (mask & (size_t{1} << i)) subset.insert(ordered[i]);
+      if (mask & (size_t{1} << i)) {
+        subset.insert(ordered[i]);
+        live[0] |= uint64_t{1} << i;
+      }
     }
+    size_t count = index->CandidatesFor(live, &bits);
     std::vector<Operation> indexed;
-    ASSERT_TRUE(index->AppendFor(subset, &indexed));
+    ForEachSetBit(bits, [&](size_t rank) {
+      indexed.push_back(index->candidate(rank));
+    });
+    EXPECT_EQ(indexed.size(), count);
     EXPECT_EQ(indexed, JustifiedDeletions(w.db, w.constraints, subset));
   }
 }
 
-TEST(DeletionCandidateIndexTest, UnindexedViolationFallsBack) {
-  gen::Workload w = gen::MakeKeyViolationWorkload(2, 2, 2, /*seed=*/1);
+TEST(DeletionCandidateIndexTest, KilledViolationsAreThoseTheDeletionMeets) {
+  // Deleting F kills exactly the violations whose body image meets F —
+  // the survivors are V(D − F) (deletions are violation-monotone).
+  gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 3, /*seed=*/2);
   ViolationSet all = ComputeViolations(w.db, w.constraints);
-  ASSERT_GE(all.size(), 2u);
-  // Index only the first violation; asking for both must refuse (the
-  // caller then recomputes from scratch) and leave the output untouched.
-  ViolationSet first_only;
-  first_only.insert(*all.begin());
   std::shared_ptr<const DeletionCandidateIndex> index =
-      DeletionCandidateIndex::Build(w.constraints, first_only);
-  std::vector<Operation> ops;
-  EXPECT_FALSE(index->AppendFor(all, &ops));
-  EXPECT_TRUE(ops.empty());
-  EXPECT_TRUE(index->AppendFor(first_only, &ops));
-  EXPECT_EQ(ops, JustifiedDeletions(w.db, w.constraints, first_only));
+      DeletionCandidateIndex::Build(w.constraints, all);
+  for (const Operation& op : JustifiedDeletions(w.db, w.constraints, all)) {
+    std::set<uint32_t> killed;
+    index->ForEachKilled(op.fact_ids(),
+                         [&](uint32_t rank) { killed.insert(rank); });
+    std::set<uint32_t> expected;
+    for (uint32_t rank = 0; rank < index->num_violations(); ++rank) {
+      if (BodyImageIntersects(w.constraints, index->violation(rank),
+                              op.fact_ids())) {
+        expected.insert(rank);
+      }
+    }
+    EXPECT_EQ(killed, expected);
+    Database after = op.Apply(w.db);
+    ViolationSet survivors;
+    for (uint32_t rank = 0; rank < index->num_violations(); ++rank) {
+      if (killed.count(rank) == 0) survivors.insert(index->violation(rank));
+    }
+    EXPECT_EQ(survivors, ComputeViolations(after, w.constraints));
+  }
 }
 
 TEST(JustifiedEgdTest, EgdAdmitsOnlyDeletions) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cmath>
 #include <limits>
+#include <random>
 
 namespace opcqa {
 namespace {
@@ -88,6 +90,33 @@ TEST(RationalTest, ToDoubleHandlesHugeNumeratorAndDenominator) {
   BigInt huge = BigInt(7).Pow(500);
   Rational r(huge * BigInt(2), huge);
   EXPECT_DOUBLE_EQ(r.ToDouble(), 2.0);
+}
+
+TEST(RationalTest, ToDoubleMatchesNativeDivisionBelow2To53) {
+  // For |n|, d < 2^53 both operands convert exactly, so ToDouble must be
+  // the correctly rounded n/d — and equal to the mantissa/exponent route
+  // the multi-limb values take, bit for bit.
+  std::mt19937_64 gen(53);
+  for (int i = 0; i < 20000; ++i) {
+    // Random magnitudes of every bit length up to 53.
+    int n_shift = 11 + static_cast<int>(gen() % 53);
+    int64_t n = static_cast<int64_t>(gen() >> n_shift);
+    int d_shift = 11 + static_cast<int>(gen() % 53);
+    int64_t d = static_cast<int64_t>(gen() >> d_shift);
+    if (d == 0) d = 1;
+    if (gen() & 1) n = -n;
+    Rational r(n, d);
+    double expected = static_cast<double>(n) / static_cast<double>(d);
+    EXPECT_EQ(r.ToDouble(), expected) << n << "/" << d;
+    if (n == 0) continue;
+    double num_m, den_m;
+    int64_t num_e, den_e;
+    r.numerator().ToMantissaExp(&num_m, &num_e);
+    r.denominator().ToMantissaExp(&den_m, &den_e);
+    EXPECT_EQ(std::ldexp(num_m / den_m, static_cast<int>(num_e - den_e)),
+              expected)
+        << n << "/" << d;
+  }
 }
 
 TEST(RationalTest, NegationAndCompoundOps) {
