@@ -200,17 +200,18 @@ BENCHMARK(BM_DiskWarmStart)
 
 // Delta spills (PR 9): one long-lived session keeps growing a single
 // root's table and checkpoints (Persist) after every growth step — the
-// mutating-workload shape where full-base rewrites hurt. /0 disables
-// delta spills: every checkpoint rewrites the whole base snapshot, v1
-// style. /1 appends only the entries added since the last spill to the
-// per-root delta log (storage/canonical.h), compacting once the log
-// outgrows log_compaction_ratio of the base. Table growth is anytime
-// enumeration: each step raises the max_states budget, and each budget
-// runs twice so the twice-missed admission filter admits that step's
-// re-reached subtrees. bytes_written is DiskTierStats::compressed_bytes —
-// every byte the tier wrote in the v2 encoding; the >=3x write cut is
-// asserted deterministically in tests/storage_v2_test.cc, this benchmark
-// gates the wall-clock of the checkpointing session (pr9_disk_delta_ms).
+// mutating-workload shape where full-base rewrites hurt. /0 sets
+// log_compaction_ratio to 0: every checkpoint rewrites the whole base
+// snapshot. /1 (the default ratio) appends only the entries added since
+// the last spill to the per-root delta log (storage/canonical.h),
+// compacting once the log outgrows log_compaction_ratio of the base.
+// Table growth is anytime enumeration: each step raises the max_states
+// budget, and each budget runs twice so the twice-missed admission
+// filter admits that step's re-reached subtrees. bytes_written is
+// DiskTierStats::compressed_bytes — every byte the tier wrote in the v2
+// encoding; the >=3x write cut is asserted deterministically in
+// tests/storage_v2_test.cc, this benchmark gates the wall-clock of the
+// checkpointing session (pr9_disk_delta_ms).
 void BM_DiskDeltaSpill(benchmark::State& state) {
   bool delta = state.range(0) != 0;
   namespace fs = std::filesystem;
@@ -220,7 +221,7 @@ void BM_DiskDeltaSpill(benchmark::State& state) {
                  (std::string("opcqa_bench_delta_") + (delta ? "on" : "off"));
   RepairCacheOptions disk;
   disk.snapshot_dir = dir.string();
-  disk.delta_spill = delta;
+  if (!delta) disk.log_compaction_ratio = 0;  // rewrite the base per spill
   constexpr size_t kBudgets[] = {3000,  6000,  9000,  12000, 15000, 18000,
                                  21000, 24000, 27000, 30000, 36000, 1u << 22};
   uint64_t bytes_written = 0;
@@ -606,7 +607,7 @@ void RecordDeltaSweep() {
   for (int delta = 0; delta < 2; ++delta) {
     RepairCacheOptions disk;
     disk.snapshot_dir = dir.string();
-    disk.delta_spill = delta != 0;
+    if (delta == 0) disk.log_compaction_ratio = 0;
     double best_ms = 1e300;
     for (int rep = 0; rep < 3; ++rep) {
       fs::remove_all(dir);

@@ -1,94 +1,12 @@
 // opcqa_cli — command-line operational consistent query answering.
 //
-// A downstream-user-facing driver: schema, database and constraints come
-// from files, the query from the command line; answering is exact (chain
-// enumeration) or approximate (Theorem 9 sampling).
-//
-// Usage (FO query modes):
-//   opcqa_cli --schema=s.txt --db=d.txt --constraints=c.txt
-//             --query='Q(x) := R(x,y)'  (repeatable: each --query is
-//             answered in turn over the same database)
-//             [--generator=uniform|deletions|minchange]
-//             [--mode=exact|approx] [--eps=0.1] [--delta=0.1] [--seed=42]
-//             [--threads=N]  (0 = all cores; answers are identical for
-//             every thread count)
-//             [--memo]  (exact mode: transposition-table memoization of
-//             shared repair-space suffixes; answers are identical with it
-//             on or off — it only changes how fast they arrive)
-//             [--memo-persist]  (exact mode: keep the repair space cached
-//             across the --query list — repair/repair_cache.h — so every
-//             query after the first replays the first one's chain walk;
-//             implies --memo)
-//             [--memo-bytes=N]  (byte budget for the memo table / each
-//             cache root; 0 = entries-only budget)
-//             [--memo-dir=PATH]  (disk tier, src/storage/: restore the
-//             repair space from PATH's canonical snapshots on start and
-//             spill it back on exit, so a *fresh process* over the same
-//             database warm-starts from this run's chain walks; implies
-//             --memo-persist)
-//             [--memo-disk-bytes=N]  (byte budget for --memo-dir — base
-//             snapshots plus delta logs, whole roots deleted oldest
-//             first; 0 = unbounded)
-//             [--memo-delta=0|1]  (default 1: once a root's base
-//             snapshot exists, spills append only the newly admitted
-//             entries to its delta log; 0 rewrites the whole base every
-//             spill — the PR-5 behavior)
-//             [--memo-compact-ratio=X]  (compact a delta log into a
-//             fresh base once it exceeds X times the base size;
-//             default 0.5, <= 0 compacts on every spill)
-//             [--memo-memory-bytes=N]  (memory-tier byte budget across
-//             all cache roots: overflow demotes the lowest-retention
-//             root to the disk tier early; 0 = off)
-//             [--plan=auto|walk|rewrite]  (exact mode: route each query
-//             through the query planner — src/planner/ — and print the
-//             decision. `auto` answers FO-rewritable queries inside the
-//             proven-coincident fragment with the Koutris–Wijsen
-//             rewriting, skipping the chain walk entirely; `walk` forces
-//             the walk; `rewrite` errors on out-of-fragment queries
-//             instead of silently walking. Rewriting reports *certain*
-//             answers (CP = 1) — the full CP distribution needs a walk)
-//             [--show-repairs] [--show-chain]
-//             [--metrics]  (print the merged metrics-registry snapshot —
-//             src/obs/ — on stderr; serve mode always prints it)
-//             [--trace-out=FILE]  (tracing builds: Chrome trace_event
-//             JSON of the run's spans, loadable in Perfetto / about:tracing)
-//             [--slow-ms=N]  (tracing builds: span tree of every request
-//             slower than N ms, on stderr)
-//
-// Usage (serve-trace mode — replay a request log through OcqaServer,
-// src/server/; trace format in server/trace.h):
-//   opcqa_cli --schema=s.txt --db=d.txt --constraints=c.txt
-//             --serve-trace=t.trace
-//             [--serve-workers=N]  (server worker threads; 0 = all cores)
-//             [--serve-out=PATH]  (write rendered responses to PATH
-//             instead of stdout; stdout/PATH carry *only* the canonical
-//             responses, so two runs diff byte-for-byte — the serving
-//             summary goes to stderr)
-//             [--serve-baseline]  (replay the same trace serially on one
-//             session per tenant instead of the server — the reference
-//             output concurrent serving must reproduce exactly)
-//             [--memo-bytes --memo-dir --memo-disk-bytes --threads
-//             --plan]  (shared-cache / per-session knobs, as above; with
-//             --memo-dir the server's shared cache restores from and
-//             spills to the snapshot directory, so a rerun serves warm)
-//
-// Usage (SQL mode — the Section 5 scheme; keys as table:pos[,pos...],
-// ';'-separated):
-//   opcqa_cli --schema=s.txt --db=d.txt --mode=sql
-//             --sql='SELECT c0 FROM R' --keys='R:0'
-//             [--eps --delta --seed]
-//
-// File formats:
-//   schema:       one "Name/arity" per line, '#' comments
-//   database:     facts "R(a,b)." separated by '.', '#' comments
-//   constraints:  one per line, e.g. "key: R(x,y), R(x,z) -> y = z"
-//
-// SQL-mode tables expose columns c0, c1, ... per relation position.
-//
-// Exit codes: 0 = answered (including degraded runs, which warn on
-// stderr), 1 = hard failure, 2 = usage error. `--help` prints the full
-// flag table (the normative list docs/KNOBS.md is CI-checked against)
-// and exits 0.
+// Schema, database and constraints come from files, the query from the
+// command line; answering is exact (chain enumeration), approximate
+// (Theorem 9 sampling), a request-log replay through OcqaServer, or the
+// Section 5 SQL scheme. Every flag is one row of kFlags below, which
+// drives the parser, `opcqa_cli --help` and the missing-flag message;
+// docs/KNOBS.md is the normative knob table, and CI diffs its (flag,
+// default) pairs against --help.
 
 #include <cctype>
 #include <cerrno>
@@ -96,8 +14,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <variant>
 
 #include "constraints/constraint_parser.h"
 #include "gen/workloads.h"
@@ -125,31 +45,322 @@ struct Options {
   std::string schema_path, db_path, constraints_path;
   std::vector<std::string> query_texts;  // answered in order
   std::string sql_text, keys_spec;
-  std::string generator = "uniform";
-  std::string mode = "exact";
+  std::string generator = "uniform", mode = "exact";
   double eps = 0.1, delta = 0.1;
-  uint64_t seed = 42;
-  size_t threads = 1;  // 0 = all cores; results identical either way
-  bool memo = false;   // exact mode: memoize shared repair-space suffixes
-  bool memo_persist = false;  // share the repair space across --query list
-  size_t memo_bytes = 0;      // byte budget (0 = entries-only budget)
-  std::string memo_dir;       // disk tier directory (empty = memory only)
-  size_t memo_disk_bytes = 0;  // disk budget for --memo-dir (0 = unbounded)
-  bool memo_delta = true;      // delta spills (0 = always rewrite the base)
-  double memo_compact_ratio = 0.5;  // log/base compaction threshold
-  size_t memo_memory_bytes = 0;  // cross-root memory budget (0 = off)
-  std::string plan;  // exact mode: planner dispatch (empty = flag unset,
-                     // behave exactly as before the planner existed)
-  std::string serve_trace;      // request-log path — serve-trace mode
-  size_t serve_workers = 0;     // server worker threads (0 = all cores)
-  std::string serve_out;        // rendered responses file (empty = stdout)
-  bool serve_baseline = false;  // serial per-tenant replay, not the server
-  bool show_repairs = false;
-  bool show_chain = false;
-  bool metrics = false;    // print the merged registry snapshot on stderr
-  std::string trace_out;   // Chrome trace JSON path (tracing builds)
-  double slow_ms = -1;     // slow-query span-tree threshold (< 0 = off)
+  uint64_t seed = 42, threads = 1;
+  bool memo = false, memo_persist = false;
+  uint64_t memo_bytes = 0, memo_disk_bytes = 0, memo_memory_bytes = 0;
+  std::string memo_dir;  // empty = memory only
+  double memo_compact_ratio = 0.5;
+  std::string plan;  // empty = no planner
+  uint64_t serve_workers = 0;
+  std::string serve_trace, serve_out;  // empty serve_out = stdout
+  bool serve_baseline = false, show_repairs = false, show_chain = false;
+  bool metrics = false, help = false;
+  std::string trace_out;
+  double slow_ms = -1;  // < 0 = off
 };
+
+// The typed value parsers a flag row can carry. A bare Field picks the
+// parser by type: non-empty string, repeatable string, switch (no value)
+// or non-negative integer; Choice and Real add a check.
+template <class T>
+using Field = T Options::*;
+struct Choice {
+  Field<std::string> field;
+  const char* values;  // accepted values, '|'-separated
+};
+struct Real {
+  Field<double> field;
+  double min = -HUGE_VAL, max = HUGE_VAL;  // finite values in range only
+  bool open = false;                       // both bounds exclusive
+};
+using Parser = std::variant<Field<bool>, Field<uint64_t>, Field<std::string>,
+                            Field<std::vector<std::string>>, Choice, Real>;
+
+struct Flag {
+  const char* name;          // without the leading "--"
+  const char* value;         // --help placeholder; "" for a switch
+  const char* group;         // --help section
+  const char* default_text;  // exactly as docs/KNOBS.md's default column
+  const char* help;
+  Parser parser;
+};
+
+// Every flag of the CLI, in --help order.
+const Flag kFlags[] = {
+    {"schema", "FILE", "input", "required",
+     "relation declarations, one Name/arity per line", &Options::schema_path},
+    {"db", "FILE", "input", "required", "facts \"R(a,b).\" separated by '.'",
+     &Options::db_path},
+    {"constraints", "FILE", "input", "required outside --mode=sql",
+     "one constraint per line, e.g. \"key: R(x,y), R(x,z) -> y = z\"",
+     &Options::constraints_path},
+    {"query", "TEXT", "input", "—",
+     "FO query 'Q(x) := R(x,y)'; repeatable, answered in order",
+     &Options::query_texts},
+    {"sql", "TEXT", "input", "—",
+     "(--mode=sql) SELECT statement over columns c0, c1, ...",
+     &Options::sql_text},
+    {"keys", "SPEC", "input", "—", "(--mode=sql) key positions 'R:0;S:0,1'",
+     &Options::keys_spec},
+    {"generator", "NAME", "answering", "uniform", "repair distribution",
+     Choice{&Options::generator, "uniform|deletions|minchange"}},
+    {"mode", "NAME", "answering", "exact",
+     "answering mode (approx returns estimates)",
+     Choice{&Options::mode, "exact|approx|sql"}},
+    {"eps", "X", "answering", "0.1", "approx/sql additive error bound",
+     Real{&Options::eps, 0, HUGE_VAL, true}},
+    {"delta", "X", "answering", "0.1", "approx/sql failure probability",
+     Real{&Options::delta, 0, 1, true}},
+    {"seed", "N", "answering", "42", "sampling seed", &Options::seed},
+    {"threads", "N", "answering", "1",
+     "enumeration and sampler threads; 0 = all cores", &Options::threads},
+    {"plan", "NAME", "answering", "unset",
+     "exact-mode planner dispatch; rewrite errors outside the "
+     "proven-coincident fragment",
+     Choice{&Options::plan, "auto|walk|rewrite"}},
+    {"memo", "", "repair-space cache", "off",
+     "memoize shared repair-space suffixes", &Options::memo},
+    {"memo-persist", "", "repair-space cache", "off",
+     "share the repair space across the --query list; implies --memo",
+     &Options::memo_persist},
+    {"memo-bytes", "N", "repair-space cache", "0",
+     "byte budget per memo table / cache root; 0 = entries-only",
+     &Options::memo_bytes},
+    {"memo-dir", "PATH", "repair-space cache", "unset",
+     "disk tier directory; implies --memo-persist", &Options::memo_dir},
+    {"memo-disk-bytes", "N", "repair-space cache", "0",
+     "byte budget for --memo-dir (bases + delta logs); 0 = unbounded",
+     &Options::memo_disk_bytes},
+    {"memo-compact-ratio", "X", "repair-space cache", "0.5",
+     "compact the delta log into a fresh base once it exceeds this "
+     "fraction of the base; <= 0 rewrites the base every spill",
+     Real{&Options::memo_compact_ratio}},
+    {"memo-memory-bytes", "N", "repair-space cache", "0",
+     "memory-tier byte budget across all cache roots; overflow demotes "
+     "the lowest-retention root to disk; 0 = off",
+     &Options::memo_memory_bytes},
+    {"serve-trace", "FILE", "serve-trace", "—",
+     "replay a request log through OcqaServer (format: server/trace.h)",
+     &Options::serve_trace},
+    {"serve-workers", "N", "serve-trace", "0",
+     "server worker threads; 0 = all cores", &Options::serve_workers},
+    {"serve-out", "PATH", "serve-trace", "stdout",
+     "write canonical responses to PATH", &Options::serve_out},
+    {"serve-baseline", "", "serve-trace", "off",
+     "serial per-tenant replay instead of the server",
+     &Options::serve_baseline},
+    {"metrics", "", "observability", "off",
+     "print the merged metrics registry snapshot on stderr (serve mode "
+     "always prints it)",
+     &Options::metrics},
+    {"trace-out", "FILE", "observability", "unset",
+     "write a Chrome trace_event JSON of the run's spans (needs a tracing "
+     "build, -DOPCQA_TRACING=ON)",
+     &Options::trace_out},
+    {"slow-ms", "N", "observability", "unset",
+     "print the span tree of every request slower than N ms to stderr "
+     "(tracing builds)",
+     Real{&Options::slow_ms, 0}},
+    {"show-repairs", "", "output", "off", "print the repair distribution",
+     &Options::show_repairs},
+    {"show-chain", "", "output", "off", "print the repairing chain tree",
+     &Options::show_chain},
+    {"help", "", "output", "—", "print this reference and exit 0",
+     &Options::help},
+};
+
+// The three invocation shapes, as the flags each one requires ("name=x"
+// entries are literal). The first applies unless --mode=sql or
+// --serve-trace selects another.
+const std::vector<std::vector<const char*>> kForms = {
+    {"schema", "db", "constraints", "query"},
+    {"schema", "db", "constraints", "serve-trace"},
+    {"schema", "db", "mode=sql", "sql", "keys"},
+};
+
+const Flag* FindFlag(const std::string& name) {
+  for (const Flag& flag : kFlags) {
+    if (name == flag.name) return &flag;
+  }
+  return nullptr;
+}
+
+/// "--name=VALUE" (or "--name" for a switch, or a literal "name=x").
+std::string Spell(const std::string& name) {
+  const Flag* flag = FindFlag(name);
+  if (flag == nullptr || *flag->value == '\0') return "--" + name;
+  return "--" + name + "=" + flag->value;
+}
+
+std::string UsageLines() {
+  std::vector<std::string> lines;
+  for (const std::vector<const char*>& form : kForms) {
+    std::string line = lines.empty() ? "usage: opcqa_cli" : "   or: opcqa_cli";
+    for (const char* name : form) line += " " + Spell(name);
+    lines.push_back(line + " [flags]");
+  }
+  return Join(lines, "\n");
+}
+
+/// "a number > 0", "a number in (0,1)", ... — Real's accepted range.
+std::string Describe(const Real& real) {
+  if (real.min == -HUGE_VAL) return "a number";
+  if (real.max == HUGE_VAL) {
+    return StrCat("a number ", real.open ? "> " : ">= ", real.min);
+  }
+  const char* brackets = real.open ? "()" : "[]";
+  return StrCat("a number in ", brackets[0], real.min, ",", real.max,
+                brackets[1]);
+}
+
+/// Stores one flag value into an Options — std::visit over the row's
+/// Parser; a bad value is a usage error naming the flag.
+struct ApplyValue {
+  const std::string& name;  // "--flag", for error messages
+  const std::string& text;  // the value after '='
+  Options* opt;
+
+  Status Bad(const std::string& want) const {
+    return Status::InvalidArgument(name + " must be " + want + ", got '" +
+                                   text + "'");
+  }
+  Status operator()(Field<bool> field) const {
+    opt->*field = true;
+    return Status::Ok();
+  }
+  Status operator()(Field<std::string> field) const {
+    if (text.empty()) return Bad("non-empty");
+    opt->*field = text;
+    return Status::Ok();
+  }
+  Status operator()(Field<std::vector<std::string>> field) const {
+    if (text.empty()) return Bad("non-empty");
+    (opt->*field).push_back(text);
+    return Status::Ok();
+  }
+  Status operator()(Field<uint64_t> field) const {
+    // Whole-string values: "abc", "", "-5" or "1x" are usage errors,
+    // never a silent 0 or a wrapped 2^64-5.
+    char* end = nullptr;
+    errno = 0;
+    uint64_t value = std::strtoull(text.c_str(), &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || errno != 0 ||
+        *end != '\0') {
+      return Bad("a non-negative integer");
+    }
+    opt->*field = value;
+    return Status::Ok();
+  }
+  Status operator()(const Choice& choice) const {
+    for (const std::string& value : Split(choice.values, '|')) {
+      if (text != value) continue;
+      opt->*choice.field = text;
+      return Status::Ok();
+    }
+    return Bad(std::string("one of ") + choice.values);
+  }
+  Status operator()(const Real& real) const {
+    char* end = nullptr;
+    errno = 0;
+    double value = std::strtod(text.c_str(), &end);
+    bool in_range = real.open ? value > real.min && value < real.max
+                              : value >= real.min && value <= real.max;
+    if (text.empty() || errno != 0 || *end != '\0' || !std::isfinite(value) ||
+        !in_range) {
+      return Bad(Describe(real));
+    }
+    opt->*real.field = value;
+    return Status::Ok();
+  }
+};
+
+/// Applies one "--name[=value]" argument to `opt`.
+Status ParseArg(const std::string& arg, Options* opt,
+                std::set<std::string>* given) {
+  size_t eq = arg.find('=');
+  std::string name = arg.substr(0, eq);
+  const Flag* flag = FindFlag(name.rfind("--", 0) == 0 ? name.substr(2) : "");
+  if (flag == nullptr) {
+    return Status::InvalidArgument("unknown argument: " + arg);
+  }
+  given->insert(flag->name);
+  bool is_switch = std::holds_alternative<Field<bool>>(flag->parser);
+  bool has_value = eq != std::string::npos;
+  if (is_switch && has_value) {
+    return Status::InvalidArgument(name + " takes no value");
+  }
+  if (!is_switch && !has_value) {
+    return Status::InvalidArgument(name + " needs a value: " +
+                                   Spell(flag->name));
+  }
+  std::string text = has_value ? arg.substr(eq + 1) : "";
+  return std::visit(ApplyValue{name, text, opt}, flag->parser);
+}
+
+/// Parses argv into `opt`: stops at the first bad argument or at --help,
+/// then checks the required flags of the selected invocation shape and
+/// derives the implied flags.
+Status ParseArgs(int argc, char** argv, Options* opt) {
+  std::set<std::string> given;
+  for (int i = 1; i < argc && !opt->help; ++i) {
+    std::string arg = argv[i];
+    Status parsed = ParseArg(arg == "-h" ? "--help" : arg, opt, &given);
+    if (!parsed.ok()) return parsed;
+  }
+  if (opt->help) return Status::Ok();
+  const std::vector<const char*>& form =
+      kForms[opt->mode == "sql" ? 2 : given.count("serve-trace") ? 1 : 0];
+  std::string missing;
+  for (const char* name : form) {
+    if (FindFlag(name) != nullptr && given.count(name) == 0) {
+      missing += " " + Spell(name);
+    }
+  }
+  if (!missing.empty()) {
+    return Status::InvalidArgument("missing" + missing + "\n" + UsageLines());
+  }
+  // A disk tier needs the persistent cache, which needs the memo.
+  opt->memo_persist = opt->memo_persist || !opt->memo_dir.empty();
+  opt->memo = opt->memo || opt->memo_persist;
+  return Status::Ok();
+}
+
+// The complete flag reference, printed by --help (exit 0): one line per
+// kFlags row, "  --name=VALUE  (default: X)  what it does".
+void PrintHelp() {
+  std::printf("opcqa_cli — operational consistent query answering "
+              "(Calautti–Libkin–Pieris, PODS 2018)\n\n%s\n",
+              UsageLines().c_str());
+  std::string group;
+  for (const Flag& flag : kFlags) {
+    if (flag.group != group) {
+      group = flag.group;
+      std::printf("\n%s flags:\n", flag.group);
+    }
+    std::string help = flag.help;
+    if (const Choice* choice = std::get_if<Choice>(&flag.parser)) {
+      help = std::string(choice->values) + " — " + help;
+    }
+    std::printf("  %-24s (default: %s)  %s\n", Spell(flag.name).c_str(),
+                flag.default_text, help.c_str());
+  }
+  std::printf(
+      "\nexit codes: 0 = answered (degraded runs warn on stderr), 1 = hard "
+      "failure, 2 = usage error\n");
+}
+
+/// The repair-space cache knobs, shared by the FO and serve-trace paths.
+RepairCacheOptions CacheOptions(const Options& opt) {
+  RepairCacheOptions cache;
+  cache.max_bytes_per_root = opt.memo_bytes;
+  cache.snapshot_dir = opt.memo_dir;
+  cache.max_disk_bytes = opt.memo_disk_bytes;
+  cache.log_compaction_ratio = opt.memo_compact_ratio;
+  cache.max_memory_bytes = opt.memo_memory_bytes;
+  return cache;
+}
 
 /// Parses "R:0;S:0,1" into SQL table keys against `schema`.
 Result<std::vector<sql::TableKey>> ParseKeysSpec(const Schema& schema,
@@ -189,38 +400,6 @@ Result<std::vector<sql::TableKey>> ParseKeysSpec(const Schema& schema,
     return Status::InvalidArgument("--keys declared no key constraints");
   }
   return keys;
-}
-
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* out) {
-  std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
-}
-
-/// Whole-string numeric flag values: "abc", "" or "0.1x" are usage
-/// errors, never a silent 0 (atof/strtoull would read them as 0).
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || *end != '\0' || !std::isfinite(value)) return false;
-  *out = value;
-  return true;
-}
-
-bool ParseUint64(const std::string& text, uint64_t* out) {
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || *end != '\0') return false;
-  *out = value;
-  return true;
 }
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -270,103 +449,12 @@ Result<Schema> ParseSchemaFile(const std::string& text) {
 //      additionally print a "warning: degraded ..." line on stderr;
 //   1  hard failure — missing/unparseable input files, unwritable
 //      --serve-out, a chain too large for --mode=exact;
-//   2  usage — unknown flags or bad flag *values* (generator, mode,
-//      plan, keys, non-numeric or out-of-range --eps/--delta/--seed/
-//      --threads), missing required flags.
+//   2  usage — unknown flags, bad flag *values* (every kFlags parser
+//      rejects before any input file is read; --keys after the schema),
+//      missing required flags. Nothing is printed on stdout.
 
-// The complete flag reference, printed by --help (exit 0). One line per
-// flag: "  --name=VALUE  (default/required)  what it does". docs/KNOBS.md
-// is the normative knob table and CI diffs the flag names listed here
-// against it — add new flags in both places.
-void PrintHelp() {
-  std::printf(
-      "opcqa_cli — operational consistent query answering "
-      "(Calautti–Libkin–Pieris, PODS 2018)\n"
-      "\n"
-      "usage: opcqa_cli --schema=F --db=F --constraints=F "
-      "--query='Q(x) := R(x,y)' [flags]\n"
-      "   or: opcqa_cli --schema=F --db=F --constraints=F "
-      "--serve-trace=F [flags]\n"
-      "   or: opcqa_cli --schema=F --db=F --mode=sql --sql='SELECT ...' "
-      "--keys='R:0;S:0,1' [flags]\n"
-      "\n"
-      "input flags:\n"
-      "  --schema=FILE        (required) relation declarations, one "
-      "Name/arity per line\n"
-      "  --db=FILE            (required) facts \"R(a,b).\" separated by "
-      "'.'\n"
-      "  --constraints=FILE   (required outside --mode=sql) one "
-      "constraint per line\n"
-      "  --query=TEXT         FO query 'Q(x) := R(x,y)'; repeatable, "
-      "answered in order\n"
-      "  --sql=TEXT           (--mode=sql) SELECT statement over columns "
-      "c0, c1, ...\n"
-      "  --keys=SPEC          (--mode=sql) key positions "
-      "'R:0;S:0,1'\n"
-      "\n"
-      "answering flags:\n"
-      "  --generator=NAME     (default: uniform) uniform | deletions | "
-      "minchange\n"
-      "  --mode=NAME          (default: exact) exact | approx | sql\n"
-      "  --eps=X              (default: 0.1) approx/sql additive error "
-      "bound\n"
-      "  --delta=X            (default: 0.1) approx/sql failure "
-      "probability\n"
-      "  --seed=N             (default: 42) sampling seed\n"
-      "  --threads=N          (default: 1) enumeration threads; 0 = all "
-      "cores\n"
-      "  --plan=NAME          (default: unset) auto | walk | rewrite — "
-      "planner dispatch\n"
-      "\n"
-      "repair-space cache flags:\n"
-      "  --memo               (default: off) memoize shared repair-space "
-      "suffixes\n"
-      "  --memo-persist       (default: off) share the repair space "
-      "across the --query list; implies --memo\n"
-      "  --memo-bytes=N       (default: 0) byte budget per memo table / "
-      "cache root; 0 = entries-only\n"
-      "  --memo-dir=PATH      (default: unset) disk tier directory; "
-      "implies --memo-persist\n"
-      "  --memo-disk-bytes=N  (default: 0) byte budget for --memo-dir "
-      "(bases + delta logs); 0 = unbounded\n"
-      "  --memo-delta=0|1     (default: 1) append-only delta spills once "
-      "a base snapshot exists; 0 = always rewrite the base\n"
-      "  --memo-compact-ratio=X  (default: 0.5) compact the delta log "
-      "into a fresh base once it exceeds this fraction of the base; <= 0 "
-      "compacts every spill\n"
-      "  --memo-memory-bytes=N   (default: 0) memory-tier byte budget "
-      "across all cache roots; overflow demotes the lowest-retention "
-      "root to disk; 0 = off\n"
-      "\n"
-      "serve-trace flags:\n"
-      "  --serve-trace=FILE   replay a request log through OcqaServer "
-      "(format: server/trace.h)\n"
-      "  --serve-workers=N    (default: 0) server worker threads; 0 = "
-      "all cores\n"
-      "  --serve-out=PATH     (default: stdout) write canonical "
-      "responses to PATH\n"
-      "  --serve-baseline     (default: off) serial per-tenant replay "
-      "instead of the server\n"
-      "\n"
-      "observability flags:\n"
-      "  --metrics            (default: off) print the merged metrics "
-      "registry snapshot on stderr (serve mode always prints it)\n"
-      "  --trace-out=FILE     (default: unset) write a Chrome "
-      "trace_event JSON of the run's spans (needs a tracing build, "
-      "-DOPCQA_TRACING=ON)\n"
-      "  --slow-ms=N          (default: unset) print the span tree of "
-      "every request slower than N ms to stderr (tracing builds)\n"
-      "\n"
-      "output flags:\n"
-      "  --show-repairs       (default: off) print the repair "
-      "distribution\n"
-      "  --show-chain         (default: off) print the repairing chain "
-      "tree\n"
-      "  --help               print this reference and exit 0\n"
-      "\n"
-      "exit codes: 0 = answered (degraded runs warn on stderr), 1 = hard "
-      "failure, 2 = usage error\n");
-}
+/// printf's %llu argument for a uint64_t counter.
+unsigned long long U(uint64_t value) { return value; }
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -374,7 +462,9 @@ int Fail(const Status& status) {
 }
 
 int UsageFail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  std::fprintf(stderr,
+               "error: %s\nrun opcqa_cli --help for the full flag reference\n",
+               status.ToString().c_str());
   return 2;
 }
 
@@ -414,128 +504,12 @@ int FlushObservability(const Options& opt, bool print_metrics) {
 
 int main(int argc, char** argv) {
   Options opt;
-  std::string value;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      PrintHelp();
-      return 0;
-    }
-    if (ParseFlag(arg, "schema", &opt.schema_path)) continue;
-    if (ParseFlag(arg, "db", &opt.db_path)) continue;
-    if (ParseFlag(arg, "constraints", &opt.constraints_path)) continue;
-    if (ParseFlag(arg, "query", &value)) {
-      opt.query_texts.push_back(value);
-      continue;
-    }
-    if (ParseFlag(arg, "sql", &opt.sql_text)) continue;
-    if (ParseFlag(arg, "keys", &opt.keys_spec)) continue;
-    if (ParseFlag(arg, "generator", &opt.generator)) continue;
-    if (ParseFlag(arg, "mode", &opt.mode)) continue;
-    // The sampler's guarantee needs ε > 0 and δ ∈ (0,1) (Hoeffding's
-    // n(ε,δ) = ⌈ln(2/δ) / 2ε²⌉); reject anything else here, as a usage
-    // error, instead of aborting inside Sampler::NumSamples.
-    if (ParseFlag(arg, "eps", &value)) {
-      if (!ParseDouble(value, &opt.eps) || opt.eps <= 0) {
-        return UsageFail(Status::InvalidArgument(
-            "--eps must be a number > 0, got '" + value + "'"));
-      }
-      continue;
-    }
-    if (ParseFlag(arg, "delta", &value)) {
-      if (!ParseDouble(value, &opt.delta) || opt.delta <= 0 ||
-          opt.delta >= 1) {
-        return UsageFail(Status::InvalidArgument(
-            "--delta must be a number in (0,1), got '" + value + "'"));
-      }
-      continue;
-    }
-    if (ParseFlag(arg, "seed", &value)) {
-      if (!ParseUint64(value, &opt.seed)) {
-        return UsageFail(Status::InvalidArgument(
-            "--seed must be a non-negative integer, got '" + value + "'"));
-      }
-      continue;
-    }
-    if (ParseFlag(arg, "threads", &value)) {
-      uint64_t threads = 0;
-      if (!ParseUint64(value, &threads)) {
-        return UsageFail(Status::InvalidArgument(
-            "--threads must be a non-negative integer, got '" + value + "'"));
-      }
-      opt.threads = static_cast<size_t>(threads);
-      continue;
-    }
-    if (arg == "--memo") {
-      opt.memo = true;
-      continue;
-    }
-    if (arg == "--memo-persist") {
-      opt.memo_persist = true;
-      opt.memo = true;
-      continue;
-    }
-    if (ParseFlag(arg, "memo-bytes", &value)) {
-      opt.memo_bytes = static_cast<size_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
-      continue;
-    }
-    if (ParseFlag(arg, "memo-dir", &value)) {
-      opt.memo_dir = value;
-      opt.memo_persist = true;  // a disk tier needs the persistent cache
-      opt.memo = true;
-      continue;
-    }
-    if (ParseFlag(arg, "memo-disk-bytes", &value)) {
-      opt.memo_disk_bytes = static_cast<size_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
-      continue;
-    }
-    if (ParseFlag(arg, "memo-delta", &value)) {
-      opt.memo_delta = value != "0";
-      continue;
-    }
-    if (ParseFlag(arg, "memo-compact-ratio", &value)) {
-      opt.memo_compact_ratio = std::atof(value.c_str());
-      continue;
-    }
-    if (ParseFlag(arg, "memo-memory-bytes", &value)) {
-      opt.memo_memory_bytes = static_cast<size_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
-      continue;
-    }
-    if (ParseFlag(arg, "plan", &opt.plan)) continue;
-    if (ParseFlag(arg, "serve-trace", &opt.serve_trace)) continue;
-    if (ParseFlag(arg, "serve-workers", &value)) {
-      opt.serve_workers = static_cast<size_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
-      continue;
-    }
-    if (ParseFlag(arg, "serve-out", &opt.serve_out)) continue;
-    if (arg == "--serve-baseline") {
-      opt.serve_baseline = true;
-      continue;
-    }
-    if (arg == "--show-repairs") {
-      opt.show_repairs = true;
-      continue;
-    }
-    if (arg == "--show-chain") {
-      opt.show_chain = true;
-      continue;
-    }
-    if (arg == "--metrics") {
-      opt.metrics = true;
-      continue;
-    }
-    if (ParseFlag(arg, "trace-out", &opt.trace_out)) continue;
-    if (ParseFlag(arg, "slow-ms", &value)) {
-      opt.slow_ms = std::atof(value.c_str());
-      continue;
-    }
-    std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-    return 2;
+  Status parsed = ParseArgs(argc, argv, &opt);
+  if (opt.help) {
+    PrintHelp();
+    return 0;
   }
+  if (!parsed.ok()) return UsageFail(parsed);
   if (opt.memo_disk_bytes != 0 && opt.memo_dir.empty()) {
     std::fprintf(stderr,
                  "warning: --memo-disk-bytes has no effect without "
@@ -548,31 +522,6 @@ int main(int argc, char** argv) {
   }
   bool sql_mode = opt.mode == "sql";
   bool serve_mode = !opt.serve_trace.empty();
-  bool fo_inputs_ok = !opt.constraints_path.empty() &&
-                      (!opt.query_texts.empty() || serve_mode);
-  bool sql_inputs_ok = !opt.sql_text.empty() && !opt.keys_spec.empty();
-  if (opt.schema_path.empty() || opt.db_path.empty() ||
-      (sql_mode ? !sql_inputs_ok : !fo_inputs_ok)) {
-    std::fprintf(stderr,
-                 "usage: opcqa_cli --schema=F --db=F --constraints=F "
-                 "--query='Q(x) := ...' [--query=... more] "
-                 "[--generator=uniform|deletions|minchange] "
-                 "[--mode=exact|approx] [--eps --delta --seed --threads "
-                 "--memo --memo-persist --memo-bytes=N --memo-dir=PATH "
-                 "--memo-disk-bytes=N --memo-delta=0|1 "
-                 "--memo-compact-ratio=X --memo-memory-bytes=N "
-                 "--plan=auto|walk|rewrite] "
-                 "[--show-repairs] [--show-chain]\n"
-                 "   or: opcqa_cli --schema=F --db=F --constraints=F "
-                 "--serve-trace=F [--serve-workers=N --serve-out=PATH "
-                 "--serve-baseline --memo-bytes --memo-dir "
-                 "--memo-disk-bytes --threads --plan]\n"
-                 "   or: opcqa_cli --schema=F --db=F --mode=sql "
-                 "--sql='SELECT ...' --keys='R:0;S:0,1' "
-                 "[--eps --delta --seed]\n"
-                 "run opcqa_cli --help for the full flag reference\n");
-    return 2;
-  }
 
   if (!opt.trace_out.empty() || opt.slow_ms >= 0) {
 #ifdef OPCQA_TRACING
@@ -655,17 +604,9 @@ int main(int argc, char** argv) {
       server::ServerOptions server_options;
       server_options.workers = opt.serve_workers;
       server_options.enumeration.threads = opt.threads;
-      server_options.cache.max_bytes_per_root = opt.memo_bytes;
-      server_options.cache.snapshot_dir = opt.memo_dir;
-      server_options.cache.max_disk_bytes = opt.memo_disk_bytes;
-      server_options.cache.delta_spill = opt.memo_delta;
-      server_options.cache.log_compaction_ratio = opt.memo_compact_ratio;
-      server_options.cache.max_memory_bytes = opt.memo_memory_bytes;
+      server_options.cache = CacheOptions(opt);
       if (!opt.plan.empty()) {
-        Result<planner::PlanMode> plan_mode =
-            planner::ParsePlanMode(opt.plan);
-        if (!plan_mode.ok()) return UsageFail(plan_mode.status());
-        server_options.plan = *plan_mode;
+        server_options.plan = planner::ParsePlanMode(opt.plan).value();
       }
       server::OcqaServer ocqa_server(*db, *constraints, server_options);
       responses = ocqa_server.SubmitAll(*requests);
@@ -681,7 +622,6 @@ int main(int argc, char** argv) {
       // byte-diffable response stream. (This replaced the hand-rolled
       // serve:/cache:/disk:/plan: counter lines.)
       server::ServerStats stats = ocqa_server.Stats();
-      auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
       obs::MetricsSnapshot merged = obs::MetricsRegistry::Global().Snapshot();
       obs::ExportServerStats(stats, &merged);
       std::fputs(merged.RenderText().c_str(), stderr);
@@ -696,9 +636,8 @@ int main(int argc, char** argv) {
                      "panic(s), %llu failed spill(s), %llu breaker "
                      "trip(s), %llu quarantined snapshot(s); responses "
                      "are complete and canonical\n",
-                     u(stats.panics), u(stats.disk.failed_spills),
-                     u(stats.disk.breaker_trips),
-                     u(stats.disk.quarantined));
+                     U(stats.panics), U(stats.disk.failed_spills),
+                     U(stats.disk.breaker_trips), U(stats.disk.quarantined));
       }
     }
 
@@ -736,17 +675,9 @@ int main(int argc, char** argv) {
   UniformChainGenerator uniform;
   DeletionOnlyUniformGenerator deletions;
   PriorityChainGenerator minchange = PriorityChainGenerator::MinimalChange();
-  const ChainGenerator* generator = nullptr;
-  if (opt.generator == "uniform") {
-    generator = &uniform;
-  } else if (opt.generator == "deletions") {
-    generator = &deletions;
-  } else if (opt.generator == "minchange") {
-    generator = &minchange;
-  } else {
-    return UsageFail(Status::InvalidArgument("unknown generator: " +
-                                             opt.generator));
-  }
+  const ChainGenerator* generator = &minchange;
+  if (opt.generator == "uniform") generator = &uniform;
+  if (opt.generator == "deletions") generator = &deletions;
 
   if (opt.show_chain) {
     std::printf("repairing chain:\n%s\n",
@@ -758,14 +689,7 @@ int main(int argc, char** argv) {
     // first query pays for the chain walk and the rest replay it.
     // --memo-dir additionally restores/spills the repair space from/to a
     // snapshot directory, so a rerun in a fresh process starts warm.
-    RepairCacheOptions cache_options;
-    cache_options.max_bytes_per_root = opt.memo_bytes;
-    cache_options.snapshot_dir = opt.memo_dir;
-    cache_options.max_disk_bytes = opt.memo_disk_bytes;
-    cache_options.delta_spill = opt.memo_delta;
-    cache_options.log_compaction_ratio = opt.memo_compact_ratio;
-    cache_options.max_memory_bytes = opt.memo_memory_bytes;
-    RepairSpaceCache cache(cache_options);
+    RepairSpaceCache cache(CacheOptions(opt));
     EnumerationOptions enum_options;
     enum_options.threads = opt.threads;
     enum_options.memoize = opt.memo;
@@ -776,9 +700,7 @@ int main(int argc, char** argv) {
     bool use_planner = !opt.plan.empty();
     planner::QueryPlanner planner;
     if (use_planner) {
-      Result<planner::PlanMode> plan_mode = planner::ParsePlanMode(opt.plan);
-      if (!plan_mode.ok()) return UsageFail(plan_mode.status());
-      planner.set_mode(*plan_mode);
+      planner.set_mode(planner::ParsePlanMode(opt.plan).value());
     }
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const Query& query = queries[qi];
@@ -819,12 +741,9 @@ int main(int argc, char** argv) {
         std::printf("memoization: %zu states visited, %llu replayed hits "
                     "(%.1f%% hit rate), %zu table entries, %llu hash "
                     "collisions, %llu evictions, %zu bytes\n",
-                    oca.enumeration.states_visited,
-                    static_cast<unsigned long long>(memo.hits),
+                    oca.enumeration.states_visited, U(memo.hits),
                     probes == 0 ? 0.0 : 100.0 * memo.hits / probes,
-                    memo.entries,
-                    static_cast<unsigned long long>(memo.collisions),
-                    static_cast<unsigned long long>(memo.evictions),
+                    memo.entries, U(memo.collisions), U(memo.evictions),
                     memo.bytes);
       }
       std::printf("exact operational consistent answers "
@@ -849,10 +768,8 @@ int main(int argc, char** argv) {
       const planner::PlannerStats& stats = planner.stats();
       std::printf("\nplanner: %llu rewriting / %llu walk plans, "
                   "%llu plan-cache hits, %llu misses\n",
-                  static_cast<unsigned long long>(stats.rewrite_plans),
-                  static_cast<unsigned long long>(stats.walk_plans),
-                  static_cast<unsigned long long>(stats.plan_cache_hits),
-                  static_cast<unsigned long long>(stats.plan_cache_misses));
+                  U(stats.rewrite_plans), U(stats.walk_plans),
+                  U(stats.plan_cache_hits), U(stats.plan_cache_misses));
     }
     if (opt.memo_persist) {
       // Make this run's chain walks durable before reporting, so the
@@ -867,30 +784,22 @@ int main(int argc, char** argv) {
                       ? 1.0
                       : static_cast<double>(total.full_payload_bytes) /
                             static_cast<double>(total.payload_bytes),
-                  static_cast<unsigned long long>(total.hits),
-                  static_cast<unsigned long long>(total.misses),
-                  queries.size());
+                  U(total.hits), U(total.misses), queries.size());
       if (!opt.memo_dir.empty()) {
         DiskTierStats disk = cache.disk_stats();
         std::printf("disk tier (%s): %llu spills (%llu bytes), "
                     "%llu restores (%llu bytes), %llu rejected snapshots"
                     "%s\n",
-                    opt.memo_dir.c_str(),
-                    static_cast<unsigned long long>(disk.spills),
-                    static_cast<unsigned long long>(disk.spill_bytes),
-                    static_cast<unsigned long long>(disk.restores),
-                    static_cast<unsigned long long>(disk.restore_bytes),
-                    static_cast<unsigned long long>(
-                        disk.rejected_snapshots),
+                    opt.memo_dir.c_str(), U(disk.spills),
+                    U(disk.spill_bytes), U(disk.restores),
+                    U(disk.restore_bytes), U(disk.rejected_snapshots),
                     disk.failed_spills == 0 ? "" : " [SPILLS FAILING]");
         std::printf("disk tier v2: %llu delta appends, %llu compactions, "
                     "%llu compressed bytes written, %llu promotions / "
                     "%llu demotions\n",
-                    static_cast<unsigned long long>(disk.delta_appends),
-                    static_cast<unsigned long long>(disk.compactions),
-                    static_cast<unsigned long long>(disk.compressed_bytes),
-                    static_cast<unsigned long long>(disk.promotions),
-                    static_cast<unsigned long long>(disk.demotions));
+                    U(disk.delta_appends), U(disk.compactions),
+                    U(disk.compressed_bytes), U(disk.promotions),
+                    U(disk.demotions));
         if (disk.failed_spills > 0 || disk.breaker_trips > 0 ||
             disk.quarantined > 0) {
           std::fprintf(stderr,
@@ -898,14 +807,12 @@ int main(int argc, char** argv) {
                        "write to %s (%llu breaker trip(s), %llu "
                        "quarantined snapshot(s)); answers are exact, but "
                        "the next process will compute cold\n",
-                       static_cast<unsigned long long>(disk.failed_spills),
-                       opt.memo_dir.c_str(),
-                       static_cast<unsigned long long>(disk.breaker_trips),
-                       static_cast<unsigned long long>(disk.quarantined));
+                       U(disk.failed_spills), opt.memo_dir.c_str(),
+                       U(disk.breaker_trips), U(disk.quarantined));
         }
       }
     }
-  } else if (opt.mode == "approx") {
+  } else {  // --mode=approx
     SamplerOptions sampler_options;
     sampler_options.threads = opt.threads;
     Sampler sampler(*db, *constraints, generator, opt.seed, sampler_options);
@@ -934,8 +841,6 @@ int main(int argc, char** argv) {
                     approx.failing_walks, approx.walks);
       }
     }
-  } else {
-    return UsageFail(Status::InvalidArgument("unknown mode: " + opt.mode));
   }
   return FlushObservability(opt, opt.metrics);
 }

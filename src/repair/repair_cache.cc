@@ -406,7 +406,8 @@ void RepairSpaceCache::SpillAsync(Root root) {
       // else rewrites the base (and drops the log) — the unified
       // "compaction" of the spill paths.
       bool delta_done = false;
-      if (options_.delta_spill && base_on_disk && !force_compaction) {
+      if (options_.log_compaction_ratio > 0 && base_on_disk &&
+          !force_compaction) {
         size_t record_entries = 0;
         std::string record = storage::EncodeDeltaRecord(
             db, *table, spilled_through, upto, &record_entries);
@@ -419,10 +420,9 @@ void RepairSpaceCache::SpillAsync(Root root) {
                                                 upto);
           });
           delta_done = true;
-        } else if (options_.log_compaction_ratio <= 0.0 ||
-                   static_cast<double>(log_bytes + record.size()) >
-                       options_.log_compaction_ratio *
-                           static_cast<double>(base_bytes)) {
+        } else if (static_cast<double>(log_bytes + record.size()) >
+                   options_.log_compaction_ratio *
+                       static_cast<double>(base_bytes)) {
           // Log would outgrow the threshold: fall through to compaction.
         } else {
           Status appended = store_->AppendDelta(

@@ -105,15 +105,12 @@ struct RepairCacheOptions {
   /// Byte budget for the snapshot directory (bases + delta logs),
   /// enforced oldest-root-first after every spill; 0 disables disk GC.
   size_t max_disk_bytes = 0;
-  /// Append-only delta spills: once a root's base snapshot exists, a
-  /// spill writes only the entries admitted since the last spill to the
-  /// root's delta log. Off = every spill rewrites the whole base (the
-  /// PR-5 behavior, in the v2 encoding).
-  bool delta_spill = true;
-  /// Compact the delta log back into a fresh base once its size exceeds
-  /// this fraction of the base snapshot's size. <= 0 compacts on every
-  /// spill (a log never survives); large values let the log grow long —
-  /// restores pay proportionally more decode.
+  /// Once a root's base snapshot exists, a spill appends only the
+  /// entries admitted since the last spill to the root's delta log, and
+  /// compacts the log back into a fresh base once its size would exceed
+  /// this fraction of the base snapshot's size. <= 0 rewrites the whole
+  /// base on every spill (a log never exists); large values let the log
+  /// grow long — restores pay proportionally more decode.
   double log_compaction_ratio = 0.5;
   /// Global byte budget across every live root's table; 0 disables.
   /// Overflow demotes the lowest-retention-score root early, before the

@@ -54,7 +54,7 @@ uint32_t Crc32(const char* data, size_t size) {
 
 /// Little-endian append-only writer. Fixed-width integers keep the
 /// framing host-independent; Var() is unsigned LEB128 (7 bits per byte,
-/// high bit = continuation), the v2 payload workhorse.
+/// high bit = continuation), the payload workhorse.
 class Writer {
  public:
   explicit Writer(std::string* out) : out_(out) {}
@@ -176,7 +176,7 @@ void AppendSection(std::string* out, uint32_t id, const std::string& payload) {
 }
 
 // ---------------------------------------------------------------------
-// Streaming string dictionary (v2)
+// Streaming string dictionary
 //
 // The decimal num/den mass strings dominate a snapshot and repeat
 // heavily (shared denominators across a chain's subtrees); variable and
@@ -255,18 +255,11 @@ std::vector<uint32_t> RemovedIndices(const std::vector<FactId>& removed,
   return indices;
 }
 
-void EncodeRemovedV1(Writer* writer, const std::vector<FactId>& removed,
-                     const FactIndexMap& index_of) {
-  std::vector<uint32_t> indices = RemovedIndices(removed, index_of);
-  writer->U32(static_cast<uint32_t>(indices.size()));
-  for (uint32_t index : indices) writer->U32(index);
-}
-
-/// v2: varint count, then the first index followed by gap-1 codes — a
+/// Varint count, then the first index followed by gap-1 codes — a
 /// strictly ascending set's gaps are >= 1, so the subtraction frees the
 /// common dense-range case into single-byte varints.
-void EncodeRemovedV2(Writer* writer, const std::vector<FactId>& removed,
-                     const FactIndexMap& index_of) {
+void EncodeRemoved(Writer* writer, const std::vector<FactId>& removed,
+                   const FactIndexMap& index_of) {
   std::vector<uint32_t> indices = RemovedIndices(removed, index_of);
   writer->Var(indices.size());
   uint32_t previous = 0;
@@ -276,18 +269,8 @@ void EncodeRemovedV2(Writer* writer, const std::vector<FactId>& removed,
   }
 }
 
-void EncodeViolationV1(Writer* writer, const Violation& violation) {
-  writer->U32(static_cast<uint32_t>(violation.constraint_index));
-  const auto& bindings = violation.h.bindings();
-  writer->U32(static_cast<uint32_t>(bindings.size()));
-  for (const auto& [var, value] : bindings) {
-    writer->Str(VarName(var));
-    writer->Str(ConstName(value));
-  }
-}
-
-void EncodeViolationV2(Writer* writer, const Violation& violation,
-                       StringDictEncoder* dict) {
+void EncodeViolation(Writer* writer, const Violation& violation,
+                     StringDictEncoder* dict) {
   writer->Var(violation.constraint_index);
   const auto& bindings = violation.h.bindings();
   writer->Var(bindings.size());
@@ -305,27 +288,10 @@ Status Corrupt(const std::string& what) {
   return Status::InvalidArgument("snapshot rejected: " + what);
 }
 
-/// Maps sorted dictionary indices back to live ids. Returns false on any
-/// out-of-range or non-strictly-ascending index (corrupt payload).
-bool DecodeRemovedV1(Reader* reader, const std::vector<FactId>& dictionary,
-                     std::vector<FactId>* out) {
-  uint32_t count = reader->U32();
-  if (!reader->ok() || count > dictionary.size()) return false;
-  out->clear();
-  out->reserve(count);
-  uint32_t previous = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t index = reader->U32();
-    if (!reader->ok() || index >= dictionary.size()) return false;
-    if (i > 0 && index <= previous) return false;
-    previous = index;
-    out->push_back(dictionary[index]);
-  }
-  return true;
-}
-
-bool DecodeRemovedV2(Reader* reader, const std::vector<FactId>& dictionary,
-                     std::vector<FactId>* out) {
+/// Maps gap-coded dictionary indices back to live ids. Returns false on
+/// any out-of-range index (corrupt payload).
+bool DecodeRemoved(Reader* reader, const std::vector<FactId>& dictionary,
+                   std::vector<FactId>* out) {
   uint64_t count = reader->Var();
   if (!reader->ok() || count > dictionary.size()) return false;
   out->clear();
@@ -357,30 +323,14 @@ bool FinishViolation(std::vector<std::pair<VarId, ConstId>> pairs,
   return true;
 }
 
-bool DecodeViolationV1(Reader* reader, const ConstraintSet& constraints,
-                       Violation* out) {
-  uint32_t constraint_index = reader->U32();
-  uint32_t bindings = reader->U32();
-  if (!reader->ok() || constraint_index >= constraints.size()) return false;
-  std::vector<std::pair<VarId, ConstId>> pairs;
-  // Clamp the reserve: a corrupt count must fail the bounded reads
-  // below, not throw bad_alloc here (decode never aborts).
-  pairs.reserve(std::min<uint32_t>(bindings, 1024));
-  for (uint32_t i = 0; i < bindings; ++i) {
-    std::string var_name = reader->Str();
-    std::string const_name = reader->Str();
-    if (!reader->ok() || var_name.empty()) return false;
-    pairs.emplace_back(Var(var_name), Const(const_name));
-  }
-  return FinishViolation(std::move(pairs), constraint_index, out);
-}
-
-bool DecodeViolationV2(Reader* reader, const ConstraintSet& constraints,
-                       StringDictDecoder* dict, Violation* out) {
+bool DecodeViolation(Reader* reader, const ConstraintSet& constraints,
+                     StringDictDecoder* dict, Violation* out) {
   uint64_t constraint_index = reader->Var();
   uint64_t bindings = reader->Var();
   if (!reader->ok() || constraint_index >= constraints.size()) return false;
   std::vector<std::pair<VarId, ConstId>> pairs;
+  // Clamp the reserve: a corrupt count must fail the bounded reads
+  // below, not throw bad_alloc here (decode never aborts).
   pairs.reserve(std::min<uint64_t>(bindings, 1024));
   for (uint64_t i = 0; i < bindings; ++i) {
     std::string var_name;
@@ -395,27 +345,17 @@ bool DecodeViolationV2(Reader* reader, const ConstraintSet& constraints,
                          static_cast<uint32_t>(constraint_index), out);
 }
 
-bool ParseMass(std::string text, bool ok, Rational* out) {
-  if (!ok) return false;
+bool DecodeMass(Reader* reader, StringDictDecoder* dict, Rational* out) {
+  std::string text;
+  if (!dict->Read(reader, &text)) return false;
   Result<Rational> parsed = Rational::FromString(text);
   if (!parsed.ok()) return false;
   *out = std::move(parsed.value());
   return true;
 }
 
-bool DecodeMassV1(Reader* reader, Rational* out) {
-  std::string text = reader->Str();
-  return ParseMass(std::move(text), reader->ok(), out);
-}
-
-bool DecodeMassV2(Reader* reader, StringDictDecoder* dict, Rational* out) {
-  std::string text;
-  bool ok = dict->Read(reader, &text);
-  return ParseMass(std::move(text), ok, out);
-}
-
 // ---------------------------------------------------------------------
-// Identity payload (shared by both versions and the delta-log head)
+// Identity payload (shared by base snapshots and the delta-log head)
 // ---------------------------------------------------------------------
 
 std::string EncodeIdentityPayload(const SnapshotIdentity& identity) {
@@ -461,50 +401,9 @@ using EntryEnumerator = std::function<void(
                              const ViolationSet& eliminated,
                              const MemoOutcome& outcome)>&)>;
 
-std::string EncodeEntriesPayloadV1(const Database& root_db,
-                                   const TranspositionTable& table) {
-  std::vector<FactId> dictionary = Dictionary(root_db);
-  FactIndexMap index_of = IndexOf(dictionary);
-  std::string payload;
-  size_t entry_count = 0;
-  Writer writer(&payload);
-  writer.U64(dictionary.size());
-  // Entry count back-patched below (ForEach size is not known upfront —
-  // the table may be mutating concurrently).
-  size_t count_pos = payload.size();
-  writer.U64(0);
-  table.ForEach([&](const std::vector<FactId>& removed,
-                    const ViolationSet& eliminated,
-                    const MemoOutcome& outcome) {
-    EncodeRemovedV1(&writer, removed, index_of);
-    writer.U32(static_cast<uint32_t>(eliminated.size()));
-    for (const Violation& violation : eliminated) {
-      EncodeViolationV1(&writer, violation);
-    }
-    writer.U32(static_cast<uint32_t>(outcome.repairs.size()));
-    for (const MemoOutcome::RepairShare& share : outcome.repairs) {
-      EncodeRemovedV1(&writer, share.removed, index_of);
-      writer.Str(share.mass.ToString());
-      writer.U64(share.num_sequences);
-    }
-    writer.Str(outcome.success_mass.ToString());
-    writer.Str(outcome.failing_mass.ToString());
-    writer.U64(outcome.states);
-    writer.U64(outcome.absorbing_states);
-    writer.U64(outcome.successful_sequences);
-    writer.U64(outcome.failing_sequences);
-    writer.U64(outcome.depth_below);
-    ++entry_count;
-  });
-  std::string patched;
-  Writer(&patched).U64(entry_count);
-  payload.replace(count_pos, patched.size(), patched);
-  return payload;
-}
-
-std::string EncodeEntriesPayloadV2(const Database& root_db,
-                                   const EntryEnumerator& for_each,
-                                   size_t* entry_count_out) {
+std::string EncodeEntriesPayload(const Database& root_db,
+                                 const EntryEnumerator& for_each,
+                                 size_t* entry_count_out) {
   std::vector<FactId> dictionary = Dictionary(root_db);
   FactIndexMap index_of = IndexOf(dictionary);
   std::string payload;
@@ -518,14 +417,14 @@ std::string EncodeEntriesPayloadV2(const Database& root_db,
   StringDictEncoder dict;
   for_each([&](const std::vector<FactId>& removed,
                const ViolationSet& eliminated, const MemoOutcome& outcome) {
-    EncodeRemovedV2(&writer, removed, index_of);
+    EncodeRemoved(&writer, removed, index_of);
     writer.Var(eliminated.size());
     for (const Violation& violation : eliminated) {
-      EncodeViolationV2(&writer, violation, &dict);
+      EncodeViolation(&writer, violation, &dict);
     }
     writer.Var(outcome.repairs.size());
     for (const MemoOutcome::RepairShare& share : outcome.repairs) {
-      EncodeRemovedV2(&writer, share.removed, index_of);
+      EncodeRemoved(&writer, share.removed, index_of);
       dict.Write(&writer, share.mass.ToString());
       writer.Var(share.num_sequences);
     }
@@ -545,17 +444,14 @@ std::string EncodeEntriesPayloadV2(const Database& root_db,
   return payload;
 }
 
-/// Decodes one entries payload (either version) into `table`, re-keying
-/// every entry against the live process. The version only changes the
-/// primitive codings; the re-interning and live-hash recomputation are
-/// identical.
-Status RestoreEntriesPayload(const char* data, size_t size, uint32_t version,
+/// Decodes one entries payload into `table`, re-keying every entry
+/// against the live process.
+Status RestoreEntriesPayload(const char* data, size_t size,
                              const std::vector<FactId>& dictionary,
                              size_t root_hash,
                              const ConstraintSet& constraints,
                              TranspositionTable* table,
                              size_t* entries_applied) {
-  bool v2 = version >= 2;
   Reader reader(data, size);
   StringDictDecoder dict;
   uint64_t stored_dictionary_size = reader.U64();
@@ -567,9 +463,9 @@ Status RestoreEntriesPayload(const char* data, size_t size, uint32_t version,
 
   std::vector<FactId> scratch;
   for (uint64_t e = 0; e < entry_count; ++e) {
-    bool removed_ok = v2 ? DecodeRemovedV2(&reader, dictionary, &scratch)
-                         : DecodeRemovedV1(&reader, dictionary, &scratch);
-    if (!removed_ok) return Corrupt("entry removed-set");
+    if (!DecodeRemoved(&reader, dictionary, &scratch)) {
+      return Corrupt("entry removed-set");
+    }
     // Live StateKey: the entry state's database is root − removed, and the
     // incremental Database hash is a wrap-around sum of mixed per-fact
     // hashes (util/hash.h), so removal subtracts each contribution.
@@ -580,16 +476,15 @@ Status RestoreEntriesPayload(const char* data, size_t size, uint32_t version,
       db_hash -= HashMix64(FactStore::Global().hash(id));
     }
 
-    uint64_t eliminated_count = v2 ? reader.Var() : reader.U32();
+    uint64_t eliminated_count = reader.Var();
     if (!reader.ok()) return Corrupt("entry eliminated-set");
     ViolationSet eliminated;
     size_t eliminated_hash = 0;
     for (uint64_t i = 0; i < eliminated_count; ++i) {
       Violation violation;
-      bool violation_ok =
-          v2 ? DecodeViolationV2(&reader, constraints, &dict, &violation)
-             : DecodeViolationV1(&reader, constraints, &violation);
-      if (!violation_ok) return Corrupt("violation payload");
+      if (!DecodeViolation(&reader, constraints, &dict, &violation)) {
+        return Corrupt("violation payload");
+      }
       eliminated_hash += HashMix64(violation.Hash());
       if (!eliminated.insert(std::move(violation)).second) {
         return Corrupt("duplicate eliminated violation");
@@ -597,44 +492,34 @@ Status RestoreEntriesPayload(const char* data, size_t size, uint32_t version,
     }
 
     auto outcome = std::make_shared<MemoOutcome>();
-    uint64_t repair_count = v2 ? reader.Var() : reader.U32();
+    uint64_t repair_count = reader.Var();
     if (!reader.ok()) return Corrupt("repair count");
-    // Clamped for the same reason as in DecodeViolation*: corrupt counts
+    // Clamped for the same reason as in DecodeViolation: corrupt counts
     // must surface as bounded-read failures, never as bad_alloc.
     outcome->repairs.reserve(std::min<uint64_t>(repair_count, 65536));
     for (uint64_t i = 0; i < repair_count; ++i) {
       MemoOutcome::RepairShare share;
-      bool share_ok = v2 ? DecodeRemovedV2(&reader, dictionary, &share.removed)
-                         : DecodeRemovedV1(&reader, dictionary, &share.removed);
-      if (!share_ok) return Corrupt("repair share removed-set");
+      if (!DecodeRemoved(&reader, dictionary, &share.removed)) {
+        return Corrupt("repair share removed-set");
+      }
       // Ascending dictionary indices are fact value order — exactly the
       // order RepairShare::removed stores (repair/memo.h).
-      bool mass_ok = v2 ? DecodeMassV2(&reader, &dict, &share.mass)
-                        : DecodeMassV1(&reader, &share.mass);
-      if (!mass_ok) return Corrupt("repair mass");
-      share.num_sequences = v2 ? reader.Var() : reader.U64();
+      if (!DecodeMass(&reader, &dict, &share.mass)) {
+        return Corrupt("repair mass");
+      }
+      share.num_sequences = reader.Var();
       if (!reader.ok()) return Corrupt("repair sequences");
       outcome->repairs.push_back(std::move(share));
     }
-    bool masses_ok =
-        v2 ? DecodeMassV2(&reader, &dict, &outcome->success_mass) &&
-                 DecodeMassV2(&reader, &dict, &outcome->failing_mass)
-           : DecodeMassV1(&reader, &outcome->success_mass) &&
-                 DecodeMassV1(&reader, &outcome->failing_mass);
-    if (!masses_ok) return Corrupt("outcome masses");
-    if (v2) {
-      outcome->states = reader.Var();
-      outcome->absorbing_states = reader.Var();
-      outcome->successful_sequences = reader.Var();
-      outcome->failing_sequences = reader.Var();
-      outcome->depth_below = reader.Var();
-    } else {
-      outcome->states = reader.U64();
-      outcome->absorbing_states = reader.U64();
-      outcome->successful_sequences = reader.U64();
-      outcome->failing_sequences = reader.U64();
-      outcome->depth_below = reader.U64();
+    if (!DecodeMass(&reader, &dict, &outcome->success_mass) ||
+        !DecodeMass(&reader, &dict, &outcome->failing_mass)) {
+      return Corrupt("outcome masses");
     }
+    outcome->states = reader.Var();
+    outcome->absorbing_states = reader.Var();
+    outcome->successful_sequences = reader.Var();
+    outcome->failing_sequences = reader.Var();
+    outcome->depth_below = reader.Var();
     if (!reader.ok()) return Corrupt("outcome counters");
 
     StateKey key{db_hash, eliminated_hash};
@@ -644,26 +529,6 @@ Status RestoreEntriesPayload(const char* data, size_t size, uint32_t version,
   }
   if (!reader.AtEnd()) return Corrupt("trailing entry bytes");
   return Status::Ok();
-}
-
-std::string EncodeSnapshotWithVersion(const SnapshotIdentity& identity,
-                                      const Database& root_db,
-                                      const TranspositionTable& table,
-                                      uint32_t version) {
-  std::string entries_payload =
-      version >= 2
-          ? EncodeEntriesPayloadV2(
-                root_db,
-                [&table](const auto& fn) { table.ForEach(fn); }, nullptr)
-          : EncodeEntriesPayloadV1(root_db, table);
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  Writer header(&out);
-  header.U32(version);
-  header.U32(2);  // section count
-  AppendSection(&out, kSectionIdentity, EncodeIdentityPayload(identity));
-  AppendSection(&out, kSectionEntries, entries_payload);
-  return out;
 }
 
 }  // namespace
@@ -703,14 +568,16 @@ uint64_t StableFingerprint(const SnapshotIdentity& identity) {
 std::string EncodeSnapshot(const SnapshotIdentity& identity,
                            const Database& root_db,
                            const TranspositionTable& table) {
-  return EncodeSnapshotWithVersion(identity, root_db, table,
-                                   kSnapshotFormatVersion);
-}
-
-std::string EncodeSnapshotV1(const SnapshotIdentity& identity,
-                             const Database& root_db,
-                             const TranspositionTable& table) {
-  return EncodeSnapshotWithVersion(identity, root_db, table, 1);
+  std::string entries_payload = EncodeEntriesPayload(
+      root_db, [&table](const auto& fn) { table.ForEach(fn); }, nullptr);
+  std::string out;
+  out.append(kMagic, sizeof(kMagic));
+  Writer header(&out);
+  header.U32(kSnapshotFormatVersion);
+  header.U32(2);  // section count
+  AppendSection(&out, kSectionIdentity, EncodeIdentityPayload(identity));
+  AppendSection(&out, kSectionEntries, entries_payload);
+  return out;
 }
 
 Result<std::shared_ptr<TranspositionTable>> DecodeSnapshot(
@@ -723,11 +590,9 @@ Result<std::shared_ptr<TranspositionTable>> DecodeSnapshot(
     return Corrupt("bad magic");
   }
   uint32_t version = top.U32();
-  if (!top.ok() || version < kMinSnapshotFormatVersion ||
-      version > kSnapshotFormatVersion) {
+  if (!top.ok() || version != kSnapshotFormatVersion) {
     return Corrupt("format version " + std::to_string(version) +
                    " (this build reads " +
-                   std::to_string(kMinSnapshotFormatVersion) + ".." +
                    std::to_string(kSnapshotFormatVersion) + ")");
   }
   uint32_t section_count = top.U32();
@@ -763,8 +628,8 @@ Result<std::shared_ptr<TranspositionTable>> DecodeSnapshot(
   auto table = std::make_shared<TranspositionTable>(max_entries, max_bytes);
   table->SetRootShape(live_root.size(), live_root.schema().size());
   Status entries_ok = RestoreEntriesPayload(
-      sections[1].first, sections[1].second, version, dictionary,
-      live_root.Hash(), constraints, table.get(), nullptr);
+      sections[1].first, sections[1].second, dictionary, live_root.Hash(),
+      constraints, table.get(), nullptr);
   if (!entries_ok.ok()) return entries_ok;
   return table;
 }
@@ -782,7 +647,7 @@ std::string EncodeDeltaRecord(const Database& root_db,
                               const TranspositionTable& table,
                               uint64_t since_seq, uint64_t upto_seq,
                               size_t* entry_count) {
-  std::string payload = EncodeEntriesPayloadV2(
+  std::string payload = EncodeEntriesPayload(
       root_db,
       [&table, since_seq, upto_seq](const auto& fn) {
         table.ForEachSince(since_seq, upto_seq, fn);
@@ -805,7 +670,7 @@ Status ApplyDeltaLog(const std::string& log_bytes,
     return Corrupt("bad delta-log magic");
   }
   uint32_t version = top.U32();
-  if (!top.ok() || version < 2 || version > kSnapshotFormatVersion) {
+  if (!top.ok() || version != kSnapshotFormatVersion) {
     return Corrupt("delta-log format version " + std::to_string(version));
   }
   // The head's identity section is load-bearing, not advisory: a record
@@ -846,9 +711,8 @@ Status ApplyDeltaLog(const std::string& log_bytes,
     }
     size_t entries_applied = 0;
     Status record_ok = RestoreEntriesPayload(span.first, span.second,
-                                             version, dictionary, root_hash,
-                                             constraints, table,
-                                             &entries_applied);
+                                             dictionary, root_hash, constraints,
+                                             table, &entries_applied);
     result->entries_applied += entries_applied;
     if (!record_ok.ok()) {
       result->clean_tail = false;

@@ -40,20 +40,20 @@
 // corruption; the format is not authenticated against deliberate
 // tampering — point snapshot_dir at a trusted location.)
 //
-// ## Versions and the delta log (PR 9)
+// ## Version and the delta log
 //
-// This build writes format v2 — varint integers, gap-coded removed-index
-// sets, and a streaming string dictionary over the mass/name strings —
-// and still restores v1 snapshots byte-for-byte-equivalently (the PR-5
-// fixed-width encoding); versions above 2 are rejected, which a caller
-// treats as cold compute. Alongside the base snapshot a root may carry a
-// *delta log*: an append-only file of CRC-framed records, each holding
-// only the entries admitted since the previous spill, so a warm root's
-// Persist writes kilobytes instead of rewriting the whole snapshot. A
-// torn or corrupt record ends log application at the last valid prefix —
-// base plus prefix, never cold. The normative byte-level spec of both
-// versions and the delta-record grammar lives in docs/SNAPSHOT_FORMAT.md;
-// keep that document in lockstep with this file.
+// This build reads and writes format v2 only — varint integers,
+// gap-coded removed-index sets, and a streaming string dictionary over
+// the mass/name strings. Any other version (the retired v1 included) is
+// rejected, which a caller treats as a cache miss (cold compute).
+// Alongside the base snapshot a root may carry a *delta log*: an
+// append-only file of CRC-framed records, each holding only the entries
+// admitted since the previous spill, so a warm root's Persist writes
+// kilobytes instead of rewriting the whole snapshot. A torn or corrupt
+// record ends log application at the last valid prefix — base plus
+// prefix, never cold. The normative byte-level spec of the snapshot and
+// delta-record grammar lives in docs/SNAPSHOT_FORMAT.md; keep that
+// document in lockstep with this file.
 
 #ifndef OPCQA_STORAGE_CANONICAL_H_
 #define OPCQA_STORAGE_CANONICAL_H_
@@ -89,26 +89,17 @@ std::string RenderConstraints(const Schema& schema,
 /// Collisions are harmless: the loader verifies every component for real.
 uint64_t StableFingerprint(const SnapshotIdentity& identity);
 
-/// The newest on-disk format version: what EncodeSnapshot writes.
+/// The on-disk format version: what EncodeSnapshot writes and the only
+/// one DecodeSnapshot and ApplyDeltaLog accept.
 inline constexpr uint32_t kSnapshotFormatVersion = 2;
-/// The oldest version DecodeSnapshot still restores (the PR-5 format).
-inline constexpr uint32_t kMinSnapshotFormatVersion = 1;
 
 /// Serializes the table's current entries (a point-in-time view; safe
 /// while other threads keep inserting) into canonical snapshot bytes in
-/// the newest format version. `root_db` must be the chain-root database
+/// the current format version. `root_db` must be the chain-root database
 /// the table memoizes under — every stored removed id must resolve in it.
 std::string EncodeSnapshot(const SnapshotIdentity& identity,
                            const Database& root_db,
                            const TranspositionTable& table);
-
-/// The PR-5 v1 encoder, kept callable so the v1→v2 compatibility tests
-/// (and the committed tests/fixtures snapshot) exercise the legacy
-/// decode path against genuinely old bytes. Product code always writes
-/// the newest version via EncodeSnapshot.
-std::string EncodeSnapshotV1(const SnapshotIdentity& identity,
-                             const Database& root_db,
-                             const TranspositionTable& table);
 
 /// Rebuilds a TranspositionTable from snapshot bytes against the live
 /// process: verifies framing, CRCs and every identity component against
@@ -123,7 +114,7 @@ Result<std::shared_ptr<TranspositionTable>> DecodeSnapshot(
     size_t max_entries, size_t max_bytes);
 
 // ---------------------------------------------------------------------
-// Delta log (format v2)
+// Delta log
 // ---------------------------------------------------------------------
 
 /// The head a delta-log file starts with: log magic, format version, and

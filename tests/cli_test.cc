@@ -1,5 +1,5 @@
 // End-to-end checks of the opcqa_cli binary (fork + exec): the exit-code
-// contract for bad sampler flag values, and the sampler's metrics rows.
+// contract for bad flag values, and the sampler's metrics rows.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -57,12 +57,21 @@ class CliInputs {
 
 struct CliRun {
   int exit_code = -1;  // -1 when the process did not exit normally
+  std::string out;     // everything it wrote to stdout
   std::string err;     // everything it wrote to stderr
 };
 
-/// Runs opcqa_cli with `args`, stdout discarded, stderr captured.
-CliRun RunCli(const std::vector<std::string>& args,
-              const std::string& err_path) {
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Runs opcqa_cli with `args`, capturing stdout and stderr in `inputs`.
+CliRun RunCli(const std::vector<std::string>& args, const CliInputs& inputs) {
+  std::string out_path = inputs.Path("out.txt");
+  std::string err_path = inputs.Path("err.txt");
   pid_t pid = ::fork();
   if (pid == 0) {
     std::vector<char*> argv;
@@ -71,7 +80,7 @@ CliRun RunCli(const std::vector<std::string>& args,
       argv.push_back(const_cast<char*>(arg.c_str()));
     }
     argv.push_back(nullptr);
-    if (!std::freopen("/dev/null", "w", stdout) ||
+    if (!std::freopen(out_path.c_str(), "w", stdout) ||
         !std::freopen(err_path.c_str(), "w", stderr)) {
       std::_Exit(126);
     }
@@ -82,16 +91,14 @@ CliRun RunCli(const std::vector<std::string>& args,
   int status = 0;
   if (pid < 0 || ::waitpid(pid, &status, 0) != pid) return run;
   if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
-  std::ifstream in(err_path);
-  std::stringstream text;
-  text << in.rdbuf();
-  run.err = text.str();
+  run.out = ReadAll(out_path);
+  run.err = ReadAll(err_path);
   return run;
 }
 
 TEST(CliTest, BadSamplerFlagValuesAreUsageErrors) {
-  // Each used to abort in Sampler::NumSamples (SIGABRT) or, for the seed,
-  // silently become 0; the CLI contract maps bad flag values to exit 2.
+  // The CLI contract: a bad flag value is a usage error (exit 2), caught
+  // before any input is read, so nothing reaches stdout.
   CliInputs inputs;
   const std::vector<std::string> bad = {
       "--eps=0",
@@ -109,16 +116,35 @@ TEST(CliTest, BadSamplerFlagValuesAreUsageErrors) {
       "--seed=-3",
       "--seed=",
       "--threads=x",
+      "--memo-bytes=abc",
+      "--serve-workers=x",
+      "--memo-compact-ratio=abc",
+      "--slow-ms=abc",
+      "--memo-disk-bytes=-5",
+      "--mode=bogus",
+      "--generator=bogus",
+      "--plan=bogus",
   };
   for (const std::string& flag : bad) {
     std::vector<std::string> args = inputs.Args();
     args.push_back("--mode=approx");
     args.push_back(flag);
-    CliRun run = RunCli(args, inputs.Path("err.txt"));
+    CliRun run = RunCli(args, inputs);
     EXPECT_EQ(run.exit_code, 2) << flag << "\n" << run.err;
+    EXPECT_EQ(run.out, "") << flag;
     std::string name = flag.substr(0, flag.find('='));
     EXPECT_NE(run.err.find(name), std::string::npos) << run.err;
   }
+}
+
+TEST(CliTest, MissingRequiredFlagsAreNamedOnStderr) {
+  CliInputs inputs;
+  CliRun run = RunCli({inputs.Args()[0], "--mode=sql"}, inputs);
+  EXPECT_EQ(run.exit_code, 2) << run.err;
+  EXPECT_EQ(run.out, "");
+  EXPECT_NE(run.err.find("missing --db=FILE --sql=TEXT --keys=SPEC"),
+            std::string::npos)
+      << run.err;
 }
 
 TEST(CliTest, ApproxRunReportsSamplerMetrics) {
@@ -128,7 +154,7 @@ TEST(CliTest, ApproxRunReportsSamplerMetrics) {
                            "--seed=7", "--metrics"}) {
     args.push_back(flag);
   }
-  CliRun run = RunCli(args, inputs.Path("err.txt"));
+  CliRun run = RunCli(args, inputs);
   ASSERT_EQ(run.exit_code, 0) << run.err;
   // n(0.1, 0.1) = 150 walks, recorded once per estimation call.
   EXPECT_NE(run.err.find("sampler.walks"), std::string::npos) << run.err;

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -48,29 +49,44 @@ Request ReadRequest(uint64_t id, const std::string& tenant,
 
 /// A generator that stalls every Probabilities() call until Release() —
 /// pins the (sole) worker so later submissions demonstrably queue.
+/// WaitEntered() returns once a worker is stalled inside the gate, so a
+/// test can act on "the gated unit is in flight" without racing the
+/// worker's dequeue.
 class GateGenerator {
  public:
   GateGenerator()
       : released_(promise_.get_future().share()),
+        entered_(std::make_shared<Entered>()),
         inner_(std::make_shared<UniformChainGenerator>()) {}
 
   std::shared_ptr<const ChainGenerator> Make() {
     auto released = released_;
+    auto entered = entered_;
     auto inner = inner_;
     return std::make_shared<LambdaChainGenerator>(
         "gate",
-        [released, inner](const RepairingState& state,
-                          const std::vector<Operation>& extensions) {
+        [released, entered, inner](const RepairingState& state,
+                                   const std::vector<Operation>& extensions) {
+          std::call_once(entered->once,
+                         [&entered] { entered->promise.set_value(); });
           released.wait();
           return inner->Probabilities(state, extensions);
         });
   }
 
+  void WaitEntered() { entered_future_.wait(); }
   void Release() { promise_.set_value(); }
 
  private:
+  struct Entered {
+    std::once_flag once;
+    std::promise<void> promise;
+  };
+
   std::promise<void> promise_;
   std::shared_future<void> released_;
+  std::shared_ptr<Entered> entered_;
+  std::future<void> entered_future_ = entered_->promise.get_future();
   std::shared_ptr<UniformChainGenerator> inner_;
 };
 
@@ -369,6 +385,7 @@ TEST(OcqaServerTest, ShutdownDrainsAndShedsWithUnavailable) {
                                      "gate"));
   auto b = server.Submit(ReadRequest(1, "t", w, "Q(x,y) := R(x,y)"));
   auto c = server.Submit(ReadRequest(2, "u", w, "Q(x,y) := R(x,y)"));
+  gate.WaitEntered();  // A is in flight, not merely queued
 
   // Shutdown with an immediate deadline: the queued requests are shed
   // with Unavailable, while the in-flight gated unit is still awaited —

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -300,17 +301,24 @@ TEST_F(StorageRejectionTest, TruncatedSnapshotIsRejected) {
   ExpectRejectedButCorrect();
 }
 
-TEST_F(StorageRejectionTest, FutureFormatVersionIsRejected) {
-  // Byte 8 is the low byte of the little-endian format version, right
-  // after the 8-byte magic.
-  std::fstream file(snapshot_, std::ios::in | std::ios::out |
-                                   std::ios::binary);
-  ASSERT_TRUE(file.good());
-  file.seekp(8);
-  char version = static_cast<char>(storage::kSnapshotFormatVersion + 1);
-  file.write(&version, 1);
-  file.close();
-  ExpectRejectedButCorrect();
+TEST_F(StorageRejectionTest, OtherFormatVersionsAreRejected) {
+  // Readers accept exactly kSnapshotFormatVersion: an older file (the
+  // retired v1 included) or a newer one is a cache miss, never a decode.
+  std::string original;
+  {
+    std::ifstream in(snapshot_, std::ios::binary);
+    original.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  for (uint32_t version : {0u, 1u, storage::kSnapshotFormatVersion + 1}) {
+    SCOPED_TRACE("format version " + std::to_string(version));
+    // Byte 8 is the low byte of the little-endian format version, right
+    // after the 8-byte magic. Each round starts from the original bytes:
+    // the previous round's cold walk may have respilled the file.
+    std::string bytes = original;
+    bytes[8] = static_cast<char>(version);
+    std::ofstream(snapshot_, std::ios::binary | std::ios::trunc) << bytes;
+    ExpectRejectedButCorrect();
+  }
 }
 
 TEST_F(StorageRejectionTest, EmptySnapshotFileIsRejected) {

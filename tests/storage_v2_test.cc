@@ -1,11 +1,9 @@
-// Tests for storage tier v2 (PR 9): the compressed v2 snapshot encoding
-// and its v1 compatibility (including a fresh-process restore of a
-// committed v1 fixture), per-root delta-log spills with valid-prefix
-// recovery from torn or corrupt tails, log compaction (including under
-// injected failure: the previous base must stay readable), the unified
-// promote/demote residency counters, and the SnapshotStore's root-unit
-// GC accounting (delta logs count toward max_disk_bytes and are never
-// orphaned).
+// Tests for storage tier v2 (PR 9): the compressed v2 snapshot encoding,
+// per-root delta-log spills with valid-prefix recovery from torn or
+// corrupt tails, log compaction (including under injected failure: the
+// previous base must stay readable), the unified promote/demote
+// residency counters, and the SnapshotStore's root-unit GC accounting
+// (delta logs count toward max_disk_bytes and are never orphaned).
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -158,10 +156,10 @@ void AddSyntheticEntries(const gen::Workload& w, TranspositionTable* table,
 }
 
 // ---------------------------------------------------------------------
-// v2 encoding vs v1: size, round trip, rejection
+// v2 encoding: round trip, rejection
 // ---------------------------------------------------------------------
 
-TEST(StorageV2FormatTest, V2IsSmallerThanV1AndBothRoundTrip) {
+TEST(StorageV2FormatTest, RoundTripRestoresEveryEntry) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/23);
   UniformChainGenerator generator;
   RepairSpaceCache cache;  // memory-only source of a warmed table
@@ -170,20 +168,12 @@ TEST(StorageV2FormatTest, V2IsSmallerThanV1AndBothRoundTrip) {
   ASSERT_GT(table->size(), 0u);
 
   storage::SnapshotIdentity identity = IdentityFor(w, generator);
-  std::string v1 = storage::EncodeSnapshotV1(identity, w.db, *table);
-  std::string v2 = storage::EncodeSnapshot(identity, w.db, *table);
-  // The varint + gap-code + string-dictionary encoding must actually pay
-  // for its complexity.
-  EXPECT_LT(v2.size(), v1.size())
-      << "v2 snapshot not smaller: " << v2.size() << " vs v1 " << v1.size();
-
-  for (const std::string* bytes : {&v1, &v2}) {
-    Result<std::shared_ptr<TranspositionTable>> decoded =
-        storage::DecodeSnapshot(*bytes, identity, w.db, w.constraints,
-                                TranspositionTable::kDefaultMaxEntries, 0);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ((*decoded)->size(), table->size());
-  }
+  std::string bytes = storage::EncodeSnapshot(identity, w.db, *table);
+  Result<std::shared_ptr<TranspositionTable>> decoded =
+      storage::DecodeSnapshot(bytes, identity, w.db, w.constraints,
+                              TranspositionTable::kDefaultMaxEntries, 0);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ((*decoded)->size(), table->size());
 }
 
 TEST(StorageV2FormatTest, VersionAboveNewestIsRejected) {
@@ -201,97 +191,6 @@ TEST(StorageV2FormatTest, VersionAboveNewestIsRejected) {
       storage::DecodeSnapshot(bytes, identity, w.db, w.constraints,
                               TranspositionTable::kDefaultMaxEntries, 0);
   EXPECT_FALSE(decoded.ok());
-}
-
-// ---------------------------------------------------------------------
-// Committed v1 fixture: genuinely old bytes, fresh-process restore
-// ---------------------------------------------------------------------
-
-// The deterministic workload the committed fixture was generated from.
-// Changing it invalidates tests/fixtures/v1_key_violation.snap — rerun
-// the writer below and re-commit.
-gen::Workload FixtureWorkload() {
-  return gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
-}
-
-// Fixture generator, not a test: skipped unless OPCQA_WRITE_V1_FIXTURE
-// names the output path. Run once (after any intentional change to the
-// fixture workload or the v1 encoder — which should never change) and
-// commit the bytes:
-//   OPCQA_WRITE_V1_FIXTURE=tests/fixtures/v1_key_violation.snap \
-//     build/tests/storage_v2_test \
-//     --gtest_filter=StorageV1FixtureTest.WriteV1Fixture
-TEST(StorageV1FixtureTest, WriteV1Fixture) {
-  const char* out = std::getenv("OPCQA_WRITE_V1_FIXTURE");
-  if (out == nullptr) {
-    GTEST_SKIP() << "fixture writer; set OPCQA_WRITE_V1_FIXTURE to run";
-  }
-  gen::Workload w = FixtureWorkload();
-  UniformChainGenerator generator;
-  RepairSpaceCache cache;
-  std::shared_ptr<TranspositionTable> table = WarmTable(w, generator, &cache);
-  ASSERT_NE(table, nullptr);
-  ASSERT_GT(table->size(), 0u);
-  std::string bytes =
-      storage::EncodeSnapshotV1(IdentityFor(w, generator), w.db, *table);
-  std::ofstream file(out, std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(file.good()) << out;
-  file.write(bytes.data(), static_cast<std::streamoff>(bytes.size()));
-  ASSERT_TRUE(file.good());
-}
-
-// Child half of V1FixtureCrossProcessWarmStart — a fresh process image
-// (fork + exec), so the fixture's symbolic facts re-intern against
-// interners that never saw the writer process.
-TEST(StorageV1FixtureTest, ChildWarmStartFromFixture) {
-  const char* dir = std::getenv("OPCQA_STORAGE_V2_CHILD_DIR");
-  if (dir == nullptr) {
-    GTEST_SKIP() << "child half of V1FixtureCrossProcessWarmStart";
-  }
-  gen::Workload w = FixtureWorkload();
-  UniformChainGenerator generator;
-  EnumerationResult base =
-      EnumerateRepairs(w.db, w.constraints, generator, {});
-  RepairSpaceCache cache(DiskOptions(dir));
-  EnumerationResult warm =
-      EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
-  ASSERT_EQ(cache.disk_stats().restores, 1u);
-  ASSERT_EQ(cache.disk_stats().rejected_snapshots, 0u);
-  ASSERT_EQ(warm.memo_stats.hits, 1u);
-  ASSERT_EQ(warm.memo_stats.misses, 0u);
-  ExpectSameDistribution(warm, base);
-}
-
-// A build that writes v2 must keep restoring the v1 snapshots previous
-// releases left on disk. The committed fixture holds genuinely old
-// bytes — produced by the v1 encoder, never re-encoded — and the child
-// process proves the whole path: file → verify → re-intern → replay,
-// byte-identical to cold compute.
-TEST(StorageV1FixtureTest, V1FixtureCrossProcessWarmStart) {
-  fs::path fixture =
-      fs::path(OPCQA_TEST_FIXTURE_DIR) / "v1_key_violation.snap";
-  ASSERT_TRUE(fs::exists(fixture))
-      << fixture << " missing — regenerate with the WriteV1Fixture test";
-  gen::Workload w = FixtureWorkload();
-  UniformChainGenerator generator;
-  TempDir dir;
-  fs::copy_file(fixture, BasePathFor(w, generator, dir.path()));
-
-  pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::setenv("OPCQA_STORAGE_V2_CHILD_DIR", dir.path().c_str(), 1);
-    ::execl("/proc/self/exe", "storage_v2_test",
-            "--gtest_filter=StorageV1FixtureTest.ChildWarmStartFromFixture",
-            static_cast<char*>(nullptr));
-    std::_Exit(127);  // exec failed
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0)
-      << "v1 fixture warm start failed; rerun with "
-         "OPCQA_STORAGE_V2_CHILD_DIR for details";
 }
 
 // ---------------------------------------------------------------------
@@ -674,11 +573,11 @@ TEST(DeltaSpillTest, DeltaSpillsCutBytesWrittenAtLeastThreefold) {
   // Identical mutating workload under both modes: a warmed base, then
   // eight rounds of four admitted entries with a Persist after each —
   // the steady state of a long-lived session that keeps learning.
-  auto bytes_written = [&](bool delta_spill) {
+  auto bytes_written = [&](bool deltas) {
     TempDir dir;
     RepairCacheOptions options = DiskOptions(dir.path());
-    options.delta_spill = delta_spill;
-    options.log_compaction_ratio = 1e9;
+    // Never compact with delta spills; <= 0 rewrites the base per spill.
+    options.log_compaction_ratio = deltas ? 1e9 : 0.0;
     RepairSpaceCache cache(options);
     std::shared_ptr<TranspositionTable> table =
         WarmTable(w, generator, &cache);
@@ -691,7 +590,7 @@ TEST(DeltaSpillTest, DeltaSpillsCutBytesWrittenAtLeastThreefold) {
     }
     DiskTierStats disk = cache.disk_stats();
     EXPECT_EQ(disk.failed_spills, 0u);
-    if (delta_spill) {
+    if (deltas) {
       EXPECT_EQ(disk.delta_appends, 8u);
       EXPECT_EQ(disk.spills, 1u);
     } else {
