@@ -13,6 +13,7 @@
 #include "logic/formula_parser.h"
 #include "repair/chain_generator.h"
 #include "repair/ocqa.h"
+#include "repair/sampler.h"
 #include "sql/approx_runner.h"
 #include "sql/catalog.h"
 #include "sql/executor.h"
@@ -39,7 +40,7 @@ int main() {
         sql::Catalog::FromDatabase(db, {{"R", {"k", "v"}}});
     sql::SqlApproxRunner runner(catalog, {sql::TableKey{"R", {0}}},
                                 /*seed=*/77);
-    size_t rounds = sql::SqlApproxRunner::NumRounds(0.1, 0.1);
+    size_t rounds = Sampler::NumSamples(0.1, 0.1);
     bench::Row("n(0.1, 0.1)", "150", std::to_string(rounds));
     auto result = runner.Run("SELECT v FROM R", rounds).value();
     bench::Row("estimate for clean tuple (z)", "1.0",

@@ -321,6 +321,13 @@ Status ParseArgs(int argc, char** argv, Options* opt) {
   if (!missing.empty()) {
     return Status::InvalidArgument("missing" + missing + "\n" + UsageLines());
   }
+  // Checked here, before any input is read: the sampler (--mode=approx)
+  // and the SQL runner (--mode=sql) size their walks from this pair.
+  if ((opt->mode == "approx" || opt->mode == "sql") &&
+      !(Sampler::SampleBound(opt->eps, opt->delta) <= Sampler::kMaxSamples)) {
+    return Status::InvalidArgument(
+        "--eps/--delta need more than 2^53 walks; raise --eps or --delta");
+  }
   // A disk tier needs the persistent cache, which needs the memo.
   opt->memo_persist = opt->memo_persist || !opt->memo_dir.empty();
   opt->memo = opt->memo || opt->memo_persist;

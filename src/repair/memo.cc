@@ -36,17 +36,6 @@ size_t DeltaPayloadBytes(size_t removed) {
   return sizeof(std::vector<FactId>) + removed * sizeof(FactId);
 }
 
-bool RemovedEquals(const std::vector<FactId>& stored,
-                   const std::set<FactId>& removed) {
-  return stored.size() == removed.size() &&
-         std::equal(stored.begin(), stored.end(), removed.begin());
-}
-
-bool RemovedEquals(const std::vector<FactId>& stored,
-                   const std::vector<FactId>& removed) {
-  return stored == removed;
-}
-
 }  // namespace
 
 size_t StateKey::Combined() const {
@@ -146,7 +135,7 @@ size_t TranspositionTable::FullPayloadBytes(const Entry& entry) const {
 
 template <typename EliminatedEquals>
 std::shared_ptr<const MemoOutcome> TranspositionTable::LookupVerified(
-    const StateKey& key, const std::set<FactId>& removed,
+    const StateKey& key, const std::vector<FactId>& removed,
     EliminatedEquals eliminated_equals) {
   Stripe& stripe = StripeFor(key);
   std::lock_guard<std::mutex> lock(stripe.mutex);
@@ -154,7 +143,7 @@ std::shared_ptr<const MemoOutcome> TranspositionTable::LookupVerified(
   bool collided = false;
   for (auto it = begin; it != end; ++it) {
     Entry& entry = it->second;
-    if (entry.key == key && RemovedEquals(entry.removed, removed) &&
+    if (entry.key == key && entry.removed == removed &&
         eliminated_equals(entry.eliminated)) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       entry.chances = CostTier(*entry.outcome);  // second chance refresh
@@ -188,7 +177,7 @@ std::shared_ptr<const MemoOutcome> TranspositionTable::LookupVerified(
 }
 
 std::shared_ptr<const MemoOutcome> TranspositionTable::Lookup(
-    const StateKey& key, const std::set<FactId>& removed,
+    const StateKey& key, const std::vector<FactId>& removed,
     const ViolationSet& eliminated) {
   return LookupVerified(key, removed, [&](const ViolationSet& stored) {
     return stored == eliminated;
@@ -241,7 +230,7 @@ void TranspositionTable::EmplaceEntry(Stripe& stripe, Entry entry) {
   for (auto it = begin; it != end; ++it) {
     const Entry& resident = it->second;
     if (resident.key == entry.key &&
-        RemovedEquals(resident.removed, entry.removed) &&
+        resident.removed == entry.removed &&
         resident.eliminated == entry.eliminated) {
       return;  // first writer wins; outcomes are equal by soundness
     }
@@ -270,7 +259,7 @@ void TranspositionTable::EmplaceEntry(Stripe& stripe, Entry entry) {
 }
 
 void TranspositionTable::Insert(const StateKey& key,
-                                const std::set<FactId>& removed,
+                                const std::vector<FactId>& removed,
                                 ViolationSet eliminated,
                                 std::shared_ptr<const MemoOutcome> outcome) {
   Stripe& stripe = StripeFor(key);
@@ -289,6 +278,7 @@ void TranspositionTable::Insert(const StateKey& key,
   }
   Entry entry;
   entry.key = key;
+  // A fresh vector: capacity() == size(), which EntryBytes counts.
   entry.removed.assign(removed.begin(), removed.end());
   entry.eliminated = std::move(eliminated);
   entry.outcome = std::move(outcome);

@@ -47,7 +47,8 @@
 // of a table is the chain root D minus its removed-fact set, and every
 // repair below an entry is the entry's database minus further deletions.
 // Entries therefore store
-//   * the verification key as the sorted removed-id set against D
+//   * the verification key as the ascending removed-id vector against D
+//     — RepairingState::removed() itself, compared element-wise
 //     (≈ depth-sized instead of |D|-sized), and
 //   * each per-repair mass share as the ids removed *below* the entry
 //     state (again depth-sized)
@@ -92,7 +93,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -207,12 +207,13 @@ class TranspositionTable {
   /// (the PR-3 representation) for the compression-ratio counters.
   void SetRootShape(size_t root_facts, size_t num_relations);
 
-  /// The outcome recorded for this exact state, or nullptr. `removed` and
+  /// The outcome recorded for this exact state, or nullptr. `removed`
+  /// (ascending ids, as RepairingState::removed() keeps them) and
   /// `eliminated` are the verification payloads: a candidate entry whose
   /// stored sets differ is a counted hash collision, never a hit. A
   /// verified hit refreshes the entry's eviction-protection credits.
   std::shared_ptr<const MemoOutcome> Lookup(const StateKey& key,
-                                            const std::set<FactId>& removed,
+                                            const std::vector<FactId>& removed,
                                             const ViolationSet& eliminated);
   /// Same for `state` under KeyOf(state); its eliminated set is built
   /// only when a candidate entry already matches key and removed set.
@@ -224,7 +225,7 @@ class TranspositionTable {
   /// triggers the cost-aware eviction sweep, in which the new entry
   /// competes on its own credits — a cheap newcomer never displaces an
   /// expensive resident.
-  void Insert(const StateKey& key, const std::set<FactId>& removed,
+  void Insert(const StateKey& key, const std::vector<FactId>& removed,
               ViolationSet eliminated,
               std::shared_ptr<const MemoOutcome> outcome);
   void Insert(const RepairingState& state,
@@ -285,7 +286,7 @@ class TranspositionTable {
   // Lookup's body; eliminated_equals(stored) verifies the eliminated set.
   template <typename EliminatedEquals>
   std::shared_ptr<const MemoOutcome> LookupVerified(
-      const StateKey& key, const std::set<FactId>& removed,
+      const StateKey& key, const std::vector<FactId>& removed,
       EliminatedEquals eliminated_equals);
 
   struct Entry {

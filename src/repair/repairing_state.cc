@@ -8,6 +8,22 @@
 
 namespace opcqa {
 
+namespace {
+
+// removed_ is an ascending vector: a walk's inserts and erases reuse its
+// capacity instead of allocating a set node per deleted fact.
+void InsertSorted(std::vector<FactId>* ids, FactId id) {
+  auto it = std::lower_bound(ids->begin(), ids->end(), id);
+  if (it == ids->end() || *it != id) ids->insert(it, id);
+}
+
+void EraseSorted(std::vector<FactId>* ids, FactId id) {
+  auto it = std::lower_bound(ids->begin(), ids->end(), id);
+  if (it != ids->end() && *it == id) ids->erase(it);
+}
+
+}  // namespace
+
 std::shared_ptr<const RepairContext> RepairContext::Make(
     Database db, ConstraintSet constraints) {
   BaseSpec base = BaseSpec::ForDatabase(db, ConstantsOf(constraints));
@@ -65,9 +81,11 @@ ViolationSet RepairingState::eliminated() const {
 
 bool RepairingState::CheckNoCancellation(const Operation& op) const {
   // "+F then −G with F ∩ G ≠ ∅" is forbidden in either order.
-  const std::set<FactId>& conflicting = op.is_add() ? removed_ : added_;
   for (FactId id : op.fact_ids()) {
-    if (conflicting.count(id) > 0) return false;
+    bool conflicts =
+        op.is_add() ? std::binary_search(removed_.begin(), removed_.end(), id)
+                    : added_.count(id) > 0;
+    if (conflicts) return false;
   }
   return true;
 }
@@ -145,7 +163,7 @@ void RepairingState::ApplyTrusted(const Operation& op) {
     for (AdditionRecord& record : additions_) {
       for (FactId id : op.fact_ids()) record.removed_after.insert(id);
     }
-    for (FactId id : op.fact_ids()) removed_.insert(id);
+    for (FactId id : op.fact_ids()) InsertSorted(&removed_, id);
   }
   // Delta bookkeeping requires an effective operation (every added fact
   // absent, every removed fact present) — a partial no-op would make the
@@ -189,7 +207,7 @@ void RepairingState::ApplyIndexed(const Operation& op) {
     OPCQA_CHECK(effective)
         << "ApplyTrusted requires an effective operation: "
         << op.ToString(context_->initial.schema());
-    removed_.insert(id);
+    InsertSorted(&removed_, id);
   }
   // Deletions under EGDs/DCs are violation-monotone: body matches of
   // D − F are exactly those of D avoiding F, and the conclusions ignore
@@ -204,15 +222,28 @@ void RepairingState::ApplyIndexed(const Operation& op) {
     killed_.push_back(rank);
   });
   violations_stale_ = true;
-  sequence_.push_back(TakeSpare());
-  sequence_.back() = op;
+  sequence_.emplace_back();
+  AssignRecycled(&sequence_.back(), op);
 }
 
-Operation RepairingState::TakeSpare() const {
-  if (spare_ops_.empty()) return Operation();
-  Operation op = std::move(spare_ops_.back());
-  spare_ops_.pop_back();
-  return op;
+void RepairingState::Recycle(Operation op) const {
+  size_t facts = op.fact_ids().size();
+  if (facts == 0) return;  // every deletion has a fact: none would be taken
+  if (facts >= spare_ops_.size()) spare_ops_.resize(facts + 1);
+  spare_ops_[facts].push_back(std::move(op));
+}
+
+void RepairingState::AssignRecycled(Operation* slot,
+                                    const Operation& op) const {
+  size_t facts = op.fact_ids().size();
+  if (slot->fact_ids().size() != facts && facts < spare_ops_.size() &&
+      !spare_ops_[facts].empty()) {
+    Operation displaced = std::move(*slot);
+    *slot = std::move(spare_ops_[facts].back());
+    spare_ops_[facts].pop_back();
+    Recycle(std::move(displaced));
+  }
+  *slot = op;
 }
 
 void RepairingState::Revert() {
@@ -241,7 +272,7 @@ void RepairingState::Revert() {
     for (FactId id : op.fact_ids()) added_.erase(id);
     additions_.pop_back();
   } else {
-    for (FactId id : op.fact_ids()) removed_.erase(id);
+    for (FactId id : op.fact_ids()) EraseSorted(&removed_, id);
     for (AdditionRecord& record : additions_) {
       for (FactId id : op.fact_ids()) record.removed_after.erase(id);
     }
@@ -251,8 +282,8 @@ void RepairingState::Revert() {
 void RepairingState::RevertIndexed() {
   const Operation& op = sequence_.back();
   op.RevertOn(&db_);
-  for (FactId id : op.fact_ids()) removed_.erase(id);
-  spare_ops_.push_back(std::move(sequence_.back()));
+  for (FactId id : op.fact_ids()) EraseSorted(&removed_, id);
+  Recycle(std::move(sequence_.back()));
   sequence_.pop_back();
   for (size_t i = killed_begin_.back(); i < killed_.size(); ++i) {
     uint32_t rank = killed_[i];
@@ -297,13 +328,14 @@ void RepairingState::ValidExtensions(std::vector<Operation>* out) const {
     // partners, no resurrections, no additions to re-justify).
     size_t count = index_->CandidatesFor(live_, &candidate_scratch_);
     while (out->size() > count) {
-      spare_ops_.push_back(std::move(out->back()));
+      Recycle(std::move(out->back()));
       out->pop_back();
     }
-    while (out->size() < count) out->push_back(TakeSpare());
     size_t i = 0;
-    ForEachSetBit(candidate_scratch_,
-                  [&](size_t rank) { (*out)[i++] = index_->candidate(rank); });
+    ForEachSetBit(candidate_scratch_, [&](size_t rank) {
+      if (i == out->size()) out->emplace_back();
+      AssignRecycled(&(*out)[i++], index_->candidate(rank));
+    });
     return;
   }
   if (violations_.empty()) {  // consistent ⇒ nothing is justified

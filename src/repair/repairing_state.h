@@ -88,11 +88,11 @@ class RepairingState {
   /// on demand (denial-only: V(D,Σ) minus the live violations).
   ViolationSet eliminated() const;
 
-  /// Facts of D deleted by the sequence so far. On deletion-only chains
-  /// current() = D − removed(), which is what lets the transposition
-  /// table verify states by this depth-sized delta instead of a full
-  /// database copy (repair/memo.h).
-  const std::set<FactId>& removed() const { return removed_; }
+  /// Facts of D deleted by the sequence so far, as an ascending vector.
+  /// On deletion-only chains current() = D − removed(), which is what
+  /// lets the transposition table verify states by this depth-sized delta
+  /// instead of a full database copy (repair/memo.h).
+  const std::vector<FactId>& removed() const { return removed_; }
 
   // O(1) state-fingerprint accessors for repair-space memoization. Both
   // are maintained incrementally — the database hash by InsertId/EraseId
@@ -173,8 +173,12 @@ class RepairingState {
   // The denial-only halves of ApplyTrusted / Revert.
   void ApplyIndexed(const Operation& op);
   void RevertIndexed();
-  // A recycled Operation from spare_ops_ (or a fresh one).
-  Operation TakeSpare() const;
+  // Files `op` under its fact count in spare_ops_; drops 0-fact ones
+  // (fresh slots), which no deletion would take back.
+  void Recycle(Operation op) const;
+  // *slot = op, first moving in a spare of op's fact count when the
+  // slot's differs and a spare exists (the displaced one is recycled).
+  void AssignRecycled(Operation* slot, const Operation& op) const;
 
   std::shared_ptr<const RepairContext> context_;
   // context_->deletion_index.get(): non-null selects the index-driven
@@ -191,7 +195,7 @@ class RepairingState {
   ViolationSet eliminated_;   // ∪_i V(D_{i-1}) − V(D_i) (general path)
   size_t eliminated_hash_ = 0;  // sum of mixed Violation hashes of eliminated_
   std::set<FactId> added_;
-  std::set<FactId> removed_;
+  std::vector<FactId> removed_;  // ascending
   std::vector<AdditionRecord> additions_;
   std::vector<UndoRecord> undo_;  // general path
   // Denial-only path: the live violation ranks, their count, and the undo
@@ -202,9 +206,12 @@ class RepairingState {
   std::vector<uint32_t> killed_begin_;
   mutable std::vector<uint64_t> candidate_scratch_;
   // Operations popped off sequence_ or off shrinking extension buffers,
-  // kept so their heap buffers serve the next copy-assignment: a walk
-  // that reuses its state and buffer stops allocating for operations.
-  mutable std::vector<Operation> spare_ops_;
+  // by fact count (spare_ops_[n] holds n-fact operations), kept so their
+  // heap buffers serve the next copy-assignment. Assigning onto an
+  // operation of equal fact count reuses its fact and id vectors and,
+  // fact by fact, argument vectors of equal arity, so a walk that reuses
+  // its state and buffer stops allocating for operations.
+  mutable std::vector<std::vector<Operation>> spare_ops_;
 };
 
 }  // namespace opcqa

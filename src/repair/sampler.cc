@@ -24,11 +24,20 @@ Sampler::Sampler(const Database& db, const ConstraintSet& constraints,
   OPCQA_CHECK(generator != nullptr);
 }
 
-size_t Sampler::NumSamples(double epsilon, double delta) {
+double Sampler::SampleBound(double epsilon, double delta) {
   OPCQA_CHECK_GT(epsilon, 0.0);
   OPCQA_CHECK(delta > 0.0 && delta < 1.0);
-  return static_cast<size_t>(
-      std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon)));
+  return std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon));
+}
+
+size_t Sampler::NumSamples(double epsilon, double delta) {
+  double n = SampleBound(epsilon, delta);
+  // Casting a bound past 2^64 (or +inf) to size_t is undefined behaviour;
+  // capping at 2^53 also keeps the ceiling exact.
+  OPCQA_CHECK(n <= kMaxSamples)
+      << "ε=" << epsilon << ", δ=" << delta << " need " << n
+      << " walks, more than 2^53";
+  return static_cast<size_t>(n);
 }
 
 size_t Sampler::Walk(RepairingState* state, Rng* rng,

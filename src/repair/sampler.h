@@ -73,7 +73,16 @@ class Sampler {
           const ChainGenerator* generator, uint64_t seed,
           SamplerOptions options = {});
 
-  /// n(ε,δ) = ⌈ln(2/δ) / (2ε²)⌉ (Hoeffding).
+  /// The largest walk count NumSamples hands out, 2^53: up to there the
+  /// ceiling of the double-precision bound is an exact integer.
+  static constexpr double kMaxSamples = 9007199254740992.0;
+
+  /// ⌈ln(2/δ) / (2ε²)⌉ as a double; +inf when 2ε² underflows. Compare it
+  /// against kMaxSamples to validate user-given ε/δ before NumSamples.
+  static double SampleBound(double epsilon, double delta);
+
+  /// n(ε,δ) = ⌈ln(2/δ) / (2ε²)⌉ (Hoeffding). CHECK-fails unless the bound
+  /// is finite and at most kMaxSamples.
   static size_t NumSamples(double epsilon, double delta);
 
   /// One execution of algorithm Sample, drawing from the sampler's own

@@ -1,7 +1,6 @@
 #include "sql/approx_runner.h"
 
-#include <cmath>
-
+#include "repair/sampler.h"
 #include "sql/parser.h"
 #include "util/string_util.h"
 
@@ -43,13 +42,6 @@ SqlApproxRunner::SqlApproxRunner(Catalog catalog, std::vector<TableKey> keys,
     }
     groups_[key.table] = std::move(violating);
   }
-}
-
-size_t SqlApproxRunner::NumRounds(double epsilon, double delta) {
-  OPCQA_CHECK_GT(epsilon, 0.0);
-  OPCQA_CHECK(delta > 0.0 && delta < 1.0);
-  return static_cast<size_t>(
-      std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon)));
 }
 
 std::map<std::string, engine::Relation> SqlApproxRunner::SampleDeletions() {
@@ -111,7 +103,7 @@ Result<SqlApproxResult> SqlApproxRunner::Run(std::string_view sql,
 
 Result<SqlApproxResult> SqlApproxRunner::RunWithGuarantee(
     std::string_view sql, double epsilon, double delta) {
-  return Run(sql, NumRounds(epsilon, delta));
+  return Run(sql, Sampler::NumSamples(epsilon, delta));
 }
 
 }  // namespace sql

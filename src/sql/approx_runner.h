@@ -63,13 +63,10 @@ class SqlApproxRunner {
   SqlApproxRunner(Catalog catalog, std::vector<TableKey> keys, uint64_t seed,
                   SqlApproxOptions options = {});
 
-  /// n(ε,δ) = ⌈ln(2/δ) / (2ε²)⌉.
-  static size_t NumRounds(double epsilon, double delta);
-
   /// Runs the n-round loop for `sql`.
   Result<SqlApproxResult> Run(std::string_view sql, size_t rounds);
 
-  /// Computes n from (ε,δ), then runs.
+  /// Runs n(ε,δ) = Sampler::NumSamples(ε, δ) rounds.
   Result<SqlApproxResult> RunWithGuarantee(std::string_view sql,
                                            double epsilon, double delta);
 

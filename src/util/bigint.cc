@@ -14,28 +14,57 @@ namespace {
 
 constexpr uint64_t kBase = uint64_t{1} << 32;
 
-// Small-value fast-path helpers: a magnitude of at most 2 limbs is a
-// uint64. (Normalized vectors make the size test exact.)
-inline bool FitsU64(const std::vector<uint32_t>& limbs) {
-  return limbs.size() <= 2;
+}  // namespace
+
+BigInt::Limbs& BigInt::Limbs::operator=(const Limbs& other) {
+  if (this == &other) return *this;
+  size_ = 0;
+  reserve(other.size_);
+  std::copy_n(other.data_, other.size_, data_);
+  size_ = other.size_;
+  return *this;
 }
 
-inline uint64_t MagU64(const std::vector<uint32_t>& limbs) {
-  uint64_t value = limbs.empty() ? 0 : limbs[0];
-  if (limbs.size() > 1) value |= static_cast<uint64_t>(limbs[1]) << 32;
-  return value;
+BigInt::Limbs& BigInt::Limbs::operator=(Limbs&& other) noexcept {
+  if (this == &other) return *this;
+  if (other.data_ != other.inline_) {
+    if (data_ != inline_) delete[] data_;
+    data_ = std::exchange(other.data_, other.inline_);
+    capacity_ = std::exchange(other.capacity_, kInline);
+  } else {
+    std::copy_n(other.inline_, other.size_, data_);  // capacity_ ≥ kInline
+  }
+  size_ = std::exchange(other.size_, 0);
+  return *this;
 }
 
-// Writes a uint64 magnitude into an existing limb vector, reusing its
-// capacity (no allocation once the vector has ever held ≥ 2 limbs).
-inline void SetMagU64(std::vector<uint32_t>* limbs, uint64_t value) {
+BigInt::Limbs& BigInt::Limbs::operator=(
+    std::initializer_list<uint32_t> values) {
+  size_ = 0;
+  reserve(values.size());
+  std::copy(values.begin(), values.end(), data_);
+  size_ = static_cast<uint32_t>(values.size());
+  return *this;
+}
+
+void BigInt::Limbs::Grow(size_t min_capacity) {
+  size_t capacity = std::max<size_t>(min_capacity, size_t{2} * capacity_);
+  uint32_t* grown = new uint32_t[capacity];
+  std::copy_n(data_, size_, grown);
+  if (data_ != inline_) delete[] data_;
+  data_ = grown;
+  capacity_ = static_cast<uint32_t>(capacity);
+}
+
+// Writes a uint64 magnitude into existing limbs, reusing their capacity.
+void BigInt::SetMagU64(Limbs* limbs, uint64_t value) {
   limbs->clear();
   if (value != 0) limbs->push_back(static_cast<uint32_t>(value));
   if (value >> 32) limbs->push_back(static_cast<uint32_t>(value >> 32));
 }
 
 #if defined(__SIZEOF_INT128__)
-inline void SetMagU128(std::vector<uint32_t>* limbs, unsigned __int128 value) {
+void BigInt::SetMagU128(Limbs* limbs, unsigned __int128 value) {
   limbs->clear();
   while (value != 0) {
     limbs->push_back(static_cast<uint32_t>(value));
@@ -44,12 +73,11 @@ inline void SetMagU128(std::vector<uint32_t>* limbs, unsigned __int128 value) {
 }
 #endif
 
-// Signed ≤64-bit addition: the shared core of the operator+ / operator-
-// fast paths (subtraction passes !b_negative). Writes the canonical
-// magnitude/sign directly — no Canonicalize() needed afterwards.
-inline void AddSignedU64(uint64_t a, bool a_negative, uint64_t b,
-                         bool b_negative, std::vector<uint32_t>* limbs,
-                         bool* negative) {
+// The shared core of the operator+ / operator- fast paths (subtraction
+// passes !b_negative). Writes the canonical magnitude/sign directly — no
+// Canonicalize() needed afterwards.
+void BigInt::AddSignedU64(uint64_t a, bool a_negative, uint64_t b,
+                          bool b_negative, Limbs* limbs, bool* negative) {
   if (a_negative == b_negative) {
     uint64_t sum = a + b;
     bool carry = sum < a;
@@ -74,8 +102,6 @@ inline void AddSignedU64(uint64_t a, bool a_negative, uint64_t b,
     *negative = b_negative;
   }
 }
-
-}  // namespace
 
 BigInt::BigInt(int64_t value) {
   negative_ = value < 0;
@@ -129,7 +155,8 @@ int64_t BigInt::ToInt64() const {
   uint64_t mag = 0;
   if (!limbs_.empty()) mag = limbs_[0];
   if (limbs_.size() > 1) mag |= static_cast<uint64_t>(limbs_[1]) << 32;
-  return negative_ ? -static_cast<int64_t>(mag) : static_cast<int64_t>(mag);
+  // Negate in unsigned space: -2^63 has no positive int64 counterpart.
+  return static_cast<int64_t>(negative_ ? 0 - mag : mag);
 }
 
 BigInt BigInt::operator-() const {
@@ -144,7 +171,7 @@ BigInt BigInt::Abs() const {
   return result;
 }
 
-void BigInt::Normalize(std::vector<uint32_t>* limbs) {
+void BigInt::Normalize(Limbs* limbs) {
   while (!limbs->empty() && limbs->back() == 0) limbs->pop_back();
 }
 
@@ -153,8 +180,7 @@ void BigInt::Canonicalize() {
   if (limbs_.empty()) negative_ = false;
 }
 
-void BigInt::AddMagInPlace(std::vector<uint32_t>* a,
-                           const std::vector<uint32_t>& b) {
+void BigInt::AddMagInPlace(Limbs* a, const Limbs& b) {
   if (b.size() > a->size()) a->resize(b.size(), 0);
   uint64_t carry = 0;
   for (size_t i = 0; i < a->size(); ++i) {
@@ -165,8 +191,7 @@ void BigInt::AddMagInPlace(std::vector<uint32_t>* a,
   if (carry) a->push_back(static_cast<uint32_t>(carry));
 }
 
-void BigInt::SubMagInPlace(std::vector<uint32_t>* a,
-                           const std::vector<uint32_t>& b) {
+void BigInt::SubMagInPlace(Limbs* a, const Limbs& b) {
   int64_t borrow = 0;
   for (size_t i = 0; i < a->size(); ++i) {
     int64_t diff = static_cast<int64_t>((*a)[i]) - borrow -
@@ -183,11 +208,10 @@ void BigInt::SubMagInPlace(std::vector<uint32_t>* a,
   Normalize(a);
 }
 
-std::vector<uint32_t> BigInt::AddMag(const std::vector<uint32_t>& a,
-                                     const std::vector<uint32_t>& b) {
+BigInt::Limbs BigInt::AddMag(const Limbs& a, const Limbs& b) {
   const auto& longer = a.size() >= b.size() ? a : b;
   const auto& shorter = a.size() >= b.size() ? b : a;
-  std::vector<uint32_t> result;
+  Limbs result;
   result.reserve(longer.size() + 1);
   uint64_t carry = 0;
   for (size_t i = 0; i < longer.size(); ++i) {
@@ -199,9 +223,8 @@ std::vector<uint32_t> BigInt::AddMag(const std::vector<uint32_t>& a,
   return result;
 }
 
-std::vector<uint32_t> BigInt::SubMag(const std::vector<uint32_t>& a,
-                                     const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> result;
+BigInt::Limbs BigInt::SubMag(const Limbs& a, const Limbs& b) {
+  Limbs result;
   result.reserve(a.size());
   int64_t borrow = 0;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -220,10 +243,9 @@ std::vector<uint32_t> BigInt::SubMag(const std::vector<uint32_t>& a,
   return result;
 }
 
-std::vector<uint32_t> BigInt::MulMag(const std::vector<uint32_t>& a,
-                                     const std::vector<uint32_t>& b) {
+BigInt::Limbs BigInt::MulMag(const Limbs& a, const Limbs& b) {
   if (a.empty() || b.empty()) return {};
-  std::vector<uint32_t> result(a.size() + b.size(), 0);
+  Limbs result(a.size() + b.size(), 0);
   for (size_t i = 0; i < a.size(); ++i) {
     uint64_t carry = 0;
     for (size_t j = 0; j < b.size(); ++j) {
@@ -243,8 +265,7 @@ std::vector<uint32_t> BigInt::MulMag(const std::vector<uint32_t>& a,
   return result;
 }
 
-int BigInt::CompareMag(const std::vector<uint32_t>& a,
-                       const std::vector<uint32_t>& b) {
+int BigInt::CompareMag(const Limbs& a, const Limbs& b) {
   if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
   for (size_t i = a.size(); i-- > 0;) {
     if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
@@ -255,10 +276,8 @@ int BigInt::CompareMag(const std::vector<uint32_t>& a,
 // Shift-and-subtract long division on magnitudes: O(n * m) bit steps done
 // limb-wise. Adequate for the limb counts this library produces (repair
 // probabilities over chains of polynomial depth).
-void BigInt::DivModMag(const std::vector<uint32_t>& a,
-                       const std::vector<uint32_t>& b,
-                       std::vector<uint32_t>* quotient,
-                       std::vector<uint32_t>* remainder) {
+void BigInt::DivModMag(const Limbs& a, const Limbs& b, Limbs* quotient,
+                       Limbs* remainder) {
   OPCQA_CHECK(!b.empty()) << "division by zero";
   quotient->clear();
   remainder->clear();
@@ -293,8 +312,8 @@ void BigInt::DivModMag(const std::vector<uint32_t>& a,
   }
   // General case: process dividend bits from most significant to least.
   size_t total_bits = a.size() * 32;
-  std::vector<uint32_t> rem;
-  std::vector<uint32_t> quot(a.size(), 0);
+  Limbs rem;
+  Limbs quot(a.size(), 0);
   for (size_t bit = total_bits; bit-- > 0;) {
     // rem = rem * 2 + bit(a, bit)
     uint32_t carry = 0;
@@ -347,7 +366,7 @@ BigInt BigInt::operator+(const BigInt& other) const {
 BigInt BigInt::operator-(const BigInt& other) const {
   if (FitsU64(limbs_) && FitsU64(other.limbs_)) {
     // Subtraction is addition with other's sign flipped, skipping the
-    // limb-vector copy that materializing `-other` would make.
+    // limb copy that materializing `-other` would make.
     BigInt result;
     AddSignedU64(MagU64(limbs_), negative_, MagU64(other.limbs_),
                  !other.negative_, &result.limbs_, &result.negative_);
@@ -445,8 +464,8 @@ BigInt& BigInt::operator%=(const BigInt& other) {
 
 void BigInt::DivMod(const BigInt& a, const BigInt& b, BigInt* quotient,
                     BigInt* remainder) {
-  std::vector<uint32_t> q;
-  std::vector<uint32_t> r;
+  Limbs q;
+  Limbs r;
   DivModMag(a.limbs_, b.limbs_, &q, &r);
   quotient->limbs_ = std::move(q);
   quotient->negative_ = a.negative_ != b.negative_;
@@ -506,7 +525,7 @@ int BigInt::Compare(const BigInt& other) const {
 std::string BigInt::ToString() const {
   if (is_zero()) return "0";
   // Repeated division by 10^9.
-  std::vector<uint32_t> mag = limbs_;
+  Limbs mag = limbs_;
   std::string digits;
   const uint64_t chunk = 1000000000;
   while (!mag.empty()) {

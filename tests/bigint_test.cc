@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace opcqa {
@@ -352,6 +354,140 @@ TEST(BigIntFastPathTest, InPlaceDivisionSigns) {
   EXPECT_TRUE(e.is_zero());
   EXPECT_FALSE(e.is_negative());  // no negative zero
 }
+
+// ---------------------------------------------------------------------
+// Inline/heap limb boundary: values of at most two limbs live inline,
+// longer ones on the heap; every transition must keep the value.
+// ---------------------------------------------------------------------
+
+BigInt Parse(const char* text) { return BigInt::FromString(text).value(); }
+
+TEST(BigIntInlineLimbsTest, GrowsPastTwoLimbsAndShrinksBack) {
+  const BigInt two64 = Parse("18446744073709551616");
+  BigInt x(uint64_t{0xffffffffffffffff});  // 2 limbs
+  x += BigInt(int64_t{1});                 // 3 limbs through +=
+  EXPECT_EQ(x, two64);
+  EXPECT_EQ(x.BitLength(), 65u);
+  x *= BigInt(uint64_t{1} << 40);  // 4 limbs through *=
+  EXPECT_EQ(x.ToString(), "20282409603651670423947251286016");
+  x -= BigInt(int64_t{1});
+  EXPECT_EQ(x.ToString(), "20282409603651670423947251286015");
+  x /= BigInt(uint64_t{1} << 50);  // back to 2 limbs through /=
+  EXPECT_EQ(x, BigInt(int64_t{18014398509481983}));
+  EXPECT_TRUE(x.FitsInt64());
+  x *= x;  // 4 limbs again (the 128-bit product fast path)
+  EXPECT_EQ(x.ToString(), "324518553658426690754359001612289");
+  EXPECT_EQ(x % BigInt(int64_t{1000000007}), BigInt(int64_t{184284822}));
+  x = x % BigInt(int64_t{1000000007});  // 1 limb, heap capacity kept
+  x += BigInt(int64_t{1});
+  EXPECT_EQ(x, BigInt(int64_t{184284823}));
+
+  // The ≤64-bit add/sub fast path carrying into bit 64, both signs.
+  EXPECT_EQ(BigInt(uint64_t{0xffffffffffffffff}) + BigInt(int64_t{1}), two64);
+  EXPECT_EQ(BigInt(int64_t{-1}) - BigInt(uint64_t{0xffffffffffffffff}),
+            -two64);
+  BigInt w = Parse("79228162514264337593543950343");  // 2^96 + 7
+  w -= Parse("79228162514264337593543950336");        // 2^96
+  EXPECT_EQ(w, BigInt(int64_t{7}));
+  EXPECT_EQ(w.BitLength(), 3u);
+}
+
+TEST(BigIntInlineLimbsTest, CopyMoveAndSelfAssignmentKeepValues) {
+  const BigInt heap_target = BigInt(int64_t{3}).Pow(200);
+  for (const char* text :
+       {"-12345", "18446744073709551615",
+        "-340282366920938463463374607431768211457"}) {
+    SCOPED_TRACE(text);
+    const BigInt v = Parse(text);
+    BigInt copy(v);
+    EXPECT_EQ(copy, v);
+    BigInt into_inline(int64_t{99});
+    into_inline = v;
+    EXPECT_EQ(into_inline, v);
+    BigInt into_heap = heap_target;
+    into_heap = v;
+    EXPECT_EQ(into_heap, v);
+    BigInt& alias = copy;
+    copy = alias;
+    EXPECT_EQ(copy, v);
+    copy = std::move(alias);
+    EXPECT_EQ(copy, v);
+
+    BigInt moved(std::move(copy));
+    EXPECT_EQ(moved, v);
+    // A moved-from value is a usable zero.
+    EXPECT_TRUE(copy.is_zero());       // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(copy.is_negative());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(copy.ToString(), "0");   // NOLINT(bugprone-use-after-move)
+    copy += BigInt(int64_t{3});        // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(copy, BigInt(int64_t{3}));
+
+    BigInt move_assigned = heap_target;
+    move_assigned = std::move(moved);
+    EXPECT_EQ(move_assigned, v);
+    EXPECT_TRUE(moved.is_zero());  // NOLINT(bugprone-use-after-move)
+    moved -= v;                    // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(moved, -v);
+  }
+}
+
+#if defined(__SIZEOF_INT128__)
+using u128 = unsigned __int128;
+
+std::string U128ToString(u128 value) {
+  if (value == 0) return "0";
+  std::string digits;
+  for (; value != 0; value /= 10) {
+    digits.insert(digits.begin(), static_cast<char>('0' + value % 10));
+  }
+  return digits;
+}
+
+BigInt FromU128(u128 value) { return Parse(U128ToString(value).c_str()); }
+
+int BitWidth(u128 value) {
+  int bits = 0;
+  for (; value != 0; value >>= 1) ++bits;
+  return bits;
+}
+
+TEST(BigIntInlineLimbsTest, MatchesUnsigned128Arithmetic) {
+  // Operands of 0–127 bits straddle the inline/heap boundary from both
+  // sides; every result is checked against native 128-bit arithmetic
+  // through ToString.
+  std::mt19937_64 rng(20260417);
+  auto random_operand = [&] {
+    int bits = static_cast<int>(rng() % 128);
+    u128 value = (static_cast<u128>(rng()) << 64) | rng();
+    return bits == 0 ? u128{0} : value >> (128 - bits);
+  };
+  for (int i = 0; i < 4000; ++i) {
+    u128 a = random_operand();
+    u128 b = random_operand();
+    SCOPED_TRACE(U128ToString(a) + " op " + U128ToString(b));
+    BigInt big_a = FromU128(a), big_b = FromU128(b);
+    EXPECT_EQ(big_a.ToString(), U128ToString(a));
+    EXPECT_EQ((big_a + big_b).ToString(), U128ToString(a + b));
+    EXPECT_EQ((big_a - big_b).ToString(),
+              a >= b ? U128ToString(a - b) : "-" + U128ToString(b - a));
+    BigInt product = big_a * big_b;
+    if (BitWidth(a) + BitWidth(b) <= 128) {
+      EXPECT_EQ(product.ToString(), U128ToString(a * b));
+    } else if (b != 0) {  // the product overflows u128: check it exactly
+      EXPECT_EQ(product / big_b, big_a);
+      EXPECT_TRUE((product % big_b).is_zero());
+    }
+    if (b != 0) {
+      EXPECT_EQ((big_a / big_b).ToString(), U128ToString(a / b));
+      EXPECT_EQ((big_a % big_b).ToString(), U128ToString(a % b));
+    }
+    u128 x = a, y = b;
+    while (y != 0) x = std::exchange(y, x % y);
+    EXPECT_EQ(BigInt::Gcd(big_a, big_b).ToString(), U128ToString(x));
+    EXPECT_EQ(big_a.Compare(big_b), a < b ? -1 : a > b ? 1 : 0);
+  }
+}
+#endif  // __SIZEOF_INT128__
 
 // Parameterized: arithmetic consistency against int64 for small operands.
 class BigIntSmallArithTest

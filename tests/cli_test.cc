@@ -107,6 +107,8 @@ TEST(CliTest, BadSamplerFlagValuesAreUsageErrors) {
       "--eps=",
       "--eps=0.1x",
       "--eps=nan",
+      "--eps=1e-10",   // n(ε,δ) past 2^53 walks
+      "--eps=1e-300",  // 2ε² underflows: n(ε,δ) = inf
       "--delta=0",
       "--delta=1",
       "--delta=1.5",
@@ -135,6 +137,17 @@ TEST(CliTest, BadSamplerFlagValuesAreUsageErrors) {
     std::string name = flag.substr(0, flag.find('='));
     EXPECT_NE(run.err.find(name), std::string::npos) << run.err;
   }
+}
+
+TEST(CliTest, ExactModeIgnoresTheSampleBound) {
+  // Only --mode=approx and --mode=sql size a sample from --eps/--delta.
+  CliInputs inputs;
+  std::vector<std::string> args = inputs.Args();
+  args.push_back("--mode=exact");
+  args.push_back("--eps=1e-10");
+  CliRun run = RunCli(args, inputs);
+  EXPECT_EQ(run.exit_code, 0) << run.err;
+  EXPECT_NE(run.out, "");
 }
 
 TEST(CliTest, MissingRequiredFlagsAreNamedOnStderr) {

@@ -134,9 +134,9 @@ TEST(MemoizationApplicableTest, GatesOnDeletionOnlyChainsAndMemorylessness) {
 TEST(TranspositionTableTest, RejectsForcedHashCollisions) {
   gen::Workload w = gen::PaperKeyPairExample();
   FactStore& store = FactStore::Global();
-  std::set<FactId> removed1 = {
+  std::vector<FactId> removed1 = {
       store.Intern(Fact::Make(*w.schema, "R", {"a", "b"}))};
-  std::set<FactId> removed2 = {
+  std::vector<FactId> removed2 = {
       store.Intern(Fact::Make(*w.schema, "R", {"a", "c"}))};
   ASSERT_NE(removed1, removed2);
 
@@ -179,7 +179,7 @@ TEST(TranspositionTableTest, BudgetOverflowEvictsCheapEntriesFirst) {
   gen::Workload w = gen::PaperKeyPairExample();
   FactStore& store = FactStore::Global();
   TranspositionTable table(/*max_entries=*/16);
-  std::vector<std::set<FactId>> removed_sets;
+  std::vector<std::vector<FactId>> removed_sets;
   for (int i = 0; i < 64; ++i) {
     removed_sets.push_back({store.Intern(
         Fact::Make(*w.schema, "R", {"a", "x" + std::to_string(i)}))});
@@ -211,7 +211,7 @@ TEST(TranspositionTableTest, ExpensiveSubtreesSurviveTheSweepLongest) {
   gen::Workload w = gen::PaperKeyPairExample();
   FactStore& store = FactStore::Global();
   TranspositionTable table(/*max_entries=*/16);  // 1 entry per stripe
-  std::set<FactId> expensive_removed = {
+  std::vector<FactId> expensive_removed = {
       store.Intern(Fact::Make(*w.schema, "R", {"a", "keep"}))};
   auto expensive = std::make_shared<MemoOutcome>();
   expensive->states = 1u << 16;  // top cost tier
@@ -226,7 +226,7 @@ TEST(TranspositionTableTest, ExpensiveSubtreesSurviveTheSweepLongest) {
     StateKey key{i, 0};
     if (key.Combined() % TranspositionTable::kNumStripes != stripe) continue;
     ++contenders;
-    std::set<FactId> removed = {store.Intern(
+    std::vector<FactId> removed = {store.Intern(
         Fact::Make(*w.schema, "R", {"a", "cheap" + std::to_string(i)}))};
     auto cheap = std::make_shared<MemoOutcome>();
     cheap->states = 2;

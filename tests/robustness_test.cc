@@ -224,7 +224,7 @@ TEST_F(RobustnessTest, SnapshotDecoderNeverCrashesOnMutations) {
   TranspositionTable table;
   auto outcome = std::make_shared<MemoOutcome>();
   outcome->states = 3;
-  table.Insert(StateKey{11, 22}, std::set<FactId>{}, ViolationSet{},
+  table.Insert(StateKey{11, 22}, std::vector<FactId>{}, ViolationSet{},
                outcome);
 
   storage::SnapshotIdentity identity;

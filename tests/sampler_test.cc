@@ -22,9 +22,20 @@ namespace {
 TEST(SamplerTest, NumSamplesMatchesPaperFigure) {
   // "for ε = δ = 0.1, for example, it is 150".
   EXPECT_EQ(Sampler::NumSamples(0.1, 0.1), 150u);
+  EXPECT_EQ(Sampler::NumSamples(0.05, 0.1), 600u);
   // Monotonicity: tighter ε/δ need more samples.
   EXPECT_GT(Sampler::NumSamples(0.05, 0.1), Sampler::NumSamples(0.1, 0.1));
   EXPECT_GT(Sampler::NumSamples(0.1, 0.01), Sampler::NumSamples(0.1, 0.1));
+}
+
+TEST(SamplerDeathTest, NumSamplesRejectsCountsPast2To53) {
+  // Death tests fork; re-exec instead, so threads started by other tests
+  // in this binary cannot deadlock the child.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // ln(40) / 2e-20 ≈ 1.8e20 walks: a size_t cast would be undefined.
+  EXPECT_GT(Sampler::SampleBound(1e-10, 0.05), Sampler::kMaxSamples);
+  EXPECT_DEATH(Sampler::NumSamples(1e-10, 0.05), "2\\^53");
+  EXPECT_DEATH(Sampler::NumSamples(1e-300, 0.05), "2\\^53");
 }
 
 TEST(SamplerTest, WalksTerminateAndSucceedOnNonFailingChains) {

@@ -370,12 +370,6 @@ class SqlApproxTest : public ::testing::Test {
   Catalog catalog_;
 };
 
-TEST_F(SqlApproxTest, NumRoundsMatchesPaper) {
-  // ε = δ = 0.1 → n = 150, the number quoted in Section 5.
-  EXPECT_EQ(SqlApproxRunner::NumRounds(0.1, 0.1), 150u);
-  EXPECT_EQ(SqlApproxRunner::NumRounds(0.05, 0.1), 600u);
-}
-
 TEST_F(SqlApproxTest, SampledDeletionsKeepExactlyOnePerGroup) {
   SqlApproxRunner runner(catalog_, {TableKey{"r", {0}}}, /*seed=*/7);
   for (int trial = 0; trial < 20; ++trial) {

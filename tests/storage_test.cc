@@ -412,7 +412,7 @@ TEST(StorageSnapshotTest, LruRootEvictionSpillsToDisk) {
 
 TEST(AdmissionFilterTest, RecordsOnlyTwiceMissedKeys) {
   StateKey key{11, 22};
-  std::set<FactId> removed;
+  std::vector<FactId> removed;
   ViolationSet eliminated;
   auto outcome = std::make_shared<MemoOutcome>();
   outcome->states = 5;
