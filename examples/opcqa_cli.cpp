@@ -23,8 +23,8 @@
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "obs/chrome_trace.h"
+#include "obs/field_table.h"
 #include "obs/metrics.h"
-#include "obs/stats_export.h"
 #include "obs/trace.h"
 #include "planner/planner.h"
 #include "relational/fact_parser.h"
@@ -630,7 +630,7 @@ int main(int argc, char** argv) {
       // serve:/cache:/disk:/plan: counter lines.)
       server::ServerStats stats = ocqa_server.Stats();
       obs::MetricsSnapshot merged = obs::MetricsRegistry::Global().Snapshot();
-      obs::ExportServerStats(stats, &merged);
+      obs::Export(stats, &merged);
       std::fputs(merged.RenderText().c_str(), stderr);
       // Degraded-but-answered: every request got a canonical response
       // (possibly an error status that serial replay reproduces), but a

@@ -15,8 +15,7 @@ OcqaSession::OcqaSession(Database db, ConstraintSet constraints,
 
 EnumerationOptions OcqaSession::QueryOptions(const CallOptions& call) {
   EnumerationOptions query_options = options_.enumeration;
-  if (options_.persist) query_options.cache = &active_cache();
-  if (call.cache != nullptr) query_options.cache = call.cache;
+  query_options.cache = call.cache != nullptr ? call.cache : &active_cache();
   if (call.max_states != 0) query_options.max_states = call.max_states;
   return query_options;
 }
@@ -57,8 +56,7 @@ TopKResult OcqaSession::TopK(const ChainGenerator& generator, size_t k,
   top_k.max_states = call.max_states != 0 ? call.max_states
                                           : options_.enumeration.max_states;
   top_k.memoize = options_.enumeration.memoize;
-  if (options_.persist) top_k.cache = &active_cache();
-  if (call.cache != nullptr) top_k.cache = call.cache;
+  top_k.cache = call.cache != nullptr ? call.cache : &active_cache();
   return TopKRepairs(db_, constraints_, generator, k, top_k);
 }
 

@@ -45,9 +45,6 @@ struct SessionOptions {
   EnumerationOptions enumeration;
   /// Budgets of the owned RepairSpaceCache (unused with shared_cache).
   RepairCacheOptions cache;
-  /// Master switch for cross-query persistence; off = every query gets a
-  /// per-call scratch table (the PR-3 behaviour).
-  bool persist = true;
   /// Backend dispatch for CertainAnswers(): kAuto classifies each query
   /// (planner/planner.h) and uses the FO rewriting where it provably
   /// matches the walk; kWalk forces the chain walk; kRewrite errors on

@@ -27,10 +27,11 @@
 // ## Absorbing the legacy stats structs
 //
 // MemoStats, DiskTierStats, PlannerStats and ServerStats remain the
-// source-compatible per-subsystem views; obs/stats_export.h folds them
-// into a MetricsSnapshot so the CLI prints ONE merged RenderText()
-// surface (the serve-mode summary) instead of per-subsystem counter
-// lines. The metric name catalog lives in docs/OBSERVABILITY.md.
+// source-compatible per-subsystem views; each declares its fields once
+// in a field table (obs/field_table.h) whose Export folds it into a
+// MetricsSnapshot, so the CLI prints ONE merged RenderText() surface
+// (the serve-mode summary) instead of per-subsystem counter lines. The
+// metric name catalog lives in docs/OBSERVABILITY.md.
 
 #ifndef OPCQA_OBS_METRICS_H_
 #define OPCQA_OBS_METRICS_H_
@@ -76,7 +77,7 @@ struct HistogramSnapshot {
 };
 
 /// Point-in-time merged view of every registered metric (plus whatever
-/// the stats_export.h converters folded in). Maps, so RenderText() is
+/// obs::Export folded in from the stats structs). Maps, so RenderText() is
 /// sorted and stable across runs.
 struct MetricsSnapshot {
   std::map<std::string, uint64_t, std::less<>> counters;

@@ -39,6 +39,7 @@
 #include <string>
 #include <string_view>
 
+#include "obs/field_table.h"
 #include "planner/certain_rewriting.h"
 #include "repair/chain_generator.h"
 
@@ -77,7 +78,22 @@ struct PlannerStats {
   uint64_t plan_cache_hits = 0;    // decisions served from the plan cache
   uint64_t plan_cache_misses = 0;  // decisions computed fresh
   uint64_t invalidations = 0;      // Invalidate() calls (database mutations)
+
+  static constexpr std::string_view kPrefix = "planner";
+  static constexpr auto Fields() {
+    using enum obs::FieldKind;
+    return std::to_array<obs::Field<PlannerStats>>({
+        {"rewrite_plans", &PlannerStats::rewrite_plans, kCounter},
+        {"walk_plans", &PlannerStats::walk_plans, kCounter},
+        {"plan_cache_hits", &PlannerStats::plan_cache_hits, kCounter},
+        {"plan_cache_misses", &PlannerStats::plan_cache_misses, kCounter},
+        {"invalidations", &PlannerStats::invalidations, kCounter},
+    });
+  }
 };
+
+static_assert(obs::CoversAllFields<PlannerStats>(),
+              "every PlannerStats field needs a row in Fields()");
 
 class QueryPlanner {
  public:

@@ -62,16 +62,7 @@ Database ReconstructRepair(const RepairingState& state,
 }
 
 MemoStats MemoStats::DeltaSince(const MemoStats& earlier) const {
-  MemoStats delta = *this;
-  delta.hits -= earlier.hits;
-  delta.misses -= earlier.misses;
-  delta.collisions -= earlier.collisions;
-  delta.inserts -= earlier.inserts;
-  delta.rejected_full -= earlier.rejected_full;
-  delta.evictions -= earlier.evictions;
-  delta.admission_deferred -= earlier.admission_deferred;
-  // entries and the byte gauges stay point-in-time values.
-  return delta;
+  return obs::Delta(*this, earlier);
 }
 
 TranspositionTable::TranspositionTable(size_t max_entries, size_t max_bytes)
@@ -145,14 +136,14 @@ std::shared_ptr<const MemoOutcome> TranspositionTable::LookupVerified(
     Entry& entry = it->second;
     if (entry.key == key && entry.removed == removed &&
         eliminated_equals(entry.eliminated)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      stats_.Add<&MemoStats::hits>();
       entry.chances = CostTier(*entry.outcome);  // second chance refresh
       return entry.outcome;
     }
     collided = true;
   }
-  if (collided) collisions_.fetch_add(1, std::memory_order_relaxed);
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  if (collided) stats_.Add<&MemoStats::collisions>();
+  stats_.Add<&MemoStats::misses>();
   if (admission_filter_) {
     // A second miss under the same key is the admission signal: the state
     // is being re-reached, so the Insert that follows its re-walk will be
@@ -212,11 +203,12 @@ void TranspositionTable::EvictUntilWithinBudget(Stripe& stripe) {
       Entry& entry = it->second;
       if (entry.chances == 0) {
         stripe.bytes -= entry.entry_bytes;
-        stripe.payload_bytes -= entry.payload_bytes;
-        stripe.full_bytes -= entry.full_bytes;
+        stats_.Sub<&MemoStats::bytes>(entry.entry_bytes);
+        stats_.Sub<&MemoStats::payload_bytes>(entry.payload_bytes);
+        stats_.Sub<&MemoStats::full_payload_bytes>(entry.full_bytes);
         it = stripe.map.erase(it);
-        entries_.fetch_sub(1, std::memory_order_relaxed);
-        evictions_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Sub<&MemoStats::entries>();
+        stats_.Add<&MemoStats::evictions>();
       } else {
         if (entry.chances > 0) --entry.chances;
         ++it;
@@ -245,16 +237,17 @@ void TranspositionTable::EmplaceEntry(Stripe& stripe, Entry entry) {
   if (stripe_max_bytes != 0 && entry.entry_bytes > stripe_max_bytes) {
     // The entry alone overflows its stripe's byte share: storing it would
     // just thrash the sweep. Count it as dropped.
-    rejected_full_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add<&MemoStats::rejected_full>();
     return;
   }
   stripe.bytes += entry.entry_bytes;
-  stripe.payload_bytes += entry.payload_bytes;
-  stripe.full_bytes += entry.full_bytes;
+  stats_.Add<&MemoStats::bytes>(entry.entry_bytes);
+  stats_.Add<&MemoStats::payload_bytes>(entry.payload_bytes);
+  stats_.Add<&MemoStats::full_payload_bytes>(entry.full_bytes);
   size_t combined = entry.key.Combined();
   stripe.map.emplace(combined, std::move(entry));
-  entries_.fetch_add(1, std::memory_order_relaxed);
-  inserts_.fetch_add(1, std::memory_order_relaxed);
+  stats_.Add<&MemoStats::entries>();
+  stats_.Add<&MemoStats::inserts>();
   EvictUntilWithinBudget(stripe);
 }
 
@@ -271,7 +264,7 @@ void TranspositionTable::Insert(const StateKey& key,
       // completed once, so storing it would just feed the eviction sweep.
       // A declined insert behaves exactly like an immediate eviction —
       // results stay byte-identical, a re-reach re-walks and re-offers.
-      admission_deferred_.fetch_add(1, std::memory_order_relaxed);
+      stats_.Add<&MemoStats::admission_deferred>();
       return;
     }
     stripe.probation.erase(it);
@@ -343,30 +336,6 @@ void TranspositionTable::ForEachSince(
       fn(removed, eliminated, *outcome);
     }
   }
-}
-
-size_t TranspositionTable::size() const {
-  return entries_.load(std::memory_order_relaxed);
-}
-
-MemoStats TranspositionTable::stats() const {
-  MemoStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.collisions = collisions_.load(std::memory_order_relaxed);
-  stats.inserts = inserts_.load(std::memory_order_relaxed);
-  stats.rejected_full = rejected_full_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.admission_deferred =
-      admission_deferred_.load(std::memory_order_relaxed);
-  stats.entries = entries_.load(std::memory_order_relaxed);
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    stats.bytes += stripe.bytes;
-    stats.payload_bytes += stripe.payload_bytes;
-    stats.full_payload_bytes += stripe.full_bytes;
-  }
-  return stats;
 }
 
 }  // namespace opcqa

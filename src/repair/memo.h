@@ -96,6 +96,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/field_table.h"
 #include "repair/chain_generator.h"
 #include "repair/repairing_state.h"
 #include "util/rational.h"
@@ -156,8 +157,8 @@ struct MemoOutcome {
 Database ReconstructRepair(const RepairingState& state,
                            const MemoOutcome::RepairShare& share);
 
-/// Aggregate table counters. hits…evictions are monotone; entries, bytes
-/// and full_payload_bytes are point-in-time gauges.
+/// Aggregate table counters. hits…admission_deferred are monotone;
+/// entries and the byte rows are point-in-time gauges.
 struct MemoStats {
   uint64_t hits = 0;        // verified lookups
   uint64_t misses = 0;      // no entry under the key
@@ -168,23 +169,44 @@ struct MemoStats {
   /// Inserts declined by the persistent-tier admission filter (the key
   /// had not missed twice yet). Always 0 on scratch tables.
   uint64_t admission_deferred = 0;
-  size_t entries = 0;
+  uint64_t entries = 0;
   /// Approximate heap footprint of the live entries (delta-compressed) —
   /// the gauge the byte budget enforces.
-  size_t bytes = 0;
+  uint64_t bytes = 0;
   /// Of `bytes`, what the removed-id delta payloads occupy (the
   /// verification keys and per-repair shares).
-  size_t payload_bytes = 0;
+  uint64_t payload_bytes = 0;
   /// What those same payloads would occupy under the PR-3 representation
   /// (a full id-vector Database copy per key and per repair share);
   /// full_payload_bytes / payload_bytes is the measured compression
   /// ratio, which grows like |D| / depth on depth-bounded chains.
-  size_t full_payload_bytes = 0;
+  uint64_t full_payload_bytes = 0;
 
-  /// Counters accrued since `earlier` (monotone fields diffed, gauges
-  /// kept) — the per-call view over a persistent shared table.
+  /// Counters accrued since `earlier` (counters diffed, gauges kept) —
+  /// the per-call view over a persistent shared table.
   MemoStats DeltaSince(const MemoStats& earlier) const;
+
+  static constexpr std::string_view kPrefix = "cache";
+  static constexpr auto Fields() {
+    using enum obs::FieldKind;
+    return std::to_array<obs::Field<MemoStats>>({
+        {"hits", &MemoStats::hits, kCounter},
+        {"misses", &MemoStats::misses, kCounter},
+        {"collisions", &MemoStats::collisions, kCounter},
+        {"inserts", &MemoStats::inserts, kCounter},
+        {"rejected_full", &MemoStats::rejected_full, kCounter},
+        {"evictions", &MemoStats::evictions, kCounter},
+        {"admission_deferred", &MemoStats::admission_deferred, kCounter},
+        {"entries", &MemoStats::entries, kGauge},
+        {"bytes", &MemoStats::bytes, kGauge},
+        {"payload_bytes", &MemoStats::payload_bytes, kGauge},
+        {"full_payload_bytes", &MemoStats::full_payload_bytes, kGauge},
+    });
+  }
 };
+
+static_assert(obs::CoversAllFields<MemoStats>(),
+              "every MemoStats field needs a row in Fields()");
 
 /// Striped-lock transposition table: StateKey → verified MemoOutcome.
 /// Thread-safe for concurrent Lookup/Insert (one stripe locked per call);
@@ -279,8 +301,8 @@ class TranspositionTable {
                                const ViolationSet& eliminated,
                                const MemoOutcome& outcome)>& fn) const;
 
-  size_t size() const;
-  MemoStats stats() const;
+  size_t size() const { return stats().entries; }
+  MemoStats stats() const { return stats_.Load(); }
 
  private:
   // Lookup's body; eliminated_equals(stored) verifies the eliminated set.
@@ -307,9 +329,7 @@ class TranspositionTable {
     mutable std::mutex mutex;
     // Combined() → entries; same-bucket entries disambiguated by payload.
     std::unordered_multimap<size_t, Entry> map;
-    size_t bytes = 0;
-    size_t payload_bytes = 0;
-    size_t full_bytes = 0;
+    size_t bytes = 0;  // this stripe's share, for the byte budget
     // Admission filter: Combined() → miss count. Hash-bucket granularity
     // is deliberate (a collision can only admit early, never corrupt —
     // Insert still verifies the real sets); bounded by kProbationCap — a
@@ -346,14 +366,9 @@ class TranspositionTable {
   bool admission_filter_ = false;
   std::atomic<size_t> root_facts_{0};
   std::atomic<size_t> num_relations_{0};
-  std::atomic<size_t> entries_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> collisions_{0};
-  std::atomic<uint64_t> inserts_{0};
-  std::atomic<uint64_t> rejected_full_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> admission_deferred_{0};
+  /// Every MemoStats row, gauges included: stats() is one Load, never
+  /// a stripe lock.
+  obs::AtomicStats<MemoStats> stats_;
   /// Admission clock (see sequence()); stamped inside EmplaceEntry.
   std::atomic<uint64_t> sequence_{0};
   Stripe stripes_[kNumStripes];

@@ -36,7 +36,7 @@ bool RepairSpaceCache::DiskTierAvailable() {
   if (options_.breaker_failure_threshold <= 0) return true;
   std::lock_guard<std::mutex> lock(breaker_mutex_);
   if (std::chrono::steady_clock::now() < breaker_open_until_) {
-    breaker_skips_.fetch_add(1, std::memory_order_relaxed);
+    disk_.Add<&DiskTierStats::breaker_skips>();
     return false;
   }
   return true;
@@ -54,7 +54,7 @@ void RepairSpaceCache::NoteDiskFailure() {
       now >= breaker_open_until_) {
     breaker_open_until_ =
         now + std::chrono::milliseconds(options_.breaker_cooldown_ms);
-    breaker_trips_.fetch_add(1, std::memory_order_relaxed);
+    disk_.Add<&DiskTierStats::breaker_trips>();
     OPCQA_LOG(Warning) << "disk tier circuit breaker tripped after "
                        << consecutive_disk_failures_
                        << " consecutive failures; running memory-only for "
@@ -72,7 +72,7 @@ RepairSpaceCache::~RepairSpaceCache() {
   // Session close spills the live roots (the third spill trigger besides
   // LRU eviction and explicit Persist), then waits so no background task
   // outlives the store it writes through.
-  if (store_ != nullptr && options_.spill_on_evict) Persist();
+  if (store_ != nullptr) Persist();
   DrainSpills();
 }
 
@@ -142,9 +142,9 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
       return resident;
     }
     if (restored.table != nullptr) {
-      restores_.fetch_add(1, std::memory_order_relaxed);
-      restore_bytes_.fetch_add(restored.bytes, std::memory_order_relaxed);
-      promotions_.fetch_add(1, std::memory_order_relaxed);
+      disk_.Add<&DiskTierStats::restores>();
+      disk_.Add<&DiskTierStats::restore_bytes>(restored.bytes);
+      disk_.Add<&DiskTierStats::promotions>();
     }
     Root root;
     root.fingerprint = fingerprint;
@@ -172,14 +172,10 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
     // never see mutex_ held.
     CollectDemotionsLocked(&victims);
   }
-  for (Root& victim : victims) {
-    if (store_ != nullptr) {
-      bool clean = victim.base_on_disk && !victim.force_compaction &&
-                   victim.table->sequence() <= victim.spilled_through_seq;
-      if (options_.spill_on_evict || clean) {
-        demotions_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (options_.spill_on_evict) SpillAsync(std::move(victim));
+  if (store_ != nullptr) {
+    for (Root& victim : victims) {
+      disk_.Add<&DiskTierStats::demotions>();
+      SpillAsync(std::move(victim));
     }
   }
   return table;
@@ -233,6 +229,7 @@ void RepairSpaceCache::CollectDemotionsLocked(std::vector<Root>* victims) {
       }
     }
     if (victim == SIZE_MAX) break;
+    RetireLocked(roots_[victim]);
     victims->push_back(std::move(roots_[victim]));
     roots_.erase(roots_.begin() + static_cast<ptrdiff_t>(victim));
   }
@@ -261,7 +258,7 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
     // Absent snapshot = plain cold miss; an unreadable one counts as
     // rejected (and still just means cold compute).
     if (bytes.status().code() != StatusCode::kNotFound) {
-      rejected_snapshots_.fetch_add(1, std::memory_order_relaxed);
+      disk_.Add<&DiskTierStats::rejected_snapshots>();
       NoteDiskFailure();
     }
     return out;
@@ -271,7 +268,7 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
                               options_.max_entries_per_root,
                               options_.max_bytes_per_root);
   if (!decoded.ok()) {
-    rejected_snapshots_.fetch_add(1, std::memory_order_relaxed);
+    disk_.Add<&DiskTierStats::rejected_snapshots>();
     // Verification failure, not tier unavailability — but a second
     // strike quarantines the bytes so the miss path stops re-decoding
     // them (the store then answers NotFound, a clean cold miss).
@@ -296,7 +293,7 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
                                                constraints, out.table.get(),
                                                &applied);
     if (!log_status.ok()) {
-      rejected_snapshots_.fetch_add(1, std::memory_order_relaxed);
+      disk_.Add<&DiskTierStats::rejected_snapshots>();
       out.dirty_tail = true;  // compact the dead log away on next spill
     } else {
       out.log_bytes = log->size();
@@ -429,9 +426,8 @@ void RepairSpaceCache::SpillAsync(Root root) {
               fingerprint, storage::EncodeDeltaLogHead(ident), record);
           if (appended.ok()) {
             NoteDiskSuccess();
-            delta_appends_.fetch_add(1, std::memory_order_relaxed);
-            compressed_bytes_.fetch_add(record.size(),
-                                        std::memory_order_relaxed);
+            disk_.Add<&DiskTierStats::delta_appends>();
+            disk_.Add<&DiskTierStats::compressed_bytes>(record.size());
             size_t on_disk_log = store_->LogBytes(fingerprint);
             mark_live([&](Root& live) {
               live.spilled_through_seq = std::max(live.spilled_through_seq,
@@ -444,7 +440,7 @@ void RepairSpaceCache::SpillAsync(Root root) {
             // (valid-prefix), but appending after a torn record would
             // bury live records behind garbage — so the next spill must
             // rewrite the base.
-            failed_spills_.fetch_add(1, std::memory_order_relaxed);
+            disk_.Add<&DiskTierStats::failed_spills>();
             NoteDiskFailure();
             mark_live([](Root& live) { live.force_compaction = true; });
             delta_done = true;  // don't double-fail into a Put this round
@@ -467,13 +463,10 @@ void RepairSpaceCache::SpillAsync(Root root) {
           // still true for this identity, merely redundant.
           store_->DeleteLog(fingerprint);
           NoteDiskSuccess();
-          spills_.fetch_add(1, std::memory_order_relaxed);
-          spill_bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
-          compressed_bytes_.fetch_add(bytes.size(),
-                                      std::memory_order_relaxed);
-          if (compacting) {
-            compactions_.fetch_add(1, std::memory_order_relaxed);
-          }
+          disk_.Add<&DiskTierStats::spills>();
+          disk_.Add<&DiskTierStats::spill_bytes>(bytes.size());
+          disk_.Add<&DiskTierStats::compressed_bytes>(bytes.size());
+          if (compacting) disk_.Add<&DiskTierStats::compactions>();
           mark_live([&](Root& live) {
             live.base_on_disk = true;
             live.spilled_through_seq = std::max(live.spilled_through_seq,
@@ -488,7 +481,7 @@ void RepairSpaceCache::SpillAsync(Root root) {
           // dirty" from "every spill failing". A failed compaction
           // leaves the previous base (and log) untouched on disk —
           // Put is atomic and DeleteLog was never reached.
-          failed_spills_.fetch_add(1, std::memory_order_relaxed);
+          disk_.Add<&DiskTierStats::failed_spills>();
           NoteDiskFailure();
         }
       }
@@ -545,27 +538,8 @@ void RepairSpaceCache::Persist() {
 }
 
 DiskTierStats RepairSpaceCache::disk_stats() const {
-  DiskTierStats stats;
-  stats.spills = spills_.load(std::memory_order_relaxed);
-  stats.spill_bytes = spill_bytes_.load(std::memory_order_relaxed);
-  stats.restores = restores_.load(std::memory_order_relaxed);
-  stats.restore_bytes = restore_bytes_.load(std::memory_order_relaxed);
-  stats.rejected_snapshots =
-      rejected_snapshots_.load(std::memory_order_relaxed);
-  stats.failed_spills = failed_spills_.load(std::memory_order_relaxed);
-  stats.delta_appends = delta_appends_.load(std::memory_order_relaxed);
-  stats.compactions = compactions_.load(std::memory_order_relaxed);
-  stats.compressed_bytes = compressed_bytes_.load(std::memory_order_relaxed);
-  stats.promotions = promotions_.load(std::memory_order_relaxed);
-  stats.demotions = demotions_.load(std::memory_order_relaxed);
-  stats.breaker_trips = breaker_trips_.load(std::memory_order_relaxed);
-  stats.breaker_skips = breaker_skips_.load(std::memory_order_relaxed);
-  if (store_ != nullptr) {
-    storage::SnapshotStoreStats store_stats = store_->Stats();
-    stats.quarantined = store_stats.quarantined;
-    stats.put_retries = store_stats.put_retries;
-    stats.swept_temps = store_stats.swept_temps;
-  }
+  DiskTierStats stats = disk_.Load();
+  if (store_ != nullptr) stats = obs::Sum(stats, store_->Stats());
   return stats;
 }
 
@@ -574,6 +548,7 @@ size_t RepairSpaceCache::InvalidateDatabase(const Database& db) {
   size_t dropped = 0;
   for (size_t i = roots_.size(); i-- > 0;) {
     if (roots_[i].db_hash == db.Hash() && roots_[i].db == db) {
+      RetireLocked(roots_[i]);
       roots_.erase(roots_.begin() + static_cast<ptrdiff_t>(i));
       ++dropped;
     }
@@ -586,6 +561,7 @@ size_t RepairSpaceCache::InvalidateDatabaseHash(size_t db_hash) {
   size_t dropped = 0;
   for (size_t i = roots_.size(); i-- > 0;) {
     if (roots_[i].db_hash == db_hash) {
+      RetireLocked(roots_[i]);
       roots_.erase(roots_.begin() + static_cast<ptrdiff_t>(i));
       ++dropped;
     }
@@ -595,7 +571,12 @@ size_t RepairSpaceCache::InvalidateDatabaseHash(size_t db_hash) {
 
 void RepairSpaceCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
+  for (const Root& root : roots_) RetireLocked(root);
   roots_.clear();
+}
+
+void RepairSpaceCache::RetireLocked(const Root& root) {
+  retired_ = obs::Sum(retired_, obs::CountersOnly(root.table->stats()));
 }
 
 size_t RepairSpaceCache::roots() const {
@@ -604,27 +585,9 @@ size_t RepairSpaceCache::roots() const {
 }
 
 MemoStats RepairSpaceCache::TotalStats() const {
-  std::vector<std::shared_ptr<TranspositionTable>> tables;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tables.reserve(roots_.size());
-    for (const Root& root : roots_) tables.push_back(root.table);
-  }
-  MemoStats total;
-  for (const auto& table : tables) {
-    MemoStats stats = table->stats();
-    total.hits += stats.hits;
-    total.misses += stats.misses;
-    total.collisions += stats.collisions;
-    total.inserts += stats.inserts;
-    total.rejected_full += stats.rejected_full;
-    total.evictions += stats.evictions;
-    total.admission_deferred += stats.admission_deferred;
-    total.entries += stats.entries;
-    total.bytes += stats.bytes;
-    total.payload_bytes += stats.payload_bytes;
-    total.full_payload_bytes += stats.full_payload_bytes;
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  MemoStats total = retired_;
+  for (const Root& root : roots_) total = obs::Sum(total, root.table->stats());
   return total;
 }
 

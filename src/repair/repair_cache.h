@@ -73,7 +73,6 @@
 #ifndef OPCQA_REPAIR_REPAIR_CACHE_H_
 #define OPCQA_REPAIR_REPAIR_CACHE_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -98,10 +97,6 @@ struct RepairCacheOptions {
   /// Directory of the disk tier (storage/snapshot_store.h); empty keeps
   /// the cache memory-only (the PR-4 behavior).
   std::string snapshot_dir;
-  /// Spill a root's table when it demotes out of memory and on
-  /// destruction (only meaningful with a snapshot_dir; explicit
-  /// Persist() always spills).
-  bool spill_on_evict = true;
   /// Byte budget for the snapshot directory (bases + delta logs),
   /// enforced oldest-root-first after every spill; 0 disables disk GC.
   size_t max_disk_bytes = 0;
@@ -134,49 +129,6 @@ struct RepairCacheOptions {
   uint64_t breaker_cooldown_ms = 5000;
 };
 
-/// Counters of the disk tier. All monotone; zero when no snapshot_dir.
-struct DiskTierStats {
-  uint64_t spills = 0;         // snapshots written
-  uint64_t spill_bytes = 0;    // bytes written across all spills
-  uint64_t restores = 0;       // snapshots verified + re-interned
-  uint64_t restore_bytes = 0;  // bytes of the restored snapshots
-  /// Snapshots rejected by verification (corruption, truncation, version
-  /// or identity mismatch) or by IO errors — each one fell back to cold
-  /// compute.
-  uint64_t rejected_snapshots = 0;
-  /// Spill attempts whose write failed (unwritable/full snapshot_dir) —
-  /// the next process will compute cold.
-  uint64_t failed_spills = 0;
-  /// Snapshots that failed verification twice and were moved to the
-  /// store's quarantine/ directory — never re-probed until re-spilled.
-  uint64_t quarantined = 0;
-  /// Transient store write failures absorbed by retry-with-backoff.
-  uint64_t put_retries = 0;
-  /// Crashed-writer temp files removed by the store's stale sweep.
-  uint64_t swept_temps = 0;
-  /// Times the circuit breaker tripped (tier disabled for a cooldown).
-  uint64_t breaker_trips = 0;
-  /// Restores/spills skipped because the breaker was open.
-  uint64_t breaker_skips = 0;
-  /// Delta records appended to per-root logs (spills that did NOT
-  /// rewrite the base).
-  uint64_t delta_appends = 0;
-  /// Delta logs compacted back into a fresh base snapshot.
-  uint64_t compactions = 0;
-  /// Total bytes written to the disk tier in the compressed v2 encoding
-  /// (base snapshots + delta records) — the write-amplification figure
-  /// the pr9_disk_delta_ms bench gates. spill_bytes counts base
-  /// snapshots only.
-  uint64_t compressed_bytes = 0;
-  /// Disk-resident roots promoted back into the memory tier (every one
-  /// is also counted in `restores`).
-  uint64_t promotions = 0;
-  /// Roots demoted out of the memory tier with their state kept (or
-  /// being written) on disk. Drops without a disk tier are plain
-  /// evictions, not demotions.
-  uint64_t demotions = 0;
-};
-
 /// Session-level owner of persistent transposition tables, shared across
 /// successive queries (and across threads: TableFor is mutex-guarded and
 /// the tables themselves are striped). Results computed through a cached
@@ -185,8 +137,8 @@ struct DiskTierStats {
 class RepairSpaceCache {
  public:
   explicit RepairSpaceCache(RepairCacheOptions options = {});
-  /// Spills every live root to the disk tier (when configured with
-  /// spill_on_evict) and waits for in-flight background spills.
+  /// Spills every live root to the disk tier (when configured) and
+  /// waits for in-flight background spills.
   ~RepairSpaceCache();
 
   RepairSpaceCache(const RepairSpaceCache&) = delete;
@@ -237,7 +189,9 @@ class RepairSpaceCache {
   void Clear();
 
   size_t roots() const;
-  /// Aggregated counters over all live roots.
+  /// Counters over every root this cache has held — live roots plus the
+  /// roots dropped by demotion, invalidation or Clear() — so they never
+  /// decrease; gauges (entries, bytes, ...) cover the live roots only.
   MemoStats TotalStats() const;
 
  private:
@@ -324,6 +278,8 @@ class RepairSpaceCache {
   /// until both the root-count and max_memory_bytes budgets fit.
   /// Requires mutex_; callers spill the victims after unlocking.
   void CollectDemotionsLocked(std::vector<Root>* victims);
+  /// Folds a dropped root's counters into retired_. Requires mutex_.
+  void RetireLocked(const Root& root);
 
   RepairCacheOptions options_;
   std::unique_ptr<storage::SnapshotStore> store_;  // null without disk tier
@@ -331,21 +287,13 @@ class RepairSpaceCache {
   uint64_t tick_ = 0;
   std::vector<Root> roots_;
 
-  // Disk-tier counters + in-flight spill tracking (independent of mutex_
-  // so a slow spill never blocks TableFor).
-  std::atomic<uint64_t> spills_{0};
-  std::atomic<uint64_t> spill_bytes_{0};
-  std::atomic<uint64_t> restores_{0};
-  std::atomic<uint64_t> restore_bytes_{0};
-  std::atomic<uint64_t> rejected_snapshots_{0};
-  std::atomic<uint64_t> failed_spills_{0};
-  std::atomic<uint64_t> delta_appends_{0};
-  std::atomic<uint64_t> compactions_{0};
-  std::atomic<uint64_t> compressed_bytes_{0};
-  std::atomic<uint64_t> promotions_{0};
-  std::atomic<uint64_t> demotions_{0};
-  std::atomic<uint64_t> breaker_trips_{0};
-  std::atomic<uint64_t> breaker_skips_{0};
+  /// Counters of the roots dropped so far (gauges zeroed); guarded by
+  /// mutex_. TotalStats() adds the live roots on top.
+  MemoStats retired_;
+
+  // Disk-tier counters (independent of mutex_ so a slow spill never
+  // blocks TableFor; the store counts its own rows, disk_stats() sums).
+  obs::AtomicStats<DiskTierStats> disk_;
   /// Breaker state (separate from mutex_: spill tasks touch it and must
   /// never contend with TableFor's root scan).
   std::mutex breaker_mutex_;

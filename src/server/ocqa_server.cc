@@ -277,19 +277,19 @@ Response OcqaServer::ShedResponse(const Request& request) {
 }
 
 std::future<Response> OcqaServer::Submit(Request request) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  stats_.Add<&ServerStats::submitted>();
   std::promise<Response> promise;
   std::future<Response> future = promise.get_future();
   std::lock_guard<std::mutex> lock(mutex_);
   if (shutting_down_) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add<&ServerStats::shed>();
     promise.set_value(ShedResponse(request));
     return future;
   }
   Tenant& tenant = TenantFor(request.tenant);
   if (tenant.in_flight >= tenant.options.max_in_flight) {
-    rejected_admission_.fetch_add(1, std::memory_order_relaxed);
-    shed_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add<&ServerStats::rejected_admission>();
+    stats_.Add<&ServerStats::shed>();
     Response rejected;
     rejected.id = request.id;
     rejected.tenant = request.tenant;
@@ -351,7 +351,7 @@ void OcqaServer::Shutdown(std::chrono::milliseconds deadline) {
           tenant.queue.pop_front();
           OPCQA_CHECK_GE(tenant.in_flight, 1u);
           --tenant.in_flight;
-          shed_.fetch_add(1, std::memory_order_relaxed);
+          stats_.Add<&ServerStats::shed>();
           ++shed_count;
           pending.promise.set_value(ShedResponse(pending.request));
         }
@@ -364,7 +364,7 @@ void OcqaServer::Shutdown(std::chrono::milliseconds deadline) {
           for (PendingRequest& pending : *tenant.scheduled) {
             OPCQA_CHECK_GE(tenant.in_flight, 1u);
             --tenant.in_flight;
-            shed_.fetch_add(1, std::memory_order_relaxed);
+            stats_.Add<&ServerStats::shed>();
             ++shed_count;
             pending.promise.set_value(ShedResponse(pending.request));
           }
@@ -401,7 +401,7 @@ OcqaServer::Unit OcqaServer::NextUnitLocked(Tenant& tenant) {
   Unit unit;
   unit.push_back(std::move(tenant.queue.front()));
   tenant.queue.pop_front();
-  if (IsMutation(unit.front().request) || !options_.batching) return unit;
+  if (IsMutation(unit.front().request)) return unit;
   // Copy, not reference: push_back below reallocates `unit`.
   const std::string head_generator = unit.front().request.generator;
   // Pull every same-generator read out of the read prefix: between here
@@ -460,8 +460,8 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
     engine::OcqaSession& session = *tenant->session;
     const bool read_batch = !IsMutation(unit->front().request);
     if (read_batch && unit->size() >= 2) {
-      batches_.fetch_add(1, std::memory_order_relaxed);
-      batched_requests_.fetch_add(unit->size(), std::memory_order_relaxed);
+      stats_.Add<&ServerStats::batches>();
+      stats_.Add<&ServerStats::batched_requests>(unit->size());
     }
 
     // Panic isolation: an exception escaping a member — a defect in the
@@ -485,7 +485,7 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
         return ExecuteOnSession(session, generator.get(), pending.request,
                                 call, outcome);
       } catch (const std::exception& e) {
-        panics_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add<&ServerStats::panics>();
         OPCQA_LOG(Warning) << "isolated a panic in tenant '"
                            << pending.request.tenant
                            << "' unit: " << e.what();
@@ -514,12 +514,12 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
         }
         Response response = run_isolated(pending, {}, nullptr);
         if (response.status.ok()) {
-          rewriting_fast_path_.fetch_add(1, std::memory_order_relaxed);
+          stats_.Add<&ServerStats::rewriting_fast_path>();
         } else {
-          errors_.fetch_add(1, std::memory_order_relaxed);
-          failed_.fetch_add(1, std::memory_order_relaxed);
+          stats_.Add<&ServerStats::errors>();
+          stats_.Add<&ServerStats::failed>();
         }
-        completed_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add<&ServerStats::completed>();
         pending.promise.set_value(std::move(response));
         done[i] = true;
       }
@@ -538,18 +538,14 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
       const bool resident = cache_.HasRoot(
           session.database(), session.constraints(), *generator,
           session.options().enumeration.prune_zero_probability);
-      MemoStats shared = cache_.TotalStats();
-      const bool pressured =
-          cache_.roots() >= options_.cache.max_roots ||
-          (options_.max_cache_bytes != 0 &&
-           shared.bytes >= options_.max_cache_bytes);
+      const bool pressured = cache_.roots() >= options_.cache.max_roots;
       if (any_walk_member && !resident && pressured) {
         RepairCacheOptions ephemeral = options_.cache;
         ephemeral.max_roots = 1;
         ephemeral.admission_filter = false;
         ephemeral.snapshot_dir.clear();  // nothing durable about a bypass
         bypass = std::make_unique<RepairSpaceCache>(ephemeral);
-        pressure_bypasses_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add<&ServerStats::pressure_bypasses>();
       }
     }
 
@@ -564,32 +560,32 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
       ExecOutcome outcome;
       Response response = run_isolated(pending, call, &outcome);
       if (IsMutation(pending.request)) {
-        mutations_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add<&ServerStats::mutations>();
       } else if (pending.request.kind == RequestKind::kTopK) {
-        topk_searches_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add<&ServerStats::topk_searches>();
       } else if (response.path == Response::Path::kRewriting) {
-        rewriting_fast_path_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add<&ServerStats::rewriting_fast_path>();
       } else if (outcome.enumerated) {
         if (outcome.memo.hits > 0 && outcome.memo.misses == 0) {
-          replays_.fetch_add(1, std::memory_order_relaxed);
+          stats_.Add<&ServerStats::replays>();
         } else {
-          walks_.fetch_add(1, std::memory_order_relaxed);
+          stats_.Add<&ServerStats::walks>();
         }
       }
       if (outcome.truncated) {
-        deadline_truncations_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add<&ServerStats::deadline_truncations>();
       }
       if (!response.status.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add<&ServerStats::errors>();
         // Deadline misses are the only ResourceExhausted produced during
         // execution (admission rejections never reach a unit).
         if (response.status.code() == StatusCode::kResourceExhausted) {
-          timed_out_.fetch_add(1, std::memory_order_relaxed);
+          stats_.Add<&ServerStats::timed_out>();
         } else {
-          failed_.fetch_add(1, std::memory_order_relaxed);
+          stats_.Add<&ServerStats::failed>();
         }
       }
-      completed_.fetch_add(1, std::memory_order_relaxed);
+      stats_.Add<&ServerStats::completed>();
       pending.promise.set_value(std::move(response));
     }
   }
@@ -606,39 +602,13 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
 }
 
 ServerStats OcqaServer::Stats() {
-  ServerStats stats;
-  stats.submitted = submitted_.load(std::memory_order_relaxed);
-  stats.completed = completed_.load(std::memory_order_relaxed);
-  stats.rejected_admission =
-      rejected_admission_.load(std::memory_order_relaxed);
-  stats.errors = errors_.load(std::memory_order_relaxed);
-  stats.batches = batches_.load(std::memory_order_relaxed);
-  stats.batched_requests = batched_requests_.load(std::memory_order_relaxed);
-  stats.walks = walks_.load(std::memory_order_relaxed);
-  stats.replays = replays_.load(std::memory_order_relaxed);
-  stats.rewriting_fast_path =
-      rewriting_fast_path_.load(std::memory_order_relaxed);
-  stats.topk_searches = topk_searches_.load(std::memory_order_relaxed);
-  stats.mutations = mutations_.load(std::memory_order_relaxed);
-  stats.pressure_bypasses =
-      pressure_bypasses_.load(std::memory_order_relaxed);
-  stats.deadline_truncations =
-      deadline_truncations_.load(std::memory_order_relaxed);
-  stats.shed = shed_.load(std::memory_order_relaxed);
-  stats.timed_out = timed_out_.load(std::memory_order_relaxed);
-  stats.failed = failed_.load(std::memory_order_relaxed);
-  stats.panics = panics_.load(std::memory_order_relaxed);
+  ServerStats stats = stats_.Load();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stats.tenants = tenants_.size();
-    for (auto& entry : tenants_) {
-      std::lock_guard<std::mutex> session_lock(entry.second->session_mutex);
-      const planner::PlannerStats& p = entry.second->session->PlanStats();
-      stats.planner.rewrite_plans += p.rewrite_plans;
-      stats.planner.walk_plans += p.walk_plans;
-      stats.planner.plan_cache_hits += p.plan_cache_hits;
-      stats.planner.plan_cache_misses += p.plan_cache_misses;
-      stats.planner.invalidations += p.invalidations;
+    for (auto& [name, tenant] : tenants_) {
+      std::lock_guard<std::mutex> session_lock(tenant->session_mutex);
+      stats.planner = obs::Sum(stats.planner, tenant->session->PlanStats());
     }
   }
   stats.cache = cache_.TotalStats();

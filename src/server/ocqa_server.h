@@ -47,7 +47,7 @@
 // ## Cache pressure
 //
 // A read whose root is not resident while the shared cache is at its
-// root/byte budget would evict a live root that other tenants are
+// root budget would evict a live root that other tenants are
 // replaying from. Under pressure the unit instead computes on a private
 // single-root cache that dies with the unit (batching still amortizes
 // within the unit) — new cold roots degrade to uncached compute instead
@@ -77,7 +77,6 @@
 #ifndef OPCQA_SERVER_OCQA_SERVER_H_
 #define OPCQA_SERVER_OCQA_SERVER_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -89,6 +88,7 @@
 #include <vector>
 
 #include "engine/ocqa_session.h"
+#include "obs/field_table.h"
 #include "server/request.h"
 #include "util/parallel.h"
 
@@ -113,12 +113,6 @@ struct ServerOptions {
   /// filter is forced off regardless of what this says: batching relies
   /// on the first walk admitting the whole chain.
   RepairCacheOptions cache;
-  /// Byte-pressure threshold for the uncached-compute bypass (0 = only
-  /// the max_roots budget signals pressure).
-  size_t max_cache_bytes = 0;
-  /// Same-root batching (off = every read is a singleton unit; answers
-  /// are identical either way, only walk counts differ).
-  bool batching = true;
   /// Per-tenant session defaults (threads, memoize, base max_states).
   EnumerationOptions enumeration;
   planner::PlanMode plan = planner::PlanMode::kAuto;
@@ -158,13 +152,45 @@ struct ServerStats {
   uint64_t mutations = 0;
   uint64_t pressure_bypasses = 0;       // units run on a private cache
   uint64_t deadline_truncations = 0;    // responses that hit their budget
-  size_t tenants = 0;
+  uint64_t tenants = 0;
   /// Shared-cache / disk-tier / planner counters aggregated across every
   /// tenant session, one coherent snapshot.
   MemoStats cache;
   DiskTierStats disk;
   planner::PlannerStats planner;
+
+  static constexpr std::string_view kPrefix = "server";
+  static constexpr auto Fields() {
+    using enum obs::FieldKind;
+    return std::to_array<obs::Field<ServerStats>>({
+        {"submitted", &ServerStats::submitted, kCounter},
+        {"completed", &ServerStats::completed, kCounter},
+        {"rejected_admission", &ServerStats::rejected_admission, kCounter},
+        {"errors", &ServerStats::errors, kCounter},
+        {"shed", &ServerStats::shed, kCounter},
+        {"timed_out", &ServerStats::timed_out, kCounter},
+        {"failed", &ServerStats::failed, kCounter},
+        {"panics", &ServerStats::panics, kCounter},
+        {"batches", &ServerStats::batches, kCounter},
+        {"batched_requests", &ServerStats::batched_requests, kCounter},
+        {"walks", &ServerStats::walks, kCounter},
+        {"replays", &ServerStats::replays, kCounter},
+        {"rewriting_fast_path", &ServerStats::rewriting_fast_path, kCounter},
+        {"topk_searches", &ServerStats::topk_searches, kCounter},
+        {"mutations", &ServerStats::mutations, kCounter},
+        {"pressure_bypasses", &ServerStats::pressure_bypasses, kCounter},
+        {"deadline_truncations", &ServerStats::deadline_truncations, kCounter},
+        {"tenants", &ServerStats::tenants, kGauge},
+    });
+  }
+  static constexpr auto Nested() {
+    return std::tuple{&ServerStats::cache, &ServerStats::disk,
+                      &ServerStats::planner};
+  }
 };
+
+static_assert(obs::CoversAllFields<ServerStats>(),
+              "every ServerStats field needs a row in Fields()");
 
 class OcqaServer {
  public:
@@ -282,23 +308,9 @@ class OcqaServer {
 
   TaskGroup inflight_units_;
 
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> rejected_admission_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batched_requests_{0};
-  std::atomic<uint64_t> walks_{0};
-  std::atomic<uint64_t> replays_{0};
-  std::atomic<uint64_t> rewriting_fast_path_{0};
-  std::atomic<uint64_t> topk_searches_{0};
-  std::atomic<uint64_t> mutations_{0};
-  std::atomic<uint64_t> pressure_bypasses_{0};
-  std::atomic<uint64_t> deadline_truncations_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> timed_out_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> panics_{0};
+  /// The request/batch counters of Stats(); tenants and the nested
+  /// subsystem structs are filled at read time.
+  obs::AtomicStats<ServerStats> stats_;
 
   /// Last member, so the pool (whose threads the destructor joins first)
   /// outlives everything units touch.

@@ -337,7 +337,7 @@ Result<SqlExactResult> SqlExactRunner::Run(std::string_view sql) {
   if (!dirty_run.ok()) return dirty_run.status();
 
   EnumerationOptions enum_options = options_.enumeration;
-  if (options_.persist) enum_options.cache = cache_.get();
+  enum_options.cache = cache_.get();
   EnumerationResult enumeration =
       EnumerateRepairs(db_, constraints_, generator_, enum_options);
   if (enumeration.truncated) {
@@ -408,7 +408,7 @@ Result<SqlCertainResult> SqlExactRunner::RunCertain(std::string_view sql) {
   // repair (intersection of per-repair row sets — set semantics, so a
   // duplicated row inside one repair cannot masquerade as certain).
   EnumerationOptions enum_options = options_.enumeration;
-  if (options_.persist) enum_options.cache = cache_.get();
+  enum_options.cache = cache_.get();
   EnumerationResult enumeration =
       EnumerateRepairs(db_, constraints_, generator_, enum_options);
   if (enumeration.truncated) {

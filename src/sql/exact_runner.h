@@ -41,8 +41,6 @@ struct SqlExactOptions {
   EnumerationOptions enumeration;
   /// Budgets of the owned RepairSpaceCache.
   RepairCacheOptions cache;
-  /// Master switch for cross-query persistence (off = per-call tables).
-  bool persist = true;
   ExecOptions exec;
   /// Backend dispatch for RunCertain() (see planner/planner.h). Run()
   /// always walks — only certainty has a rewriting.

@@ -29,6 +29,9 @@ namespace {
 constexpr char kSuffix[] = ".snap";
 constexpr char kLogSuffix[] = ".log";
 constexpr char kTempPrefix[] = ".tmp-";
+/// A temp file older than this is a crashed writer's leftover, not an
+/// in-flight spill, and may be swept by any process.
+constexpr std::chrono::hours kTempMaxAge{1};
 
 /// True for a committed (non-dot-prefixed) file name ending in `suffix`.
 bool HasStoreSuffix(const std::string& name, const char* suffix,
@@ -158,7 +161,7 @@ Status SnapshotStore::Put(uint64_t fingerprint, const std::string& bytes) {
     last = PutAttemptLocked(fingerprint, bytes);
     if (last.ok()) break;
     if (attempt >= options_.put_retries) return last;
-    ++stats_.put_retries;
+    stats_.Add<&DiskTierStats::put_retries>();
     uint64_t backoff_ms = options_.retry_backoff_ms << attempt;
     if (backoff_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
@@ -302,7 +305,7 @@ void SnapshotStore::MarkCorrupt(uint64_t fingerprint) {
   // Second strike: keep the bytes for post-mortem, stop probing them.
   corrupt_strikes_.erase(fingerprint);
   quarantined_.insert(fingerprint);
-  ++stats_.quarantined;
+  stats_.Add<&DiskTierStats::quarantined>();
   fs::path dir(options_.directory);
   fs::path quarantine = dir / kQuarantineDirName;
   std::error_code mkdir_error;
@@ -345,11 +348,6 @@ size_t SnapshotStore::TotalBytes() const {
   return total;
 }
 
-SnapshotStoreStats SnapshotStore::Stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
 void SnapshotStore::SweepStaleTempsLocked() {
   // Only *stale* temps go: any fresh one may be another writer's
   // in-flight file — another process, or another store in this process.
@@ -363,9 +361,11 @@ void SnapshotStore::SweepStaleTempsLocked() {
     std::error_code stat_error;
     fs::file_time_type mtime = entry.last_write_time(stat_error);
     if (!stat_error &&
-        fs::file_time_type::clock::now() - mtime > options_.temp_max_age) {
+        fs::file_time_type::clock::now() - mtime > kTempMaxAge) {
       std::error_code ignored;
-      if (fs::remove(entry.path(), ignored)) ++stats_.swept_temps;
+      if (fs::remove(entry.path(), ignored)) {
+        stats_.Add<&DiskTierStats::swept_temps>();
+      }
     }
   }
 }

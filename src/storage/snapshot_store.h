@@ -34,28 +34,101 @@
 //     The just-written root is always kept, so a budget smaller than one
 //     snapshot degrades to "keep the newest" instead of making the tier
 //     useless.
-//   * Crashed-writer sweep. Temp files older than `temp_max_age` are
-//     removed at construction and before every GC pass, so a long-lived
-//     process cannot count orphaned temps against its disk budget.
+//   * Crashed-writer sweep. Temp files older than an hour are removed at
+//     construction and before every GC pass, so a long-lived process
+//     cannot count orphaned temps against its disk budget.
 //
-// Thread-safe: all members lock one mutex (spills come from a background
-// writer while queries probe). Cross-process safety rests on the atomic
-// rename plus canonical.h's verification — a concurrent writer can at
-// worst make a reader fall back to cold compute.
+// Thread-safe: members lock one mutex, Stats() reads atomics (spills come
+// from a background writer while queries probe). Cross-process safety
+// rests on the atomic rename plus canonical.h's verification — a
+// concurrent writer can at worst make a reader fall back to cold compute.
 
 #ifndef OPCQA_STORAGE_SNAPSHOT_STORE_H_
 #define OPCQA_STORAGE_SNAPSHOT_STORE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
 
+#include "obs/field_table.h"
 #include "util/status.h"
 
 namespace opcqa {
+
+/// Counters of the disk tier. All monotone; zero when no snapshot_dir.
+/// Two producers fill it: the SnapshotStore counts its hardening paths
+/// (quarantined, put_retries, swept_temps) and the repair cache
+/// (repair/repair_cache.h) everything else; disk_stats() sums the two.
+struct DiskTierStats {
+  uint64_t spills = 0;         // snapshots written
+  uint64_t spill_bytes = 0;    // bytes written across all spills
+  uint64_t restores = 0;       // snapshots verified + re-interned
+  uint64_t restore_bytes = 0;  // bytes of the restored snapshots
+  /// Snapshots rejected by verification (corruption, truncation, version
+  /// or identity mismatch) or by IO errors — each one fell back to cold
+  /// compute.
+  uint64_t rejected_snapshots = 0;
+  /// Spill attempts whose write failed (unwritable/full snapshot_dir) —
+  /// the next process will compute cold.
+  uint64_t failed_spills = 0;
+  /// Snapshots that failed verification twice and were moved to the
+  /// store's quarantine/ directory — never re-probed until re-spilled.
+  uint64_t quarantined = 0;
+  /// Transient store write failures absorbed by retry-with-backoff.
+  uint64_t put_retries = 0;
+  /// Crashed-writer temp files removed by the store's stale sweep.
+  uint64_t swept_temps = 0;
+  /// Times the circuit breaker tripped (tier disabled for a cooldown).
+  uint64_t breaker_trips = 0;
+  /// Restores/spills skipped because the breaker was open.
+  uint64_t breaker_skips = 0;
+  /// Delta records appended to per-root logs (spills that did NOT
+  /// rewrite the base).
+  uint64_t delta_appends = 0;
+  /// Delta logs compacted back into a fresh base snapshot.
+  uint64_t compactions = 0;
+  /// Total bytes written to the disk tier in the compressed v2 encoding
+  /// (base snapshots + delta records) — the write-amplification figure
+  /// the pr9_disk_delta_ms bench gates. spill_bytes counts base
+  /// snapshots only.
+  uint64_t compressed_bytes = 0;
+  /// Disk-resident roots promoted back into the memory tier (every one
+  /// is also counted in `restores`).
+  uint64_t promotions = 0;
+  /// Roots demoted out of the memory tier with their state kept (or
+  /// being written) on disk. Drops without a disk tier are plain
+  /// evictions, not demotions.
+  uint64_t demotions = 0;
+
+  static constexpr std::string_view kPrefix = "disk";
+  static constexpr auto Fields() {
+    using enum obs::FieldKind;
+    return std::to_array<obs::Field<DiskTierStats>>({
+        {"spills", &DiskTierStats::spills, kCounter},
+        {"spill_bytes", &DiskTierStats::spill_bytes, kCounter},
+        {"restores", &DiskTierStats::restores, kCounter},
+        {"restore_bytes", &DiskTierStats::restore_bytes, kCounter},
+        {"rejected_snapshots", &DiskTierStats::rejected_snapshots, kCounter},
+        {"failed_spills", &DiskTierStats::failed_spills, kCounter},
+        {"quarantined", &DiskTierStats::quarantined, kCounter},
+        {"put_retries", &DiskTierStats::put_retries, kCounter},
+        {"swept_temps", &DiskTierStats::swept_temps, kCounter},
+        {"breaker_trips", &DiskTierStats::breaker_trips, kCounter},
+        {"breaker_skips", &DiskTierStats::breaker_skips, kCounter},
+        {"delta_appends", &DiskTierStats::delta_appends, kCounter},
+        {"compactions", &DiskTierStats::compactions, kCounter},
+        {"compressed_bytes", &DiskTierStats::compressed_bytes, kCounter},
+        {"promotions", &DiskTierStats::promotions, kCounter},
+        {"demotions", &DiskTierStats::demotions, kCounter},
+    });
+  }
+};
+
+static_assert(obs::CoversAllFields<DiskTierStats>(),
+              "every DiskTierStats field needs a row in Fields()");
+
 namespace storage {
 
 struct SnapshotStoreOptions {
@@ -68,21 +141,6 @@ struct SnapshotStoreOptions {
   int put_retries = 2;
   /// Backoff before retry k is retry_backoff_ms << (k - 1).
   uint64_t retry_backoff_ms = 1;
-  /// A temp file older than this is a crashed writer's leftover, not an
-  /// in-flight spill, and may be swept by any process.
-  std::chrono::seconds temp_max_age = std::chrono::hours{1};
-};
-
-/// Counters for the hardening paths; plumbed into DiskTierStats by the
-/// repair cache.
-struct SnapshotStoreStats {
-  /// Put attempts that failed and were retried (not counting the final
-  /// failure of an exhausted Put).
-  uint64_t put_retries = 0;
-  /// Fingerprints moved to quarantine/ after two corruption strikes.
-  uint64_t quarantined = 0;
-  /// Crashed-writer temp files removed by the stale sweep.
-  uint64_t swept_temps = 0;
 };
 
 class SnapshotStore {
@@ -149,14 +207,16 @@ class SnapshotStore {
   /// 0 when the directory does not exist.
   size_t TotalBytes() const;
 
-  SnapshotStoreStats Stats() const;
+  /// The store's rows of the disk-tier counters (quarantined,
+  /// put_retries, swept_temps); every other row is zero.
+  DiskTierStats Stats() const { return stats_.Load(); }
 
   const std::string& directory() const { return options_.directory; }
 
  private:
   /// One write-temp + rename attempt; removes its temp file on failure.
   Status PutAttemptLocked(uint64_t fingerprint, const std::string& bytes);
-  /// Removes temp files older than temp_max_age.
+  /// Removes temp files older than kTempMaxAge (snapshot_store.cc).
   void SweepStaleTempsLocked();
   /// Deletes whole roots (base + log) oldest-first by base mtime — never
   /// the root named `keep_stem` — until within max_disk_bytes; sweeps
@@ -169,7 +229,7 @@ class SnapshotStore {
   std::map<uint64_t, int> corrupt_strikes_;
   /// Fingerprints moved to quarantine/; never probed until re-Put.
   std::set<uint64_t> quarantined_;
-  SnapshotStoreStats stats_;
+  obs::AtomicStats<DiskTierStats> stats_;
 };
 
 }  // namespace storage

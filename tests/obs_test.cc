@@ -1,7 +1,7 @@
 // Tests for the observability layer (PR 10): histogram bucket geometry
 // and percentiles against a sorted-vector oracle, snapshot merging under
 // multi-threaded hammering (the TSan CI job runs this suite), the
-// stats-export fold of the legacy structs, the Chrome trace_event
+// field tables of the subsystem stats structs, the Chrome trace_event
 // exporter round-tripped through a real JSON parser, and — in tracing
 // builds — span nesting/ordering, request attribution, and the
 // tracing-on ≡ tracing-off answer byte-identity.
@@ -19,11 +19,12 @@
 
 #include "gen/workloads.h"
 #include "obs/chrome_trace.h"
+#include "obs/field_table.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/stats_export.h"
 #include "obs/trace.h"
 #include "repair/repair_enumerator.h"
+#include "server/ocqa_server.h"
 
 namespace opcqa {
 namespace {
@@ -162,8 +163,102 @@ TEST(MetricsRegistryTest, HandlesAreInternedAndKillSwitchDropsWrites) {
 }
 
 // ---------------------------------------------------------------------
-// Stats export: the legacy structs fold into one snapshot
+// Stats export: each struct's field table drives its fold into one
+// snapshot
 // ---------------------------------------------------------------------
+
+/// Sets every row of S's table to a distinct value (base, base+1, ...)
+/// and checks each comes back from Export under "<prefix>.<name>" as the
+/// kind its row declares, and nowhere else.
+template <typename S>
+void ExpectEveryRowExported(uint64_t base) {
+  S stats;
+  uint64_t value = base;
+  for (const obs::Field<S>& field : S::Fields()) stats.*field.member = value++;
+  obs::MetricsSnapshot snap;
+  obs::Export(stats, &snap);
+  value = base;
+  for (const obs::Field<S>& field : S::Fields()) {
+    std::string name = std::string(S::kPrefix) + "." + std::string(field.name);
+    SCOPED_TRACE(name);
+    uint64_t want = value++;
+    if (field.kind == obs::FieldKind::kCounter) {
+      ASSERT_EQ(snap.counters.count(name), 1u);
+      EXPECT_EQ(snap.counters.at(name), want);
+      EXPECT_EQ(snap.gauges.count(name), 0u);
+    } else {
+      ASSERT_EQ(snap.gauges.count(name), 1u);
+      EXPECT_EQ(snap.gauges.at(name), static_cast<int64_t>(want));
+      EXPECT_EQ(snap.counters.count(name), 0u);
+    }
+  }
+}
+
+TEST(StatsExportTest, EveryTableRowExportsUnderItsPrefixAndKind) {
+  ExpectEveryRowExported<MemoStats>(100);
+  ExpectEveryRowExported<DiskTierStats>(200);
+  ExpectEveryRowExported<planner::PlannerStats>(300);
+  ExpectEveryRowExported<server::ServerStats>(400);
+}
+
+TEST(StatsExportTest, GaugesAreExactlyTheResidentSizes) {
+  // The catalog's kinds: every row is a monotone counter except the
+  // point-in-time sizes below. A row whose kind drifts fails here.
+  obs::MetricsSnapshot snap;
+  obs::Export(server::ServerStats{}, &snap);
+  std::vector<std::string> gauges;
+  for (const auto& [name, value] : snap.gauges) gauges.push_back(name);
+  std::vector<std::string> want = {"cache.bytes", "cache.entries",
+                                   "cache.full_payload_bytes",
+                                   "cache.payload_bytes", "server.tenants"};
+  EXPECT_EQ(gauges, want);
+  EXPECT_EQ(snap.counters.size() + snap.gauges.size(),
+            server::ServerStats::Fields().size() + MemoStats::Fields().size() +
+                DiskTierStats::Fields().size() +
+                planner::PlannerStats::Fields().size());
+}
+
+TEST(StatsExportTest, DeltaSinceDiffsCountersAndKeepsGauges) {
+  MemoStats earlier;
+  MemoStats now;
+  uint64_t value = 10;
+  for (const obs::Field<MemoStats>& field : MemoStats::Fields()) {
+    earlier.*field.member = value;
+    now.*field.member = 3 * value;
+    value += 10;
+  }
+  MemoStats delta = now.DeltaSince(earlier);
+  for (const obs::Field<MemoStats>& field : MemoStats::Fields()) {
+    SCOPED_TRACE(std::string(field.name));
+    uint64_t want = field.kind == obs::FieldKind::kCounter
+                        ? now.*field.member - earlier.*field.member
+                        : now.*field.member;
+    EXPECT_EQ(delta.*field.member, want);
+  }
+  EXPECT_EQ(delta.hits, 20u);      // counter: 30 - 10
+  EXPECT_EQ(delta.entries, 240u);  // gauge: kept at 3 * 80
+}
+
+TEST(StatsExportTest, AtomicBlockSumAndCountersOnlyFollowTheTable) {
+  obs::AtomicStats<MemoStats> block;
+  block.Add<&MemoStats::hits>(5);
+  block.Add<&MemoStats::entries>(4);
+  block.Sub<&MemoStats::entries>();
+  block.Add<&MemoStats::bytes>(64);
+  MemoStats loaded = block.Load();
+  EXPECT_EQ(loaded.hits, 5u);
+  EXPECT_EQ(loaded.entries, 3u);
+  EXPECT_EQ(loaded.bytes, 64u);
+  EXPECT_EQ(loaded.misses, 0u);
+
+  MemoStats retired = obs::CountersOnly(loaded);
+  EXPECT_EQ(retired.hits, 5u);
+  EXPECT_EQ(retired.entries, 0u);
+  EXPECT_EQ(retired.bytes, 0u);
+  MemoStats total = obs::Sum(loaded, retired);
+  EXPECT_EQ(total.hits, 10u);
+  EXPECT_EQ(total.entries, 3u);
+}
 
 TEST(StatsExportTest, ServerStatsFoldIncludesNestedSubsystems) {
   server::ServerStats stats;
@@ -175,7 +270,7 @@ TEST(StatsExportTest, ServerStatsFoldIncludesNestedSubsystems) {
   stats.disk.restores = 5;
   stats.planner.rewrite_plans = 4;
   obs::MetricsSnapshot snap;
-  obs::ExportServerStats(stats, &snap);
+  obs::Export(stats, &snap);
   EXPECT_EQ(snap.counters.at("server.submitted"), 11u);
   EXPECT_EQ(snap.counters.at("server.panics"), 2u);
   EXPECT_EQ(snap.counters.at("cache.hits"), 7u);

@@ -193,6 +193,68 @@ TEST(RepairSpaceCacheTest, InsertAndEraseRoundTripStillFingerprintsSafely) {
   EXPECT_EQ(round_tripped.success_mass, original.success_mass);
 }
 
+TEST(RepairSpaceCacheTest, CountersStayMonotoneWhenRootsAreDropped) {
+  // TotalStats() counters are exported as monotone: a root that leaves
+  // the cache (invalidated, demoted past max_roots, cleared) keeps its
+  // hits and misses in the total, while its entries and bytes — gauges
+  // of what is resident — leave with it.
+  gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/41);
+  Database other = w.db;
+  ASSERT_TRUE(other.Erase(w.db.AllFacts().front()));
+  ASSERT_NE(other.Hash(), w.db.Hash());
+  UniformChainGenerator generator;
+  RepairCacheOptions options;
+  options.max_roots = 1;
+  RepairSpaceCache cache(options);
+  auto walk = [&](const Database& db) {
+    for (int i = 0; i < 3; ++i) {
+      EnumerateRepairs(db, w.constraints, generator, MemoOptions(&cache));
+    }
+  };
+  MemoStats last;
+  auto expect_counters_kept = [&](const char* step) {
+    SCOPED_TRACE(step);
+    MemoStats now = cache.TotalStats();
+    EXPECT_GE(now.hits, last.hits);
+    EXPECT_GE(now.misses, last.misses);
+    EXPECT_GE(now.inserts, last.inserts);
+    EXPECT_GE(now.admission_deferred, last.admission_deferred);
+    last = now;
+  };
+
+  walk(w.db);
+  last = cache.TotalStats();
+  ASSERT_GT(last.hits, 0u);
+  ASSERT_GT(last.misses, 0u);
+  ASSERT_GT(last.entries, 0u);
+  ASSERT_GT(last.bytes, 0u);
+
+  ASSERT_EQ(cache.InvalidateDatabase(w.db), 1u);
+  expect_counters_kept("InvalidateDatabase");
+  EXPECT_EQ(last.entries, 0u);
+  EXPECT_EQ(last.bytes, 0u);
+
+  walk(w.db);
+  expect_counters_kept("rebuild");
+  ASSERT_GT(last.entries, 0u);
+  // A second root over max_roots = 1 demotes the first.
+  walk(other);
+  expect_counters_kept("max_roots demotion");
+  EXPECT_EQ(cache.roots(), 1u);
+  std::shared_ptr<TranspositionTable> live =
+      cache.TableFor(other, w.constraints, generator,
+                     EnumerationOptions().prune_zero_probability);
+  ASSERT_NE(live, nullptr);
+  EXPECT_EQ(last.entries, live->stats().entries);
+  EXPECT_EQ(last.bytes, live->stats().bytes);
+  live.reset();
+
+  cache.Clear();
+  expect_counters_kept("Clear");
+  EXPECT_EQ(last.entries, 0u);
+  EXPECT_EQ(last.bytes, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Eviction under pressure stays byte-identical
 // ---------------------------------------------------------------------
