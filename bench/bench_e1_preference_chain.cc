@@ -24,8 +24,8 @@ int main() {
   auto context = RepairContext::Make(w.db, w.constraints);
   RepairingState root(context);
   std::vector<Operation> exts = root.ValidExtensions();
-  std::vector<Rational> probs =
-      CheckedProbabilities(generator, root, exts);
+  std::vector<Rational> probs;
+  CheckedProbabilities(generator, root, exts, &probs);
   bench::Note("root edges (paper: -(a,b):2/9  -(b,a):3/9  -(a,c):1/9  "
               "-(c,a):3/9):");
   for (size_t i = 0; i < exts.size(); ++i) {

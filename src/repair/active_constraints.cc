@@ -51,26 +51,25 @@ Rational ActiveConstraintGenerator::WeightOf(const RepairingState& state,
   return best.has_value() ? *best : default_weight_;
 }
 
-std::vector<Rational> ActiveConstraintGenerator::Probabilities(
-    const RepairingState& state,
-    const std::vector<Operation>& extensions) const {
-  std::vector<Rational> weights;
-  weights.reserve(extensions.size());
+void ActiveConstraintGenerator::Probabilities(
+    const RepairingState& state, const std::vector<Operation>& extensions,
+    std::vector<Rational>* probs) const {
+  probs->clear();
   Rational total(0);
   for (const Operation& op : extensions) {
     Rational weight = WeightOf(state, op);
     OPCQA_CHECK(!weight.is_negative()) << "negative preference weight";
     total += weight;
-    weights.push_back(std::move(weight));
+    probs->push_back(std::move(weight));
   }
   if (total.is_zero()) {
     // All extensions forbidden: fall back to uniform so the chain stays
     // stochastic (Definition 5 requires a distribution at every state).
-    Rational uniform(1, static_cast<int64_t>(extensions.size()));
-    return std::vector<Rational>(extensions.size(), uniform);
+    probs->assign(extensions.size(),
+                  Rational(1, static_cast<int64_t>(extensions.size())));
+    return;
   }
-  for (Rational& weight : weights) weight /= total;
-  return weights;
+  for (Rational& weight : *probs) weight /= total;
 }
 
 }  // namespace opcqa

@@ -49,9 +49,9 @@ class ActiveConstraintGenerator : public ChainGenerator {
       : preferences_(std::move(preferences)),
         default_weight_(std::move(default_weight)) {}
 
-  std::vector<Rational> Probabilities(
-      const RepairingState& state,
-      const std::vector<Operation>& extensions) const override;
+  void Probabilities(const RepairingState& state,
+                     const std::vector<Operation>& extensions,
+                     std::vector<Rational>* probs) const override;
 
   std::string name() const override { return "active-constraints"; }
 

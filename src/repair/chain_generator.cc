@@ -29,25 +29,26 @@ bool SumsToOneOverCommonDenominator(const std::vector<Rational>& probs) {
 
 }  // namespace
 
-std::vector<Rational> CheckedProbabilities(
-    const ChainGenerator& generator, const RepairingState& state,
-    const std::vector<Operation>& extensions) {
+void CheckedProbabilities(const ChainGenerator& generator,
+                          const RepairingState& state,
+                          const std::vector<Operation>& extensions,
+                          std::vector<Rational>* probs) {
   OPCQA_CHECK(!extensions.empty());
-  std::vector<Rational> probs = generator.Probabilities(state, extensions);
-  OPCQA_CHECK_EQ(probs.size(), extensions.size())
+  generator.Probabilities(state, extensions, probs);
+  OPCQA_CHECK_EQ(probs->size(), extensions.size())
       << "generator '" << generator.name()
       << "' returned a distribution of the wrong size";
-  for (const Rational& p : probs) {
+  for (const Rational& p : *probs) {
     OPCQA_CHECK(!p.is_negative())
         << "generator '" << generator.name() << "' returned probability "
         << p;
   }
-  if (SumsToOneOverCommonDenominator(probs)) return probs;
+  if (SumsToOneOverCommonDenominator(*probs)) return;
   // Exact check: accumulate the sum unreduced (Σ p_i == 1 iff num == den)
   // — skipping the per-step gcd reduction keeps it off the hot path.
   BigInt num(0);
   BigInt den(1);
-  for (const Rational& p : probs) {
+  for (const Rational& p : *probs) {
     num = num * p.denominator() + p.numerator() * den;
     den = den * p.denominator();
   }
@@ -55,20 +56,19 @@ std::vector<Rational> CheckedProbabilities(
       << "generator '" << generator.name()
       << "' probabilities sum to " << Rational(num, den) << " at state "
       << state.ToString();
-  return probs;
 }
 
-std::vector<Rational> UniformChainGenerator::Probabilities(
-    const RepairingState& state,
-    const std::vector<Operation>& extensions) const {
+void UniformChainGenerator::Probabilities(
+    const RepairingState& state, const std::vector<Operation>& extensions,
+    std::vector<Rational>* probs) const {
   (void)state;
-  Rational share(1, static_cast<int64_t>(extensions.size()));
-  return std::vector<Rational>(extensions.size(), share);
+  probs->assign(extensions.size(),
+                Rational(1, static_cast<int64_t>(extensions.size())));
 }
 
-std::vector<Rational> DeletionOnlyUniformGenerator::Probabilities(
-    const RepairingState& state,
-    const std::vector<Operation>& extensions) const {
+void DeletionOnlyUniformGenerator::Probabilities(
+    const RepairingState& state, const std::vector<Operation>& extensions,
+    std::vector<Rational>* probs) const {
   size_t deletions = 0;
   for (const Operation& op : extensions) {
     if (op.is_remove()) ++deletions;
@@ -76,12 +76,10 @@ std::vector<Rational> DeletionOnlyUniformGenerator::Probabilities(
   OPCQA_CHECK_GT(deletions, 0u)
       << "no deletion extension at a non-complete state: " << state.ToString();
   Rational share(1, static_cast<int64_t>(deletions));
-  std::vector<Rational> probs;
-  probs.reserve(extensions.size());
-  for (const Operation& op : extensions) {
-    probs.push_back(op.is_remove() ? share : Rational(0));
+  probs->resize(extensions.size());
+  for (size_t i = 0; i < extensions.size(); ++i) {
+    (*probs)[i] = extensions[i].is_remove() ? share : Rational(0);
   }
-  return probs;
 }
 
 }  // namespace opcqa

@@ -31,13 +31,15 @@ class ChainGenerator {
  public:
   virtual ~ChainGenerator() = default;
 
-  /// Distribution over `extensions` (same order) at state `state`.
-  /// `extensions` is non-empty and equals state.ValidExtensions().
-  /// Implementations may assign probability 0 to some extensions (pruning
-  /// them from the chain) but the values must sum to exactly 1.
-  virtual std::vector<Rational> Probabilities(
-      const RepairingState& state,
-      const std::vector<Operation>& extensions) const = 0;
+  /// Writes the distribution over `extensions` (same order) at state
+  /// `state` into `*probs`, replacing its contents. `extensions` is
+  /// non-empty and equals state.ValidExtensions(). Implementations may
+  /// assign probability 0 to some extensions (pruning them from the chain)
+  /// but the values must sum to exactly 1. `*probs` is caller-owned so a
+  /// walker reusing one buffer per step keeps its capacity.
+  virtual void Probabilities(const RepairingState& state,
+                             const std::vector<Operation>& extensions,
+                             std::vector<Rational>* probs) const = 0;
 
   /// Human-readable generator name for reports.
   virtual std::string name() const = 0;
@@ -68,19 +70,21 @@ class ChainGenerator {
   virtual std::string cache_identity() const { return std::string(); }
 };
 
-/// Validates and returns the distribution for a state: non-negative values
-/// summing to exactly 1 (CHECK-fails otherwise, as the generator would not
-/// define a Markov chain).
-std::vector<Rational> CheckedProbabilities(
-    const ChainGenerator& generator, const RepairingState& state,
-    const std::vector<Operation>& extensions);
+/// Writes the distribution for a state into `*probs` and validates it:
+/// one value per extension, non-negative, summing to exactly 1
+/// (CHECK-fails otherwise, as the generator would not define a Markov
+/// chain).
+void CheckedProbabilities(const ChainGenerator& generator,
+                          const RepairingState& state,
+                          const std::vector<Operation>& extensions,
+                          std::vector<Rational>* probs);
 
 /// M^u: uniform over all valid extensions (Proposition 4's generator).
 class UniformChainGenerator : public ChainGenerator {
  public:
-  std::vector<Rational> Probabilities(
-      const RepairingState& state,
-      const std::vector<Operation>& extensions) const override;
+  void Probabilities(const RepairingState& state,
+                     const std::vector<Operation>& extensions,
+                     std::vector<Rational>* probs) const override;
   std::string name() const override { return "uniform"; }
   bool history_independent() const override { return true; }
   std::string cache_identity() const override { return "uniform"; }
@@ -91,9 +95,9 @@ class UniformChainGenerator : public ChainGenerator {
 /// deleting (part of) its body image.
 class DeletionOnlyUniformGenerator : public ChainGenerator {
  public:
-  std::vector<Rational> Probabilities(
-      const RepairingState& state,
-      const std::vector<Operation>& extensions) const override;
+  void Probabilities(const RepairingState& state,
+                     const std::vector<Operation>& extensions,
+                     std::vector<Rational>* probs) const override;
   std::string name() const override { return "uniform-deletions"; }
   bool supports_only_deletions() const override { return true; }
   bool history_independent() const override { return true; }
@@ -118,10 +122,10 @@ class LambdaChainGenerator : public ChainGenerator {
         deletions_only_(deletions_only), memoryless_(memoryless),
         cache_identity_(std::move(cache_identity)) {}
 
-  std::vector<Rational> Probabilities(
-      const RepairingState& state,
-      const std::vector<Operation>& extensions) const override {
-    return fn_(state, extensions);
+  void Probabilities(const RepairingState& state,
+                     const std::vector<Operation>& extensions,
+                     std::vector<Rational>* probs) const override {
+    *probs = fn_(state, extensions);
   }
   std::string name() const override { return name_; }
   bool supports_only_deletions() const override { return deletions_only_; }

@@ -1,5 +1,7 @@
 #include "repair/counting.h"
 
+#include "repair/witness.h"
+
 namespace opcqa {
 
 Rational CountingOcaResult::Proportion(const Tuple& tuple) const {
@@ -17,28 +19,14 @@ CountingOcaResult CountingOca(const Database& db,
   return CountingOcaFromEnumeration(enumeration, query);
 }
 
-CountingOcaResult CountingOcaFromEnumeration(
-    const EnumerationResult& enumeration, const Query& query) {
-  std::vector<Database> repairs;
-  repairs.reserve(enumeration.repairs.size());
-  for (const RepairInfo& info : enumeration.repairs) {
-    repairs.push_back(info.repair);
-  }
-  return CountingOcaFromRepairs(repairs, query);
-}
+namespace {
 
-CountingOcaResult CountingOcaFromRepairs(const std::vector<Database>& repairs,
-                                         const Query& query) {
+// Turns per-tuple repair counts into proportions of `num_repairs`.
+CountingOcaResult Proportions(const std::map<Tuple, size_t>& counts,
+                              size_t num_repairs) {
   CountingOcaResult result;
-  result.num_repairs = repairs.size();
-  if (repairs.empty()) return result;
-  std::map<Tuple, size_t> counts;
-  for (const Database& repair : repairs) {
-    for (const Tuple& tuple : query.Evaluate(repair)) {
-      ++counts[tuple];
-    }
-  }
-  Rational denominator(static_cast<int64_t>(repairs.size()));
+  result.num_repairs = num_repairs;
+  Rational denominator(static_cast<int64_t>(num_repairs));
   for (const auto& [tuple, count] : counts) {
     result.answers[tuple] =
         Rational(static_cast<int64_t>(count)) / denominator;
@@ -46,13 +34,38 @@ CountingOcaResult CountingOcaFromRepairs(const std::vector<Database>& repairs,
   return result;
 }
 
+}  // namespace
+
+CountingOcaResult CountingOcaFromEnumeration(
+    const EnumerationResult& enumeration, const Query& query) {
+  return Proportions(
+      SumOverRepairs<size_t>(enumeration, query,
+                             [](const RepairInfo&) { return size_t{1}; }),
+      enumeration.repairs.size());
+}
+
+CountingOcaResult CountingOcaFromRepairs(const std::vector<Database>& repairs,
+                                         const Query& query) {
+  std::map<Tuple, size_t> counts;
+  for (const Database& repair : repairs) {
+    for (const Tuple& tuple : query.Evaluate(repair)) {
+      ++counts[tuple];
+    }
+  }
+  return Proportions(counts, repairs.size());
+}
+
 Rational ExpectedAnswerCount(const EnumerationResult& enumeration,
                              const Query& query) {
   if (enumeration.success_mass.is_zero()) return Rational(0);
+  // E[|Q(D′)|] = Σ_D′ p(D′)·|Q(D′)| = Σ_t Σ_{D′ ∋ t} p(D′).
   Rational total;
-  for (const RepairInfo& info : enumeration.repairs) {
-    total += info.probability *
-             Rational(static_cast<int64_t>(query.Evaluate(info.repair).size()));
+  for (const auto& [tuple, mass] : SumOverRepairs<Rational>(
+           enumeration, query,
+           [](const RepairInfo& info) -> const Rational& {
+             return info.probability;
+           })) {
+    total += mass;
   }
   return total / enumeration.success_mass;
 }

@@ -43,7 +43,10 @@ CountingOcaResult CountingOca(const Database& db,
                               const Query& query,
                               const CountingOptions& options = {});
 
-/// Counting semantics over the operational repairs of an enumeration.
+/// Counting semantics over the operational repairs of an enumeration,
+/// scored in place — from witness images when the enumeration is
+/// deletion-only and the query conjunctive (repair/ocqa.h explains the
+/// gate), by Query::Evaluate otherwise.
 CountingOcaResult CountingOcaFromEnumeration(
     const EnumerationResult& enumeration, const Query& query);
 

@@ -1,5 +1,7 @@
 #include "repair/ocqa.h"
 
+#include "repair/witness.h"
+
 namespace opcqa {
 
 Rational OcaResult::Probability(const Tuple& tuple) const {
@@ -15,24 +17,35 @@ std::vector<Tuple> OcaResult::AnswersAtLeast(const Rational& threshold) const {
   return result;
 }
 
-OcaResult OcaFromEnumeration(const EnumerationResult& enumeration,
-                             const Query& query) {
+namespace {
+
+// OCA over the repairs of `enumeration`: the answers and masses of an
+// OcaResult, everything but the enumeration itself.
+OcaResult Score(const EnumerationResult& enumeration, const Query& query) {
   OcaResult result;
   result.success_mass = enumeration.success_mass;
   result.failing_mass = enumeration.failing_mass;
-  result.enumeration = enumeration;
   if (enumeration.success_mass.is_zero()) {
     // No operational repair: CP(t̄) = 0 for every tuple.
     return result;
   }
-  for (const RepairInfo& info : enumeration.repairs) {
-    for (const Tuple& tuple : query.Evaluate(info.repair)) {
-      result.answers[tuple] += info.probability;
-    }
-  }
+  result.answers = SumOverRepairs<Rational>(
+      enumeration, query,
+      [](const RepairInfo& info) -> const Rational& {
+        return info.probability;
+      });
   for (auto& [tuple, p] : result.answers) {
     p /= enumeration.success_mass;
   }
+  return result;
+}
+
+}  // namespace
+
+OcaResult OcaFromEnumeration(const EnumerationResult& enumeration,
+                             const Query& query) {
+  OcaResult result = Score(enumeration, query);
+  result.enumeration = enumeration;
   return result;
 }
 
@@ -41,7 +54,9 @@ OcaResult ComputeOca(const Database& db, const ConstraintSet& constraints,
                      const EnumerationOptions& options) {
   EnumerationResult enumeration =
       EnumerateRepairs(db, constraints, generator, options);
-  return OcaFromEnumeration(enumeration, query);
+  OcaResult result = Score(enumeration, query);
+  result.enumeration = std::move(enumeration);
+  return result;
 }
 
 Rational ComputeTupleProbability(const Database& db,
@@ -52,11 +67,18 @@ Rational ComputeTupleProbability(const Database& db,
   EnumerationResult enumeration =
       EnumerateRepairs(db, constraints, generator, options);
   if (enumeration.success_mass.is_zero()) return Rational(0);
+  std::optional<WitnessTable> table;
+  if (enumeration.deletion_only) {
+    table = WitnessTable::Build(query, enumeration.initial);
+  }
+  size_t answer = table.has_value() ? table->Find(tuple) : 0;
   Rational numerator;
   for (const RepairInfo& info : enumeration.repairs) {
-    if (query.Contains(info.repair, tuple)) {
-      numerator += info.probability;
-    }
+    bool holds = table.has_value()
+                     ? answer < table->answers().size() &&
+                           table->HeldBy(answer, info.repair)
+                     : query.Contains(info.repair, tuple);
+    if (holds) numerator += info.probability;
   }
   return numerator / enumeration.success_mass;
 }

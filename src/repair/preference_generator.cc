@@ -6,9 +6,9 @@
 
 namespace opcqa {
 
-std::vector<Rational> PreferenceChainGenerator::Probabilities(
-    const RepairingState& state,
-    const std::vector<Operation>& extensions) const {
+void PreferenceChainGenerator::Probabilities(
+    const RepairingState& state, const std::vector<Operation>& extensions,
+    std::vector<Rational>* probs) const {
   const Database& db = state.current();
   // VΣ(D): atoms involved in a violation.
   std::set<Fact> involved;
@@ -30,19 +30,17 @@ std::vector<Rational> PreferenceChainGenerator::Probabilities(
   int64_t denominator = 0;
   for (const Fact& fact : involved) denominator += weight(fact);
   OPCQA_CHECK_GT(denominator, 0) << "no violated atoms with weight";
-  std::vector<Rational> probs;
-  probs.reserve(extensions.size());
+  probs->clear();
   for (const Operation& op : extensions) {
     if (!op.is_remove() || op.size() != 1) {
-      probs.push_back(Rational(0));
+      probs->push_back(Rational(0));
       continue;
     }
     const Fact& alpha = op.facts().front();
     // ᾱ: the symmetric partner Pref(b,a) of α = Pref(a,b).
     Fact alpha_bar(pref_, {alpha.args()[1], alpha.args()[0]});
-    probs.push_back(Rational(weight(alpha_bar), denominator));
+    probs->push_back(Rational(weight(alpha_bar), denominator));
   }
-  return probs;
 }
 
 }  // namespace opcqa

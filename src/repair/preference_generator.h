@@ -27,9 +27,9 @@ class PreferenceChainGenerator : public ChainGenerator {
   /// `pref` is the binary preference relation the constraint talks about.
   explicit PreferenceChainGenerator(PredId pref) : pref_(pref) {}
 
-  std::vector<Rational> Probabilities(
-      const RepairingState& state,
-      const std::vector<Operation>& extensions) const override;
+  void Probabilities(const RepairingState& state,
+                     const std::vector<Operation>& extensions,
+                     std::vector<Rational>* probs) const override;
 
   std::string name() const override { return "preference"; }
   bool supports_only_deletions() const override { return true; }

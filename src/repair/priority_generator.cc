@@ -7,9 +7,9 @@
 
 namespace opcqa {
 
-std::vector<Rational> PriorityChainGenerator::Probabilities(
-    const RepairingState& state,
-    const std::vector<Operation>& extensions) const {
+void PriorityChainGenerator::Probabilities(
+    const RepairingState& state, const std::vector<Operation>& extensions,
+    std::vector<Rational>* probs) const {
   std::vector<int64_t> ranks;
   ranks.reserve(extensions.size());
   for (const Operation& op : extensions) {
@@ -22,12 +22,10 @@ std::vector<Rational> PriorityChainGenerator::Probabilities(
   }
   OPCQA_CHECK_GT(winners, 0u);
   Rational share(1, static_cast<int64_t>(winners));
-  std::vector<Rational> probs;
-  probs.reserve(extensions.size());
+  probs->clear();
   for (int64_t rank : ranks) {
-    probs.push_back(rank == best ? share : Rational(0));
+    probs->push_back(rank == best ? share : Rational(0));
   }
-  return probs;
 }
 
 PriorityChainGenerator PriorityChainGenerator::MinimalChange() {

@@ -35,9 +35,9 @@ class PriorityChainGenerator : public ChainGenerator {
         deletions_only_(deletions_only), memoryless_(memoryless),
         cache_identity_(std::move(cache_identity)) {}
 
-  std::vector<Rational> Probabilities(
-      const RepairingState& state,
-      const std::vector<Operation>& extensions) const override;
+  void Probabilities(const RepairingState& state,
+                     const std::vector<Operation>& extensions,
+                     std::vector<Rational>* probs) const override;
 
   std::string name() const override { return name_; }
   bool supports_only_deletions() const override { return deletions_only_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <numeric>
 
@@ -32,6 +33,8 @@ struct SubtreeResult {
   size_t failing_sequences = 0;
   size_t max_depth = 0;
   bool hit_cap = false;
+  // Some successful leaf added a fact (its repair is not a subset of D).
+  bool added_facts = false;
 };
 
 // Delta-based DFS over one subtree: one state is threaded through the whole
@@ -103,6 +106,7 @@ class SubtreeWalker {
       if (state.IsConsistent()) {
         ++out_.successful_sequences;
         out_.success_mass += mass;
+        if (!state.added().empty()) out_.added_facts = true;
         // try_emplace freezes the key by copying on first insert.
         auto [it, inserted] = out_.aggregated.try_emplace(state.current());
         it->second.first += mass;
@@ -113,8 +117,12 @@ class SubtreeWalker {
         out_.failing_mass += mass;
       }
     } else {
-      std::vector<Rational> probs =
-          CheckedProbabilities(generator_, state, extensions);
+      // One buffer per depth: the children below reuse deeper ones.
+      if (probs_by_depth_.size() <= state.depth()) {
+        probs_by_depth_.resize(state.depth() + 1);
+      }
+      std::vector<Rational>& probs = probs_by_depth_[state.depth()];
+      CheckedProbabilities(generator_, state, extensions, &probs);
       for (size_t i = 0; i < extensions.size(); ++i) {
         if (options_.prune_zero_probability && probs[i].is_zero()) continue;
         state.ApplyTrusted(extensions[i]);
@@ -276,6 +284,9 @@ class SubtreeWalker {
   std::atomic<size_t>* shared_budget_;
   SubtreeResult out_;
   std::vector<LeafShare> log_;  // only populated when memo_ != nullptr
+  // Probability buffers indexed by state depth; a deque so growing it
+  // below a frame leaves that frame's buffer in place.
+  std::deque<std::vector<Rational>> probs_by_depth_;
 };
 
 // Accumulates a subtree's counters and aggregation map into the merged
@@ -290,6 +301,7 @@ void Accumulate(SubtreeResult&& partial, EnumerationResult* result,
   result->success_mass += partial.success_mass;
   result->failing_mass += partial.failing_mass;
   result->max_depth = std::max(result->max_depth, partial.max_depth);
+  if (partial.added_facts) result->deletion_only = false;
   for (auto& [repair, info] : partial.aggregated) {
     auto& slot = (*aggregated)[repair];
     slot.first += info.first;
@@ -336,6 +348,7 @@ EnumerationResult EnumerateSerial(RepairingState& root,
   SubtreeResult partial = walker.Take();
   EnumerationResult result;
   result.truncated = partial.hit_cap;
+  result.deletion_only = true;  // until a branch reports an addition
   AggregateMap aggregated;
   Accumulate(std::move(partial), &result, &aggregated);
   Assemble(std::move(aggregated), &result);
@@ -349,6 +362,7 @@ EnumerationResult EnumerateParallel(RepairingState& root,
                                     TranspositionTable* memo) {
   // Replicate the serial root frame: count ε, then branch.
   EnumerationResult result;
+  result.deletion_only = true;  // until a branch reports an addition
   result.states_visited = 1;
   if (result.states_visited > options.max_states) {
     result.truncated = true;
@@ -371,8 +385,8 @@ EnumerationResult EnumerateParallel(RepairingState& root,
     Assemble(std::move(aggregated), &result);
     return result;
   }
-  std::vector<Rational> probs =
-      CheckedProbabilities(generator, root, extensions);
+  std::vector<Rational> probs;
+  CheckedProbabilities(generator, root, extensions, &probs);
   std::vector<RootBranch> branches;
   branches.reserve(extensions.size());
   for (size_t i = 0; i < extensions.size(); ++i) {
@@ -486,6 +500,7 @@ EnumerationResult EnumerateRepairs(const Database& db,
   if (memo != nullptr) {
     result.memo_stats = memo->stats().DeltaSince(stats_before);
   }
+  result.initial = db;
   return result;
 }
 
@@ -509,8 +524,8 @@ void RenderNode(RepairingState& state, const ChainGenerator& generator,
   }
   *out += "\n";
   if (extensions.empty() || depth >= max_depth) return;
-  std::vector<Rational> probs =
-      CheckedProbabilities(generator, state, extensions);
+  std::vector<Rational> probs;
+  CheckedProbabilities(generator, state, extensions, &probs);
   for (size_t i = 0; i < extensions.size(); ++i) {
     if (probs[i].is_zero()) continue;
     state.ApplyTrusted(extensions[i]);

@@ -94,6 +94,14 @@ struct EnumerationResult {
   size_t max_depth = 0;
   /// True when max_states was hit; masses are then lower bounds.
   bool truncated = false;
+  /// D, the database the chain started from.
+  Database initial;
+  /// True when no successful sequence added a fact, so every repair is a
+  /// subset of `initial` and scorers may read a query's answers off its
+  /// witness images over `initial` (repair/witness.h). Recorded by
+  /// EnumerateRepairs from the states it reached; false on hand-assembled
+  /// results, which are then scored by Query::Evaluate.
+  bool deletion_only = false;
   /// Transposition-table counters (all zero when memoization was off or
   /// not applicable). Purely observational — hit patterns vary with
   /// thread scheduling while results never do.

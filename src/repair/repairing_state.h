@@ -93,6 +93,9 @@ class RepairingState {
   /// lets the transposition table verify states by this depth-sized delta
   /// instead of a full database copy (repair/memo.h).
   const std::vector<FactId>& removed() const { return removed_; }
+  /// Facts the sequence added so far. Empty exactly when current() is
+  /// D − removed(), the case witness scoring (repair/witness.h) reads.
+  const std::set<FactId>& added() const { return added_; }
 
   // O(1) state-fingerprint accessors for repair-space memoization. Both
   // are maintained incrementally — the database hash by InsertId/EraseId

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "obs/metrics.h"
+#include "repair/witness.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -41,16 +42,16 @@ size_t Sampler::NumSamples(double epsilon, double delta) {
 }
 
 size_t Sampler::Walk(RepairingState* state, Rng* rng,
-                     std::vector<Operation>* extensions) const {
+                     WalkBuffers* buffers) const {
   state->Restore(0);
   size_t steps = 0;
   for (;;) {
-    state->ValidExtensions(extensions);
-    if (extensions->empty()) break;  // absorbing
-    std::vector<Rational> probs =
-        CheckedProbabilities(*generator_, *state, *extensions);
-    size_t pick = rng->WeightedIndex(probs);
-    state->ApplyTrusted((*extensions)[pick]);
+    state->ValidExtensions(&buffers->extensions);
+    if (buffers->extensions.empty()) break;  // absorbing
+    CheckedProbabilities(*generator_, *state, buffers->extensions,
+                         &buffers->probs);
+    size_t pick = rng->WeightedIndex(buffers->probs);
+    state->ApplyTrusted(buffers->extensions[pick]);
     ++steps;
   }
   return steps;
@@ -58,9 +59,9 @@ size_t Sampler::Walk(RepairingState* state, Rng* rng,
 
 WalkResult Sampler::WalkWithRng(Rng* rng) const {
   RepairingState state(context_);
-  std::vector<Operation> extensions;
+  WalkBuffers buffers;
   WalkResult result;
-  result.steps = Walk(&state, rng, &extensions);
+  result.steps = Walk(&state, rng, &buffers);
   result.successful = state.IsConsistent();
   result.final_db = state.Snapshot();
   return result;
@@ -116,18 +117,19 @@ void RecordWalks(size_t walks, size_t steps) {
 }  // namespace
 
 template <typename Tally, typename Score>
-std::vector<Tally> Sampler::RunWalks(size_t walks, Score score) {
+std::vector<Tally> Sampler::RunWalks(size_t walks, const Tally& empty,
+                                     Score score) {
   uint64_t base = walk_cursor_;
   walk_cursor_ += walks;
   size_t threads = options_.threads == 0 ? DefaultThreads() : options_.threads;
   std::vector<WalkRange> ranges = ChunkWalks(walks, threads);
   return ParallelMap<Tally>(ranges.size(), threads, [&](size_t c) {
-    Tally tally;
+    Tally tally = empty;
     RepairingState state(context_);
-    std::vector<Operation> extensions;
+    WalkBuffers buffers;
     for (size_t i = ranges[c].begin; i < ranges[c].end; ++i) {
       Rng rng = Rng::Stream(seed_, base + i);
-      size_t steps = Walk(&state, &rng, &extensions);
+      size_t steps = Walk(&state, &rng, &buffers);
       score(state, steps, &tally);
     }
     return tally;
@@ -138,16 +140,22 @@ double Sampler::EstimateTuple(const Query& query, const Tuple& tuple,
                               double epsilon, double delta) {
   obs::ScopedTimer timer(EstimateLatency());
   size_t n = NumSamples(epsilon, delta);
+  std::optional<WitnessTable> table =
+      WitnessTable::Build(query, context_->initial);
+  size_t answer = table.has_value() ? table->Find(tuple) : 0;
   struct Tally {
     size_t hits = 0;
     size_t steps = 0;
   };
-  std::vector<Tally> tallies = RunWalks<Tally>(
-      n, [&](const RepairingState& state, size_t steps, Tally* tally) {
+  std::vector<Tally> tallies = RunWalks(
+      n, Tally{}, [&](const RepairingState& state, size_t steps, Tally* tally) {
         tally->steps += steps;
-        if (state.IsConsistent() && query.Contains(state.current(), tuple)) {
-          ++tally->hits;
-        }
+        if (!state.IsConsistent()) return;
+        bool hit = table.has_value() && state.added().empty()
+                       ? answer < table->answers().size() &&
+                             table->Survives(answer, state.removed())
+                       : query.Contains(state.current(), tuple);
+        if (hit) ++tally->hits;
       });
   size_t hits = 0, steps = 0;
   for (const Tally& tally : tallies) {
@@ -163,30 +171,47 @@ ApproxOcaResult Sampler::EstimateOcaWithWalks(const Query& query,
   obs::ScopedTimer timer(EstimateLatency());
   ApproxOcaResult result;
   result.walks = walks;
+  std::optional<WitnessTable> table =
+      WitnessTable::Build(query, context_->initial);
   struct Tally {
-    std::map<Tuple, size_t> counts;
+    std::vector<size_t> witnessed;      // by position in table->answers()
+    std::map<Tuple, size_t> evaluated;  // walks scored by Evaluate
     size_t successful = 0;
     size_t failing = 0;
     size_t steps = 0;
   };
-  std::vector<Tally> tallies = RunWalks<Tally>(
-      walks, [&](const RepairingState& state, size_t steps, Tally* tally) {
+  Tally empty;
+  if (table.has_value()) empty.witnessed.resize(table->answers().size());
+  std::vector<Tally> tallies = RunWalks(
+      walks, empty,
+      [&](const RepairingState& state, size_t steps, Tally* tally) {
         tally->steps += steps;
         if (!state.IsConsistent()) {
           ++tally->failing;
           return;
         }
         ++tally->successful;
+        if (table.has_value() && state.added().empty()) {
+          for (size_t i = 0; i < tally->witnessed.size(); ++i) {
+            if (table->Survives(i, state.removed())) ++tally->witnessed[i];
+          }
+          return;
+        }
         for (const Tuple& tuple : query.Evaluate(state.current())) {
-          ++tally->counts[tuple];
+          ++tally->evaluated[tuple];
         }
       });
   std::map<Tuple, size_t> counts;
-  for (Tally& tally : tallies) {  // merged in chunk (index) order
+  for (const Tally& tally : tallies) {  // merged in chunk (index) order
     result.total_steps += tally.steps;
     result.successful_walks += tally.successful;
     result.failing_walks += tally.failing;
-    for (const auto& [tuple, count] : tally.counts) counts[tuple] += count;
+    for (size_t i = 0; i < tally.witnessed.size(); ++i) {
+      if (tally.witnessed[i] > 0) {
+        counts[table->answers()[i]] += tally.witnessed[i];
+      }
+    }
+    for (const auto& [tuple, count] : tally.evaluated) counts[tuple] += count;
   }
   for (const auto& [tuple, count] : counts) {
     result.estimates[tuple] =

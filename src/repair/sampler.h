@@ -16,12 +16,22 @@
 // per-walk tallies are integers merged in index order — so estimates are
 // bit-identical for every options.threads value (including 1) and every
 // scheduling. All walks share one immutable RepairContext; each worker
-// chunk owns one RepairingState and one extension buffer, Restore(0)s the
-// state between walks and scores the query on its current() database, so
-// a walk copies no database and, on denial-only constraint sets (the
-// index-driven step of repair/repairing_state.h), allocates nothing for
-// its violations. The generator must be safe for concurrent
+// chunk owns one RepairingState, one extension buffer and one probability
+// buffer, and Restore(0)s the state between walks, so a walk copies no
+// database and, on denial-only constraint sets (the index-driven step of
+// repair/repairing_state.h), allocates nothing for its state, buffers or
+// score (tests/alloc_test.cc; a generator may still allocate inside
+// Probabilities()). The generator must be safe for concurrent
 // Probabilities() calls.
+//
+// Walks are scored from witness images (repair/witness.h): for a
+// conjunctive query each estimation call builds Q(D) with each answer's
+// homomorphism images once, and a walk whose state added no fact ended in
+// D − removed(), which answers t̄ iff one of t̄'s images avoids removed().
+// Walks that added facts (TGD chains), non-conjunctive queries and
+// queries with more than WitnessTable::kMaxImages images are scored by
+// Query::Evaluate on current() instead. Either way the tally of a walk is
+// the same integer, so estimates do not depend on the path taken.
 //
 // Each estimation call records sampler.estimate_ms, sampler.walks and
 // sampler.steps in the metrics registry (docs/OBSERVABILITY.md).
@@ -111,17 +121,21 @@ class Sampler {
   ApproxOcaResult EstimateOcaWithWalks(const Query& query, size_t walks);
 
  private:
+  // Per-step buffers a worker reuses across steps and walks.
+  struct WalkBuffers {
+    std::vector<Operation> extensions;
+    std::vector<Rational> probs;
+  };
   // One execution of algorithm Sample: Restore(0)s `state`, then walks it
-  // to an absorbing state drawing from `rng`; `extensions` is a reused
-  // buffer. Returns the number of steps.
-  size_t Walk(RepairingState* state, Rng* rng,
-              std::vector<Operation>* extensions) const;
+  // to an absorbing state drawing from `rng`. Returns the number of steps.
+  size_t Walk(RepairingState* state, Rng* rng, WalkBuffers* buffers) const;
   WalkResult WalkWithRng(Rng* rng) const;
   // Claims walk indices [cursor, cursor + walks) and runs them in
-  // per-worker chunks, each on one reused state; score(state, steps,
-  // &tally) sees every finished walk. Tallies come back in chunk order.
+  // per-worker chunks, each on one reused state and a copy of `empty`;
+  // score(state, steps, &tally) sees every finished walk. Tallies come
+  // back in chunk order.
   template <typename Tally, typename Score>
-  std::vector<Tally> RunWalks(size_t walks, Score score);
+  std::vector<Tally> RunWalks(size_t walks, const Tally& empty, Score score);
 
   std::shared_ptr<const RepairContext> context_;
   const ChainGenerator* generator_;

@@ -140,6 +140,7 @@ TopKResult TopKRepairs(const Database& db, const ConstraintSet& constraints,
   // on every expansion would dominate the search, so it is amortized.
   constexpr size_t kCertificationStride = 16;
 
+  std::vector<Rational> probabilities;  // reused by every expansion
   while (!frontier.empty()) {
     // Drop stale heap nodes (superseded by a merge) without touching any
     // counter — their mass lives on in the merged entry's current node.
@@ -202,8 +203,7 @@ TopKResult TopKRepairs(const Database& db, const ConstraintSet& constraints,
       }
       continue;
     }
-    std::vector<Rational> probabilities =
-        CheckedProbabilities(generator, *state, extensions);
+    CheckedProbabilities(generator, *state, extensions, &probabilities);
     for (size_t i = 0; i < extensions.size(); ++i) {
       if (probabilities[i].is_zero()) continue;  // unreachable edge
       // Best-first order forces persistent per-entry states; Fork() drops

@@ -51,9 +51,9 @@ Rational TrustChainGenerator::RelativeTrust(const Fact& alpha,
   return ta / (ta + tb);
 }
 
-std::vector<Rational> TrustChainGenerator::Probabilities(
-    const RepairingState& state,
-    const std::vector<Operation>& extensions) const {
+void TrustChainGenerator::Probabilities(
+    const RepairingState& state, const std::vector<Operation>& extensions,
+    std::vector<Rational>* probs) const {
   // VΣ(s(D)): the violating pairs {α,β}. Pairs are stored sorted.
   std::set<std::pair<Fact, Fact>> pairs;
   for (const Violation& v : state.violations()) {
@@ -86,16 +86,14 @@ std::vector<Rational> TrustChainGenerator::Probabilities(
     return Rational(0);
   };
 
-  std::vector<Rational> probs;
-  probs.reserve(extensions.size());
+  probs->clear();
   for (const Operation& op : extensions) {
     Rational weight;
     for (const auto& [alpha, beta] : pairs) {
       weight += pair_weight(alpha, beta, op);
     }
-    probs.push_back(weight / pair_count);
+    probs->push_back(weight / pair_count);
   }
-  return probs;
 }
 
 }  // namespace opcqa

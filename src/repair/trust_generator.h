@@ -34,9 +34,9 @@ class TrustChainGenerator : public ChainGenerator {
   TrustChainGenerator(std::map<Fact, Rational> trust,
                       Rational default_trust = Rational(1, 2));
 
-  std::vector<Rational> Probabilities(
-      const RepairingState& state,
-      const std::vector<Operation>& extensions) const override;
+  void Probabilities(const RepairingState& state,
+                     const std::vector<Operation>& extensions,
+                     std::vector<Rational>* probs) const override;
 
   std::string name() const override { return "trust"; }
   bool supports_only_deletions() const override { return true; }

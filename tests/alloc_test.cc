@@ -1,5 +1,6 @@
-// Allocation counts on the walk path: small exact arithmetic and a
-// warmed-up denial-only walk loop must not touch the heap.
+// Allocation counts on the walk path: small exact arithmetic, a warmed-up
+// denial-only walk loop and a warmed-up scored sampler walk must not
+// touch the heap.
 //
 // This binary replaces the global operator new/delete with a counting
 // version that forwards to malloc/free (so it also runs under ASan, which
@@ -13,8 +14,12 @@
 #include <vector>
 
 #include "gen/workloads.h"
+#include "logic/formula_parser.h"
+#include "repair/chain_generator.h"
 #include "repair/repairing_state.h"
+#include "repair/witness.h"
 #include "util/bigint.h"
+#include "util/random.h"
 #include "util/rational.h"
 
 namespace {
@@ -143,6 +148,53 @@ TEST(AllocTest, WarmDenialOnlyWalkLoopDoesNotAllocate) {
   });
   EXPECT_EQ(allocations, 0u);
   EXPECT_GT(total_steps, 0u);
+}
+
+TEST(AllocTest, WarmScoredWalkDoesNotAllocate) {
+  // The sampler's whole step — ValidExtensions, CheckedProbabilities into
+  // a reused buffer, WeightedIndex, ApplyTrusted — plus witness scoring
+  // of the finished walk against the removed set.
+  gen::Workload w = gen::MakeKeyViolationWorkload(/*keys=*/8,
+                                                  /*violating_keys=*/6,
+                                                  /*group_size=*/3,
+                                                  /*seed=*/7);
+  auto context = RepairContext::Make(w.db, w.constraints);
+  Result<Query> query =
+      ParseQuery(*w.schema, "Q(x,u) := exists y: (R(x,y), R(u,y))");
+  ASSERT_TRUE(query.ok());
+  std::optional<WitnessTable> table =
+      WitnessTable::Build(*query, context->initial);
+  ASSERT_TRUE(table.has_value());
+  UniformChainGenerator generator;
+  RepairingState state(context);
+  std::vector<Operation> extensions;
+  std::vector<Rational> probs;
+  std::vector<size_t> counts(table->answers().size(), 0);
+  size_t total_steps = 0;
+  auto walk = [&](uint64_t index) {
+    Rng rng = Rng::Stream(/*seed=*/2024, index);
+    state.Restore(0);
+    for (;;) {
+      state.ValidExtensions(&extensions);
+      if (extensions.empty()) break;
+      CheckedProbabilities(generator, state, extensions, &probs);
+      state.ApplyTrusted(extensions[rng.WeightedIndex(probs)]);
+      ++total_steps;
+    }
+    if (!state.IsConsistent() || !state.added().empty()) return;
+    for (size_t i = 0; i < counts.size(); ++i) {
+      if (table->Survives(i, state.removed())) ++counts[i];
+    }
+  };
+  for (uint64_t i = 0; i < 256; ++i) walk(i);
+  size_t allocations = AllocationsDuring([&] {
+    for (uint64_t i = 0; i < 256; ++i) walk(i);
+  });
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(total_steps, 0u);
+  size_t scored = 0;
+  for (size_t count : counts) scored += count;
+  EXPECT_GT(scored, 0u);
 }
 
 TEST(AllocTest, ByValueExtensionsDoNotGrowTheState) {

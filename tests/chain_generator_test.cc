@@ -22,7 +22,8 @@ TEST(ChainGeneratorTest, UniformDistributesEqually) {
   std::vector<Operation> exts = root.ValidExtensions();
   ASSERT_EQ(exts.size(), 3u);
   UniformChainGenerator gen;
-  std::vector<Rational> probs = CheckedProbabilities(gen, root, exts);
+  std::vector<Rational> probs;
+  CheckedProbabilities(gen, root, exts, &probs);
   for (const Rational& p : probs) EXPECT_EQ(p, Rational(1, 3));
 }
 
@@ -32,7 +33,8 @@ TEST(ChainGeneratorTest, DeletionOnlyUniformExcludesAdditions) {
   std::vector<Operation> exts = root.ValidExtensions();
   DeletionOnlyUniformGenerator gen;
   EXPECT_TRUE(gen.supports_only_deletions());
-  std::vector<Rational> probs = CheckedProbabilities(gen, root, exts);
+  std::vector<Rational> probs;
+  CheckedProbabilities(gen, root, exts, &probs);
   size_t deletions = 0;
   for (size_t i = 0; i < exts.size(); ++i) {
     if (exts[i].is_add()) {
@@ -57,7 +59,8 @@ TEST(ChainGeneratorTest, LambdaGeneratorWrapsFunction) {
         return probs;
       });
   EXPECT_EQ(gen.name(), "first-always");
-  std::vector<Rational> probs = CheckedProbabilities(gen, root, exts);
+  std::vector<Rational> probs;
+  CheckedProbabilities(gen, root, exts, &probs);
   EXPECT_EQ(probs[0], Rational(1));
 }
 
@@ -80,7 +83,9 @@ class CheckedProbabilitiesTest : public ::testing::Test {
     ASSERT_EQ(exts_.size(), 3u);
   }
   std::vector<Rational> Check(std::vector<Rational> probs) {
-    return CheckedProbabilities(Stub(std::move(probs)), root_, exts_);
+    std::vector<Rational> checked;
+    CheckedProbabilities(Stub(std::move(probs)), root_, exts_, &checked);
+    return checked;
   }
 
   gen::Workload w_ = gen::PaperKeyPairExample();
@@ -138,7 +143,8 @@ TEST(PreferenceGeneratorTest, RootEdgeProbabilitiesMatchFigure) {
   RepairingState root = RootState(w);
   std::vector<Operation> exts = root.ValidExtensions();
   PreferenceChainGenerator gen(pref);
-  std::vector<Rational> probs = CheckedProbabilities(gen, root, exts);
+  std::vector<Rational> probs;
+  CheckedProbabilities(gen, root, exts, &probs);
 
   auto prob_of = [&](const char* x, const char* y) -> Rational {
     Operation op = Operation::Remove({Fact::Make(*w.schema, "Pref", {x, y})});
@@ -163,7 +169,8 @@ TEST(PreferenceGeneratorTest, SecondLevelMatchesFigure) {
   state.Apply(Operation::Remove({Fact::Make(*w.schema, "Pref", {"b", "a"})}));
   std::vector<Operation> exts = state.ValidExtensions();
   PreferenceChainGenerator gen(pref);
-  std::vector<Rational> probs = CheckedProbabilities(gen, state, exts);
+  std::vector<Rational> probs;
+  CheckedProbabilities(gen, state, exts, &probs);
   auto prob_of = [&](const char* x, const char* y) -> Rational {
     Operation op = Operation::Remove({Fact::Make(*w.schema, "Pref", {x, y})});
     for (size_t i = 0; i < exts.size(); ++i) {
@@ -182,7 +189,8 @@ TEST(PreferenceGeneratorTest, PairDeletionsGetZero) {
   RepairingState root = RootState(w);
   std::vector<Operation> exts = root.ValidExtensions();
   PreferenceChainGenerator gen(pref);
-  std::vector<Rational> probs = gen.Probabilities(root, exts);
+  std::vector<Rational> probs;
+  gen.Probabilities(root, exts, &probs);
   for (size_t i = 0; i < exts.size(); ++i) {
     if (exts[i].size() > 1) {
       EXPECT_TRUE(probs[i].is_zero());
@@ -199,7 +207,8 @@ TEST(TrustGeneratorTest, EqualTrustGivesIntroductionNumbers) {
   ASSERT_EQ(exts.size(), 3u);
   // tr = 1/2 for both facts (the introduction's 50% reliable sources).
   TrustChainGenerator gen({}, Rational(1, 2));
-  std::vector<Rational> probs = CheckedProbabilities(gen, root, exts);
+  std::vector<Rational> probs;
+  CheckedProbabilities(gen, root, exts, &probs);
   Fact ab = Fact::Make(*w.schema, "R", {"a", "b"});
   Fact ac = Fact::Make(*w.schema, "R", {"a", "c"});
   for (size_t i = 0; i < exts.size(); ++i) {
@@ -219,7 +228,8 @@ TEST(TrustGeneratorTest, HigherTrustIsKeptMoreOften) {
   TrustChainGenerator gen({{ab, Rational(9, 10)}, {ac, Rational(1, 10)}});
   RepairingState root = RootState(w);
   std::vector<Operation> exts = root.ValidExtensions();
-  std::vector<Rational> probs = CheckedProbabilities(gen, root, exts);
+  std::vector<Rational> probs;
+  CheckedProbabilities(gen, root, exts, &probs);
   Rational p_drop_ab, p_drop_ac;
   for (size_t i = 0; i < exts.size(); ++i) {
     if (exts[i] == Operation::Remove({ab})) p_drop_ab = probs[i];
@@ -248,7 +258,8 @@ TEST(TrustGeneratorTest, MultiplePairsStillSumToOne) {
   RepairingState root = RootState(w);
   std::vector<Operation> exts = root.ValidExtensions();
   TrustChainGenerator gen({}, Rational(1, 2));
-  std::vector<Rational> probs = CheckedProbabilities(gen, root, exts);
+  std::vector<Rational> probs;
+  CheckedProbabilities(gen, root, exts, &probs);
   EXPECT_EQ(probs.size(), exts.size());
 }
 

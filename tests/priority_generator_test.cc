@@ -17,7 +17,8 @@ TEST(PriorityGeneratorTest, TopPrioritySharesMassUniformly) {
   std::vector<Operation> exts = root.ValidExtensions();
   ASSERT_EQ(exts.size(), 3u);
   PriorityChainGenerator gen = PriorityChainGenerator::MinimalChange();
-  std::vector<Rational> probs = CheckedProbabilities(gen, root, exts);
+  std::vector<Rational> probs;
+  CheckedProbabilities(gen, root, exts, &probs);
   // Single-fact deletions (size 1) outrank the pair deletion (size 2).
   for (size_t i = 0; i < exts.size(); ++i) {
     if (exts[i].size() == 1) {

@@ -86,8 +86,8 @@ TEST_P(ChainPropertyTest, GeneratorDistributionsSumToOneAlongWalks) {
       std::vector<Operation> extensions = state.ValidExtensions();
       if (extensions.empty()) break;
       // CheckedProbabilities CHECK-fails unless the distribution is valid.
-      std::vector<Rational> probabilities =
-          CheckedProbabilities(uniform_, state, extensions);
+      std::vector<Rational> probabilities;
+      CheckedProbabilities(uniform_, state, extensions, &probabilities);
       Rational total(0);
       for (const Rational& p : probabilities) {
         ASSERT_FALSE(p.is_negative());

@@ -242,6 +242,7 @@ struct PinnedRun {
   const char* workload;   // "key" (denial-only) or "example1" (TGD + key)
   const char* generator;  // uniform | deletions | minchange
   const char* expected;
+  const char* query = "Q(x,y) := R(x,y)";
 };
 
 constexpr PinnedRun kPinnedRuns[] = {
@@ -289,6 +290,39 @@ constexpr PinnedRun kPinnedRuns[] = {
      "2:3fbd21c3006a9f4f 2:f44907e6bc6b8bba 2!:bc974b202dbccebf "
      "2!:5e1f256fd933f309 2:66cbb083fba38de7 2!:353e01fb4f6b6ab0 "
      "2:cf207518cc21048e 2!:6cd8049888a9d827]"},
+    // A self-join, a constant, a Boolean and a non-conjunctive query.
+    {"key", "uniform",
+     "ok=200 fail=0 steps=1181 counts=[(k0,k0):172 (k1,k1):166 "
+     "(k2,k2):171 (k3,k3):170 (k4,k4):200 (k5,k5):200] "
+     "tuple=(k0,k0):124 walks=[7:8682baeea74b12a1 "
+     "5:ca77ba1048b91eee 7:e79064dc548912cf 7:14d5a17daee90c9d "
+     "6:6f9830bc3aba610b 4:9a9ae85bd7bb8488 6:076fd9503afb7b04 "
+     "5:22c3ff0930623e00 5:7bffc7d3be2a86e0 7:20177915d4e97328]",
+     "Q(x,u) := exists y: (R(x,y), R(u,y))"},
+    {"key", "uniform",
+     "ok=200 fail=0 steps=1181 counts=[(v0_0):53 (v0_1):52 (v0_2):67] "
+     "tuple=(v0_0):51 walks=[7:8682baeea74b12a1 "
+     "5:ca77ba1048b91eee 7:e79064dc548912cf 7:14d5a17daee90c9d "
+     "6:6f9830bc3aba610b 4:9a9ae85bd7bb8488 6:076fd9503afb7b04 "
+     "5:22c3ff0930623e00 5:7bffc7d3be2a86e0 7:20177915d4e97328]",
+     "Q(y) := R(k0, y)"},
+    {"key", "uniform",
+     "ok=200 fail=0 steps=1181 counts=[():172] tuple=():124 "
+     "walks=[7:8682baeea74b12a1 "
+     "5:ca77ba1048b91eee 7:e79064dc548912cf 7:14d5a17daee90c9d "
+     "6:6f9830bc3aba610b 4:9a9ae85bd7bb8488 6:076fd9503afb7b04 "
+     "5:22c3ff0930623e00 5:7bffc7d3be2a86e0 7:20177915d4e97328]",
+     "Q() := exists y: R(k0, y)"},
+    {"key", "uniform",
+     "ok=200 fail=0 steps=1181 counts=[(k0,v0_0):53 (k0,v0_1):52 "
+     "(k0,v0_2):67 (k1,v1_0):56 (k1,v1_1):57 (k1,v1_2):53 "
+     "(k2,v2_0):47 (k2,v2_1):66 (k2,v2_2):58 (k3,v3_0):59 "
+     "(k3,v3_1):59 (k3,v3_2):52 (k4,v4_0):200 (k5,v5_0):200] "
+     "tuple=(k0,v0_0):51 walks=[7:8682baeea74b12a1 "
+     "5:ca77ba1048b91eee 7:e79064dc548912cf 7:14d5a17daee90c9d "
+     "6:6f9830bc3aba610b 4:9a9ae85bd7bb8488 6:076fd9503afb7b04 "
+     "5:22c3ff0930623e00 5:7bffc7d3be2a86e0 7:20177915d4e97328]",
+     "Q(x,y) := R(x,y) & not exists z (R(x,z) & z != y)"},
 };
 
 TEST(SamplerGoldenTest, TalliesMatchPinnedValuesAtEveryThreadCount) {
@@ -306,9 +340,10 @@ TEST(SamplerGoldenTest, TalliesMatchPinnedValuesAtEveryThreadCount) {
     std::string workload = run.workload, name = run.generator;
     const gen::Workload& w = workload == "key" ? key : example1;
     for (size_t threads : {1, 4}) {
-      EXPECT_EQ(ObserveSampler(w, by_name(name), "Q(x,y) := R(x,y)", threads),
+      EXPECT_EQ(ObserveSampler(w, by_name(name), run.query, threads),
                 run.expected)
-          << workload << " / " << name << " at threads=" << threads;
+          << workload << " / " << name << " / " << run.query
+          << " at threads=" << threads;
     }
   }
 }

@@ -70,7 +70,9 @@ class GateGenerator {
           std::call_once(entered->once,
                          [&entered] { entered->promise.set_value(); });
           released.wait();
-          return inner->Probabilities(state, extensions);
+          std::vector<Rational> probs;
+          inner->Probabilities(state, extensions, &probs);
+          return probs;
         });
   }
 
