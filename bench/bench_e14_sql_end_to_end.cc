@@ -3,8 +3,7 @@
 // (SELECT * FROM R EXCEPT SELECT * FROM R_del), run the n(ε,δ)-round
 // sampling loop, and compare (a) the estimates against the exact chain
 // probabilities and (b) the rewritten query's runtime against the
-// original's — the paper's "performance is quite similar" claim, here on
-// the SQL front-end rather than the bare algebra (which E8 covers).
+// original's — the paper's "performance is quite similar" claim.
 
 #include <cstdio>
 

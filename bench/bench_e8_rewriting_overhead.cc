@@ -1,12 +1,10 @@
-// E8 — The Section 5 implementation sketch's measurement: "modified
-// queries in which relations R are replaced with R − R_del ... their
-// performance is quite similar to that of the original query". Times the
-// original CQ against the rewritten one on the algebra engine
-// (google-benchmark) across database sizes.
+// E8 — Query-planner dispatch overhead (google-benchmark): what the
+// planner's rewrite-or-walk decision costs on queries that walk anyway,
+// and a serving mix with the planner off vs on. The Section 5 "rewritten
+// query vs original" timing lives in E14, on the SQL path.
 
 #include <benchmark/benchmark.h>
 
-#include "engine/key_repair_executor.h"
 #include "engine/ocqa_session.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
@@ -17,103 +15,7 @@
 namespace {
 
 using namespace opcqa;
-using namespace opcqa::engine;
 
-struct JoinFixture {
-  gen::Workload w;
-  Query query;
-  std::map<PredId, Relation> dirty;
-  std::map<PredId, Relation> repaired;
-
-  explicit JoinFixture(size_t rows)
-      : w(gen::MakeJoinWorkload(rows, rows / 10 + 1, /*seed=*/500)),
-        query(*ParseQuery(*w.schema,
-                          "Q(x,u) := exists y,z (R(x,y), S(y,z), T(z,u))")) {
-    for (PredId p = 0; p < w.schema->size(); ++p) {
-      dirty.emplace(p, Relation::FromDatabase(w.db, p));
-    }
-    KeyRepairExecutor executor(
-        w.db,
-        {KeySpec{w.schema->RelationOrDie("R"), {0}},
-         KeySpec{w.schema->RelationOrDie("S"), {0}},
-         KeySpec{w.schema->RelationOrDie("T"), {0}}},
-        /*seed=*/501);
-    repaired = executor.SampleRepairedRelations();
-  }
-
-  std::map<PredId, const Relation*> Pointers(
-      const std::map<PredId, Relation>& rels) const {
-    std::map<PredId, const Relation*> out;
-    for (const auto& [p, rel] : rels) out[p] = &rel;
-    return out;
-  }
-};
-
-void BM_OriginalQuery(benchmark::State& state) {
-  JoinFixture fixture(static_cast<size_t>(state.range(0)));
-  auto pointers = fixture.Pointers(fixture.dirty);
-  for (auto _ : state) {
-    Relation result = ExecuteConjunctive(fixture.query, pointers);
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["rows_per_rel"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_OriginalQuery)
-    ->RangeMultiplier(4)
-    ->Range(64, 16384)
-    ->Unit(benchmark::kMillisecond);
-
-// The rewritten query runs over R − R_del (already materialized the way a
-// DBMS would pipeline the anti-join); includes the difference cost.
-void BM_RewrittenQueryWithDifference(benchmark::State& state) {
-  JoinFixture fixture(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    // Materialize R_del = R − survivors, then run over R − R_del, exactly
-    // the plan shape of the paper's loop.
-    std::map<PredId, Relation> reduced;
-    for (const auto& [p, rel] : fixture.dirty) {
-      Relation r_del = Difference(rel, fixture.repaired.at(p));
-      reduced.emplace(p, Difference(rel, r_del));
-    }
-    std::map<PredId, const Relation*> pointers;
-    for (const auto& [p, rel] : reduced) pointers[p] = &rel;
-    Relation result = ExecuteConjunctive(fixture.query, pointers);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_RewrittenQueryWithDifference)
-    ->RangeMultiplier(4)
-    ->Range(64, 16384)
-    ->Unit(benchmark::kMillisecond);
-
-// One full sampling round (repair sampling + rewritten query), the unit
-// the n-round loop repeats.
-void BM_FullSamplingRound(benchmark::State& state) {
-  size_t rows = static_cast<size_t>(state.range(0));
-  gen::Workload w = gen::MakeJoinWorkload(rows, rows / 10 + 1, /*seed=*/502);
-  Query query = *ParseQuery(
-      *w.schema, "Q(x,u) := exists y,z (R(x,y), S(y,z), T(z,u))");
-  KeyRepairExecutor executor(
-      w.db,
-      {KeySpec{w.schema->RelationOrDie("R"), {0}},
-       KeySpec{w.schema->RelationOrDie("S"), {0}},
-       KeySpec{w.schema->RelationOrDie("T"), {0}}},
-      /*seed=*/503);
-  for (auto _ : state) {
-    std::map<PredId, Relation> repaired = executor.SampleRepairedRelations();
-    std::map<PredId, const Relation*> pointers;
-    for (const auto& [p, rel] : repaired) pointers[p] = &rel;
-    Relation result = ExecuteConjunctive(query, pointers);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_FullSamplingRound)
-    ->RangeMultiplier(4)
-    ->Range(64, 4096)
-    ->Unit(benchmark::kMillisecond);
-
-// --- PR-6 dispatcher overhead -------------------------------------------
-//
 // The planner's decision must be near-free on the slice it cannot help:
 // queries that end up walking anyway. Both arms below run the *identical*
 // warm memoized walk (shared RepairSpaceCache, primed outside timing);

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -215,6 +216,19 @@ std::string Describe(const Real& real) {
                 brackets[1]);
 }
 
+/// `text` as a whole-string decimal integer: "abc", "", "-5" or "1x" are
+/// nullopt, never a silent 0 or a wrapped 2^64-5.
+std::optional<uint64_t> ParseNonNegative(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  uint64_t value = std::strtoull(text.c_str(), &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || errno != 0 ||
+      *end != '\0') {
+    return std::nullopt;
+  }
+  return value;
+}
+
 /// Stores one flag value into an Options — std::visit over the row's
 /// Parser; a bad value is a usage error naming the flag.
 struct ApplyValue {
@@ -241,16 +255,9 @@ struct ApplyValue {
     return Status::Ok();
   }
   Status operator()(Field<uint64_t> field) const {
-    // Whole-string values: "abc", "", "-5" or "1x" are usage errors,
-    // never a silent 0 or a wrapped 2^64-5.
-    char* end = nullptr;
-    errno = 0;
-    uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) || errno != 0 ||
-        *end != '\0') {
-      return Bad("a non-negative integer");
-    }
-    opt->*field = value;
+    std::optional<uint64_t> value = ParseNonNegative(text);
+    if (!value) return Bad("a non-negative integer");
+    opt->*field = *value;
     return Status::Ok();
   }
   Status operator()(const Choice& choice) const {
@@ -378,8 +385,7 @@ Result<std::vector<sql::TableKey>> ParseKeysSpec(const Schema& schema,
     if (entry.empty()) continue;
     size_t colon = entry.find(':');
     if (colon == std::string::npos) {
-      return Status::InvalidArgument("key spec needs table:positions — " +
-                                     entry);
+      return Status::InvalidArgument("--keys needs table:positions — " + entry);
     }
     sql::TableKey key;
     key.table = Trim(entry.substr(0, colon));
@@ -389,17 +395,16 @@ Result<std::vector<sql::TableKey>> ParseKeysSpec(const Schema& schema,
     }
     for (const std::string& pos_text :
          Split(entry.substr(colon + 1), ',')) {
-      int position = std::atoi(Trim(pos_text).c_str());
-      if (position < 0 ||
-          static_cast<uint32_t>(position) >= schema.Arity(pred)) {
-        return Status::OutOfRange("key position out of range: " +
-                                  pos_text);
+      std::optional<uint64_t> position = ParseNonNegative(Trim(pos_text));
+      if (!position) {
+        return Status::InvalidArgument(
+            "--keys positions must be non-negative integers, got '" +
+            pos_text + "' for " + key.table);
       }
-      key.key_positions.push_back(static_cast<size_t>(position));
-    }
-    if (key.key_positions.empty()) {
-      return Status::InvalidArgument("empty key position list for " +
-                                     key.table);
+      if (*position >= schema.Arity(pred)) {
+        return Status::OutOfRange("--keys position out of range: " + pos_text);
+      }
+      key.key_positions.push_back(static_cast<size_t>(*position));
     }
     keys.push_back(std::move(key));
   }

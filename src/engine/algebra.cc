@@ -1,6 +1,5 @@
 #include "engine/algebra.h"
 
-#include <algorithm>
 #include <set>
 #include <unordered_map>
 
@@ -19,90 +18,10 @@ Relation Select(const Relation& input,
   return out;
 }
 
-Relation SelectEq(const Relation& input, const std::string& column,
-                  ConstId value) {
-  size_t index = input.ColumnIndex(column);
-  OPCQA_CHECK_NE(index, Relation::kNotFound)
-      << "unknown column " << column << " in " << input.name();
-  return Select(input, [index, value](const Row& row) {
-    return row[index] == value;
-  });
-}
-
-Relation Project(const Relation& input,
-                 const std::vector<std::string>& columns) {
-  std::vector<size_t> indices;
-  indices.reserve(columns.size());
-  for (const std::string& column : columns) {
-    size_t index = input.ColumnIndex(column);
-    OPCQA_CHECK_NE(index, Relation::kNotFound)
-        << "unknown column " << column << " in " << input.name();
-    indices.push_back(index);
-  }
-  Relation out(input.name(), columns);
-  for (const Row& row : input.rows()) {
-    Row projected;
-    projected.reserve(indices.size());
-    for (size_t index : indices) projected.push_back(row[index]);
-    out.Add(std::move(projected));
-  }
-  out.Normalize();
-  return out;
-}
-
 Relation Rename(const Relation& input, std::vector<std::string> columns) {
   OPCQA_CHECK_EQ(columns.size(), input.arity());
   Relation out(input.name(), std::move(columns));
   for (const Row& row : input.rows()) out.Add(row);
-  return out;
-}
-
-Relation NaturalJoin(const Relation& left, const Relation& right) {
-  // Shared columns and their indices on both sides.
-  std::vector<std::pair<size_t, size_t>> shared;
-  std::vector<size_t> right_extra;
-  for (size_t j = 0; j < right.arity(); ++j) {
-    size_t i = left.ColumnIndex(right.columns()[j]);
-    if (i != Relation::kNotFound) {
-      shared.emplace_back(i, j);
-    } else {
-      right_extra.push_back(j);
-    }
-  }
-  std::vector<std::string> out_columns = left.columns();
-  for (size_t j : right_extra) out_columns.push_back(right.columns()[j]);
-  Relation out(StrCat(left.name(), "⋈", right.name()),
-               std::move(out_columns));
-
-  // Hash the smaller side on the shared-key projection.
-  auto key_of = [&](const Row& row, bool is_left) {
-    Row key;
-    key.reserve(shared.size());
-    for (const auto& [i, j] : shared) key.push_back(row[is_left ? i : j]);
-    return key;
-  };
-  struct RowVecHash {
-    size_t operator()(const Row& row) const {
-      size_t h = 0;
-      for (ConstId c : row) {
-        h ^= c + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      }
-      return h;
-    }
-  };
-  std::unordered_map<Row, std::vector<const Row*>, RowVecHash> index;
-  for (const Row& row : right.rows()) {
-    index[key_of(row, /*is_left=*/false)].push_back(&row);
-  }
-  for (const Row& lrow : left.rows()) {
-    auto it = index.find(key_of(lrow, /*is_left=*/true));
-    if (it == index.end()) continue;
-    for (const Row* rrow : it->second) {
-      Row combined = lrow;
-      for (size_t j : right_extra) combined.push_back((*rrow)[j]);
-      out.Add(std::move(combined));
-    }
-  }
   return out;
 }
 
@@ -188,69 +107,6 @@ Relation Intersect(const Relation& left, const Relation& right) {
   }
   out.Normalize();
   return out;
-}
-
-size_t CountDistinct(const Relation& input) {
-  std::set<Row> distinct(input.rows().begin(), input.rows().end());
-  return distinct.size();
-}
-
-Relation ExecuteConjunctive(
-    const Query& query, const std::map<PredId, const Relation*>& relations) {
-  OPCQA_CHECK(query.IsConjunctive())
-      << "engine execution supports conjunctive queries";
-  const ConjunctiveView& view = *query.conjunctive_view();
-  Relation accumulated;
-  bool first = true;
-  for (const Atom& atom : view.body.atoms()) {
-    auto it = relations.find(atom.pred());
-    OPCQA_CHECK(it != relations.end())
-        << "no relation registered for predicate " << atom.pred();
-    const Relation& stored = *it->second;
-    OPCQA_CHECK_EQ(stored.arity(), atom.arity());
-    // Select on constants and repeated variables, then project+rename to
-    // variable-named columns.
-    Relation scan = Select(stored, [&](const Row& row) {
-      std::map<VarId, ConstId> seen;
-      for (size_t i = 0; i < atom.arity(); ++i) {
-        const Term& t = atom.terms()[i];
-        if (t.is_const()) {
-          if (row[i] != t.constant()) return false;
-        } else {
-          auto [pos, inserted] = seen.emplace(t.var(), row[i]);
-          if (!inserted && pos->second != row[i]) return false;
-        }
-      }
-      return true;
-    });
-    // Keep one column per distinct variable, named after it.
-    std::vector<std::string> var_columns;
-    std::vector<size_t> keep;
-    std::set<VarId> used;
-    for (size_t i = 0; i < atom.arity(); ++i) {
-      const Term& t = atom.terms()[i];
-      if (t.is_var() && used.insert(t.var()).second) {
-        var_columns.push_back(VarName(t.var()));
-        keep.push_back(i);
-      }
-    }
-    Relation projected(stored.name(), var_columns);
-    for (const Row& row : scan.rows()) {
-      Row out_row;
-      out_row.reserve(keep.size());
-      for (size_t i : keep) out_row.push_back(row[i]);
-      projected.Add(std::move(out_row));
-    }
-    projected.Normalize();
-    accumulated = first ? std::move(projected)
-                        : NaturalJoin(accumulated, projected);
-    first = false;
-  }
-  std::vector<std::string> head_columns;
-  head_columns.reserve(query.head().size());
-  for (VarId v : query.head()) head_columns.push_back(VarName(v));
-  Relation result = Project(accumulated, head_columns);
-  return Rename(result, head_columns);
 }
 
 }  // namespace engine

@@ -1,14 +1,17 @@
-// Relational-algebra operators and conjunctive-query execution.
+// Relational-algebra operators of the SQL executor (sql/executor.h).
 //
-// Implements the plan shapes the Section 5 scheme needs: scans, selections,
-// projections, hash joins, set difference (for R − R_del) and union. All
-// operators are pure functions Relation → Relation with set semantics.
+// Selections, renames, hash equi-joins and the set operations SQL's
+// UNION / EXCEPT / INTERSECT and the Section 5 rewriting R − R_del need.
+// All operators are pure functions Relation → Relation with set
+// semantics; conjunctive queries over Databases are evaluated by logic/.
 
 #ifndef OPCQA_ENGINE_ALGEBRA_H_
 #define OPCQA_ENGINE_ALGEBRA_H_
 
 #include <functional>
-#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "engine/relation.h"
 
@@ -19,20 +22,8 @@ namespace engine {
 Relation Select(const Relation& input,
                 const std::function<bool(const Row&)>& predicate);
 
-/// σ_{column = value}.
-Relation SelectEq(const Relation& input, const std::string& column,
-                  ConstId value);
-
-/// π over named columns (with duplicate elimination).
-Relation Project(const Relation& input,
-                 const std::vector<std::string>& columns);
-
 /// ρ: renames all columns (arity must match).
 Relation Rename(const Relation& input, std::vector<std::string> columns);
-
-/// Natural join on the shared column names (hash join; cartesian product
-/// when no columns are shared).
-Relation NaturalJoin(const Relation& left, const Relation& right);
 
 /// Hash join on explicit column pairs (left column, right column); the
 /// output keeps every column of both inputs. Column names need not match —
@@ -51,17 +42,6 @@ Relation Union(const Relation& left, const Relation& right);
 /// Set difference left − right (schemas must match). This is the `R − R_del`
 /// operator of the paper's implementation sketch.
 Relation Difference(const Relation& left, const Relation& right);
-
-/// Number of distinct rows.
-size_t CountDistinct(const Relation& input);
-
-/// Executes a *conjunctive* query over engine relations: every atom becomes
-/// a scan of `relations[pred]` with constant selections and variable-named
-/// columns, atoms are joined naturally, and the head variables are
-/// projected. CHECK-fails when the query is not conjunctive (engine
-/// execution exists for the CQ-over-keys scheme of Section 5).
-Relation ExecuteConjunctive(const Query& query,
-                            const std::map<PredId, const Relation*>& relations);
 
 }  // namespace engine
 }  // namespace opcqa

@@ -1,9 +1,9 @@
 // Column-named relations for the execution engine.
 //
-// The repair core works on Database (sets of facts); the engine works on
-// Relation (named columns, vector of rows) because the Section 5 scheme is
-// about *query plans*: Q versus Q[R ↦ R − R_del]. Rows use the same
-// interned ConstId values as facts.
+// The repair core works on Database (sets of facts); the SQL executor
+// works on Relation (named columns, vector of rows) because SQL and the
+// Section 5 scheme are about *query plans*: Q versus Q[R ↦ R − R_del].
+// Rows use the same interned ConstId values as facts.
 
 #ifndef OPCQA_ENGINE_RELATION_H_
 #define OPCQA_ENGINE_RELATION_H_

@@ -1,7 +1,9 @@
 #include "sql/approx_runner.h"
 
 #include "repair/sampler.h"
+#include "sql/executor.h"
 #include "sql/parser.h"
+#include "sql/rewriter.h"
 #include "util/string_util.h"
 
 namespace opcqa {
@@ -13,11 +15,8 @@ double SqlApproxResult::Frequency(const engine::Row& row) const {
 }
 
 SqlApproxRunner::SqlApproxRunner(Catalog catalog, std::vector<TableKey> keys,
-                                 uint64_t seed, SqlApproxOptions options)
-    : catalog_(std::move(catalog)),
-      keys_(std::move(keys)),
-      options_(std::move(options)),
-      rng_(seed) {
+                                 uint64_t seed)
+    : catalog_(std::move(catalog)), keys_(std::move(keys)), rng_(seed) {
   // Precompute the violating groups of every keyed table.
   for (const TableKey& key : keys_) {
     const engine::Relation* table = catalog_.Find(key.table);
@@ -51,11 +50,8 @@ std::map<std::string, engine::Relation> SqlApproxRunner::SampleDeletions() {
     engine::Relation del(StrCat(key.table, "__del"), table->columns());
     for (const std::vector<size_t>& group : groups_[key.table]) {
       // "randomly pick at most one tuple to be left there, and collect the
-      // others in R_del".
-      size_t survivor = group.size();  // out of range = keep none
-      if (!rng_.Bernoulli(options_.keep_none_probability)) {
-        survivor = rng_.UniformInt(group.size());
-      }
+      // others in R_del" — always exactly one here.
+      size_t survivor = rng_.UniformInt(group.size());
       for (size_t i = 0; i < group.size(); ++i) {
         if (i != survivor) del.Add(table->rows()[group[i]]);
       }
@@ -88,8 +84,7 @@ Result<SqlApproxResult> SqlApproxRunner::Run(std::string_view sql,
     for (auto& [table, del] : SampleDeletions()) {
       scratch.Register(StrCat(table, "__del"), std::move(del));
     }
-    Result<engine::Relation> answer =
-        Execute(*rewritten, scratch, options_.exec);
+    Result<engine::Relation> answer = Execute(*rewritten, scratch);
     if (!answer.ok()) return answer.status();
     if (result.columns.empty()) result.columns = answer.value().columns();
     for (const engine::Row& row : answer.value().rows()) ++counts[row];

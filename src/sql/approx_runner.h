@@ -11,9 +11,18 @@
 // SqlApproxRunner executes that loop literally: per round it samples R_del
 // for every keyed table, registers the R_del tables in a scratch catalog,
 // executes the rewritten statement produced by RewriteWithDeletions, and
-// tallies result rows. Each returned frequency estimates the probability
-// that the tuple is an answer over a uniformly sampled key repair, with the
-// additive Hoeffding guarantee of Theorem 9.
+// tallies result rows, with the additive Hoeffding guarantee of Theorem 9.
+//
+// What it estimates: each round keeps exactly one tuple per key group,
+// chosen uniformly, so a frequency estimates the probability that the row
+// is an answer over a uniformly chosen key repair — the uniform-repairs
+// semantics of "Uniform Operational CQA" (PAPERS.md). That is not the
+// uniform-operations chain SqlExactRunner walks (and the FO sampler under
+// the uniform generator): there a violating pair {α, β} is resolved by
+// deleting α, β or both, each with probability 1/3. On {R(k,a), R(k,b)}
+// the exact runner gives each row 1/3 and this runner ≈ 1/2. The chain
+// this loop does sample is the keep-one chain of
+// IntegrationTest.SectionFiveLoopsMatchKeepOneChain.
 
 #ifndef OPCQA_SQL_APPROX_RUNNER_H_
 #define OPCQA_SQL_APPROX_RUNNER_H_
@@ -23,8 +32,6 @@
 #include <vector>
 
 #include "sql/catalog.h"
-#include "sql/executor.h"
-#include "sql/rewriter.h"
 #include "util/random.h"
 
 namespace opcqa {
@@ -34,14 +41,6 @@ namespace sql {
 struct TableKey {
   std::string table;
   std::vector<size_t> key_positions;
-};
-
-struct SqlApproxOptions {
-  /// Probability of keeping *no* tuple from a violating group — the
-  /// Example 5 "trust neither source" case; 0 reproduces the classical
-  /// subset-repair sampling.
-  double keep_none_probability = 0.0;
-  ExecOptions exec;
 };
 
 struct SqlApproxResult {
@@ -60,8 +59,7 @@ class SqlApproxRunner {
  public:
   /// `catalog` holds the dirty tables; `keys` lists the key constraints.
   /// Tables named "<table>__del" are reserved for the sampled deletions.
-  SqlApproxRunner(Catalog catalog, std::vector<TableKey> keys, uint64_t seed,
-                  SqlApproxOptions options = {});
+  SqlApproxRunner(Catalog catalog, std::vector<TableKey> keys, uint64_t seed);
 
   /// Runs the n-round loop for `sql`.
   Result<SqlApproxResult> Run(std::string_view sql, size_t rounds);
@@ -71,7 +69,8 @@ class SqlApproxRunner {
                                            double epsilon, double delta);
 
   /// Samples one set of R_del tables (one entry per keyed table, possibly
-  /// empty). Exposed for tests.
+  /// empty): every key group keeps one uniformly chosen tuple. Exposed for
+  /// tests.
   std::map<std::string, engine::Relation> SampleDeletions();
 
  private:
@@ -79,7 +78,6 @@ class SqlApproxRunner {
   std::vector<TableKey> keys_;
   // Per keyed table: violating groups as row-index lists (size ≥ 2).
   std::map<std::string, std::vector<std::vector<size_t>>> groups_;
-  SqlApproxOptions options_;
   Rng rng_;
 };
 

@@ -342,7 +342,7 @@ Result<SqlExactResult> SqlExactRunner::Run(std::string_view sql) {
       EnumerateRepairs(db_, constraints_, generator_, enum_options);
   if (enumeration.truncated) {
     return Status::ResourceExhausted(
-        "chain too large for exact SQL answering; use SqlApproxRunner");
+        "chain too large for exact SQL answering");
   }
 
   SqlExactResult result;
@@ -413,7 +413,7 @@ Result<SqlCertainResult> SqlExactRunner::RunCertain(std::string_view sql) {
       EnumerateRepairs(db_, constraints_, generator_, enum_options);
   if (enumeration.truncated) {
     return Status::ResourceExhausted(
-        "chain too large for exact SQL answering; use SqlApproxRunner");
+        "chain too large for exact SQL answering");
   }
   result.plan = planner::PlanKind::kMemoizedWalk;
   if (enumeration.success_mass.is_zero()) return result;

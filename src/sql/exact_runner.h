@@ -1,20 +1,22 @@
 // Exact SQL answering over the operational repair distribution — the SQL
 // face of the cross-query repair-space cache.
 //
-// Where SqlApproxRunner implements the Section 5 sampling scheme (n
-// rounds, additive Hoeffding error), SqlExactRunner computes the exact
-// conditional probability CP(row) of every result row: the key
-// constraints given as TableKeys become EGDs, the repairing chain over
-// (D, Σ_keys) is enumerated under the uniform generator, and the SQL
-// statement is evaluated on each operational repair with its probability
-// mass. Because the repair space depends only on (D, Σ) — never on the
-// statement — the runner owns a RepairSpaceCache: the first query pays
-// for the enumeration, every further query over the same database
-// replays it from the cache (typically a single root-entry hit).
+// SqlExactRunner computes the exact conditional probability CP(row) of
+// every result row: the key constraints given as TableKeys become EGDs,
+// the repairing chain over (D, Σ_keys) is enumerated under the uniform
+// generator, and the SQL statement is evaluated on each operational
+// repair with its probability mass. Because the repair space depends
+// only on (D, Σ) — never on the statement — the runner owns a
+// RepairSpaceCache: the first query pays for the enumeration, every
+// further query over the same database replays it from the cache
+// (typically a single root-entry hit).
 //
 // Exactness makes this FP^#P-hard in the worst case (Theorem 5); the
-// enumeration budget applies, and callers with large conflict sets
-// should fall back to SqlApproxRunner.
+// enumeration budget applies and a truncated chain is ResourceExhausted.
+// SqlApproxRunner is no estimator of these probabilities: it samples
+// uniform key repairs (keep one tuple per group), whereas this chain also
+// deletes whole groups — on {R(k,a), R(k,b)} each row has CP 1/3 here
+// and frequency ≈ 1/2 there.
 
 #ifndef OPCQA_SQL_EXACT_RUNNER_H_
 #define OPCQA_SQL_EXACT_RUNNER_H_

@@ -1,5 +1,6 @@
 // End-to-end checks of the opcqa_cli binary (fork + exec): the exit-code
-// contract for bad flag values, and the sampler's metrics rows.
+// contract for bad flag values, the sampler's metrics rows and the
+// --mode=sql stdout.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -11,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -158,6 +160,59 @@ TEST(CliTest, MissingRequiredFlagsAreNamedOnStderr) {
   EXPECT_NE(run.err.find("missing --db=FILE --sql=TEXT --keys=SPEC"),
             std::string::npos)
       << run.err;
+}
+
+TEST(CliTest, SqlModeStdoutIsPinned) {
+  // --mode=sql stdout, byte for byte: the rewritten statement and the
+  // per-row frequencies of the seeded R_del loop.
+  CliInputs inputs;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"SELECT c1 FROM R",
+       "rewritten SQL: SELECT c1 FROM (SELECT * FROM R EXCEPT SELECT * FROM "
+       "R__del) AS R\n"
+       "answer frequencies over 150 rounds (additive error ≤ 0.100 with "
+       "confidence ≥ 0.900, per tuple):\n"
+       "  (b)                      ≈ 0.4933\n"
+       "  (c)                      ≈ 0.5067\n"
+       "  (e)                      ≈ 1.0000\n"},
+      {"SELECT c0 FROM R WHERE c1 = 'b' UNION "
+       "SELECT c0 FROM R WHERE c1 = 'e'",
+       "rewritten SQL: SELECT c0 FROM (SELECT * FROM R EXCEPT SELECT * FROM "
+       "R__del) AS R WHERE c1 = 'b' UNION SELECT c0 FROM (SELECT * FROM R "
+       "EXCEPT SELECT * FROM R__del) AS R WHERE c1 = 'e'\n"
+       "answer frequencies over 150 rounds (additive error ≤ 0.100 with "
+       "confidence ≥ 0.900, per tuple):\n"
+       "  (a)                      ≈ 0.4933\n"
+       "  (d)                      ≈ 1.0000\n"},
+  };
+  for (const auto& [sql, golden] : cases) {
+    std::vector<std::string> args = inputs.Args();
+    for (const char* flag : {"--mode=sql", "--keys=R:0", "--seed=3"}) {
+      args.push_back(flag);
+    }
+    args.push_back("--sql=" + sql);
+    CliRun run = RunCli(args, inputs);
+    EXPECT_EQ(run.exit_code, 0) << sql << "\n" << run.err;
+    EXPECT_EQ(run.out, golden) << sql;
+  }
+}
+
+TEST(CliTest, BadKeysSpecsAreUsageErrors) {
+  // Key positions are whole non-negative integers, like every integer
+  // flag: a malformed one never silently selects a key column.
+  CliInputs inputs;
+  for (const char* keys : {"--keys=R:x", "--keys=R:", "--keys=R:0,",
+                           "--keys=R:-0", "--keys=R:1x", "--keys=R:2",
+                           "--keys=R", "--keys=S:0"}) {
+    std::vector<std::string> args = inputs.Args();
+    args.push_back("--mode=sql");
+    args.push_back("--sql=SELECT c1 FROM R");
+    args.push_back(keys);
+    CliRun run = RunCli(args, inputs);
+    EXPECT_EQ(run.exit_code, 2) << keys << "\n" << run.err;
+    EXPECT_EQ(run.out, "") << keys;
+    EXPECT_NE(run.err.find("--keys"), std::string::npos) << run.err;
+  }
 }
 
 TEST(CliTest, ApproxRunReportsSamplerMetrics) {

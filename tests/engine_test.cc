@@ -45,48 +45,18 @@ TEST_F(EngineTest, NormalizeSortsAndDeduplicates) {
   EXPECT_TRUE(std::is_sorted(rel.rows().begin(), rel.rows().end()));
 }
 
-TEST_F(EngineTest, SelectByPredicateAndEquality) {
-  Relation sel = SelectEq(r_, "a", Const("x1"));
-  EXPECT_EQ(sel.size(), 2u);
-  Relation sel2 = Select(r_, [](const Row& row) {
+TEST_F(EngineTest, SelectKeepsMatchingRows) {
+  Relation sel = Select(r_, [](const Row& row) {
     return row[1] == Const("y1");
   });
-  EXPECT_EQ(sel2.size(), 2u);
-}
-
-TEST_F(EngineTest, ProjectEliminatesDuplicates) {
-  Relation proj = Project(r_, {"a"});
-  EXPECT_EQ(proj.size(), 2u);  // x1, x2
-  EXPECT_EQ(proj.columns(), std::vector<std::string>{"a"});
-}
-
-TEST_F(EngineTest, ProjectReorders) {
-  Relation proj = Project(r_, {"b", "a"});
-  EXPECT_EQ(proj.arity(), 2u);
-  EXPECT_EQ(proj.rows()[0].size(), 2u);
+  EXPECT_EQ(sel.size(), 2u);
+  EXPECT_EQ(sel.columns(), r_.columns());
 }
 
 TEST_F(EngineTest, RenameKeepsRows) {
   Relation renamed = Rename(r_, {"u", "v"});
   EXPECT_EQ(renamed.size(), 3u);
   EXPECT_EQ(renamed.ColumnIndex("u"), 0u);
-}
-
-TEST_F(EngineTest, NaturalJoinOnSharedColumn) {
-  Relation s("S", {"b", "c"});
-  s.Add(MakeRow({"y1", "z1"}));
-  s.Add(MakeRow({"y1", "z2"}));
-  Relation joined = NaturalJoin(r_, s);
-  // R rows with b=y1: (x1,y1), (x2,y1); each joins 2 S rows → 4.
-  EXPECT_EQ(joined.size(), 4u);
-  EXPECT_EQ(joined.arity(), 3u);
-}
-
-TEST_F(EngineTest, NaturalJoinNoSharedColumnsIsCartesian) {
-  Relation s("S", {"c"});
-  s.Add(MakeRow({"z1"}));
-  s.Add(MakeRow({"z2"}));
-  EXPECT_EQ(NaturalJoin(r_, s).size(), 6u);
 }
 
 TEST_F(EngineTest, UnionAndDifference) {
@@ -107,13 +77,6 @@ TEST_F(EngineTest, DifferenceWithEmptyRightIsIdentity) {
   EXPECT_EQ(Difference(r_, empty).size(), r_.size());
 }
 
-TEST_F(EngineTest, CountDistinct) {
-  Relation dup("X", {"c"});
-  dup.Add(MakeRow({"v1"}));
-  dup.Add(MakeRow({"v1"}));
-  EXPECT_EQ(CountDistinct(dup), 1u);
-}
-
 TEST_F(EngineTest, FromDatabaseLoadsFacts) {
   Schema schema;
   PredId pred = schema.AddRelation("R", 2);
@@ -121,73 +84,6 @@ TEST_F(EngineTest, FromDatabaseLoadsFacts) {
   Relation rel = Relation::FromDatabase(db, pred);
   EXPECT_EQ(rel.size(), 2u);
   EXPECT_EQ(rel.columns(), (std::vector<std::string>{"c0", "c1"}));
-}
-
-class ExecuteCqTest : public ::testing::Test {
- protected:
-  ExecuteCqTest() {
-    r_pred_ = schema_.AddRelation("R", 2);
-    s_pred_ = schema_.AddRelation("S", 2);
-    db_ = *ParseDatabase(schema_,
-                         "R(a,b). R(b,c). R(a,a). S(b,p). S(c,q).");
-    r_rel_ = Relation::FromDatabase(db_, r_pred_);
-    s_rel_ = Relation::FromDatabase(db_, s_pred_);
-    relations_[r_pred_] = &r_rel_;
-    relations_[s_pred_] = &s_rel_;
-  }
-  Schema schema_;
-  PredId r_pred_, s_pred_;
-  Database db_;
-  Relation r_rel_, s_rel_;
-  std::map<PredId, const Relation*> relations_;
-};
-
-TEST_F(ExecuteCqTest, SingleAtomScan) {
-  Result<Query> q = ParseQuery(schema_, "Q(x,y) := R(x,y)");
-  ASSERT_TRUE(q.ok());
-  Relation result = ExecuteConjunctive(*q, relations_);
-  EXPECT_EQ(result.size(), 3u);
-}
-
-TEST_F(ExecuteCqTest, ConstantSelection) {
-  Result<Query> q = ParseQuery(schema_, "Q(y) := R(a, y)");
-  ASSERT_TRUE(q.ok());
-  Relation result = ExecuteConjunctive(*q, relations_);
-  EXPECT_EQ(result.size(), 2u);  // b and a
-}
-
-TEST_F(ExecuteCqTest, RepeatedVariableSelection) {
-  Result<Query> q = ParseQuery(schema_, "Q(x) := R(x, x)");
-  ASSERT_TRUE(q.ok());
-  Relation result = ExecuteConjunctive(*q, relations_);
-  ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result.rows()[0], MakeRow({"a"}));
-}
-
-TEST_F(ExecuteCqTest, JoinMatchesLogicEvaluation) {
-  Result<Query> q =
-      ParseQuery(schema_, "Q(x,z) := exists y (R(x,y), S(y,z))");
-  ASSERT_TRUE(q.ok());
-  Relation engine_result = ExecuteConjunctive(*q, relations_);
-  std::set<Tuple> engine_tuples(engine_result.rows().begin(),
-                                engine_result.rows().end());
-  EXPECT_EQ(engine_tuples, q->Evaluate(db_));
-}
-
-TEST_F(ExecuteCqTest, TriangleJoinMatchesLogicEvaluation) {
-  Result<Query> q = ParseQuery(
-      schema_, "Q(x) := exists y,z (R(x,y), R(y,z), S(z, q))");
-  ASSERT_TRUE(q.ok());
-  Relation engine_result = ExecuteConjunctive(*q, relations_);
-  std::set<Tuple> engine_tuples(engine_result.rows().begin(),
-                                engine_result.rows().end());
-  EXPECT_EQ(engine_tuples, q->Evaluate(db_));
-}
-
-TEST_F(ExecuteCqTest, EmptyResultWhenNoMatch) {
-  Result<Query> q = ParseQuery(schema_, "Q(y) := S(a, y)");
-  ASSERT_TRUE(q.ok());
-  EXPECT_TRUE(ExecuteConjunctive(*q, relations_).empty());
 }
 
 // ---------------------------------------------------------------------
@@ -235,18 +131,24 @@ TEST_F(EquiJoinTest, MultiColumnJoin) {
   EXPECT_EQ(joined.rows()[0], MakeRow({"p", "q", "p", "q"}));
 }
 
-TEST_F(EquiJoinTest, AgreesWithNaturalJoinAfterRename) {
-  // EquiJoin(L, R, b=c) projected on L's columns equals the natural join
-  // of L with R renamed so the join columns share a name.
-  Relation joined = EquiJoin(left_, right_, {{"b", "c"}});
-  Relation projected = Project(joined, {"a", "b", "d"});
-  Relation renamed = Rename(right_, {"b", "d"});
-  Relation natural = NaturalJoin(left_, renamed);
-  Relation natural_sorted = Project(natural, {"a", "b", "d"});
-  std::set<Row> lhs(projected.rows().begin(), projected.rows().end());
-  std::set<Row> rhs(natural_sorted.rows().begin(),
-                    natural_sorted.rows().end());
-  EXPECT_EQ(lhs, rhs);
+TEST(EquiJoinReferenceTest, AgreesWithQueryEvaluation) {
+  // EquiJoin(L, R, L.c1 = R.c) projected on (L.c0, R.d) equals the
+  // conjunctive query Q(a,d) := ∃b L(a,b), R(b,d) that logic/ evaluates
+  // over the same facts.
+  Schema schema;
+  PredId l_pred = schema.AddRelation("L", 2);
+  PredId r_pred = schema.AddRelation("R", 2);
+  Database db = *ParseDatabase(
+      schema, "L(x1,k1). L(x2,k2). L(x3,k1). R(k1,y1). R(k1,y2). R(k3,y3).");
+  Relation joined = EquiJoin(Relation::FromDatabase(db, l_pred),
+                             Relation::FromDatabase(db, r_pred, {"c", "d"}),
+                             {{"c1", "c"}});
+  std::set<Row> engine_rows;
+  for (const Row& row : joined.rows()) engine_rows.insert({row[0], row[3]});
+  Result<Query> q = ParseQuery(schema, "Q(a,d) := exists b (L(a,b), R(b,d))");
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ(engine_rows.size(), 4u);
+  EXPECT_EQ(engine_rows, q->Evaluate(db));
 }
 
 TEST(IntersectTest, KeepsCommonRowsOnly) {

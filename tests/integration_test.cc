@@ -1,9 +1,8 @@
-// Cross-module integration tests: exact engine vs sampler vs engine-level
-// executor on shared workloads, plus end-to-end scenario walkthroughs.
+// Cross-module integration tests: exact engine vs chain sampler vs the SQL
+// R_del loop on shared workloads, plus end-to-end scenario walkthroughs.
 
 #include <gtest/gtest.h>
 
-#include "engine/key_repair_executor.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "repair/abc.h"
@@ -11,6 +10,7 @@
 #include "repair/preference_generator.h"
 #include "repair/sampler.h"
 #include "repair/trust_generator.h"
+#include "sql/approx_runner.h"
 
 namespace opcqa {
 namespace {
@@ -47,9 +47,10 @@ TEST(IntegrationTest, TrustChainExactVsSampled) {
   }
 }
 
-// The Section 5 engine loop approximates the keep-one chain: compare with
-// exact OCQA under a keep-one generator (pair deletions zeroed out).
-TEST(IntegrationTest, EngineExecutorMatchesKeepOneChain) {
+// The Section 5 loops sample the keep-one chain: exact OCQA under a
+// keep-one generator (pair deletions zeroed out) matches both the chain
+// sampler under that generator and the SQL-level R_del loop.
+TEST(IntegrationTest, SectionFiveLoopsMatchKeepOneChain) {
   gen::Workload w = gen::MakeKeyViolationWorkload(3, 2, 2, /*seed=*/35);
   // Keep-one chain: uniform over single-fact deletions only.
   LambdaChainGenerator keep_one(
@@ -72,14 +73,31 @@ TEST(IntegrationTest, EngineExecutorMatchesKeepOneChain) {
   Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
   ASSERT_TRUE(q.ok());
   OcaResult exact = ComputeOca(w.db, w.constraints, keep_one, *q);
+  ASSERT_EQ(exact.answers.size(), 5u);
 
-  engine::KeyRepairExecutor executor(
-      w.db, {engine::KeySpec{w.schema->RelationOrDie("R"), {0}}},
-      /*seed=*/36);
-  engine::ApproxAnswers approx = executor.Run(*q, 4000);
+  Sampler sampler(w.db, w.constraints, &keep_one, /*seed=*/36);
+  ApproxOcaResult chain = sampler.EstimateOcaWithWalks(*q, 4000);
+  sql::SqlApproxRunner runner(sql::Catalog::FromDatabase(w.db),
+                              {sql::TableKey{"R", {0}}}, /*seed=*/36);
+  Result<sql::SqlApproxResult> loop = runner.Run("SELECT c0, c1 FROM R", 4000);
+  ASSERT_TRUE(loop.ok());
   for (const auto& [tuple, p] : exact.answers) {
-    EXPECT_NEAR(approx.Frequency(tuple), p.ToDouble(), 0.04)
+    EXPECT_NEAR(chain.Estimate(tuple), p.ToDouble(), 0.04)
         << TupleToString(tuple);
+    EXPECT_NEAR(loop->Frequency(tuple), p.ToDouble(), 0.04)
+        << TupleToString(tuple);
+  }
+
+  // Every keep-one walk ends with exactly one fact per key group.
+  for (uint64_t i = 0; i < 50; ++i) {
+    WalkResult walk = sampler.RunWalkAt(i);
+    ASSERT_TRUE(walk.successful);
+    std::set<ConstId> keys;
+    for (const Fact& fact : walk.final_db.AllFacts()) {
+      keys.insert(fact.args()[0]);
+    }
+    EXPECT_EQ(keys.size(), 3u) << "walk " << i;
+    EXPECT_EQ(walk.final_db.size(), keys.size()) << "walk " << i;
   }
 }
 

@@ -1,10 +1,12 @@
-// Tests for SQL execution, the Section 5 rewriter and the approximation
-// runner.
+// Tests for SQL execution, the Section 5 rewriter and the two answering
+// runners.
 
 #include <gtest/gtest.h>
 
 #include "engine/algebra.h"
+#include "relational/fact_parser.h"
 #include "sql/approx_runner.h"
+#include "sql/exact_runner.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
 #include "sql/rewriter.h"
@@ -382,6 +384,12 @@ TEST_F(SqlApproxTest, SampledDeletionsKeepExactlyOnePerGroup) {
   }
 }
 
+TEST_F(SqlApproxTest, CompositeKeyGroupsOnAllKeyColumns) {
+  // Key (k, v): the rows are distinct, so no group violates the key.
+  SqlApproxRunner runner(catalog_, {TableKey{"r", {0, 1}}}, /*seed=*/7);
+  EXPECT_TRUE(runner.SampleDeletions().at("r").empty());
+}
+
 TEST_F(SqlApproxTest, CleanTupleHasFrequencyOne) {
   SqlApproxRunner runner(catalog_, {TableKey{"r", {0}}}, /*seed=*/7);
   auto result = runner.Run("SELECT v FROM r", 100);
@@ -399,20 +407,6 @@ TEST_F(SqlApproxTest, ConflictingTuplesSplitTheMass) {
   EXPECT_NEAR(fx, 0.5, 0.05);
   EXPECT_NEAR(fy, 0.5, 0.05);
   EXPECT_DOUBLE_EQ(fx + fy, 1.0);  // exactly one survives per round
-}
-
-TEST_F(SqlApproxTest, KeepNoneProbabilityLowersSurvival) {
-  SqlApproxOptions options;
-  options.keep_none_probability = 0.5;
-  SqlApproxRunner runner(catalog_, {TableKey{"r", {0}}}, /*seed=*/29,
-                         options);
-  auto result = runner.Run("SELECT v FROM r", 2000);
-  ASSERT_TRUE(result.ok());
-  double fx = result.value().Frequency(MakeRow({"x"}));
-  double fy = result.value().Frequency(MakeRow({"y"}));
-  // Survival per tuple is (1 − keep_none)/2 = 0.25.
-  EXPECT_NEAR(fx, 0.25, 0.05);
-  EXPECT_NEAR(fy, 0.25, 0.05);
 }
 
 TEST_F(SqlApproxTest, JoinQueryOverRepairedRelations) {
@@ -436,6 +430,28 @@ TEST_F(SqlApproxTest, InvalidSqlPropagatesStatus) {
   SqlApproxRunner runner(catalog_, {TableKey{"r", {0}}}, /*seed=*/3);
   auto result = runner.Run("SELECT FROM WHERE", 10);
   ASSERT_FALSE(result.ok());
+}
+
+// The two SQL runners answer under different distributions. On
+// {R(k,a), R(k,b)} the uniform-operations chain of SqlExactRunner deletes
+// a, b or both, so each row has CP 1/3; SqlApproxRunner keeps one tuple
+// per key group (uniform repairs), so each row has frequency ≈ 1/2.
+TEST(SqlRunnersTest, ExactIsUniformOperationsApproxIsUniformRepairs) {
+  Schema schema;
+  schema.AddRelation("R", 2);
+  Database db = *ParseDatabase(schema, "R(k,a). R(k,b).");
+  std::vector<TableKey> keys = {TableKey{"R", {0}}};
+  Result<SqlExactRunner> exact = SqlExactRunner::Make(db, keys);
+  ASSERT_TRUE(exact.ok());
+  Result<SqlExactResult> cp = exact->Run("SELECT c1 FROM R");
+  ASSERT_TRUE(cp.ok());
+  SqlApproxRunner approx(Catalog::FromDatabase(db), keys, /*seed=*/17);
+  Result<SqlApproxResult> freq = approx.Run("SELECT c1 FROM R", 2000);
+  ASSERT_TRUE(freq.ok());
+  for (const char* value : {"a", "b"}) {
+    EXPECT_EQ(cp->Probability(MakeRow({value})), Rational(1, 3)) << value;
+    EXPECT_NEAR(freq->Frequency(MakeRow({value})), 0.5, 0.05) << value;
+  }
 }
 
 // ---------------------------------------------------------------------
