@@ -1,5 +1,6 @@
 #include "logic/formula_parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <set>
 
@@ -390,6 +391,11 @@ Result<Query> ParseQuery(const Schema& schema, std::string_view text) {
     if (!IsIdentifier(trimmed)) {
       return Status::InvalidArgument(
           StrCat("invalid head variable: ", trimmed));
+    }
+    if (std::find(var_names.begin(), var_names.end(), trimmed) !=
+        var_names.end()) {
+      return Status::InvalidArgument(
+          StrCat("duplicate head variable: ", trimmed));
     }
     var_names.push_back(trimmed);
     head_vars.push_back(Var(trimmed));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <tuple>
 
 #include "util/hash.h"
 
@@ -291,51 +290,18 @@ void TranspositionTable::RestoreEntry(
   EmplaceEntry(stripe, std::move(entry));
 }
 
-void TranspositionTable::ForEach(
-    const std::function<void(const std::vector<FactId>& removed,
-                             const ViolationSet& eliminated,
-                             const MemoOutcome& outcome)>& fn) const {
+std::vector<TranspositionTable::EntryCopy> TranspositionTable::Entries(
+    uint64_t since, uint64_t upto) const {
+  std::vector<EntryCopy> entries;
   for (const Stripe& stripe : stripes_) {
-    // Copy the stripe's payloads out under the lock, run the (possibly
-    // slow — snapshot serialization) callback outside it, so concurrent
-    // Lookup/Insert wait microseconds, not the whole encode. Outcomes
-    // are immutable shared_ptrs, so the copies stay consistent.
-    std::vector<std::tuple<std::vector<FactId>, ViolationSet,
-                           std::shared_ptr<const MemoOutcome>>>
-        entries;
-    {
-      std::lock_guard<std::mutex> lock(stripe.mutex);
-      entries.reserve(stripe.map.size());
-      for (const auto& [combined, entry] : stripe.map) {
-        entries.emplace_back(entry.removed, entry.eliminated, entry.outcome);
-      }
-    }
-    for (const auto& [removed, eliminated, outcome] : entries) {
-      fn(removed, eliminated, *outcome);
+    std::lock_guard<std::mutex> lock(stripe.mutex);
+    for (const auto& [combined, entry] : stripe.map) {
+      if (entry.sequence <= since || entry.sequence > upto) continue;
+      entries.push_back(
+          EntryCopy{entry.removed, entry.eliminated, entry.outcome});
     }
   }
-}
-
-void TranspositionTable::ForEachSince(
-    uint64_t since, uint64_t upto,
-    const std::function<void(const std::vector<FactId>& removed,
-                             const ViolationSet& eliminated,
-                             const MemoOutcome& outcome)>& fn) const {
-  for (const Stripe& stripe : stripes_) {
-    std::vector<std::tuple<std::vector<FactId>, ViolationSet,
-                           std::shared_ptr<const MemoOutcome>>>
-        entries;
-    {
-      std::lock_guard<std::mutex> lock(stripe.mutex);
-      for (const auto& [combined, entry] : stripe.map) {
-        if (entry.sequence <= since || entry.sequence > upto) continue;
-        entries.emplace_back(entry.removed, entry.eliminated, entry.outcome);
-      }
-    }
-    for (const auto& [removed, eliminated, outcome] : entries) {
-      fn(removed, eliminated, *outcome);
-    }
-  }
+  return entries;
 }
 
 }  // namespace opcqa

@@ -90,7 +90,7 @@
 #define OPCQA_REPAIR_MEMO_H_
 
 #include <atomic>
-#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -271,14 +271,6 @@ class TranspositionTable {
                     ViolationSet eliminated,
                     std::shared_ptr<const MemoOutcome> outcome);
 
-  /// Invokes `fn` on a point-in-time view of every entry, one stripe at a
-  /// time (safe concurrently with Lookup/Insert; entries inserted during
-  /// the sweep may or may not be seen). The spill path of the disk tier.
-  void ForEach(
-      const std::function<void(const std::vector<FactId>& removed,
-                               const ViolationSet& eliminated,
-                               const MemoOutcome& outcome)>& fn) const;
-
   /// Monotone admission clock: every entry that wins residency (Insert
   /// past the filter, or RestoreEntry) is stamped with the next tick.
   /// `sequence()` is the newest stamp handed out — the high-water mark a
@@ -288,18 +280,25 @@ class TranspositionTable {
     return sequence_.load(std::memory_order_relaxed);
   }
 
-  /// ForEach restricted to entries stamped in (since, upto] — the
-  /// still-resident entries admitted after a previous spill captured
-  /// `since` and before this spill captured `upto = sequence()`. Entries
-  /// admitted mid-sweep carry stamps > upto and are excluded, so the view
-  /// is a consistent delta even under concurrent inserts. An entry both
-  /// admitted and evicted inside the window is simply absent (sound: the
-  /// disk tier only ever under-remembers, never mis-remembers).
-  void ForEachSince(
-      uint64_t since, uint64_t upto,
-      const std::function<void(const std::vector<FactId>& removed,
-                               const ViolationSet& eliminated,
-                               const MemoOutcome& outcome)>& fn) const;
+  /// One entry copied out of the table: the spill path's view.
+  struct EntryCopy {
+    std::vector<FactId> removed;
+    ViolationSet eliminated;
+    std::shared_ptr<const MemoOutcome> outcome;  // immutable, shared
+  };
+
+  /// Copies the entries stamped in (since, upto], one stripe at a time
+  /// under its lock (safe concurrently with Lookup/Insert). The defaults
+  /// take every entry — a base snapshot. A delta spill passes the window
+  /// between a previous spill's `since = sequence()` and its own
+  /// `upto = sequence()`: entries admitted mid-sweep carry stamps > upto
+  /// and are excluded, so the view is a consistent delta even under
+  /// concurrent inserts. An entry both admitted and evicted inside the
+  /// window is simply absent (sound: the disk tier only ever
+  /// under-remembers, never mis-remembers).
+  std::vector<EntryCopy> Entries(
+      uint64_t since = 0,
+      uint64_t upto = std::numeric_limits<uint64_t>::max()) const;
 
   size_t size() const { return stats().entries; }
   MemoStats stats() const { return stats_.Load(); }
@@ -319,7 +318,7 @@ class TranspositionTable {
     /// Second-chance credits: decremented by the eviction sweep, evicted
     /// at zero, refreshed to the cost tier on every verified hit.
     uint8_t chances = 0;
-    /// Admission stamp from sequence_ (see ForEachSince).
+    /// Admission stamp from sequence_ (see Entries).
     uint64_t sequence = 0;
     size_t entry_bytes = 0;    // cached EntryBytes(*this)
     size_t payload_bytes = 0;  // cached delta-payload share of entry_bytes

@@ -123,7 +123,7 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
   std::shared_ptr<TranspositionTable> table = restored.table;
   if (table == nullptr) {
     table = std::make_shared<TranspositionTable>(
-        options_.max_entries_per_root, options_.max_bytes_per_root);
+        TranspositionTable::kDefaultMaxEntries, options_.max_bytes_per_root);
     table->SetRootShape(db.size(), db.schema().size());
     // Only persistent tables filter admissions: single-visit subtrees go
     // through a probational set instead of churning the eviction sweep
@@ -265,7 +265,7 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
   }
   Result<std::shared_ptr<TranspositionTable>> decoded =
       storage::DecodeSnapshot(*bytes, expected, db, constraints,
-                              options_.max_entries_per_root,
+                              TranspositionTable::kDefaultMaxEntries,
                               options_.max_bytes_per_root);
   if (!decoded.ok()) {
     disk_.Add<&DiskTierStats::rejected_snapshots>();

@@ -54,7 +54,7 @@
 //
 //   * Delta spills. Once a root's base snapshot exists, a spill appends
 //     only the entries stamped since the last spill (the memo's
-//     admission-sequence clock, TranspositionTable::ForEachSince) as one
+//     admission-sequence clock, TranspositionTable::Entries) as one
 //     CRC-framed record to the root's delta log, instead of rewriting
 //     the whole base. The log compacts back into a fresh base once it
 //     outgrows `log_compaction_ratio` of the base (and after any append
@@ -87,9 +87,9 @@
 namespace opcqa {
 
 struct RepairCacheOptions {
-  /// Per-root transposition-table budgets (repair/memo.h eviction).
-  size_t max_entries_per_root = TranspositionTable::kDefaultMaxEntries;
-  /// 0 disables the per-root byte budget.
+  /// Per-root transposition-table byte budget (repair/memo.h eviction;
+  /// the entry budget is TranspositionTable::kDefaultMaxEntries). 0
+  /// disables it.
   size_t max_bytes_per_root = 0;
   /// Distinct (database, constraints, generator) roots kept live; the
   /// least-recently-used root is dropped beyond this.

@@ -20,34 +20,46 @@ namespace {
 // Aggregation map: frozen repair database → (mass, #sequences).
 using AggregateMap = std::map<Database, std::pair<Rational, size_t>>;
 
-// Partial result of walking one subtree (or the whole tree, serially).
-// Counters mirror EnumerationResult; `hit_cap` reports that the walker's
-// local state budget ran out mid-subtree.
-struct SubtreeResult {
-  AggregateMap aggregated;
-  Rational success_mass;
-  Rational failing_mass;
-  size_t states_visited = 0;
-  size_t absorbing_states = 0;
-  size_t successful_sequences = 0;
-  size_t failing_sequences = 0;
-  size_t max_depth = 0;
-  bool hit_cap = false;
-  // Some successful leaf added a fact (its repair is not a subset of D).
-  bool added_facts = false;
-};
+// Sorts the aggregated repairs into the result (most probable first, ties
+// by database order) and builds the binary-search index for ProbabilityOf.
+void Assemble(AggregateMap&& aggregated, EnumerationResult* result) {
+  result->repairs.reserve(aggregated.size());
+  for (auto& [repair, info] : aggregated) {
+    result->repairs.push_back(RepairInfo{repair, info.first, info.second});
+  }
+  std::sort(result->repairs.begin(), result->repairs.end(),
+            [](const RepairInfo& a, const RepairInfo& b) {
+              int cmp = a.probability.Compare(b.probability);
+              if (cmp != 0) return cmp > 0;
+              return a.repair < b.repair;
+            });
+  result->repairs_by_database.resize(result->repairs.size());
+  std::iota(result->repairs_by_database.begin(),
+            result->repairs_by_database.end(), 0u);
+  std::sort(result->repairs_by_database.begin(),
+            result->repairs_by_database.end(),
+            [&](uint32_t a, uint32_t b) {
+              return result->repairs[a].repair < result->repairs[b].repair;
+            });
+}
 
 // Delta-based DFS over one subtree: one state is threaded through the whole
 // subtree with apply → recurse → revert instead of copying it per branch.
-// `budget` bounds states_visited exactly like the serial enumerator's
-// global max_states check (the state that exceeds the budget is counted but
-// not expanded), so re-walking a branch with the serially-remaining budget
-// reproduces serial truncation byte-for-byte. `shared_budget`, when given,
-// additionally caps the *aggregate* states claimed by all concurrent
-// walkers: once the whole enumeration is certainly truncating, speculative
-// branches stop early instead of each burning a full budget. A shared-cap
-// bail sets hit_cap, which only routes the branch to the deterministic
-// serial re-walk — it never changes the merged result.
+// `budget` bounds states_visited exactly like a global max_states check
+// (the state that exceeds the budget is counted but not expanded, and the
+// walk stops with out_.truncated set), so re-walking a branch with the
+// serially-remaining budget reproduces serial truncation byte-for-byte.
+//
+// With threads > 1 the root frame fans its children out (FanOut): each
+// child subtree is walked speculatively by its own walker on a forked
+// state, and the partial results are merged in extension order. Every
+// other step — memo lookup, budget check, frame bookkeeping — is the one
+// Visit runs for any state, so the root is recorded in the memo at every
+// thread count. `shared_budget`, given to the speculative walkers, caps
+// the *aggregate* states they claim: once the whole enumeration is
+// certainly truncating, speculative branches stop early instead of each
+// burning a full budget. A capped branch is only re-walked serially — it
+// never changes the merged result.
 //
 // With a TranspositionTable the walker memoizes: a state whose completed
 // subtree outcome is already recorded is *replayed* — all counters advance
@@ -64,18 +76,21 @@ class SubtreeWalker {
  public:
   SubtreeWalker(const ChainGenerator& generator,
                 const EnumerationOptions& options, size_t budget,
-                TranspositionTable* memo,
+                TranspositionTable* memo, size_t threads = 1,
                 std::atomic<size_t>* shared_budget = nullptr)
       : generator_(generator),
         options_(options),
         budget_(budget),
         memo_(memo),
-        shared_budget_(shared_budget) {}
+        threads_(threads),
+        shared_budget_(shared_budget) {
+    out_.deletion_only = true;  // until a successful leaf adds a fact
+  }
 
   /// Returns the depth of the subtree below `state` (0 when absorbing);
-  /// the value is meaningless after a cap bail.
+  /// the value is meaningless after truncation.
   size_t Visit(RepairingState& state, const Rational& mass) {
-    if (out_.hit_cap) return 0;
+    if (out_.truncated) return 0;
     StateKey key;
     if (memo_ != nullptr) {
       key = KeyOf(state);
@@ -88,13 +103,13 @@ class SubtreeWalker {
     if (memo_ != nullptr) frame = OpenFrame();
     ++out_.states_visited;
     if (out_.states_visited > budget_) {
-      out_.hit_cap = true;
+      out_.truncated = true;
       return 0;
     }
     if (shared_budget_ != nullptr &&
         shared_budget_->fetch_add(1, std::memory_order_relaxed) >=
             options_.max_states) {
-      out_.hit_cap = true;
+      out_.truncated = true;
       return 0;
     }
     out_.max_depth = std::max(out_.max_depth, state.depth());
@@ -106,9 +121,9 @@ class SubtreeWalker {
       if (state.IsConsistent()) {
         ++out_.successful_sequences;
         out_.success_mass += mass;
-        if (!state.added().empty()) out_.added_facts = true;
+        if (!state.added().empty()) out_.deletion_only = false;
         // try_emplace freezes the key by copying on first insert.
-        auto [it, inserted] = out_.aggregated.try_emplace(state.current());
+        auto [it, inserted] = aggregated_.try_emplace(state.current());
         it->second.first += mass;
         it->second.second += 1;
         if (memo_ != nullptr) log_.push_back(LeafShare{&it->first, mass, 1});
@@ -123,25 +138,30 @@ class SubtreeWalker {
       }
       std::vector<Rational>& probs = probs_by_depth_[state.depth()];
       CheckedProbabilities(generator_, state, extensions, &probs);
-      for (size_t i = 0; i < extensions.size(); ++i) {
-        if (options_.prune_zero_probability && probs[i].is_zero()) continue;
-        state.ApplyTrusted(extensions[i]);
-        size_t below = Visit(state, mass * probs[i]);
-        state.Revert();
-        if (out_.hit_cap) return 0;
-        depth_below = std::max(depth_below, below + 1);
+      if (threads_ > 1 && state.depth() == 0) {
+        FanOut(state, extensions, probs, mass, &depth_below);
+      } else {
+        for (size_t i = 0; i < extensions.size() && !out_.truncated; ++i) {
+          if (!Pruned(probs[i])) {
+            Descend(state, extensions[i], mass * probs[i], &depth_below);
+          }
+        }
       }
+      if (out_.truncated) return 0;
     }
     if (memo_ != nullptr) CloseFrame(key, state, mass, frame, depth_below);
     return depth_below;
   }
 
-  SubtreeResult Take() { return std::move(out_); }
+  EnumerationResult Take() && {
+    Assemble(std::move(aggregated_), &out_);
+    return std::move(out_);
+  }
 
  private:
   // One logged leaf contribution: the frozen repair (a stable pointer into
-  // out_.aggregated — std::map nodes never move) with the absolute mass
-  // and sequence count it received.
+  // aggregated_ — std::map nodes never move) with the absolute mass and
+  // sequence count it received.
   struct LeafShare {
     const Database* repair;
     Rational mass;
@@ -159,6 +179,92 @@ class SubtreeWalker {
     Rational success_mass;
     Rational failing_mass;
   };
+
+  // A speculative child walk and the depth it reported.
+  struct Branch {
+    std::unique_ptr<SubtreeWalker> walker;
+    size_t depth_below = 0;
+  };
+
+  // Zero-probability edges are unreachable in the chain.
+  bool Pruned(const Rational& probability) const {
+    return options_.prune_zero_probability && probability.is_zero();
+  }
+
+  // Walks the child `op` leads to and folds its depth into *depth_below.
+  void Descend(RepairingState& state, const Operation& op,
+               const Rational& mass, size_t* depth_below) {
+    state.ApplyTrusted(op);
+    size_t below = Visit(state, mass);
+    state.Revert();
+    *depth_below = std::max(*depth_below, below + 1);
+  }
+
+  // The parallel root frame. Speculative pass: every branch walks its
+  // subtree on its own forked state, all of them sharing the memo and the
+  // aggregate budget. Merge pass, in extension order: a branch whose full
+  // count fits the serially-remaining budget is absorbed as-is; a branch
+  // that was capped or does not fit is walked again by this walker with
+  // exactly that remaining budget — the serial loop — which reproduces
+  // serial truncation byte-for-byte. Once it truncates, the serial walk
+  // would have stopped: later branches were never reached.
+  void FanOut(RepairingState& state, const std::vector<Operation>& extensions,
+              const std::vector<Rational>& probs, const Rational& mass,
+              size_t* depth_below) {
+    std::vector<size_t> branches;
+    for (size_t i = 0; i < extensions.size(); ++i) {
+      if (!Pruned(probs[i])) branches.push_back(i);
+    }
+    std::atomic<size_t> shared_budget{out_.states_visited};
+    size_t speculative_budget = budget_ - out_.states_visited;
+    std::vector<Branch> partials =
+        ParallelMap<Branch>(branches.size(), threads_, [&](size_t k) {
+          RepairingState child = state.Fork();
+          child.ApplyTrusted(extensions[branches[k]]);
+          Branch branch{std::make_unique<SubtreeWalker>(
+              generator_, options_, speculative_budget, memo_,
+              /*threads=*/1, &shared_budget)};
+          branch.depth_below =
+              branch.walker->Visit(child, mass * probs[branches[k]]);
+          return branch;
+        });
+    for (size_t k = 0; k < branches.size(); ++k) {
+      const SubtreeWalker& walker = *partials[k].walker;
+      if (!walker.out_.truncated &&
+          walker.out_.states_visited <= budget_ - out_.states_visited) {
+        Absorb(walker);
+        *depth_below = std::max(*depth_below, partials[k].depth_below + 1);
+        continue;
+      }
+      size_t i = branches[k];
+      Descend(state, extensions[i], mass * probs[i], depth_below);
+      if (out_.truncated) return;
+    }
+  }
+
+  // Adds a completed child walk to this walker's counters, aggregation map
+  // and leaf log (its log points into its own map, so it is remapped onto
+  // this walker's nodes). Rational sums are exact, so absorbing in
+  // extension order yields the serial walk's values.
+  void Absorb(const SubtreeWalker& child) {
+    out_.states_visited += child.out_.states_visited;
+    out_.absorbing_states += child.out_.absorbing_states;
+    out_.successful_sequences += child.out_.successful_sequences;
+    out_.failing_sequences += child.out_.failing_sequences;
+    out_.success_mass += child.out_.success_mass;
+    out_.failing_mass += child.out_.failing_mass;
+    out_.max_depth = std::max(out_.max_depth, child.out_.max_depth);
+    out_.deletion_only = out_.deletion_only && child.out_.deletion_only;
+    for (const auto& [repair, info] : child.aggregated_) {
+      auto [it, inserted] = aggregated_.try_emplace(repair);
+      it->second.first += info.first;
+      it->second.second += info.second;
+    }
+    for (const LeafShare& share : child.log_) {
+      log_.push_back(LeafShare{&aggregated_.find(*share.repair)->first,
+                               share.mass, share.sequences});
+    }
+  }
 
   Frame OpenFrame() const {
     Frame frame;
@@ -194,7 +300,7 @@ class SubtreeWalker {
       // reconstruct the repair from the live database — the same id-vector
       // copy the aggregation key needed under full-payload storage.
       auto [it, inserted] =
-          out_.aggregated.try_emplace(ReconstructRepair(state, share));
+          aggregated_.try_emplace(ReconstructRepair(state, share));
       Rational contribution = share.mass * mass;
       it->second.first += contribution;
       it->second.second += share.num_sequences;
@@ -281,165 +387,15 @@ class SubtreeWalker {
   const EnumerationOptions& options_;
   size_t budget_;
   TranspositionTable* memo_;
+  size_t threads_;
   std::atomic<size_t>* shared_budget_;
-  SubtreeResult out_;
+  EnumerationResult out_;  // counters; repairs are assembled by Take()
+  AggregateMap aggregated_;
   std::vector<LeafShare> log_;  // only populated when memo_ != nullptr
   // Probability buffers indexed by state depth; a deque so growing it
   // below a frame leaves that frame's buffer in place.
   std::deque<std::vector<Rational>> probs_by_depth_;
 };
-
-// Accumulates a subtree's counters and aggregation map into the merged
-// whole-tree result. Rational sums are exact, so accumulation in root-branch
-// index order yields the same values as the serial DFS order.
-void Accumulate(SubtreeResult&& partial, EnumerationResult* result,
-                AggregateMap* aggregated) {
-  result->states_visited += partial.states_visited;
-  result->absorbing_states += partial.absorbing_states;
-  result->successful_sequences += partial.successful_sequences;
-  result->failing_sequences += partial.failing_sequences;
-  result->success_mass += partial.success_mass;
-  result->failing_mass += partial.failing_mass;
-  result->max_depth = std::max(result->max_depth, partial.max_depth);
-  if (partial.added_facts) result->deletion_only = false;
-  for (auto& [repair, info] : partial.aggregated) {
-    auto& slot = (*aggregated)[repair];
-    slot.first += info.first;
-    slot.second += info.second;
-  }
-}
-
-// Sorts the aggregated repairs into the result (most probable first, ties
-// by database order) and builds the binary-search index for ProbabilityOf.
-void Assemble(AggregateMap&& aggregated, EnumerationResult* result) {
-  result->repairs.reserve(aggregated.size());
-  for (auto& [repair, info] : aggregated) {
-    result->repairs.push_back(RepairInfo{repair, info.first, info.second});
-  }
-  std::sort(result->repairs.begin(), result->repairs.end(),
-            [](const RepairInfo& a, const RepairInfo& b) {
-              int cmp = a.probability.Compare(b.probability);
-              if (cmp != 0) return cmp > 0;
-              return a.repair < b.repair;
-            });
-  result->repairs_by_database.resize(result->repairs.size());
-  std::iota(result->repairs_by_database.begin(),
-            result->repairs_by_database.end(), 0u);
-  std::sort(result->repairs_by_database.begin(),
-            result->repairs_by_database.end(),
-            [&](uint32_t a, uint32_t b) {
-              return result->repairs[a].repair < result->repairs[b].repair;
-            });
-}
-
-// One branch of the root: extension index (for probabilities) and the
-// operation to apply on a fork of the root state.
-struct RootBranch {
-  size_t extension_index;
-  Rational mass;  // edge probability out of ε
-};
-
-EnumerationResult EnumerateSerial(RepairingState& root,
-                                  const ChainGenerator& generator,
-                                  const EnumerationOptions& options,
-                                  TranspositionTable* memo) {
-  SubtreeWalker walker(generator, options, options.max_states, memo);
-  walker.Visit(root, Rational(1));
-  SubtreeResult partial = walker.Take();
-  EnumerationResult result;
-  result.truncated = partial.hit_cap;
-  result.deletion_only = true;  // until a branch reports an addition
-  AggregateMap aggregated;
-  Accumulate(std::move(partial), &result, &aggregated);
-  Assemble(std::move(aggregated), &result);
-  return result;
-}
-
-EnumerationResult EnumerateParallel(RepairingState& root,
-                                    const ChainGenerator& generator,
-                                    const EnumerationOptions& options,
-                                    size_t threads,
-                                    TranspositionTable* memo) {
-  // Replicate the serial root frame: count ε, then branch.
-  EnumerationResult result;
-  result.deletion_only = true;  // until a branch reports an addition
-  result.states_visited = 1;
-  if (result.states_visited > options.max_states) {
-    result.truncated = true;
-    Assemble(AggregateMap(), &result);
-    return result;
-  }
-  std::vector<Operation> extensions = root.ValidExtensions();
-  if (extensions.empty()) {
-    // Absorbing root: ε is already complete.
-    result.absorbing_states = 1;
-    AggregateMap aggregated;
-    if (root.IsConsistent()) {
-      result.successful_sequences = 1;
-      result.success_mass = Rational(1);
-      aggregated[root.current()] = {Rational(1), 1};
-    } else {
-      result.failing_sequences = 1;
-      result.failing_mass = Rational(1);
-    }
-    Assemble(std::move(aggregated), &result);
-    return result;
-  }
-  std::vector<Rational> probs;
-  CheckedProbabilities(generator, root, extensions, &probs);
-  std::vector<RootBranch> branches;
-  branches.reserve(extensions.size());
-  for (size_t i = 0; i < extensions.size(); ++i) {
-    if (options.prune_zero_probability && probs[i].is_zero()) continue;
-    branches.push_back(RootBranch{i, probs[i]});
-  }
-  // Speculative pass: every branch walks its subtree on its own forked
-  // state. Work is claimed dynamically, results land at branch index. Two
-  // caps bound the speculation: per-branch max_states (the largest budget
-  // any branch could be entitled to) and the shared aggregate budget, which
-  // keeps a truncating enumeration near ~max_states total states instead of
-  // letting every branch burn a full budget.
-  std::atomic<size_t> shared_budget{result.states_visited};  // root counted
-  std::vector<SubtreeResult> partials =
-      ParallelMap<SubtreeResult>(branches.size(), threads, [&](size_t k) {
-        RepairingState state = root.Fork();
-        state.ApplyTrusted(extensions[branches[k].extension_index]);
-        // All workers share one striped-lock transposition table; entry
-        // values are functions of their keys, so cross-worker hits are
-        // deterministic in effect regardless of which worker published.
-        SubtreeWalker walker(generator, options, options.max_states, memo,
-                             &shared_budget);
-        walker.Visit(state, branches[k].mass);
-        return walker.Take();
-      });
-  // Deterministic budget replay in branch order: a branch whose full count
-  // fits the serially-remaining budget is merged as-is; a branch that was
-  // capped (by its own or the shared budget) or does not fit is re-walked
-  // serially with exactly the remaining budget, reproducing serial
-  // truncation byte-for-byte. Once a re-walk truncates, the serial
-  // enumerator would have stopped — later branches were never reached.
-  AggregateMap aggregated;
-  for (size_t k = 0; k < branches.size(); ++k) {
-    size_t budget_left = options.max_states - result.states_visited;
-    if (!partials[k].hit_cap && partials[k].states_visited <= budget_left) {
-      Accumulate(std::move(partials[k]), &result, &aggregated);
-      continue;
-    }
-    RepairingState state = root.Fork();
-    state.ApplyTrusted(extensions[branches[k].extension_index]);
-    SubtreeWalker walker(generator, options, budget_left, memo);
-    walker.Visit(state, branches[k].mass);
-    SubtreeResult rewalked = walker.Take();
-    bool truncated_here = rewalked.hit_cap;
-    Accumulate(std::move(rewalked), &result, &aggregated);
-    if (truncated_here) {
-      result.truncated = true;
-      break;
-    }
-  }
-  Assemble(std::move(aggregated), &result);
-  return result;
-}
 
 }  // namespace
 
@@ -491,10 +447,10 @@ EnumerationResult EnumerateRepairs(const Database& db,
   MemoStats stats_before;
   if (memo != nullptr) stats_before = memo->stats();
   size_t threads = options.threads == 0 ? DefaultThreads() : options.threads;
-  EnumerationResult result =
-      threads > 1
-          ? EnumerateParallel(root, generator, options, threads, memo.get())
-          : EnumerateSerial(root, generator, options, memo.get());
+  SubtreeWalker walker(generator, options, options.max_states, memo.get(),
+                       threads);
+  walker.Visit(root, Rational(1));
+  EnumerationResult result = std::move(walker).Take();
   // Per-call view: counters accrued by this enumeration even when the
   // table is shared and outlives the call.
   if (memo != nullptr) {

@@ -11,16 +11,18 @@
 // This is the FP#P-hard exact computation (Theorem 5); a node budget guards
 // against runaway instances and reports truncation honestly.
 //
-// With options.threads > 1 the root's extension set is partitioned across
-// workers: each worker forks its own delta-based RepairingState, applies
-// one root extension and runs the same DFS on that subtree; per-branch
-// results are merged in root-extension (index) order. Exact rational
-// arithmetic makes the merged masses equal to the serial sums, and the
-// max_states budget is replayed deterministically against per-branch state
-// counts (re-walking at most the one branch the budget ends inside), so the
-// result — including the truncation path — is byte-identical to a serial
-// run for every thread count. Generators must be safe for concurrent
-// Probabilities() calls (all built-ins are; they are logically const).
+// The walk is one depth-first pass from ε at every thread count. With
+// options.threads > 1 only the root frame changes: its children are walked
+// speculatively in parallel, each on a forked delta-based RepairingState,
+// and merged in root-extension (index) order. Exact rational arithmetic
+// makes the merged masses equal to the serial sums, and the max_states
+// budget is replayed deterministically against per-branch state counts
+// (the root walks again, serially, at most the one branch the budget ends
+// inside), so the result — including the truncation path — is
+// byte-identical to a serial run for every thread count. The root is
+// looked up in and recorded into the memo like any other state.
+// Generators must be safe for concurrent Probabilities() calls (all
+// built-ins are; they are logically const).
 
 #ifndef OPCQA_REPAIR_REPAIR_ENUMERATOR_H_
 #define OPCQA_REPAIR_REPAIR_ENUMERATOR_H_
@@ -43,8 +45,10 @@ struct EnumerationOptions {
   size_t max_states = 1u << 22;
   /// Skip zero-probability edges (they are unreachable in the chain).
   bool prune_zero_probability = true;
-  /// Worker threads sharing the enumeration (root-branch sharding);
-  /// 0 means DefaultThreads(). Results are identical for every value.
+  /// Worker threads for the root's children (0 means DefaultThreads());
+  /// every deeper state is walked serially by the thread that reached it.
+  /// Results, and the memo entries the walk records, are identical for
+  /// every value.
   size_t threads = 1;
   /// Collapse shared suffixes with a transposition table (repair/memo.h):
   /// sequences reaching the same (database, eliminated-set) state compute
@@ -103,8 +107,9 @@ struct EnumerationResult {
   /// results, which are then scored by Query::Evaluate.
   bool deletion_only = false;
   /// Transposition-table counters (all zero when memoization was off or
-  /// not applicable). Purely observational — hit patterns vary with
-  /// thread scheduling while results never do.
+  /// not applicable). Purely observational: with threads > 1 the root's
+  /// children race for the shared table, so hit and miss counts vary
+  /// with scheduling while results never do.
   MemoStats memo_stats;
 
   /// Indices into `repairs` in database (value) order, built by

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "constraints/constraint_parser.h"
+#include "sql/executor.h"
 #include "sql/parser.h"
 #include "util/string_util.h"
 
@@ -280,6 +281,13 @@ std::optional<Query> TranslateToConjunctive(const Statement& statement,
       *why = "output column pinned to a constant";
       return std::nullopt;
     }
+    // A CQ head lists distinct variables; a repeated output column (or
+    // two columns equated by WHERE) would need a repeated one.
+    if (std::find(head.begin(), head.end(), term.var()) != head.end()) {
+      *why = StrCat("output column ", operand.ToString(),
+                    " repeats head variable ", VarName(term.var()));
+      return std::nullopt;
+    }
     head.push_back(term.var());
   }
 
@@ -332,8 +340,7 @@ Result<SqlExactResult> SqlExactRunner::Run(std::string_view sql) {
   // Validate the statement (and learn its output columns) against the
   // dirty database before paying for the enumeration.
   Catalog dirty_catalog = Catalog::FromDatabase(db_);
-  Result<engine::Relation> dirty_run =
-      Execute(**statement, dirty_catalog, options_.exec);
+  Result<engine::Relation> dirty_run = Execute(**statement, dirty_catalog);
   if (!dirty_run.ok()) return dirty_run.status();
 
   EnumerationOptions enum_options = options_.enumeration;
@@ -355,8 +362,7 @@ Result<SqlExactResult> SqlExactRunner::Run(std::string_view sql) {
 
   for (const RepairInfo& info : enumeration.repairs) {
     Catalog catalog = Catalog::FromDatabase(info.repair);
-    Result<engine::Relation> evaluated =
-        Execute(**statement, catalog, options_.exec);
+    Result<engine::Relation> evaluated = Execute(**statement, catalog);
     if (!evaluated.ok()) return evaluated.status();
     for (const engine::Row& row : evaluated->rows()) {
       result.probability[row] += info.probability;
@@ -372,8 +378,7 @@ Result<SqlCertainResult> SqlExactRunner::RunCertain(std::string_view sql) {
   Result<StatementPtr> statement = Parse(sql);
   if (!statement.ok()) return statement.status();
   Catalog dirty_catalog = Catalog::FromDatabase(db_);
-  Result<engine::Relation> dirty_run =
-      Execute(**statement, dirty_catalog, options_.exec);
+  Result<engine::Relation> dirty_run = Execute(**statement, dirty_catalog);
   if (!dirty_run.ok()) return dirty_run.status();
 
   SqlCertainResult result;
@@ -422,8 +427,7 @@ Result<SqlCertainResult> SqlExactRunner::RunCertain(std::string_view sql) {
   bool first = true;
   for (const RepairInfo& info : enumeration.repairs) {
     Result<engine::Relation> evaluated =
-        Execute(**statement, Catalog::FromDatabase(info.repair),
-                options_.exec);
+        Execute(**statement, Catalog::FromDatabase(info.repair));
     if (!evaluated.ok()) return evaluated.status();
     std::set<engine::Row> rows(evaluated->rows().begin(),
                                evaluated->rows().end());

@@ -31,7 +31,6 @@
 #include "repair/repair_enumerator.h"
 #include "sql/approx_runner.h"
 #include "sql/catalog.h"
-#include "sql/executor.h"
 #include "util/rational.h"
 
 namespace opcqa {
@@ -43,7 +42,6 @@ struct SqlExactOptions {
   EnumerationOptions enumeration;
   /// Budgets of the owned RepairSpaceCache.
   RepairCacheOptions cache;
-  ExecOptions exec;
   /// Backend dispatch for RunCertain() (see planner/planner.h). Run()
   /// always walks — only certainty has a rewriting.
   planner::PlanMode plan = planner::PlanMode::kAuto;

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "logic/term.h"
 #include "relational/symbol_table.h"
 #include "util/hash.h"
+#include "util/string_util.h"
 
 namespace opcqa {
 namespace storage {
@@ -258,15 +258,33 @@ std::vector<uint32_t> RemovedIndices(const std::vector<FactId>& removed,
 /// Varint count, then the first index followed by gap-1 codes — a
 /// strictly ascending set's gaps are >= 1, so the subtraction frees the
 /// common dense-range case into single-byte varints.
-void EncodeRemoved(Writer* writer, const std::vector<FactId>& removed,
-                   const FactIndexMap& index_of) {
-  std::vector<uint32_t> indices = RemovedIndices(removed, index_of);
+void EncodeIndices(Writer* writer, const std::vector<uint32_t>& indices) {
   writer->Var(indices.size());
   uint32_t previous = 0;
   for (size_t i = 0; i < indices.size(); ++i) {
     writer->Var(i == 0 ? indices[0] : indices[i] - previous - 1);
     previous = indices[i];
   }
+}
+
+/// An eliminated set rendered without process-local ids: each violation
+/// as "constraint:var=value,..." over its bindings in name order, the
+/// violations sorted and ';'-joined. The tie-break of the canonical
+/// entry order.
+std::string RenderEliminated(const ViolationSet& eliminated) {
+  std::vector<std::string> violations;
+  violations.reserve(eliminated.size());
+  for (const Violation& violation : eliminated) {
+    std::vector<std::string> bindings;
+    for (const auto& [var, value] : violation.h.bindings()) {
+      bindings.push_back(StrCat(VarName(var), "=", ConstName(value)));
+    }
+    std::sort(bindings.begin(), bindings.end());
+    violations.push_back(
+        StrCat(violation.constraint_index, ":", Join(bindings, ",")));
+  }
+  std::sort(violations.begin(), violations.end());
+  return Join(violations, ";");
 }
 
 void EncodeViolation(Writer* writer, const Violation& violation,
@@ -393,38 +411,48 @@ Status VerifyIdentityPayload(const char* data, size_t size,
 // Entry payloads
 // ---------------------------------------------------------------------
 
-/// Runs a per-entry callback over some subset of a table (ForEach or a
-/// ForEachSince window) — the seam between full snapshots and delta
-/// records, which share one entry encoding.
-using EntryEnumerator = std::function<void(
-    const std::function<void(const std::vector<FactId>& removed,
-                             const ViolationSet& eliminated,
-                             const MemoOutcome& outcome)>&)>;
-
-std::string EncodeEntriesPayload(const Database& root_db,
-                                 const EntryEnumerator& for_each,
-                                 size_t* entry_count_out) {
+/// Encodes `entries` in canonical order: ascending removed-index set
+/// (lexicographic; the root's empty set first), then rendered eliminated
+/// set. Equal entry sets thus give equal bytes — the streaming string
+/// dictionary included — whatever order the table was filled in.
+std::string EncodeEntriesPayload(
+    const Database& root_db,
+    const std::vector<TranspositionTable::EntryCopy>& entries) {
   std::vector<FactId> dictionary = Dictionary(root_db);
   FactIndexMap index_of = IndexOf(dictionary);
+  struct Keyed {
+    std::vector<uint32_t> removed;
+    const TranspositionTable::EntryCopy* entry;
+  };
+  std::vector<Keyed> order;
+  order.reserve(entries.size());
+  for (const TranspositionTable::EntryCopy& entry : entries) {
+    order.push_back(Keyed{RemovedIndices(entry.removed, index_of), &entry});
+  }
+  // Entries sharing a removed set are rare, so the eliminated sets are
+  // rendered only to break those ties.
+  std::sort(order.begin(), order.end(), [](const Keyed& a, const Keyed& b) {
+    if (a.removed != b.removed) return a.removed < b.removed;
+    return RenderEliminated(a.entry->eliminated) <
+           RenderEliminated(b.entry->eliminated);
+  });
   std::string payload;
-  size_t entry_count = 0;
   Writer writer(&payload);
   // Fixed-width prefix (everything after is varint/dict-coded): the
-  // dictionary size pins the index space, the count is back-patched.
+  // dictionary size pins the index space.
   writer.U64(dictionary.size());
-  size_t count_pos = payload.size();
-  writer.U64(0);
+  writer.U64(order.size());
   StringDictEncoder dict;
-  for_each([&](const std::vector<FactId>& removed,
-               const ViolationSet& eliminated, const MemoOutcome& outcome) {
-    EncodeRemoved(&writer, removed, index_of);
-    writer.Var(eliminated.size());
-    for (const Violation& violation : eliminated) {
+  for (const Keyed& keyed : order) {
+    const MemoOutcome& outcome = *keyed.entry->outcome;
+    EncodeIndices(&writer, keyed.removed);
+    writer.Var(keyed.entry->eliminated.size());
+    for (const Violation& violation : keyed.entry->eliminated) {
       EncodeViolation(&writer, violation, &dict);
     }
     writer.Var(outcome.repairs.size());
     for (const MemoOutcome::RepairShare& share : outcome.repairs) {
-      EncodeRemoved(&writer, share.removed, index_of);
+      EncodeIndices(&writer, RemovedIndices(share.removed, index_of));
       dict.Write(&writer, share.mass.ToString());
       writer.Var(share.num_sequences);
     }
@@ -435,12 +463,7 @@ std::string EncodeEntriesPayload(const Database& root_db,
     writer.Var(outcome.successful_sequences);
     writer.Var(outcome.failing_sequences);
     writer.Var(outcome.depth_below);
-    ++entry_count;
-  });
-  std::string patched;
-  Writer(&patched).U64(entry_count);
-  payload.replace(count_pos, patched.size(), patched);
-  if (entry_count_out != nullptr) *entry_count_out = entry_count;
+  }
   return payload;
 }
 
@@ -568,8 +591,7 @@ uint64_t StableFingerprint(const SnapshotIdentity& identity) {
 std::string EncodeSnapshot(const SnapshotIdentity& identity,
                            const Database& root_db,
                            const TranspositionTable& table) {
-  std::string entries_payload = EncodeEntriesPayload(
-      root_db, [&table](const auto& fn) { table.ForEach(fn); }, nullptr);
+  std::string entries_payload = EncodeEntriesPayload(root_db, table.Entries());
   std::string out;
   out.append(kMagic, sizeof(kMagic));
   Writer header(&out);
@@ -647,12 +669,10 @@ std::string EncodeDeltaRecord(const Database& root_db,
                               const TranspositionTable& table,
                               uint64_t since_seq, uint64_t upto_seq,
                               size_t* entry_count) {
-  std::string payload = EncodeEntriesPayload(
-      root_db,
-      [&table, since_seq, upto_seq](const auto& fn) {
-        table.ForEachSince(since_seq, upto_seq, fn);
-      },
-      entry_count);
+  std::vector<TranspositionTable::EntryCopy> entries =
+      table.Entries(since_seq, upto_seq);
+  *entry_count = entries.size();
+  std::string payload = EncodeEntriesPayload(root_db, entries);
   std::string out;
   AppendSection(&out, kSectionDelta, payload);
   return out;

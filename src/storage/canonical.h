@@ -95,7 +95,10 @@ inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /// Serializes the table's current entries (a point-in-time view; safe
 /// while other threads keep inserting) into canonical snapshot bytes in
-/// the current format version. `root_db` must be the chain-root database
+/// the current format version. Entries are written sorted by removed
+/// set, then by rendered eliminated set (docs/SNAPSHOT_FORMAT.md), so
+/// tables holding equal entries encode to equal bytes whatever order
+/// they were inserted in. `root_db` must be the chain-root database
 /// the table memoizes under — every stored removed id must resolve in it.
 std::string EncodeSnapshot(const SnapshotIdentity& identity,
                            const Database& root_db,
@@ -125,7 +128,8 @@ Result<std::shared_ptr<TranspositionTable>> DecodeSnapshot(
 std::string EncodeDeltaLogHead(const SnapshotIdentity& identity);
 
 /// One CRC-framed delta record holding the still-resident table entries
-/// stamped in (since_seq, upto_seq] (TranspositionTable::ForEachSince).
+/// stamped in (since_seq, upto_seq] (TranspositionTable::Entries), in the
+/// canonical entry order of EncodeSnapshot.
 /// `*entry_count` gets the number of entries serialized; when it is 0 the
 /// record carries nothing and need not be appended.
 std::string EncodeDeltaRecord(const Database& root_db,

@@ -162,6 +162,28 @@ TEST(CliTest, MissingRequiredFlagsAreNamedOnStderr) {
       << run.err;
 }
 
+TEST(CliTest, RepeatedHeadVariableIsAHardFailure) {
+  // A malformed query is bad input (exit 1 with an error line), whether
+  // it comes from --query or from a --serve-trace line — never an abort.
+  CliInputs inputs;
+  std::vector<std::string> args = inputs.Args();
+  args.back() = "--query=Q(x,x) := exists y (R(x,y))";
+  CliRun run = RunCli(args, inputs);
+  EXPECT_EQ(run.exit_code, 1) << run.err;
+  EXPECT_NE(run.err.find("error:"), std::string::npos) << run.err;
+  EXPECT_NE(run.err.find("duplicate head variable: x"), std::string::npos)
+      << run.err;
+
+  std::ofstream(inputs.Path("dup.trace"))
+      << "t0 answer exact uniform 0 Q(x,x) := exists y (R(x,y))\n";
+  args.back() = "--serve-trace=" + inputs.Path("dup.trace");
+  run = RunCli(args, inputs);
+  EXPECT_EQ(run.exit_code, 1) << run.err;
+  EXPECT_NE(run.err.find("error:"), std::string::npos) << run.err;
+  EXPECT_NE(run.err.find("duplicate head variable: x"), std::string::npos)
+      << run.err;
+}
+
 TEST(CliTest, SqlModeStdoutIsPinned) {
   // --mode=sql stdout, byte for byte: the rewritten statement and the
   // per-row frequencies of the seeded R_del loop.

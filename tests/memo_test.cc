@@ -17,6 +17,7 @@
 #include "repair/ocqa.h"
 #include "repair/preference_generator.h"
 #include "repair/priority_generator.h"
+#include "repair/repair_cache.h"
 #include "repair/top_k.h"
 #include "repair/trust_generator.h"
 #include "util/hash.h"
@@ -329,6 +330,52 @@ TEST(MemoizedEnumerationTest, TruncationIsByteIdentical) {
                              "max_states=" + std::to_string(max_states) +
                                  " threads=" + std::to_string(threads));
     }
+  }
+}
+
+TEST(MemoizedEnumerationTest, RootIsAMemoFrameAtEveryThreadCount) {
+  // The parallel walk fans out *inside* the root's frame, so the root is
+  // looked up and recorded like any other state: the persistent table a
+  // thread count leaves behind, and the replays it serves, are the serial
+  // ones.
+  UniformChainGenerator generator;
+  gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
+  EnumerationResult chain = EnumerateRepairs(w.db, w.constraints, generator);
+  EnumerationOptions truncating;
+  truncating.max_states = chain.states_visited / 3;
+  EnumerationResult cold_truncated =
+      EnumerateRepairs(w.db, w.constraints, generator, truncating);
+  ASSERT_TRUE(cold_truncated.truncated);
+  MemoStats serial_table;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    std::string label = "threads=" + std::to_string(threads);
+    RepairSpaceCache cache;
+    EnumerationOptions options;
+    options.memoize = true;
+    options.cache = &cache;
+    options.threads = threads;
+    // The admission filter records a subtree on its second miss, so the
+    // second query admits the root and the third replays it.
+    for (int query = 0; query < 2; ++query) {
+      EnumerateRepairs(w.db, w.constraints, generator, options);
+    }
+    EnumerationResult third =
+        EnumerateRepairs(w.db, w.constraints, generator, options);
+    EXPECT_EQ(third.memo_stats.hits, 1u) << label;
+    EXPECT_EQ(third.memo_stats.misses, 0u) << label;
+    ExpectIdenticalResults(chain, third, label);
+    MemoStats table = cache.TotalStats();
+    if (threads == 1) serial_table = table;
+    EXPECT_EQ(table.entries, serial_table.entries) << label;
+    EXPECT_EQ(table.bytes, serial_table.bytes) << label;
+    // The root entry does not fit a budget below the chain size, so the
+    // warm walk replays the subtrees that do and truncates where the cold
+    // serial walk does.
+    options.max_states = truncating.max_states;
+    EnumerationResult warm_truncated =
+        EnumerateRepairs(w.db, w.constraints, generator, options);
+    ExpectIdenticalResults(cold_truncated, warm_truncated,
+                           label + " truncated");
   }
 }
 

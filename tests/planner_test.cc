@@ -366,6 +366,41 @@ TEST(SqlCertainTest, UntranslatableStatementFallsBackToWalk) {
   EXPECT_EQ(runner->PlanStats().rewrite_plans, 0u);
 }
 
+TEST(SqlCertainTest, RepeatedOutputVariableDeclinesToTheWalk) {
+  // A CQ head cannot repeat a variable, so statements whose output
+  // columns resolve to one variable decline translation (naming it) and
+  // are answered by the walk — the same rows a forced walk returns.
+  auto schema = std::make_shared<Schema>();
+  PredId r = schema->AddRelation("R", 2);
+  Database db(schema.get());
+  db.Insert(Fact(r, {Const("a"), Const("a")}));
+  db.Insert(Fact(r, {Const("a"), Const("b")}));
+  db.Insert(Fact(r, {Const("c"), Const("c")}));
+  std::vector<sql::TableKey> keys = {{"R", {0}}};
+  sql::SqlExactOptions walk_options;
+  walk_options.plan = PlanMode::kWalk;
+  Result<sql::SqlExactRunner> runner = sql::SqlExactRunner::Make(db, keys);
+  Result<sql::SqlExactRunner> walker =
+      sql::SqlExactRunner::Make(db, keys, walk_options);
+  ASSERT_TRUE(runner.ok());
+  ASSERT_TRUE(walker.ok());
+  for (const char* statement :
+       {"SELECT c0, c0 FROM R", "SELECT c0, c1 FROM R WHERE c0 = c1"}) {
+    SCOPED_TRACE(statement);
+    Result<sql::SqlCertainResult> result = runner->RunCertain(statement);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->plan, PlanKind::kMemoizedWalk);
+    EXPECT_NE(result->plan_reason.find("repeats head variable"),
+              std::string::npos)
+        << result->plan_reason;
+    Result<sql::SqlCertainResult> walked = walker->RunCertain(statement);
+    ASSERT_TRUE(walked.ok()) << walked.status().ToString();
+    EXPECT_EQ(result->rows, walked->rows);
+    EXPECT_EQ(result->rows, std::vector<engine::Row>(
+                                {Tuple{Const("c"), Const("c")}}));
+  }
+}
+
 TEST(SqlCertainTest, WhereEqualityJoinRewrites) {
   // A and B are conflict-free (gate 2(b) holds for the join), C carries
   // the conflicts the walk has to repair.

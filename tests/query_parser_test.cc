@@ -115,6 +115,11 @@ TEST_F(QueryParserTest, RejectsMalformedQueries) {
   EXPECT_FALSE(ParseQuery(schema_, "Q(x) := Pref(x,y)").ok());   // free y
   EXPECT_FALSE(ParseQuery(schema_, "Q(x) := Pref(x,y) &&& z").ok());
   EXPECT_FALSE(ParseQuery(schema_, "Q(x) := (Pref(x,x)").ok());  // paren
+  // A repeated head variable is bad input, not a broken invariant.
+  Result<Query> repeated =
+      ParseQuery(schema_, "Q(x,x) := exists y (Pref(x,y))");
+  ASSERT_FALSE(repeated.ok());
+  EXPECT_EQ(repeated.status().message(), "duplicate head variable: x");
 }
 
 TEST_F(QueryParserTest, FormulaParserStandalone) {

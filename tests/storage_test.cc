@@ -194,6 +194,51 @@ TEST(StorageSnapshotTest, EncodeDecodeRoundTripAndIdentityVerification) {
   EXPECT_FALSE(rejected.ok());
 }
 
+TEST(StorageSnapshotTest, EqualEntrySetsEncodeToEqualBytes) {
+  // Entries are written in canonical order, not in the order the stripes
+  // happen to hold them: two tables filled with the same entries in
+  // opposite orders produce the same base snapshot and delta record.
+  gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/7);
+  UniformChainGenerator generator;
+  RepairSpaceCache cache;
+  EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
+  EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
+  std::vector<TranspositionTable::EntryCopy> entries =
+      cache.TableFor(w.db, w.constraints, generator, true)->Entries();
+  ASSERT_GT(entries.size(), 2u);
+
+  // Keys only place entries in stripes (they are never serialized), so
+  // any key that is a function of the entry will do.
+  auto fill = [&](TranspositionTable* table, bool reversed) {
+    for (size_t k = 0; k < entries.size(); ++k) {
+      size_t i = reversed ? entries.size() - 1 - k : k;
+      table->Insert(StateKey{i * 977, i}, entries[i].removed,
+                    entries[i].eliminated, entries[i].outcome);
+    }
+  };
+  TranspositionTable forward, backward;
+  fill(&forward, false);
+  fill(&backward, true);
+  ASSERT_EQ(forward.size(), entries.size());
+  ASSERT_EQ(backward.size(), entries.size());
+
+  storage::SnapshotIdentity identity;
+  identity.db_text = w.db.ToString();
+  identity.constraints_digest =
+      storage::RenderConstraints(*w.schema, w.constraints);
+  identity.generator_identity = generator.cache_identity();
+  identity.prune = true;
+  EXPECT_EQ(storage::EncodeSnapshot(identity, w.db, forward),
+            storage::EncodeSnapshot(identity, w.db, backward));
+  size_t forward_count = 0, backward_count = 0;
+  EXPECT_EQ(storage::EncodeDeltaRecord(w.db, forward, 0, forward.sequence(),
+                                       &forward_count),
+            storage::EncodeDeltaRecord(w.db, backward, 0,
+                                       backward.sequence(), &backward_count));
+  EXPECT_EQ(forward_count, entries.size());
+  EXPECT_EQ(backward_count, entries.size());
+}
+
 // ---------------------------------------------------------------------
 // Fresh-process warm start (the real cross-process property)
 // ---------------------------------------------------------------------
