@@ -28,7 +28,7 @@ int main() {
     UniformChainGenerator uniform;
     Rational deletion_cp = ComputeTupleProbability(
         w.db, w.constraints, uniform, exists_a, Tuple{});
-    auto keys = ExtractKeyEgds(*w.schema, w.constraints).value();
+    auto keys = ExtractPrimaryKeys(w.constraints).value();
     UpdateOcaResult updates = EstimateUpdateOca(w.db, keys, exists_a,
                                                 /*runs=*/500, /*seed=*/3);
     ChaseOcaResult chase = EstimateChaseOca(w.db, w.constraints, exists_a,
@@ -51,7 +51,7 @@ int main() {
     db.Insert(Fact(r, {Const("k"), Const("v3")}));
     ConstraintSet sigma =
         ParseConstraints(schema, "key: R(x,y), R(x,z) -> y = z").value();
-    auto keys = ExtractKeyEgds(schema, sigma).value();
+    auto keys = ExtractPrimaryKeys(sigma).value();
     Query q = ParseQuery(schema, "Q(y) := R(k,y)").value();
 
     UpdateOcaResult uniform_updates =
@@ -85,7 +85,7 @@ int main() {
     gen::Workload w =
         gen::MakeKeyViolationWorkload(keys_n, keys_n / 2, 2, /*seed=*/41);
     Query q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)").value();
-    auto keys = ExtractKeyEgds(*w.schema, w.constraints).value();
+    auto keys = ExtractPrimaryKeys(w.constraints).value();
     bench::Timer t_updates;
     UpdateOcaResult updates =
         EstimateUpdateOca(w.db, keys, q, /*runs=*/50, /*seed=*/43);

@@ -393,6 +393,12 @@ Result<std::vector<sql::TableKey>> ParseKeysSpec(const Schema& schema,
     if (pred == Schema::kNotFound) {
       return Status::NotFound("unknown relation in --keys: " + key.table);
     }
+    for (const sql::TableKey& earlier : keys) {
+      if (earlier.table == key.table) {
+        return Status::InvalidArgument("--keys names table " + key.table +
+                                       " twice");
+      }
+    }
     for (const std::string& pos_text :
          Split(entry.substr(colon + 1), ',')) {
       std::optional<uint64_t> position = ParseNonNegative(Trim(pos_text));

@@ -39,9 +39,7 @@ Rational OcqaSession::TupleProbability(const ChainGenerator& generator,
 CountingOcaResult OcqaSession::Count(const ChainGenerator& generator,
                                      const Query& query,
                                      const CallOptions& call) {
-  CountingOptions counting;
-  counting.enumeration = QueryOptions(call);
-  return CountingOca(db_, constraints_, generator, query, counting);
+  return CountingOca(db_, constraints_, generator, query, QueryOptions(call));
 }
 
 EnumerationResult OcqaSession::Enumerate(const ChainGenerator& generator,

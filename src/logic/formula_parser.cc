@@ -4,6 +4,7 @@
 #include <cctype>
 #include <set>
 
+#include "util/nesting.h"
 #include "util/string_util.h"
 
 namespace opcqa {
@@ -145,6 +146,8 @@ class Lexer {
 };
 
 // Recursive-descent parser. Precedence (low→high): -> , | , & , not.
+// Parentheses, negations, quantifiers and the right operand of `->` each
+// nest one level deeper; kMaxNestingDepth bounds the recursion.
 class Parser {
  public:
   Parser(const Schema& schema, std::vector<Token> tokens,
@@ -178,6 +181,8 @@ class Parser {
     Result<FormulaPtr> lhs = ParseDisjunction();
     if (!lhs.ok()) return lhs;
     if (Match(TokKind::kArrow)) {
+      NestingGuard level(&depth_);
+      if (Status deep = level.status(); !deep.ok()) return deep;
       Result<FormulaPtr> rhs = ParseImplication();  // right associative
       if (!rhs.ok()) return rhs;
       return Formula::Implies(std::move(lhs).value(), std::move(rhs).value());
@@ -212,6 +217,8 @@ class Parser {
 
   Result<FormulaPtr> ParseUnary() {
     if (Match(TokKind::kNot)) {
+      NestingGuard level(&depth_);
+      if (Status deep = level.status(); !deep.ok()) return deep;
       Result<FormulaPtr> child = ParseUnary();
       if (!child.ok()) return child;
       return Formula::Not(std::move(child).value());
@@ -221,6 +228,8 @@ class Parser {
       return ParseQuantifier();
     }
     if (Match(TokKind::kLParen)) {
+      NestingGuard level(&depth_);
+      if (Status deep = level.status(); !deep.ok()) return deep;
       Result<FormulaPtr> inner = ParseFormula();
       if (!inner.ok()) return inner;
       if (!Match(TokKind::kRParen)) {
@@ -258,6 +267,8 @@ class Parser {
     // Optional '.' or ':' between the variable list and the body.
     if (!Match(TokKind::kDot)) Match(TokKind::kColon);
     // The quantified names enter scope for the body only.
+    NestingGuard level(&depth_);
+    if (Status deep = level.status(); !deep.ok()) return deep;
     std::vector<std::string> added;
     for (const std::string& name : names) {
       if (scope_.insert(name).second) added.push_back(name);
@@ -351,6 +362,7 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   std::set<std::string> scope_;
+  size_t depth_ = 0;
 };
 
 }  // namespace

@@ -11,83 +11,6 @@ namespace planner {
 
 namespace {
 
-/// One recognized key-style EGD: relation, shared (key) positions, and the
-/// single non-key position the equality covers.
-struct KeyEgd {
-  PredId pred = 0;
-  std::vector<size_t> key_positions;  // sorted
-  size_t covered_position = 0;
-};
-
-/// Recognizes one constraint as a key-style EGD:
-///   R(x̄_K, ȳ), R(x̄_K, z̄) → y_j = z_j
-/// with the two atoms sharing exactly the variables at the key positions
-/// K, all other variables pairwise distinct, and the equality taken at one
-/// common non-key position j. Returns false (leaving a reason) otherwise.
-bool RecognizeKeyEgd(const Constraint& constraint, KeyEgd* out,
-                     std::string* reason) {
-  if (!constraint.is_egd()) {
-    *reason = "non-EGD constraint";
-    return false;
-  }
-  const std::vector<Atom>& atoms = constraint.body().atoms();
-  if (atoms.size() != 2 || atoms[0].pred() != atoms[1].pred() ||
-      atoms[0].arity() != atoms[1].arity()) {
-    *reason = "EGD body is not two atoms over one relation";
-    return false;
-  }
-  size_t arity = atoms[0].arity();
-  std::map<VarId, size_t> occurrences;
-  for (const Atom& atom : atoms) {
-    for (const Term& term : atom.terms()) {
-      if (!term.is_var()) {
-        *reason = "EGD body mentions constants";
-        return false;
-      }
-      ++occurrences[term.var()];
-    }
-  }
-  out->pred = atoms[0].pred();
-  out->key_positions.clear();
-  std::vector<size_t> open;  // non-shared positions
-  for (size_t i = 0; i < arity; ++i) {
-    VarId a = atoms[0].terms()[i].var();
-    VarId b = atoms[1].terms()[i].var();
-    if (a == b) {
-      // A shared variable must occur exactly once per atom (else the EGD
-      // constrains more than key-agreement).
-      if (occurrences[a] != 2) {
-        *reason = "shared variable reused outside its key position";
-        return false;
-      }
-      out->key_positions.push_back(i);
-    } else {
-      if (occurrences[a] != 1 || occurrences[b] != 1) {
-        *reason = "non-key variable occurs more than once";
-        return false;
-      }
-      open.push_back(i);
-    }
-  }
-  VarId lhs = constraint.eq_lhs();
-  VarId rhs = constraint.eq_rhs();
-  bool found = false;
-  for (size_t i : open) {
-    VarId a = atoms[0].terms()[i].var();
-    VarId b = atoms[1].terms()[i].var();
-    if ((a == lhs && b == rhs) || (a == rhs && b == lhs)) {
-      out->covered_position = i;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    *reason = "equality does not pair one non-key position";
-    return false;
-  }
-  return true;
-}
-
 /// Closure of `start` under the FDs lhs → rhs (fixpoint iteration; query
 /// bodies are tiny).
 std::set<VarId> FdClosure(
@@ -140,13 +63,13 @@ std::vector<VarId> ExistentialKeyVars(const Atom& atom,
 /// free/fixed variables `frozen` treated as constants.
 std::vector<AttackEdge> ComputeAttacks(const std::vector<Atom>& atoms,
                                        const std::vector<size_t>& alive,
-                                       const KeyExtraction& keys,
+                                       const std::vector<PrimaryKey>& keys,
                                        const std::set<VarId>& frozen) {
   std::map<size_t, std::vector<VarId>> exvars, keyvars;
   for (size_t i : alive) {
     exvars[i] = ExistentialVars(atoms[i], frozen);
     keyvars[i] = ExistentialKeyVars(
-        atoms[i], keys.KeyPositions(atoms[i].pred(), atoms[i].arity()),
+        atoms[i], KeyPositions(keys, atoms[i].pred(), atoms[i].arity()),
         frozen);
   }
   auto share_outside = [&](size_t a, size_t b,
@@ -208,96 +131,33 @@ bool HasCycle(const std::vector<AttackEdge>& edges,
   return false;
 }
 
-CertaintyClassification Fallback(KeyExtraction keys, std::string reason) {
+CertaintyClassification Fallback(std::string reason) {
   CertaintyClassification cls;
   cls.rewritable = false;
   cls.reason = std::move(reason);
-  cls.keys = std::move(keys);
   return cls;
 }
 
 }  // namespace
 
-std::vector<size_t> KeyExtraction::KeyPositions(PredId pred,
-                                                size_t arity) const {
-  auto it = keys.find(pred);
-  if (it != keys.end()) return it->second;
-  std::vector<size_t> all(arity);
-  for (size_t i = 0; i < arity; ++i) all[i] = i;
-  return all;
-}
-
-KeyExtraction ExtractPrimaryKeys(const ConstraintSet& constraints) {
-  KeyExtraction extraction;
-  // Relation → (key positions, covered non-key positions) as recognized
-  // EGDs accumulate; every EGD of a relation must agree on the key.
-  std::map<PredId, std::pair<std::vector<size_t>, std::set<size_t>>> partial;
-  std::map<PredId, size_t> arity_of;
-  for (const Constraint& constraint : constraints) {
-    KeyEgd egd;
-    std::string reason;
-    if (!RecognizeKeyEgd(constraint, &egd, &reason)) {
-      extraction.reason =
-          StrCat("constraint '", constraint.label(), "' is not a key-style "
-                 "EGD (", reason, ")");
-      return extraction;
-    }
-    arity_of[egd.pred] = constraint.body().atoms()[0].arity();
-    auto [it, inserted] = partial.try_emplace(
-        egd.pred, egd.key_positions, std::set<size_t>{egd.covered_position});
-    if (!inserted) {
-      if (it->second.first != egd.key_positions) {
-        extraction.reason = StrCat(
-            "relation of constraint '", constraint.label(),
-            "' has EGDs with conflicting key positions");
-        return extraction;
-      }
-      it->second.second.insert(egd.covered_position);
-    }
-  }
-  for (const auto& [pred, entry] : partial) {
-    const auto& [key_positions, covered] = entry;
-    // The EGDs must cover every non-key position, else Σ is weaker than a
-    // primary key and the KW dichotomy does not apply as-is.
-    for (size_t i = 0; i < arity_of[pred]; ++i) {
-      bool is_key = std::binary_search(key_positions.begin(),
-                                       key_positions.end(), i);
-      if (!is_key && covered.count(i) == 0) {
-        extraction.reason = StrCat(
-            "EGDs cover only part of a relation's non-key positions");
-        return extraction;
-      }
-    }
-    extraction.keys[pred] = key_positions;
-  }
-  extraction.ok = true;
-  return extraction;
-}
-
 CertaintyClassification ClassifyCertainty(const Query& query,
                                           const ConstraintSet& constraints,
                                           const Schema& schema) {
-  KeyExtraction keys = ExtractPrimaryKeys(constraints);
-  if (!keys.ok) {
-    std::string reason = keys.reason;
-    return Fallback(std::move(keys), std::move(reason));
-  }
-  if (!query.IsConjunctive()) {
-    return Fallback(std::move(keys), "query is not conjunctive");
-  }
+  Result<std::vector<PrimaryKey>> keys = ExtractPrimaryKeys(constraints);
+  if (!keys.ok()) return Fallback(keys.status().message());
+  if (!query.IsConjunctive()) return Fallback("query is not conjunctive");
   const Conjunction& body = query.conjunctive_view()->body;
   const std::vector<Atom>& atoms = body.atoms();
   std::set<PredId> seen;
   for (const Atom& atom : atoms) {
     if (!seen.insert(atom.pred()).second) {
-      return Fallback(std::move(keys),
-                      StrCat("query has a self-join on ",
+      return Fallback(StrCat("query has a self-join on ",
                              schema.RelationName(atom.pred())));
     }
   }
 
   CertaintyClassification cls;
-  cls.keys = std::move(keys);
+  cls.keys = std::move(keys).value();
   std::set<VarId> frozen(query.head().begin(), query.head().end());
   std::vector<size_t> alive(atoms.size());
   for (size_t i = 0; i < atoms.size(); ++i) alive[i] = i;

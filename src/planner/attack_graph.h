@@ -2,11 +2,9 @@
 // conjunctive queries under primary keys (the Koutris–Wijsen dichotomy).
 //
 // The planner's front door: given the session's ConstraintSet, detect
-// whether it is a set of *key-style* EGDs (each the textbook encoding of
-// one functional dependency key(R) → pos_j, as produced by
-// sql::AppendKeyEgds or written by hand), recover one primary key per
-// relation, and — for a self-join-free conjunctive query q — build the
-// attack graph:
+// whether it is a set of *key-style* EGDs and recover one primary key per
+// relation (constraints/primary_keys.h), and — for a self-join-free
+// conjunctive query q — build the attack graph:
 //
 //   * F^{+,q} = closure of key(F) under the FDs {key(G) → vars(G) : G ≠ F}
 //     (variables only; the free variables of q are treated as constants);
@@ -28,33 +26,11 @@
 #include <string>
 #include <vector>
 
-#include "constraints/constraint.h"
+#include "constraints/primary_keys.h"
 #include "logic/query.h"
 
 namespace opcqa {
 namespace planner {
-
-/// Primary keys recovered from a constraint set of key-style EGDs.
-struct KeyExtraction {
-  /// True when *every* constraint is a key-style EGD and the EGDs of each
-  /// relation assemble into exactly one primary key covering all non-key
-  /// positions.
-  bool ok = false;
-  /// Why extraction failed (empty when ok).
-  std::string reason;
-  /// Relation → sorted key positions. Relations absent from the map carry
-  /// the trivial key "all positions" (no EGD constrains them, so they are
-  /// conflict-free by construction).
-  std::map<PredId, std::vector<size_t>> keys;
-
-  /// Key positions of `pred` (the trivial full key when unconstrained).
-  std::vector<size_t> KeyPositions(PredId pred, size_t arity) const;
-};
-
-/// Recognizes Σ as per-relation primary keys. Conservative: any constraint
-/// that is not a two-atom same-relation EGD equating one non-key position
-/// (with all-distinct variables elsewhere) fails the whole extraction.
-KeyExtraction ExtractPrimaryKeys(const ConstraintSet& constraints);
 
 /// One edge of the attack graph: atom `from` attacks atom `to` (indices
 /// into the query's conjunctive body).
@@ -72,8 +48,9 @@ struct CertaintyClassification {
   /// Human-readable verdict ("acyclic attack graph" or the fallback
   /// reason: out-of-fragment constraint, self-join, attack cycle, …).
   std::string reason;
-  /// The recovered primary keys (valid iff the fragment was detected).
-  KeyExtraction keys;
+  /// The recovered primary keys (empty on a fallback before the attack
+  /// graph was built).
+  std::vector<PrimaryKey> keys;
   /// Attack edges over body-atom indices (empty for 0/1-atom queries).
   std::vector<AttackEdge> attacks;
   /// Unattacked-first atom order the rewriting eliminates along (a

@@ -59,12 +59,12 @@ FormulaPtr AndAll(std::vector<FormulaPtr> parts) {
 /// `bound` holds every variable fixed by the enclosing scope — the query's
 /// free variables plus key/survivor variables bound by earlier steps.
 FormulaPtr Eliminate(std::vector<Atom> atoms, std::set<VarId> bound,
-                     const KeyExtraction& keys, FreshVars* fresh) {
+                     const std::vector<PrimaryKey>& keys, FreshVars* fresh) {
   if (atoms.empty()) return Formula::True();
   const Atom f = atoms.front();
   std::vector<Atom> rest(atoms.begin() + 1, atoms.end());
 
-  std::vector<size_t> key_positions = keys.KeyPositions(f.pred(), f.arity());
+  std::vector<size_t> key_positions = KeyPositions(keys, f.pred(), f.arity());
   std::vector<bool> is_key(f.arity(), false);
   for (size_t i : key_positions) is_key[i] = true;
 

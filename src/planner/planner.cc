@@ -116,7 +116,7 @@ QueryPlan QueryPlanner::Decide(const Database& db,
     bool conflict_free = true;
     for (const Atom& atom : query.conjunctive_view()->body.atoms()) {
       std::vector<size_t> key_positions =
-          cls.keys.KeyPositions(atom.pred(), atom.arity());
+          KeyPositions(cls.keys, atom.pred(), atom.arity());
       if (!RelationConflictFree(db, atom.pred(), key_positions)) {
         conflict_free = false;
         break;

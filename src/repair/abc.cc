@@ -10,6 +10,17 @@
 
 namespace opcqa {
 
+namespace {
+
+// Upper bound on hitting-set candidates, consistent brute-force candidates
+// and via-chain states.
+constexpr size_t kMaxCandidates = 200000;
+// The brute-force engine enumerates all 2^n subsets of the base, so it
+// refuses bases with more facts than this.
+constexpr size_t kMaxBaseFacts = 22;
+
+}  // namespace
+
 std::vector<std::vector<Fact>> ConflictHypergraph(
     const Database& db, const ConstraintSet& constraints) {
   std::set<std::vector<Fact>> edges;
@@ -90,14 +101,13 @@ class HittingSetEnumerator {
 
 }  // namespace
 
-Result<std::vector<Database>> AbcSubsetRepairs(const Database& db,
-                                               const ConstraintSet& constraints,
-                                               const AbcOptions& options) {
+Result<std::vector<Database>> AbcSubsetRepairs(
+    const Database& db, const ConstraintSet& constraints) {
   OPCQA_CHECK(IsDenialOnly(constraints))
       << "AbcSubsetRepairs requires EGD/DC-only constraint sets";
   std::vector<std::vector<Fact>> edges = ConflictHypergraph(db, constraints);
   if (edges.empty()) return std::vector<Database>{db};
-  HittingSetEnumerator enumerator(edges, options.max_candidates);
+  HittingSetEnumerator enumerator(edges, kMaxCandidates);
   Result<std::vector<std::set<Fact>>> hitting_sets = enumerator.Run();
   if (!hitting_sets.ok()) return hitting_sets.status();
   std::vector<Database> repairs;
@@ -112,8 +122,7 @@ Result<std::vector<Database>> AbcSubsetRepairs(const Database& db,
 }
 
 Result<std::vector<Database>> AbcRepairsBruteForce(
-    const Database& db, const ConstraintSet& constraints,
-    const AbcOptions& options) {
+    const Database& db, const ConstraintSet& constraints) {
   BaseSpec base = BaseSpec::ForDatabase(db, ConstantsOf(constraints));
   std::vector<Fact> base_facts;
   bool complete = base.Enumerate(
@@ -121,11 +130,11 @@ Result<std::vector<Database>> AbcRepairsBruteForce(
         base_facts.push_back(f);
         return true;
       },
-      size_t{1} << options.max_base_facts);
-  if (!complete || base_facts.size() > options.max_base_facts) {
+      size_t{1} << kMaxBaseFacts);
+  if (!complete || base_facts.size() > kMaxBaseFacts) {
     return Status::ResourceExhausted(
         StrCat("base has ", base_facts.size(), "+ facts; brute force is "
-               "capped at ", options.max_base_facts));
+               "capped at ", kMaxBaseFacts));
   }
   size_t n = base_facts.size();
   // Collect consistent candidates with their symmetric differences.
@@ -141,7 +150,7 @@ Result<std::vector<Database>> AbcRepairsBruteForce(
     std::set<Fact> delta(only_d.begin(), only_d.end());
     delta.insert(only_c.begin(), only_c.end());
     consistent.emplace_back(std::move(delta), std::move(candidate));
-    if (consistent.size() > options.max_candidates) {
+    if (consistent.size() > kMaxCandidates) {
       return Status::ResourceExhausted(
           "too many consistent candidates in brute-force ABC");
     }
@@ -165,16 +174,10 @@ Result<std::vector<Database>> AbcRepairsBruteForce(
 }
 
 Result<std::vector<Database>> AbcRepairsViaChain(
-    const Database& db, const ConstraintSet& constraints,
-    const AbcOptions& options) {
+    const Database& db, const ConstraintSet& constraints) {
   UniformChainGenerator uniform;
-  EnumerationOptions enum_options;
-  enum_options.max_states = options.max_candidates;
-  enum_options.threads = options.threads;
-  enum_options.memoize = options.memoize;
-  enum_options.cache = options.cache;
-  EnumerationResult result =
-      EnumerateRepairs(db, constraints, uniform, enum_options);
+  EnumerationResult result = EnumerateRepairs(db, constraints, uniform,
+                                              {.max_states = kMaxCandidates});
   if (result.truncated) {
     return Status::ResourceExhausted(
         "uniform chain enumeration exceeded the candidate budget");
@@ -206,16 +209,15 @@ Result<std::vector<Database>> AbcRepairsViaChain(
 }
 
 Result<std::vector<Database>> AbcRepairs(const Database& db,
-                                         const ConstraintSet& constraints,
-                                         const AbcOptions& options) {
+                                         const ConstraintSet& constraints) {
   if (IsDenialOnly(constraints)) {
-    return AbcSubsetRepairs(db, constraints, options);
+    return AbcSubsetRepairs(db, constraints);
   }
   BaseSpec base = BaseSpec::ForDatabase(db, ConstantsOf(constraints));
-  if (base.Size() <= BigInt(static_cast<uint64_t>(options.max_base_facts))) {
-    return AbcRepairsBruteForce(db, constraints, options);
+  if (base.Size() <= BigInt(static_cast<uint64_t>(kMaxBaseFacts))) {
+    return AbcRepairsBruteForce(db, constraints);
   }
-  return AbcRepairsViaChain(db, constraints, options);
+  return AbcRepairsViaChain(db, constraints);
 }
 
 std::set<Tuple> CertainAnswers(const std::vector<Database>& repairs,

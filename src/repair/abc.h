@@ -26,26 +26,6 @@
 
 namespace opcqa {
 
-class RepairSpaceCache;
-
-struct AbcOptions {
-  /// Upper bound on enumerated repairs / hitting-set branches.
-  size_t max_candidates = 200000;
-  /// Brute-force engine refuses bases with more facts than this (2^n
-  /// subsets are enumerated).
-  size_t max_base_facts = 22;
-  /// Worker threads for the via-chain engine's uniform-chain walks
-  /// (forwarded to EnumerationOptions::threads); 0 = DefaultThreads().
-  size_t threads = 1;
-  /// Shared-suffix memoization for the via-chain engine (forwarded to
-  /// EnumerationOptions::memoize; results are identical either way).
-  bool memoize = false;
-  /// Cross-query repair-space persistence for the via-chain engine
-  /// (forwarded to EnumerationOptions::cache; not owned). With a warm
-  /// cache the uniform-chain walk replays instead of re-enumerating.
-  RepairSpaceCache* cache = nullptr;
-};
-
 /// The conflict hypergraph of D w.r.t. denial-only Σ: one edge per
 /// violation, the edge being the violation's body image.
 std::vector<std::vector<Fact>> ConflictHypergraph(
@@ -53,13 +33,11 @@ std::vector<std::vector<Fact>> ConflictHypergraph(
 
 /// ABC repairs for denial-only Σ (CHECK-fails if Σ contains a TGD).
 Result<std::vector<Database>> AbcSubsetRepairs(
-    const Database& db, const ConstraintSet& constraints,
-    const AbcOptions& options = {});
+    const Database& db, const ConstraintSet& constraints);
 
 /// ABC repairs for arbitrary Σ by brute force over P(B(D,Σ)).
 Result<std::vector<Database>> AbcRepairsBruteForce(
-    const Database& db, const ConstraintSet& constraints,
-    const AbcOptions& options = {});
+    const Database& db, const ConstraintSet& constraints);
 
 /// ABC repairs computed as the ⊆-minimal-∆ leaves of the uniform repairing
 /// chain. Correctness rests on Proposition 4 (every ABC repair is a
@@ -68,14 +46,12 @@ Result<std::vector<Database>> AbcRepairsBruteForce(
 /// Use the hypergraph / brute-force engines as independent oracles in
 /// tests; use this one when the base is too large to brute-force.
 Result<std::vector<Database>> AbcRepairsViaChain(
-    const Database& db, const ConstraintSet& constraints,
-    const AbcOptions& options = {});
+    const Database& db, const ConstraintSet& constraints);
 
 /// Dispatches: denial-only Σ → hypergraph; small base → brute force;
 /// otherwise → via-chain.
 Result<std::vector<Database>> AbcRepairs(const Database& db,
-                                         const ConstraintSet& constraints,
-                                         const AbcOptions& options = {});
+                                         const ConstraintSet& constraints);
 
 /// Certain answers ∩_{D′ ∈ repairs} Q(D′) (empty set when there are no
 /// repairs is the convention used for comparisons here).

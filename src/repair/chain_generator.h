@@ -12,7 +12,8 @@
 //     (supports only deletions ⇒ non-failing, Proposition 8);
 //   * PreferenceChainGenerator        — Example 4 (preference scenario);
 //   * TrustChainGenerator             — Example 5 (data integration);
-//   * LambdaChainGenerator            — any user-provided function.
+//   * LambdaChainGenerator            — any user-provided function
+//     (never memoized; see its comment).
 
 #ifndef OPCQA_REPAIR_CHAIN_GENERATOR_H_
 #define OPCQA_REPAIR_CHAIN_GENERATOR_H_
@@ -104,23 +105,19 @@ class DeletionOnlyUniformGenerator : public ChainGenerator {
   std::string cache_identity() const override { return "uniform-deletions"; }
 };
 
-/// Wraps an arbitrary probability function.
+/// Wraps an arbitrary probability function. It keeps the base-class
+/// defaults: history-dependent and without a cache identity, so its walks
+/// are never memoized (`fn` may read the path or close over anything). A
+/// generator that should memoize subclasses ChainGenerator and opts in
+/// through history_independent() / cache_identity().
 class LambdaChainGenerator : public ChainGenerator {
  public:
   using Fn = std::function<std::vector<Rational>(
       const RepairingState&, const std::vector<Operation>&)>;
 
-  /// Set `memoryless` when `fn` reads only the state's current database /
-  /// violations (see ChainGenerator::history_independent). A non-empty
-  /// `cache_identity` additionally asserts the cross-call contract of
-  /// ChainGenerator::cache_identity for `fn` — only pass one when every
-  /// parameter `fn` closes over is encoded in it.
-  LambdaChainGenerator(std::string name, Fn fn, bool deletions_only = false,
-                       bool memoryless = false,
-                       std::string cache_identity = std::string())
+  LambdaChainGenerator(std::string name, Fn fn, bool deletions_only = false)
       : name_(std::move(name)), fn_(std::move(fn)),
-        deletions_only_(deletions_only), memoryless_(memoryless),
-        cache_identity_(std::move(cache_identity)) {}
+        deletions_only_(deletions_only) {}
 
   void Probabilities(const RepairingState& state,
                      const std::vector<Operation>& extensions,
@@ -129,15 +126,11 @@ class LambdaChainGenerator : public ChainGenerator {
   }
   std::string name() const override { return name_; }
   bool supports_only_deletions() const override { return deletions_only_; }
-  bool history_independent() const override { return memoryless_; }
-  std::string cache_identity() const override { return cache_identity_; }
 
  private:
   std::string name_;
   Fn fn_;
   bool deletions_only_;
-  bool memoryless_;
-  std::string cache_identity_;
 };
 
 }  // namespace opcqa

@@ -13,9 +13,9 @@ CountingOcaResult CountingOca(const Database& db,
                               const ConstraintSet& constraints,
                               const ChainGenerator& generator,
                               const Query& query,
-                              const CountingOptions& options) {
+                              const EnumerationOptions& options) {
   EnumerationResult enumeration =
-      EnumerateRepairs(db, constraints, generator, options.enumeration);
+      EnumerateRepairs(db, constraints, generator, options);
   return CountingOcaFromEnumeration(enumeration, query);
 }
 

@@ -28,20 +28,14 @@ struct CountingOcaResult {
   Rational Proportion(const Tuple& tuple) const;
 };
 
-struct CountingOptions {
-  /// Chain-walk knobs for the underlying enumeration — max_states,
-  /// threads, and the transposition-table `memoize` switch all apply.
-  EnumerationOptions enumeration;
-};
-
-/// Enumerates the chain (honoring `options.enumeration`, including
-/// shared-suffix memoization) and applies the counting semantics to its
-/// operational repairs.
+/// Enumerates the chain (honoring `options`, including shared-suffix
+/// memoization) and applies the counting semantics to its operational
+/// repairs.
 CountingOcaResult CountingOca(const Database& db,
                               const ConstraintSet& constraints,
                               const ChainGenerator& generator,
                               const Query& query,
-                              const CountingOptions& options = {});
+                              const EnumerationOptions& options = {});
 
 /// Counting semantics over the operational repairs of an enumeration,
 /// scored in place — from witness images when the enumeration is

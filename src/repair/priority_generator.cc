@@ -8,12 +8,12 @@
 namespace opcqa {
 
 void PriorityChainGenerator::Probabilities(
-    const RepairingState& state, const std::vector<Operation>& extensions,
+    const RepairingState& /*state*/, const std::vector<Operation>& extensions,
     std::vector<Rational>* probs) const {
   std::vector<int64_t> ranks;
   ranks.reserve(extensions.size());
   for (const Operation& op : extensions) {
-    ranks.push_back(rank_(state, op));
+    ranks.push_back(rank_(op));
   }
   int64_t best = *std::max_element(ranks.begin(), ranks.end());
   size_t winners = 0;
@@ -31,11 +31,8 @@ void PriorityChainGenerator::Probabilities(
 PriorityChainGenerator PriorityChainGenerator::MinimalChange() {
   return PriorityChainGenerator(
       "minimal-change",
-      [](const RepairingState&, const Operation& op) {
-        return -static_cast<int64_t>(op.size());
-      },
-      /*deletions_only=*/false, /*memoryless=*/true,
-      /*cache_identity=*/"priority:minimal-change");
+      [](const Operation& op) { return -static_cast<int64_t>(op.size()); },
+      "priority:minimal-change");
 }
 
 PriorityChainGenerator PriorityChainGenerator::DeleteLowestScoreFirst(
@@ -57,8 +54,8 @@ PriorityChainGenerator PriorityChainGenerator::DeleteLowestScoreFirst(
   identity += "default=" + std::to_string(default_score);
   return PriorityChainGenerator(
       "delete-lowest-score",
-      [scores = std::move(scores),
-       default_score](const RepairingState&, const Operation& op) -> int64_t {
+      [scores = std::move(scores), default_score](const Operation& op)
+          -> int64_t {
         if (op.is_add()) return std::numeric_limits<int64_t>::min() / 2;
         int64_t worst = std::numeric_limits<int64_t>::min();
         for (const Fact& fact : op.facts()) {
@@ -70,7 +67,7 @@ PriorityChainGenerator PriorityChainGenerator::DeleteLowestScoreFirst(
         // highest score touched.
         return -worst;
       },
-      /*deletions_only=*/false, /*memoryless=*/true, std::move(identity));
+      std::move(identity));
 }
 
 }  // namespace opcqa

@@ -4,6 +4,12 @@
 // chain puts uniform mass on the *highest-ranked* valid extensions and
 // zero on all others. Prioritized repairs are then exactly the repairs
 // reachable through top-priority operations.
+//
+// Generators come from the named factories only. Each ranks an operation
+// by the operation alone, so every priority generator is
+// history-independent, and each encodes every parameter its rank reads
+// into its cache identity (repair/chain_generator.h). A rank that reads
+// the state or the path belongs in a ChainGenerator subclass.
 
 #ifndef OPCQA_REPAIR_PRIORITY_GENERATOR_H_
 #define OPCQA_REPAIR_PRIORITY_GENERATOR_H_
@@ -17,31 +23,12 @@ namespace opcqa {
 
 class PriorityChainGenerator : public ChainGenerator {
  public:
-  /// Larger rank = more preferred. Ties share the mass uniformly.
-  using RankFn =
-      std::function<int64_t(const RepairingState&, const Operation&)>;
-
-  /// Set `memoryless` when `rank` reads only the state's current database
-  /// and the operation (see ChainGenerator::history_independent). A
-  /// non-empty `cache_identity` asserts the cross-call contract of
-  /// ChainGenerator::cache_identity for `rank` — only pass one when every
-  /// parameter `rank` closes over is encoded in it (the named factories
-  /// below do).
-  PriorityChainGenerator(std::string name, RankFn rank,
-                         bool deletions_only = false,
-                         bool memoryless = false,
-                         std::string cache_identity = std::string())
-      : name_(std::move(name)), rank_(std::move(rank)),
-        deletions_only_(deletions_only), memoryless_(memoryless),
-        cache_identity_(std::move(cache_identity)) {}
-
   void Probabilities(const RepairingState& state,
                      const std::vector<Operation>& extensions,
                      std::vector<Rational>* probs) const override;
 
   std::string name() const override { return name_; }
-  bool supports_only_deletions() const override { return deletions_only_; }
-  bool history_independent() const override { return memoryless_; }
+  bool history_independent() const override { return true; }
   std::string cache_identity() const override { return cache_identity_; }
 
   /// Rank = −|F| : prefer operations that change as few facts as possible
@@ -56,10 +43,16 @@ class PriorityChainGenerator : public ChainGenerator {
       std::map<Fact, int64_t> scores, int64_t default_score = 0);
 
  private:
+  /// Larger rank = more preferred. Ties share the mass uniformly.
+  using RankFn = std::function<int64_t(const Operation&)>;
+
+  PriorityChainGenerator(std::string name, RankFn rank,
+                         std::string cache_identity)
+      : name_(std::move(name)), rank_(std::move(rank)),
+        cache_identity_(std::move(cache_identity)) {}
+
   std::string name_;
   RankFn rank_;
-  bool deletions_only_;
-  bool memoryless_;
   std::string cache_identity_;
 };
 

@@ -307,21 +307,19 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
 
 bool RepairSpaceCache::HasRoot(const Database& db,
                                const ConstraintSet& constraints,
-                               const ChainGenerator& generator,
-                               bool prune_zero_probability) const {
+                               const ChainGenerator& generator) const {
   std::string identity = generator.cache_identity();
   if (identity.empty()) return false;
   std::string digest = storage::RenderConstraints(db.schema(), constraints);
   size_t fingerprint = HashCombine(
       HashCombine(HashCombine(db.Hash(), StringHash(digest)),
                   StringHash(identity)),
-      prune_zero_probability ? 1u : 0u);
+      1u);
   std::lock_guard<std::mutex> lock(mutex_);
   for (const Root& root : roots_) {
     if (root.fingerprint != fingerprint) continue;
     if (root.db == db && root.constraints_digest == digest &&
-        root.generator_identity == identity &&
-        root.prune == prune_zero_probability) {
+        root.generator_identity == identity && root.prune) {
       return true;
     }
   }

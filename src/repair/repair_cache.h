@@ -158,11 +158,11 @@ class RepairSpaceCache {
   /// probe: no LRU touch, no disk restore, no root creation — the
   /// serving front end's cache-pressure check (a non-resident root under
   /// pressure computes on a private table instead of evicting a live
-  /// root; see server/ocqa_server.h). Always false for generators that
-  /// decline a cache identity.
+  /// root; see server/ocqa_server.h). Probes the pruned root, the one
+  /// every chain walk uses. Always false for generators that decline a
+  /// cache identity.
   bool HasRoot(const Database& db, const ConstraintSet& constraints,
-               const ChainGenerator& generator,
-               bool prune_zero_probability) const;
+               const ChainGenerator& generator) const;
 
   /// Spills every live root to the disk tier now and blocks until the
   /// snapshots are durable (no-op without a snapshot_dir). Safe to call

@@ -142,7 +142,8 @@ class SubtreeWalker {
         FanOut(state, extensions, probs, mass, &depth_below);
       } else {
         for (size_t i = 0; i < extensions.size() && !out_.truncated; ++i) {
-          if (!Pruned(probs[i])) {
+          // Zero-probability edges are unreachable in the chain.
+          if (!probs[i].is_zero()) {
             Descend(state, extensions[i], mass * probs[i], &depth_below);
           }
         }
@@ -186,11 +187,6 @@ class SubtreeWalker {
     size_t depth_below = 0;
   };
 
-  // Zero-probability edges are unreachable in the chain.
-  bool Pruned(const Rational& probability) const {
-    return options_.prune_zero_probability && probability.is_zero();
-  }
-
   // Walks the child `op` leads to and folds its depth into *depth_below.
   void Descend(RepairingState& state, const Operation& op,
                const Rational& mass, size_t* depth_below) {
@@ -213,7 +209,7 @@ class SubtreeWalker {
               size_t* depth_below) {
     std::vector<size_t> branches;
     for (size_t i = 0; i < extensions.size(); ++i) {
-      if (!Pruned(probs[i])) branches.push_back(i);
+      if (!probs[i].is_zero()) branches.push_back(i);
     }
     std::atomic<size_t> shared_budget{out_.states_visited};
     size_t speculative_budget = budget_ - out_.states_visited;
@@ -342,16 +338,16 @@ class SubtreeWalker {
               });
     log_.resize(frame.log_pos);
     log_.insert(log_.end(), compressed.begin(), compressed.end());
-    // Zero-mass subtrees (reachable only with pruning disabled) cannot be
-    // normalized; they are simply not recorded. Absorbing leaves are not
-    // worth an entry either: replaying one saves a single near-trivial
+    // Every walked edge has positive probability, so `mass` is positive
+    // and the shares normalize. Absorbing leaves are not worth an entry:
+    // replaying one saves a single near-trivial
     // Visit (a consistent leaf's ValidExtensions is O(1)) while the entry
     // costs two id-set copies — and under the entry cap, leaf entries
     // filling bottom-up would crowd out the deep shared suffixes that
     // carry all the speedup. Leaves are replayed as part of their
     // memoized ancestors instead.
     size_t subtree_states = out_.states_visited - frame.states_visited;
-    if (mass.is_zero() || subtree_states < 2) return;
+    if (subtree_states < 2) return;
     auto outcome = std::make_shared<MemoOutcome>();
     outcome->states = subtree_states;
     outcome->absorbing_states =
@@ -431,16 +427,16 @@ EnumerationResult EnumerateRepairs(const Database& db,
   std::shared_ptr<TranspositionTable> memo;
   if (options.memoize &&
       MemoizationApplicable(*context, generator,
-                            options.prune_zero_probability)) {
+                            /*prune_zero_probability=*/true)) {
     if (options.cache != nullptr) {
       // Persistent root-keyed table: later queries over the same
       // (db, Σ, generator) replay this walk's completed subtrees.
       memo = options.cache->TableFor(db, constraints, generator,
-                                     options.prune_zero_probability);
+                                     /*prune_zero_probability=*/true);
     }
     if (memo == nullptr) {
-      memo = std::make_shared<TranspositionTable>(options.memo_max_entries,
-                                                  options.memo_max_bytes);
+      memo = std::make_shared<TranspositionTable>(
+          TranspositionTable::kDefaultMaxEntries, options.memo_max_bytes);
       memo->SetRootShape(db.size(), db.schema().size());
     }
   }

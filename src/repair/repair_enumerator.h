@@ -43,8 +43,6 @@ struct EnumerationOptions {
   /// replays count the full virtual subtree, so the budget (and the
   /// truncation it produces) is independent of memoization.
   size_t max_states = 1u << 22;
-  /// Skip zero-probability edges (they are unreachable in the chain).
-  bool prune_zero_probability = true;
   /// Worker threads for the root's children (0 means DefaultThreads());
   /// every deeper state is walked serially by the thread that reached it.
   /// Results, and the memo entries the walk records, are identical for
@@ -57,17 +55,17 @@ struct EnumerationOptions {
   /// to the unmemoized enumeration either way — including truncation and
   /// every counter — for every thread count.
   bool memoize = false;
-  /// Entry budget for the transposition table; exceeding it triggers the
-  /// cost-aware eviction sweep (repair/memo.h) — cheap-to-recompute
-  /// entries go first, results stay byte-identical.
-  size_t memo_max_entries = TranspositionTable::kDefaultMaxEntries;
-  /// Byte budget for the transposition table (0 = no byte budget).
+  /// Byte budget for the per-call transposition table (0 = no byte
+  /// budget); its entry budget is TranspositionTable::kDefaultMaxEntries.
+  /// Exceeding either triggers the cost-aware eviction sweep
+  /// (repair/memo.h) — cheap-to-recompute entries go first, results stay
+  /// byte-identical.
   size_t memo_max_bytes = 0;
   /// Cross-query persistence (repair/repair_cache.h): when set (and
   /// memoize is on and applicable), the enumeration asks this cache for
-  /// the persistent table of its (db, constraints, generator, pruning)
-  /// root instead of building a per-call scratch table, so later queries
-  /// over the same root replay this walk's completed subtrees. Not owned.
+  /// the persistent table of its (db, constraints, generator) root
+  /// instead of building a per-call scratch table, so later queries over
+  /// the same root replay this walk's completed subtrees. Not owned.
   /// The per-root budgets come from the cache's own options; memo_stats
   /// then reports the shared table's counter deltas across this call —
   /// which include activity from any query running concurrently on the

@@ -150,10 +150,6 @@ TopKResult TopKRepairs(const Database& db, const ConstraintSet& constraints,
       continue;
     }
     if (result.states_expanded >= options.max_states) break;
-    if (!options.frontier_epsilon.is_zero() &&
-        result.frontier_mass <= options.frontier_epsilon) {
-      break;
-    }
     if (result.states_expanded % kCertificationStride == 0 &&
         TopKCertified(sorted_masses(), k, result.frontier_mass)) {
       result.certified = true;

@@ -32,9 +32,6 @@ class RepairSpaceCache;
 struct TopKOptions {
   /// Hard budget on expanded states.
   size_t max_states = 1u << 22;
-  /// Stop early once frontier mass drops to or below this value (0 =
-  /// run until certified / exhausted / out of budget).
-  Rational frontier_epsilon = Rational(0);
   /// Transposition merging (repair/memo.h): frontier states reaching the
   /// same (database, eliminated-set) key — verified against the real id
   /// sets — are merged into one entry carrying the summed path mass, so a
@@ -42,7 +39,7 @@ struct TopKOptions {
   /// when sound (MemoizationApplicable; ignored otherwise). When the
   /// search drains the frontier (`exact`), discovered repairs, exact
   /// Rational mass totals and per-repair sequence counts are identical to
-  /// the unmerged search. Under a max_states/epsilon cutoff the merged
+  /// the unmerged search. Under a max_states cutoff the merged
   /// search spends its budget on *distinct* states and therefore explores
   /// further: lower bounds are at least as tight, but the discovered set
   /// and masses are not comparable entry-by-entry with the unmerged run.

@@ -1,93 +1,11 @@
 #include "repair/update_repair.h"
 
-#include <algorithm>
-#include <iterator>
 #include <set>
 
-#include "util/string_util.h"
-
 namespace opcqa {
-namespace {
-
-/// Key-shape recognition for one EGD; returns the shared positions or an
-/// error describing the mismatch.
-Result<KeySpec2> RecognizeKeyEgd(const Schema& schema,
-                                 const Constraint& egd) {
-  const Conjunction& body = egd.body();
-  if (body.size() != 2) {
-    return Status::InvalidArgument(
-        StrCat("key EGD needs exactly two body atoms: ",
-               egd.ToString(schema)));
-  }
-  const Atom& first = body.atoms()[0];
-  const Atom& second = body.atoms()[1];
-  if (first.pred() != second.pred()) {
-    return Status::InvalidArgument(
-        StrCat("key EGD atoms must share a predicate: ",
-               egd.ToString(schema)));
-  }
-  KeySpec2 spec;
-  spec.pred = first.pred();
-  bool eq_pair_found = false;
-  for (size_t i = 0; i < first.arity(); ++i) {
-    const Term& a = first.terms()[i];
-    const Term& b = second.terms()[i];
-    if (!a.is_var() || !b.is_var()) {
-      return Status::InvalidArgument(
-          StrCat("key EGD must be all-variable: ", egd.ToString(schema)));
-    }
-    if (a.var() == b.var()) {
-      spec.key_positions.push_back(i);
-    } else if ((a.var() == egd.eq_lhs() && b.var() == egd.eq_rhs()) ||
-               (a.var() == egd.eq_rhs() && b.var() == egd.eq_lhs())) {
-      eq_pair_found = true;
-    }
-  }
-  if (!eq_pair_found || spec.key_positions.empty()) {
-    return Status::InvalidArgument(
-        StrCat("EGD is not key-shaped: ", egd.ToString(schema)));
-  }
-  return spec;
-}
-
-}  // namespace
-
-Result<std::vector<KeySpec2>> ExtractKeyEgds(
-    const Schema& schema, const ConstraintSet& constraints) {
-  std::map<PredId, KeySpec2> by_pred;
-  for (const Constraint& constraint : constraints) {
-    if (!constraint.is_egd()) {
-      return Status::InvalidArgument(
-          StrCat("update repairing supports key EGDs only, got: ",
-                 constraint.ToString(schema)));
-    }
-    Result<KeySpec2> spec = RecognizeKeyEgd(schema, constraint);
-    if (!spec.ok()) return spec.status();
-    auto [it, inserted] = by_pred.emplace(spec.value().pred, spec.value());
-    if (!inserted) {
-      // Several EGDs over one predicate (one per non-key attribute):
-      // the key is the intersection of their shared positions.
-      std::vector<size_t> merged;
-      std::set_intersection(it->second.key_positions.begin(),
-                            it->second.key_positions.end(),
-                            spec.value().key_positions.begin(),
-                            spec.value().key_positions.end(),
-                            std::back_inserter(merged));
-      if (merged.empty()) {
-        return Status::InvalidArgument(
-            "EGDs over one predicate disagree on the key positions");
-      }
-      it->second.key_positions = std::move(merged);
-    }
-  }
-  std::vector<KeySpec2> keys;
-  keys.reserve(by_pred.size());
-  for (auto& [pred, spec] : by_pred) keys.push_back(std::move(spec));
-  return keys;
-}
 
 UpdateRepairResult SampleUpdateRepair(
-    const Database& db, const std::vector<KeySpec2>& keys, Rng* rng,
+    const Database& db, const std::vector<PrimaryKey>& keys, Rng* rng,
     const std::map<Fact, double>& trust) {
   OPCQA_CHECK(rng != nullptr);
   UpdateRepairResult result;
@@ -95,11 +13,11 @@ UpdateRepairResult SampleUpdateRepair(
   // Copy the relations without key constraints untouched.
   const FactStore& store = FactStore::Global();
   std::set<PredId> keyed;
-  for (const KeySpec2& key : keys) keyed.insert(key.pred);
+  for (const PrimaryKey& key : keys) keyed.insert(key.pred);
   for (FactId id : db.AllFactIds()) {
     if (keyed.count(store.pred(id)) == 0) result.db.InsertId(id);
   }
-  for (const KeySpec2& key : keys) {
+  for (const PrimaryKey& key : keys) {
     // Group the facts of this relation by key value.
     std::map<std::vector<ConstId>, std::vector<FactId>> groups;
     for (FactId id : db.FactsOf(key.pred)) {
@@ -138,7 +56,7 @@ double UpdateOcaResult::Frequency(const Tuple& tuple) const {
 }
 
 UpdateOcaResult EstimateUpdateOca(const Database& db,
-                                  const std::vector<KeySpec2>& keys,
+                                  const std::vector<PrimaryKey>& keys,
                                   const Query& query, size_t runs,
                                   uint64_t seed,
                                   const std::map<Fact, double>& trust) {

@@ -9,10 +9,9 @@
 // presence become certain under update repairs while deletion repairs can
 // lose them — the observable contrast bench E16 measures.
 //
-// Scope: key constraints only (the classical update-repair setting). A
-// key EGD is R(x̄) , R(x̄′) → x_i = x_i′ where the two body atoms share
-// exactly the key positions; ExtractKeyEgds recognizes this shape and
-// rejects anything else.
+// Scope: primary keys only (the classical update-repair setting), as
+// ExtractPrimaryKeys (constraints/primary_keys.h) recovers them from
+// key-style EGDs; any other Σ is not update-repairable in this scheme.
 
 #ifndef OPCQA_REPAIR_UPDATE_REPAIR_H_
 #define OPCQA_REPAIR_UPDATE_REPAIR_H_
@@ -20,29 +19,12 @@
 #include <map>
 #include <vector>
 
-#include "constraints/constraint.h"
+#include "constraints/primary_keys.h"
 #include "logic/query.h"
 #include "util/random.h"
 #include "util/status.h"
 
 namespace opcqa {
-
-/// A recognized key constraint: `key_positions` determine the rest.
-struct KeySpec2 {
-  PredId pred = 0;
-  std::vector<size_t> key_positions;
-
-  auto operator<=>(const KeySpec2&) const = default;
-};
-
-/// Recognizes each EGD of Σ as a key constraint (two atoms over the same
-/// predicate, all-variable, sharing exactly the key positions, equating a
-/// non-shared pair). Multiple EGDs over one predicate merge into a single
-/// KeySpec2 with the intersection of their shared positions. Returns
-/// InvalidArgument when some constraint is not key-shaped (TGDs/DCs are
-/// not update-repairable in this scheme).
-Result<std::vector<KeySpec2>> ExtractKeyEgds(
-    const Schema& schema, const ConstraintSet& constraints);
 
 struct UpdateRepairResult {
   Database db;
@@ -58,7 +40,7 @@ struct UpdateRepairResult {
 /// satisfies the key constraints and contains exactly one fact per key of
 /// the original database — no key is ever lost.
 UpdateRepairResult SampleUpdateRepair(
-    const Database& db, const std::vector<KeySpec2>& keys, Rng* rng,
+    const Database& db, const std::vector<PrimaryKey>& keys, Rng* rng,
     const std::map<Fact, double>& trust = {});
 
 /// Frequency estimates over `runs` sampled update repairs (the Section 5
@@ -72,7 +54,7 @@ struct UpdateOcaResult {
 };
 
 UpdateOcaResult EstimateUpdateOca(const Database& db,
-                                  const std::vector<KeySpec2>& keys,
+                                  const std::vector<PrimaryKey>& keys,
                                   const Query& query, size_t runs,
                                   uint64_t seed,
                                   const std::map<Fact, double>& trust = {});

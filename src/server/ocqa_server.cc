@@ -246,11 +246,6 @@ void OcqaServer::RegisterGenerator(
   generators_[name] = std::move(generator);
 }
 
-void OcqaServer::AddTenant(const std::string& name, TenantOptions options) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  TenantFor(name).options = options;
-}
-
 OcqaServer::Tenant& OcqaServer::TenantFor(const std::string& name) {
   auto it = tenants_.find(name);
   if (it == tenants_.end()) {
@@ -261,7 +256,6 @@ OcqaServer::Tenant& OcqaServer::TenantFor(const std::string& name) {
     session_options.shared_cache = &cache_;
     tenant->session = std::make_unique<engine::OcqaSession>(
         base_, constraints_, session_options);
-    tenant->options = options_.tenant_defaults;
     it = tenants_.emplace(name, std::move(tenant)).first;
   }
   return *it->second;
@@ -287,7 +281,7 @@ std::future<Response> OcqaServer::Submit(Request request) {
     return future;
   }
   Tenant& tenant = TenantFor(request.tenant);
-  if (tenant.in_flight >= tenant.options.max_in_flight) {
+  if (tenant.in_flight >= kMaxInFlight) {
     stats_.Add<&ServerStats::rejected_admission>();
     stats_.Add<&ServerStats::shed>();
     Response rejected;
@@ -295,7 +289,7 @@ std::future<Response> OcqaServer::Submit(Request request) {
     rejected.tenant = request.tenant;
     rejected.status = Status::ResourceExhausted(
         "tenant '" + request.tenant + "' over its admission budget (" +
-        std::to_string(tenant.options.max_in_flight) + " in flight)");
+        std::to_string(kMaxInFlight) + " in flight)");
     rejected.path = Response::Path::kError;
     promise.set_value(std::move(rejected));
     return future;
@@ -536,8 +530,7 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
         any_walk_member |= !done[i];
       }
       const bool resident = cache_.HasRoot(
-          session.database(), session.constraints(), *generator,
-          session.options().enumeration.prune_zero_probability);
+          session.database(), session.constraints(), *generator);
       const bool pressured = cache_.roots() >= options_.cache.max_roots;
       if (any_walk_member && !resident && pressured) {
         RepairCacheOptions ephemeral = options_.cache;
@@ -552,11 +545,8 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
     for (size_t i = 0; i < unit->size(); ++i) {
       if (done[i]) continue;
       PendingRequest& pending = (*unit)[i];
-      engine::CallOptions call;
-      call.max_states = pending.request.deadline_states != 0
-                            ? pending.request.deadline_states
-                            : tenant->options.deadline_states;
-      call.cache = bypass.get();
+      engine::CallOptions call{.max_states = pending.request.deadline_states,
+                               .cache = bypass.get()};
       ExecOutcome outcome;
       Response response = run_isolated(pending, call, &outcome);
       if (IsMutation(pending.request)) {

@@ -55,12 +55,12 @@
 //
 // ## QoS
 //
-// Per-tenant admission caps the queued + running requests
-// (TenantOptions::max_in_flight; excess submissions complete immediately
-// with ResourceExhausted), and per-request deadlines bound chain states
-// through the enumerator's budget machinery (Request::deadline_states,
-// default per tenant) — kExact requests fail the deadline loudly,
-// kAnytime requests return truncated lower bounds.
+// Per-tenant admission caps the queued + running requests at
+// OcqaServer::kMaxInFlight (excess submissions complete immediately with
+// ResourceExhausted), and per-request deadlines bound chain states
+// through the enumerator's budget machinery (Request::deadline_states)
+// — kExact requests fail the deadline loudly, kAnytime requests return
+// truncated lower bounds.
 //
 // ## Robustness
 //
@@ -95,15 +95,6 @@
 namespace opcqa {
 namespace server {
 
-struct TenantOptions {
-  /// Admission budget: maximum queued + running requests of this tenant;
-  /// submissions beyond it are rejected with ResourceExhausted.
-  size_t max_in_flight = 64;
-  /// Default chain-state budget for this tenant's requests (0 = engine
-  /// default); Request::deadline_states overrides per request.
-  size_t deadline_states = 0;
-};
-
 struct ServerOptions {
   /// Worker threads executing units (0 = DefaultThreads()). The server
   /// owns its pool, so several servers with different widths coexist in
@@ -116,9 +107,6 @@ struct ServerOptions {
   /// Per-tenant session defaults (threads, memoize, base max_states).
   EnumerationOptions enumeration;
   planner::PlanMode plan = planner::PlanMode::kAuto;
-  /// Applied to tenants created implicitly by Submit(); AddTenant sets
-  /// explicit ones.
-  TenantOptions tenant_defaults;
 
   ServerOptions() { enumeration.memoize = true; }  // serving IS sharing
 };
@@ -194,6 +182,10 @@ static_assert(obs::CoversAllFields<ServerStats>(),
 
 class OcqaServer {
  public:
+  /// Admission budget: maximum queued + running requests per tenant;
+  /// submissions beyond it are rejected with ResourceExhausted.
+  static constexpr size_t kMaxInFlight = 64;
+
   /// Every tenant starts from a copy of `base` (content-identical
   /// databases fingerprint to the same cache root, which is where
   /// cross-tenant amortization comes from) and diverges through its own
@@ -212,10 +204,6 @@ class OcqaServer {
   /// Not callable once requests are in flight.
   void RegisterGenerator(const std::string& name,
                          std::shared_ptr<const ChainGenerator> generator);
-
-  /// Creates a tenant with explicit QoS options (idempotent; options of
-  /// an existing tenant are updated).
-  void AddTenant(const std::string& name, TenantOptions options);
 
   /// Enqueues one request; the future resolves when it executes (or
   /// immediately, on admission rejection — which is a resolved Response
@@ -264,7 +252,6 @@ class OcqaServer {
     /// Serializes session access: unit execution and Stats() aggregation
     /// (planner counters mutate during planning).
     std::mutex session_mutex;
-    TenantOptions options;
     // Queue state below is guarded by the server mutex_.
     std::deque<PendingRequest> queue;
     bool busy = false;       // a unit of this tenant is running

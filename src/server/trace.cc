@@ -216,8 +216,7 @@ std::string RenderResponses(std::vector<Response> responses) {
 std::vector<Response> ReplaySerial(const gen::Workload& workload,
                                    const std::vector<Request>& requests,
                                    ReplayMode mode,
-                                   engine::SessionOptions session_options,
-                                   size_t default_deadline_states) {
+                                   engine::SessionOptions session_options) {
   session_options.shared_cache = nullptr;  // the no-server baseline
   const auto& generators = BuiltinGenerators();
   auto find_generator = [&](const std::string& name) -> const ChainGenerator* {
@@ -235,11 +234,9 @@ std::vector<Response> ReplaySerial(const gen::Workload& workload,
         session = std::make_unique<engine::OcqaSession>(
             workload.db, workload.constraints, session_options);
       }
-      engine::CallOptions call;
-      call.max_states = request.deadline_states != 0 ? request.deadline_states
-                                                     : default_deadline_states;
       responses.push_back(ExecuteOnSession(
-          *session, find_generator(request.generator), request, call));
+          *session, find_generator(request.generator), request,
+          {.max_states = request.deadline_states}));
     }
     return responses;
   }
@@ -250,11 +247,9 @@ std::vector<Response> ReplaySerial(const gen::Workload& workload,
     auto it = databases.emplace(request.tenant, workload.db).first;
     engine::OcqaSession session(it->second, workload.constraints,
                                 session_options);
-    engine::CallOptions call;
-    call.max_states = request.deadline_states != 0 ? request.deadline_states
-                                                   : default_deadline_states;
     responses.push_back(ExecuteOnSession(
-        session, find_generator(request.generator), request, call));
+        session, find_generator(request.generator), request,
+        {.max_states = request.deadline_states}));
     if (request.kind == RequestKind::kInsert ||
         request.kind == RequestKind::kErase) {
       it->second = session.database();

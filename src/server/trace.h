@@ -81,14 +81,12 @@ enum class ReplayMode {
 
 /// Executes the trace serially in submission order. `session_options`
 /// configures the created sessions (shared_cache is ignored/forced off —
-/// this is the no-server baseline); `default_deadline_states` mirrors
-/// TenantOptions::deadline_states so budgets resolve as the server
-/// would.
+/// this is the no-server baseline). Each request's budget is its own
+/// deadline_states, as on the server.
 std::vector<Response> ReplaySerial(const gen::Workload& workload,
                                    const std::vector<Request>& requests,
                                    ReplayMode mode,
-                                   engine::SessionOptions session_options = {},
-                                   size_t default_deadline_states = 0);
+                                   engine::SessionOptions session_options = {});
 
 }  // namespace server
 }  // namespace opcqa

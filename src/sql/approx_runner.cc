@@ -66,10 +66,23 @@ Result<SqlApproxResult> SqlApproxRunner::Run(std::string_view sql,
   OPCQA_CHECK_GT(rounds, 0u);
   Result<StatementPtr> parsed = Parse(sql);
   if (!parsed.ok()) return parsed.status();
+  // Validate the statement against the dirty tables: the scratch catalog
+  // of the loop also holds the R_del tables, which must stay invisible.
+  Result<engine::Relation> validated = Execute(**parsed, catalog_);
+  if (!validated.ok()) return validated.status();
 
   std::map<std::string, std::string> deletion_names;
   for (const TableKey& key : keys_) {
-    deletion_names[key.table] = StrCat(key.table, "__del");
+    std::string del_name = StrCat(key.table, "__del");
+    if (catalog_.Find(del_name) != nullptr) {
+      return Status::InvalidArgument(
+          StrCat("table ", del_name, " is reserved for the deletions "
+                 "sampled from ", key.table));
+    }
+    if (!deletion_names.emplace(key.table, std::move(del_name)).second) {
+      return Status::InvalidArgument(
+          StrCat("table ", key.table, " has more than one key"));
+    }
   }
   StatementPtr rewritten = RewriteWithDeletions(parsed.value(),
                                                 deletion_names);

@@ -57,11 +57,14 @@ struct SqlApproxResult {
 
 class SqlApproxRunner {
  public:
-  /// `catalog` holds the dirty tables; `keys` lists the key constraints.
-  /// Tables named "<table>__del" are reserved for the sampled deletions.
+  /// `catalog` holds the dirty tables; `keys` lists the key constraints,
+  /// at most one per table. Tables named "<table>__del" are reserved for
+  /// the sampled deletions.
   SqlApproxRunner(Catalog catalog, std::vector<TableKey> keys, uint64_t seed);
 
-  /// Runs the n-round loop for `sql`.
+  /// Runs the n-round loop for `sql`, which is first checked against the
+  /// dirty tables alone. InvalidArgument when a table has two keys or the
+  /// catalog already holds a keyed table's "<table>__del".
   Result<SqlApproxResult> Run(std::string_view sql, size_t rounds);
 
   /// Runs n(ε,δ) = Sampler::NumSamples(ε, δ) rounds.

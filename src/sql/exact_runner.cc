@@ -311,17 +311,9 @@ Rational SqlExactResult::Probability(const engine::Row& row) const {
   return it == probability.end() ? Rational(0) : it->second;
 }
 
-SqlExactRunner::SqlExactRunner(Database db, ConstraintSet constraints,
-                               SqlExactOptions options)
-    : db_(std::move(db)),
-      constraints_(std::move(constraints)),
-      options_(options),
-      planner_(options.plan),
-      cache_(std::make_unique<RepairSpaceCache>(options.cache)) {}
-
 Result<SqlExactRunner> SqlExactRunner::Make(Database db,
                                             std::vector<TableKey> keys,
-                                            SqlExactOptions options) {
+                                            engine::SessionOptions options) {
   if (keys.empty()) {
     return Status::InvalidArgument("no key constraints declared");
   }
@@ -330,7 +322,17 @@ Result<SqlExactRunner> SqlExactRunner::Make(Database db,
     Status appended = AppendKeyEgds(db.schema(), key, &constraints);
     if (!appended.ok()) return appended;
   }
-  return SqlExactRunner(std::move(db), std::move(constraints), options);
+  return SqlExactRunner(std::make_unique<engine::OcqaSession>(
+      std::move(db), std::move(constraints), options));
+}
+
+Result<EnumerationResult> SqlExactRunner::Enumerate() {
+  EnumerationResult enumeration = session_->Enumerate(generator_);
+  if (enumeration.truncated) {
+    return Status::ResourceExhausted(
+        "chain too large for exact SQL answering");
+  }
+  return enumeration;
 }
 
 Result<SqlExactResult> SqlExactRunner::Run(std::string_view sql) {
@@ -339,18 +341,13 @@ Result<SqlExactResult> SqlExactRunner::Run(std::string_view sql) {
 
   // Validate the statement (and learn its output columns) against the
   // dirty database before paying for the enumeration.
-  Catalog dirty_catalog = Catalog::FromDatabase(db_);
+  Catalog dirty_catalog = Catalog::FromDatabase(database());
   Result<engine::Relation> dirty_run = Execute(**statement, dirty_catalog);
   if (!dirty_run.ok()) return dirty_run.status();
 
-  EnumerationOptions enum_options = options_.enumeration;
-  enum_options.cache = cache_.get();
-  EnumerationResult enumeration =
-      EnumerateRepairs(db_, constraints_, generator_, enum_options);
-  if (enumeration.truncated) {
-    return Status::ResourceExhausted(
-        "chain too large for exact SQL answering");
-  }
+  Result<EnumerationResult> walked = Enumerate();
+  if (!walked.ok()) return walked.status();
+  const EnumerationResult& enumeration = *walked;
 
   SqlExactResult result;
   result.columns = dirty_run->columns();
@@ -377,7 +374,7 @@ Result<SqlExactResult> SqlExactRunner::Run(std::string_view sql) {
 Result<SqlCertainResult> SqlExactRunner::RunCertain(std::string_view sql) {
   Result<StatementPtr> statement = Parse(sql);
   if (!statement.ok()) return statement.status();
-  Catalog dirty_catalog = Catalog::FromDatabase(db_);
+  Catalog dirty_catalog = Catalog::FromDatabase(database());
   Result<engine::Relation> dirty_run = Execute(**statement, dirty_catalog);
   if (!dirty_run.ok()) return dirty_run.status();
 
@@ -386,15 +383,14 @@ Result<SqlCertainResult> SqlExactRunner::RunCertain(std::string_view sql) {
 
   std::string why;
   std::optional<Query> query =
-      TranslateToConjunctive(**statement, db_.schema(), &why);
+      TranslateToConjunctive(**statement, database().schema(), &why);
   if (query.has_value()) {
-    Result<planner::QueryPlan> plan =
-        planner_.Plan(db_, constraints_, generator_, *query);
+    Result<planner::QueryPlan> plan = session_->Plan(generator_, *query);
     if (!plan.ok()) return plan.status();  // forced-rewrite mismatch
     result.plan_reason = plan->reason;
     if (plan->kind == planner::PlanKind::kRewriting) {
       std::set<Tuple> certain =
-          planner::EvaluateCertain(db_, *query, plan->rewritten);
+          planner::EvaluateCertain(database(), *query, plan->rewritten);
       result.plan = planner::PlanKind::kRewriting;
       result.rows.assign(certain.begin(), certain.end());
       return result;
@@ -402,7 +398,7 @@ Result<SqlCertainResult> SqlExactRunner::RunCertain(std::string_view sql) {
   } else {
     result.plan_reason =
         StrCat("not translatable to a conjunctive query: ", why);
-    if (options_.plan == planner::PlanMode::kRewrite) {
+    if (session_->options().plan == planner::PlanMode::kRewrite) {
       return Status::InvalidArgument(
           StrCat("--plan=rewrite forced but the statement is ",
                  result.plan_reason));
@@ -412,14 +408,9 @@ Result<SqlCertainResult> SqlExactRunner::RunCertain(std::string_view sql) {
   // Walk backend: certain rows = rows present in *every* operational
   // repair (intersection of per-repair row sets — set semantics, so a
   // duplicated row inside one repair cannot masquerade as certain).
-  EnumerationOptions enum_options = options_.enumeration;
-  enum_options.cache = cache_.get();
-  EnumerationResult enumeration =
-      EnumerateRepairs(db_, constraints_, generator_, enum_options);
-  if (enumeration.truncated) {
-    return Status::ResourceExhausted(
-        "chain too large for exact SQL answering");
-  }
+  Result<EnumerationResult> walked = Enumerate();
+  if (!walked.ok()) return walked.status();
+  const EnumerationResult& enumeration = *walked;
   result.plan = planner::PlanKind::kMemoizedWalk;
   if (enumeration.success_mass.is_zero()) return result;
 

@@ -5,11 +5,11 @@
 // every result row: the key constraints given as TableKeys become EGDs,
 // the repairing chain over (D, Σ_keys) is enumerated under the uniform
 // generator, and the SQL statement is evaluated on each operational
-// repair with its probability mass. Because the repair space depends
-// only on (D, Σ) — never on the statement — the runner owns a
-// RepairSpaceCache: the first query pays for the enumeration, every
-// further query over the same database replays it from the cache
-// (typically a single root-entry hit).
+// repair with its probability mass. The runner is a SQL front end over
+// an engine::OcqaSession on (D, Σ_keys): the repair space depends only on
+// (D, Σ) — never on the statement — so the first query pays for the
+// enumeration and every further query over the same database replays it
+// from the session's cache (typically a single root-entry hit).
 //
 // Exactness makes this FP^#P-hard in the worst case (Theorem 5); the
 // enumeration budget applies and a truncated chain is ResourceExhausted.
@@ -26,28 +26,13 @@
 #include <string>
 #include <vector>
 
-#include "planner/planner.h"
-#include "repair/repair_cache.h"
-#include "repair/repair_enumerator.h"
+#include "engine/ocqa_session.h"
 #include "sql/approx_runner.h"
 #include "sql/catalog.h"
 #include "util/rational.h"
 
 namespace opcqa {
 namespace sql {
-
-struct SqlExactOptions {
-  /// Chain-walk knobs (state budget, threads, memoize). `memoize`
-  /// defaults to on — it is what makes repeated queries cheap.
-  EnumerationOptions enumeration;
-  /// Budgets of the owned RepairSpaceCache.
-  RepairCacheOptions cache;
-  /// Backend dispatch for RunCertain() (see planner/planner.h). Run()
-  /// always walks — only certainty has a rewriting.
-  planner::PlanMode plan = planner::PlanMode::kAuto;
-
-  SqlExactOptions() { enumeration.memoize = true; }
-};
 
 struct SqlExactResult {
   /// Output column names of the query.
@@ -81,9 +66,11 @@ class SqlExactRunner {
  public:
   /// `db` is the dirty database; `keys` the per-table key constraints
   /// (as in SqlApproxRunner). Fails on unknown tables or out-of-range
-  /// key positions.
+  /// key positions. `options` configure the owned session: its
+  /// enumeration (memoized by default), cache budgets and the plan mode
+  /// of RunCertain(); Run() always walks — only certainty has a rewriting.
   static Result<SqlExactRunner> Make(Database db, std::vector<TableKey> keys,
-                                     SqlExactOptions options = {});
+                                     engine::SessionOptions options = {});
 
   /// Evaluates `sql` exactly over the operational repairs. Repeated calls
   /// share the cached repair space.
@@ -97,30 +84,32 @@ class SqlExactRunner {
   Result<SqlCertainResult> RunCertain(std::string_view sql);
 
   /// The EGDs derived from the table keys.
-  const ConstraintSet& constraints() const { return constraints_; }
-  const Database& database() const { return db_; }
+  const ConstraintSet& constraints() const { return session_->constraints(); }
+  const Database& database() const { return session_->database(); }
   /// Aggregated cache counters across all queries so far.
-  MemoStats CacheStats() const { return cache_->TotalStats(); }
-  /// Disk-tier counters (SqlExactOptions::cache.snapshot_dir).
-  DiskTierStats DiskStats() const { return cache_->disk_stats(); }
+  MemoStats CacheStats() const { return session_->CacheStats(); }
+  /// Disk-tier counters (SessionOptions::cache.snapshot_dir).
+  DiskTierStats DiskStats() const { return session_->DiskStats(); }
   /// Planner decision counters for RunCertain().
-  const planner::PlannerStats& PlanStats() const { return planner_.stats(); }
+  const planner::PlannerStats& PlanStats() const {
+    return session_->PlanStats();
+  }
   /// Spills the cached repair space to the disk tier now (no-op without
   /// a snapshot_dir; destruction also spills).
-  void Persist() { cache_->Persist(); }
+  void Persist() { session_->Persist(); }
 
  private:
-  SqlExactRunner(Database db, ConstraintSet constraints,
-                 SqlExactOptions options);
+  explicit SqlExactRunner(std::unique_ptr<engine::OcqaSession> session)
+      : session_(std::move(session)) {}
 
-  Database db_;
-  ConstraintSet constraints_;
-  SqlExactOptions options_;
+  /// Enumerates the uniform chain through the session; a truncated chain
+  /// is ResourceExhausted.
+  Result<EnumerationResult> Enumerate();
+
+  // Owned via pointer so the runner stays movable (the session's cache
+  // holds a mutex) for Result<SqlExactRunner>.
+  std::unique_ptr<engine::OcqaSession> session_;
   UniformChainGenerator generator_;
-  planner::QueryPlanner planner_;
-  // Owned via pointer so the runner stays movable (the cache holds a
-  // mutex) for Result<SqlExactRunner>.
-  std::unique_ptr<RepairSpaceCache> cache_;
 };
 
 }  // namespace sql

@@ -3,12 +3,16 @@
 #include <utility>
 
 #include "sql/lexer.h"
+#include "util/nesting.h"
 #include "util/string_util.h"
 
 namespace opcqa {
 namespace sql {
 namespace {
 
+// Recursive descent. A parenthesized statement, a derived table, a NOT
+// and a parenthesized condition each nest one level deeper;
+// kMaxNestingDepth bounds the recursion.
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -89,6 +93,8 @@ class Parser {
   Result<StatementPtr> ParseSelectOrParen() {
     if (Peek().kind == TokenKind::kLParen) {
       Advance();
+      NestingGuard level(&depth_);
+      if (Status deep = level.status(); !deep.ok()) return deep;
       Result<StatementPtr> inner = ParseSetExpression();
       if (!inner.ok()) return inner;
       Status closed = Expect(TokenKind::kRParen);
@@ -202,6 +208,8 @@ class Parser {
   Result<FromItem> ParseFromItem() {
     FromItem item;
     if (Match(TokenKind::kLParen)) {
+      NestingGuard level(&depth_);
+      if (Status deep = level.status(); !deep.ok()) return deep;
       Result<StatementPtr> derived = ParseSetExpression();
       if (!derived.ok()) return derived.status();
       Status status = Expect(TokenKind::kRParen);
@@ -260,12 +268,16 @@ class Parser {
 
   Result<ConditionPtr> ParseNotCondition() {
     if (Match(TokenKind::kNot)) {
+      NestingGuard level(&depth_);
+      if (Status deep = level.status(); !deep.ok()) return deep;
       Result<ConditionPtr> inner = ParseNotCondition();
       if (!inner.ok()) return inner;
       return Condition::Not(inner.value());
     }
     if (Peek().kind == TokenKind::kLParen) {
       Advance();
+      NestingGuard level(&depth_);
+      if (Status deep = level.status(); !deep.ok()) return deep;
       Result<ConditionPtr> inner = ParseCondition();
       if (!inner.ok()) return inner;
       Status status = Expect(TokenKind::kRParen);
@@ -323,6 +335,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t depth_ = 0;
 };
 
 }  // namespace

@@ -184,6 +184,26 @@ TEST(CliTest, RepeatedHeadVariableIsAHardFailure) {
       << run.err;
 }
 
+TEST(CliTest, DeeplyNestedQueryIsAHardFailure) {
+  // Nesting past the parser's limit is bad input, from --query or from a
+  // --serve-trace line — never a stack overflow.
+  CliInputs inputs;
+  const std::string query = "Q(x,y) := " + std::string(5000, '(') +
+                            "R(x,y)" + std::string(5000, ')');
+  std::vector<std::string> args = inputs.Args();
+  args.back() = "--query=" + query;
+  CliRun run = RunCli(args, inputs);
+  EXPECT_EQ(run.exit_code, 1) << run.err;
+  EXPECT_NE(run.err.find("error:"), std::string::npos) << run.err;
+
+  std::ofstream(inputs.Path("deep.trace"))
+      << "t0 answer exact uniform 0 " << query << "\n";
+  args.back() = "--serve-trace=" + inputs.Path("deep.trace");
+  run = RunCli(args, inputs);
+  EXPECT_EQ(run.exit_code, 1) << run.err;
+  EXPECT_NE(run.err.find("error:"), std::string::npos) << run.err;
+}
+
 TEST(CliTest, SqlModeStdoutIsPinned) {
   // --mode=sql stdout, byte for byte: the rewritten statement and the
   // per-row frequencies of the seeded R_del loop.
@@ -235,6 +255,21 @@ TEST(CliTest, BadKeysSpecsAreUsageErrors) {
     EXPECT_EQ(run.out, "") << keys;
     EXPECT_NE(run.err.find("--keys"), std::string::npos) << run.err;
   }
+}
+
+TEST(CliTest, TableKeyedTwiceIsAUsageError) {
+  // One sampled deletion table per keyed table: a second key would be
+  // silently dropped.
+  CliInputs inputs;
+  std::vector<std::string> args = inputs.Args();
+  args.push_back("--mode=sql");
+  args.push_back("--sql=SELECT c0, c1 FROM R");
+  args.push_back("--keys=R:1;R:0");
+  CliRun run = RunCli(args, inputs);
+  EXPECT_EQ(run.exit_code, 2) << run.err;
+  EXPECT_EQ(run.out, "");
+  EXPECT_NE(run.err.find("--keys names table R twice"), std::string::npos)
+      << run.err;
 }
 
 TEST(CliTest, ApproxRunReportsSamplerMetrics) {

@@ -421,7 +421,7 @@ TEST(MemoizedEnumerationTest, InapplicableCombinationsFallBackSilently) {
 }
 
 TEST(MemoizedEnumerationTest, BudgetPressureOnlyCostsSpeed) {
-  // Entry and byte budgets force the eviction sweep mid-enumeration; the
+  // A byte budget forces the eviction sweep mid-enumeration; the
   // results must stay byte-identical — eviction can only ever cause a
   // recomputation, never a wrong replay.
   UniformChainGenerator generator;
@@ -429,15 +429,6 @@ TEST(MemoizedEnumerationTest, BudgetPressureOnlyCostsSpeed) {
   EnumerationOptions plain;
   EnumerationResult base =
       EnumerateRepairs(w.db, w.constraints, generator, plain);
-
-  EnumerationOptions capped = plain;
-  capped.memoize = true;
-  capped.memo_max_entries = 4;  // 1 entry per stripe
-  EnumerationResult result =
-      EnumerateRepairs(w.db, w.constraints, generator, capped);
-  ExpectIdenticalResults(base, result, "entry-capped table");
-  EXPECT_GT(result.memo_stats.evictions, 0u);
-  EXPECT_LE(result.memo_stats.entries, 16u);  // kNumStripes × 1
 
   EnumerationOptions byte_capped = plain;
   byte_capped.memoize = true;
@@ -457,13 +448,13 @@ TEST(MemoizedCountingTest, CountingOcaMatchesUnmemoized) {
   UniformChainGenerator generator;
   Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
   ASSERT_TRUE(q.ok());
-  CountingOptions plain;
+  EnumerationOptions plain;
   CountingOcaResult base =
       CountingOca(w.db, w.constraints, generator, *q, plain);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    CountingOptions memo;
-    memo.enumeration.memoize = true;
-    memo.enumeration.threads = threads;
+    EnumerationOptions memo;
+    memo.memoize = true;
+    memo.threads = threads;
     CountingOcaResult result =
         CountingOca(w.db, w.constraints, generator, *q, memo);
     EXPECT_EQ(result.num_repairs, base.num_repairs) << threads;

@@ -330,7 +330,7 @@ TEST(SqlCertainTest, ProjectionRewritesAndMatchesWalk) {
   EXPECT_EQ(rewritten->plan, PlanKind::kRewriting)
       << rewritten->plan_reason;
 
-  sql::SqlExactOptions walk_options;
+  engine::SessionOptions walk_options;
   walk_options.plan = PlanMode::kWalk;
   Result<sql::SqlExactRunner> slow =
       sql::SqlExactRunner::Make(w.db, keys, walk_options);
@@ -377,7 +377,7 @@ TEST(SqlCertainTest, RepeatedOutputVariableDeclinesToTheWalk) {
   db.Insert(Fact(r, {Const("a"), Const("b")}));
   db.Insert(Fact(r, {Const("c"), Const("c")}));
   std::vector<sql::TableKey> keys = {{"R", {0}}};
-  sql::SqlExactOptions walk_options;
+  engine::SessionOptions walk_options;
   walk_options.plan = PlanMode::kWalk;
   Result<sql::SqlExactRunner> runner = sql::SqlExactRunner::Make(db, keys);
   Result<sql::SqlExactRunner> walker =
@@ -425,7 +425,7 @@ TEST(SqlCertainTest, WhereEqualityJoinRewrites) {
   EXPECT_EQ(result->rows,
             std::vector<engine::Row>({Tuple{Const("a0")}}));
 
-  sql::SqlExactOptions walk_options;
+  engine::SessionOptions walk_options;
   walk_options.plan = PlanMode::kWalk;
   Result<sql::SqlExactRunner> slow =
       sql::SqlExactRunner::Make(db, keys, walk_options);

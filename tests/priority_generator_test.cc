@@ -96,21 +96,6 @@ TEST(PriorityGeneratorTest, TieBreaksUniformly) {
   }
 }
 
-TEST(PriorityGeneratorTest, CustomRankFunctionWithState) {
-  // Rank can inspect the state: prefer deleting facts whose key has the
-  // most surviving tuples (load balancing). Just check it is well-formed.
-  gen::Workload w = gen::MakeKeyViolationWorkload(3, 2, 3, /*seed=*/70);
-  PriorityChainGenerator gen(
-      "load-balance",
-      [](const RepairingState& state, const Operation& op) -> int64_t {
-        return static_cast<int64_t>(state.current().size()) -
-               static_cast<int64_t>(op.size());
-      });
-  EnumerationResult result = EnumerateRepairs(w.db, w.constraints, gen);
-  EXPECT_FALSE(result.repairs.empty());
-  EXPECT_EQ(result.success_mass, Rational(1));
-}
-
 TEST(PriorityGeneratorTest, WorksWithOcqa) {
   gen::Workload w = gen::PaperPreferenceExample();
   PriorityChainGenerator gen = PriorityChainGenerator::MinimalChange();

@@ -115,18 +115,22 @@ TEST(RepairSpaceCacheTest, TrustGeneratorsShareOnlyEqualParameterizations) {
   EXPECT_EQ(cache.roots(), 2u);  // different default trust must not
 }
 
+// Memoryless but anonymous: sound to memoize within a call, unsound to
+// share across instances — it declines a cache identity.
+class AnonymousUniformGenerator : public ChainGenerator {
+ public:
+  void Probabilities(const RepairingState& state,
+                     const std::vector<Operation>& extensions,
+                     std::vector<Rational>* probs) const override {
+    UniformChainGenerator().Probabilities(state, extensions, probs);
+  }
+  std::string name() const override { return "anonymous-uniform"; }
+  bool history_independent() const override { return true; }
+};
+
 TEST(RepairSpaceCacheTest, GeneratorsWithoutIdentityNeverShare) {
   gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/5);
-  // Memoryless but anonymous: sound to memoize within a call, unsound to
-  // share across instances — the lambda could close over anything.
-  LambdaChainGenerator anonymous(
-      "anonymous-uniform",
-      [](const RepairingState&, const std::vector<Operation>& extensions) {
-        return std::vector<Rational>(
-            extensions.size(),
-            Rational(1, static_cast<int64_t>(extensions.size())));
-      },
-      /*deletions_only=*/false, /*memoryless=*/true);
+  AnonymousUniformGenerator anonymous;
   RepairSpaceCache cache;
   EXPECT_EQ(cache.TableFor(w.db, w.constraints, anonymous, true), nullptr);
   EnumerationResult result = EnumerateRepairs(w.db, w.constraints, anonymous,
@@ -243,7 +247,7 @@ TEST(RepairSpaceCacheTest, CountersStayMonotoneWhenRootsAreDropped) {
   EXPECT_EQ(cache.roots(), 1u);
   std::shared_ptr<TranspositionTable> live =
       cache.TableFor(other, w.constraints, generator,
-                     EnumerationOptions().prune_zero_probability);
+                     /*prune_zero_probability=*/true);
   ASSERT_NE(live, nullptr);
   EXPECT_EQ(last.entries, live->stats().entries);
   EXPECT_EQ(last.bytes, live->stats().bytes);

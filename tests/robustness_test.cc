@@ -100,6 +100,35 @@ TEST_F(RobustnessTest, DeeplyNestedSqlParses) {
   EXPECT_TRUE(sql::Parse(query).ok());
 }
 
+// Nesting deeper than the parsers' limit is rejected with a Status
+// naming the limit, however deep: recursion never overflows the stack.
+void ExpectTooDeep(const Status& status) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("nested deeper than the limit of 256"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(RobustnessTest, DeeplyNestedFormulasAreRejected) {
+  constexpr size_t kLevels = 100000;
+  std::string parens = std::string(kLevels, '(') + "R(x,y)" +
+                       std::string(kLevels, ')');
+  ExpectTooDeep(ParseQuery(schema_, "Q(x,y) := " + parens).status());
+  std::string negations = std::string(kLevels, '!') + "R(x,y)";
+  ExpectTooDeep(ParseQuery(schema_, "Q(x,y) := " + negations).status());
+  // Within the limit, nesting parses.
+  EXPECT_TRUE(ParseQuery(schema_, "Q(x,y) := " + std::string(200, '(') +
+                                      "R(x,y)" + std::string(200, ')'))
+                  .ok());
+}
+
+TEST_F(RobustnessTest, DeeplyNestedSqlIsRejected) {
+  constexpr size_t kLevels = 100000;
+  std::string where = "SELECT x FROM t WHERE " + std::string(kLevels, '(') +
+                      "x = 1" + std::string(kLevels, ')');
+  ExpectTooDeep(sql::Parse(where).status());
+}
+
 TEST_F(RobustnessTest, ConstraintParserNeverCrashesOnMutations) {
   const std::string kValid = "mykey: R(x,y), R(x,z) -> y = z";
   ASSERT_TRUE(ParseConstraint(schema_, kValid).ok());

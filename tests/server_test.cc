@@ -277,32 +277,39 @@ TEST(OcqaServerTest, PerTenantAdmissionRejectsOverBudget) {
   OcqaServer server(w.db, w.constraints, options);
   GateGenerator gate;
   server.RegisterGenerator("gate", gate.Make());
-  TenantOptions qos;
-  qos.max_in_flight = 2;
-  server.AddTenant("t", qos);
 
-  // Request 1 runs (stalled on the gate), request 2 queues — budget full.
-  auto f1 = server.Submit(ReadRequest(0, "t", w, "Q() := exists x R(x,x)",
-                                      "gate"));
-  auto f2 = server.Submit(ReadRequest(1, "t", w, "Q(x,y) := R(x,y)"));
-  auto f3 = server.Submit(ReadRequest(2, "t", w, "Q(x,y) := R(x,y)"));
-  Response rejected = f3.get();  // resolves immediately
+  // The first request runs (stalled on the gate), the rest queue until
+  // the budget is full.
+  std::vector<std::future<Response>> admitted;
+  admitted.push_back(server.Submit(
+      ReadRequest(0, "t", w, "Q() := exists x R(x,x)", "gate")));
+  for (size_t i = 1; i < OcqaServer::kMaxInFlight; ++i) {
+    admitted.push_back(
+        server.Submit(ReadRequest(i, "t", w, "Q(x,y) := R(x,y)")));
+  }
+  auto over = server.Submit(ReadRequest(OcqaServer::kMaxInFlight, "t", w,
+                                        "Q(x,y) := R(x,y)"));
+  Response rejected = over.get();  // resolves immediately
   EXPECT_EQ(rejected.status.code(), StatusCode::kResourceExhausted);
 
   // Another tenant is not affected by t's budget.
-  auto other = server.Submit(ReadRequest(3, "u", w, "Q(x,y) := R(x,y)"));
+  auto other = server.Submit(ReadRequest(OcqaServer::kMaxInFlight + 1, "u",
+                                         w, "Q(x,y) := R(x,y)"));
 
   gate.Release();
-  EXPECT_TRUE(f1.get().status.ok());
-  EXPECT_TRUE(f2.get().status.ok());
+  for (std::future<Response>& response : admitted) {
+    EXPECT_TRUE(response.get().status.ok());
+  }
   EXPECT_TRUE(other.get().status.ok());
 
   ServerStats stats = server.Stats();
   EXPECT_EQ(stats.rejected_admission, 1u);
   // The budget frees as units complete: t can submit again.
-  EXPECT_TRUE(
-      server.Submit(ReadRequest(4, "t", w, "Q(x,y) := R(x,y)")).get()
-          .status.ok());
+  EXPECT_TRUE(server
+                  .Submit(ReadRequest(OcqaServer::kMaxInFlight + 2, "t", w,
+                                      "Q(x,y) := R(x,y)"))
+                  .get()
+                  .status.ok());
 }
 
 // ---------------------------------------------------------------------

@@ -432,6 +432,36 @@ TEST_F(SqlApproxTest, InvalidSqlPropagatesStatus) {
   ASSERT_FALSE(result.ok());
 }
 
+TEST_F(SqlApproxTest, TwoKeysOnOneTableAreRejected) {
+  // Both keys would sample R_del into one table; the loop keeps one.
+  SqlApproxRunner runner(catalog_, {TableKey{"r", {1}}, TableKey{"r", {0}}},
+                         /*seed=*/3);
+  auto result = runner.Run("SELECT k, v FROM r", 10);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("r has more than one key"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+TEST_F(SqlApproxTest, DeletionTablesStayInvisible) {
+  // r__del exists only inside the loop: the statement cannot read it.
+  SqlApproxRunner runner(catalog_, {TableKey{"r", {0}}}, /*seed=*/3);
+  EXPECT_FALSE(runner.Run("SELECT k FROM r__del", 10).ok());
+
+  // A real r__del would be shadowed by the sampled deletions.
+  Relation shadowed("r__del", {"k", "v"});
+  shadowed.Add(MakeRow({"z", "z"}));
+  catalog_.Register("r__del", std::move(shadowed));
+  SqlApproxRunner clash(catalog_, {TableKey{"r", {0}}}, /*seed=*/3);
+  auto result = clash.Run("SELECT k FROM r__del", 10);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("r__del is reserved"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
 // The two SQL runners answer under different distributions. On
 // {R(k,a), R(k,b)} the uniform-operations chain of SqlExactRunner deletes
 // a, b or both, so each row has CP 1/3; SqlApproxRunner keeps one tuple

@@ -94,17 +94,6 @@ TEST(TopKTest, LowerBoundsNeverExceedTrueProbabilities) {
             Rational(1));
 }
 
-TEST(TopKTest, FrontierEpsilonStopsEarly) {
-  gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/23);
-  UniformChainGenerator generator;
-  TopKOptions options;
-  options.frontier_epsilon = Rational(1, 2);
-  TopKResult top =
-      TopKRepairs(w.db, w.constraints, generator, /*k=*/1, options);
-  EXPECT_LE(top.frontier_mass, Rational(1, 2));
-  EXPECT_FALSE(top.exact);
-}
-
 TEST(TopKTest, ConsistentDatabaseYieldsItself) {
   Schema schema;
   schema.AddRelation("R", 2);

@@ -33,7 +33,7 @@ class UpdateRepairTest : public ::testing::Test {
 };
 
 TEST_F(UpdateRepairTest, RecognizesSimpleKey) {
-  auto keys = ExtractKeyEgds(schema_, Sigma("R(x,y), R(x,z) -> y = z"));
+  auto keys = ExtractPrimaryKeys(Sigma("R(x,y), R(x,z) -> y = z"));
   ASSERT_TRUE(keys.ok()) << keys.status().ToString();
   ASSERT_EQ(keys.value().size(), 1u);
   EXPECT_EQ(keys.value()[0].pred, schema_.RelationOrDie("R"));
@@ -42,31 +42,29 @@ TEST_F(UpdateRepairTest, RecognizesSimpleKey) {
 
 TEST_F(UpdateRepairTest, MergesMultipleEgdsOverOnePredicate) {
   // Two EGDs spell out a one-attribute key of the ternary S.
-  auto keys = ExtractKeyEgds(
-      schema_, Sigma("S(x,y1,y2), S(x,z1,z2) -> y1 = z1\n"
-                     "S(x,y1,y2), S(x,z1,z2) -> y2 = z2"));
+  auto keys = ExtractPrimaryKeys(Sigma("S(x,y1,y2), S(x,z1,z2) -> y1 = z1\n"
+                                       "S(x,y1,y2), S(x,z1,z2) -> y2 = z2"));
   ASSERT_TRUE(keys.ok()) << keys.status().ToString();
   ASSERT_EQ(keys.value().size(), 1u);
   EXPECT_EQ(keys.value()[0].key_positions, (std::vector<size_t>{0}));
 }
 
 TEST_F(UpdateRepairTest, RejectsNonKeyConstraints) {
-  EXPECT_FALSE(ExtractKeyEgds(schema_, Sigma("R(x,y) -> S(x,y,y)")).ok());
+  EXPECT_FALSE(ExtractPrimaryKeys(Sigma("R(x,y) -> S(x,y,y)")).ok());
   EXPECT_FALSE(
-      ExtractKeyEgds(schema_, Sigma("R(x,y), R(y,x) -> false")).ok());
+      ExtractPrimaryKeys(Sigma("R(x,y), R(y,x) -> false")).ok());
   // EGD over two different predicates is not a key.
   EXPECT_FALSE(
-      ExtractKeyEgds(schema_, Sigma("R(x,y), S(x,z,w) -> y = z")).ok());
+      ExtractPrimaryKeys(Sigma("R(x,y), S(x,z,w) -> y = z")).ok());
   // EGD with three body atoms.
   EXPECT_FALSE(
-      ExtractKeyEgds(schema_,
-                     Sigma("R(x,y), R(x,z), R(x,w) -> y = z")).ok());
+      ExtractPrimaryKeys(Sigma("R(x,y), R(x,z), R(x,w) -> y = z")).ok());
 }
 
 TEST_F(UpdateRepairTest, RepairSatisfiesKeysAndKeepsEveryKey) {
   Database db = Db("R(a,b). R(a,c). R(d,e). R(f,g). R(f,h).");
   ConstraintSet sigma = Sigma("R(x,y), R(x,z) -> y = z");
-  auto keys = ExtractKeyEgds(schema_, sigma).value();
+  auto keys = ExtractPrimaryKeys(sigma).value();
   Rng rng(3);
   for (int trial = 0; trial < 20; ++trial) {
     UpdateRepairResult repair = SampleUpdateRepair(db, keys, &rng);
@@ -83,7 +81,7 @@ TEST_F(UpdateRepairTest, RepairSatisfiesKeysAndKeepsEveryKey) {
 TEST_F(UpdateRepairTest, UnkeyedRelationsPassThrough) {
   Database db = Db("R(a,b). R(a,c). T(t1). T(t2).");
   auto keys =
-      ExtractKeyEgds(schema_, Sigma("R(x,y), R(x,z) -> y = z")).value();
+      ExtractPrimaryKeys(Sigma("R(x,y), R(x,z) -> y = z")).value();
   Rng rng(5);
   UpdateRepairResult repair = SampleUpdateRepair(db, keys, &rng);
   EXPECT_TRUE(repair.db.Contains(Fact::Make(schema_, "T", {"t1"})));
@@ -93,7 +91,7 @@ TEST_F(UpdateRepairTest, UnkeyedRelationsPassThrough) {
 TEST_F(UpdateRepairTest, UniformWinnerFrequencies) {
   Database db = Db("R(a,b). R(a,c).");
   auto keys =
-      ExtractKeyEgds(schema_, Sigma("R(x,y), R(x,z) -> y = z")).value();
+      ExtractPrimaryKeys(Sigma("R(x,y), R(x,z) -> y = z")).value();
   Query q = ParseQuery(schema_, "Q(y) := R(a,y)").value();
   UpdateOcaResult result =
       EstimateUpdateOca(db, keys, q, /*runs=*/4000, /*seed=*/11);
@@ -105,7 +103,7 @@ TEST_F(UpdateRepairTest, UniformWinnerFrequencies) {
 TEST_F(UpdateRepairTest, TrustWeightsSkewTheWinner) {
   Database db = Db("R(a,b). R(a,c).");
   auto keys =
-      ExtractKeyEgds(schema_, Sigma("R(x,y), R(x,z) -> y = z")).value();
+      ExtractPrimaryKeys(Sigma("R(x,y), R(x,z) -> y = z")).value();
   std::map<Fact, double> trust = {
       {Fact::Make(schema_, "R", {"a", "b"}), 3.0},
       {Fact::Make(schema_, "R", {"a", "c"}), 1.0},
@@ -125,7 +123,7 @@ TEST_F(UpdateRepairTest, KeyPresenceIsCertainUnlikeDeletionRepairs) {
   ConstraintSet sigma = Sigma("R(x,y), R(x,z) -> y = z");
   Query exists_a = ParseQuery(schema_, "Q() := exists y: R(a,y)").value();
 
-  auto keys = ExtractKeyEgds(schema_, sigma).value();
+  auto keys = ExtractPrimaryKeys(sigma).value();
   UpdateOcaResult updates =
       EstimateUpdateOca(db, keys, exists_a, /*runs=*/500, /*seed=*/17);
   EXPECT_DOUBLE_EQ(updates.Frequency({}), 1.0);
@@ -138,7 +136,7 @@ TEST_F(UpdateRepairTest, KeyPresenceIsCertainUnlikeDeletionRepairs) {
 
 TEST_F(UpdateRepairTest, WorksOnGeneratedWorkloads) {
   gen::Workload w = gen::MakeKeyViolationWorkload(10, 6, 3, /*seed=*/29);
-  auto keys = ExtractKeyEgds(*w.schema, w.constraints).value();
+  auto keys = ExtractPrimaryKeys(w.constraints).value();
   Rng rng(31);
   UpdateRepairResult repair = SampleUpdateRepair(w.db, keys, &rng);
   EXPECT_TRUE(Satisfies(repair.db, w.constraints));
