@@ -86,7 +86,9 @@ void BM_EqualityGate(benchmark::State& state) {
     for (const Fact& fact : w.db.AllFacts()) {
       Rational mono_p;
       for (const RepairInfo& info : mono.repairs) {
-        if (info.repair.Contains(fact)) mono_p += info.probability;
+        if (MaterializeRepair(w.db, info).Contains(fact)) {
+          mono_p += info.probability;
+        }
       }
       mono_p /= mono.success_mass;
       if (localized->FactSurvivalProbability(fact) != mono_p) equal = false;

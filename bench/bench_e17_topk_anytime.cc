@@ -47,7 +47,8 @@ int main() {
     double ms_top = t_top.ElapsedMs();
 
     // Sanity: same winner.
-    if (!(top.Map().repair == full.repairs.front().repair)) {
+    if (top.Map().removed != full.repairs.front().removed ||
+        top.Map().added != full.repairs.front().added) {
       std::printf("  WINNER MISMATCH at %zu groups\n", groups);
       return 1;
     }

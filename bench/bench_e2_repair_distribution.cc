@@ -27,7 +27,7 @@ int main() {
     std::printf("  p = %-8s (≈ %.6f, via %zu sequences): { %s }\n",
                 info.probability.ToString().c_str(),
                 info.probability.ToDouble(), info.num_sequences,
-                info.repair.ToString().c_str());
+                MaterializeRepair(result.initial, info).ToString().c_str());
   }
   std::printf("\n  success mass  = %s\n",
               result.success_mass.ToString().c_str());

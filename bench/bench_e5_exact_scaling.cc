@@ -419,7 +419,7 @@ void RecordMemoSweep() {
 // Cross-query persistence sweep (PR 4), appended to the e5_memo_scaling
 // section (no new Header): the 8-query/one-database workload with the
 // RepairSpaceCache off vs on, with per-query hit rates and the cache's
-// delta-compression counters.
+// counters.
 void RecordPersistSweep() {
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
   std::vector<Query> queries = PersistQueries(*w.schema);
@@ -466,45 +466,10 @@ void RecordPersistSweep() {
   bench::Row("per-query hit rate (persistent)", "n/a (ours)", hit_rates);
   char counters[200];
   std::snprintf(counters, sizeof(counters),
-                "%zu entries, %zu bytes; delta payloads %zu B vs %zu B "
-                "full copies (%.1fx), %llu evictions",
-                cache_stats.entries, cache_stats.bytes,
-                cache_stats.payload_bytes, cache_stats.full_payload_bytes,
-                cache_stats.payload_bytes == 0
-                    ? 0.0
-                    : static_cast<double>(cache_stats.full_payload_bytes) /
-                          static_cast<double>(cache_stats.payload_bytes),
+                "%zu entries, %zu bytes, %llu evictions", cache_stats.entries,
+                cache_stats.bytes,
                 static_cast<unsigned long long>(cache_stats.evictions));
   bench::Row("persistent cache counters", "n/a (ours)", counters);
-  // Delta compression headline on a depth-bounded chain: a large, mostly
-  // clean database (40 keys, 4 violating) where removed-id deltas are
-  // depth-sized but the PR-3 Database copies were |D|-sized.
-  {
-    gen::Workload big = gen::MakeKeyViolationWorkload(40, 4, 2, /*seed=*/100);
-    RepairSpaceCache cache;
-    EnumerationOptions options;
-    options.memoize = true;
-    options.cache = &cache;
-    EnumerationResult result =
-        EnumerateRepairs(big.db, big.constraints, generator, options);
-    benchmark::DoNotOptimize(result);
-    MemoStats stats = cache.TotalStats();
-    char compression[200];
-    std::snprintf(
-        compression, sizeof(compression),
-        "|D|=%zu, %zu entries: delta payloads %zu B vs %zu B full copies "
-        "(%.1fx; per entry %zu B -> %zu B)",
-        big.db.size(), stats.entries, stats.payload_bytes,
-        stats.full_payload_bytes,
-        stats.payload_bytes == 0
-            ? 0.0
-            : static_cast<double>(stats.full_payload_bytes) /
-                  static_cast<double>(stats.payload_bytes),
-        stats.entries == 0 ? 0 : stats.full_payload_bytes / stats.entries,
-        stats.entries == 0 ? 0 : stats.payload_bytes / stats.entries);
-    bench::Row("delta compression (depth-bounded, 40 keys / 4 conflicts)",
-               "n/a (ours)", compression);
-  }
   bench::Note("persistent: one RepairSpaceCache across the 8 queries — "
               "the admission filter (PR 5) defers a subtree until its key "
               "is seen twice, so query 1 records the re-reached suffixes, "

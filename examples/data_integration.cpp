@@ -40,7 +40,7 @@ int main() {
   std::printf("Repair distribution under source trust:\n");
   for (const RepairInfo& info : repairs.repairs) {
     std::printf("  p ≈ %.4f  { %s }\n", info.probability.ToDouble(),
-                info.repair.ToString().c_str());
+                MaterializeRepair(db, info).ToString().c_str());
   }
 
   Query q = *ParseQuery(schema, "Q(x,y) := Phone(x,y)");
@@ -65,7 +65,7 @@ int main() {
       EnumerateRepairs(pair_db, pair_key, half);
   for (const RepairInfo& info : pair_repairs.repairs) {
     std::printf("  p = %-5s { %s }\n", info.probability.ToString().c_str(),
-                info.repair.ToString().c_str());
+                MaterializeRepair(pair_db, info).ToString().c_str());
   }
   return 0;
 }

@@ -778,7 +778,9 @@ int main(int argc, char** argv) {
         for (const RepairInfo& info : oca.enumeration.repairs) {
           std::printf("  p = %-10s { %s }\n",
                       info.probability.ToString().c_str(),
-                      info.repair.ToString().c_str());
+                      MaterializeRepair(oca.enumeration.initial, info)
+                          .ToString()
+                          .c_str());
         }
       }
     }
@@ -794,15 +796,10 @@ int main(int argc, char** argv) {
       // printed spill counters describe what the next process will find.
       if (!opt.memo_dir.empty()) cache.Persist();
       MemoStats total = cache.TotalStats();
-      std::printf("\npersistent cache: %zu roots, %zu entries, %zu bytes "
-                  "(delta payloads %.1fx smaller than full copies), "
+      std::printf("\npersistent cache: %zu roots, %zu entries, %zu bytes, "
                   "%llu hits / %llu misses across %zu queries\n",
-                  cache.roots(), total.entries, total.bytes,
-                  total.payload_bytes == 0
-                      ? 1.0
-                      : static_cast<double>(total.full_payload_bytes) /
-                            static_cast<double>(total.payload_bytes),
-                  U(total.hits), U(total.misses), queries.size());
+                  cache.roots(), total.entries, total.bytes, U(total.hits),
+                  U(total.misses), queries.size());
       if (!opt.memo_dir.empty()) {
         DiskTierStats disk = cache.disk_stats();
         std::printf("disk tier (%s): %llu spills (%llu bytes), "

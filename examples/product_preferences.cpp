@@ -32,7 +32,8 @@ int main() {
   for (const RepairInfo& info : repairs.repairs) {
     std::printf("  p = %-6s ≈ %.4f  { %s }\n",
                 info.probability.ToString().c_str(),
-                info.probability.ToDouble(), info.repair.ToString().c_str());
+                info.probability.ToDouble(),
+                MaterializeRepair(w.db, info).ToString().c_str());
   }
 
   // Example 7: the most-preferred-product query.

@@ -61,7 +61,7 @@ int main() {
   std::printf("\noperational repairs ([[D]]_MΣ):\n");
   for (const RepairInfo& info : repairs.repairs) {
     std::printf("  p = %-6s { %s }\n", info.probability.ToString().c_str(),
-                info.repair.ToString().c_str());
+                MaterializeRepair(db, info).ToString().c_str());
   }
   return 0;
 }

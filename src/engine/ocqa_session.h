@@ -138,7 +138,7 @@ class OcqaSession {
   /// The cache queries run against: the shared one when configured,
   /// otherwise the session-owned one.
   RepairSpaceCache& cache() { return active_cache(); }
-  /// Aggregated cache counters (hit rate, bytes, evictions, compression).
+  /// Aggregated cache counters (hit rate, bytes, evictions).
   MemoStats CacheStats() const { return active_cache().TotalStats(); }
   /// Disk-tier counters (spills, restores, rejected snapshots).
   DiskTierStats DiskStats() const { return active_cache().disk_stats(); }

@@ -47,10 +47,13 @@ void Query::AnalyzeConjunctive() {
   };
   if (!add_atoms(*f)) return;
   // The homomorphism fast path reads head values off the match, so every
-  // head variable must occur in the body.
+  // head variable must occur free in the body: in some atom, and not
+  // rebound by the quantifier.
   std::vector<VarId> body_vars = view.body.Variables();
   for (VarId v : head_) {
-    if (std::find(body_vars.begin(), body_vars.end(), v) == body_vars.end()) {
+    if (std::find(body_vars.begin(), body_vars.end(), v) == body_vars.end() ||
+        std::find(view.existential.begin(), view.existential.end(), v) !=
+            view.existential.end()) {
       return;
     }
   }
@@ -117,15 +120,7 @@ bool Query::Contains(const Database& db, const Tuple& tuple) const {
     if (!std::binary_search(domain.begin(), domain.end(), c)) return false;
   }
   Assignment env;
-  for (size_t i = 0; i < head_.size(); ++i) {
-    auto existing = env.Get(head_[i]);
-    if (existing.has_value()) {
-      // Repeated head variable must be matched by equal tuple constants.
-      if (*existing != tuple[i]) return false;
-    } else {
-      env.Bind(head_[i], tuple[i]);
-    }
-  }
+  for (size_t i = 0; i < head_.size(); ++i) env.Bind(head_[i], tuple[i]);
   if (IsConjunctive()) {
     return HasHomomorphism(conjunctive_->body, db, env);
   }

@@ -182,14 +182,15 @@ Result<std::vector<Database>> AbcRepairsViaChain(
     return Status::ResourceExhausted(
         "uniform chain enumeration exceeded the candidate budget");
   }
-  // Compute ∆ per distinct leaf database, keep the ⊆-minimal ones.
-  std::vector<std::pair<std::set<Fact>, const Database*>> candidates;
+  // ∆ per distinct leaf database is its removed ∪ added set; keep the
+  // ⊆-minimal ones.
+  const FactStore& store = FactStore::Global();
+  std::vector<std::pair<std::set<Fact>, const RepairInfo*>> candidates;
   for (const RepairInfo& info : result.repairs) {
-    std::vector<Fact> only_d, only_r;
-    db.SymmetricDifference(info.repair, &only_d, &only_r);
-    std::set<Fact> delta(only_d.begin(), only_d.end());
-    delta.insert(only_r.begin(), only_r.end());
-    candidates.emplace_back(std::move(delta), &info.repair);
+    std::set<Fact> delta;
+    for (FactId id : info.removed) delta.insert(store.ToFact(id));
+    for (FactId id : info.added) delta.insert(store.ToFact(id));
+    candidates.emplace_back(std::move(delta), &info);
   }
   std::vector<Database> repairs;
   for (const auto& [delta, repair] : candidates) {
@@ -202,7 +203,7 @@ Result<std::vector<Database>> AbcRepairsViaChain(
         break;
       }
     }
-    if (!dominated) repairs.push_back(*repair);
+    if (!dominated) repairs.push_back(MaterializeRepair(db, *repair));
   }
   std::sort(repairs.begin(), repairs.end());
   return repairs;

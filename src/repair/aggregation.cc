@@ -91,7 +91,8 @@ Result<AggregateDistribution> ComputeAggregateDistribution(
   out.num_repairs = enumeration.repairs.size();
   Rational defined_mass(0);
   for (const RepairInfo& info : enumeration.repairs) {
-    std::set<Tuple> answers = query.Evaluate(info.repair);
+    std::set<Tuple> answers =
+        query.Evaluate(MaterializeRepair(enumeration.initial, info));
     Result<std::optional<Rational>> scalar =
         AggregateOfAnswers(answers, kind, value_column);
     if (!scalar.ok()) return scalar.status();

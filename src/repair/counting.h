@@ -38,9 +38,9 @@ CountingOcaResult CountingOca(const Database& db,
                               const EnumerationOptions& options = {});
 
 /// Counting semantics over the operational repairs of an enumeration,
-/// scored in place — from witness images when the enumeration is
-/// deletion-only and the query conjunctive (repair/ocqa.h explains the
-/// gate), by Query::Evaluate otherwise.
+/// scored in place — from witness images when no repair added a fact and
+/// the query is conjunctive (repair/ocqa.h explains the gate), by
+/// Query::Evaluate on each materialized repair otherwise.
 CountingOcaResult CountingOcaFromEnumeration(
     const EnumerationResult& enumeration, const Query& query);
 

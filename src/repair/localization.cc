@@ -107,11 +107,16 @@ Rational LocalizedRepairs::FactSurvivalProbability(const Fact& fact) const {
   if (untouched_.Contains(fact)) return Rational(1);
   for (const LocalizedComponent& component : components_) {
     if (!component.sub_db.Contains(fact)) continue;
+    // A fact of the component survives exactly the repairs that did not
+    // remove it.
+    FactId id = FactStore::Global().Find(fact);
     Rational mass;
     Rational total;
     for (const RepairInfo& info : component.distribution.repairs) {
       total += info.probability;
-      if (info.repair.Contains(fact)) mass += info.probability;
+      if (!std::binary_search(info.removed.begin(), info.removed.end(), id)) {
+        mass += info.probability;
+      }
     }
     OPCQA_CHECK(!total.is_zero())
         << "component with no successful repair (cannot happen for "
@@ -129,10 +134,15 @@ Database LocalizedRepairs::SampleRepair(Rng* rng) const {
     for (const RepairInfo& info : component.distribution.repairs) {
       weights.push_back(info.probability);
     }
-    size_t pick = rng->WeightedIndex(weights);
-    for (FactId id : component.distribution.repairs[pick].repair.AllFactIds()) {
-      repair.InsertId(id);
+    const RepairInfo& picked =
+        component.distribution.repairs[rng->WeightedIndex(weights)];
+    for (FactId id : component.sub_db.AllFactIds()) {
+      if (!std::binary_search(picked.removed.begin(), picked.removed.end(),
+                              id)) {
+        repair.InsertId(id);
+      }
     }
+    for (FactId id : picked.added) repair.InsertId(id);
   }
   return repair;
 }

@@ -1,6 +1,7 @@
 #include "repair/memo.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 
 #include "util/hash.h"
@@ -21,20 +22,6 @@ size_t ViolationSetBytes(const ViolationSet& eliminated) {
   return bytes;
 }
 
-/// Footprint of a full id-vector Database copy with `facts` facts over a
-/// schema with `relations` relations — the PR-3 per-payload cost: the
-/// object header (schema pointer, outer vector, size_, hash_), one inner
-/// vector header per relation, and the ids themselves.
-size_t DatabaseCopyBytes(size_t facts, size_t relations) {
-  return 2 * sizeof(void*) + sizeof(std::vector<std::vector<FactId>>) +
-         sizeof(std::vector<FactId>) * relations + facts * sizeof(FactId);
-}
-
-/// Footprint of a removed-id delta payload: one vector header + the ids.
-size_t DeltaPayloadBytes(size_t removed) {
-  return sizeof(std::vector<FactId>) + removed * sizeof(FactId);
-}
-
 }  // namespace
 
 size_t StateKey::Combined() const {
@@ -53,11 +40,13 @@ bool MemoizationApplicable(const RepairContext& context,
   return generator.supports_only_deletions() && prune_zero_probability;
 }
 
-Database ReconstructRepair(const RepairingState& state,
-                           const MemoOutcome::RepairShare& share) {
-  Database repair = state.current();
-  for (FactId id : share.removed) repair.EraseId(id);
-  return repair;
+void ShareRepair(const RepairingState& state,
+                 const MemoOutcome::RepairShare& share, RepairDelta* repair) {
+  repair->removed.clear();
+  std::merge(state.removed().begin(), state.removed().end(),
+             share.removed.begin(), share.removed.end(),
+             std::back_inserter(repair->removed));
+  repair->added.clear();
 }
 
 MemoStats MemoStats::DeltaSince(const MemoStats& earlier) const {
@@ -66,12 +55,6 @@ MemoStats MemoStats::DeltaSince(const MemoStats& earlier) const {
 
 TranspositionTable::TranspositionTable(size_t max_entries, size_t max_bytes)
     : max_entries_(max_entries), max_bytes_(max_bytes) {}
-
-void TranspositionTable::SetRootShape(size_t root_facts,
-                                      size_t num_relations) {
-  root_facts_.store(root_facts, std::memory_order_relaxed);
-  num_relations_.store(num_relations, std::memory_order_relaxed);
-}
 
 uint8_t TranspositionTable::CostTier(const MemoOutcome& outcome) {
   if (outcome.states >= 32768) return 3;
@@ -89,36 +72,6 @@ size_t TranspositionTable::EntryBytes(const Entry& entry) {
            outcome.repairs.capacity() * sizeof(MemoOutcome::RepairShare);
   for (const MemoOutcome::RepairShare& share : outcome.repairs) {
     bytes += share.removed.capacity() * sizeof(FactId);
-  }
-  return bytes;
-}
-
-size_t TranspositionTable::PayloadBytes(const Entry& entry) {
-  size_t bytes = DeltaPayloadBytes(entry.removed.size());
-  for (const MemoOutcome::RepairShare& share : entry.outcome->repairs) {
-    bytes += DeltaPayloadBytes(share.removed.size());
-  }
-  return bytes;
-}
-
-size_t TranspositionTable::FullPayloadBytes(const Entry& entry) const {
-  // What the PR-3 representation stored where the deltas now are: a full
-  // Database per entry key and per repair share. (Everything else — the
-  // hash key, the eliminated set, the Rational masses — is identical in
-  // both representations and not part of this comparison.) Entry database
-  // size is |root| − |removed|; each repair removes `share.removed` more
-  // facts below it.
-  size_t root_facts = root_facts_.load(std::memory_order_relaxed);
-  size_t relations = num_relations_.load(std::memory_order_relaxed);
-  size_t entry_facts = root_facts > entry.removed.size()
-                           ? root_facts - entry.removed.size()
-                           : 0;
-  size_t bytes = DatabaseCopyBytes(entry_facts, relations);
-  for (const MemoOutcome::RepairShare& share : entry.outcome->repairs) {
-    size_t repair_facts = entry_facts > share.removed.size()
-                              ? entry_facts - share.removed.size()
-                              : 0;
-    bytes += DatabaseCopyBytes(repair_facts, relations);
   }
   return bytes;
 }
@@ -203,8 +156,6 @@ void TranspositionTable::EvictUntilWithinBudget(Stripe& stripe) {
       if (entry.chances == 0) {
         stripe.bytes -= entry.entry_bytes;
         stats_.Sub<&MemoStats::bytes>(entry.entry_bytes);
-        stats_.Sub<&MemoStats::payload_bytes>(entry.payload_bytes);
-        stats_.Sub<&MemoStats::full_payload_bytes>(entry.full_bytes);
         it = stripe.map.erase(it);
         stats_.Sub<&MemoStats::entries>();
         stats_.Add<&MemoStats::evictions>();
@@ -229,8 +180,6 @@ void TranspositionTable::EmplaceEntry(Stripe& stripe, Entry entry) {
   entry.chances = CostTier(*entry.outcome);
   entry.sequence = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
   entry.entry_bytes = EntryBytes(entry);
-  entry.payload_bytes = PayloadBytes(entry);
-  entry.full_bytes = FullPayloadBytes(entry);
   size_t stripe_max_bytes =
       max_bytes_ == 0 ? 0 : std::max<size_t>(1, max_bytes_ / kNumStripes);
   if (stripe_max_bytes != 0 && entry.entry_bytes > stripe_max_bytes) {
@@ -241,8 +190,6 @@ void TranspositionTable::EmplaceEntry(Stripe& stripe, Entry entry) {
   }
   stripe.bytes += entry.entry_bytes;
   stats_.Add<&MemoStats::bytes>(entry.entry_bytes);
-  stats_.Add<&MemoStats::payload_bytes>(entry.payload_bytes);
-  stats_.Add<&MemoStats::full_payload_bytes>(entry.full_bytes);
   size_t combined = entry.key.Combined();
   stripe.map.emplace(combined, std::move(entry));
   stats_.Add<&MemoStats::entries>();

@@ -41,23 +41,23 @@
 // a function of its key, the publication race is benign and results stay
 // deterministic for every thread count.
 //
-// ## Delta-compressed payloads (PR 4)
+// ## Removed-set payloads
 //
-// Memoization only ever applies to deletion-only chains, so every state
-// of a table is the chain root D minus its removed-fact set, and every
+// A repair is stored everywhere as its RepairDelta against the chain
+// root D (repair/repairing_state.h): the facts the sequence removed and
+// the facts it added. Memoization only ever applies to deletion-only
+// chains, so every state of a table is D minus its removed set, and every
 // repair below an entry is the entry's database minus further deletions.
 // Entries therefore store
 //   * the verification key as the ascending removed-id vector against D
-//     — RepairingState::removed() itself, compared element-wise
-//     (≈ depth-sized instead of |D|-sized), and
+//     — RepairingState::removed() itself, compared element-wise, and
 //   * each per-repair mass share as the ids removed *below* the entry
-//     state (again depth-sized)
-// — never a full id-vector Database copy. Replaying reconstructs each
-// repair from the live state's database (one id-vector copy plus
-// depth-many erases), which is exactly the copy the aggregation map
-// needed anyway. One table must only ever be used underneath a single
-// chain root (RepairSpaceCache verifies the root database before handing
-// a table out; scratch tables are per-call by construction).
+//     state,
+// both depth-sized. Replaying merges the live state's removed set with a
+// share's (ShareRepair) to get the repair's delta; no Database is built.
+// One table must only ever be used underneath a single chain root
+// (RepairSpaceCache verifies the root database before handing a table
+// out; scratch tables are per-call by construction).
 //
 // ## Cost-aware eviction
 //
@@ -134,12 +134,12 @@ struct MemoOutcome {
   struct RepairShare {
     /// Ids removed below the entry state: the repair is the entry state's
     /// database minus these facts (deletion-only chains; see file
-    /// comment). Sorted in fact value order.
+    /// comment). Ascending FactId order.
     std::vector<FactId> removed;
     Rational mass;          // Σ leaf masses relative to the subtree root
     size_t num_sequences;   // successful leaves mapping to this repair
   };
-  /// Distinct successful leaf databases, in database (value) order.
+  /// One share per distinct successful leaf database.
   std::vector<RepairShare> repairs;
   Rational success_mass;    // Σ over repairs (relative)
   Rational failing_mass;    // Σ over failing leaves (relative)
@@ -150,12 +150,13 @@ struct MemoOutcome {
   size_t depth_below = 0;   // deepest leaf depth − subtree-root depth
 };
 
-/// Decodes one RepairShare against the live state it was recorded under:
-/// the repair is the state's database minus the share's removed ids. The
-/// single definition of the delta encoding's read side, shared by the
+/// Decodes one RepairShare below the live state it is replayed under:
+/// the repair removed the state's removed set merged with the share's, and
+/// added nothing. Writes into *repair, reusing its buffers. The single
+/// definition of the share encoding's read side, shared by the
 /// enumerator's replay and the top-k fold.
-Database ReconstructRepair(const RepairingState& state,
-                           const MemoOutcome::RepairShare& share);
+void ShareRepair(const RepairingState& state,
+                 const MemoOutcome::RepairShare& share, RepairDelta* repair);
 
 /// Aggregate table counters. hits…admission_deferred are monotone;
 /// entries and the byte rows are point-in-time gauges.
@@ -170,17 +171,9 @@ struct MemoStats {
   /// had not missed twice yet). Always 0 on scratch tables.
   uint64_t admission_deferred = 0;
   uint64_t entries = 0;
-  /// Approximate heap footprint of the live entries (delta-compressed) —
-  /// the gauge the byte budget enforces.
+  /// Approximate heap footprint of the live entries — the gauge the byte
+  /// budget enforces.
   uint64_t bytes = 0;
-  /// Of `bytes`, what the removed-id delta payloads occupy (the
-  /// verification keys and per-repair shares).
-  uint64_t payload_bytes = 0;
-  /// What those same payloads would occupy under the PR-3 representation
-  /// (a full id-vector Database copy per key and per repair share);
-  /// full_payload_bytes / payload_bytes is the measured compression
-  /// ratio, which grows like |D| / depth on depth-bounded chains.
-  uint64_t full_payload_bytes = 0;
 
   /// Counters accrued since `earlier` (counters diffed, gauges kept) —
   /// the per-call view over a persistent shared table.
@@ -199,8 +192,6 @@ struct MemoStats {
         {"admission_deferred", &MemoStats::admission_deferred, kCounter},
         {"entries", &MemoStats::entries, kGauge},
         {"bytes", &MemoStats::bytes, kGauge},
-        {"payload_bytes", &MemoStats::payload_bytes, kGauge},
-        {"full_payload_bytes", &MemoStats::full_payload_bytes, kGauge},
     });
   }
 };
@@ -223,11 +214,6 @@ class TranspositionTable {
   /// `max_bytes` = 0 disables the byte budget (the entry cap remains).
   explicit TranspositionTable(size_t max_entries = kDefaultMaxEntries,
                               size_t max_bytes = 0);
-
-  /// Shape of the chain root this table memoizes under — |D| and the
-  /// schema's relation count — used only to estimate full_payload_bytes
-  /// (the PR-3 representation) for the compression-ratio counters.
-  void SetRootShape(size_t root_facts, size_t num_relations);
 
   /// The outcome recorded for this exact state, or nullptr. `removed`
   /// (ascending ids, as RepairingState::removed() keeps them) and
@@ -320,9 +306,7 @@ class TranspositionTable {
     uint8_t chances = 0;
     /// Admission stamp from sequence_ (see Entries).
     uint64_t sequence = 0;
-    size_t entry_bytes = 0;    // cached EntryBytes(*this)
-    size_t payload_bytes = 0;  // cached delta-payload share of entry_bytes
-    size_t full_bytes = 0;     // cached PR-3-equivalent payload footprint
+    size_t entry_bytes = 0;  // cached EntryBytes(*this)
   };
   struct Stripe {
     mutable std::mutex mutex;
@@ -345,8 +329,6 @@ class TranspositionTable {
   /// entry collapses, the more sweep passes it survives.
   static uint8_t CostTier(const MemoOutcome& outcome);
   static size_t EntryBytes(const Entry& entry);
-  static size_t PayloadBytes(const Entry& entry);
-  size_t FullPayloadBytes(const Entry& entry) const;
   /// Evicts zero-credit entries (decrementing the rest) until `stripe`
   /// fits its per-stripe share of both budgets. The just-inserted entry
   /// competes on its own credits — a cheap newcomer never displaces an
@@ -363,8 +345,6 @@ class TranspositionTable {
   size_t max_bytes_;
   /// Set once before the table is shared (EnableAdmissionFilter).
   bool admission_filter_ = false;
-  std::atomic<size_t> root_facts_{0};
-  std::atomic<size_t> num_relations_{0};
   /// Every MemoStats row, gauges included: stats() is one Load, never
   /// a stripe lock.
   obs::AtomicStats<MemoStats> stats_;

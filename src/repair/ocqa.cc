@@ -67,17 +67,16 @@ Rational ComputeTupleProbability(const Database& db,
   EnumerationResult enumeration =
       EnumerateRepairs(db, constraints, generator, options);
   if (enumeration.success_mass.is_zero()) return Rational(0);
-  std::optional<WitnessTable> table;
-  if (enumeration.deletion_only) {
-    table = WitnessTable::Build(query, enumeration.initial);
-  }
+  std::optional<WitnessTable> table = RepairWitnesses(enumeration, query);
   size_t answer = table.has_value() ? table->Find(tuple) : 0;
   Rational numerator;
   for (const RepairInfo& info : enumeration.repairs) {
     bool holds = table.has_value()
                      ? answer < table->answers().size() &&
-                           table->HeldBy(answer, info.repair)
-                     : query.Contains(info.repair, tuple);
+                           table->Survives(answer, info.removed)
+                     : query.Contains(
+                           MaterializeRepair(enumeration.initial, info),
+                           tuple);
     if (holds) numerator += info.probability;
   }
   return numerator / enumeration.success_mass;

@@ -14,14 +14,14 @@
 // This is the FP#P-complete problem OCQA of Theorem 5, computed exactly
 // over the enumerated chain.
 //
-// The repairs are scored from witness images (repair/witness.h) when the
-// enumeration is deletion-only (EnumerationResult::deletion_only: no
-// successful leaf added a fact, so every repair is a subset of D) and the
-// query is conjunctive: Q(D) and each answer's homomorphism images are
-// built once per call, and a repair answers t̄ iff it contains one of t̄'s
-// images. Chains that added facts, non-conjunctive queries and tables
-// above WitnessTable::kMaxImages images are scored by Query::Evaluate on
-// each repair. Both give the same exact answers.
+// The repairs are scored from witness images (repair/witness.h) when no
+// repair added a fact (every RepairInfo::added is empty, so every repair
+// is D minus its removed set) and the query is conjunctive: Q(D) and each
+// answer's homomorphism images are built once per call, and a repair
+// answers t̄ iff one of t̄'s images avoids its removed set. Repairs that
+// added facts, non-conjunctive queries and tables above
+// WitnessTable::kMaxImages images are scored by Query::Evaluate on each
+// materialized repair. Both give the same exact answers.
 
 #ifndef OPCQA_REPAIR_OCQA_H_
 #define OPCQA_REPAIR_OCQA_H_

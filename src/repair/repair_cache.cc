@@ -124,7 +124,6 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
   if (table == nullptr) {
     table = std::make_shared<TranspositionTable>(
         TranspositionTable::kDefaultMaxEntries, options_.max_bytes_per_root);
-    table->SetRootShape(db.size(), db.schema().size());
     // Only persistent tables filter admissions: single-visit subtrees go
     // through a probational set instead of churning the eviction sweep
     // (repair/memo.h; scratch tables keep the always-admit behavior).
@@ -188,12 +187,9 @@ double RepairSpaceCache::RetentionScoreLocked(const Root& root) const {
                        root.table->sequence() <= root.spilled_through_seq;
   // Loss if dropped now: a clean-on-disk root costs one restore (read +
   // decode, proportional to its resident footprint); anything else costs
-  // re-walking everything the table has recorded (the uncompressed
-  // payload total — a recompute-cost proxy), on top of that footprint.
-  double loss = clean_on_disk
-                    ? static_cast<double>(stats.bytes)
-                    : static_cast<double>(stats.full_payload_bytes) +
-                          static_cast<double>(stats.bytes);
+  // re-walking everything the table has recorded, for which the footprint
+  // again stands in, on top of the footprint itself.
+  double loss = static_cast<double>(stats.bytes) * (clean_on_disk ? 1 : 2);
   uint64_t age = tick_ - root.last_used;
   return loss / static_cast<double>(age + 1);
 }

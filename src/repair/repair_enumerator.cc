@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <numeric>
 
@@ -16,32 +17,6 @@
 namespace opcqa {
 
 namespace {
-
-// Aggregation map: frozen repair database → (mass, #sequences).
-using AggregateMap = std::map<Database, std::pair<Rational, size_t>>;
-
-// Sorts the aggregated repairs into the result (most probable first, ties
-// by database order) and builds the binary-search index for ProbabilityOf.
-void Assemble(AggregateMap&& aggregated, EnumerationResult* result) {
-  result->repairs.reserve(aggregated.size());
-  for (auto& [repair, info] : aggregated) {
-    result->repairs.push_back(RepairInfo{repair, info.first, info.second});
-  }
-  std::sort(result->repairs.begin(), result->repairs.end(),
-            [](const RepairInfo& a, const RepairInfo& b) {
-              int cmp = a.probability.Compare(b.probability);
-              if (cmp != 0) return cmp > 0;
-              return a.repair < b.repair;
-            });
-  result->repairs_by_database.resize(result->repairs.size());
-  std::iota(result->repairs_by_database.begin(),
-            result->repairs_by_database.end(), 0u);
-  std::sort(result->repairs_by_database.begin(),
-            result->repairs_by_database.end(),
-            [&](uint32_t a, uint32_t b) {
-              return result->repairs[a].repair < result->repairs[b].repair;
-            });
-}
 
 // Delta-based DFS over one subtree: one state is threaded through the whole
 // subtree with apply → recurse → revert instead of copying it per branch.
@@ -71,7 +46,8 @@ void Assemble(AggregateMap&& aggregated, EnumerationResult* result) {
 // truncates exactly like the unmemoized one. Completed subtrees are
 // recorded on the way out via counter snapshots plus a leaf-contribution
 // log (compressed to per-repair shares as frames close, so it stays
-// bounded by distinct repairs × depth, not by leaf count).
+// bounded by distinct repairs × depth, not by leaf count). Leaves are
+// tallied by their RepairDelta, so the walk never copies a database.
 class SubtreeWalker {
  public:
   SubtreeWalker(const ChainGenerator& generator,
@@ -83,9 +59,7 @@ class SubtreeWalker {
         budget_(budget),
         memo_(memo),
         threads_(threads),
-        shared_budget_(shared_budget) {
-    out_.deletion_only = true;  // until a successful leaf adds a fact
-  }
+        shared_budget_(shared_budget) {}
 
   /// Returns the depth of the subtree below `state` (0 when absorbing);
   /// the value is meaningless after truncation.
@@ -121,11 +95,11 @@ class SubtreeWalker {
       if (state.IsConsistent()) {
         ++out_.successful_sequences;
         out_.success_mass += mass;
-        if (!state.added().empty()) out_.deletion_only = false;
+        state.Delta(&leaf_);
         // try_emplace freezes the key by copying on first insert.
-        auto [it, inserted] = aggregated_.try_emplace(state.current());
-        it->second.first += mass;
-        it->second.second += 1;
+        auto [it, inserted] = tallies_.try_emplace(leaf_);
+        it->second.mass += mass;
+        it->second.sequences += 1;
         if (memo_ != nullptr) log_.push_back(LeafShare{&it->first, mass, 1});
       } else {
         ++out_.failing_sequences;
@@ -154,17 +128,17 @@ class SubtreeWalker {
     return depth_below;
   }
 
-  EnumerationResult Take() && {
-    Assemble(std::move(aggregated_), &out_);
+  EnumerationResult Take(const Database& initial) && {
+    out_.repairs = AssembleRepairs(initial, std::move(tallies_));
     return std::move(out_);
   }
 
  private:
   // One logged leaf contribution: the frozen repair (a stable pointer into
-  // aggregated_ — std::map nodes never move) with the absolute mass and
+  // tallies_ — std::map nodes never move) with the absolute mass and
   // sequence count it received.
   struct LeafShare {
-    const Database* repair;
+    const RepairDelta* delta;
     Rational mass;
     size_t sequences;
   };
@@ -238,9 +212,9 @@ class SubtreeWalker {
     }
   }
 
-  // Adds a completed child walk to this walker's counters, aggregation map
-  // and leaf log (its log points into its own map, so it is remapped onto
-  // this walker's nodes). Rational sums are exact, so absorbing in
+  // Adds a completed child walk to this walker's counters, tallies and
+  // leaf log (its log points into its own map, so it is remapped onto this
+  // walker's nodes). Rational sums are exact, so absorbing in
   // extension order yields the serial walk's values.
   void Absorb(const SubtreeWalker& child) {
     out_.states_visited += child.out_.states_visited;
@@ -250,14 +224,13 @@ class SubtreeWalker {
     out_.success_mass += child.out_.success_mass;
     out_.failing_mass += child.out_.failing_mass;
     out_.max_depth = std::max(out_.max_depth, child.out_.max_depth);
-    out_.deletion_only = out_.deletion_only && child.out_.deletion_only;
-    for (const auto& [repair, info] : child.aggregated_) {
-      auto [it, inserted] = aggregated_.try_emplace(repair);
-      it->second.first += info.first;
-      it->second.second += info.second;
+    for (const auto& [repair, tally] : child.tallies_) {
+      RepairTally& mine = tallies_[repair];
+      mine.mass += tally.mass;
+      mine.sequences += tally.sequences;
     }
     for (const LeafShare& share : child.log_) {
-      log_.push_back(LeafShare{&aggregated_.find(*share.repair)->first,
+      log_.push_back(LeafShare{&tallies_.find(*share.delta)->first,
                                share.mass, share.sequences});
     }
   }
@@ -292,14 +265,11 @@ class SubtreeWalker {
     out_.max_depth =
         std::max(out_.max_depth, state.depth() + outcome.depth_below);
     for (const MemoOutcome::RepairShare& share : outcome.repairs) {
-      // Shares store the ids deleted below this state (repair/memo.h):
-      // reconstruct the repair from the live database — the same id-vector
-      // copy the aggregation key needed under full-payload storage.
-      auto [it, inserted] =
-          aggregated_.try_emplace(ReconstructRepair(state, share));
+      ShareRepair(state, share, &leaf_);
+      auto [it, inserted] = tallies_.try_emplace(leaf_);
       Rational contribution = share.mass * mass;
-      it->second.first += contribution;
-      it->second.second += share.num_sequences;
+      it->second.mass += contribution;
+      it->second.sequences += share.num_sequences;
       // Enclosing frames see the replayed subtree as leaf contributions.
       log_.push_back(
           LeafShare{&it->first, std::move(contribution), share.num_sequences});
@@ -314,28 +284,22 @@ class SubtreeWalker {
                   const Rational& mass, const Frame& frame,
                   size_t depth_below) {
     // Group the segment by repair. Equal repairs share one map node, so
-    // grouping needs only pointer identity — cheap — and the full
-    // Database value comparisons are saved for the (much smaller)
-    // compressed list, whose deterministic value order the stored entry
-    // and the log replacement both use.
+    // a pointer test finds equal neighbours and the delta comparison only
+    // orders distinct repairs.
     std::vector<LeafShare> grouped(log_.begin() + frame.log_pos, log_.end());
     std::sort(grouped.begin(), grouped.end(),
               [](const LeafShare& a, const LeafShare& b) {
-                return a.repair < b.repair;
+                return a.delta != b.delta && *a.delta < *b.delta;
               });
     std::vector<LeafShare> compressed;
     for (LeafShare& share : grouped) {
-      if (!compressed.empty() && compressed.back().repair == share.repair) {
+      if (!compressed.empty() && compressed.back().delta == share.delta) {
         compressed.back().mass += share.mass;
         compressed.back().sequences += share.sequences;
       } else {
         compressed.push_back(std::move(share));
       }
     }
-    std::sort(compressed.begin(), compressed.end(),
-              [](const LeafShare& a, const LeafShare& b) {
-                return *a.repair < *b.repair;
-              });
     log_.resize(frame.log_pos);
     log_.insert(log_.end(), compressed.begin(), compressed.end());
     // Every walked edge has positive probability, so `mass` is positive
@@ -360,20 +324,24 @@ class SubtreeWalker {
     outcome->failing_mass = (out_.failing_mass - frame.failing_mass) / mass;
     outcome->depth_below = depth_below;
     outcome->repairs.reserve(compressed.size());
-    std::vector<FactId> removed_below, resurrected;
+    const std::vector<FactId>& removed = state.removed();
     for (const LeafShare& share : compressed) {
-      // Store the repair as its removed-id delta below this state
+      // Store the repair as the ids removed below this state
       // (repair/memo.h): on the deletion-only chains memoization is
-      // gated to, every leaf database is a subset of this subtree root.
-      state.current().SymmetricDifferenceIds(*share.repair, &removed_below,
-                                             &resurrected);
-      OPCQA_CHECK(resurrected.empty())
+      // gated to, every leaf below removed a superset of the state's ids.
+      const RepairDelta& leaf = *share.delta;
+      OPCQA_CHECK(leaf.added.empty() &&
+                  std::includes(leaf.removed.begin(), leaf.removed.end(),
+                                removed.begin(), removed.end()))
           << "memoized subtree contains a non-deletion edge";
-      // Copy at exact size: moving the reused scratch vector would carry
-      // its high-water capacity into every stored share.
+      // Exact size: EntryBytes counts capacity.
+      std::vector<FactId> below;
+      below.reserve(leaf.removed.size() - removed.size());
+      std::set_difference(leaf.removed.begin(), leaf.removed.end(),
+                          removed.begin(), removed.end(),
+                          std::back_inserter(below));
       outcome->repairs.push_back(MemoOutcome::RepairShare{
-          std::vector<FactId>(removed_below), share.mass / mass,
-          share.sequences});
+          std::move(below), share.mass / mass, share.sequences});
     }
     memo_->Insert(key, state.removed(), state.eliminated(),
                   std::move(outcome));
@@ -386,7 +354,8 @@ class SubtreeWalker {
   size_t threads_;
   std::atomic<size_t>* shared_budget_;
   EnumerationResult out_;  // counters; repairs are assembled by Take()
-  AggregateMap aggregated_;
+  RepairTallies tallies_;
+  RepairDelta leaf_;  // scratch key for tallies_ lookups
   std::vector<LeafShare> log_;  // only populated when memo_ != nullptr
   // Probability buffers indexed by state depth; a deque so growing it
   // below a frame leaves that frame's buffer in place.
@@ -395,21 +364,63 @@ class SubtreeWalker {
 
 }  // namespace
 
-Rational EnumerationResult::ProbabilityOf(const Database& repair) const {
-  if (repairs_by_database.size() == repairs.size()) {
-    auto it = std::lower_bound(
-        repairs_by_database.begin(), repairs_by_database.end(), repair,
-        [&](uint32_t index, const Database& target) {
-          return repairs[index].repair < target;
-        });
-    if (it != repairs_by_database.end() && repairs[*it].repair == repair) {
-      return repairs[*it].probability;
-    }
-    return Rational(0);
+Database MaterializeRepair(const Database& initial,
+                           const RepairDelta& repair) {
+  Database db = initial;
+  for (FactId id : repair.removed) db.EraseId(id);
+  for (FactId id : repair.added) db.InsertId(id);
+  return db;
+}
+
+std::vector<RepairInfo> AssembleRepairs(const Database& initial,
+                                        RepairTallies tallies) {
+  std::vector<RepairInfo> repairs;
+  repairs.reserve(tallies.size());
+  while (!tallies.empty()) {
+    auto node = tallies.extract(tallies.begin());
+    repairs.push_back(RepairInfo{std::move(node.key()),
+                                 std::move(node.mapped().mass),
+                                 node.mapped().sequences});
   }
-  // Hand-assembled result without the index.
-  for (const RepairInfo& info : repairs) {
-    if (info.repair == repair) return info.probability;
+  auto more_probable = [](const RepairInfo& a, const RepairInfo& b) {
+    return a.probability.Compare(b.probability) > 0;
+  };
+  std::sort(repairs.begin(), repairs.end(), more_probable);
+  // Distinct repairs are distinct databases, so database order settles
+  // every tie; only tied repairs are materialized to compare.
+  for (auto run = repairs.begin(); run != repairs.end();) {
+    auto end = std::upper_bound(run, repairs.end(), *run, more_probable);
+    if (end - run > 1) {
+      std::vector<std::pair<Database, RepairInfo>> tied;
+      tied.reserve(end - run);
+      for (auto it = run; it != end; ++it) {
+        tied.emplace_back(MaterializeRepair(initial, *it), std::move(*it));
+      }
+      std::sort(tied.begin(), tied.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (auto& [db, info] : tied) *run++ = std::move(info);
+    }
+    run = end;
+  }
+  return repairs;
+}
+
+Rational EnumerationResult::ProbabilityOf(const Database& repair) const {
+  RepairDelta delta;
+  for (FactId id : initial.AllFactIds()) {
+    if (!repair.ContainsId(id)) delta.removed.push_back(id);
+  }
+  for (FactId id : repair.AllFactIds()) {
+    if (!initial.ContainsId(id)) delta.added.push_back(id);
+  }
+  std::sort(delta.removed.begin(), delta.removed.end());
+  std::sort(delta.added.begin(), delta.added.end());
+  auto it = std::lower_bound(repairs_by_delta.begin(), repairs_by_delta.end(),
+                             delta, [&](uint32_t index, const RepairDelta& d) {
+                               return repairs[index] < d;
+                             });
+  if (it != repairs_by_delta.end() && repairs[*it] == delta) {
+    return repairs[*it].probability;
   }
   return Rational(0);
 }
@@ -437,7 +448,6 @@ EnumerationResult EnumerateRepairs(const Database& db,
     if (memo == nullptr) {
       memo = std::make_shared<TranspositionTable>(
           TranspositionTable::kDefaultMaxEntries, options.memo_max_bytes);
-      memo->SetRootShape(db.size(), db.schema().size());
     }
   }
   MemoStats stats_before;
@@ -446,7 +456,14 @@ EnumerationResult EnumerateRepairs(const Database& db,
   SubtreeWalker walker(generator, options, options.max_states, memo.get(),
                        threads);
   walker.Visit(root, Rational(1));
-  EnumerationResult result = std::move(walker).Take();
+  EnumerationResult result = std::move(walker).Take(db);
+  result.repairs_by_delta.resize(result.repairs.size());
+  std::iota(result.repairs_by_delta.begin(), result.repairs_by_delta.end(),
+            0u);
+  std::sort(result.repairs_by_delta.begin(), result.repairs_by_delta.end(),
+            [&](uint32_t a, uint32_t b) {
+              return result.repairs[a] < result.repairs[b];
+            });
   // Per-call view: counters accrued by this enumeration even when the
   // table is shared and outlives the call.
   if (memo != nullptr) {

@@ -73,17 +73,37 @@ struct EnumerationOptions {
   RepairSpaceCache* cache = nullptr;
 };
 
-/// One operational repair with its probability.
-struct RepairInfo {
-  Database repair;
+/// One operational repair s(D) — as its delta (removed, added) against
+/// D, see RepairDelta — with its probability.
+struct RepairInfo : RepairDelta {
   Rational probability;
-  /// Number of successful sequences s with s(D) = repair.
+  /// Number of successful sequences s reaching this repair.
   size_t num_sequences = 0;
 };
 
+/// The repair as a Database: (initial − removed) ∪ added. For callers that
+/// print a repair or evaluate a language without a delta-level scorer
+/// (SQL, aggregates, FO fallbacks).
+Database MaterializeRepair(const Database& initial, const RepairDelta& repair);
+
+/// Mass and successful-sequence count of the leaves reaching one repair.
+struct RepairTally {
+  Rational mass;
+  size_t sequences = 0;
+};
+using RepairTallies = std::map<RepairDelta, RepairTally>;
+
+/// The tallied repairs as RepairInfos, most probable first; ties are
+/// broken by the order of the materialized repair databases, which is
+/// process-independent (delta order is not: FactIds are intern-order).
+/// Shared by EnumerateRepairs and TopKRepairs.
+std::vector<RepairInfo> AssembleRepairs(const Database& initial,
+                                        RepairTallies tallies);
+
 struct EnumerationResult {
-  /// [[D]]_MΣ: repairs with positive probability, most probable first
-  /// (ties broken by database order for determinism).
+  /// [[D]]_MΣ: repairs with positive probability, as deltas against
+  /// `initial`, most probable first (ties broken by database order for
+  /// determinism).
   std::vector<RepairInfo> repairs;
   /// Σ probabilities of successful absorbing states (the CP denominator).
   Rational success_mass;
@@ -98,25 +118,18 @@ struct EnumerationResult {
   bool truncated = false;
   /// D, the database the chain started from.
   Database initial;
-  /// True when no successful sequence added a fact, so every repair is a
-  /// subset of `initial` and scorers may read a query's answers off its
-  /// witness images over `initial` (repair/witness.h). Recorded by
-  /// EnumerateRepairs from the states it reached; false on hand-assembled
-  /// results, which are then scored by Query::Evaluate.
-  bool deletion_only = false;
   /// Transposition-table counters (all zero when memoization was off or
   /// not applicable). Purely observational: with threads > 1 the root's
   /// children race for the shared table, so hit and miss counts vary
   /// with scheduling while results never do.
   MemoStats memo_stats;
 
-  /// Indices into `repairs` in database (value) order, built by
-  /// EnumerateRepairs so ProbabilityOf can binary-search. Hand-assembled
-  /// results may leave it empty; ProbabilityOf then falls back to a scan.
-  std::vector<uint32_t> repairs_by_database;
+  /// Indices into `repairs` in delta order, built by EnumerateRepairs so
+  /// ProbabilityOf can binary-search.
+  std::vector<uint32_t> repairs_by_delta;
 
-  /// Probability of a specific repair (0 when absent). O(log n) via
-  /// repairs_by_database.
+  /// Probability of a specific repair database (0 when absent): one diff
+  /// against `initial`, then O(log n) via repairs_by_delta.
   Rational ProbabilityOf(const Database& repair) const;
 };
 

@@ -13,10 +13,10 @@
 // The state is delta-based: ApplyTrusted mutates in place and records an
 // undo entry, and Revert() pops it, so DFS branching (enumerator, chain
 // renderer) and Markov walks (Sample, ABC-via-chain) run apply → recurse →
-// revert without ever copying a state. Frozen Database instances — repair
-// aggregation keys, RepairInfo::repair — come from Snapshot(). States stay
-// copyable for frontier searches (top-k) via Fork(), which drops the undo
-// history: a forked state cannot Revert() past its fork point.
+// revert without ever copying a state. A complete state's repair is
+// frozen as its RepairDelta (Delta()), never as a Database copy. States
+// stay copyable for frontier searches (top-k) via Fork(), which drops the
+// undo history: a forked state cannot Revert() past its fork point.
 //
 // Denial-only contexts replace the set arithmetic with an index-driven
 // step: the live violations are a rank bitset over the context's
@@ -38,6 +38,18 @@
 #include "repair/operation.h"
 
 namespace opcqa {
+
+/// The database s(D) a sequence s reached, as its delta against D: the
+/// facts s removed and the facts it added. No Cancellation (Definition 3)
+/// keeps removed ⊆ D and added ∩ D = ∅, so the pair determines s(D) =
+/// (D − removed) ∪ added, and equal databases have equal deltas. Both
+/// vectors are in ascending FactId order.
+struct RepairDelta {
+  std::vector<FactId> removed;
+  std::vector<FactId> added;
+
+  auto operator<=>(const RepairDelta&) const = default;
+};
 
 /// Immutable context shared by all states of one repairing process.
 struct RepairContext {
@@ -68,8 +80,8 @@ class RepairingState {
   const RepairContext& context() const { return *context_; }
   /// D^s_i — the database after applying the whole sequence.
   const Database& current() const { return db_; }
-  /// A frozen copy of D^s_i (use as map key / result value; `current()` is
-  /// invalidated by the next Apply/Revert).
+  /// A frozen copy of D^s_i (`current()` is invalidated by the next
+  /// Apply/Revert).
   Database Snapshot() const { return db_; }
   /// The sequence s itself.
   const OperationSequence& sequence() const { return sequence_; }
@@ -96,6 +108,11 @@ class RepairingState {
   /// Facts the sequence added so far. Empty exactly when current() is
   /// D − removed(), the case witness scoring (repair/witness.h) reads.
   const std::set<FactId>& added() const { return added_; }
+  /// Writes (removed(), added()) into *delta, reusing its buffers.
+  void Delta(RepairDelta* delta) const {
+    delta->removed = removed_;
+    delta->added.assign(added_.begin(), added_.end());
+  }
 
   // O(1) state-fingerprint accessors for repair-space memoization. Both
   // are maintained incrementally — the database hash by InsertId/EraseId

@@ -1,7 +1,6 @@
 #include "repair/top_k.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <queue>
 #include <unordered_map>
@@ -124,13 +123,13 @@ TopKResult TopKRepairs(const Database& db, const ConstraintSet& constraints,
   push_state(std::make_shared<RepairingState>(context), Rational(1), 1);
   result.frontier_mass = Rational(1);
 
-  std::map<Database, Rational> repair_mass;
-  std::map<Database, size_t> repair_sequences;
+  RepairTallies tallies;
+  RepairDelta repair;  // scratch key for tallies lookups
 
   auto sorted_masses = [&]() {
     std::vector<Rational> masses;
-    masses.reserve(repair_mass.size());
-    for (const auto& [repair, mass] : repair_mass) masses.push_back(mass);
+    masses.reserve(tallies.size());
+    for (const auto& [delta, tally] : tallies) masses.push_back(tally.mass);
     std::sort(masses.begin(), masses.end(),
               [](const Rational& a, const Rational& b) { return b < a; });
     return masses;
@@ -178,9 +177,10 @@ TopKResult TopKRepairs(const Database& db, const ConstraintSet& constraints,
         result.explored_success_mass += cached->success_mass * probability;
         result.explored_failing_mass += cached->failing_mass * probability;
         for (const MemoOutcome::RepairShare& share : cached->repairs) {
-          Database repair = ReconstructRepair(*state, share);
-          repair_mass[repair] += share.mass * probability;
-          repair_sequences[repair] += share.num_sequences * sequences;
+          ShareRepair(*state, share, &repair);
+          RepairTally& tally = tallies[repair];
+          tally.mass += share.mass * probability;
+          tally.sequences += share.num_sequences * sequences;
         }
         continue;
       }
@@ -191,9 +191,11 @@ TopKResult TopKRepairs(const Database& db, const ConstraintSet& constraints,
       // Absorbing state.
       if (state->IsConsistent()) {
         result.explored_success_mass += probability;
+        state->Delta(&repair);
         // map operator[] freezes the key by copying on first insert.
-        repair_mass[state->current()] += probability;
-        repair_sequences[state->current()] += sequences;
+        RepairTally& tally = tallies[repair];
+        tally.mass += probability;
+        tally.sequences += sequences;
       } else {
         result.explored_failing_mass += probability;
       }
@@ -221,21 +223,7 @@ TopKResult TopKRepairs(const Database& db, const ConstraintSet& constraints,
         TopKCertified(sorted_masses(), k, result.frontier_mass);
   }
 
-  result.repairs.reserve(repair_mass.size());
-  for (auto& [repair, mass] : repair_mass) {
-    RepairInfo info;
-    info.repair = repair;
-    info.probability = mass;
-    info.num_sequences = repair_sequences[repair];
-    result.repairs.push_back(std::move(info));
-  }
-  std::sort(result.repairs.begin(), result.repairs.end(),
-            [](const RepairInfo& a, const RepairInfo& b) {
-              if (a.probability != b.probability) {
-                return b.probability < a.probability;
-              }
-              return a.repair < b.repair;
-            });
+  result.repairs = AssembleRepairs(db, std::move(tallies));
   return result;
 }
 

@@ -55,8 +55,10 @@ struct TopKOptions {
 };
 
 struct TopKResult {
-  /// Discovered repairs, most probable first. Probabilities are exact
-  /// lower bounds; when `exact` they are the true probabilities.
+  /// Discovered repairs as deltas against the searched database, most
+  /// probable first (the order of EnumerationResult::repairs).
+  /// Probabilities are exact lower bounds; when `exact` they are the true
+  /// probabilities.
   std::vector<RepairInfo> repairs;
   /// Mass of successful / failing absorbing states found so far.
   Rational explored_success_mass;

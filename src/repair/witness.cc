@@ -72,8 +72,12 @@ bool WitnessTable::Survives(size_t i,
   });
 }
 
-bool WitnessTable::HeldBy(size_t i, const Database& sub) const {
-  return AnyImage(i, [&](FactId id) { return sub.ContainsId(id); });
+std::optional<WitnessTable> RepairWitnesses(
+    const EnumerationResult& enumeration, const Query& query) {
+  for (const RepairInfo& info : enumeration.repairs) {
+    if (!info.added.empty()) return std::nullopt;
+  }
+  return WitnessTable::Build(query, enumeration.initial);
 }
 
 }  // namespace opcqa

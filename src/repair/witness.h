@@ -12,16 +12,16 @@
 // R being the facts the sequence removed. The sampler and the exact
 // scorers therefore build one WitnessTable per (query, root) — Q(D) with
 // each answer's images as sorted FactId vectors — and score a walk or a
-// repair by checking images against R (or against the repair's ids):
-// no homomorphism search, no answer set, no allocation.
+// repair by checking images against its removed set R: no homomorphism
+// search, no answer set, no allocation.
 //
 // The shortcut is taken only when it is sound, and that is decided from
 // facts: the query must be conjunctive (Query::IsConjunctive), the table
 // must stay within kMaxImages images, and the scored database must be a
-// subset of D — a walk whose state added no fact, or an enumeration whose
-// successful leaves added none (EnumerationResult::deletion_only).
+// subset of D — a walk whose state added no fact, or an enumeration none
+// of whose repairs has a non-empty `added` set (RepairWitnesses).
 // Everything else is scored by Query::Evaluate on the materialized
-// database, on the same code path.
+// database (MaterializeRepair), on the same code path.
 
 #ifndef OPCQA_REPAIR_WITNESS_H_
 #define OPCQA_REPAIR_WITNESS_H_
@@ -56,9 +56,6 @@ class WitnessTable {
   /// True when answers()[i] ∈ Q(D − removed); `removed` is ascending.
   bool Survives(size_t i, const std::vector<FactId>& removed) const;
 
-  /// True when answers()[i] ∈ Q(sub), for a sub-database sub ⊆ D.
-  bool HeldBy(size_t i, const Database& sub) const;
-
  private:
   // True when every id of some image of answer i satisfies `alive`.
   template <typename Alive>
@@ -83,21 +80,26 @@ class WitnessTable {
   std::vector<FactId> ids_;
 };
 
+/// The witness table over enumeration.initial when every repair of
+/// `enumeration` is a sub-database of it — no repair added a fact — so
+/// each repair is scored by Survives(i, info.removed); nullopt when some
+/// repair added a fact or Build declines.
+std::optional<WitnessTable> RepairWitnesses(
+    const EnumerationResult& enumeration, const Query& query);
+
 /// For every tuple some repair of `enumeration` answers: the sum of
 /// weight(info) over the repairs `info` answering it. Reads witness images
-/// when the enumeration is deletion-only and the table builds; evaluates
-/// `query` on every repair otherwise.
+/// when RepairWitnesses builds; evaluates `query` on every materialized
+/// repair otherwise.
 template <typename T, typename Weight>
 std::map<Tuple, T> SumOverRepairs(const EnumerationResult& enumeration,
                                   const Query& query, Weight weight) {
   std::map<Tuple, T> sums;
-  std::optional<WitnessTable> table;
-  if (enumeration.deletion_only) {
-    table = WitnessTable::Build(query, enumeration.initial);
-  }
+  std::optional<WitnessTable> table = RepairWitnesses(enumeration, query);
   if (!table.has_value()) {
     for (const RepairInfo& info : enumeration.repairs) {
-      for (const Tuple& tuple : query.Evaluate(info.repair)) {
+      for (const Tuple& tuple :
+           query.Evaluate(MaterializeRepair(enumeration.initial, info))) {
         sums[tuple] += weight(info);
       }
     }
@@ -108,7 +110,7 @@ std::map<Tuple, T> SumOverRepairs(const EnumerationResult& enumeration,
   std::vector<bool> answered(n, false);
   for (const RepairInfo& info : enumeration.repairs) {
     for (size_t i = 0; i < n; ++i) {
-      if (table->HeldBy(i, info.repair)) {
+      if (table->Survives(i, info.removed)) {
         per_answer[i] += weight(info);
         answered[i] = true;
       }

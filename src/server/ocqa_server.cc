@@ -191,8 +191,9 @@ Response ExecuteOnSession(engine::OcqaSession& session,
       response.payload = std::string("exact=") + (top.exact ? "1" : "0") +
                          " certified=" + (top.certified ? "1" : "0") + "\n";
       for (const RepairInfo& info : top.repairs) {
-        response.payload += "p=" + info.probability.ToString() + " " +
-                            info.repair.ToString() + "\n";
+        response.payload +=
+            "p=" + info.probability.ToString() + " " +
+            MaterializeRepair(session.database(), info).ToString() + "\n";
       }
       break;
     }

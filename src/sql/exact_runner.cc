@@ -358,7 +358,8 @@ Result<SqlExactResult> SqlExactRunner::Run(std::string_view sql) {
   if (enumeration.success_mass.is_zero()) return result;
 
   for (const RepairInfo& info : enumeration.repairs) {
-    Catalog catalog = Catalog::FromDatabase(info.repair);
+    Catalog catalog = Catalog::FromDatabase(
+        MaterializeRepair(enumeration.initial, info));
     Result<engine::Relation> evaluated = Execute(**statement, catalog);
     if (!evaluated.ok()) return evaluated.status();
     for (const engine::Row& row : evaluated->rows()) {
@@ -417,8 +418,9 @@ Result<SqlCertainResult> SqlExactRunner::RunCertain(std::string_view sql) {
   std::set<engine::Row> certain;
   bool first = true;
   for (const RepairInfo& info : enumeration.repairs) {
-    Result<engine::Relation> evaluated =
-        Execute(**statement, Catalog::FromDatabase(info.repair));
+    Result<engine::Relation> evaluated = Execute(
+        **statement, Catalog::FromDatabase(
+                         MaterializeRepair(enumeration.initial, info)));
     if (!evaluated.ok()) return evaluated.status();
     std::set<engine::Row> rows(evaluated->rows().begin(),
                                evaluated->rows().end());

@@ -450,11 +450,21 @@ std::string EncodeEntriesPayload(
     for (const Violation& violation : keyed.entry->eliminated) {
       EncodeViolation(&writer, violation, &dict);
     }
-    writer.Var(outcome.repairs.size());
+    // Shares in ascending removed-index set order, like the entries:
+    // their in-memory order follows process-local ids.
+    std::vector<std::pair<std::vector<uint32_t>,
+                          const MemoOutcome::RepairShare*>>
+        shares;
+    shares.reserve(outcome.repairs.size());
     for (const MemoOutcome::RepairShare& share : outcome.repairs) {
-      EncodeIndices(&writer, RemovedIndices(share.removed, index_of));
-      dict.Write(&writer, share.mass.ToString());
-      writer.Var(share.num_sequences);
+      shares.emplace_back(RemovedIndices(share.removed, index_of), &share);
+    }
+    std::sort(shares.begin(), shares.end());
+    writer.Var(shares.size());
+    for (const auto& [indices, share] : shares) {
+      EncodeIndices(&writer, indices);
+      dict.Write(&writer, share->mass.ToString());
+      writer.Var(share->num_sequences);
     }
     dict.Write(&writer, outcome.success_mass.ToString());
     dict.Write(&writer, outcome.failing_mass.ToString());
@@ -525,8 +535,8 @@ Status RestoreEntriesPayload(const char* data, size_t size,
       if (!DecodeRemoved(&reader, dictionary, &share.removed)) {
         return Corrupt("repair share removed-set");
       }
-      // Ascending dictionary indices are fact value order — exactly the
-      // order RepairShare::removed stores (repair/memo.h).
+      // Numeric id order, as RepairShare::removed stores it.
+      std::sort(share.removed.begin(), share.removed.end());
       if (!DecodeMass(&reader, &dict, &share.mass)) {
         return Corrupt("repair mass");
       }
@@ -648,7 +658,6 @@ Result<std::shared_ptr<TranspositionTable>> DecodeSnapshot(
 
   std::vector<FactId> dictionary = Dictionary(live_root);
   auto table = std::make_shared<TranspositionTable>(max_entries, max_bytes);
-  table->SetRootShape(live_root.size(), live_root.schema().size());
   Status entries_ok = RestoreEntriesPayload(
       sections[1].first, sections[1].second, dictionary, live_root.Hash(),
       constraints, table.get(), nullptr);

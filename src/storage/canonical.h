@@ -12,9 +12,9 @@
 //     rendered constant args, the deterministic Database::ToString order)
 //     and doubles as the verification payload for the root fingerprint;
 //   * every removed-fact set — the entry verification keys and the
-//     per-repair delta payloads of repair/memo.h — is written as sorted
-//     indices into the root's value-ordered fact list, which is the same
-//     list in every process that holds an equal database;
+//     per-repair shares of repair/memo.h — is written as sorted indices
+//     into the root's value-ordered fact list, which is the same list in
+//     every process that holds an equal database;
 //   * eliminated violations are written as (constraint index, bindings
 //     rendered as variable-name → constant-name pairs); the constraint
 //     index is stable because the rendered-constraint digest is part of
@@ -96,9 +96,9 @@ inline constexpr uint32_t kSnapshotFormatVersion = 2;
 /// Serializes the table's current entries (a point-in-time view; safe
 /// while other threads keep inserting) into canonical snapshot bytes in
 /// the current format version. Entries are written sorted by removed
-/// set, then by rendered eliminated set (docs/SNAPSHOT_FORMAT.md), so
-/// tables holding equal entries encode to equal bytes whatever order
-/// they were inserted in. `root_db` must be the chain-root database
+/// set, then by rendered eliminated set, and each entry's shares by
+/// removed set (docs/SNAPSHOT_FORMAT.md), so tables holding equal
+/// entries encode to equal bytes whatever order they were inserted in. `root_db` must be the chain-root database
 /// the table memoizes under — every stored removed id must resolve in it.
 std::string EncodeSnapshot(const SnapshotIdentity& identity,
                            const Database& root_db,

@@ -1,6 +1,6 @@
 // End-to-end checks of the opcqa_cli binary (fork + exec): the exit-code
-// contract for bad flag values, the sampler's metrics rows and the
-// --mode=sql stdout.
+// contract for bad flag values, the sampler's metrics rows, the
+// --show-repairs distribution and the --mode=sql stdout.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -48,12 +48,11 @@ class CliInputs {
   std::string Path(const std::string& name) const {
     return dir_ + "/" + name;
   }
-
- private:
-  void Write(const std::string& name, const std::string& text) {
+  void Write(const std::string& name, const std::string& text) const {
     std::ofstream(dir_ + "/" + name) << text;
   }
 
+ private:
   std::string dir_;
 };
 
@@ -202,6 +201,94 @@ TEST(CliTest, DeeplyNestedQueryIsAHardFailure) {
   run = RunCli(args, inputs);
   EXPECT_EQ(run.exit_code, 1) << run.err;
   EXPECT_NE(run.err.find("error:"), std::string::npos) << run.err;
+}
+
+TEST(CliTest, ShowRepairsStdoutIsPinned) {
+  // The repair distribution, byte for byte, at every thread count and
+  // with or without memoization (the `memoization:` counter line aside):
+  // most probable first, ties in database order. The key instance is all
+  // ties; Example 1's TGD makes repairs that add S facts.
+  CliInputs inputs;
+  inputs.Write("tie_db.txt", "R(a,b). R(a,c). R(d,e). R(d,f).\n");
+  inputs.Write("tgd_schema.txt", "R/2\nS/3\nT/2\n");
+  inputs.Write("tgd_db.txt", "R(a,b). R(a,c). T(a,b).\n");
+  inputs.Write("tgd_constraints.txt",
+               "sigma: R(x,y) -> exists z: S(x,y,z)\n"
+               "eta: R(x,y), R(x,z) -> y = z\n");
+  const std::string answers_header =
+      "query:       Q(x,y) := R(x,y)\n"
+      "\n";
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"--schema=" + inputs.Path("schema.txt"),
+         "--db=" + inputs.Path("tie_db.txt"),
+         "--constraints=" + inputs.Path("constraints.txt")},
+        "schema:      {R/2}\n"
+        "database:    4 facts, consistent: no\n"
+        "constraints: 1\n" +
+            answers_header +
+            "exact operational consistent answers (success mass 1, failing "
+            "mass 0):\n"
+            "  (a,b)                    1/3  (≈ 0.333333)\n"
+            "  (a,c)                    1/3  (≈ 0.333333)\n"
+            "  (d,e)                    1/3  (≈ 0.333333)\n"
+            "  (d,f)                    1/3  (≈ 0.333333)\n"
+            "\n"
+            "repair distribution:\n"
+            "  p = 1/9        {  }\n"
+            "  p = 1/9        { R(a,b). }\n"
+            "  p = 1/9        { R(a,b). R(d,e). }\n"
+            "  p = 1/9        { R(a,b). R(d,f). }\n"
+            "  p = 1/9        { R(a,c). }\n"
+            "  p = 1/9        { R(a,c). R(d,e). }\n"
+            "  p = 1/9        { R(a,c). R(d,f). }\n"
+            "  p = 1/9        { R(d,e). }\n"
+            "  p = 1/9        { R(d,f). }\n"},
+       {{"--schema=" + inputs.Path("tgd_schema.txt"),
+         "--db=" + inputs.Path("tgd_db.txt"),
+         "--constraints=" + inputs.Path("tgd_constraints.txt")},
+        "schema:      {R/2, S/3, T/2}\n"
+        "database:    3 facts, consistent: no\n"
+        "constraints: 2\n" +
+            answers_header +
+            "exact operational consistent answers (success mass 1/2, "
+            "failing mass 1/2):\n"
+            "  (a,b)                    1/3  (≈ 0.333333)\n"
+            "  (a,c)                    1/3  (≈ 0.333333)\n"
+            "\n"
+            "repair distribution:\n"
+            "  p = 1/6        { T(a,b). }\n"
+            "  p = 1/18       { R(a,b). S(a,b,a). T(a,b). }\n"
+            "  p = 1/18       { R(a,b). S(a,b,b). T(a,b). }\n"
+            "  p = 1/18       { R(a,b). S(a,b,c). T(a,b). }\n"
+            "  p = 1/18       { R(a,c). S(a,c,a). T(a,b). }\n"
+            "  p = 1/18       { R(a,c). S(a,c,b). T(a,b). }\n"
+            "  p = 1/18       { R(a,c). S(a,c,c). T(a,b). }\n"}};
+  for (const auto& [files, golden] : cases) {
+    for (const char* threads : {"--threads=1", "--threads=4"}) {
+      for (bool memo : {false, true}) {
+        std::vector<std::string> args = files;
+        args.push_back("--query=Q(x,y) := R(x,y)");
+        args.push_back("--show-repairs");
+        args.push_back(threads);
+        if (memo) args.push_back("--memo");
+        CliRun run = RunCli(args, inputs);
+        SCOPED_TRACE(files[1] + " " + threads + (memo ? " --memo" : ""));
+        EXPECT_EQ(run.exit_code, 0) << run.err;
+        std::istringstream lines(run.out);
+        std::string out, line;
+        size_t memo_lines = 0;
+        while (std::getline(lines, line)) {
+          if (line.rfind("memoization:", 0) == 0) {
+            ++memo_lines;
+          } else {
+            out += line + "\n";
+          }
+        }
+        EXPECT_EQ(memo_lines, memo ? 1u : 0u);
+        EXPECT_EQ(out, golden);
+      }
+    }
+  }
 }
 
 TEST(CliTest, SqlModeStdoutIsPinned) {

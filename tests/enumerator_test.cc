@@ -17,7 +17,7 @@ TEST(EnumeratorTest, ConsistentDatabaseIsItsOwnUniqueRepair) {
   EnumerationResult result =
       EnumerateRepairs(consistent, w.constraints, gen);
   ASSERT_EQ(result.repairs.size(), 1u);
-  EXPECT_EQ(result.repairs[0].repair, consistent);
+  EXPECT_EQ(MaterializeRepair(result.initial, result.repairs[0]), consistent);
   EXPECT_EQ(result.repairs[0].probability, Rational(1));
   EXPECT_EQ(result.success_mass, Rational(1));
   EXPECT_TRUE(result.failing_mass.is_zero());
@@ -57,9 +57,10 @@ TEST(EnumeratorTest, AllRepairsAreConsistentAndInsideBase) {
   BaseSpec base = BaseSpec::ForDatabase(w.db, ConstantsOf(w.constraints));
   ASSERT_FALSE(result.repairs.empty());
   for (const RepairInfo& info : result.repairs) {
-    EXPECT_TRUE(Satisfies(info.repair, w.constraints))
-        << info.repair.ToString();
-    EXPECT_TRUE(base.ContainsAll(info.repair));
+    Database repair = MaterializeRepair(result.initial, info);
+    EXPECT_TRUE(Satisfies(repair, w.constraints))
+        << repair.ToString();
+    EXPECT_TRUE(base.ContainsAll(repair));
   }
 }
 
@@ -73,7 +74,7 @@ TEST(EnumeratorTest, FailingExampleSplitsMass) {
   EXPECT_EQ(result.failing_mass, Rational(1, 2));
   EXPECT_EQ(result.failing_sequences, 1u);
   ASSERT_EQ(result.repairs.size(), 1u);
-  EXPECT_TRUE(result.repairs[0].repair.empty());
+  EXPECT_TRUE(MaterializeRepair(result.initial, result.repairs[0]).empty());
 }
 
 TEST(EnumeratorTest, DeletionOnlyGeneratorNeverFails) {
@@ -117,10 +118,11 @@ TEST(EnumeratorTest, ZeroProbabilityBranchesArePruned) {
   DeletionOnlyUniformGenerator gen;
   EnumerationResult result = EnumerateRepairs(w.db, w.constraints, gen);
   for (const RepairInfo& info : result.repairs) {
+    Database repair = MaterializeRepair(result.initial, info);
     // Deletion-only repairs are subsets of D.
     std::vector<Fact> only_in_repair, only_in_d;
-    info.repair.SymmetricDifference(w.db, &only_in_repair, &only_in_d);
-    EXPECT_TRUE(only_in_repair.empty()) << info.repair.ToString();
+    repair.SymmetricDifference(w.db, &only_in_repair, &only_in_d);
+    EXPECT_TRUE(only_in_repair.empty()) << repair.ToString();
   }
 }
 

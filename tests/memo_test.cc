@@ -258,7 +258,8 @@ void ExpectIdenticalResults(const EnumerationResult& a,
   EXPECT_EQ(a.truncated, b.truncated);
   ASSERT_EQ(a.repairs.size(), b.repairs.size());
   for (size_t i = 0; i < a.repairs.size(); ++i) {
-    EXPECT_EQ(a.repairs[i].repair, b.repairs[i].repair) << "repair " << i;
+    EXPECT_EQ(a.repairs[i].removed, b.repairs[i].removed) << "repair " << i;
+    EXPECT_EQ(a.repairs[i].added, b.repairs[i].added) << "repair " << i;
     EXPECT_EQ(a.repairs[i].probability, b.repairs[i].probability)
         << "repair " << i;
     EXPECT_EQ(a.repairs[i].num_sequences, b.repairs[i].num_sequences)
@@ -496,7 +497,8 @@ TEST(MemoizedTopKTest, ExhaustiveSearchMatchesUnmerged) {
   EXPECT_TRUE(result.frontier_mass.is_zero());
   ASSERT_EQ(result.repairs.size(), base.repairs.size());
   for (size_t i = 0; i < base.repairs.size(); ++i) {
-    EXPECT_EQ(result.repairs[i].repair, base.repairs[i].repair) << i;
+    EXPECT_EQ(result.repairs[i].removed, base.repairs[i].removed) << i;
+    EXPECT_EQ(result.repairs[i].added, base.repairs[i].added) << i;
     EXPECT_EQ(result.repairs[i].probability, base.repairs[i].probability)
         << i;
     EXPECT_EQ(result.repairs[i].num_sequences,
@@ -518,7 +520,8 @@ TEST(MemoizedTopKTest, CertifiedMapAgreesUnderBudget) {
   TopKResult result = TopKRepairs(w.db, w.constraints, generator, 1, memo);
   ASSERT_TRUE(base.certified);
   ASSERT_TRUE(result.certified);
-  EXPECT_EQ(result.Map().repair, base.Map().repair);
+  EXPECT_EQ(result.Map().removed, base.Map().removed);
+  EXPECT_EQ(result.Map().added, base.Map().added);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "constraints/constraint_parser.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
+#include "relational/fact_parser.h"
 #include "repair/ocqa.h"
+#include "repair/sampler.h"
 #include "repair/trust_generator.h"
 
 namespace opcqa {
@@ -139,6 +142,40 @@ TEST(OcqaTest, OcaFromEnumerationReusesChain) {
   for (const auto& [tuple, p] : oca1.answers) {
     EXPECT_GE(oca2.Probability({tuple[0]}), p);
   }
+}
+
+TEST(OcqaTest, QuantifierRebindingAHeadVariableAnswersLikeItsFoSpelling) {
+  // Both bodies are the sentence "some R(c,c) exists", so every constant
+  // of a repair that keeps R(a,a) answers; conjunction and disjunction of
+  // one atom with itself must agree, exactly and under a fixed seed.
+  Schema schema;
+  schema.AddRelation("R", 2);
+  Database db = *ParseDatabase(schema, "R(a,a). R(b,c). R(b,d).");
+  ConstraintSet sigma =
+      *ParseConstraints(schema, "key: R(x,y), R(x,z) -> y = z");
+  Query conjunction =
+      *ParseQuery(schema, "Q(x) := exists x: (R(x,x) & R(x,x))");
+  Query disjunction =
+      *ParseQuery(schema, "Q(x) := exists x: (R(x,x) | R(x,x))");
+  UniformChainGenerator gen;
+  OcaResult exact = ComputeOca(db, sigma, gen, conjunction);
+  EXPECT_EQ(exact.answers, ComputeOca(db, sigma, gen, disjunction).answers);
+  EXPECT_EQ(exact.Probability({Const("a")}), Rational(1));
+  EXPECT_EQ(exact.Probability({Const("b")}), Rational(2, 3));
+  EXPECT_EQ(exact.Probability({Const("c")}), Rational(1, 3));
+  EXPECT_EQ(exact.Probability({Const("d")}), Rational(1, 3));
+  EXPECT_EQ(ComputeTupleProbability(db, sigma, gen, conjunction,
+                                    {Const("b")}),
+            Rational(2, 3));
+  std::map<Tuple, double> estimates[2];
+  for (int i = 0; i < 2; ++i) {
+    Sampler sampler(db, sigma, &gen, /*seed=*/7);
+    estimates[i] =
+        sampler.EstimateOca(i == 0 ? conjunction : disjunction, 0.1, 0.1)
+            .estimates;
+  }
+  EXPECT_EQ(estimates[0].size(), 4u);
+  EXPECT_EQ(estimates[0], estimates[1]);
 }
 
 TEST(OcqaTest, ProbabilitiesAreWithinZeroOne) {

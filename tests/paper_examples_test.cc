@@ -71,7 +71,8 @@ TEST_F(PreferenceExampleTest, EachRepairReachedByTwoSequences) {
   // Each of the four repairs arises from two orders of the two deletions.
   EnumerationResult result = EnumerateRepairs(w_.db, w_.constraints, gen_);
   for (const RepairInfo& info : result.repairs) {
-    EXPECT_EQ(info.num_sequences, 2u) << info.repair.ToString();
+    Database repair = MaterializeRepair(result.initial, info);
+    EXPECT_EQ(info.num_sequences, 2u) << repair.ToString();
   }
   EXPECT_EQ(result.successful_sequences, 8u);
 }
@@ -109,9 +110,10 @@ TEST_F(PreferenceExampleTest, OperationalRepairsCoincideWithAbcRepairsHere) {
   ASSERT_TRUE(abc.ok());
   ASSERT_EQ(result.repairs.size(), abc->size());
   for (const RepairInfo& info : result.repairs) {
-    EXPECT_TRUE(std::find(abc->begin(), abc->end(), info.repair) !=
+    Database repair = MaterializeRepair(result.initial, info);
+    EXPECT_TRUE(std::find(abc->begin(), abc->end(), repair) !=
                 abc->end())
-        << info.repair.ToString();
+        << repair.ToString();
   }
 }
 

@@ -135,7 +135,8 @@ void ExpectIdenticalResults(const EnumerationResult& a,
   EXPECT_EQ(a.truncated, b.truncated);
   ASSERT_EQ(a.repairs.size(), b.repairs.size());
   for (size_t i = 0; i < a.repairs.size(); ++i) {
-    EXPECT_EQ(a.repairs[i].repair, b.repairs[i].repair) << "repair " << i;
+    EXPECT_EQ(a.repairs[i].removed, b.repairs[i].removed) << "repair " << i;
+    EXPECT_EQ(a.repairs[i].added, b.repairs[i].added) << "repair " << i;
     EXPECT_EQ(a.repairs[i].probability, b.repairs[i].probability)
         << "repair " << i;
     EXPECT_EQ(a.repairs[i].num_sequences, b.repairs[i].num_sequences)
@@ -221,10 +222,11 @@ TEST(ParallelEnumeratorTest, ProbabilityOfUsesTheIndex) {
   options.threads = 4;
   EnumerationResult result =
       EnumerateRepairs(w.db, w.constraints, generator, options);
-  ASSERT_EQ(result.repairs_by_database.size(), result.repairs.size());
+  ASSERT_EQ(result.repairs_by_delta.size(), result.repairs.size());
   // Index lookups agree with a linear scan for every repair + a miss.
   for (const RepairInfo& info : result.repairs) {
-    EXPECT_EQ(result.ProbabilityOf(info.repair), info.probability);
+    Database repair = MaterializeRepair(result.initial, info);
+    EXPECT_EQ(result.ProbabilityOf(repair), info.probability);
   }
   Database absent(w.schema.get());
   absent.Insert(Fact::Make(*w.schema, "R", {"nosuch", "fact"}));

@@ -176,7 +176,8 @@ TEST_P(ChainPropertyTest, Proposition4AbcContainment) {
   ASSERT_FALSE(chain.truncated);
   std::set<Database> operational;
   for (const RepairInfo& info : chain.repairs) {
-    operational.insert(info.repair);
+    Database repair = MaterializeRepair(chain.initial, info);
+    operational.insert(repair);
   }
   for (const Database& repair : abc.value()) {
     EXPECT_TRUE(operational.count(repair))
@@ -222,7 +223,8 @@ TEST_P(ChainPropertyTest, ExhaustiveTopKEqualsEnumeration) {
   ASSERT_TRUE(top.exact);
   ASSERT_EQ(top.repairs.size(), exact.repairs.size());
   for (size_t i = 0; i < top.repairs.size(); ++i) {
-    EXPECT_EQ(top.repairs[i].repair, exact.repairs[i].repair);
+    EXPECT_EQ(top.repairs[i].removed, exact.repairs[i].removed);
+    EXPECT_EQ(top.repairs[i].added, exact.repairs[i].added);
     EXPECT_EQ(top.repairs[i].probability, exact.repairs[i].probability);
   }
   EXPECT_EQ(top.explored_failing_mass, exact.failing_mass);
@@ -253,7 +255,8 @@ TEST_P(ChainPropertyTest, LocalizationMatchesMonolithic) {
   for (const Fact& fact : w_.db.AllFacts()) {
     Rational direct(0);
     for (const RepairInfo& info : monolithic.repairs) {
-      if (info.repair.Contains(fact)) direct += info.probability;
+      Database repair = MaterializeRepair(monolithic.initial, info);
+      if (repair.Contains(fact)) direct += info.probability;
     }
     EXPECT_EQ(localized.value().FactSurvivalProbability(fact), direct)
         << fact.ToString(*w_.schema);
@@ -330,7 +333,8 @@ TEST(PrioritySweepProperty, MinimalChangePrefersSingletons) {
   // Every reached repair deletes exactly one fact per conflicting group —
   // i.e. has |D| − 3 facts; the pair-deletion repairs carry zero mass.
   for (const RepairInfo& info : result.repairs) {
-    EXPECT_EQ(info.repair.size(), w.db.size() - 3);
+    Database repair = MaterializeRepair(result.initial, info);
+    EXPECT_EQ(repair.size(), w.db.size() - 3);
   }
 }
 

@@ -45,6 +45,17 @@ TEST_F(QueryParserTest, ParsesJoinWithExistential) {
   EXPECT_TRUE(answers.count({Const("a"), Const("c")}));
 }
 
+TEST_F(QueryParserTest, QuantifierRebindingAHeadVariableIsNotConjunctive) {
+  // The quantifier shadows the head's x, so the body is a sentence: no
+  // homomorphism can supply the head value.
+  Result<Query> q = ParseQuery(schema_, "Q(x) := exists x, y: R(x,y)");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_FALSE(q->IsConjunctive());
+  Result<Query> free = ParseQuery(schema_, "Q(x) := exists y: R(x,y)");
+  ASSERT_TRUE(free.ok()) << free.status().ToString();
+  EXPECT_TRUE(free->IsConjunctive());
+}
+
 TEST_F(QueryParserTest, ParsesExample7Query) {
   Result<Query> q =
       ParseQuery(schema_, "Q(x) := forall y (Pref(x,y) | x = y)");

@@ -2,11 +2,14 @@
 // persistence across queries over one root, verified root identity,
 // invalidation on database mutation, eviction under byte pressure with
 // byte-identical results (including post-eviction replay), the
-// delta-compression payload savings, the session/SQL layer threading, and
+// removed-set payloads, the session/SQL layer threading, and
 // a concurrent two-query-one-cache run (TSan-gated in CI).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,7 +72,8 @@ TEST(RepairSpaceCacheTest, ThirdQueryReplaysTheChainFromOneRootHit) {
     EXPECT_EQ(result->max_depth, base.max_depth);
     ASSERT_EQ(result->repairs.size(), base.repairs.size());
     for (size_t i = 0; i < base.repairs.size(); ++i) {
-      EXPECT_EQ(result->repairs[i].repair, base.repairs[i].repair);
+      EXPECT_EQ(result->repairs[i].removed, base.repairs[i].removed);
+      EXPECT_EQ(result->repairs[i].added, base.repairs[i].added);
       EXPECT_EQ(result->repairs[i].probability, base.repairs[i].probability);
       EXPECT_EQ(result->repairs[i].num_sequences,
                 base.repairs[i].num_sequences);
@@ -281,7 +285,8 @@ TEST(RepairSpaceCacheTest, ByteBudgetEvictionKeepsResultsByteIdentical) {
     EXPECT_EQ(result.states_visited, base.states_visited);
     ASSERT_EQ(result.repairs.size(), base.repairs.size());
     for (size_t i = 0; i < base.repairs.size(); ++i) {
-      EXPECT_EQ(result.repairs[i].repair, base.repairs[i].repair);
+      EXPECT_EQ(result.repairs[i].removed, base.repairs[i].removed);
+      EXPECT_EQ(result.repairs[i].added, base.repairs[i].added);
       EXPECT_EQ(result.repairs[i].probability,
                 base.repairs[i].probability);
     }
@@ -294,25 +299,42 @@ TEST(RepairSpaceCacheTest, ByteBudgetEvictionKeepsResultsByteIdentical) {
 }
 
 // ---------------------------------------------------------------------
-// Delta compression
+// Removed-set payloads
 // ---------------------------------------------------------------------
 
-TEST(RepairSpaceCacheTest, DeltaPayloadsBeatFullDatabaseCopies) {
+TEST(RepairSpaceCacheTest, SharesAreRemovedSetsBelowTheirEntry) {
   // The realistic CQA shape: a large, mostly-clean database with a few
-  // conflicts. Chains are depth-bounded (≤ #violating groups) while |D|
-  // is large, so the removed-id deltas are ≈ depth-sized where PR-3
-  // stored |D|-sized Database copies per key and per repair share —
-  // the ratio grows like |D| / depth.
+  // conflicts. Every entry stores its state's removed set and, per
+  // repair below it, the ids removed further down — both ascending and
+  // disjoint, and their union is the removed set of a repair the
+  // enumeration reports.
   gen::Workload w = gen::MakeKeyViolationWorkload(40, 4, 2, /*seed=*/100);
   UniformChainGenerator generator;
   RepairSpaceCache cache;
-  EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
-  MemoStats stats = cache.TotalStats();
-  ASSERT_GT(stats.entries, 50u);
-  ASSERT_GT(stats.payload_bytes, 0u);
-  EXPECT_GE(stats.full_payload_bytes, 4 * stats.payload_bytes)
-      << "delta compression should cut payload bytes at least 4x on "
-         "depth-bounded chains";
+  EnumerationResult result = EnumerateRepairs(w.db, w.constraints, generator,
+                                              MemoOptions(&cache));
+  std::set<std::vector<FactId>> repairs;
+  for (const RepairInfo& info : result.repairs) {
+    EXPECT_TRUE(info.added.empty());
+    repairs.insert(info.removed);
+  }
+  std::shared_ptr<TranspositionTable> table =
+      cache.TableFor(w.db, w.constraints, generator,
+                     /*prune_zero_probability=*/true);
+  std::vector<TranspositionTable::EntryCopy> entries = table->Entries();
+  ASSERT_GT(entries.size(), 50u);
+  for (const TranspositionTable::EntryCopy& entry : entries) {
+    ASSERT_TRUE(std::is_sorted(entry.removed.begin(), entry.removed.end()));
+    for (const MemoOutcome::RepairShare& share : entry.outcome->repairs) {
+      ASSERT_TRUE(std::is_sorted(share.removed.begin(), share.removed.end()));
+      std::vector<FactId> removed;
+      std::set_union(entry.removed.begin(), entry.removed.end(),
+                     share.removed.begin(), share.removed.end(),
+                     std::back_inserter(removed));
+      EXPECT_EQ(removed.size(), entry.removed.size() + share.removed.size());
+      EXPECT_EQ(repairs.count(removed), 1u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -346,7 +368,8 @@ TEST(RepairSpaceCacheTest, TopKConsumesSubtreesRecordedByEnumeration) {
   EXPECT_EQ(result.explored_failing_mass, base.explored_failing_mass);
   ASSERT_EQ(result.repairs.size(), base.repairs.size());
   for (size_t i = 0; i < base.repairs.size(); ++i) {
-    EXPECT_EQ(result.repairs[i].repair, base.repairs[i].repair) << i;
+    EXPECT_EQ(result.repairs[i].removed, base.repairs[i].removed) << i;
+    EXPECT_EQ(result.repairs[i].added, base.repairs[i].added) << i;
     EXPECT_EQ(result.repairs[i].probability, base.repairs[i].probability)
         << i;
     EXPECT_EQ(result.repairs[i].num_sequences,
@@ -442,7 +465,8 @@ TEST(RepairSpaceCacheTest, ConcurrentTwoQueryOneCacheIsSafeAndIdentical) {
       EXPECT_EQ(result.states_visited, base.states_visited);
       ASSERT_EQ(result.repairs.size(), base.repairs.size());
       for (size_t i = 0; i < base.repairs.size(); ++i) {
-        EXPECT_EQ(result.repairs[i].repair, base.repairs[i].repair);
+        EXPECT_EQ(result.repairs[i].removed, base.repairs[i].removed);
+        EXPECT_EQ(result.repairs[i].added, base.repairs[i].added);
         EXPECT_EQ(result.repairs[i].probability,
                   base.repairs[i].probability);
       }

@@ -138,6 +138,56 @@ TEST(OcqaServerTest, ConcurrentServingMatchesSerialReplayByteForByte) {
   }
 }
 
+TEST(OcqaServerTest, TopKResponseIsPinned) {
+  // One rendered top-k response, byte for byte, before and after a write
+  // that adds a conflicting fact: repairs most probable first, ties in
+  // database order, each rendered against the tenant's current database.
+  gen::Workload w = gen::MakeKeyViolationWorkload(2, 2, 2, /*seed=*/1);
+  ASSERT_EQ(w.db.ToString(),
+            "R(k0,v0_0). R(k0,v0_1). R(k1,v1_0). R(k1,v1_1).");
+  Result<std::vector<Request>> trace =
+      ParseTrace(*w.schema,
+                 "t0 topk exact uniform 0 4\n"
+                 "t0 insert exact - 0 R(k1,v1_2)\n"
+                 "t0 topk exact uniform-deletions 0 2\n");
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  const std::string golden =
+      "#1 tenant=t0 status=OK truncated=0\n"
+      "exact=1 certified=1\n"
+      "p=1/9 \n"
+      "p=1/9 R(k0,v0_0).\n"
+      "p=1/9 R(k0,v0_0). R(k1,v1_0).\n"
+      "p=1/9 R(k0,v0_0). R(k1,v1_1).\n"
+      "p=1/9 R(k0,v0_1).\n"
+      "p=1/9 R(k0,v0_1). R(k1,v1_0).\n"
+      "p=1/9 R(k0,v0_1). R(k1,v1_1).\n"
+      "p=1/9 R(k1,v1_0).\n"
+      "p=1/9 R(k1,v1_1).\n"
+      "#2 tenant=t0 status=OK truncated=0\n"
+      "changed=1\n"
+      "#3 tenant=t0 status=OK truncated=0\n"
+      "exact=1 certified=1\n"
+      "p=5/54 R(k0,v0_0). R(k1,v1_0).\n"
+      "p=5/54 R(k0,v0_0). R(k1,v1_1).\n"
+      "p=5/54 R(k0,v0_0). R(k1,v1_2).\n"
+      "p=5/54 R(k0,v0_1). R(k1,v1_0).\n"
+      "p=5/54 R(k0,v0_1). R(k1,v1_1).\n"
+      "p=5/54 R(k0,v0_1). R(k1,v1_2).\n"
+      "p=5/54 R(k1,v1_0).\n"
+      "p=5/54 R(k1,v1_1).\n"
+      "p=5/54 R(k1,v1_2).\n"
+      "p=1/18 \n"
+      "p=1/18 R(k0,v0_0).\n"
+      "p=1/18 R(k0,v0_1).\n";
+  EXPECT_EQ(RenderResponses(
+                ReplaySerial(w, *trace, ReplayMode::kSessionPerTenant)),
+            golden);
+  ServerOptions options;
+  options.workers = 2;
+  OcqaServer server(w.db, w.constraints, options);
+  EXPECT_EQ(RenderResponses(server.SubmitAll(*trace)), golden);
+}
+
 // ---------------------------------------------------------------------
 // Root-level batching
 // ---------------------------------------------------------------------

@@ -82,7 +82,8 @@ void ExpectSameDistribution(const EnumerationResult& result,
   EXPECT_EQ(result.max_depth, base.max_depth);
   ASSERT_EQ(result.repairs.size(), base.repairs.size());
   for (size_t i = 0; i < base.repairs.size(); ++i) {
-    EXPECT_EQ(result.repairs[i].repair, base.repairs[i].repair) << i;
+    EXPECT_EQ(result.repairs[i].removed, base.repairs[i].removed) << i;
+    EXPECT_EQ(result.repairs[i].added, base.repairs[i].added) << i;
     EXPECT_EQ(result.repairs[i].probability, base.repairs[i].probability)
         << i;
     EXPECT_EQ(result.repairs[i].num_sequences, base.repairs[i].num_sequences)

@@ -173,16 +173,20 @@ TEST(WitnessTest, ExactScorersEqualEvaluateOnEveryRepair) {
       EnumerationResult enumeration = EnumerateRepairs(
           instance.w.db, instance.w.constraints, *generator);
       ASSERT_FALSE(enumeration.truncated);
-      bool subsets = true;
+      // The delta round trip: a repair materialized from (removed, added)
+      // diffs back to exactly that pair, and ProbabilityOf finds it.
+      std::vector<Database> repairs;
       for (const RepairInfo& info : enumeration.repairs) {
-        std::vector<FactId> only_repair, only_db;
-        info.repair.SymmetricDifferenceIds(instance.w.db, &only_repair,
-                                           &only_db);
-        subsets = subsets && only_repair.empty();
+        repairs.push_back(MaterializeRepair(instance.w.db, info));
+        std::vector<FactId> removed, added;
+        instance.w.db.SymmetricDifferenceIds(repairs.back(), &removed,
+                                             &added);
+        std::sort(removed.begin(), removed.end());
+        std::sort(added.begin(), added.end());
+        EXPECT_EQ(removed, info.removed) << repairs.back().ToString();
+        EXPECT_EQ(added, info.added) << repairs.back().ToString();
+        EXPECT_EQ(enumeration.ProbabilityOf(repairs.back()), info.probability);
       }
-      // The gate is a statement about facts; check it against them.
-      EXPECT_EQ(enumeration.deletion_only, subsets)
-          << instance.name << " / " << generator->name();
       for (const std::string& text : instance.queries) {
         SCOPED_TRACE(instance.name + " / " + generator->name() + " / " +
                      text);
@@ -190,11 +194,12 @@ TEST(WitnessTest, ExactScorersEqualEvaluateOnEveryRepair) {
         std::map<Tuple, Rational> mass;
         std::map<Tuple, size_t> count;
         Rational answer_mass;
-        for (const RepairInfo& info : enumeration.repairs) {
-          for (const Tuple& t : q.Evaluate(info.repair)) {
-            mass[t] += info.probability;
+        for (size_t i = 0; i < repairs.size(); ++i) {
+          const Rational& p = enumeration.repairs[i].probability;
+          for (const Tuple& t : q.Evaluate(repairs[i])) {
+            mass[t] += p;
             ++count[t];
-            answer_mass += info.probability;
+            answer_mass += p;
           }
         }
         OcaResult oca = OcaFromEnumeration(enumeration, q);
@@ -235,10 +240,14 @@ TEST(WitnessTest, ExactScorersEqualEvaluateOnEveryRepair) {
         OcaResult computed = ComputeOca(instance.w.db, instance.w.constraints,
                                         *generator, q, options);
         EXPECT_EQ(computed.answers, oca.answers);
-        EXPECT_EQ(computed.enumeration.repairs.size(),
+        ASSERT_EQ(computed.enumeration.repairs.size(),
                   enumeration.repairs.size());
-        EXPECT_EQ(computed.enumeration.deletion_only,
-                  enumeration.deletion_only);
+        for (size_t i = 0; i < enumeration.repairs.size(); ++i) {
+          EXPECT_EQ(computed.enumeration.repairs[i].removed,
+                    enumeration.repairs[i].removed);
+          EXPECT_EQ(computed.enumeration.repairs[i].added,
+                    enumeration.repairs[i].added);
+        }
       }
     }
   }
@@ -248,12 +257,17 @@ TEST(WitnessTest, Example1UniformChainAddsFacts) {
   // Guards the fallback coverage above: Example 1's uniform chain must
   // reach repairs that are not subsets of D, or the TGD case would only
   // exercise the witness path.
+  auto adds_facts = [](const EnumerationResult& enumeration) {
+    return std::any_of(
+        enumeration.repairs.begin(), enumeration.repairs.end(),
+        [](const RepairInfo& info) { return !info.added.empty(); });
+  };
   gen::Workload w = gen::PaperExample1();
   UniformChainGenerator uniform;
-  EXPECT_FALSE(EnumerateRepairs(w.db, w.constraints, uniform).deletion_only);
+  EXPECT_TRUE(adds_facts(EnumerateRepairs(w.db, w.constraints, uniform)));
   gen::Workload key = gen::MakeKeyViolationWorkload(5, 2, 3, /*seed=*/3);
-  EXPECT_TRUE(
-      EnumerateRepairs(key.db, key.constraints, uniform).deletion_only);
+  EXPECT_FALSE(
+      adds_facts(EnumerateRepairs(key.db, key.constraints, uniform)));
 }
 
 }  // namespace
