@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -445,14 +446,15 @@ Result<Schema> ParseSchemaFile(const std::string& text) {
     if (!IsIdentifier(name)) {
       return Status::InvalidArgument("bad relation name: " + name);
     }
-    int arity = std::atoi(arity_text.c_str());
-    if (arity <= 0) {
+    std::optional<uint64_t> arity = ParseNonNegative(arity_text);
+    constexpr uint64_t kMaxArity = std::numeric_limits<uint32_t>::max();
+    if (!arity || *arity == 0 || *arity > kMaxArity) {
       return Status::InvalidArgument("bad arity in schema line: " + line);
     }
     if (schema.FindRelation(name) != Schema::kNotFound) {
       return Status::AlreadyExists("relation declared twice: " + name);
     }
-    schema.AddRelation(name, static_cast<uint32_t>(arity));
+    schema.AddRelation(name, static_cast<uint32_t>(*arity));
   }
   if (schema.size() == 0) {
     return Status::InvalidArgument("schema file declares no relations");

@@ -2,22 +2,10 @@
 
 #include <algorithm>
 
-#include "util/hash.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace opcqa {
-
-size_t Violation::Hash() const {
-  // Bindings are sorted by variable, so the order-dependent combine is a
-  // deterministic value hash of the assignment.
-  size_t seed = HashCombine(0, constraint_index);
-  for (const auto& [var, value] : h.bindings()) {
-    seed = HashCombine(seed, var);
-    seed = HashCombine(seed, value);
-  }
-  return seed;
-}
 
 std::string Violation::ToString(const Schema& schema,
                                 const ConstraintSet& constraints) const {

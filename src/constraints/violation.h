@@ -24,11 +24,6 @@ struct Violation {
 
   auto operator<=>(const Violation&) const = default;
 
-  /// Stable value hash over (constraint_index, h) — the per-element hash
-  /// behind the incrementally-maintained eliminated-set fingerprint of
-  /// RepairingState (repair/memo.h keys transposition-table entries on it).
-  size_t Hash() const;
-
   std::string ToString(const Schema& schema,
                        const ConstraintSet& constraints) const;
 };

@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 
-#include "util/hash.h"
 #include "util/logging.h"
 
 namespace opcqa {
@@ -145,10 +144,6 @@ std::shared_ptr<const DeletionCandidateIndex> DeletionCandidateIndex::Build(
     const ConstraintSet& constraints, const ViolationSet& violations) {
   auto index = std::make_shared<DeletionCandidateIndex>();
   index->violations_.assign(violations.begin(), violations.end());
-  index->hashes_.reserve(violations.size());
-  for (const Violation& v : violations) {
-    index->hashes_.push_back(HashMix64(v.Hash()));
-  }
   // Pass 1: the deduplicated candidate pool, in the emission order of
   // JustifiedDeletions (fact-value lexicographic).
   IdSubsetSet pool;

@@ -76,9 +76,6 @@ class DeletionCandidateIndex {
 
   /// The violation of rank `rank`; ranks follow ViolationSet order.
   const Violation& violation(size_t rank) const { return violations_[rank]; }
-  /// HashMix64(violation(rank).Hash()) — its share of the eliminated-set
-  /// fingerprint (RepairingState::eliminated_hash()).
-  uint64_t violation_hash(size_t rank) const { return hashes_[rank]; }
 
   /// Sets in `bits` (resized to cover every candidate) the ranks of the
   /// justified deletions of the violations whose bits are set in `live`
@@ -106,7 +103,6 @@ class DeletionCandidateIndex {
 
  private:
   std::vector<Violation> violations_;  // rank → violation
-  std::vector<uint64_t> hashes_;       // rank → HashMix64(Hash())
   /// Distinct candidate deletions in emission order.
   std::vector<Operation> ops_;
   /// Violation rank v → sorted candidate ranks

@@ -2,34 +2,11 @@
 
 #include <algorithm>
 #include <iterator>
-#include <optional>
-
-#include "util/hash.h"
 
 namespace opcqa {
 
-namespace {
-
-/// Approximate heap footprint of a Violation inside a std::set: the
-/// red-black node plus the assignment's binding vector.
-size_t ViolationSetBytes(const ViolationSet& eliminated) {
-  size_t bytes = 0;
-  for (const Violation& violation : eliminated) {
-    bytes += 48 /* set node overhead */ + sizeof(Violation) +
-             violation.h.bindings().capacity() *
-                 sizeof(std::pair<VarId, ConstId>);
-  }
-  return bytes;
-}
-
-}  // namespace
-
-size_t StateKey::Combined() const {
-  return HashCombine(db_hash, eliminated_hash);
-}
-
 StateKey KeyOf(const RepairingState& state) {
-  return StateKey{state.db_hash(), state.eliminated_hash()};
+  return StateKey{state.db_hash()};
 }
 
 bool MemoizationApplicable(const RepairContext& context,
@@ -49,10 +26,6 @@ void ShareRepair(const RepairingState& state,
   repair->added.clear();
 }
 
-MemoStats MemoStats::DeltaSince(const MemoStats& earlier) const {
-  return obs::Delta(*this, earlier);
-}
-
 TranspositionTable::TranspositionTable(size_t max_entries, size_t max_bytes)
     : max_entries_(max_entries), max_bytes_(max_bytes) {}
 
@@ -65,8 +38,7 @@ uint8_t TranspositionTable::CostTier(const MemoOutcome& outcome) {
 
 size_t TranspositionTable::EntryBytes(const Entry& entry) {
   size_t bytes = sizeof(Entry) + 16 /* multimap node overhead */ +
-                 entry.removed.capacity() * sizeof(FactId) +
-                 ViolationSetBytes(entry.eliminated);
+                 entry.removed.capacity() * sizeof(FactId);
   const MemoOutcome& outcome = *entry.outcome;
   bytes += sizeof(MemoOutcome) +
            outcome.repairs.capacity() * sizeof(MemoOutcome::RepairShare);
@@ -76,18 +48,15 @@ size_t TranspositionTable::EntryBytes(const Entry& entry) {
   return bytes;
 }
 
-template <typename EliminatedEquals>
-std::shared_ptr<const MemoOutcome> TranspositionTable::LookupVerified(
-    const StateKey& key, const std::vector<FactId>& removed,
-    EliminatedEquals eliminated_equals) {
+std::shared_ptr<const MemoOutcome> TranspositionTable::Lookup(
+    const StateKey& key, const std::vector<FactId>& removed) {
   Stripe& stripe = StripeFor(key);
   std::lock_guard<std::mutex> lock(stripe.mutex);
-  auto [begin, end] = stripe.map.equal_range(key.Combined());
+  auto [begin, end] = stripe.map.equal_range(key.db_hash);
   bool collided = false;
   for (auto it = begin; it != end; ++it) {
     Entry& entry = it->second;
-    if (entry.key == key && entry.removed == removed &&
-        eliminated_equals(entry.eliminated)) {
+    if (entry.removed == removed) {
       stats_.Add<&MemoStats::hits>();
       entry.chances = CostTier(*entry.outcome);  // second chance refresh
       return entry.outcome;
@@ -100,8 +69,7 @@ std::shared_ptr<const MemoOutcome> TranspositionTable::LookupVerified(
     // A second miss under the same key is the admission signal: the state
     // is being re-reached, so the Insert that follows its re-walk will be
     // admitted. Saturate at 2 — further misses carry no information.
-    size_t combined = key.Combined();
-    auto it = stripe.probation.find(combined);
+    auto it = stripe.probation.find(key.db_hash);
     if (it == stripe.probation.end()) {
       // Full: displace one arbitrary resident instead of clearing — a
       // wholesale wipe would repeatedly reset every miss count on roots
@@ -111,30 +79,12 @@ std::shared_ptr<const MemoOutcome> TranspositionTable::LookupVerified(
       if (stripe.probation.size() >= kProbationCap) {
         stripe.probation.erase(stripe.probation.begin());
       }
-      stripe.probation.emplace(combined, 1);
+      stripe.probation.emplace(key.db_hash, 1);
     } else if (it->second < 2) {
       ++it->second;
     }
   }
   return nullptr;
-}
-
-std::shared_ptr<const MemoOutcome> TranspositionTable::Lookup(
-    const StateKey& key, const std::vector<FactId>& removed,
-    const ViolationSet& eliminated) {
-  return LookupVerified(key, removed, [&](const ViolationSet& stored) {
-    return stored == eliminated;
-  });
-}
-
-std::shared_ptr<const MemoOutcome> TranspositionTable::Lookup(
-    const RepairingState& state) {
-  std::optional<ViolationSet> eliminated;
-  return LookupVerified(
-      KeyOf(state), state.removed(), [&](const ViolationSet& stored) {
-        if (!eliminated) eliminated = state.eliminated();
-        return stored == *eliminated;
-      });
 }
 
 void TranspositionTable::EvictUntilWithinBudget(Stripe& stripe) {
@@ -167,13 +117,11 @@ void TranspositionTable::EvictUntilWithinBudget(Stripe& stripe) {
   }
 }
 
-void TranspositionTable::EmplaceEntry(Stripe& stripe, Entry entry) {
-  auto [begin, end] = stripe.map.equal_range(entry.key.Combined());
+void TranspositionTable::EmplaceEntry(Stripe& stripe, const StateKey& key,
+                                      Entry entry) {
+  auto [begin, end] = stripe.map.equal_range(key.db_hash);
   for (auto it = begin; it != end; ++it) {
-    const Entry& resident = it->second;
-    if (resident.key == entry.key &&
-        resident.removed == entry.removed &&
-        resident.eliminated == entry.eliminated) {
+    if (it->second.removed == entry.removed) {
       return;  // first writer wins; outcomes are equal by soundness
     }
   }
@@ -190,8 +138,7 @@ void TranspositionTable::EmplaceEntry(Stripe& stripe, Entry entry) {
   }
   stripe.bytes += entry.entry_bytes;
   stats_.Add<&MemoStats::bytes>(entry.entry_bytes);
-  size_t combined = entry.key.Combined();
-  stripe.map.emplace(combined, std::move(entry));
+  stripe.map.emplace(key.db_hash, std::move(entry));
   stats_.Add<&MemoStats::entries>();
   stats_.Add<&MemoStats::inserts>();
   EvictUntilWithinBudget(stripe);
@@ -199,12 +146,11 @@ void TranspositionTable::EmplaceEntry(Stripe& stripe, Entry entry) {
 
 void TranspositionTable::Insert(const StateKey& key,
                                 const std::vector<FactId>& removed,
-                                ViolationSet eliminated,
                                 std::shared_ptr<const MemoOutcome> outcome) {
   Stripe& stripe = StripeFor(key);
   std::lock_guard<std::mutex> lock(stripe.mutex);
   if (admission_filter_) {
-    auto it = stripe.probation.find(key.Combined());
+    auto it = stripe.probation.find(key.db_hash);
     if (it == stripe.probation.end() || it->second < 2) {
       // The key has not missed twice: this subtree has only ever been
       // completed once, so storing it would just feed the eviction sweep.
@@ -216,25 +162,21 @@ void TranspositionTable::Insert(const StateKey& key,
     stripe.probation.erase(it);
   }
   Entry entry;
-  entry.key = key;
   // A fresh vector: capacity() == size(), which EntryBytes counts.
   entry.removed.assign(removed.begin(), removed.end());
-  entry.eliminated = std::move(eliminated);
   entry.outcome = std::move(outcome);
-  EmplaceEntry(stripe, std::move(entry));
+  EmplaceEntry(stripe, key, std::move(entry));
 }
 
 void TranspositionTable::RestoreEntry(
     const StateKey& key, std::vector<FactId> removed,
-    ViolationSet eliminated, std::shared_ptr<const MemoOutcome> outcome) {
+    std::shared_ptr<const MemoOutcome> outcome) {
   Stripe& stripe = StripeFor(key);
   std::lock_guard<std::mutex> lock(stripe.mutex);
   Entry entry;
-  entry.key = key;
   entry.removed = std::move(removed);
-  entry.eliminated = std::move(eliminated);
   entry.outcome = std::move(outcome);
-  EmplaceEntry(stripe, std::move(entry));
+  EmplaceEntry(stripe, key, std::move(entry));
 }
 
 std::vector<TranspositionTable::EntryCopy> TranspositionTable::Entries(
@@ -242,10 +184,9 @@ std::vector<TranspositionTable::EntryCopy> TranspositionTable::Entries(
   std::vector<EntryCopy> entries;
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mutex);
-    for (const auto& [combined, entry] : stripe.map) {
+    for (const auto& [db_hash, entry] : stripe.map) {
       if (entry.sequence <= since || entry.sequence > upto) continue;
-      entries.push_back(
-          EntryCopy{entry.removed, entry.eliminated, entry.outcome});
+      entries.push_back(EntryCopy{entry.removed, entry.outcome});
     }
   }
   return entries;

@@ -10,36 +10,40 @@
 //
 // ## Soundness (when two states share their future)
 //
-// The subtree below a repairing state is a function of the pair
-//
-//     (current database  D^s_i,  eliminated-violation set)
-//
-// whenever the chain is deletion-only and the generator is history
-// independent (MemoizationApplicable):
-//   * no additions ⇒ the addition records and the added-fact set are
-//     empty, so Local/Global Justification and No Cancellation depend on
-//     nothing path-specific (the removed-fact set is D − D^s_i);
-//   * req2 depends only on the eliminated set;
+// The subtree below a repairing state is a function of its current
+// database D^s_i alone whenever the chain is deletion-only and the
+// generator is history independent (MemoizationApplicable):
+//   * the removed-fact set is D − D^s_i, and no additions means no
+//     addition records and an empty added-fact set, so Local/Global
+//     Justification, req1 and No Cancellation see nothing path-specific;
+//   * req2 is vacuous: with no additions a violation is only ever
+//     eliminated by deleting a fact of its body image, and No
+//     Cancellation keeps that fact out of every later database, so no
+//     eliminated violation can reappear — ValidExtensions depends on
+//     D^s_i alone;
 //   * a history-independent generator assigns edge probabilities from the
-//     state alone (ChainGenerator::history_independent).
-// Under denial-only Σ the eliminated set is itself V(D,Σ) − V(D^s_i,Σ),
-// but it stays part of the key so the TGD-with-deletion-only-generator
-// case is covered too.
+//     state's database and extensions alone
+//     (ChainGenerator::history_independent).
+// Each child is again a function of D^s_i and the edge taken, so by
+// induction the whole labeled subtree is. The eliminated-violation set
+// the general path keeps for req2 is therefore not part of the key, even
+// when Σ has TGDs and only a deletions-only generator keeps additions out
+// of the tree.
 //
 // ## Keys, collisions, determinism
 //
-// States are keyed on the (database hash, eliminated-set hash) pair both
-// maintained incrementally under ApplyTrusted/Revert — keying is O(1),
-// never O(|D|). Hash equality is only a candidate match: every lookup
-// verifies the stored real sets before a hit, so hash collisions degrade
-// performance, never correctness. Entries store the *completed* subtree
-// outcome with masses relative to the subtree root; replaying an entry
-// multiplies by the entering path mass, and exact Rational arithmetic
-// makes the replayed totals — masses, counters, truncation —
-// byte-identical to the unmemoized walk. The table is shared across the
-// PR-2 worker threads through striped locks; because an entry's value is
-// a function of its key, the publication race is benign and results stay
-// deterministic for every thread count.
+// States are keyed on the database hash, maintained incrementally under
+// ApplyTrusted/Revert — keying is O(1), never O(|D|). Hash equality is
+// only a candidate match: every lookup verifies the stored removed set
+// (which determines the database, see below) before a hit, so hash
+// collisions degrade performance, never correctness. Entries store the
+// *completed* subtree outcome with masses relative to the subtree root;
+// replaying an entry multiplies by the entering path mass, and exact
+// Rational arithmetic makes the replayed totals — masses, counters,
+// truncation — byte-identical to the unmemoized walk. The table is
+// shared across worker threads through striped locks; because an
+// entry's value is a function of its key, the publication race is
+// benign and results stay deterministic for every thread count.
 //
 // ## Removed-set payloads
 //
@@ -103,15 +107,13 @@
 
 namespace opcqa {
 
-/// O(1) fingerprint of a repairing state (see file comment). Equal states
-/// always produce equal keys; unequal states are told apart by the
-/// table's removed/eliminated-set verification.
+/// O(1) fingerprint of a repairing state: its database hash (see file
+/// comment). Equal databases always produce equal keys; unequal ones are
+/// told apart by the table's removed-set verification.
 struct StateKey {
   size_t db_hash = 0;
-  size_t eliminated_hash = 0;
 
   bool operator==(const StateKey&) const = default;
-  size_t Combined() const;
 };
 
 StateKey KeyOf(const RepairingState& state);
@@ -175,10 +177,6 @@ struct MemoStats {
   /// budget enforces.
   uint64_t bytes = 0;
 
-  /// Counters accrued since `earlier` (counters diffed, gauges kept) —
-  /// the per-call view over a persistent shared table.
-  MemoStats DeltaSince(const MemoStats& earlier) const;
-
   static constexpr std::string_view kPrefix = "cache";
   static constexpr auto Fields() {
     using enum obs::FieldKind;
@@ -216,30 +214,28 @@ class TranspositionTable {
                               size_t max_bytes = 0);
 
   /// The outcome recorded for this exact state, or nullptr. `removed`
-  /// (ascending ids, as RepairingState::removed() keeps them) and
-  /// `eliminated` are the verification payloads: a candidate entry whose
-  /// stored sets differ is a counted hash collision, never a hit. A
-  /// verified hit refreshes the entry's eviction-protection credits.
+  /// (ascending ids, as RepairingState::removed() keeps them) is the
+  /// verification payload: a candidate entry whose stored set differs is
+  /// a counted hash collision, never a hit. A verified hit refreshes the
+  /// entry's eviction-protection credits.
   std::shared_ptr<const MemoOutcome> Lookup(const StateKey& key,
-                                            const std::vector<FactId>& removed,
-                                            const ViolationSet& eliminated);
-  /// Same for `state` under KeyOf(state); its eliminated set is built
-  /// only when a candidate entry already matches key and removed set.
-  std::shared_ptr<const MemoOutcome> Lookup(const RepairingState& state);
+                                            const std::vector<FactId>& removed);
+  /// Same for `state` under KeyOf(state).
+  std::shared_ptr<const MemoOutcome> Lookup(const RepairingState& state) {
+    return Lookup(KeyOf(state), state.removed());
+  }
 
-  /// Records the completed-subtree outcome below (key, removed,
-  /// eliminated). Re-inserting an already-present state keeps the first
-  /// entry (the outcomes are equal by soundness); exceeding the budgets
-  /// triggers the cost-aware eviction sweep, in which the new entry
-  /// competes on its own credits — a cheap newcomer never displaces an
-  /// expensive resident.
+  /// Records the completed-subtree outcome below (key, removed).
+  /// Re-inserting an already-present state keeps the first entry (the
+  /// outcomes are equal by soundness); exceeding the budgets triggers the
+  /// cost-aware eviction sweep, in which the new entry competes on its
+  /// own credits — a cheap newcomer never displaces an expensive
+  /// resident.
   void Insert(const StateKey& key, const std::vector<FactId>& removed,
-              ViolationSet eliminated,
               std::shared_ptr<const MemoOutcome> outcome);
   void Insert(const RepairingState& state,
               std::shared_ptr<const MemoOutcome> outcome) {
-    Insert(KeyOf(state), state.removed(), state.eliminated(),
-           std::move(outcome));
+    Insert(KeyOf(state), state.removed(), std::move(outcome));
   }
 
   /// Turns on the twice-missed admission filter (see file comment). Call
@@ -254,7 +250,6 @@ class TranspositionTable {
   /// under the budgets. `removed` must be sorted in ascending id order
   /// (the verification order of Lookup).
   void RestoreEntry(const StateKey& key, std::vector<FactId> removed,
-                    ViolationSet eliminated,
                     std::shared_ptr<const MemoOutcome> outcome);
 
   /// Monotone admission clock: every entry that wins residency (Insert
@@ -269,7 +264,6 @@ class TranspositionTable {
   /// One entry copied out of the table: the spill path's view.
   struct EntryCopy {
     std::vector<FactId> removed;
-    ViolationSet eliminated;
     std::shared_ptr<const MemoOutcome> outcome;  // immutable, shared
   };
 
@@ -290,16 +284,8 @@ class TranspositionTable {
   MemoStats stats() const { return stats_.Load(); }
 
  private:
-  // Lookup's body; eliminated_equals(stored) verifies the eliminated set.
-  template <typename EliminatedEquals>
-  std::shared_ptr<const MemoOutcome> LookupVerified(
-      const StateKey& key, const std::vector<FactId>& removed,
-      EliminatedEquals eliminated_equals);
-
   struct Entry {
-    StateKey key;
     std::vector<FactId> removed;  // verification payload (vs chain root)
-    ViolationSet eliminated;
     std::shared_ptr<const MemoOutcome> outcome;
     /// Second-chance credits: decremented by the eviction sweep, evicted
     /// at zero, refreshed to the cost tier on every verified hit.
@@ -310,19 +296,19 @@ class TranspositionTable {
   };
   struct Stripe {
     mutable std::mutex mutex;
-    // Combined() → entries; same-bucket entries disambiguated by payload.
+    // db_hash → entries; same-bucket entries disambiguated by payload.
     std::unordered_multimap<size_t, Entry> map;
     size_t bytes = 0;  // this stripe's share, for the byte budget
-    // Admission filter: Combined() → miss count. Hash-bucket granularity
+    // Admission filter: db_hash → miss count. Hash-bucket granularity
     // is deliberate (a collision can only admit early, never corrupt —
-    // Insert still verifies the real sets); bounded by kProbationCap — a
+    // Insert still verifies the removed set); bounded by kProbationCap — a
     // full set displaces one arbitrary resident per new key (never a
     // wholesale wipe, which would starve admission on large roots).
     std::unordered_map<size_t, uint8_t> probation;
   };
 
   Stripe& StripeFor(const StateKey& key) {
-    return stripes_[key.Combined() % kNumStripes];
+    return stripes_[key.db_hash % kNumStripes];
   }
 
   /// Protection credits by replay value: the bigger the virtual subtree an
@@ -336,7 +322,7 @@ class TranspositionTable {
   void EvictUntilWithinBudget(Stripe& stripe);
   /// Shared insert tail: dedups against resident entries, sizes the
   /// entry, applies the too-big rejection and the eviction sweep.
-  void EmplaceEntry(Stripe& stripe, Entry entry);
+  void EmplaceEntry(Stripe& stripe, const StateKey& key, Entry entry);
 
   /// Probational keys tracked per stripe before the set resets.
   static constexpr size_t kProbationCap = 4096;

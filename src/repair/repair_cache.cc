@@ -117,8 +117,7 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
   // its verification are self-contained and may be slow).
   RestoredDisk restored;
   if (store_ != nullptr) {
-    restored = RestoreFromDisk(db, constraints, digest, identity,
-                               prune_zero_probability);
+    restored = RestoreFromDisk(db, digest, identity, prune_zero_probability);
   }
   std::shared_ptr<TranspositionTable> table = restored.table;
   if (table == nullptr) {
@@ -232,8 +231,8 @@ void RepairSpaceCache::CollectDemotionsLocked(std::vector<Root>* victims) {
 }
 
 RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
-    const Database& db, const ConstraintSet& constraints,
-    const std::string& digest, const std::string& identity, bool prune) {
+    const Database& db, const std::string& digest, const std::string& identity,
+    bool prune) {
   OPCQA_TRACE_SPAN("cache.restore");
   static obs::Histogram* const restore_latency =
       obs::MetricsRegistry::Global().GetHistogram("cache.restore_ms");
@@ -260,7 +259,7 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
     return out;
   }
   Result<std::shared_ptr<TranspositionTable>> decoded =
-      storage::DecodeSnapshot(*bytes, expected, db, constraints,
+      storage::DecodeSnapshot(*bytes, expected, db,
                               TranspositionTable::kDefaultMaxEntries,
                               options_.max_bytes_per_root);
   if (!decoded.ok()) {
@@ -285,9 +284,8 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
   Result<std::string> log = store_->GetLog(fingerprint);
   if (log.ok()) {
     storage::DeltaLogApplyResult applied;
-    Status log_status = storage::ApplyDeltaLog(*log, expected, db,
-                                               constraints, out.table.get(),
-                                               &applied);
+    Status log_status =
+        storage::ApplyDeltaLog(*log, expected, db, out.table.get(), &applied);
     if (!log_status.ok()) {
       disk_.Add<&DiskTierStats::rejected_snapshots>();
       out.dirty_tail = true;  // compact the dead log away on next spill

@@ -245,9 +245,7 @@ class RepairSpaceCache {
   /// state. The caller counts the restore/promotion only once the table
   /// actually wins installation (a concurrent loser's decode must not
   /// inflate DiskTierStats).
-  RestoredDisk RestoreFromDisk(const Database& db,
-                               const ConstraintSet& constraints,
-                               const std::string& digest,
+  RestoredDisk RestoreFromDisk(const Database& db, const std::string& digest,
                                const std::string& identity, bool prune);
   /// Enqueues a spill on the shared pool (the background writer); the
   /// task renders, encodes and writes without blocking queries. Takes

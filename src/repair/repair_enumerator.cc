@@ -65,9 +65,7 @@ class SubtreeWalker {
   /// the value is meaningless after truncation.
   size_t Visit(RepairingState& state, const Rational& mass) {
     if (out_.truncated) return 0;
-    StateKey key;
     if (memo_ != nullptr) {
-      key = KeyOf(state);
       std::shared_ptr<const MemoOutcome> cached = memo_->Lookup(state);
       if (cached != nullptr && Replay(*cached, state, mass)) {
         return cached->depth_below;
@@ -124,7 +122,7 @@ class SubtreeWalker {
       }
       if (out_.truncated) return 0;
     }
-    if (memo_ != nullptr) CloseFrame(key, state, mass, frame, depth_below);
+    if (memo_ != nullptr) CloseFrame(state, mass, frame, depth_below);
     return depth_below;
   }
 
@@ -280,9 +278,8 @@ class SubtreeWalker {
   // Completed subtree: derive the outcome (relative to the entering mass)
   // from the counter deltas and the frame's log segment, record it, and
   // compress the segment to one entry per distinct repair.
-  void CloseFrame(const StateKey& key, const RepairingState& state,
-                  const Rational& mass, const Frame& frame,
-                  size_t depth_below) {
+  void CloseFrame(const RepairingState& state, const Rational& mass,
+                  const Frame& frame, size_t depth_below) {
     // Group the segment by repair. Equal repairs share one map node, so
     // a pointer test finds equal neighbours and the delta comparison only
     // orders distinct repairs.
@@ -343,8 +340,7 @@ class SubtreeWalker {
       outcome->repairs.push_back(MemoOutcome::RepairShare{
           std::move(below), share.mass / mass, share.sequences});
     }
-    memo_->Insert(key, state.removed(), state.eliminated(),
-                  std::move(outcome));
+    memo_->Insert(state, std::move(outcome));
   }
 
   const ChainGenerator& generator_;
@@ -467,7 +463,7 @@ EnumerationResult EnumerateRepairs(const Database& db,
   // Per-call view: counters accrued by this enumeration even when the
   // table is shared and outlives the call.
   if (memo != nullptr) {
-    result.memo_stats = memo->stats().DeltaSince(stats_before);
+    result.memo_stats = obs::Delta(memo->stats(), stats_before);
   }
   result.initial = db;
   return result;

@@ -49,11 +49,10 @@ struct EnumerationOptions {
   /// every value.
   size_t threads = 1;
   /// Collapse shared suffixes with a transposition table (repair/memo.h):
-  /// sequences reaching the same (database, eliminated-set) state compute
-  /// their subtree once and replay it afterwards. Applied only when sound
-  /// (MemoizationApplicable; silently ignored otherwise) and byte-identical
-  /// to the unmemoized enumeration either way — including truncation and
-  /// every counter — for every thread count.
+  /// sequences reaching the same database compute their subtree once and replay
+  /// it afterwards. Applied only when sound (MemoizationApplicable; silently
+  /// ignored otherwise) and byte-identical to the unmemoized enumeration either
+  /// way — including truncation and every counter — for every thread count.
   bool memoize = false;
   /// Byte budget for the per-call transposition table (0 = no byte
   /// budget); its entry budget is TranspositionTable::kDefaultMaxEntries.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/hash.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -65,18 +64,6 @@ const ViolationSet& RepairingState::violations() const {
     violations_stale_ = false;
   }
   return violations_;
-}
-
-ViolationSet RepairingState::eliminated() const {
-  if (index_ == nullptr) return eliminated_;
-  // Deletions only kill violations, so everything not live was eliminated.
-  ViolationSet eliminated;
-  for (size_t rank = 0; rank < index_->num_violations(); ++rank) {
-    if (!IsLive(rank)) {
-      eliminated.insert(eliminated.end(), index_->violation(rank));
-    }
-  }
-  return eliminated;
 }
 
 bool RepairingState::CheckNoCancellation(const Operation& op) const {
@@ -182,10 +169,7 @@ void RepairingState::ApplyTrusted(const Operation& op) {
   for (const Violation& v : violations_) {
     if (next_violations.count(v) == 0) {
       undo.disappeared.push_back(v);
-      if (eliminated_.insert(v).second) {
-        undo.newly_eliminated.push_back(v);
-        eliminated_hash_ += HashMix64(v.Hash());
-      }
+      if (eliminated_.insert(v).second) undo.newly_eliminated.push_back(v);
     }
   }
   for (const Violation& v : next_violations) {
@@ -218,7 +202,6 @@ void RepairingState::ApplyIndexed(const Operation& op) {
     if (!IsLive(rank)) return;
     live_[rank / 64] &= ~(uint64_t{1} << (rank % 64));
     --live_count_;
-    eliminated_hash_ += index_->violation_hash(rank);
     killed_.push_back(rank);
   });
   violations_stale_ = true;
@@ -260,10 +243,7 @@ void RepairingState::Revert() {
   // Violations: undo the delta.
   for (const Violation& v : undo.appeared) violations_.erase(v);
   for (const Violation& v : undo.disappeared) violations_.insert(v);
-  for (const Violation& v : undo.newly_eliminated) {
-    eliminated_.erase(v);
-    eliminated_hash_ -= HashMix64(v.Hash());
-  }
+  for (const Violation& v : undo.newly_eliminated) eliminated_.erase(v);
   // Database and provenance. Every fact of an operation is fresh to its
   // direction (a fact is added / removed at most once per sequence), so
   // erasing the op's facts restores added_/removed_/removed_after exactly.
@@ -288,7 +268,6 @@ void RepairingState::RevertIndexed() {
   for (size_t i = killed_begin_.back(); i < killed_.size(); ++i) {
     uint32_t rank = killed_[i];
     live_[rank / 64] |= uint64_t{1} << (rank % 64);
-    eliminated_hash_ -= index_->violation_hash(rank);
   }
   live_count_ += killed_.size() - killed_begin_.back();
   killed_.resize(killed_begin_.back());

@@ -21,8 +21,8 @@
 // Denial-only contexts replace the set arithmetic with an index-driven
 // step: the live violations are a rank bitset over the context's
 // DeletionCandidateIndex, so applying or reverting a deletion flips a few
-// bits and violations()/eliminated() are built only when someone reads
-// them. A walker keeps one state and Restore(0)s it between walks.
+// bits and violations() is built only when someone reads it. A walker
+// keeps one state and Restore(0)s it between walks.
 
 #ifndef OPCQA_REPAIR_REPAIRING_STATE_H_
 #define OPCQA_REPAIR_REPAIRING_STATE_H_
@@ -93,13 +93,6 @@ class RepairingState {
     return index_ != nullptr ? live_count_ == 0 : violations_.empty();
   }
 
-  /// ∪_i V(D_{i-1}) − V(D_i): every violation eliminated so far (req2
-  /// forbids their reappearance). Exposed for transposition-table
-  /// collision verification (repair/memo.h), which compares it only when
-  /// both fingerprints and the removed set already match — so it is built
-  /// on demand (denial-only: V(D,Σ) minus the live violations).
-  ViolationSet eliminated() const;
-
   /// Facts of D deleted by the sequence so far, as an ascending vector.
   /// On deletion-only chains current() = D − removed(), which is what
   /// lets the transposition table verify states by this depth-sized delta
@@ -114,14 +107,10 @@ class RepairingState {
     delta->added.assign(added_.begin(), added_.end());
   }
 
-  // O(1) state-fingerprint accessors for repair-space memoization. Both
-  // are maintained incrementally — the database hash by InsertId/EraseId
-  // (O(delta) per operation), the eliminated-set hash by
-  // ApplyTrusted/Revert on the newly-eliminated delta (pre-mixed per rank
-  // on denial-only states) — so keying a state never re-walks the
-  // database or the eliminated set.
+  /// O(1) state fingerprint for repair-space memoization (repair/memo.h),
+  /// maintained incrementally by InsertId/EraseId (O(delta) per
+  /// operation), so keying a state never re-walks the database.
   size_t db_hash() const { return db_.Hash(); }
-  size_t eliminated_hash() const { return eliminated_hash_; }
 
   /// Every operation op such that s · op is a repairing sequence. Sorted
   /// deterministically. Empty iff the sequence is complete.
@@ -212,8 +201,10 @@ class RepairingState {
   // violations() when stale.
   mutable ViolationSet violations_;
   mutable bool violations_stale_ = false;
-  ViolationSet eliminated_;   // ∪_i V(D_{i-1}) − V(D_i) (general path)
-  size_t eliminated_hash_ = 0;  // sum of mixed Violation hashes of eliminated_
+  // ∪_i V(D_{i-1}) − V(D_i): every violation eliminated so far, which
+  // req2 forbids to reappear (general path; denial-only states need no
+  // record, deletions being violation-monotone).
+  ViolationSet eliminated_;
   std::set<FactId> added_;
   std::vector<FactId> removed_;  // ascending
   std::vector<AdditionRecord> additions_;

@@ -83,16 +83,16 @@ TopKResult TopKRepairs(const Database& db, const ConstraintSet& constraints,
   }
 
   std::vector<Pending> pool;
-  // Transposition index over unexpanded pool entries: combined state-key
-  // hash → pool index, verified against the real id sets before merging.
+  // Transposition index over unexpanded pool entries: state-key hash →
+  // pool index, verified against the removed-id sets before merging.
   std::unordered_multimap<size_t, size_t> index;
   std::priority_queue<HeapNode, std::vector<HeapNode>, NodeLess> frontier;
 
   auto push_state = [&](std::shared_ptr<RepairingState> state,
                         Rational probability, size_t sequences) {
     if (merge) {
-      StateKey key = KeyOf(*state);
-      auto [begin, end] = index.equal_range(key.Combined());
+      size_t key = state->db_hash();
+      auto [begin, end] = index.equal_range(key);
       for (auto it = begin; it != end;) {
         Pending& candidate = pool[it->second];
         if (candidate.expanded) {
@@ -101,9 +101,7 @@ TopKResult TopKRepairs(const Database& db, const ConstraintSet& constraints,
           it = index.erase(it);
           continue;
         }
-        if (KeyOf(*candidate.state) == key &&
-            candidate.state->current() == state->current() &&
-            candidate.state->eliminated() == state->eliminated()) {
+        if (candidate.state->removed() == state->removed()) {
           candidate.probability += probability;
           candidate.sequences += sequences;
           ++candidate.version;
@@ -113,7 +111,7 @@ TopKResult TopKRepairs(const Database& db, const ConstraintSet& constraints,
         }
         ++it;
       }
-      index.emplace(key.Combined(), pool.size());
+      index.emplace(key, pool.size());
     }
     frontier.push(HeapNode{probability, pool.size(), 0});
     pool.push_back(Pending{std::move(probability), sequences,

@@ -32,17 +32,16 @@ class RepairSpaceCache;
 struct TopKOptions {
   /// Hard budget on expanded states.
   size_t max_states = 1u << 22;
-  /// Transposition merging (repair/memo.h): frontier states reaching the
-  /// same (database, eliminated-set) key — verified against the real id
-  /// sets — are merged into one entry carrying the summed path mass, so a
-  /// shared suffix is expanded once instead of once per path. Applied only
-  /// when sound (MemoizationApplicable; ignored otherwise). When the
-  /// search drains the frontier (`exact`), discovered repairs, exact
-  /// Rational mass totals and per-repair sequence counts are identical to
-  /// the unmerged search. Under a max_states cutoff the merged
-  /// search spends its budget on *distinct* states and therefore explores
-  /// further: lower bounds are at least as tight, but the discovered set
-  /// and masses are not comparable entry-by-entry with the unmerged run.
+  /// Transposition merging (repair/memo.h): frontier states reaching the same
+  /// database — verified against their removed-id sets — are merged into one
+  /// entry carrying the summed path mass, so a shared suffix is expanded once
+  /// instead of once per path. Applied only when sound (MemoizationApplicable;
+  /// ignored otherwise). When the search drains the frontier (`exact`),
+  /// discovered repairs, exact Rational mass totals and per-repair sequence
+  /// counts are identical to the unmerged search. Under a max_states cutoff the
+  /// merged search spends its budget on *distinct* states and therefore
+  /// explores further: lower bounds are at least as tight, but the discovered
+  /// set and masses are not comparable entry-by-entry with the unmerged run.
   bool memoize = false;
   /// Cross-query persistence (repair/repair_cache.h; not owned, applied
   /// only when `memoize` is sound). The search *consumes* subtrees an

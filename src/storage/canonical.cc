@@ -6,10 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "logic/term.h"
-#include "relational/symbol_table.h"
 #include "util/hash.h"
-#include "util/string_util.h"
 
 namespace opcqa {
 namespace storage {
@@ -179,14 +176,14 @@ void AppendSection(std::string* out, uint32_t id, const std::string& payload) {
 // Streaming string dictionary
 //
 // The decimal num/den mass strings dominate a snapshot and repeat
-// heavily (shared denominators across a chain's subtrees); variable and
-// constant names repeat per violation. Strings are therefore emitted as
-// a varint token into a dictionary built *while streaming*: a token
-// below the current dictionary size reuses that string, a token equal
-// to it defines the next string inline (length-prefixed, appended to
-// the dictionary), anything larger is corruption. Encoder and decoder
-// build identical dictionaries by construction — no dictionary section,
-// no second pass over a possibly-mutating table.
+// heavily (shared denominators across a chain's subtrees). Strings are
+// therefore emitted as a varint token into a dictionary built *while
+// streaming*: a token below the current dictionary size reuses that
+// string, a token equal to it defines the next string inline
+// (length-prefixed, appended to the dictionary), anything larger is
+// corruption. Encoder and decoder build identical dictionaries by
+// construction — no dictionary section, no second pass over a
+// possibly-mutating table.
 // ---------------------------------------------------------------------
 
 class StringDictEncoder {
@@ -267,37 +264,6 @@ void EncodeIndices(Writer* writer, const std::vector<uint32_t>& indices) {
   }
 }
 
-/// An eliminated set rendered without process-local ids: each violation
-/// as "constraint:var=value,..." over its bindings in name order, the
-/// violations sorted and ';'-joined. The tie-break of the canonical
-/// entry order.
-std::string RenderEliminated(const ViolationSet& eliminated) {
-  std::vector<std::string> violations;
-  violations.reserve(eliminated.size());
-  for (const Violation& violation : eliminated) {
-    std::vector<std::string> bindings;
-    for (const auto& [var, value] : violation.h.bindings()) {
-      bindings.push_back(StrCat(VarName(var), "=", ConstName(value)));
-    }
-    std::sort(bindings.begin(), bindings.end());
-    violations.push_back(
-        StrCat(violation.constraint_index, ":", Join(bindings, ",")));
-  }
-  std::sort(violations.begin(), violations.end());
-  return Join(violations, ";");
-}
-
-void EncodeViolation(Writer* writer, const Violation& violation,
-                     StringDictEncoder* dict) {
-  writer->Var(violation.constraint_index);
-  const auto& bindings = violation.h.bindings();
-  writer->Var(bindings.size());
-  for (const auto& [var, value] : bindings) {
-    dict->Write(writer, VarName(var));
-    dict->Write(writer, ConstName(value));
-  }
-}
-
 // ---------------------------------------------------------------------
 // Decode helpers
 // ---------------------------------------------------------------------
@@ -325,42 +291,6 @@ bool DecodeRemoved(Reader* reader, const std::vector<FactId>& dictionary,
     out->push_back(dictionary[index]);
   }
   return true;
-}
-
-bool FinishViolation(std::vector<std::pair<VarId, ConstId>> pairs,
-                     uint32_t constraint_index, Violation* out) {
-  // Reject duplicate variables before Bind() (which would CHECK-fail) —
-  // decode must degrade to cold compute, never abort.
-  std::sort(pairs.begin(), pairs.end());
-  for (size_t i = 1; i < pairs.size(); ++i) {
-    if (pairs[i].first == pairs[i - 1].first) return false;
-  }
-  out->constraint_index = constraint_index;
-  out->h = Assignment();
-  for (const auto& [var, value] : pairs) out->h.Bind(var, value);
-  return true;
-}
-
-bool DecodeViolation(Reader* reader, const ConstraintSet& constraints,
-                     StringDictDecoder* dict, Violation* out) {
-  uint64_t constraint_index = reader->Var();
-  uint64_t bindings = reader->Var();
-  if (!reader->ok() || constraint_index >= constraints.size()) return false;
-  std::vector<std::pair<VarId, ConstId>> pairs;
-  // Clamp the reserve: a corrupt count must fail the bounded reads
-  // below, not throw bad_alloc here (decode never aborts).
-  pairs.reserve(std::min<uint64_t>(bindings, 1024));
-  for (uint64_t i = 0; i < bindings; ++i) {
-    std::string var_name;
-    std::string const_name;
-    if (!dict->Read(reader, &var_name) || !dict->Read(reader, &const_name) ||
-        var_name.empty()) {
-      return false;
-    }
-    pairs.emplace_back(Var(var_name), Const(const_name));
-  }
-  return FinishViolation(std::move(pairs),
-                         static_cast<uint32_t>(constraint_index), out);
 }
 
 bool DecodeMass(Reader* reader, StringDictDecoder* dict, Rational* out) {
@@ -412,9 +342,10 @@ Status VerifyIdentityPayload(const char* data, size_t size,
 // ---------------------------------------------------------------------
 
 /// Encodes `entries` in canonical order: ascending removed-index set
-/// (lexicographic; the root's empty set first), then rendered eliminated
-/// set. Equal entry sets thus give equal bytes — the streaming string
-/// dictionary included — whatever order the table was filled in.
+/// (lexicographic; the root's empty set first), unique per entry since it
+/// determines the entry's database. Equal entry sets thus give equal
+/// bytes — the streaming string dictionary included — whatever order the
+/// table was filled in.
 std::string EncodeEntriesPayload(
     const Database& root_db,
     const std::vector<TranspositionTable::EntryCopy>& entries) {
@@ -429,12 +360,8 @@ std::string EncodeEntriesPayload(
   for (const TranspositionTable::EntryCopy& entry : entries) {
     order.push_back(Keyed{RemovedIndices(entry.removed, index_of), &entry});
   }
-  // Entries sharing a removed set are rare, so the eliminated sets are
-  // rendered only to break those ties.
   std::sort(order.begin(), order.end(), [](const Keyed& a, const Keyed& b) {
-    if (a.removed != b.removed) return a.removed < b.removed;
-    return RenderEliminated(a.entry->eliminated) <
-           RenderEliminated(b.entry->eliminated);
+    return a.removed < b.removed;
   });
   std::string payload;
   Writer writer(&payload);
@@ -446,10 +373,6 @@ std::string EncodeEntriesPayload(
   for (const Keyed& keyed : order) {
     const MemoOutcome& outcome = *keyed.entry->outcome;
     EncodeIndices(&writer, keyed.removed);
-    writer.Var(keyed.entry->eliminated.size());
-    for (const Violation& violation : keyed.entry->eliminated) {
-      EncodeViolation(&writer, violation, &dict);
-    }
     // Shares in ascending removed-index set order, like the entries:
     // their in-memory order follows process-local ids.
     std::vector<std::pair<std::vector<uint32_t>,
@@ -481,9 +404,7 @@ std::string EncodeEntriesPayload(
 /// against the live process.
 Status RestoreEntriesPayload(const char* data, size_t size,
                              const std::vector<FactId>& dictionary,
-                             size_t root_hash,
-                             const ConstraintSet& constraints,
-                             TranspositionTable* table,
+                             size_t root_hash, TranspositionTable* table,
                              size_t* entries_applied) {
   Reader reader(data, size);
   StringDictDecoder dict;
@@ -509,26 +430,11 @@ Status RestoreEntriesPayload(const char* data, size_t size,
       db_hash -= HashMix64(FactStore::Global().hash(id));
     }
 
-    uint64_t eliminated_count = reader.Var();
-    if (!reader.ok()) return Corrupt("entry eliminated-set");
-    ViolationSet eliminated;
-    size_t eliminated_hash = 0;
-    for (uint64_t i = 0; i < eliminated_count; ++i) {
-      Violation violation;
-      if (!DecodeViolation(&reader, constraints, &dict, &violation)) {
-        return Corrupt("violation payload");
-      }
-      eliminated_hash += HashMix64(violation.Hash());
-      if (!eliminated.insert(std::move(violation)).second) {
-        return Corrupt("duplicate eliminated violation");
-      }
-    }
-
     auto outcome = std::make_shared<MemoOutcome>();
     uint64_t repair_count = reader.Var();
     if (!reader.ok()) return Corrupt("repair count");
-    // Clamped for the same reason as in DecodeViolation: corrupt counts
-    // must surface as bounded-read failures, never as bad_alloc.
+    // Clamped so a corrupt count surfaces as a bounded-read failure,
+    // never as bad_alloc (decode never aborts).
     outcome->repairs.reserve(std::min<uint64_t>(repair_count, 65536));
     for (uint64_t i = 0; i < repair_count; ++i) {
       MemoOutcome::RepairShare share;
@@ -555,8 +461,7 @@ Status RestoreEntriesPayload(const char* data, size_t size,
     outcome->depth_below = reader.Var();
     if (!reader.ok()) return Corrupt("outcome counters");
 
-    StateKey key{db_hash, eliminated_hash};
-    table->RestoreEntry(key, std::move(removed), std::move(eliminated),
+    table->RestoreEntry(StateKey{db_hash}, std::move(removed),
                         std::move(outcome));
     if (entries_applied != nullptr) ++*entries_applied;
   }
@@ -614,8 +519,7 @@ std::string EncodeSnapshot(const SnapshotIdentity& identity,
 
 Result<std::shared_ptr<TranspositionTable>> DecodeSnapshot(
     const std::string& bytes, const SnapshotIdentity& expected,
-    const Database& live_root, const ConstraintSet& constraints,
-    size_t max_entries, size_t max_bytes) {
+    const Database& live_root, size_t max_entries, size_t max_bytes) {
   Reader top(bytes.data(), bytes.size());
   auto [magic, magic_size] = top.Span(sizeof(kMagic));
   if (!top.ok() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
@@ -660,7 +564,7 @@ Result<std::shared_ptr<TranspositionTable>> DecodeSnapshot(
   auto table = std::make_shared<TranspositionTable>(max_entries, max_bytes);
   Status entries_ok = RestoreEntriesPayload(
       sections[1].first, sections[1].second, dictionary, live_root.Hash(),
-      constraints, table.get(), nullptr);
+      table.get(), nullptr);
   if (!entries_ok.ok()) return entries_ok;
   return table;
 }
@@ -689,9 +593,8 @@ std::string EncodeDeltaRecord(const Database& root_db,
 
 Status ApplyDeltaLog(const std::string& log_bytes,
                      const SnapshotIdentity& expected,
-                     const Database& live_root,
-                     const ConstraintSet& constraints,
-                     TranspositionTable* table, DeltaLogApplyResult* result) {
+                     const Database& live_root, TranspositionTable* table,
+                     DeltaLogApplyResult* result) {
   *result = DeltaLogApplyResult{};
   Reader top(log_bytes.data(), log_bytes.size());
   auto [magic, magic_size] = top.Span(sizeof(kLogMagic));
@@ -740,8 +643,8 @@ Status ApplyDeltaLog(const std::string& log_bytes,
     }
     size_t entries_applied = 0;
     Status record_ok = RestoreEntriesPayload(span.first, span.second,
-                                             dictionary, root_hash, constraints,
-                                             table, &entries_applied);
+                                             dictionary, root_hash, table,
+                                             &entries_applied);
     result->entries_applied += entries_applied;
     if (!record_ok.ok()) {
       result->clean_tail = false;

@@ -2,11 +2,11 @@
 // roots — the byte format of the disk tier under RepairSpaceCache.
 //
 // FactIds are process-local: they are shard-tagged dense indices handed
-// out by the process-global FactStore in intern order, and every hash the
-// in-memory transposition table keys on (Database::Hash, Violation::Hash,
-// the eliminated-set fingerprint) is a function of those ids. A snapshot
-// that wrote raw ids would be meaningless to the next process. The
-// canonical format therefore encodes *no id and no hash at all*:
+// out by the process-global FactStore in intern order, and the hash the
+// in-memory transposition table keys on (Database::Hash) is a function of
+// those ids. A snapshot that wrote raw ids would be meaningless to the
+// next process. The canonical format therefore encodes *no id and no
+// hash at all*:
 //
 //   * the chain-root database is rendered symbolically (predicate name +
 //     rendered constant args, the deterministic Database::ToString order)
@@ -15,17 +15,12 @@
 //     per-repair shares of repair/memo.h — is written as sorted indices
 //     into the root's value-ordered fact list, which is the same list in
 //     every process that holds an equal database;
-//   * eliminated violations are written as (constraint index, bindings
-//     rendered as variable-name → constant-name pairs); the constraint
-//     index is stable because the rendered-constraint digest is part of
-//     the verified identity;
 //   * Rational masses are written as exact decimal "num/den" strings.
 //
 // The loader re-interns everything against the *live* process — facts
-// resolve through the live sharded FactStore via the live database,
-// variable and constant names through the live interners — and recomputes
-// the StateKeys from live hashes, so a restored table is indistinguishable
-// from one built by walking the chain in this process.
+// resolve through the live sharded FactStore via the live database — and
+// recomputes the StateKeys from live hashes, so a restored table is
+// indistinguishable from one built by walking the chain in this process.
 //
 // ## Framing, versioning, checksums
 //
@@ -42,9 +37,9 @@
 //
 // ## Version and the delta log
 //
-// This build reads and writes format v2 only — varint integers,
+// This build reads and writes format v3 only — varint integers,
 // gap-coded removed-index sets, and a streaming string dictionary over
-// the mass/name strings. Any other version (the retired v1 included) is
+// the mass strings. Any other version (the retired v1 and v2 included) is
 // rejected, which a caller treats as a cache miss (cold compute).
 // Alongside the base snapshot a root may carry a *delta log*: an
 // append-only file of CRC-framed records, each holding only the entries
@@ -91,15 +86,15 @@ uint64_t StableFingerprint(const SnapshotIdentity& identity);
 
 /// The on-disk format version: what EncodeSnapshot writes and the only
 /// one DecodeSnapshot and ApplyDeltaLog accept.
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// Serializes the table's current entries (a point-in-time view; safe
 /// while other threads keep inserting) into canonical snapshot bytes in
 /// the current format version. Entries are written sorted by removed
-/// set, then by rendered eliminated set, and each entry's shares by
-/// removed set (docs/SNAPSHOT_FORMAT.md), so tables holding equal
-/// entries encode to equal bytes whatever order they were inserted in. `root_db` must be the chain-root database
-/// the table memoizes under — every stored removed id must resolve in it.
+/// set, and each entry's shares by removed set (docs/SNAPSHOT_FORMAT.md),
+/// so tables holding equal entries encode to equal bytes whatever order
+/// they were inserted in. `root_db` must be the chain-root database the
+/// table memoizes under — every stored removed id must resolve in it.
 std::string EncodeSnapshot(const SnapshotIdentity& identity,
                            const Database& root_db,
                            const TranspositionTable& table);
@@ -113,8 +108,7 @@ std::string EncodeSnapshot(const SnapshotIdentity& identity,
 /// callers treat it as a cache miss, never an abort.
 Result<std::shared_ptr<TranspositionTable>> DecodeSnapshot(
     const std::string& bytes, const SnapshotIdentity& expected,
-    const Database& live_root, const ConstraintSet& constraints,
-    size_t max_entries, size_t max_bytes);
+    const Database& live_root, size_t max_entries, size_t max_bytes);
 
 // ---------------------------------------------------------------------
 // Delta log
@@ -154,9 +148,8 @@ struct DeltaLogApplyResult {
 /// application at the valid prefix (`result->clean_tail = false`).
 Status ApplyDeltaLog(const std::string& log_bytes,
                      const SnapshotIdentity& expected,
-                     const Database& live_root,
-                     const ConstraintSet& constraints,
-                     TranspositionTable* table, DeltaLogApplyResult* result);
+                     const Database& live_root, TranspositionTable* table,
+                     DeltaLogApplyResult* result);
 
 }  // namespace storage
 }  // namespace opcqa

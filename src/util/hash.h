@@ -1,14 +1,13 @@
 // Hash mixing for incrementally-maintained set fingerprints.
 //
-// Sets that mutate one element at a time (a Database's fact ids, a
-// repairing state's eliminated violations) keep their hash as the 2^64
-// wrap-around *sum* of per-element hashes: addition is commutative (the
-// fingerprint is insertion-order independent, matching set semantics) and
-// invertible (removing an element subtracts its contribution), so every
-// insert/erase is an O(1) hash update. Raw element hashes are passed
+// Sets that mutate one element at a time (a Database's fact ids) keep their
+// hash as the 2^64 wrap-around *sum* of per-element hashes: addition is
+// commutative (the fingerprint is insertion-order independent, matching set
+// semantics) and invertible (removing an element subtracts its contribution),
+// so every insert/erase is an O(1) hash update. Raw element hashes are passed
 // through a bijective finalizer first so that structured inputs (small
-// integers, aligned pointers) spread over all 64 bits before summing —
-// plain sums of raw hashes would cancel catastrophically.
+// integers, aligned pointers) spread over all 64 bits before summing — plain
+// sums of raw hashes would cancel catastrophically.
 
 #ifndef OPCQA_UTIL_HASH_H_
 #define OPCQA_UTIL_HASH_H_

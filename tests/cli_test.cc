@@ -203,6 +203,26 @@ TEST(CliTest, DeeplyNestedQueryIsAHardFailure) {
   EXPECT_NE(run.err.find("error:"), std::string::npos) << run.err;
 }
 
+TEST(CliTest, MalformedSchemaArityIsAHardFailure) {
+  // An arity is a whole decimal number in [1, 2^32 - 1]: a trailing
+  // suffix, a fraction or a value past 32 bits is bad input, never
+  // silently read as a smaller arity (all three once parsed as R/2).
+  for (const char* arity : {"2x", "2.5", "4294967298", "0", "-1", ""}) {
+    SCOPED_TRACE(arity);
+    CliInputs inputs;
+    inputs.Write("schema.txt", std::string("R/") + arity + "\n");
+    CliRun run = RunCli(inputs.Args(), inputs);
+    EXPECT_EQ(run.exit_code, 1) << run.err;
+    EXPECT_EQ(run.out, "");
+    EXPECT_NE(run.err.find("error:"), std::string::npos) << run.err;
+    EXPECT_NE(run.err.find("bad arity in schema line: R/"), std::string::npos)
+        << run.err;
+  }
+  CliInputs inputs;
+  CliRun run = RunCli(inputs.Args(), inputs);
+  EXPECT_EQ(run.exit_code, 0) << run.err;
+}
+
 TEST(CliTest, ShowRepairsStdoutIsPinned) {
   // The repair distribution, byte for byte, at every thread count and
   // with or without memoization (the `memoization:` counter line aside):

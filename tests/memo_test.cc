@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "constraints/constraint_parser.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
+#include "relational/fact_parser.h"
 #include "repair/counting.h"
 #include "repair/memo.h"
 #include "repair/ocqa.h"
@@ -21,6 +27,7 @@
 #include "repair/top_k.h"
 #include "repair/trust_generator.h"
 #include "util/hash.h"
+#include "util/string_util.h"
 
 namespace opcqa {
 namespace {
@@ -33,12 +40,6 @@ size_t RecomputedDbHash(const Database& db) {
   const FactStore& store = FactStore::Global();
   size_t h = 0;
   for (FactId id : db.AllFactIds()) h += HashMix64(store.hash(id));
-  return h;
-}
-
-size_t RecomputedEliminatedHash(const ViolationSet& eliminated) {
-  size_t h = 0;
-  for (const Violation& v : eliminated) h += HashMix64(v.Hash());
   return h;
 }
 
@@ -69,16 +70,13 @@ TEST(IncrementalHashTest, StateFingerprintTracksApplyAndRevert) {
   gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/3);
   auto context = RepairContext::Make(w.db, w.constraints);
   RepairingState state(context);
-  // Walk two levels deep, checking the incrementally-maintained hashes
-  // against from-scratch recomputations at every state.
+  // Walk two levels deep, checking the incrementally-maintained hash
+  // against a from-scratch recomputation at every state.
   auto check = [&]() {
     EXPECT_EQ(state.db_hash(), RecomputedDbHash(state.current()));
-    EXPECT_EQ(state.eliminated_hash(),
-              RecomputedEliminatedHash(state.eliminated()));
   };
   check();
   size_t root_db_hash = state.db_hash();
-  size_t root_elim_hash = state.eliminated_hash();
   std::vector<Operation> extensions = state.ValidExtensions();
   ASSERT_FALSE(extensions.empty());
   for (const Operation& op : extensions) {
@@ -91,7 +89,6 @@ TEST(IncrementalHashTest, StateFingerprintTracksApplyAndRevert) {
     }
     state.Revert();
     EXPECT_EQ(state.db_hash(), root_db_hash);
-    EXPECT_EQ(state.eliminated_hash(), root_elim_hash);
   }
 }
 
@@ -143,33 +140,27 @@ TEST(TranspositionTableTest, RejectsForcedHashCollisions) {
 
   // Lie about the key: both states claim the same fingerprint, as a real
   // 64-bit collision would.
-  StateKey forged{/*db_hash=*/42, /*eliminated_hash=*/7};
+  StateKey forged{/*db_hash=*/42};
   auto outcome1 = std::make_shared<MemoOutcome>();
   outcome1->states = 1;
   TranspositionTable table;
-  table.Insert(forged, removed1, {}, outcome1);
+  table.Insert(forged, removed1, outcome1);
 
   // Same key, different real removed-set → rejected, counted as a
   // collision.
-  EXPECT_EQ(table.Lookup(forged, removed2, {}), nullptr);
+  EXPECT_EQ(table.Lookup(forged, removed2), nullptr);
   EXPECT_EQ(table.stats().collisions, 1u);
   // The genuine state still hits.
-  EXPECT_EQ(table.Lookup(forged, removed1, {}), outcome1);
+  EXPECT_EQ(table.Lookup(forged, removed1), outcome1);
   EXPECT_EQ(table.stats().hits, 1u);
 
   // Both states can live under the colliding key side by side.
   auto outcome2 = std::make_shared<MemoOutcome>();
   outcome2->states = 2;
-  table.Insert(forged, removed2, {}, outcome2);
+  table.Insert(forged, removed2, outcome2);
   EXPECT_EQ(table.size(), 2u);
-  EXPECT_EQ(table.Lookup(forged, removed1, {}), outcome1);
-  EXPECT_EQ(table.Lookup(forged, removed2, {}), outcome2);
-
-  // Differing eliminated sets are told apart the same way.
-  Violation v{0, {}};
-  table.Insert(StateKey{1, 2}, removed1, {v}, outcome1);
-  EXPECT_EQ(table.Lookup(StateKey{1, 2}, removed1, {}), nullptr);
-  EXPECT_EQ(table.Lookup(StateKey{1, 2}, removed1, {v}), outcome1);
+  EXPECT_EQ(table.Lookup(forged, removed1), outcome1);
+  EXPECT_EQ(table.Lookup(forged, removed2), outcome2);
 }
 
 TEST(TranspositionTableTest, BudgetOverflowEvictsCheapEntriesFirst) {
@@ -186,8 +177,8 @@ TEST(TranspositionTableTest, BudgetOverflowEvictsCheapEntriesFirst) {
         Fact::Make(*w.schema, "R", {"a", "x" + std::to_string(i)}))});
     auto outcome = std::make_shared<MemoOutcome>();
     outcome->states = 2;  // cost tier 0: no protection credits
-    table.Insert(StateKey{static_cast<size_t>(i * 977), 0},
-                 removed_sets.back(), {}, outcome);
+    table.Insert(StateKey{static_cast<size_t>(i * 977)}, removed_sets.back(),
+                 outcome);
   }
   MemoStats stats = table.stats();
   EXPECT_EQ(stats.inserts, 64u);
@@ -197,8 +188,8 @@ TEST(TranspositionTableTest, BudgetOverflowEvictsCheapEntriesFirst) {
   // Every surviving entry still answers (and survivors exist).
   size_t live = 0;
   for (int i = 0; i < 64; ++i) {
-    if (table.Lookup(StateKey{static_cast<size_t>(i * 977), 0},
-                     removed_sets[static_cast<size_t>(i)], {}) != nullptr) {
+    if (table.Lookup(StateKey{static_cast<size_t>(i * 977)},
+                     removed_sets[static_cast<size_t>(i)]) != nullptr) {
       ++live;
     }
   }
@@ -216,27 +207,26 @@ TEST(TranspositionTableTest, ExpensiveSubtreesSurviveTheSweepLongest) {
       store.Intern(Fact::Make(*w.schema, "R", {"a", "keep"}))};
   auto expensive = std::make_shared<MemoOutcome>();
   expensive->states = 1u << 16;  // top cost tier
-  StateKey expensive_key{0, 0};
-  table.Insert(expensive_key, expensive_removed, {}, expensive);
+  StateKey expensive_key{0};
+  table.Insert(expensive_key, expensive_removed, expensive);
   // Force genuine same-stripe contention: keep only candidate keys whose
-  // combined hash lands in the expensive entry's stripe.
-  size_t stripe =
-      expensive_key.Combined() % TranspositionTable::kNumStripes;
+  // hash lands in the expensive entry's stripe.
+  size_t stripe = expensive_key.db_hash % TranspositionTable::kNumStripes;
   size_t contenders = 0;
   for (size_t i = 1; contenders < 8; ++i) {
-    StateKey key{i, 0};
-    if (key.Combined() % TranspositionTable::kNumStripes != stripe) continue;
+    StateKey key{i};
+    if (key.db_hash % TranspositionTable::kNumStripes != stripe) continue;
     ++contenders;
     std::vector<FactId> removed = {store.Intern(
         Fact::Make(*w.schema, "R", {"a", "cheap" + std::to_string(i)}))};
     auto cheap = std::make_shared<MemoOutcome>();
     cheap->states = 2;
-    table.Insert(key, removed, {}, cheap);
+    table.Insert(key, removed, cheap);
     // A hot entry: every verified hit refreshes its protection credits,
     // so no run of cheap newcomers can wear it down.
-    EXPECT_EQ(table.Lookup(expensive_key, expensive_removed, {}), expensive);
+    EXPECT_EQ(table.Lookup(expensive_key, expensive_removed), expensive);
   }
-  EXPECT_EQ(table.Lookup(expensive_key, expensive_removed, {}), expensive);
+  EXPECT_EQ(table.Lookup(expensive_key, expensive_removed), expensive);
   EXPECT_GT(table.stats().evictions, 0u);
 }
 
@@ -438,6 +428,195 @@ TEST(MemoizedEnumerationTest, BudgetPressureOnlyCostsSpeed) {
       EnumerateRepairs(w.db, w.constraints, generator, byte_capped);
   ExpectIdenticalResults(base, byte_result, "byte-capped table");
   EXPECT_LE(byte_result.memo_stats.bytes, 64u * 1024u);
+}
+
+// ---------------------------------------------------------------------
+// Soundness: a deletion-only state's future is a function of its database
+// ---------------------------------------------------------------------
+
+/// Everything the plain (unmemoized) walk finds below one state, with
+/// masses relative to that state: what a memo entry would have to store.
+struct SubtreeOutcome {
+  std::map<RepairDelta, std::pair<Rational, size_t>> repairs;  // mass, seqs
+  Rational success_mass;
+  Rational failing_mass;
+  size_t states = 0;
+  size_t absorbing_states = 0;
+  size_t successful_sequences = 0;
+  size_t failing_sequences = 0;
+  size_t depth_below = 0;
+
+  bool operator==(const SubtreeOutcome&) const = default;
+};
+
+/// Walks every positive-probability edge below a state without any memo
+/// and files each state's outcome under its database: a state whose
+/// database was seen before must have produced the same outcome.
+struct CollapseCheck {
+  const ChainGenerator& generator;
+  std::map<std::string, SubtreeOutcome> by_database;
+  std::set<std::string> inner_databases;  // of non-absorbing states
+  size_t revisits = 0;  // states whose database was seen before
+
+  SubtreeOutcome Walk(RepairingState& state) {
+    SubtreeOutcome out;
+    out.states = 1;
+    std::vector<Operation> extensions = state.ValidExtensions();
+    if (extensions.empty()) {
+      out.absorbing_states = 1;
+      if (state.IsConsistent()) {
+        out.successful_sequences = 1;
+        out.success_mass = Rational(1);
+        RepairDelta delta;
+        state.Delta(&delta);
+        out.repairs[delta] = {Rational(1), 1};
+      } else {
+        out.failing_sequences = 1;
+        out.failing_mass = Rational(1);
+      }
+    } else {
+      std::vector<Rational> probs;
+      CheckedProbabilities(generator, state, extensions, &probs);
+      for (size_t i = 0; i < extensions.size(); ++i) {
+        if (probs[i].is_zero()) continue;
+        state.ApplyTrusted(extensions[i]);
+        SubtreeOutcome child = Walk(state);
+        state.Revert();
+        const Rational& p = probs[i];
+        for (const auto& [delta, share] : child.repairs) {
+          auto& [mass, sequences] = out.repairs[delta];
+          mass += share.first * p;
+          sequences += share.second;
+        }
+        out.success_mass += child.success_mass * p;
+        out.failing_mass += child.failing_mass * p;
+        out.states += child.states;
+        out.absorbing_states += child.absorbing_states;
+        out.successful_sequences += child.successful_sequences;
+        out.failing_sequences += child.failing_sequences;
+        out.depth_below = std::max(out.depth_below, child.depth_below + 1);
+      }
+    }
+    std::string database = state.current().ToString();
+    auto [it, inserted] = by_database.try_emplace(database, out);
+    if (!extensions.empty()) inner_databases.insert(database);
+    if (!inserted) {
+      ++revisits;
+      EXPECT_TRUE(it->second == out) << state.ToString();
+    }
+    return out;
+  }
+};
+
+gen::Workload ParseWorkload(const std::string& schema_text,
+                            const std::string& db_text,
+                            const std::string& constraints_text) {
+  gen::Workload w;
+  w.schema = std::make_shared<Schema>();
+  for (const std::string& relation : Split(schema_text, ' ')) {
+    size_t slash = relation.find('/');
+    w.schema->AddRelation(relation.substr(0, slash),
+                          std::stoul(relation.substr(slash + 1)));
+  }
+  Result<Database> db = ParseDatabase(*w.schema, db_text);
+  Result<ConstraintSet> constraints =
+      ParseConstraints(*w.schema, constraints_text);
+  EXPECT_TRUE(db.ok() && constraints.ok());
+  w.db = *db;
+  w.constraints = *constraints;
+  return w;
+}
+
+/// D and Σ where −S(a)·−R(a) and −R(a)·−S(a) reach one database with
+/// different eliminated violations: deleting S(a) first creates the TGD
+/// violation R(a) → S(a), which −R(a) then eliminates; deleting R(a)
+/// first never creates it.
+gen::Workload TgdCollapseExample() {
+  return ParseWorkload("R/1 S/1 T/1 U/1 W/2",
+                       "R(a). S(a). T(a). U(a). W(b,c). W(b,d).",
+                       "R(x) -> S(x)\n"
+                       "S(x), T(x) -> false\n"
+                       "R(x), U(x) -> false\n"
+                       "W(x,y), W(x,z) -> y = z\n");
+}
+
+TEST(StateCollapseTest, EqualDatabasesRootEqualSubtreesOnThePlainWalk) {
+  UniformChainGenerator uniform;
+  DeletionOnlyUniformGenerator deletions;
+  gen::Workload keys = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/5);
+  gen::Workload triples = gen::MakeKeyViolationWorkload(3, 2, 3, /*seed=*/9);
+  gen::Workload denials = gen::MakePreferenceWorkload(5, 8, 0.6, /*seed=*/17);
+  gen::Workload collapse = TgdCollapseExample();
+  gen::Workload example1 = gen::PaperExample1();
+  gen::Workload inclusion = gen::MakeInclusionWorkload(4, 0.5, /*seed=*/19);
+  struct Case {
+    std::string name;
+    const gen::Workload* workload;
+    const ChainGenerator* generator;
+  };
+  std::vector<Case> cases = {
+      {"keys", &keys, &uniform},
+      {"key triples", &triples, &uniform},
+      {"denial constraints", &denials, &uniform},
+      {"TGD collapse / deletions", &collapse, &deletions},
+      {"paper Example 1 / deletions", &example1, &deletions},
+      {"inclusion TGD / deletions", &inclusion, &deletions},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const gen::Workload& w = *c.workload;
+    auto context = RepairContext::Make(w.db, w.constraints);
+    ASSERT_TRUE(MemoizationApplicable(*context, *c.generator, true));
+    RepairingState root(context);
+    CollapseCheck check{*c.generator};
+    SubtreeOutcome outcome = check.Walk(root);
+    EXPECT_GT(check.revisits, 0u) << "no database was reached twice";
+
+    // The memoized walk agrees, and keyed by database alone it records
+    // exactly one entry per distinct non-absorbing database.
+    EnumerationOptions plain;
+    EnumerationResult base =
+        EnumerateRepairs(w.db, w.constraints, *c.generator, plain);
+    EXPECT_EQ(base.states_visited, outcome.states);
+    EXPECT_EQ(base.success_mass, outcome.success_mass);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      EnumerationOptions memo;
+      memo.memoize = true;
+      memo.threads = threads;
+      EnumerationResult result =
+          EnumerateRepairs(w.db, w.constraints, *c.generator, memo);
+      ExpectIdenticalResults(base, result,
+                             c.name + " threads=" + std::to_string(threads));
+      EXPECT_EQ(result.memo_stats.entries, check.inner_databases.size());
+    }
+  }
+}
+
+TEST(StateCollapseTest, TgdPathsWithDifferentViolationsShareADatabase) {
+  gen::Workload w = TgdCollapseExample();
+  auto context = RepairContext::Make(w.db, w.constraints);
+  auto remove = [&](const char* pred) {
+    return Operation::Remove({Fact::Make(*w.schema, pred, {"a"})});
+  };
+  auto has_tgd_violation = [](const RepairingState& state) {
+    for (const Violation& v : state.violations()) {
+      if (v.constraint_index == 0) return true;
+    }
+    return false;
+  };
+  RepairingState s_first(context);
+  s_first.Apply(remove("S"));
+  EXPECT_TRUE(has_tgd_violation(s_first));  // R(a) lost its S(a)
+  s_first.Apply(remove("R"));
+  EXPECT_FALSE(has_tgd_violation(s_first));  // eliminated by −R(a)
+  RepairingState r_first(context);
+  r_first.Apply(remove("R"));
+  EXPECT_FALSE(has_tgd_violation(r_first));
+  r_first.Apply(remove("S"));
+  EXPECT_FALSE(has_tgd_violation(r_first));
+  EXPECT_EQ(s_first.current(), r_first.current());
+  EXPECT_EQ(s_first.removed(), r_first.removed());
+  EXPECT_EQ(KeyOf(s_first), KeyOf(r_first));
 }
 
 // ---------------------------------------------------------------------

@@ -226,7 +226,7 @@ TEST(StatsExportTest, DeltaSinceDiffsCountersAndKeepsGauges) {
     now.*field.member = 3 * value;
     value += 10;
   }
-  MemoStats delta = now.DeltaSince(earlier);
+  MemoStats delta = obs::Delta(now, earlier);
   for (const obs::Field<MemoStats>& field : MemoStats::Fields()) {
     SCOPED_TRACE(std::string(field.name));
     uint64_t want = field.kind == obs::FieldKind::kCounter

@@ -253,8 +253,7 @@ TEST_F(RobustnessTest, SnapshotDecoderNeverCrashesOnMutations) {
   TranspositionTable table;
   auto outcome = std::make_shared<MemoOutcome>();
   outcome->states = 3;
-  table.Insert(StateKey{11, 22}, std::vector<FactId>{}, ViolationSet{},
-               outcome);
+  table.Insert(StateKey{11}, std::vector<FactId>{}, outcome);
 
   storage::SnapshotIdentity identity;
   identity.db_text = db->ToString();
@@ -262,14 +261,12 @@ TEST_F(RobustnessTest, SnapshotDecoderNeverCrashesOnMutations) {
       storage::RenderConstraints(schema_, constraints);
   identity.generator_identity = "robustness-sweep|v1";
   std::string bytes = storage::EncodeSnapshot(identity, *db, table);
-  ASSERT_TRUE(
-      storage::DecodeSnapshot(bytes, identity, *db, constraints, 0, 0)
-          .ok());
+  ASSERT_TRUE(storage::DecodeSnapshot(bytes, identity, *db, 0, 0).ok());
 
   size_t rejected = 0;
   for (const std::string& mutated : ByteMutations(bytes, 0x5A5A, 400)) {
     Result<std::shared_ptr<TranspositionTable>> decoded =
-        storage::DecodeSnapshot(mutated, identity, *db, constraints, 0, 0);
+        storage::DecodeSnapshot(mutated, identity, *db, 0, 0);
     if (!decoded.ok()) {
       ++rejected;
       EXPECT_FALSE(decoded.status().message().empty());

@@ -178,7 +178,7 @@ TEST(StorageSnapshotTest, EncodeDecodeRoundTripAndIdentityVerification) {
   std::string bytes = storage::EncodeSnapshot(identity, w.db, *table);
 
   Result<std::shared_ptr<TranspositionTable>> decoded =
-      storage::DecodeSnapshot(bytes, identity, w.db, w.constraints,
+      storage::DecodeSnapshot(bytes, identity, w.db,
                               TranspositionTable::kDefaultMaxEntries, 0);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ((*decoded)->size(), table->size());
@@ -190,7 +190,6 @@ TEST(StorageSnapshotTest, EncodeDecodeRoundTripAndIdentityVerification) {
   other_identity.db_text = other.db.ToString();
   Result<std::shared_ptr<TranspositionTable>> rejected =
       storage::DecodeSnapshot(bytes, other_identity, other.db,
-                              other.constraints,
                               TranspositionTable::kDefaultMaxEntries, 0);
   EXPECT_FALSE(rejected.ok());
 }
@@ -213,8 +212,7 @@ TEST(StorageSnapshotTest, EqualEntrySetsEncodeToEqualBytes) {
   auto fill = [&](TranspositionTable* table, bool reversed) {
     for (size_t k = 0; k < entries.size(); ++k) {
       size_t i = reversed ? entries.size() - 1 - k : k;
-      table->Insert(StateKey{i * 977, i}, entries[i].removed,
-                    entries[i].eliminated, entries[i].outcome);
+      table->Insert(StateKey{i * 977}, entries[i].removed, entries[i].outcome);
     }
   };
   TranspositionTable forward, backward;
@@ -349,13 +347,14 @@ TEST_F(StorageRejectionTest, TruncatedSnapshotIsRejected) {
 
 TEST_F(StorageRejectionTest, OtherFormatVersionsAreRejected) {
   // Readers accept exactly kSnapshotFormatVersion: an older file (the
-  // retired v1 included) or a newer one is a cache miss, never a decode.
+  // retired v1 and v2 included) or a newer one is a cache miss, never a
+  // decode.
   std::string original;
   {
     std::ifstream in(snapshot_, std::ios::binary);
     original.assign(std::istreambuf_iterator<char>(in), {});
   }
-  for (uint32_t version : {0u, 1u, storage::kSnapshotFormatVersion + 1}) {
+  for (uint32_t version : {0u, 1u, 2u, storage::kSnapshotFormatVersion + 1}) {
     SCOPED_TRACE("format version " + std::to_string(version));
     // Byte 8 is the low byte of the little-endian format version, right
     // after the 8-byte magic. Each round starts from the original bytes:
@@ -457,28 +456,27 @@ TEST(StorageSnapshotTest, LruRootEvictionSpillsToDisk) {
 // ---------------------------------------------------------------------
 
 TEST(AdmissionFilterTest, RecordsOnlyTwiceMissedKeys) {
-  StateKey key{11, 22};
+  StateKey key{11};
   std::vector<FactId> removed;
-  ViolationSet eliminated;
   auto outcome = std::make_shared<MemoOutcome>();
   outcome->states = 5;
 
   TranspositionTable filtered;
   filtered.EnableAdmissionFilter();
   // First completion (one prior miss, as in a real walk): deferred.
-  EXPECT_EQ(filtered.Lookup(key, removed, eliminated), nullptr);
-  filtered.Insert(key, removed, eliminated, outcome);
+  EXPECT_EQ(filtered.Lookup(key, removed), nullptr);
+  filtered.Insert(key, removed, outcome);
   EXPECT_EQ(filtered.size(), 0u);
   EXPECT_EQ(filtered.stats().admission_deferred, 1u);
   // Second reach: the key has now missed twice — admitted.
-  EXPECT_EQ(filtered.Lookup(key, removed, eliminated), nullptr);
-  filtered.Insert(key, removed, eliminated, outcome);
+  EXPECT_EQ(filtered.Lookup(key, removed), nullptr);
+  filtered.Insert(key, removed, outcome);
   EXPECT_EQ(filtered.size(), 1u);
-  EXPECT_EQ(filtered.Lookup(key, removed, eliminated), outcome);
+  EXPECT_EQ(filtered.Lookup(key, removed), outcome);
 
   // Scratch tables admit immediately — the PR-4 behavior is untouched.
   TranspositionTable scratch;
-  scratch.Insert(key, removed, eliminated, outcome);
+  scratch.Insert(key, removed, outcome);
   EXPECT_EQ(scratch.size(), 1u);
   EXPECT_EQ(scratch.stats().admission_deferred, 0u);
 
@@ -486,9 +484,9 @@ TEST(AdmissionFilterTest, RecordsOnlyTwiceMissedKeys) {
   // value in a previous process.
   TranspositionTable restored;
   restored.EnableAdmissionFilter();
-  restored.RestoreEntry(key, {}, {}, outcome);
+  restored.RestoreEntry(key, {}, outcome);
   EXPECT_EQ(restored.size(), 1u);
-  EXPECT_EQ(restored.Lookup(key, removed, eliminated), outcome);
+  EXPECT_EQ(restored.Lookup(key, removed), outcome);
 }
 
 // ---------------------------------------------------------------------

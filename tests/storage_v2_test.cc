@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -128,21 +129,36 @@ std::shared_ptr<TranspositionTable> WarmTable(const gen::Workload& w,
 }
 
 /// Stamps `count` synthetic entries into `table`, each removing a
-/// distinct nonempty subset of the root's facts (the bits of a running
-/// counter over the first six fact ids). RestoreEntry bypasses the
-/// admission filter, so each call dirties the table's sequence clock by
-/// exactly one — precise, deterministic spill traffic for the delta-log
-/// tests. The entries' keys can never collide with a real walk's states
-/// (their removed sets differ), so real lookups never see them; tests
-/// that assert enumeration results only do so on tables without them.
+/// distinct subset of the root's facts (the bits of a running counter
+/// over six conflicting fact ids) plus one fact that lies in no
+/// violation. RestoreEntry bypasses the admission filter, so each call
+/// dirties the table's sequence clock by exactly one — precise,
+/// deterministic spill traffic for the delta-log tests. No justified
+/// deletion removes a fact outside every violation, so no real walk
+/// state has a synthetic entry's removed set — the set a memo entry is
+/// identified by — and real lookups never see them, in this process or
+/// after a restore; tests that assert enumeration results only do so on
+/// tables without them.
 void AddSyntheticEntries(const gen::Workload& w, TranspositionTable* table,
                          size_t count, size_t* counter) {
+  std::set<FactId> in_violation;
+  std::vector<FactId> image;
+  for (const Violation& v : ComputeViolations(w.db, w.constraints)) {
+    BodyImageIds(w.constraints, v, &image);
+    in_violation.insert(image.begin(), image.end());
+  }
   std::vector<FactId> ids = w.db.AllFactIds();
+  auto outside = std::find_if(ids.begin(), ids.end(), [&](FactId id) {
+    return in_violation.count(id) == 0;
+  });
+  ASSERT_NE(outside, ids.end());
+  FactId unreachable = *outside;
+  ids.erase(outside);
   ASSERT_GE(ids.size(), 6u);
   for (size_t i = 0; i < count; ++i) {
-    size_t mask = ++*counter;  // 1-based: never an empty subset
+    size_t mask = ++*counter;
     ASSERT_LT(mask, 1u << 6);
-    std::vector<FactId> removed;
+    std::vector<FactId> removed = {unreachable};
     for (size_t bit = 0; bit < 6; ++bit) {
       if (mask & (1u << bit)) removed.push_back(ids[bit]);
     }
@@ -151,8 +167,8 @@ void AddSyntheticEntries(const gen::Workload& w, TranspositionTable* table,
     outcome->states = 1;
     outcome->failing_mass = Rational(1);
     outcome->failing_sequences = 1;
-    StateKey key{/*db_hash=*/0x517E + mask, /*eliminated_hash=*/0};
-    table->RestoreEntry(key, std::move(removed), ViolationSet{}, outcome);
+    StateKey key{/*db_hash=*/0x517E + mask};
+    table->RestoreEntry(key, std::move(removed), outcome);
   }
 }
 
@@ -171,7 +187,7 @@ TEST(StorageV2FormatTest, RoundTripRestoresEveryEntry) {
   storage::SnapshotIdentity identity = IdentityFor(w, generator);
   std::string bytes = storage::EncodeSnapshot(identity, w.db, *table);
   Result<std::shared_ptr<TranspositionTable>> decoded =
-      storage::DecodeSnapshot(bytes, identity, w.db, w.constraints,
+      storage::DecodeSnapshot(bytes, identity, w.db,
                               TranspositionTable::kDefaultMaxEntries, 0);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ((*decoded)->size(), table->size());
@@ -189,7 +205,7 @@ TEST(StorageV2FormatTest, VersionAboveNewestIsRejected) {
   // Byte 8 is the low byte of the little-endian format version.
   bytes[8] = static_cast<char>(storage::kSnapshotFormatVersion + 1);
   Result<std::shared_ptr<TranspositionTable>> decoded =
-      storage::DecodeSnapshot(bytes, identity, w.db, w.constraints,
+      storage::DecodeSnapshot(bytes, identity, w.db,
                               TranspositionTable::kDefaultMaxEntries, 0);
   EXPECT_FALSE(decoded.ok());
 }
