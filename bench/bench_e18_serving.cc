@@ -97,8 +97,8 @@ server::ServerOptions ServingOptions(size_t workers) {
   options.workers = workers;
   // The trace alternates insert/erase, so tenants oscillate between the
   // shared base root and a few per-tenant variants; 32 roots keeps them
-  // all resident (pressure behavior is bench-irrelevant here and has its
-  // own test, tests/server_test.cc).
+  // all resident (demotion under max_roots is bench-irrelevant here and
+  // has its own test, tests/server_test.cc).
   options.cache.max_roots = 32;
   return options;
 }

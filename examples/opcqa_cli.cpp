@@ -51,7 +51,7 @@ struct Options {
   double eps = 0.1, delta = 0.1;
   uint64_t seed = 42, threads = 1;
   bool memo = false, memo_persist = false;
-  uint64_t memo_bytes = 0, memo_disk_bytes = 0, memo_memory_bytes = 0;
+  uint64_t memo_bytes = 0, memo_disk_bytes = 0;
   std::string memo_dir;  // empty = memory only
   double memo_compact_ratio = 0.5;
   std::string plan;  // empty = no planner
@@ -139,10 +139,6 @@ const Flag kFlags[] = {
      "compact the delta log into a fresh base once it exceeds this "
      "fraction of the base; <= 0 rewrites the base every spill",
      Real{&Options::memo_compact_ratio}},
-    {"memo-memory-bytes", "N", "repair-space cache", "0",
-     "memory-tier byte budget across all cache roots; overflow demotes "
-     "the lowest-retention root to disk; 0 = off",
-     &Options::memo_memory_bytes},
     {"serve-trace", "FILE", "serve-trace", "—",
      "replay a request log through OcqaServer (format: server/trace.h)",
      &Options::serve_trace},
@@ -373,7 +369,6 @@ RepairCacheOptions CacheOptions(const Options& opt) {
   cache.snapshot_dir = opt.memo_dir;
   cache.max_disk_bytes = opt.memo_disk_bytes;
   cache.log_compaction_ratio = opt.memo_compact_ratio;
-  cache.max_memory_bytes = opt.memo_memory_bytes;
   return cache;
 }
 

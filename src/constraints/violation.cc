@@ -1,6 +1,8 @@
 #include "constraints/violation.h"
 
 #include <algorithm>
+#include <iterator>
+#include <vector>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -57,9 +59,16 @@ void BodyImageIds(const ConstraintSet& constraints, const Violation& violation,
   const Constraint& c = constraints[violation.constraint_index];
   FactStore& store = FactStore::Global();
   ids->clear();
-  ConstId args[16];
+  // Common arities intern from the stack; a wider atom (a schema may
+  // declare any arity) takes a heap buffer instead.
+  ConstId inline_args[16];
+  std::vector<ConstId> wide_args;
   for (const Atom& atom : c.body().atoms()) {
-    OPCQA_CHECK_LE(atom.arity(), sizeof(args) / sizeof(args[0]));
+    ConstId* args = inline_args;
+    if (atom.arity() > std::size(inline_args)) {
+      wide_args.resize(atom.arity());
+      args = wide_args.data();
+    }
     for (size_t i = 0; i < atom.arity(); ++i) {
       args[i] = violation.h.Apply(atom.terms()[i]);
     }

@@ -15,7 +15,7 @@ OcqaSession::OcqaSession(Database db, ConstraintSet constraints,
 
 EnumerationOptions OcqaSession::QueryOptions(const CallOptions& call) {
   EnumerationOptions query_options = options_.enumeration;
-  query_options.cache = call.cache != nullptr ? call.cache : &active_cache();
+  query_options.cache = &active_cache();
   if (call.max_states != 0) query_options.max_states = call.max_states;
   return query_options;
 }
@@ -54,7 +54,7 @@ TopKResult OcqaSession::TopK(const ChainGenerator& generator, size_t k,
   top_k.max_states = call.max_states != 0 ? call.max_states
                                           : options_.enumeration.max_states;
   top_k.memoize = options_.enumeration.memoize;
-  top_k.cache = call.cache != nullptr ? call.cache : &active_cache();
+  top_k.cache = &active_cache();
   return TopKRepairs(db_, constraints_, generator, k, top_k);
 }
 
@@ -89,25 +89,13 @@ Result<CertainAnswersResult> OcqaSession::CertainAnswers(
 }
 
 bool OcqaSession::InsertFact(const Fact& fact) {
-  size_t old_hash = db_.Hash();
   if (!db_.Insert(fact)) return false;
-  // Shared caches are left to their owner's LRU: another logical session
-  // may still be serving a database with the pre-mutation content, and
-  // content-keyed fingerprints already make the old roots unreachable
-  // from this session.
-  if (options_.shared_cache == nullptr) {
-    cache_.InvalidateDatabaseHash(old_hash);
-  }
   planner_.Invalidate();
   return true;
 }
 
 bool OcqaSession::EraseFact(const Fact& fact) {
-  size_t old_hash = db_.Hash();
   if (!db_.Erase(fact)) return false;
-  if (options_.shared_cache == nullptr) {
-    cache_.InvalidateDatabaseHash(old_hash);
-  }
   planner_.Invalidate();
   return true;
 }

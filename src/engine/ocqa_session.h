@@ -4,25 +4,20 @@
 // The multi-query workload (many queries, one fixed inconsistent
 // database — the setting of arXiv:2204.10592 / 2312.08038 and of any
 // OCQA service) is what the session models: it holds (D, Σ) plus a
-// RepairSpaceCache, threads the cache into every exact computation it
-// runs, and invalidates eagerly when the database is mutated through it.
-// Answers are byte-identical to the free functions in repair/ — the
+// RepairSpaceCache and threads the cache into every exact computation it
+// runs. Answers are byte-identical to the free functions in repair/ — the
 // session only changes how fast repeated queries arrive.
 //
 // Mutation model: InsertFact/EraseFact change D in place. The cache keys
 // roots by database content, so post-mutation queries fingerprint to a
-// fresh root even without invalidation; the session still drops the
-// superseded roots immediately (incremental invalidation — roots over
-// *other* databases, e.g. localized sub-instances, survive) so memory is
-// reclaimed before the root LRU would get to it.
+// fresh root; the superseded root becomes an idle root that the cache's
+// residency rule (repair/repair_cache.h) demotes like any other — or
+// replays again, should a later mutation restore that content.
 //
 // Multiplexed sessions: SessionOptions::shared_cache hands the session an
 // externally-owned cache instead of its private one — the OcqaServer
 // (server/ocqa_server.h) wiring, where many logical sessions serve over
-// one repair space. A shared-cache session skips the eager drop on
-// mutation: another logical session may still be serving the
-// pre-mutation content, and content-keyed fingerprints keep the stale
-// root harmless until the owner's LRU reclaims it.
+// one repair space.
 
 #ifndef OPCQA_ENGINE_OCQA_SESSION_H_
 #define OPCQA_ENGINE_OCQA_SESSION_H_
@@ -66,11 +61,6 @@ struct CallOptions {
   /// deadline knob: enumeration truncates beyond it exactly as the free
   /// functions do, independent of cache warmth or thread count.
   size_t max_states = 0;
-  /// Redirects this call's enumeration to a different cache (not owned).
-  /// The server's pressure-bypass path: a new root under memory pressure
-  /// computes on a private per-batch cache instead of evicting a live
-  /// root from the shared one.
-  RepairSpaceCache* cache = nullptr;
 };
 
 /// Certain answers (CP = 1 tuples) plus how they were computed.
@@ -122,9 +112,8 @@ class OcqaSession {
                                               const Query& query,
                                               const CallOptions& call = {});
 
-  /// Mutate the session database; returns whether it changed. Both drop
-  /// the now-stale cache roots of the previous database content (private
-  /// cache only — see the multiplexed-sessions note above).
+  /// Mutate the session database; returns whether it changed (see the
+  /// mutation model above).
   bool InsertFact(const Fact& fact);
   bool EraseFact(const Fact& fact);
 

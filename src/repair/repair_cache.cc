@@ -70,7 +70,7 @@ void RepairSpaceCache::NoteDiskSuccess() {
 
 RepairSpaceCache::~RepairSpaceCache() {
   // Session close spills the live roots (the third spill trigger besides
-  // LRU eviction and explicit Persist), then waits so no background task
+  // demotion and explicit Persist), then waits so no background task
   // outlives the store it writes through.
   if (store_ != nullptr) Persist();
   DrainSpills();
@@ -146,7 +146,6 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
     }
     Root root;
     root.fingerprint = fingerprint;
-    root.db_hash = db.Hash();
     root.db = db;
     root.constraints_digest = std::move(digest);
     root.generator_identity = std::move(identity);
@@ -163,9 +162,9 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
       root.force_compaction = restored.dirty_tail;
     }
     roots_.push_back(std::move(root));
-    // The memory tier may now be over budget (root count or bytes):
-    // demote the lowest-retention roots to the disk tier so their chain
-    // walks survive for a later query (or process). The spills run after
+    // The memory tier may now be over its root budget: demote the
+    // lowest-retention roots to the disk tier so their chain walks
+    // survive for a later query (or process). The spills run after
     // mutex_ drops — a task may execute inline on a pool worker and must
     // never see mutex_ held.
     CollectDemotionsLocked(&victims);
@@ -194,19 +193,10 @@ double RepairSpaceCache::RetentionScoreLocked(const Root& root) const {
 }
 
 void RepairSpaceCache::CollectDemotionsLocked(std::vector<Root>* victims) {
-  auto memory_bytes = [this] {
-    size_t total = 0;
-    for (const Root& root : roots_) total += root.table->stats().bytes;
-    return total;
-  };
-  while (roots_.size() > 1) {
-    bool over_roots =
-        options_.max_roots > 0 && roots_.size() > options_.max_roots;
-    bool over_memory = options_.max_memory_bytes > 0 &&
-                       memory_bytes() > options_.max_memory_bytes;
-    if (!over_roots && !over_memory) break;
+  while (options_.max_roots > 0 && roots_.size() > options_.max_roots) {
     // The most recently touched root is never a victim — it is the one
-    // the current query is about to use. Among the rest, drop the
+    // the current query is about to use (and, with max_roots >= 1 and
+    // more roots than that, never the only one). Among the rest, drop the
     // cheapest to lose per tick of idleness. (With equal-size tables and
     // no disk tier this degenerates to plain LRU.)
     size_t newest = 0;
@@ -223,7 +213,6 @@ void RepairSpaceCache::CollectDemotionsLocked(std::vector<Root>* victims) {
         victim_score = score;
       }
     }
-    if (victim == SIZE_MAX) break;
     RetireLocked(roots_[victim]);
     victims->push_back(std::move(roots_[victim]));
     roots_.erase(roots_.begin() + static_cast<ptrdiff_t>(victim));
@@ -297,27 +286,6 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
   }
   if (options_.admission_filter) out.table->EnableAdmissionFilter();
   return out;
-}
-
-bool RepairSpaceCache::HasRoot(const Database& db,
-                               const ConstraintSet& constraints,
-                               const ChainGenerator& generator) const {
-  std::string identity = generator.cache_identity();
-  if (identity.empty()) return false;
-  std::string digest = storage::RenderConstraints(db.schema(), constraints);
-  size_t fingerprint = HashCombine(
-      HashCombine(HashCombine(db.Hash(), StringHash(digest)),
-                  StringHash(identity)),
-      1u);
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const Root& root : roots_) {
-    if (root.fingerprint != fingerprint) continue;
-    if (root.db == db && root.constraints_digest == digest &&
-        root.generator_identity == identity && root.prune) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void RepairSpaceCache::SpillAsync(Root root) {
@@ -533,38 +501,6 @@ DiskTierStats RepairSpaceCache::disk_stats() const {
   DiskTierStats stats = disk_.Load();
   if (store_ != nullptr) stats = obs::Sum(stats, store_->Stats());
   return stats;
-}
-
-size_t RepairSpaceCache::InvalidateDatabase(const Database& db) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t dropped = 0;
-  for (size_t i = roots_.size(); i-- > 0;) {
-    if (roots_[i].db_hash == db.Hash() && roots_[i].db == db) {
-      RetireLocked(roots_[i]);
-      roots_.erase(roots_.begin() + static_cast<ptrdiff_t>(i));
-      ++dropped;
-    }
-  }
-  return dropped;
-}
-
-size_t RepairSpaceCache::InvalidateDatabaseHash(size_t db_hash) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t dropped = 0;
-  for (size_t i = roots_.size(); i-- > 0;) {
-    if (roots_[i].db_hash == db_hash) {
-      RetireLocked(roots_[i]);
-      roots_.erase(roots_.begin() + static_cast<ptrdiff_t>(i));
-      ++dropped;
-    }
-  }
-  return dropped;
-}
-
-void RepairSpaceCache::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const Root& root : roots_) RetireLocked(root);
-  roots_.clear();
 }
 
 void RepairSpaceCache::RetireLocked(const Root& root) {

@@ -20,8 +20,8 @@
 // equality, identity-string equality) before a table is handed out, so a
 // 64-bit collision can create a fresh root, never a wrong hit. Mutating a
 // database changes its hash: subsequent queries simply fingerprint to a
-// new root. InvalidateDatabase additionally drops the superseded roots
-// eagerly so their memory is reclaimed before the LRU would get to them.
+// new root, and the superseded one idles until residency demotes it (or
+// serves again, should the database return to that content).
 //
 // ## Generator identity
 //
@@ -64,11 +64,14 @@
 //   * One residency model. Memory and disk are two residency levels of
 //     the same state, not a cache and a backup. Dropping a root from
 //     memory is a *demotion* (its table keeps serving from disk);
-//     restoring one is a *promotion*. The victim when either the root
-//     count or `max_memory_bytes` overflows is picked by retention score
-//     — what dropping costs (cheap restore for clean-on-disk roots, full
-//     recompute otherwise) per tick of idleness — so a hot disk-backed
-//     root is pinned back while a cold dirty one spills early.
+//     restoring one is a *promotion*. This cache alone decides which
+//     roots stay live, by one rule: at most `max_roots` of them, and the
+//     victim on overflow is picked by retention score — what dropping
+//     costs (cheap restore for clean-on-disk roots, full recompute
+//     otherwise) per tick of idleness — so a hot disk-backed root is
+//     pinned back while a cold dirty one spills early. Memory is bounded
+//     by `max_roots` times the per-root budget (`max_bytes_per_root`,
+//     and always TranspositionTable::kDefaultMaxEntries entries).
 
 #ifndef OPCQA_REPAIR_REPAIR_CACHE_H_
 #define OPCQA_REPAIR_REPAIR_CACHE_H_
@@ -91,8 +94,9 @@ struct RepairCacheOptions {
   /// the entry budget is TranspositionTable::kDefaultMaxEntries). 0
   /// disables it.
   size_t max_bytes_per_root = 0;
-  /// Distinct (database, constraints, generator) roots kept live; the
-  /// least-recently-used root is dropped beyond this.
+  /// Distinct (database, constraints, generator) roots kept live; 0 = no
+  /// cap. Beyond it the root with the lowest retention score is demoted
+  /// (spilled first when a disk tier is configured).
   size_t max_roots = 8;
   /// Directory of the disk tier (storage/snapshot_store.h); empty keeps
   /// the cache memory-only (the PR-4 behavior).
@@ -107,10 +111,6 @@ struct RepairCacheOptions {
   /// base on every spill (a log never exists); large values let the log
   /// grow long — restores pay proportionally more decode.
   double log_compaction_ratio = 0.5;
-  /// Global byte budget across every live root's table; 0 disables.
-  /// Overflow demotes the lowest-retention-score root early, before the
-  /// max_roots limit would.
-  size_t max_memory_bytes = 0;
   /// Persistent tables normally require a key to miss twice before its
   /// subtree is recorded (the PR-5 churn filter for disk-backed sweeps).
   /// A serving front end that batches many same-root requests behind one
@@ -154,16 +154,6 @@ class RepairSpaceCache {
       const Database& db, const ConstraintSet& constraints,
       const ChainGenerator& generator, bool prune_zero_probability);
 
-  /// True when this exact root is resident in the memory tier. A pure
-  /// probe: no LRU touch, no disk restore, no root creation — the
-  /// serving front end's cache-pressure check (a non-resident root under
-  /// pressure computes on a private table instead of evicting a live
-  /// root; see server/ocqa_server.h). Probes the pruned root, the one
-  /// every chain walk uses. Always false for generators that decline a
-  /// cache identity.
-  bool HasRoot(const Database& db, const ConstraintSet& constraints,
-               const ChainGenerator& generator) const;
-
   /// Spills every live root to the disk tier now and blocks until the
   /// snapshots are durable (no-op without a snapshot_dir). Safe to call
   /// concurrently with queries: each snapshot is a consistent
@@ -172,32 +162,15 @@ class RepairSpaceCache {
 
   DiskTierStats disk_stats() const;
 
-  /// Eagerly drops every root built over a database with this content
-  /// (by hash, then verified). Pass the database *as its roots saw it* —
-  /// i.e. call BEFORE mutating it in place, or keep a pre-mutation copy:
-  /// a post-mutation instance hashes differently and matches nothing.
-  /// (Staleness needs no invalidation at all — a mutated database
-  /// fingerprints to a new root — this only reclaims memory early.)
-  /// Returns the number of roots dropped.
-  size_t InvalidateDatabase(const Database& db);
-  /// Same, by hash only — the post-mutation recipe: capture db.Hash()
-  /// before mutating, then drop the old roots by that hash (what
-  /// engine::OcqaSession does). A colliding innocent root costs
-  /// recomputation, never correctness.
-  size_t InvalidateDatabaseHash(size_t db_hash);
-
-  void Clear();
-
   size_t roots() const;
   /// Counters over every root this cache has held — live roots plus the
-  /// roots dropped by demotion, invalidation or Clear() — so they never
-  /// decrease; gauges (entries, bytes, ...) cover the live roots only.
+  /// demoted ones — so they never decrease; gauges (entries, bytes, ...)
+  /// cover the live roots only.
   MemoStats TotalStats() const;
 
  private:
   struct Root {
     size_t fingerprint = 0;
-    size_t db_hash = 0;
     Database db;                     // verification payloads
     std::string constraints_digest;
     std::string generator_identity;
@@ -273,8 +246,8 @@ class RepairSpaceCache {
   /// Requires mutex_.
   double RetentionScoreLocked(const Root& root) const;
   /// Moves demotion victims out of roots_ (lowest retention score first)
-  /// until both the root-count and max_memory_bytes budgets fit.
-  /// Requires mutex_; callers spill the victims after unlocking.
+  /// until at most max_roots remain — the only code that removes a live
+  /// root. Requires mutex_; callers spill the victims after unlocking.
   void CollectDemotionsLocked(std::vector<Root>* victims);
   /// Folds a dropped root's counters into retired_. Requires mutex_.
   void RetireLocked(const Root& root);

@@ -520,34 +520,10 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
       }
     }
 
-    // Cache-pressure probe: a cold root while the shared cache is at
-    // budget computes on a unit-private cache (batching still amortizes
-    // inside the unit) instead of evicting a live shared root.
-    std::unique_ptr<RepairSpaceCache> bypass;
-    if (read_batch && generator != nullptr &&
-        !generator->cache_identity().empty()) {
-      bool any_walk_member = false;
-      for (size_t i = 0; i < unit->size(); ++i) {
-        any_walk_member |= !done[i];
-      }
-      const bool resident = cache_.HasRoot(
-          session.database(), session.constraints(), *generator);
-      const bool pressured = cache_.roots() >= options_.cache.max_roots;
-      if (any_walk_member && !resident && pressured) {
-        RepairCacheOptions ephemeral = options_.cache;
-        ephemeral.max_roots = 1;
-        ephemeral.admission_filter = false;
-        ephemeral.snapshot_dir.clear();  // nothing durable about a bypass
-        bypass = std::make_unique<RepairSpaceCache>(ephemeral);
-        stats_.Add<&ServerStats::pressure_bypasses>();
-      }
-    }
-
     for (size_t i = 0; i < unit->size(); ++i) {
       if (done[i]) continue;
       PendingRequest& pending = (*unit)[i];
-      engine::CallOptions call{.max_states = pending.request.deadline_states,
-                               .cache = bypass.get()};
+      engine::CallOptions call{.max_states = pending.request.deadline_states};
       ExecOutcome outcome;
       Response response = run_isolated(pending, call, &outcome);
       if (IsMutation(pending.request)) {

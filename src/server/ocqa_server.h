@@ -44,15 +44,6 @@
 // the batch's walk members run — it never waits on, or pays for, a
 // chain walk.
 //
-// ## Cache pressure
-//
-// A read whose root is not resident while the shared cache is at its
-// root budget would evict a live root that other tenants are
-// replaying from. Under pressure the unit instead computes on a private
-// single-root cache that dies with the unit (batching still amortizes
-// within the unit) — new cold roots degrade to uncached compute instead
-// of thrashing the shared tier.
-//
 // ## QoS
 //
 // Per-tenant admission caps the queued + running requests at
@@ -100,7 +91,8 @@ struct ServerOptions {
   /// owns its pool, so several servers with different widths coexist in
   /// one process.
   size_t workers = 0;
-  /// Budgets of the shared repair-space cache. The twice-miss admission
+  /// Budgets of the shared repair-space cache, which alone decides which
+  /// roots stay resident: every read runs on it. The twice-miss admission
   /// filter is forced off regardless of what this says: batching relies
   /// on the first walk admitting the whole chain.
   RepairCacheOptions cache;
@@ -138,7 +130,6 @@ struct ServerStats {
   uint64_t rewriting_fast_path = 0;  // kCertain answered by the rewriting
   uint64_t topk_searches = 0;        // kTopK members (not walk-classified)
   uint64_t mutations = 0;
-  uint64_t pressure_bypasses = 0;       // units run on a private cache
   uint64_t deadline_truncations = 0;    // responses that hit their budget
   uint64_t tenants = 0;
   /// Shared-cache / disk-tier / planner counters aggregated across every
@@ -166,7 +157,6 @@ struct ServerStats {
         {"rewriting_fast_path", &ServerStats::rewriting_fast_path, kCounter},
         {"topk_searches", &ServerStats::topk_searches, kCounter},
         {"mutations", &ServerStats::mutations, kCounter},
-        {"pressure_bypasses", &ServerStats::pressure_bypasses, kCounter},
         {"deadline_truncations", &ServerStats::deadline_truncations, kCounter},
         {"tenants", &ServerStats::tenants, kGauge},
     });
@@ -269,8 +259,8 @@ class OcqaServer {
   /// Forms the next unit of `tenant` (front mutation, or the
   /// same-generator read prefix). mutex_ held.
   Unit NextUnitLocked(Tenant& tenant);
-  /// Executes a unit on a worker: planner fast lane, pressure probe,
-  /// then members in order on the tenant session.
+  /// Executes a unit on a worker: planner fast lane, then members in
+  /// order on the tenant session.
   void ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit);
   const ChainGenerator* FindGenerator(const std::string& name) const;
 

@@ -1,6 +1,7 @@
 // End-to-end checks of the opcqa_cli binary (fork + exec): the exit-code
-// contract for bad flag values, the sampler's metrics rows, the
-// --show-repairs distribution and the --mode=sql stdout.
+// contract for bad flag values, relations wider than 16, the sampler's
+// metrics rows, the --show-repairs distribution and the --mode=sql
+// stdout.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -221,6 +222,32 @@ TEST(CliTest, MalformedSchemaArityIsAHardFailure) {
   CliInputs inputs;
   CliRun run = RunCli(inputs.Args(), inputs);
   EXPECT_EQ(run.exit_code, 0) << run.err;
+}
+
+TEST(CliTest, RelationsWiderThanSixteenAnswer) {
+  // A constrained relation of arity 17 once aborted while interning a
+  // violation's body image; it answers like any other: the key conflict
+  // leaves each fact in one of the three repairs.
+  auto terms = [](const std::string& head, const std::string& stem) {
+    std::string text = head;
+    for (int i = 1; i <= 16; ++i) text += "," + stem + std::to_string(i);
+    return text;
+  };
+  CliInputs inputs;
+  inputs.Write("schema.txt", "R/17\n");
+  inputs.Write("db.txt", "R(" + terms("a", "b") + "). R(" + terms("a", "c") +
+                             ").\n");
+  inputs.Write("constraints.txt", "key: R(" + terms("x", "y") + "), R(" +
+                                      terms("x", "z") + ") -> y1 = z1\n");
+  std::vector<std::string> args = inputs.Args();
+  args.back() = "--query=Q(" + terms("x", "y") + ") := R(" +
+                terms("x", "y") + ")";
+  CliRun run = RunCli(args, inputs);
+  ASSERT_EQ(run.exit_code, 0) << run.err;
+  EXPECT_NE(run.out.find("(" + terms("a", "b") + ") 1/3"), std::string::npos)
+      << run.out;
+  EXPECT_NE(run.out.find("(" + terms("a", "c") + ") 1/3"), std::string::npos)
+      << run.out;
 }
 
 TEST(CliTest, ShowRepairsStdoutIsPinned) {

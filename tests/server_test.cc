@@ -2,10 +2,11 @@
 // of concurrent multi-tenant serving against serial replay at several
 // worker widths, root-level batching counters (N same-root requests →
 // one walk), mutation-during-read isolation, deadline truncation under
-// both exec modes, per-tenant admission rejection, the cache-pressure
-// bypass, the planner fast lane, graceful shutdown (drain + shed with
-// Unavailable), per-unit panic isolation, failure-bucket accounting,
-// trace format round-trips, and the aggregated Stats() snapshot.
+// both exec modes, per-tenant admission rejection, root residency under
+// max_roots (0 = no cap, 1 = every cold root demotes), the planner fast
+// lane, graceful shutdown (drain + shed with Unavailable), per-unit panic
+// isolation, failure-bucket accounting, trace format round-trips, and the
+// aggregated Stats() snapshot.
 // TSan-gated in CI.
 
 #include <gtest/gtest.h>
@@ -363,39 +364,59 @@ TEST(OcqaServerTest, PerTenantAdmissionRejectsOverBudget) {
 }
 
 // ---------------------------------------------------------------------
-// Cache pressure
+// Root residency: the shared cache alone decides which roots stay live
 // ---------------------------------------------------------------------
 
-TEST(OcqaServerTest, ColdRootsUnderPressureBypassTheSharedCache) {
+TEST(OcqaServerTest, ZeroMaxRootsMeansNoCap) {
+  // max_roots = 0 is "no cap" to the cache, so the server shares every
+  // root: the first read walks and admits the chain, the rest replay.
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
+  ServerOptions options;
+  options.workers = 1;
+  options.cache.max_roots = 0;
+  OcqaServer server(w.db, w.constraints, options);
+  std::string first;
+  for (uint64_t id = 0; id < 3; ++id) {
+    Response response =
+        server.Submit(ReadRequest(id, "t", w, "Q(x,y) := R(x,y)", "uniform"))
+            .get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    if (id == 0) first = response.payload;
+    EXPECT_EQ(response.payload, first);
+  }
+  ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.walks, 1u);
+  EXPECT_EQ(stats.replays, 2u);
+  EXPECT_EQ(server.cache().roots(), 1u);
+}
+
+TEST(OcqaServerTest, ColdRootDemotesTheHotOneAtMaxRoots) {
+  // With room for one root, each read over a different root demotes the
+  // previous one — and answers stay byte-identical to serial replay.
+  gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
+  std::vector<Request> trace = {
+      ReadRequest(0, "t", w, "Q(x,y) := R(x,y)"),
+      ReadRequest(1, "t", w, "Q(x,y) := R(x,y)", "uniform"),
+      ReadRequest(2, "t", w, "Q(x) := exists y R(x,y)"),
+  };
+  std::string reference = RenderResponses(
+      ReplaySerial(w, trace, ReplayMode::kSessionPerTenant));
   ServerOptions options;
   options.workers = 1;
   options.cache.max_roots = 1;
   OcqaServer server(w.db, w.constraints, options);
-
-  // Root 1 (uniform-deletions) computes into the shared cache.
-  Response hot =
-      server.Submit(ReadRequest(0, "t", w, "Q(x,y) := R(x,y)")).get();
-  ASSERT_TRUE(hot.status.ok());
-  EXPECT_EQ(server.cache().roots(), 1u);
-
-  // Root 2 (uniform) is cold while the cache is at max_roots: it must
-  // compute on a unit-private cache instead of evicting the live root.
-  Response cold = server
-                      .Submit(ReadRequest(1, "t", w, "Q(x,y) := R(x,y)",
-                                          "uniform"))
-                      .get();
-  ASSERT_TRUE(cold.status.ok());
+  std::vector<Response> responses;
+  for (const Request& request : trace) {
+    responses.push_back(server.Submit(request).get());
+    ASSERT_TRUE(responses.back().status.ok());
+    EXPECT_EQ(server.cache().roots(), 1u);
+  }
+  EXPECT_EQ(RenderResponses(std::move(responses)), reference);
+  // The cold uniform root demoted the hot uniform-deletions one, so the
+  // third read walks that root again instead of replaying it.
   ServerStats stats = server.Stats();
-  EXPECT_GE(stats.pressure_bypasses, 1u);
-  EXPECT_EQ(server.cache().roots(), 1u);  // the hot root survived
-
-  // The hot root still replays.
-  Response again =
-      server.Submit(ReadRequest(2, "t", w, "Q(x,y) := R(x,y)")).get();
-  ASSERT_TRUE(again.status.ok());
-  EXPECT_EQ(again.payload, hot.payload);
-  EXPECT_GT(server.Stats().replays, 0u);
+  EXPECT_EQ(stats.walks, 3u);
+  EXPECT_EQ(stats.replays, 0u);
 }
 
 // ---------------------------------------------------------------------

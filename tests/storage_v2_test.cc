@@ -661,27 +661,6 @@ TEST(ResidencyTest, EvictionDemotesAndRestorePromotes) {
   EXPECT_EQ(warm.memo_stats.misses, 0u);
 }
 
-TEST(ResidencyTest, MemoryBudgetDemotesEarly) {
-  UniformChainGenerator generator;
-  gen::Workload first = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/71);
-  gen::Workload second = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/72);
-  TempDir dir;
-  RepairCacheOptions options = DiskOptions(dir.path());
-  options.max_roots = 8;  // never the binding constraint here
-  options.max_memory_bytes = 1;
-  RepairSpaceCache cache(options);
-  WarmTable(first, generator, &cache);
-  // Far over the byte budget, but the sole (most recently used) root is
-  // never a victim — the budget cannot empty the cache.
-  EXPECT_EQ(cache.roots(), 1u);
-  WarmTable(second, generator, &cache);
-  // The byte budget demoted the idle first root long before max_roots.
-  EXPECT_EQ(cache.roots(), 1u);
-  EXPECT_GE(cache.disk_stats().demotions, 1u);
-  cache.Persist();  // drain the background demotion spill
-  EXPECT_TRUE(fs::exists(BasePathFor(first, generator, dir.path())));
-}
-
 // ---------------------------------------------------------------------
 // SnapshotStore: log accounting, root-unit GC, quarantine
 // ---------------------------------------------------------------------
