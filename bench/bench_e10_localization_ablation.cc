@@ -1,14 +1,17 @@
 // E10 — Ablation for the Section 6 "Optimizations" direction (repair
-// localization, after [15]): exact per-fact marginals via the monolithic
-// chain (exponential in the number of conflicts, because the chain
-// interleaves independent components) versus the factored per-component
-// enumeration (linear in the number of components). Results are identical;
-// only the cost differs.
+// localization, after [15]): exact answering by walking the chain
+// (exponential in the number of conflicts, because the chain interleaves
+// independent components) versus factoring it by conflict component
+// (linear in the number of components). EnumerateRepairs factors a
+// denial-only root under a local generator; BM_WalkedExact runs the same
+// enumeration through a generator that is not local, so it walks.
+// Results are identical; only the cost differs.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
+#include "bench_common.h"
 #include "gen/workloads.h"
 #include "repair/localization.h"
 #include "repair/ocqa.h"
@@ -17,10 +20,24 @@ namespace {
 
 using namespace opcqa;
 
-void BM_MonolithicExact(benchmark::State& state) {
-  size_t conflicts = static_cast<size_t>(state.range(0));
-  gen::Workload w = gen::MakeKeyViolationWorkload(
-      conflicts + 2, conflicts, 2, /*seed=*/600);
+// n independent two-fact key conflicts beside two clean keys.
+gen::Workload Conflicts(size_t n) {
+  return gen::MakeKeyViolationWorkload(n + 2, n, 2, /*seed=*/600);
+}
+
+void BM_WalkedExact(benchmark::State& state) {
+  gen::Workload w = Conflicts(static_cast<size_t>(state.range(0)));
+  bench::WalkedUniformGenerator generator;
+  for (auto _ : state) {
+    EnumerationResult result =
+        EnumerateRepairs(w.db, w.constraints, generator);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_WalkedExact)->DenseRange(4, 6, 1)->Unit(benchmark::kMillisecond);
+
+void BM_FactoredExact(benchmark::State& state) {
+  gen::Workload w = Conflicts(static_cast<size_t>(state.range(0)));
   UniformChainGenerator generator;
   for (auto _ : state) {
     EnumerationResult result =
@@ -28,24 +45,21 @@ void BM_MonolithicExact(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_MonolithicExact)
-    ->DenseRange(1, 6, 1)
+BENCHMARK(BM_FactoredExact)
+    ->DenseRange(4, 6, 1)
     ->Unit(benchmark::kMillisecond);
 
 void BM_LocalizedExact(benchmark::State& state) {
   size_t conflicts = static_cast<size_t>(state.range(0));
-  gen::Workload w = gen::MakeKeyViolationWorkload(
-      conflicts + 2, conflicts, 2, /*seed=*/600);
+  gen::Workload w = Conflicts(conflicts);
   UniformChainGenerator generator;
   for (auto _ : state) {
     Result<LocalizedRepairs> result =
         LocalizeAndEnumerate(w.db, w.constraints, generator);
     benchmark::DoNotOptimize(result);
   }
-  gen::Workload check = gen::MakeKeyViolationWorkload(
-      conflicts + 2, conflicts, 2, /*seed=*/600);
   Result<LocalizedRepairs> localized =
-      LocalizeAndEnumerate(check.db, check.constraints, generator);
+      LocalizeAndEnumerate(w.db, w.constraints, generator);
   state.counters["components"] =
       static_cast<double>(localized->components().size());
   state.counters["repair_combinations"] =
@@ -73,14 +87,15 @@ BENCHMARK(BM_LocalizedExactLarge)
     ->Range(16, 256)
     ->Unit(benchmark::kMillisecond);
 
-// Correctness gate run once at exit of the benchmark binary: the factored
-// marginals equal the monolithic CPs on a verifiable size.
+// Correctness gate run once at exit of the benchmark binary: the
+// localized marginals equal the walked chain's CPs on a verifiable size.
 void BM_EqualityGate(benchmark::State& state) {
   gen::Workload w = gen::MakeKeyViolationWorkload(6, 4, 2, /*seed=*/602);
   UniformChainGenerator generator;
+  bench::WalkedUniformGenerator walked;
   bool equal = true;
   for (auto _ : state) {
-    EnumerationResult mono = EnumerateRepairs(w.db, w.constraints, generator);
+    EnumerationResult mono = EnumerateRepairs(w.db, w.constraints, walked);
     Result<LocalizedRepairs> localized =
         LocalizeAndEnumerate(w.db, w.constraints, generator);
     for (const Fact& fact : w.db.AllFacts()) {

@@ -1,7 +1,11 @@
 // E5 — Theorem 5's observable consequence: exact OCQA is FP#P-complete,
 // so the exact chain enumeration blows up exponentially with the number of
 // key conflicts, while each individual chain walk stays polynomial.
-// google-benchmark over the key-violation workload family.
+// google-benchmark over the key-violation workload family. Its conflicts
+// are independent components, which EnumerateRepairs factors instead of
+// walking (repair/localization.h); every row here runs the uniform chain
+// through bench::WalkedUniformGenerator, so the rows keep measuring the
+// walk and memo they were baselined on (bench e10 compares the two).
 
 #include <benchmark/benchmark.h>
 
@@ -47,7 +51,7 @@ void BM_ExactEnumeration(benchmark::State& state) {
   size_t violating_keys = static_cast<size_t>(state.range(0));
   gen::Workload w = gen::MakeKeyViolationWorkload(
       violating_keys + 2, violating_keys, 2, /*seed=*/100);
-  UniformChainGenerator generator;
+  bench::WalkedUniformGenerator generator;
   size_t states_visited = 0;
   size_t repairs = 0;
   for (auto _ : state) {
@@ -71,7 +75,7 @@ void BM_ExactOcqaQuery(benchmark::State& state) {
   size_t violating_keys = static_cast<size_t>(state.range(0));
   gen::Workload w = gen::MakeKeyViolationWorkload(
       violating_keys + 2, violating_keys, 2, /*seed=*/100);
-  UniformChainGenerator generator;
+  bench::WalkedUniformGenerator generator;
   Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
   for (auto _ : state) {
     OcaResult oca = ComputeOca(w.db, w.constraints, generator, *q);
@@ -89,7 +93,7 @@ void BM_MemoizedEnumeration(benchmark::State& state) {
   size_t violating_keys = static_cast<size_t>(state.range(0));
   gen::Workload w = gen::MakeKeyViolationWorkload(
       violating_keys + 2, violating_keys, 2, /*seed=*/100);
-  UniformChainGenerator generator;
+  bench::WalkedUniformGenerator generator;
   EnumerationOptions options;
   options.memoize = true;
   size_t virtual_states = 0;
@@ -117,7 +121,7 @@ void BM_PersistentCacheQueries(benchmark::State& state) {
   bool persist = state.range(0) != 0;
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
   std::vector<Query> queries = PersistQueries(*w.schema);
-  UniformChainGenerator generator;
+  bench::WalkedUniformGenerator generator;
   double hit_rate = 0;
   for (auto _ : state) {
     RepairSpaceCache cache;
@@ -155,7 +159,7 @@ void BM_DiskWarmStart(benchmark::State& state) {
   namespace fs = std::filesystem;
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
   std::vector<Query> queries = PersistQueries(*w.schema);
-  UniformChainGenerator generator;
+  bench::WalkedUniformGenerator generator;
   fs::path dir = fs::temp_directory_path() /
                  (std::string("opcqa_bench_disk_") + (warm ? "warm" : "cold"));
   fs::remove_all(dir);
@@ -216,7 +220,7 @@ void BM_DiskDeltaSpill(benchmark::State& state) {
   bool delta = state.range(0) != 0;
   namespace fs = std::filesystem;
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
-  UniformChainGenerator generator;
+  bench::WalkedUniformGenerator generator;
   fs::path dir = fs::temp_directory_path() /
                  (std::string("opcqa_bench_delta_") + (delta ? "on" : "off"));
   RepairCacheOptions disk;
@@ -271,7 +275,7 @@ void BM_PlannerDispatch(benchmark::State& state) {
   bool rewrite = state.range(0) != 0;
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
   Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
-  UniformChainGenerator generator;
+  bench::WalkedUniformGenerator generator;
   engine::SessionOptions options;
   options.plan =
       rewrite ? planner::PlanMode::kAuto : planner::PlanMode::kWalk;
@@ -302,7 +306,7 @@ void BM_ExactEnumerationGroupSize(benchmark::State& state) {
   size_t group = static_cast<size_t>(state.range(0));
   gen::Workload w =
       gen::MakeKeyViolationWorkload(3, 2, group, /*seed=*/101);
-  UniformChainGenerator generator;
+  bench::WalkedUniformGenerator generator;
   for (auto _ : state) {
     EnumerationResult result =
         EnumerateRepairs(w.db, w.constraints, generator);
@@ -318,7 +322,7 @@ BENCHMARK(BM_ExactEnumerationGroupSize)
 void BM_ParallelEnumeration(benchmark::State& state) {
   size_t threads = static_cast<size_t>(state.range(0));
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
-  UniformChainGenerator generator;
+  bench::WalkedUniformGenerator generator;
   EnumerationOptions options;
   options.threads = threads;
   for (auto _ : state) {
@@ -344,7 +348,7 @@ void RecordParallelSweep() {
                 "(n=5 key conflicts, ~7e4 chain states)");
   bench::MarkThreadSweep();
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
-  UniformChainGenerator generator;
+  bench::WalkedUniformGenerator generator;
   double serial_ms = 0;
   for (size_t threads : {1, 2, 4, 8}) {
     EnumerationOptions options;
@@ -377,7 +381,7 @@ void RecordMemoSweep() {
   bench::Header("e5_memo_scaling",
                 "Exact enumeration wall-clock, transposition-table "
                 "memoization off vs on (key-conflict family, group 2)");
-  UniformChainGenerator generator;
+  bench::WalkedUniformGenerator generator;
   for (size_t n : {4, 5, 6}) {
     gen::Workload w =
         gen::MakeKeyViolationWorkload(n + 2, n, 2, /*seed=*/100);
@@ -423,7 +427,7 @@ void RecordMemoSweep() {
 void RecordPersistSweep() {
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
   std::vector<Query> queries = PersistQueries(*w.schema);
-  UniformChainGenerator generator;
+  bench::WalkedUniformGenerator generator;
   double times[2] = {0, 0};
   std::string hit_rates;
   MemoStats cache_stats;
@@ -486,7 +490,7 @@ void RecordDiskSweep() {
   namespace fs = std::filesystem;
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
   std::vector<Query> queries = PersistQueries(*w.schema);
-  UniformChainGenerator generator;
+  bench::WalkedUniformGenerator generator;
   fs::path dir = fs::temp_directory_path() / "opcqa_bench_disk_sweep";
   RepairCacheOptions disk;
   disk.snapshot_dir = dir.string();
@@ -563,7 +567,7 @@ void RecordDiskSweep() {
 void RecordDeltaSweep() {
   namespace fs = std::filesystem;
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
-  UniformChainGenerator generator;
+  bench::WalkedUniformGenerator generator;
   fs::path dir = fs::temp_directory_path() / "opcqa_bench_delta_sweep";
   constexpr size_t kBudgets[] = {3000,  6000,  9000,  12000, 15000, 18000,
                                  21000, 24000, 27000, 30000, 36000, 1u << 22};

@@ -58,6 +58,26 @@ class ChainGenerator {
   /// generator must opt in explicitly.
   virtual bool history_independent() const { return false; }
 
+  /// True when the generator is *local* on denial-only Σ: the conflict
+  /// components of D (repair/localization.h) are repaired by independent
+  /// chains. Precisely, given that the chosen extension lies in component
+  /// C, its probability is a function of C's facts and violations alone,
+  /// and an extension has positive probability exactly when it has
+  /// positive probability on the chain of C's facts by themselves. The
+  /// global chain is then a scheduler interleaving per-component chains,
+  /// and EnumerateRepairs factors such a root by component
+  /// (repair/repair_enumerator.h) instead of walking the interleavings.
+  /// A local generator must also be history independent. Defaults to
+  /// false. Uniform, uniform-deletions and trust opt in. The preference
+  /// generator does not: its weights count Pref(a,·) over the whole
+  /// instance. Priority generators such as minchange do not either: the
+  /// mass goes to the globally best rank, so a component whose best
+  /// operation ranks below another component's gets none while the other
+  /// is violated. Minchange happens to be local when every violated
+  /// component always offers a single-fact deletion, but that is a
+  /// property of the instance, not of the generator.
+  virtual bool local() const { return false; }
+
   /// Value identity for cross-query repair-space caching
   /// (repair/repair_cache.h). A non-empty string is a promise: any two
   /// generator instances returning the *same* string assign the same
@@ -88,6 +108,7 @@ class UniformChainGenerator : public ChainGenerator {
                      std::vector<Rational>* probs) const override;
   std::string name() const override { return "uniform"; }
   bool history_independent() const override { return true; }
+  bool local() const override { return true; }
   std::string cache_identity() const override { return "uniform"; }
 };
 
@@ -102,14 +123,16 @@ class DeletionOnlyUniformGenerator : public ChainGenerator {
   std::string name() const override { return "uniform-deletions"; }
   bool supports_only_deletions() const override { return true; }
   bool history_independent() const override { return true; }
+  bool local() const override { return true; }
   std::string cache_identity() const override { return "uniform-deletions"; }
 };
 
 /// Wraps an arbitrary probability function. It keeps the base-class
-/// defaults: history-dependent and without a cache identity, so its walks
-/// are never memoized (`fn` may read the path or close over anything). A
-/// generator that should memoize subclasses ChainGenerator and opts in
-/// through history_independent() / cache_identity().
+/// defaults: history-dependent, not local and without a cache identity,
+/// so its walks are never memoized or factored (`fn` may read the path
+/// or close over anything). A generator that should memoize subclasses
+/// ChainGenerator and opts in through history_independent() /
+/// cache_identity().
 class LambdaChainGenerator : public ChainGenerator {
  public:
   using Fn = std::function<std::vector<Rational>(

@@ -1,8 +1,10 @@
 #include "repair/localization.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 
+#include "obs/metrics.h"
 #include "repair/abc.h"
 #include "util/logging.h"
 
@@ -28,6 +30,163 @@ class UnionFind {
  private:
   std::vector<size_t> parent_;
 };
+
+// Counts by depth or length: entry d counts the sequences (or states)
+// of length d. Counts saturate at SIZE_MAX; a saturated count is past any
+// state budget, which is all a caller needs to know of it.
+using Profile = std::vector<size_t>;
+
+size_t SaturatingAdd(size_t a, size_t b) {
+  size_t sum;
+  return __builtin_add_overflow(a, b, &sum) ? SIZE_MAX : sum;
+}
+
+size_t SaturatingMul(size_t a, size_t b) {
+  size_t product;
+  return __builtin_mul_overflow(a, b, &product) ? SIZE_MAX : product;
+}
+
+size_t Total(const Profile& profile) {
+  size_t total = 0;
+  for (size_t count : profile) total = SaturatingAdd(total, count);
+  return total;
+}
+
+// Adds `below` one level down: the counts of a child's subtree seen from
+// its parent.
+void AddShifted(const Profile& below, Profile* profile) {
+  if (profile->size() < below.size() + 1) profile->resize(below.size() + 1);
+  for (size_t d = 0; d < below.size(); ++d) {
+    (*profile)[d + 1] = SaturatingAdd((*profile)[d + 1], below[d]);
+  }
+}
+
+// The interleavings of two independent chains: a sequence of length a in
+// one and of length b in the other interleave in C(a+b, a) ways, so the
+// result is the binomial convolution Σ_a C(L, a) f[a] g[L−a] (the product
+// of the exponential generating functions).
+Profile Interleave(const Profile& f, const Profile& g) {
+  Profile result(f.size() + g.size() - 1, 0);
+  std::vector<size_t> binomial{1};  // row L of Pascal's triangle
+  for (size_t length = 0; length < result.size(); ++length) {
+    if (length > 0) {
+      binomial.push_back(1);
+      for (size_t a = length - 1; a > 0; --a) {
+        binomial[a] = SaturatingAdd(binomial[a], binomial[a - 1]);
+      }
+    }
+    size_t first = length < g.size() ? 0 : length - g.size() + 1;
+    for (size_t a = first; a < f.size() && a <= length; ++a) {
+      size_t term =
+          SaturatingMul(binomial[a], SaturatingMul(f[a], g[length - a]));
+      result[length] = SaturatingAdd(result[length], term);
+    }
+  }
+  return result;
+}
+
+// The completed chain below one state: per-repair masses and the depth
+// profiles the walk's counters are sums of. Component states are
+// memoized by their removed set, so a summary's repairs are stored as the
+// ids removed from the chain root, identical for every path reaching it.
+struct ChainSummary {
+  struct Share {
+    std::vector<FactId> removed;  // ascending
+    Rational mass;                // relative to this state
+    Profile sequences;            // successful sequences by length below
+  };
+  std::vector<Share> repairs;  // ascending removed
+  Profile states;              // states by depth below, this one at 0
+  Profile leaves;              // absorbing states by depth below
+};
+
+// Solves one component's chain depth-first, memoized by database.
+// `visited` counts the states of the unmemoized tree reached so far (a
+// memoized state adds its whole subtree), so the solve stops as soon as
+// the component alone has more states than the budget.
+class ComponentSolver {
+ public:
+  ComponentSolver(const ChainGenerator& generator, size_t max_states)
+      : generator_(generator), max_states_(max_states) {}
+
+  std::shared_ptr<const ChainSummary> Solve(RepairingState& state) {
+    auto cached = memo_.find(state.removed());
+    if (cached != memo_.end()) {
+      visited_ = SaturatingAdd(visited_, Total(cached->second->states));
+      return visited_ > max_states_ ? nullptr : cached->second;
+    }
+    if (++visited_ > max_states_) return nullptr;
+    auto node = std::make_shared<ChainSummary>();
+    node->states = {1};
+    std::vector<Operation> extensions = state.ValidExtensions();
+    if (extensions.empty()) {
+      // Denial-only: any violation can still be repaired by a deletion,
+      // so an absorbing state is consistent.
+      OPCQA_CHECK(state.IsConsistent())
+          << "failing leaf in a denial-only chain";
+      node->leaves = {1};
+      node->repairs.push_back(
+          ChainSummary::Share{state.removed(), Rational(1), Profile{1}});
+    } else {
+      node->leaves = {0};
+      std::vector<Rational> probs;
+      CheckedProbabilities(generator_, state, extensions, &probs);
+      std::map<std::vector<FactId>, ChainSummary::Share> repairs;
+      for (size_t i = 0; i < extensions.size(); ++i) {
+        // Zero-probability edges are unreachable, as in the walk.
+        if (probs[i].is_zero()) continue;
+        state.ApplyTrusted(extensions[i]);
+        std::shared_ptr<const ChainSummary> child = Solve(state);
+        state.Revert();
+        if (child == nullptr) return nullptr;
+        AddShifted(child->states, &node->states);
+        AddShifted(child->leaves, &node->leaves);
+        for (const ChainSummary::Share& share : child->repairs) {
+          ChainSummary::Share& mine = repairs[share.removed];
+          mine.mass += probs[i] * share.mass;
+          AddShifted(share.sequences, &mine.sequences);
+        }
+      }
+      node->repairs.reserve(repairs.size());
+      for (auto& [removed, share] : repairs) {
+        share.removed = removed;
+        node->repairs.push_back(std::move(share));
+      }
+    }
+    memo_.emplace(state.removed(), node);
+    return node;
+  }
+
+ private:
+  const ChainGenerator& generator_;
+  size_t max_states_;
+  size_t visited_ = 0;
+  std::map<std::vector<FactId>, std::shared_ptr<const ChainSummary>> memo_;
+};
+
+// The chain of `component` by itself, or nullptr when it has more than
+// `max_states` states.
+std::shared_ptr<const ChainSummary> SolveComponent(
+    const Database& component, const ConstraintSet& constraints,
+    const ChainGenerator& generator, size_t max_states) {
+  RepairingState root(RepairContext::Make(component, constraints));
+  return ComponentSolver(generator, max_states).Solve(root);
+}
+
+// A chain root's summary as the memo outcome the walk records for it.
+std::shared_ptr<const MemoOutcome> RootOutcome(const ChainSummary& root) {
+  auto outcome = std::make_shared<MemoOutcome>();
+  outcome->states = Total(root.states);
+  outcome->absorbing_states = Total(root.leaves);
+  outcome->successful_sequences = outcome->absorbing_states;
+  outcome->depth_below = root.states.size() - 1;
+  for (const ChainSummary::Share& share : root.repairs) {
+    outcome->success_mass += share.mass;
+    outcome->repairs.push_back(MemoOutcome::RepairShare{
+        share.removed, share.mass, Total(share.sequences)});
+  }
+  return outcome;
+}
 
 }  // namespace
 
@@ -67,31 +226,88 @@ Result<LocalizedRepairs> LocalizeAndEnumerate(
         "repair localization requires a denial-only (EGD/DC) constraint "
         "set: TGD additions couple components through the base");
   }
+  OPCQA_CHECK(generator.local() && generator.history_independent())
+      << "repair localization needs a local generator, got '"
+      << generator.name() << "'";
   LocalizedRepairs result;
-  std::vector<std::vector<Fact>> components =
-      ConflictComponents(db, constraints);
-  // Untouched facts: everything outside every component.
-  std::set<Fact> in_conflict;
-  for (const auto& component : components) {
-    in_conflict.insert(component.begin(), component.end());
-  }
-  result.untouched_ = Database(&db.schema());
-  for (const Fact& fact : db.AllFacts()) {
-    if (in_conflict.count(fact) == 0) result.untouched_.Insert(fact);
-  }
-  for (const auto& component : components) {
+  result.untouched_ = db;
+  for (const std::vector<Fact>& component :
+       ConflictComponents(db, constraints)) {
     LocalizedComponent localized;
     localized.sub_db = Database(&db.schema());
-    for (const Fact& fact : component) localized.sub_db.Insert(fact);
-    localized.distribution =
-        EnumerateRepairs(localized.sub_db, constraints, generator, options);
-    if (localized.distribution.truncated) {
+    for (const Fact& fact : component) {
+      localized.sub_db.Insert(fact);
+      result.untouched_.Erase(fact);
+    }
+    std::shared_ptr<const ChainSummary> node =
+        SolveComponent(localized.sub_db, constraints, generator,
+                       options.max_states);
+    if (node == nullptr) {
       return Status::ResourceExhausted(
           "component enumeration exceeded the state budget");
     }
+    localized.distribution =
+        ResultOfOutcome(localized.sub_db, *RootOutcome(*node));
     result.components_.push_back(std::move(localized));
   }
   return result;
+}
+
+std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
+                                              const ChainGenerator& generator,
+                                              size_t max_states) {
+  if (!context.denial_only || !generator.local() ||
+      !generator.history_independent()) {
+    return nullptr;
+  }
+  std::vector<std::vector<Fact>> components =
+      ConflictComponents(context.initial, context.constraints);
+  if (components.size() < 2) return nullptr;
+  // The root's summary, folded one component at a time: the states and
+  // leaves interleave, and the repairs form the product of the component
+  // distributions (one repair per choice of a repair in every component,
+  // its mass the product of theirs, its sequences the interleavings of
+  // theirs). A partial fold counts states of the full chain with the other
+  // components still at their roots, so it never exceeds the total and
+  // may stop the fold early.
+  ChainSummary root;
+  root.repairs.push_back({{}, Rational(1), Profile{1}});  // nothing removed
+  root.states = root.leaves = Profile{1};
+  for (const std::vector<Fact>& component : components) {
+    Database sub_db(&context.initial.schema());
+    for (const Fact& fact : component) sub_db.Insert(fact);
+    std::shared_ptr<const ChainSummary> node =
+        SolveComponent(sub_db, context.constraints, generator, max_states);
+    if (node == nullptr) return nullptr;
+    root.states = Interleave(root.states, node->states);
+    if (Total(root.states) > max_states) return nullptr;
+    root.leaves = Interleave(root.leaves, node->leaves);
+    std::vector<ChainSummary::Share> product;
+    product.reserve(root.repairs.size() * node->repairs.size());
+    for (const ChainSummary::Share& mine : root.repairs) {
+      for (const ChainSummary::Share& theirs : node->repairs) {
+        ChainSummary::Share& combined = product.emplace_back();
+        std::merge(mine.removed.begin(), mine.removed.end(),
+                   theirs.removed.begin(), theirs.removed.end(),
+                   std::back_inserter(combined.removed));
+        combined.mass = mine.mass * theirs.mass;
+        combined.sequences = Interleave(mine.sequences, theirs.sequences);
+      }
+    }
+    root.repairs = std::move(product);
+  }
+  // The walk records its shares in delta order.
+  std::sort(root.repairs.begin(), root.repairs.end(),
+            [](const ChainSummary::Share& a, const ChainSummary::Share& b) {
+              return a.removed < b.removed;
+            });
+  static obs::Counter* const factored_roots =
+      obs::MetricsRegistry::Global().GetCounter("engine.factored_roots");
+  static obs::Counter* const factored_components =
+      obs::MetricsRegistry::Global().GetCounter("engine.factored_components");
+  factored_roots->Add();
+  factored_components->Add(components.size());
+  return RootOutcome(root);
 }
 
 BigInt LocalizedRepairs::NumRepairCombinations() const {

@@ -12,19 +12,34 @@
 // and the exact distribution is computed per component — cost exponential
 // in the size of the *largest component* instead of the whole database.
 //
-// Exactness requires the generator to be *local*: the probabilities it
-// assigns within a component must not depend on facts outside it. The
-// uniform, deletion-only-uniform and trust generators are local; the
-// preference generator of Example 4 is not (its weights count Pref(a,·)
-// across the whole instance) — callers assert locality via the
-// `generator_is_local` flag and the property tests cross-check the
-// factored distribution against the monolithic enumerator.
+// Exactness requires the generator to be *local*
+// (ChainGenerator::local()): the probabilities it assigns within a
+// component must not depend on facts outside it. The uniform,
+// deletion-only-uniform and trust generators are local; the preference
+// generator of Example 4 is not (its weights count Pref(a,·) across the
+// whole instance), and neither are the priority generators.
+//
+// This file is the split step of the one exact engine. Each component's
+// chain is solved by a recursion memoized by the component's database
+// (sound by repair/memo.h's argument: the chain is deletion-only and a
+// local generator is history independent). Besides the per-repair masses
+// it keeps depth profiles: states per depth, leaves per depth and, per
+// repair, sequences per length. A global sequence is an interleaving of
+// one sequence per component, and sequences of lengths d_1..d_k have
+// (d_1+…+d_k)! / (d_1!…d_k!) interleavings. So the counters of the walk —
+// states visited, absorbing states, sequences per repair, depth — are the
+// binomial convolutions (products of exponential generating functions) of
+// the component profiles. FactorRoot turns them into the root's memo
+// entry, equal in every field to the one the walk records;
+// EnumerateRepairs replays it instead of walking the interleavings.
+// LocalizeAndEnumerate exposes the components themselves.
 
 #ifndef OPCQA_REPAIR_LOCALIZATION_H_
 #define OPCQA_REPAIR_LOCALIZATION_H_
 
 #include <vector>
 
+#include "repair/memo.h"
 #include "repair/repair_enumerator.h"
 #include "util/random.h"
 
@@ -71,12 +86,24 @@ class LocalizedRepairs {
   std::vector<LocalizedComponent> components_;
 };
 
-/// Splits D into conflict components and enumerates each component's chain.
+/// Splits D into conflict components and solves each component's chain.
 /// Requires denial-only Σ (Status::InvalidArgument otherwise) and a local
-/// generator (see file comment). Component enumerations share `options`.
+/// generator (CHECK-fails otherwise). A component whose chain has more
+/// than options.max_states states is Status::ResourceExhausted; the other
+/// options are not read.
 Result<LocalizedRepairs> LocalizeAndEnumerate(
     const Database& db, const ConstraintSet& constraints,
     const ChainGenerator& generator, const EnumerationOptions& options = {});
+
+/// The factored root of the chain on context.initial: the completed
+/// outcome EnumerateRepairs would record for the root (masses relative to
+/// it), computed from the conflict components. Null when the chain is not
+/// factored: Σ is not denial-only, the generator is not local, D has
+/// fewer than two conflict components, or the chain has more than
+/// `max_states` states (the walk then truncates exactly as before).
+std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
+                                              const ChainGenerator& generator,
+                                              size_t max_states);
 
 /// The conflict components themselves (sorted fact lists), exposed for
 /// diagnostics and tests.

@@ -30,6 +30,12 @@
 // when Σ has TGDs and only a deletions-only generator keeps additions out
 // of the tree.
 //
+// The same argument makes a conflict component's chain a function of the
+// component's database, which is how the split step of the enumerator
+// (repair/localization.h) memoizes each component alone. A factored root
+// is recorded here as one ordinary root entry, equal to the one the walk
+// records; its inner states get no entries.
+//
 // ## Keys, collisions, determinism
 //
 // States are keyed on the database hash, maintained incrementally under

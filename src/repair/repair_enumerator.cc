@@ -9,6 +9,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "repair/localization.h"
 #include "repair/repair_cache.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -69,6 +70,17 @@ class SubtreeWalker {
       std::shared_ptr<const MemoOutcome> cached = memo_->Lookup(state);
       if (cached != nullptr && Replay(*cached, state, mass)) {
         return cached->depth_below;
+      }
+    }
+    if (state.depth() == 0) {
+      // The split step (repair/localization.h): a root whose conflicts
+      // fall into independent components is solved per component, and
+      // its outcome, equal to what walking it would record, is replayed.
+      std::shared_ptr<const MemoOutcome> factored =
+          FactorRoot(state.context(), generator_, budget_);
+      if (factored != nullptr && Replay(*factored, state, mass)) {
+        if (memo_ != nullptr) memo_->Insert(state, factored);
+        return factored->depth_below;
       }
     }
     Frame frame;
@@ -401,6 +413,42 @@ std::vector<RepairInfo> AssembleRepairs(const Database& initial,
   return repairs;
 }
 
+namespace {
+
+// Indexes result->repairs by delta for ProbabilityOf.
+void IndexByDelta(EnumerationResult* result) {
+  result->repairs_by_delta.resize(result->repairs.size());
+  std::iota(result->repairs_by_delta.begin(), result->repairs_by_delta.end(),
+            0u);
+  std::sort(result->repairs_by_delta.begin(), result->repairs_by_delta.end(),
+            [&](uint32_t a, uint32_t b) {
+              return result->repairs[a] < result->repairs[b];
+            });
+}
+
+}  // namespace
+
+EnumerationResult ResultOfOutcome(const Database& initial,
+                                  const MemoOutcome& outcome) {
+  EnumerationResult result;
+  RepairTallies tallies;
+  for (const MemoOutcome::RepairShare& share : outcome.repairs) {
+    tallies.emplace(RepairDelta{share.removed, {}},
+                    RepairTally{share.mass, share.num_sequences});
+  }
+  result.repairs = AssembleRepairs(initial, std::move(tallies));
+  IndexByDelta(&result);
+  result.success_mass = outcome.success_mass;
+  result.failing_mass = outcome.failing_mass;
+  result.states_visited = outcome.states;
+  result.absorbing_states = outcome.absorbing_states;
+  result.successful_sequences = outcome.successful_sequences;
+  result.failing_sequences = outcome.failing_sequences;
+  result.max_depth = outcome.depth_below;
+  result.initial = initial;
+  return result;
+}
+
 Rational EnumerationResult::ProbabilityOf(const Database& repair) const {
   RepairDelta delta;
   for (FactId id : initial.AllFactIds()) {
@@ -453,13 +501,7 @@ EnumerationResult EnumerateRepairs(const Database& db,
                        threads);
   walker.Visit(root, Rational(1));
   EnumerationResult result = std::move(walker).Take(db);
-  result.repairs_by_delta.resize(result.repairs.size());
-  std::iota(result.repairs_by_delta.begin(), result.repairs_by_delta.end(),
-            0u);
-  std::sort(result.repairs_by_delta.begin(), result.repairs_by_delta.end(),
-            [&](uint32_t a, uint32_t b) {
-              return result.repairs[a] < result.repairs[b];
-            });
+  IndexByDelta(&result);
   // Per-call view: counters accrued by this enumeration even when the
   // table is shared and outlives the call.
   if (memo != nullptr) {

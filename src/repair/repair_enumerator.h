@@ -11,6 +11,17 @@
 // This is the FP#P-hard exact computation (Theorem 5); a node budget guards
 // against runaway instances and reports truncation honestly.
 //
+// Before walking, a root that misses the memo is offered to the split
+// step (FactorRoot, repair/localization.h). When Σ is denial-only, the
+// generator is local() and D has at least two conflict components, the
+// chain is an interleaving of independent per-component chains: each
+// component is solved alone and their depth profiles are convolved into
+// the outcome the walk would record, equal in every field, which is then
+// replayed like a memo hit and recorded as the root's one memo entry. A
+// root whose chain exceeds max_states is walked, so truncation is
+// unchanged. Minchange and preference are not local (chain_generator.h)
+// and keep the walk, as do TGDs and single-component roots.
+//
 // The walk is one depth-first pass from ε at every thread count. With
 // options.threads > 1 only the root frame changes: its children are walked
 // speculatively in parallel, each on a forked delta-based RepairingState,
@@ -131,6 +142,11 @@ struct EnumerationResult {
   /// against `initial`, then O(log n) via repairs_by_delta.
   Rational ProbabilityOf(const Database& repair) const;
 };
+
+/// What walking the chain rooted at `initial` returns when its completed
+/// outcome (a root memo entry, masses relative to the root) is known.
+EnumerationResult ResultOfOutcome(const Database& initial,
+                                  const MemoOutcome& outcome);
 
 /// Walks MΣ(D) and returns the full repair distribution.
 EnumerationResult EnumerateRepairs(const Database& db,

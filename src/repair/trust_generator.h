@@ -42,6 +42,11 @@ class TrustChainGenerator : public ChainGenerator {
   bool supports_only_deletions() const override { return true; }
   // Weights read the violating pairs of s(D) and the fixed trust map.
   bool history_independent() const override { return true; }
+  // An extension's weight sums over the violating pairs it deletes from,
+  // which lie in its own conflict component, and every pair's weights sum
+  // to 1. So within a component the probability is the weight over that
+  // component's pair count, and the other components never enter it.
+  bool local() const override { return true; }
   // Serializes the full trust map (facts via their globally-interned
   // ids), so equal identities imply equal distributions, never merely
   // equal hashes.

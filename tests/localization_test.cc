@@ -1,5 +1,6 @@
 // Tests for repair localization: component structure, factored
-// distribution exactness against the monolithic enumerator, and sampling.
+// distribution exactness against the walked (monolithic) chain, and
+// sampling.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "repair/localization.h"
 #include "repair/ocqa.h"
 #include "repair/trust_generator.h"
+#include "walked_generator.h"
 
 namespace opcqa {
 namespace {
@@ -88,7 +90,8 @@ TEST_P(LocalizationExactnessTest, MarginalsMatchMonolithicEnumeration) {
   ASSERT_TRUE(localized.ok());
   Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
   ASSERT_TRUE(q.ok());
-  OcaResult monolithic = ComputeOca(w.db, w.constraints, gen, *q);
+  OcaResult monolithic =
+      ComputeOca(w.db, w.constraints, Walked<UniformChainGenerator>(), *q);
   for (const Fact& fact : w.db.AllFacts()) {
     Tuple tuple(fact.args());
     EXPECT_EQ(localized->FactSurvivalProbability(fact),
@@ -109,7 +112,8 @@ TEST(LocalizationTest, TrustGeneratorMarginalsMatchMonolithic) {
   Result<Query> q = ParseQuery(*tw.workload.schema, "Q(x,y) := R(x,y)");
   ASSERT_TRUE(q.ok());
   OcaResult monolithic =
-      ComputeOca(tw.workload.db, tw.workload.constraints, gen, *q);
+      ComputeOca(tw.workload.db, tw.workload.constraints,
+                 Walked<TrustChainGenerator>(tw.trust), *q);
   for (const Fact& fact : tw.workload.db.AllFacts()) {
     EXPECT_EQ(localized->FactSurvivalProbability(fact),
               monolithic.Probability(Tuple(fact.args())))
@@ -127,7 +131,8 @@ TEST(LocalizationTest, CombinationCountIsProductOfComponents) {
   EXPECT_EQ(localized->NumRepairCombinations(), BigInt(27));
   EXPECT_EQ(localized->MaxComponentSize(), 2u);
   // The monolithic enumerator materializes exactly that many repairs.
-  EnumerationResult mono = EnumerateRepairs(w.db, w.constraints, gen);
+  EnumerationResult mono = EnumerateRepairs(
+      w.db, w.constraints, Walked<UniformChainGenerator>());
   EXPECT_EQ(BigInt(static_cast<uint64_t>(mono.repairs.size())),
             localized->NumRepairCombinations());
 }

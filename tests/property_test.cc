@@ -29,6 +29,7 @@
 #include "repair/top_k.h"
 #include "repair/trust_generator.h"
 #include "util/random.h"
+#include "walked_generator.h"
 
 namespace opcqa {
 namespace {
@@ -249,7 +250,7 @@ TEST_P(ChainPropertyTest, LocalizationMatchesMonolithic) {
   auto localized = LocalizeAndEnumerate(w_.db, w_.constraints, uniform_);
   ASSERT_TRUE(localized.ok()) << localized.status().ToString();
   EnumerationResult monolithic =
-      EnumerateRepairs(w_.db, w_.constraints, uniform_);
+      EnumerateRepairs(w_.db, w_.constraints, Walked<UniformChainGenerator>());
   ASSERT_FALSE(monolithic.truncated);
   // Per-fact survival marginals must agree exactly.
   for (const Fact& fact : w_.db.AllFacts()) {
