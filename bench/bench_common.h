@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "repair/chain_generator.h"
 
 namespace opcqa {
 namespace bench {
@@ -199,19 +198,6 @@ class Timer {
 
  private:
   std::chrono::steady_clock::time_point start_;
-};
-
-/// The uniform generator minus local(): EnumerateRepairs walks every
-/// interleaving of the chain instead of factoring the root by conflict
-/// component (repair/localization.h). It keeps history_independent() and
-/// the "uniform" cache identity, so the memo and the repair-space cache
-/// see it exactly as the uniform generator. Rows baselined on the walk
-/// and its memo run through it and keep measuring what they were
-/// baselined on; the regression gate's suite-median normalizer would
-/// otherwise compare them against rows that stopped walking.
-class WalkedUniformGenerator : public UniformChainGenerator {
- public:
-  bool local() const override { return false; }
 };
 
 }  // namespace bench

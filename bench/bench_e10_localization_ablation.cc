@@ -9,12 +9,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <memory>
 
-#include "bench_common.h"
+#include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "repair/localization.h"
 #include "repair/ocqa.h"
+#include "util/logging.h"
 
 namespace {
 
@@ -27,7 +30,7 @@ gen::Workload Conflicts(size_t n) {
 
 void BM_WalkedExact(benchmark::State& state) {
   gen::Workload w = Conflicts(static_cast<size_t>(state.range(0)));
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   for (auto _ : state) {
     EnumerationResult result =
         EnumerateRepairs(w.db, w.constraints, generator);
@@ -48,6 +51,47 @@ void BM_FactoredExact(benchmark::State& state) {
 BENCHMARK(BM_FactoredExact)
     ->DenseRange(4, 6, 1)
     ->Unit(benchmark::kMillisecond);
+
+// What the split step costs a root it hands back to the walk: one 7-fact
+// key group (a single conflict component) beside 63 clean keys. /0 runs
+// the walked generator, whose roots skip the step; /1 the uniform
+// generator, whose root the step inspects and declines. Both walk the
+// same chain.
+void BM_UnfactoredRoot(benchmark::State& state) {
+  gen::Workload w = gen::MakeKeyViolationWorkload(64, 1, 7, /*seed=*/603);
+  gen::Walked<UniformChainGenerator> walked;
+  UniformChainGenerator uniform;
+  const ChainGenerator& generator =
+      state.range(0) == 0 ? static_cast<const ChainGenerator&>(walked)
+                          : uniform;
+  size_t states_visited = 0;
+  for (auto _ : state) {
+    EnumerationResult result =
+        EnumerateRepairs(w.db, w.constraints, generator);
+    states_visited = result.states_visited;
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["states"] = static_cast<double>(states_visited);
+}
+BENCHMARK(BM_UnfactoredRoot)
+    ->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+// The split step alone on BM_UnfactoredRoot's root: it reads the
+// components off V(D,Σ) (21 violations, one component) and declines.
+void BM_SplitStepDeclines(benchmark::State& state) {
+  gen::Workload w = gen::MakeKeyViolationWorkload(64, 1, 7, /*seed=*/603);
+  std::shared_ptr<const RepairContext> context =
+      RepairContext::Make(w.db, w.constraints);
+  UniformChainGenerator generator;
+  for (auto _ : state) {
+    std::shared_ptr<const MemoOutcome> factored =
+        FactorRoot(*context, generator, SIZE_MAX);
+    OPCQA_CHECK(factored == nullptr) << "a single component was factored";
+    benchmark::DoNotOptimize(factored);
+  }
+}
+BENCHMARK(BM_SplitStepDeclines)->Unit(benchmark::kMicrosecond);
 
 void BM_LocalizedExact(benchmark::State& state) {
   size_t conflicts = static_cast<size_t>(state.range(0));
@@ -92,7 +136,7 @@ BENCHMARK(BM_LocalizedExactLarge)
 void BM_EqualityGate(benchmark::State& state) {
   gen::Workload w = gen::MakeKeyViolationWorkload(6, 4, 2, /*seed=*/602);
   UniformChainGenerator generator;
-  bench::WalkedUniformGenerator walked;
+  gen::Walked<UniformChainGenerator> walked;
   bool equal = true;
   for (auto _ : state) {
     EnumerationResult mono = EnumerateRepairs(w.db, w.constraints, walked);

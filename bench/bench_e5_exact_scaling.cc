@@ -4,7 +4,7 @@
 // google-benchmark over the key-violation workload family. Its conflicts
 // are independent components, which EnumerateRepairs factors instead of
 // walking (repair/localization.h); every row here runs the uniform chain
-// through bench::WalkedUniformGenerator, so the rows keep measuring the
+// through gen::Walked<UniformChainGenerator>, so the rows keep measuring the
 // walk and memo they were baselined on (bench e10 compares the two).
 
 #include <benchmark/benchmark.h>
@@ -14,6 +14,7 @@
 
 #include "bench_common.h"
 #include "engine/ocqa_session.h"
+#include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "repair/ocqa.h"
@@ -51,7 +52,7 @@ void BM_ExactEnumeration(benchmark::State& state) {
   size_t violating_keys = static_cast<size_t>(state.range(0));
   gen::Workload w = gen::MakeKeyViolationWorkload(
       violating_keys + 2, violating_keys, 2, /*seed=*/100);
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   size_t states_visited = 0;
   size_t repairs = 0;
   for (auto _ : state) {
@@ -75,7 +76,7 @@ void BM_ExactOcqaQuery(benchmark::State& state) {
   size_t violating_keys = static_cast<size_t>(state.range(0));
   gen::Workload w = gen::MakeKeyViolationWorkload(
       violating_keys + 2, violating_keys, 2, /*seed=*/100);
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
   for (auto _ : state) {
     OcaResult oca = ComputeOca(w.db, w.constraints, generator, *q);
@@ -93,7 +94,7 @@ void BM_MemoizedEnumeration(benchmark::State& state) {
   size_t violating_keys = static_cast<size_t>(state.range(0));
   gen::Workload w = gen::MakeKeyViolationWorkload(
       violating_keys + 2, violating_keys, 2, /*seed=*/100);
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   EnumerationOptions options;
   options.memoize = true;
   size_t virtual_states = 0;
@@ -121,7 +122,7 @@ void BM_PersistentCacheQueries(benchmark::State& state) {
   bool persist = state.range(0) != 0;
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
   std::vector<Query> queries = PersistQueries(*w.schema);
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   double hit_rate = 0;
   for (auto _ : state) {
     RepairSpaceCache cache;
@@ -159,7 +160,7 @@ void BM_DiskWarmStart(benchmark::State& state) {
   namespace fs = std::filesystem;
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
   std::vector<Query> queries = PersistQueries(*w.schema);
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   fs::path dir = fs::temp_directory_path() /
                  (std::string("opcqa_bench_disk_") + (warm ? "warm" : "cold"));
   fs::remove_all(dir);
@@ -220,7 +221,7 @@ void BM_DiskDeltaSpill(benchmark::State& state) {
   bool delta = state.range(0) != 0;
   namespace fs = std::filesystem;
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   fs::path dir = fs::temp_directory_path() /
                  (std::string("opcqa_bench_delta_") + (delta ? "on" : "off"));
   RepairCacheOptions disk;
@@ -275,7 +276,7 @@ void BM_PlannerDispatch(benchmark::State& state) {
   bool rewrite = state.range(0) != 0;
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
   Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   engine::SessionOptions options;
   options.plan =
       rewrite ? planner::PlanMode::kAuto : planner::PlanMode::kWalk;
@@ -306,7 +307,7 @@ void BM_ExactEnumerationGroupSize(benchmark::State& state) {
   size_t group = static_cast<size_t>(state.range(0));
   gen::Workload w =
       gen::MakeKeyViolationWorkload(3, 2, group, /*seed=*/101);
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   for (auto _ : state) {
     EnumerationResult result =
         EnumerateRepairs(w.db, w.constraints, generator);
@@ -322,7 +323,7 @@ BENCHMARK(BM_ExactEnumerationGroupSize)
 void BM_ParallelEnumeration(benchmark::State& state) {
   size_t threads = static_cast<size_t>(state.range(0));
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   EnumerationOptions options;
   options.threads = threads;
   for (auto _ : state) {
@@ -348,7 +349,7 @@ void RecordParallelSweep() {
                 "(n=5 key conflicts, ~7e4 chain states)");
   bench::MarkThreadSweep();
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   double serial_ms = 0;
   for (size_t threads : {1, 2, 4, 8}) {
     EnumerationOptions options;
@@ -381,7 +382,7 @@ void RecordMemoSweep() {
   bench::Header("e5_memo_scaling",
                 "Exact enumeration wall-clock, transposition-table "
                 "memoization off vs on (key-conflict family, group 2)");
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   for (size_t n : {4, 5, 6}) {
     gen::Workload w =
         gen::MakeKeyViolationWorkload(n + 2, n, 2, /*seed=*/100);
@@ -427,7 +428,7 @@ void RecordMemoSweep() {
 void RecordPersistSweep() {
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
   std::vector<Query> queries = PersistQueries(*w.schema);
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   double times[2] = {0, 0};
   std::string hit_rates;
   MemoStats cache_stats;
@@ -490,7 +491,7 @@ void RecordDiskSweep() {
   namespace fs = std::filesystem;
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
   std::vector<Query> queries = PersistQueries(*w.schema);
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   fs::path dir = fs::temp_directory_path() / "opcqa_bench_disk_sweep";
   RepairCacheOptions disk;
   disk.snapshot_dir = dir.string();
@@ -567,7 +568,7 @@ void RecordDiskSweep() {
 void RecordDeltaSweep() {
   namespace fs = std::filesystem;
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
-  bench::WalkedUniformGenerator generator;
+  gen::Walked<UniformChainGenerator> generator;
   fs::path dir = fs::temp_directory_path() / "opcqa_bench_delta_sweep";
   constexpr size_t kBudgets[] = {3000,  6000,  9000,  12000, 15000, 18000,
                                  21000, 24000, 27000, 30000, 36000, 1u << 22};

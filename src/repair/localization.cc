@@ -1,11 +1,13 @@
 #include "repair/localization.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <map>
 
+#include "constraints/violation.h"
 #include "obs/metrics.h"
-#include "repair/abc.h"
+#include "relational/fact_store.h"
 #include "util/logging.h"
 
 namespace opcqa {
@@ -188,32 +190,51 @@ std::shared_ptr<const MemoOutcome> RootOutcome(const ChainSummary& root) {
   return outcome;
 }
 
+// The conflict components of a database as ascending fact-id lists, read
+// off its violations: two facts share a component when a chain of
+// violations links them.
+std::vector<std::vector<FactId>> ComponentIds(const ConstraintSet& constraints,
+                                              const ViolationSet& violations) {
+  std::vector<std::vector<FactId>> images;
+  images.reserve(violations.size());
+  std::vector<FactId> facts;
+  for (const Violation& violation : violations) {
+    BodyImageIds(constraints, violation, &images.emplace_back());
+    facts.insert(facts.end(), images.back().begin(), images.back().end());
+  }
+  std::sort(facts.begin(), facts.end());
+  facts.erase(std::unique(facts.begin(), facts.end()), facts.end());
+  auto index_of = [&](FactId id) {
+    return static_cast<size_t>(
+        std::lower_bound(facts.begin(), facts.end(), id) - facts.begin());
+  };
+  UnionFind uf(facts.size());
+  for (const std::vector<FactId>& image : images) {
+    for (FactId id : image) uf.Union(index_of(image.front()), index_of(id));
+  }
+  std::vector<std::vector<FactId>> components;
+  std::vector<size_t> component_of(facts.size(), SIZE_MAX);
+  for (size_t i = 0; i < facts.size(); ++i) {
+    size_t& slot = component_of[uf.Find(i)];
+    if (slot == SIZE_MAX) {
+      slot = components.size();
+      components.emplace_back();
+    }
+    components[slot].push_back(facts[i]);
+  }
+  return components;
+}
+
 }  // namespace
 
 std::vector<std::vector<Fact>> ConflictComponents(
     const Database& db, const ConstraintSet& constraints) {
-  std::vector<Fact> facts = db.AllFacts();
-  std::map<Fact, size_t> index;
-  for (size_t i = 0; i < facts.size(); ++i) index[facts[i]] = i;
-  UnionFind uf(facts.size());
-  std::vector<bool> conflicting(facts.size(), false);
-  for (const auto& edge : ConflictHypergraph(db, constraints)) {
-    size_t first = index.at(edge.front());
-    for (const Fact& fact : edge) {
-      size_t i = index.at(fact);
-      conflicting[i] = true;
-      uf.Union(first, i);
-    }
-  }
-  std::map<size_t, std::vector<Fact>> by_root;
-  for (size_t i = 0; i < facts.size(); ++i) {
-    if (conflicting[i]) by_root[uf.Find(i)].push_back(facts[i]);
-  }
   std::vector<std::vector<Fact>> components;
-  components.reserve(by_root.size());
-  for (auto& [root, component] : by_root) {
+  for (const std::vector<FactId>& ids :
+       ComponentIds(constraints, ComputeViolations(db, constraints))) {
+    std::vector<Fact>& component = components.emplace_back();
+    for (FactId id : ids) component.push_back(FactStore::Global().ToFact(id));
     std::sort(component.begin(), component.end());
-    components.push_back(std::move(component));
   }
   return components;
 }
@@ -239,15 +260,12 @@ Result<LocalizedRepairs> LocalizeAndEnumerate(
       localized.sub_db.Insert(fact);
       result.untouched_.Erase(fact);
     }
-    std::shared_ptr<const ChainSummary> node =
-        SolveComponent(localized.sub_db, constraints, generator,
-                       options.max_states);
-    if (node == nullptr) {
+    localized.distribution =
+        EnumerateRepairs(localized.sub_db, constraints, generator, options);
+    if (localized.distribution.truncated) {
       return Status::ResourceExhausted(
           "component enumeration exceeded the state budget");
     }
-    localized.distribution =
-        ResultOfOutcome(localized.sub_db, *RootOutcome(*node));
     result.components_.push_back(std::move(localized));
   }
   return result;
@@ -256,12 +274,15 @@ Result<LocalizedRepairs> LocalizeAndEnumerate(
 std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
                                               const ChainGenerator& generator,
                                               size_t max_states) {
+  // Two components need two violations: a root with fewer is declined
+  // before any work.
   if (!context.denial_only || !generator.local() ||
-      !generator.history_independent()) {
+      !generator.history_independent() ||
+      context.initial_violations.size() < 2) {
     return nullptr;
   }
-  std::vector<std::vector<Fact>> components =
-      ConflictComponents(context.initial, context.constraints);
+  std::vector<std::vector<FactId>> components =
+      ComponentIds(context.constraints, context.initial_violations);
   if (components.size() < 2) return nullptr;
   // The root's summary, folded one component at a time: the states and
   // leaves interleave, and the repairs form the product of the component
@@ -273,9 +294,9 @@ std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
   ChainSummary root;
   root.repairs.push_back({{}, Rational(1), Profile{1}});  // nothing removed
   root.states = root.leaves = Profile{1};
-  for (const std::vector<Fact>& component : components) {
+  for (const std::vector<FactId>& component : components) {
     Database sub_db(&context.initial.schema());
-    for (const Fact& fact : component) sub_db.Insert(fact);
+    for (FactId id : component) sub_db.InsertId(id);
     std::shared_ptr<const ChainSummary> node =
         SolveComponent(sub_db, context.constraints, generator, max_states);
     if (node == nullptr) return nullptr;

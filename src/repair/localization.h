@@ -32,7 +32,8 @@
 // the component profiles. FactorRoot turns them into the root's memo
 // entry, equal in every field to the one the walk records;
 // EnumerateRepairs replays it instead of walking the interleavings.
-// LocalizeAndEnumerate exposes the components themselves.
+// LocalizeAndEnumerate exposes the components themselves, each enumerated
+// by EnumerateRepairs, without materializing their product.
 
 #ifndef OPCQA_REPAIR_LOCALIZATION_H_
 #define OPCQA_REPAIR_LOCALIZATION_H_
@@ -86,21 +87,24 @@ class LocalizedRepairs {
   std::vector<LocalizedComponent> components_;
 };
 
-/// Splits D into conflict components and solves each component's chain.
-/// Requires denial-only Σ (Status::InvalidArgument otherwise) and a local
-/// generator (CHECK-fails otherwise). A component whose chain has more
-/// than options.max_states states is Status::ResourceExhausted; the other
-/// options are not read.
+/// Splits D into conflict components and enumerates each component's
+/// chain with EnumerateRepairs (one component never factors further, so
+/// this is the walk of that component). Requires denial-only Σ
+/// (Status::InvalidArgument otherwise) and a local generator
+/// (CHECK-fails otherwise). Component enumerations share `options`; a
+/// truncated one is Status::ResourceExhausted.
 Result<LocalizedRepairs> LocalizeAndEnumerate(
     const Database& db, const ConstraintSet& constraints,
     const ChainGenerator& generator, const EnumerationOptions& options = {});
 
 /// The factored root of the chain on context.initial: the completed
 /// outcome EnumerateRepairs would record for the root (masses relative to
-/// it), computed from the conflict components. Null when the chain is not
-/// factored: Σ is not denial-only, the generator is not local, D has
-/// fewer than two conflict components, or the chain has more than
-/// `max_states` states (the walk then truncates exactly as before).
+/// it), computed from the conflict components. The components are read
+/// off context.initial_violations, so a root with fewer than two
+/// violations costs one size check. Null when the chain is not factored:
+/// Σ is not denial-only, the generator is not local, D has fewer than two
+/// conflict components, or the chain has more than `max_states` states
+/// (the walk then truncates exactly as before).
 std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
                                               const ChainGenerator& generator,
                                               size_t max_states);

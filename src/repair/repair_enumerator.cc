@@ -413,42 +413,6 @@ std::vector<RepairInfo> AssembleRepairs(const Database& initial,
   return repairs;
 }
 
-namespace {
-
-// Indexes result->repairs by delta for ProbabilityOf.
-void IndexByDelta(EnumerationResult* result) {
-  result->repairs_by_delta.resize(result->repairs.size());
-  std::iota(result->repairs_by_delta.begin(), result->repairs_by_delta.end(),
-            0u);
-  std::sort(result->repairs_by_delta.begin(), result->repairs_by_delta.end(),
-            [&](uint32_t a, uint32_t b) {
-              return result->repairs[a] < result->repairs[b];
-            });
-}
-
-}  // namespace
-
-EnumerationResult ResultOfOutcome(const Database& initial,
-                                  const MemoOutcome& outcome) {
-  EnumerationResult result;
-  RepairTallies tallies;
-  for (const MemoOutcome::RepairShare& share : outcome.repairs) {
-    tallies.emplace(RepairDelta{share.removed, {}},
-                    RepairTally{share.mass, share.num_sequences});
-  }
-  result.repairs = AssembleRepairs(initial, std::move(tallies));
-  IndexByDelta(&result);
-  result.success_mass = outcome.success_mass;
-  result.failing_mass = outcome.failing_mass;
-  result.states_visited = outcome.states;
-  result.absorbing_states = outcome.absorbing_states;
-  result.successful_sequences = outcome.successful_sequences;
-  result.failing_sequences = outcome.failing_sequences;
-  result.max_depth = outcome.depth_below;
-  result.initial = initial;
-  return result;
-}
-
 Rational EnumerationResult::ProbabilityOf(const Database& repair) const {
   RepairDelta delta;
   for (FactId id : initial.AllFactIds()) {
@@ -501,7 +465,13 @@ EnumerationResult EnumerateRepairs(const Database& db,
                        threads);
   walker.Visit(root, Rational(1));
   EnumerationResult result = std::move(walker).Take(db);
-  IndexByDelta(&result);
+  result.repairs_by_delta.resize(result.repairs.size());
+  std::iota(result.repairs_by_delta.begin(), result.repairs_by_delta.end(),
+            0u);
+  std::sort(result.repairs_by_delta.begin(), result.repairs_by_delta.end(),
+            [&](uint32_t a, uint32_t b) {
+              return result.repairs[a] < result.repairs[b];
+            });
   // Per-call view: counters accrued by this enumeration even when the
   // table is shared and outlives the call.
   if (memo != nullptr) {

@@ -143,11 +143,6 @@ struct EnumerationResult {
   Rational ProbabilityOf(const Database& repair) const;
 };
 
-/// What walking the chain rooted at `initial` returns when its completed
-/// outcome (a root memo entry, masses relative to the root) is known.
-EnumerationResult ResultOfOutcome(const Database& initial,
-                                  const MemoOutcome& outcome);
-
 /// Walks MΣ(D) and returns the full repair distribution.
 EnumerationResult EnumerateRepairs(const Database& db,
                                    const ConstraintSet& constraints,

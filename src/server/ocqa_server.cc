@@ -5,6 +5,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "server/trace.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 
@@ -231,9 +232,9 @@ OcqaServer::OcqaServer(Database base, ConstraintSet constraints,
       cache_(SharedCacheOptions(options.cache)),
       pool_(std::make_unique<ThreadPool>(
           options.workers != 0 ? options.workers : DefaultThreads())) {
-  RegisterGenerator("uniform", std::make_shared<UniformChainGenerator>());
-  RegisterGenerator("uniform-deletions",
-                    std::make_shared<DeletionOnlyUniformGenerator>());
+  for (const auto& [name, generator] : BuiltinGenerators()) {
+    RegisterGenerator(name, generator);
+  }
 }
 
 OcqaServer::~OcqaServer() {

@@ -38,18 +38,15 @@ Query MustParse(const Schema& schema, const char* text) {
   return *query;
 }
 
-const std::map<std::string, std::shared_ptr<const ChainGenerator>>&
-BuiltinGenerators() {
-  static const auto* generators =
-      new std::map<std::string, std::shared_ptr<const ChainGenerator>>{
-          {"uniform", std::make_shared<UniformChainGenerator>()},
-          {"uniform-deletions",
-           std::make_shared<DeletionOnlyUniformGenerator>()},
-      };
+}  // namespace
+
+const GeneratorRegistry& BuiltinGenerators() {
+  static const auto* generators = new GeneratorRegistry{
+      {"uniform", std::make_shared<UniformChainGenerator>()},
+      {"uniform-deletions", std::make_shared<DeletionOnlyUniformGenerator>()},
+  };
   return *generators;
 }
-
-}  // namespace
 
 std::vector<Request> GenerateTrace(const gen::Workload& workload,
                                    const TraceSpec& spec) {
@@ -216,9 +213,9 @@ std::string RenderResponses(std::vector<Response> responses) {
 std::vector<Response> ReplaySerial(const gen::Workload& workload,
                                    const std::vector<Request>& requests,
                                    ReplayMode mode,
-                                   engine::SessionOptions session_options) {
+                                   engine::SessionOptions session_options,
+                                   const GeneratorRegistry& generators) {
   session_options.shared_cache = nullptr;  // the no-server baseline
-  const auto& generators = BuiltinGenerators();
   auto find_generator = [&](const std::string& name) -> const ChainGenerator* {
     auto it = generators.find(name);
     return it == generators.end() ? nullptr : it->second.get();

@@ -16,12 +16,15 @@
 #ifndef OPCQA_SERVER_TRACE_H_
 #define OPCQA_SERVER_TRACE_H_
 
+#include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "engine/ocqa_session.h"
 #include "gen/workloads.h"
+#include "repair/chain_generator.h"
 #include "server/request.h"
 
 namespace opcqa {
@@ -79,14 +82,24 @@ enum class ReplayMode {
   kSessionPerRequest,
 };
 
+/// Request::generator names → generators.
+using GeneratorRegistry =
+    std::map<std::string, std::shared_ptr<const ChainGenerator>>;
+
+/// "uniform" and "uniform-deletions", the generators an OcqaServer
+/// pre-registers.
+const GeneratorRegistry& BuiltinGenerators();
+
 /// Executes the trace serially in submission order. `session_options`
 /// configures the created sessions (shared_cache is ignored/forced off —
 /// this is the no-server baseline). Each request's budget is its own
-/// deadline_states, as on the server.
-std::vector<Response> ReplaySerial(const gen::Workload& workload,
-                                   const std::vector<Request>& requests,
-                                   ReplayMode mode,
-                                   engine::SessionOptions session_options = {});
+/// deadline_states, as on the server. Request::generator is resolved in
+/// `generators`; a caller that registers other generators on its server
+/// passes the same ones here.
+std::vector<Response> ReplaySerial(
+    const gen::Workload& workload, const std::vector<Request>& requests,
+    ReplayMode mode, engine::SessionOptions session_options = {},
+    const GeneratorRegistry& generators = BuiltinGenerators());
 
 }  // namespace server
 }  // namespace opcqa

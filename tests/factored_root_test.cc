@@ -1,7 +1,7 @@
 // Differential tests for the factored root (repair/localization.h,
 // FactorRoot): on denial-only instances with several conflict components,
 // EnumerateRepairs under a local generator must return exactly what the
-// walk returns under the same generator made non-local (Walked<>), in
+// walk returns under the same generator made non-local (gen::Walked<>), in
 // every field, at every thread count, with the memo off, on a scratch
 // table, on a persistent cache and after a snapshot round trip; its
 // recorded root entry must equal the walk's; and every state budget
@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include "constraints/constraint_parser.h"
+#include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "obs/metrics.h"
@@ -27,7 +28,6 @@
 #include "repair/repair_cache.h"
 #include "repair/top_k.h"
 #include "repair/trust_generator.h"
-#include "walked_generator.h"
 
 namespace opcqa {
 namespace {
@@ -179,7 +179,7 @@ RepairCacheOptions AdmitAll(std::string snapshot_dir = "") {
 // factored path answered the plain enumeration.
 template <typename Generator>
 bool CheckInstance(const gen::Workload& w, const Generator& local,
-                   const Walked<Generator>& walked, uint64_t seed) {
+                   const gen::Walked<Generator>& walked, uint64_t seed) {
   const std::string label =
       local.name() + " seed " + std::to_string(seed) + ": ";
   // The reference walk memoizes, which never changes a result
@@ -309,16 +309,16 @@ TEST(FactoredRootTest, MatchesTheWalkOnSeededDenialInstances) {
     switch (seed % 3) {
       case 0:
         hit = CheckInstance(w, UniformChainGenerator(),
-                            Walked<UniformChainGenerator>(), seed);
+                            gen::Walked<UniformChainGenerator>(), seed);
         break;
       case 1:
         hit = CheckInstance(w, DeletionOnlyUniformGenerator(),
-                            Walked<DeletionOnlyUniformGenerator>(), seed);
+                            gen::Walked<DeletionOnlyUniformGenerator>(), seed);
         break;
       default: {
         std::map<Fact, Rational> trust = MakeTrust(w.db, seed);
         hit = CheckInstance(w, TrustChainGenerator(trust),
-                            Walked<TrustChainGenerator>(trust), seed);
+                            gen::Walked<TrustChainGenerator>(trust), seed);
       }
     }
     EXPECT_EQ(hit, components >= 2) << "seed " << seed;

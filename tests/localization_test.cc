@@ -5,12 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "constraints/constraint_parser.h"
+#include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "repair/localization.h"
 #include "repair/ocqa.h"
 #include "repair/trust_generator.h"
-#include "walked_generator.h"
 
 namespace opcqa {
 namespace {
@@ -91,7 +91,7 @@ TEST_P(LocalizationExactnessTest, MarginalsMatchMonolithicEnumeration) {
   Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
   ASSERT_TRUE(q.ok());
   OcaResult monolithic =
-      ComputeOca(w.db, w.constraints, Walked<UniformChainGenerator>(), *q);
+      ComputeOca(w.db, w.constraints, gen::Walked<UniformChainGenerator>(), *q);
   for (const Fact& fact : w.db.AllFacts()) {
     Tuple tuple(fact.args());
     EXPECT_EQ(localized->FactSurvivalProbability(fact),
@@ -113,7 +113,7 @@ TEST(LocalizationTest, TrustGeneratorMarginalsMatchMonolithic) {
   ASSERT_TRUE(q.ok());
   OcaResult monolithic =
       ComputeOca(tw.workload.db, tw.workload.constraints,
-                 Walked<TrustChainGenerator>(tw.trust), *q);
+                 gen::Walked<TrustChainGenerator>(tw.trust), *q);
   for (const Fact& fact : tw.workload.db.AllFacts()) {
     EXPECT_EQ(localized->FactSurvivalProbability(fact),
               monolithic.Probability(Tuple(fact.args())))
@@ -132,7 +132,7 @@ TEST(LocalizationTest, CombinationCountIsProductOfComponents) {
   EXPECT_EQ(localized->MaxComponentSize(), 2u);
   // The monolithic enumerator materializes exactly that many repairs.
   EnumerationResult mono = EnumerateRepairs(
-      w.db, w.constraints, Walked<UniformChainGenerator>());
+      w.db, w.constraints, gen::Walked<UniformChainGenerator>());
   EXPECT_EQ(BigInt(static_cast<uint64_t>(mono.repairs.size())),
             localized->NumRepairCombinations());
 }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "constraints/constraint_parser.h"
+#include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "relational/fact_parser.h"
@@ -28,7 +29,6 @@
 #include "repair/trust_generator.h"
 #include "util/hash.h"
 #include "util/string_util.h"
-#include "walked_generator.h"
 
 namespace opcqa {
 namespace {
@@ -98,8 +98,8 @@ TEST(IncrementalHashTest, StateFingerprintTracksApplyAndRevert) {
 // ---------------------------------------------------------------------
 
 TEST(MemoizationApplicableTest, GatesOnDeletionOnlyChainsAndMemorylessness) {
-  Walked<UniformChainGenerator> uniform;
-  Walked<DeletionOnlyUniformGenerator> deletions;
+  gen::Walked<UniformChainGenerator> uniform;
+  gen::Walked<DeletionOnlyUniformGenerator> deletions;
   LambdaChainGenerator opaque(
       "opaque", [](const RepairingState& state,
                    const std::vector<Operation>& extensions) {
@@ -262,9 +262,9 @@ TEST(MemoizedEnumerationTest, ByteIdenticalAcrossGeneratorsAndThreads) {
   gen::Workload keys = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
   gen::TrustWorkload trusted =
       gen::MakeTrustWorkload(4, 3, 2, /*seed=*/23);
-  Walked<UniformChainGenerator> uniform;
+  gen::Walked<UniformChainGenerator> uniform;
   PreferenceChainGenerator preference(0);
-  Walked<TrustChainGenerator> trust(trusted.trust);
+  gen::Walked<TrustChainGenerator> trust(trusted.trust);
   PriorityChainGenerator minchange = PriorityChainGenerator::MinimalChange();
   struct Case {
     std::string name;
@@ -303,7 +303,7 @@ TEST(MemoizedEnumerationTest, ByteIdenticalAcrossGeneratorsAndThreads) {
 }
 
 TEST(MemoizedEnumerationTest, TruncationIsByteIdentical) {
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   gen::Workload w = gen::MakeKeyViolationWorkload(6, 6, 3, /*seed=*/3);
   for (size_t max_states : {size_t{50}, size_t{500}, size_t{5000}}) {
     EnumerationOptions plain;
@@ -330,7 +330,7 @@ TEST(MemoizedEnumerationTest, RootIsAMemoFrameAtEveryThreadCount) {
   // looked up and recorded like any other state: the persistent table a
   // thread count leaves behind, and the replays it serves, are the serial
   // ones.
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
   EnumerationResult chain = EnumerateRepairs(w.db, w.constraints, generator);
   EnumerationOptions truncating;
@@ -375,7 +375,7 @@ TEST(MemoizedEnumerationTest, CollapsesSharedSuffixesToDistinctStates) {
   // n independent conflicts: ~n!·cⁿ sequences but only 𝒪(cⁿ) distinct
   // states. The memoized walk must do real work proportional to the
   // latter: every distinct state is walked once, every revisit replays.
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
   EnumerationOptions options;
   options.memoize = true;
@@ -391,7 +391,7 @@ TEST(MemoizedEnumerationTest, CollapsesSharedSuffixesToDistinctStates) {
 TEST(MemoizedEnumerationTest, InapplicableCombinationsFallBackSilently) {
   // TGDs + a generator that can add facts: the knob must be ignored, the
   // results identical, the table unused.
-  Walked<UniformChainGenerator> uniform;
+  gen::Walked<UniformChainGenerator> uniform;
   gen::Workload w = gen::PaperExample1();
   EnumerationOptions plain;
   EnumerationResult base =
@@ -404,7 +404,7 @@ TEST(MemoizedEnumerationTest, InapplicableCombinationsFallBackSilently) {
   EXPECT_EQ(result.memo_stats.hits + result.memo_stats.misses, 0u);
 
   // Same instance under a deletions-only generator is memoizable.
-  Walked<DeletionOnlyUniformGenerator> deletions;
+  gen::Walked<DeletionOnlyUniformGenerator> deletions;
   EnumerationResult del_base =
       EnumerateRepairs(w.db, w.constraints, deletions, plain);
   EnumerationResult del_memo =
@@ -416,7 +416,7 @@ TEST(MemoizedEnumerationTest, BudgetPressureOnlyCostsSpeed) {
   // A byte budget forces the eviction sweep mid-enumeration; the
   // results must stay byte-identical — eviction can only ever cause a
   // recomputation, never a wrong replay.
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
   EnumerationOptions plain;
   EnumerationResult base =
@@ -542,8 +542,8 @@ gen::Workload TgdCollapseExample() {
 }
 
 TEST(StateCollapseTest, EqualDatabasesRootEqualSubtreesOnThePlainWalk) {
-  Walked<UniformChainGenerator> uniform;
-  Walked<DeletionOnlyUniformGenerator> deletions;
+  gen::Walked<UniformChainGenerator> uniform;
+  gen::Walked<DeletionOnlyUniformGenerator> deletions;
   gen::Workload keys = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/5);
   gen::Workload triples = gen::MakeKeyViolationWorkload(3, 2, 3, /*seed=*/9);
   gen::Workload denials = gen::MakePreferenceWorkload(5, 8, 0.6, /*seed=*/17);
@@ -626,7 +626,7 @@ TEST(StateCollapseTest, TgdPathsWithDifferentViolationsShareADatabase) {
 
 TEST(MemoizedCountingTest, CountingOcaMatchesUnmemoized) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/19);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
   ASSERT_TRUE(q.ok());
   EnumerationOptions plain;
@@ -645,7 +645,7 @@ TEST(MemoizedCountingTest, CountingOcaMatchesUnmemoized) {
 
 TEST(MemoizedOcqaTest, ConditionalProbabilitiesMatchUnmemoized) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/29);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
   ASSERT_TRUE(q.ok());
   OcaResult base = ComputeOca(w.db, w.constraints, generator, *q);
@@ -663,7 +663,7 @@ TEST(MemoizedOcqaTest, ConditionalProbabilitiesMatchUnmemoized) {
 
 TEST(MemoizedTopKTest, ExhaustiveSearchMatchesUnmerged) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/31);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   TopKOptions plain;
   TopKResult base = TopKRepairs(w.db, w.constraints, generator, 3, plain);
   ASSERT_TRUE(base.exact);
@@ -692,7 +692,7 @@ TEST(MemoizedTopKTest, ExhaustiveSearchMatchesUnmerged) {
 
 TEST(MemoizedTopKTest, CertifiedMapAgreesUnderBudget) {
   gen::Workload w = gen::MakeKeyViolationWorkload(6, 5, 2, /*seed=*/37);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   TopKOptions plain;
   TopKResult base = TopKRepairs(w.db, w.constraints, generator, 1, plain);
   TopKOptions memo;

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "relational/fact_store.h"
@@ -16,7 +17,6 @@
 #include "repair/sampler.h"
 #include "util/parallel.h"
 #include "util/random.h"
-#include "walked_generator.h"
 
 namespace opcqa {
 namespace {
@@ -146,7 +146,7 @@ void ExpectIdenticalResults(const EnumerationResult& a,
 }
 
 TEST(ParallelEnumeratorTest, ByteIdenticalToSerialAcrossThreadCounts) {
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   struct Case {
     std::string name;
     gen::Workload workload;
@@ -178,7 +178,7 @@ TEST(ParallelEnumeratorTest, TruncationPathIsDeterministic) {
   // The budget is replayed in root-branch order, so truncated results —
   // which repairs were aggregated, every counter, the truncated flag —
   // match serial DFS truncation exactly for every thread count.
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   gen::Workload w = gen::MakeKeyViolationWorkload(6, 6, 3, /*seed=*/3);
   for (size_t max_states : {size_t{50}, size_t{500}, size_t{5000}}) {
     EnumerationOptions serial;
@@ -202,7 +202,7 @@ TEST(ParallelEnumeratorTest, TruncationPathIsDeterministic) {
 
 TEST(ParallelEnumeratorTest, DeletionOnlyGeneratorParallel) {
   // Zero-probability pruning at the root must shard identically.
-  Walked<DeletionOnlyUniformGenerator> generator;
+  gen::Walked<DeletionOnlyUniformGenerator> generator;
   gen::Workload w = gen::PaperExample1();
   EnumerationOptions serial;
   serial.threads = 1;
@@ -217,7 +217,7 @@ TEST(ParallelEnumeratorTest, DeletionOnlyGeneratorParallel) {
 }
 
 TEST(ParallelEnumeratorTest, ProbabilityOfUsesTheIndex) {
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, 5);
   EnumerationOptions options;
   options.threads = 4;
@@ -240,7 +240,7 @@ TEST(ParallelEnumeratorTest, ProbabilityOfUsesTheIndex) {
 
 TEST(ParallelSamplerTest, EstimatesIdenticalAcrossThreadCounts) {
   gen::Workload w = gen::PaperKeyPairExample();
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   Result<Query> q = ParseQuery(*w.schema, "Q(y) := R(a, y)");
   ASSERT_TRUE(q.ok());
   SamplerOptions serial_options;
@@ -267,7 +267,7 @@ TEST(ParallelSamplerTest, FailingWalksIdenticalAcrossThreadCounts) {
   // Walk outcomes (success vs failure) must not depend on scheduling even
   // when the chain can fail.
   gen::Workload w = gen::PaperFailingExample();
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   Result<Query> q = ParseQuery(*w.schema, "Q() := true");
   ASSERT_TRUE(q.ok());
   std::vector<size_t> failing;
@@ -286,7 +286,7 @@ TEST(ParallelSamplerTest, RepeatedEstimatesAreIndependentYetReproducible) {
   // calls on one sampler must not replay identical walks, while the same
   // call sequence on an identically-seeded sampler reproduces everything.
   gen::Workload w = gen::PaperKeyPairExample();
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   Result<Query> q = ParseQuery(*w.schema, "Q(y) := R(a, y)");
   ASSERT_TRUE(q.ok());
   Sampler a(w.db, w.constraints, &generator, /*seed=*/21);
@@ -301,7 +301,7 @@ TEST(ParallelSamplerTest, RepeatedEstimatesAreIndependentYetReproducible) {
 
 TEST(ParallelSamplerTest, WalkStreamsArePureFunctionsOfSeedAndIndex) {
   gen::Workload w = gen::PaperPreferenceExample();
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   Sampler sampler(w.db, w.constraints, &generator, /*seed=*/13);
   // Same index twice → identical walk; the sampler's stateful stream does
   // not interfere.

@@ -18,6 +18,7 @@
 #include <set>
 
 #include "constraints/satisfaction.h"
+#include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "repair/abc.h"
@@ -29,7 +30,6 @@
 #include "repair/top_k.h"
 #include "repair/trust_generator.h"
 #include "util/random.h"
-#include "walked_generator.h"
 
 namespace opcqa {
 namespace {
@@ -249,8 +249,8 @@ TEST_P(ChainPropertyTest, LocalizationMatchesMonolithic) {
   if (!IsDenialOnly(w_.constraints)) GTEST_SKIP();
   auto localized = LocalizeAndEnumerate(w_.db, w_.constraints, uniform_);
   ASSERT_TRUE(localized.ok()) << localized.status().ToString();
-  EnumerationResult monolithic =
-      EnumerateRepairs(w_.db, w_.constraints, Walked<UniformChainGenerator>());
+  EnumerationResult monolithic = EnumerateRepairs(
+      w_.db, w_.constraints, gen::Walked<UniformChainGenerator>());
   ASSERT_FALSE(monolithic.truncated);
   // Per-fact survival marginals must agree exactly.
   for (const Fact& fact : w_.db.AllFacts()) {

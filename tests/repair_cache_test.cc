@@ -15,13 +15,13 @@
 #include <vector>
 
 #include "engine/ocqa_session.h"
+#include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "repair/repair_cache.h"
 #include "repair/top_k.h"
 #include "repair/trust_generator.h"
 #include "sql/exact_runner.h"
-#include "walked_generator.h"
 
 namespace opcqa {
 namespace {
@@ -39,7 +39,7 @@ EnumerationOptions MemoOptions(RepairSpaceCache* cache) {
 
 TEST(RepairSpaceCacheTest, ThirdQueryReplaysTheChainFromOneRootHit) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   EnumerationResult base =
       EnumerateRepairs(w.db, w.constraints, generator, {});
 
@@ -86,8 +86,8 @@ TEST(RepairSpaceCacheTest, DistinctTriplesGetDistinctRoots) {
   gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/5);
   gen::Workload other = gen::MakeKeyViolationWorkload(5, 3, 2, /*seed=*/5);
   ASSERT_FALSE(w.db == other.db);
-  Walked<UniformChainGenerator> uniform;
-  Walked<DeletionOnlyUniformGenerator> deletions;
+  gen::Walked<UniformChainGenerator> uniform;
+  gen::Walked<DeletionOnlyUniformGenerator> deletions;
   RepairSpaceCache cache;
   EnumerateRepairs(w.db, w.constraints, uniform, MemoOptions(&cache));
   EXPECT_EQ(cache.roots(), 1u);
@@ -105,9 +105,9 @@ TEST(RepairSpaceCacheTest, DistinctTriplesGetDistinctRoots) {
 
 TEST(RepairSpaceCacheTest, TrustGeneratorsShareOnlyEqualParameterizations) {
   gen::TrustWorkload trusted = gen::MakeTrustWorkload(4, 3, 2, /*seed=*/23);
-  Walked<TrustChainGenerator> trust_a(trusted.trust);
-  Walked<TrustChainGenerator> trust_same(trusted.trust);
-  Walked<TrustChainGenerator> trust_other(trusted.trust, Rational(1, 3));
+  gen::Walked<TrustChainGenerator> trust_a(trusted.trust);
+  gen::Walked<TrustChainGenerator> trust_same(trusted.trust);
+  gen::Walked<TrustChainGenerator> trust_other(trusted.trust, Rational(1, 3));
   EXPECT_EQ(trust_a.cache_identity(), trust_same.cache_identity());
   EXPECT_NE(trust_a.cache_identity(), trust_other.cache_identity());
 
@@ -151,7 +151,7 @@ TEST(RepairSpaceCacheTest, GeneratorsWithoutIdentityNeverShare) {
 
 TEST(RepairSpaceCacheTest, MutationInvalidatesStaleRootsAndAnswersFresh) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/17);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
   ASSERT_TRUE(q.ok());
 
@@ -186,7 +186,7 @@ TEST(RepairSpaceCacheTest, EraseInsertRoundTripReplaysTheOriginalRoot) {
   // fact and inserting it back restores the database content, so the
   // original root serves again — from its root entry, walking nothing.
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
   ASSERT_TRUE(q.ok());
   engine::SessionOptions options;
@@ -214,7 +214,7 @@ TEST(RepairSpaceCacheTest, CountersStayMonotoneWhenRootsAreDropped) {
   Database other = w.db;
   ASSERT_TRUE(other.Erase(w.db.AllFacts().front()));
   ASSERT_NE(other.Hash(), w.db.Hash());
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   RepairCacheOptions options;
   options.max_roots = 1;
   RepairSpaceCache cache(options);
@@ -259,7 +259,7 @@ TEST(RepairSpaceCacheTest, CountersStayMonotoneWhenRootsAreDropped) {
 
 TEST(RepairSpaceCacheTest, ByteBudgetEvictionKeepsResultsByteIdentical) {
   gen::Workload w = gen::MakeKeyViolationWorkload(6, 5, 2, /*seed=*/100);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   EnumerationResult base =
       EnumerateRepairs(w.db, w.constraints, generator, {});
 
@@ -299,7 +299,7 @@ TEST(RepairSpaceCacheTest, SharesAreRemovedSetsBelowTheirEntry) {
   // disjoint, and their union is the removed set of a repair the
   // enumeration reports.
   gen::Workload w = gen::MakeKeyViolationWorkload(40, 4, 2, /*seed=*/100);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   RepairSpaceCache cache;
   EnumerationResult result = EnumerateRepairs(w.db, w.constraints, generator,
                                               MemoOptions(&cache));
@@ -333,7 +333,7 @@ TEST(RepairSpaceCacheTest, SharesAreRemovedSetsBelowTheirEntry) {
 
 TEST(RepairSpaceCacheTest, TopKConsumesSubtreesRecordedByEnumeration) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/31);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   TopKOptions plain;
   TopKResult base = TopKRepairs(w.db, w.constraints, generator, 3, plain);
   ASSERT_TRUE(base.exact);
@@ -426,7 +426,7 @@ TEST(SqlExactRunnerTest, ExactProbabilitiesAndWarmSecondQuery) {
 
 TEST(RepairSpaceCacheTest, ConcurrentTwoQueryOneCacheIsSafeAndIdentical) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/41);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   EnumerationResult base =
       EnumerateRepairs(w.db, w.constraints, generator, {});
 

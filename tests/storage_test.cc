@@ -23,12 +23,12 @@
 #include <thread>
 #include <vector>
 
+#include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "repair/repair_cache.h"
 #include "repair/repair_enumerator.h"
 #include "storage/canonical.h"
 #include "storage/snapshot_store.h"
-#include "walked_generator.h"
 
 namespace opcqa {
 namespace {
@@ -128,7 +128,7 @@ fs::path SnapshotPathFor(const gen::Workload& w,
 
 TEST(StorageSnapshotTest, WarmStartFromDiskIsByteIdenticalAndSkipsWalks) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   EnumerationResult base =
       EnumerateRepairs(w.db, w.constraints, generator, {});
 
@@ -161,7 +161,7 @@ TEST(StorageSnapshotTest, WarmStartFromDiskIsByteIdenticalAndSkipsWalks) {
 
 TEST(StorageSnapshotTest, EncodeDecodeRoundTripAndIdentityVerification) {
   gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/7);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   RepairSpaceCache cache;  // memory-only: source of a persistent table
   EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
   EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
@@ -200,7 +200,7 @@ TEST(StorageSnapshotTest, EqualEntrySetsEncodeToEqualBytes) {
   // happen to hold them: two tables filled with the same entries in
   // opposite orders produce the same base snapshot and delta record.
   gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/7);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   RepairSpaceCache cache;
   EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
   EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
@@ -253,7 +253,7 @@ TEST(StorageSnapshotTest, ChildProcessWarmStart) {
     GTEST_SKIP() << "child half of CrossProcessWarmStart";
   }
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   EnumerationResult base =
       EnumerateRepairs(w.db, w.constraints, generator, {});
   RepairSpaceCache cache(DiskOptions(dir));
@@ -267,7 +267,7 @@ TEST(StorageSnapshotTest, ChildProcessWarmStart) {
 
 TEST(StorageSnapshotTest, CrossProcessWarmStart) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   TempDir dir;
   WarmDiskTier(w, generator, dir.path());
 
@@ -318,7 +318,7 @@ class StorageRejectionTest : public ::testing::Test {
   }
 
   gen::Workload w_;
-  Walked<UniformChainGenerator> generator_;
+  gen::Walked<UniformChainGenerator> generator_;
   EnumerationResult base_;
   TempDir dir_;
   fs::path snapshot_;
@@ -377,7 +377,7 @@ TEST_F(StorageRejectionTest, EmptySnapshotFileIsRejected) {
 // ---------------------------------------------------------------------
 
 TEST(StorageSnapshotTest, DiskGcRespectsMaxDiskBytesOldestFirst) {
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   TempDir dir;
   std::vector<gen::Workload> workloads;
   for (size_t keys : {4, 5, 6}) {
@@ -407,7 +407,7 @@ TEST(StorageSnapshotTest, DiskGcRespectsMaxDiskBytesOldestFirst) {
 
 TEST(StorageSnapshotTest, UnwritableDirectoryCountsFailedSpills) {
   gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/3);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   // A path that can never become a directory: spills must fail loudly
   // (counted), never crash, and queries must be unaffected.
   RepairCacheOptions options = DiskOptions("/dev/null/opcqa-snapshots");
@@ -422,7 +422,7 @@ TEST(StorageSnapshotTest, UnwritableDirectoryCountsFailedSpills) {
 }
 
 TEST(StorageSnapshotTest, LruRootEvictionSpillsToDisk) {
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   gen::Workload first = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/31);
   gen::Workload second = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/32);
   EnumerationResult base =
@@ -577,7 +577,7 @@ TEST(StorageHardeningTest, CrashedWriterTempsAreSweptAtOpenAndPut) {
 
 TEST(StorageHardeningTest, BreakerTripsToMemoryOnlyAfterRepeatedFailures) {
   gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/3);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   RepairCacheOptions options = DiskOptions("/dev/null/opcqa-breaker");
   options.breaker_failure_threshold = 1;
   options.breaker_cooldown_ms = 60000;  // stays open for the whole test
@@ -603,7 +603,7 @@ TEST(StorageHardeningTest, BreakerTripsToMemoryOnlyAfterRepeatedFailures) {
 
 TEST(StorageHardeningTest, BreakerRecoversAfterCooldown) {
   gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/3);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   TempDir dir;
   // Block the tier with a regular file where the snapshot directory
   // should be: every Put fails until the file is removed.
@@ -642,7 +642,7 @@ TEST(StorageHardeningTest, BreakerRecoversAfterCooldown) {
 
 TEST(StorageSnapshotTest, ConcurrentSpillWhileQueryingIsSafeAndIdentical) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/41);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   EnumerationResult base =
       EnumerateRepairs(w.db, w.constraints, generator, {});
 

@@ -23,13 +23,13 @@
 #include <thread>
 #include <vector>
 
+#include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "repair/repair_cache.h"
 #include "repair/repair_enumerator.h"
 #include "storage/canonical.h"
 #include "storage/snapshot_store.h"
 #include "util/failpoint.h"
-#include "walked_generator.h"
 
 namespace opcqa {
 namespace {
@@ -179,7 +179,7 @@ void AddSyntheticEntries(const gen::Workload& w, TranspositionTable* table,
 
 TEST(StorageV2FormatTest, RoundTripRestoresEveryEntry) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/23);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   RepairSpaceCache cache;  // memory-only source of a warmed table
   std::shared_ptr<TranspositionTable> table = WarmTable(w, generator, &cache);
   ASSERT_NE(table, nullptr);
@@ -196,7 +196,7 @@ TEST(StorageV2FormatTest, RoundTripRestoresEveryEntry) {
 
 TEST(StorageV2FormatTest, VersionAboveNewestIsRejected) {
   gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/29);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   RepairSpaceCache cache;
   std::shared_ptr<TranspositionTable> table = WarmTable(w, generator, &cache);
   ASSERT_NE(table, nullptr);
@@ -217,7 +217,7 @@ TEST(StorageV2FormatTest, VersionAboveNewestIsRejected) {
 
 TEST(DeltaSpillTest, WarmStartReplaysBasePlusDeltaLog) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/37);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   EnumerationResult base =
       EnumerateRepairs(w.db, w.constraints, generator, {});
   TempDir dir;
@@ -260,7 +260,7 @@ TEST(DeltaSpillTest, WarmStartReplaysBasePlusDeltaLog) {
 
 TEST(DeltaSpillTest, CleanRootSpillsNothing) {
   gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/41);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   TempDir dir;
   RepairSpaceCache cache(DiskOptions(dir.path()));
   WarmTable(w, generator, &cache);
@@ -297,7 +297,7 @@ fs::path BuildBasePlusDelta(const gen::Workload& w,
 
 TEST(DeltaSpillTest, TornLogTailFallsBackToBaseAndCompacts) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/43);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   EnumerationResult base =
       EnumerateRepairs(w.db, w.constraints, generator, {});
   TempDir dir;
@@ -337,7 +337,7 @@ TEST(DeltaSpillTest, TornLogTailFallsBackToBaseAndCompacts) {
 
 TEST(DeltaSpillTest, CorruptLogHeadIsIgnoredWholesale) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/47);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   EnumerationResult base =
       EnumerateRepairs(w.db, w.constraints, generator, {});
   TempDir dir;
@@ -370,7 +370,7 @@ TEST(DeltaSpillTest, CorruptLogHeadIsIgnoredWholesale) {
 
 TEST(DeltaSpillTest, LogOutgrowingRatioCompactsIntoFreshBase) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/53);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   TempDir dir;
   RepairCacheOptions options = DiskOptions(dir.path());
   options.log_compaction_ratio = 0.0;  // every dirty spill compacts
@@ -395,7 +395,7 @@ TEST(DeltaSpillTest, LogOutgrowingRatioCompactsIntoFreshBase) {
 #ifdef OPCQA_FAILPOINTS
 TEST(DeltaSpillTest, FailedCompactionLeavesPreviousBaseAndLogReadable) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/59);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   TempDir dir;
   size_t counter = 0;
   BuildBasePlusDelta(w, generator, dir.path(), &counter);
@@ -456,7 +456,7 @@ TEST(CrashRecoveryTest, ChildAppendUntilKilled) {
     GTEST_SKIP() << "child half of the kill -9 crash-recovery tests";
   }
   gen::Workload w = KillWorkload();
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   RepairCacheOptions options = DiskOptions(dir);
   options.log_compaction_ratio = 1e9;  // never compact: pure append path
   RepairSpaceCache cache(options);
@@ -481,7 +481,7 @@ TEST(CrashRecoveryTest, ChildRewriteUntilKilled) {
     GTEST_SKIP() << "child half of the kill -9 crash-recovery tests";
   }
   gen::Workload w = KillWorkload();
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   RepairCacheOptions options = DiskOptions(dir);
   options.log_compaction_ratio = 0.0;  // every dirty spill rewrites the base
   RepairSpaceCache cache(options);
@@ -532,7 +532,7 @@ void RunChildUntilKilled(const std::string& dir, const char* child_filter,
 // snapshot, no cold walk) and answers byte-identically.
 TEST(CrashRecoveryTest, KillNineMidDeltaAppendKeepsValidPrefix) {
   gen::Workload w = KillWorkload();
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   EnumerationResult base =
       EnumerateRepairs(w.db, w.constraints, generator, {});
   TempDir dir;
@@ -559,7 +559,7 @@ TEST(CrashRecoveryTest, KillNineMidDeltaAppendKeepsValidPrefix) {
 // process restores it and answers byte-identically.
 TEST(CrashRecoveryTest, KillNineMidBaseRewriteKeepsCommittedBase) {
   gen::Workload w = KillWorkload();
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   EnumerationResult base =
       EnumerateRepairs(w.db, w.constraints, generator, {});
   TempDir dir;
@@ -587,7 +587,7 @@ TEST(CrashRecoveryTest, KillNineMidBaseRewriteKeepsCommittedBase) {
 
 TEST(DeltaSpillTest, DeltaSpillsCutBytesWrittenAtLeastThreefold) {
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/61);
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   // Identical mutating workload under both modes: a warmed base, then
   // eight rounds of four admitted entries with a Persist after each —
   // the steady state of a long-lived session that keeps learning.
@@ -631,7 +631,7 @@ TEST(DeltaSpillTest, DeltaSpillsCutBytesWrittenAtLeastThreefold) {
 // ---------------------------------------------------------------------
 
 TEST(ResidencyTest, EvictionDemotesAndRestorePromotes) {
-  Walked<UniformChainGenerator> generator;
+  gen::Walked<UniformChainGenerator> generator;
   gen::Workload first = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/67);
   gen::Workload second = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/68);
   TempDir dir;
