@@ -203,35 +203,26 @@ BENCHMARK(BM_DiskWarmStart)
     ->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Delta spills (PR 9): one long-lived session keeps growing a single
-// root's table and checkpoints (Persist) after every growth step — the
-// mutating-workload shape where full-base rewrites hurt. /0 sets
-// log_compaction_ratio to 0: every checkpoint rewrites the whole base
-// snapshot. /1 (the default ratio) appends only the entries added since
-// the last spill to the per-root delta log (storage/canonical.h),
-// compacting once the log outgrows log_compaction_ratio of the base.
-// Table growth is anytime enumeration: each step raises the max_states
-// budget, and each budget runs twice so the twice-missed admission
-// filter admits that step's re-reached subtrees. bytes_written is
-// DiskTierStats::compressed_bytes — every byte the tier wrote in the v2
-// encoding; the >=3x write cut is asserted deterministically in
-// tests/storage_v2_test.cc, this benchmark gates the wall-clock of the
-// checkpointing session (pr9_disk_delta_ms).
+// Checkpointing session: one long-lived session keeps growing a
+// single root's table and checkpoints (Persist) after every growth step
+// — the mutating-workload shape where every dirty checkpoint rewrites
+// the root's whole snapshot. Table growth is anytime enumeration: each
+// step raises the max_states budget, and each budget runs twice so the
+// twice-missed admission filter admits that step's re-reached subtrees.
+// bytes_written is DiskTierStats::compressed_bytes — every byte the tier
+// wrote. The name and the /0 suffix are kept from when a /1 arm
+// appended delta records instead (a delta log, since removed), so the
+// committed pr9_disk_delta_ms row keeps gating this session's wall-clock.
 void BM_DiskDeltaSpill(benchmark::State& state) {
-  bool delta = state.range(0) != 0;
   namespace fs = std::filesystem;
   gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
   gen::Walked<UniformChainGenerator> generator;
-  fs::path dir = fs::temp_directory_path() /
-                 (std::string("opcqa_bench_delta_") + (delta ? "on" : "off"));
+  fs::path dir = fs::temp_directory_path() / "opcqa_bench_delta_off";
   RepairCacheOptions disk;
   disk.snapshot_dir = dir.string();
-  if (!delta) disk.log_compaction_ratio = 0;  // rewrite the base per spill
   constexpr size_t kBudgets[] = {3000,  6000,  9000,  12000, 15000, 18000,
                                  21000, 24000, 27000, 30000, 36000, 1u << 22};
   uint64_t bytes_written = 0;
-  uint64_t appends = 0;
-  uint64_t compactions = 0;
   for (auto _ : state) {
     state.PauseTiming();
     fs::remove_all(dir);
@@ -249,20 +240,13 @@ void BM_DiskDeltaSpill(benchmark::State& state) {
       }
       cache.Persist();
     }
-    DiskTierStats stats = cache.disk_stats();
-    bytes_written = stats.compressed_bytes;
-    appends = stats.delta_appends;
-    compactions = stats.compactions;
+    bytes_written = cache.disk_stats().compressed_bytes;
   }
   state.counters["checkpoints"] = std::size(kBudgets);
   state.counters["bytes_written"] = static_cast<double>(bytes_written);
-  state.counters["delta_appends"] = static_cast<double>(appends);
-  state.counters["compactions"] = static_cast<double>(compactions);
   fs::remove_all(dir);
 }
-BENCHMARK(BM_DiskDeltaSpill)
-    ->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DiskDeltaSpill)->Arg(0)->Unit(benchmark::kMillisecond);
 
 // Planner dispatch (PR 6): certain answers for an FO-rewritable query on
 // the n=5 conflict workload, walk vs rewriting. /0 forces the chain walk
@@ -562,77 +546,6 @@ void RecordDiskSweep() {
               "tests/storage_test.cc and by the CLI e2e in CI");
 }
 
-// Delta-spill sweep (PR 9), appended to the e5_memo_scaling section: the
-// checkpointing session from BM_DiskDeltaSpill run once per arm, with the
-// disk-tier counters that explain the write cut.
-void RecordDeltaSweep() {
-  namespace fs = std::filesystem;
-  gen::Workload w = gen::MakeKeyViolationWorkload(7, 5, 2, /*seed=*/100);
-  gen::Walked<UniformChainGenerator> generator;
-  fs::path dir = fs::temp_directory_path() / "opcqa_bench_delta_sweep";
-  constexpr size_t kBudgets[] = {3000,  6000,  9000,  12000, 15000, 18000,
-                                 21000, 24000, 27000, 30000, 36000, 1u << 22};
-  double ms[2] = {0, 0};
-  DiskTierStats stats[2];
-  for (int delta = 0; delta < 2; ++delta) {
-    RepairCacheOptions disk;
-    disk.snapshot_dir = dir.string();
-    if (delta == 0) disk.log_compaction_ratio = 0;
-    double best_ms = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      fs::remove_all(dir);
-      bench::Timer timer;
-      RepairSpaceCache cache(disk);
-      for (size_t budget : kBudgets) {
-        EnumerationOptions options;
-        options.memoize = true;
-        options.cache = &cache;
-        options.max_states = budget;
-        for (int pass = 0; pass < 2; ++pass) {
-          EnumerationResult result =
-              EnumerateRepairs(w.db, w.constraints, generator, options);
-          benchmark::DoNotOptimize(result);
-        }
-        cache.Persist();
-      }
-      double elapsed = timer.ElapsedMs();
-      if (elapsed < best_ms) {
-        best_ms = elapsed;
-        stats[delta] = cache.disk_stats();
-      }
-    }
-    ms[delta] = best_ms;
-  }
-  fs::remove_all(dir);
-  char measured[200];
-  std::snprintf(
-      measured, sizeof(measured),
-      "full rewrites %.2f ms / delta spills %.2f ms; %llu -> %llu B "
-      "written (%.1fx fewer)",
-      ms[0], ms[1],
-      static_cast<unsigned long long>(stats[0].compressed_bytes),
-      static_cast<unsigned long long>(stats[1].compressed_bytes),
-      static_cast<double>(stats[0].compressed_bytes) /
-          static_cast<double>(std::max<uint64_t>(
-              stats[1].compressed_bytes, 1)));
-  bench::Row("12 anytime checkpoints, delta off vs on (n=5)", "n/a (ours)",
-             measured);
-  char counters[160];
-  std::snprintf(counters, sizeof(counters),
-                "off: %llu spills / on: %llu spills + %llu delta appends, "
-                "%llu compactions",
-                static_cast<unsigned long long>(stats[0].spills),
-                static_cast<unsigned long long>(stats[1].spills),
-                static_cast<unsigned long long>(stats[1].delta_appends),
-                static_cast<unsigned long long>(stats[1].compactions));
-  bench::Row("delta-spill counters", "n/a (ours)", counters);
-  bench::Note("each checkpoint = one anytime enumeration budget run twice "
-              "(the admission filter admits on the second pass) + "
-              "Persist; delta spills append only the entries added since "
-              "the last spill — the >=3x byte cut is asserted "
-              "deterministically in tests/storage_v2_test.cc");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -642,7 +555,6 @@ int main(int argc, char** argv) {
     RecordMemoSweep();
     RecordPersistSweep();  // appends to the e5_memo_scaling section
     RecordDiskSweep();     // likewise
-    RecordDeltaSweep();    // likewise
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -53,7 +53,6 @@ struct Options {
   bool memo = false, memo_persist = false;
   uint64_t memo_bytes = 0, memo_disk_bytes = 0;
   std::string memo_dir;  // empty = memory only
-  double memo_compact_ratio = 0.5;
   std::string plan;  // empty = no planner
   uint64_t serve_workers = 0;
   std::string serve_trace, serve_out;  // empty serve_out = stdout
@@ -133,12 +132,8 @@ const Flag kFlags[] = {
     {"memo-dir", "PATH", "repair-space cache", "unset",
      "disk tier directory; implies --memo-persist", &Options::memo_dir},
     {"memo-disk-bytes", "N", "repair-space cache", "0",
-     "byte budget for --memo-dir (bases + delta logs); 0 = unbounded",
+     "byte budget for --memo-dir; 0 = unbounded",
      &Options::memo_disk_bytes},
-    {"memo-compact-ratio", "X", "repair-space cache", "0.5",
-     "compact the delta log into a fresh base once it exceeds this "
-     "fraction of the base; <= 0 rewrites the base every spill",
-     Real{&Options::memo_compact_ratio}},
     {"serve-trace", "FILE", "serve-trace", "—",
      "replay a request log through OcqaServer (format: server/trace.h)",
      &Options::serve_trace},
@@ -368,7 +363,6 @@ RepairCacheOptions CacheOptions(const Options& opt) {
   cache.max_bytes_per_root = opt.memo_bytes;
   cache.snapshot_dir = opt.memo_dir;
   cache.max_disk_bytes = opt.memo_disk_bytes;
-  cache.log_compaction_ratio = opt.memo_compact_ratio;
   return cache;
 }
 
@@ -803,15 +797,9 @@ int main(int argc, char** argv) {
                     "%llu restores (%llu bytes), %llu rejected snapshots"
                     "%s\n",
                     opt.memo_dir.c_str(), U(disk.spills),
-                    U(disk.spill_bytes), U(disk.restores),
+                    U(disk.compressed_bytes), U(disk.restores),
                     U(disk.restore_bytes), U(disk.rejected_snapshots),
                     disk.failed_spills == 0 ? "" : " [SPILLS FAILING]");
-        std::printf("disk tier v2: %llu delta appends, %llu compactions, "
-                    "%llu compressed bytes written, %llu promotions / "
-                    "%llu demotions\n",
-                    U(disk.delta_appends), U(disk.compactions),
-                    U(disk.compressed_bytes), U(disk.promotions),
-                    U(disk.demotions));
         if (disk.failed_spills > 0 || disk.breaker_trips > 0 ||
             disk.quarantined > 0) {
           std::fprintf(stderr,

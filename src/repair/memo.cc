@@ -126,7 +126,7 @@ void TranspositionTable::EmplaceEntry(Stripe& stripe, const StateKey& key,
     }
   }
   entry.chances = CostTier(*entry.outcome);
-  entry.sequence = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
+  sequence_.fetch_add(1, std::memory_order_relaxed);
   entry.entry_bytes = EntryBytes(entry);
   size_t stripe_max_bytes =
       max_bytes_ == 0 ? 0 : std::max<size_t>(1, max_bytes_ / kNumStripes);
@@ -168,9 +168,9 @@ void TranspositionTable::Insert(const StateKey& key,
   EmplaceEntry(stripe, key, std::move(entry));
 }
 
-void TranspositionTable::RestoreEntry(
-    const StateKey& key, std::vector<FactId> removed,
-    std::shared_ptr<const MemoOutcome> outcome) {
+void TranspositionTable::Admit(const StateKey& key,
+                               std::vector<FactId> removed,
+                               std::shared_ptr<const MemoOutcome> outcome) {
   Stripe& stripe = StripeFor(key);
   std::lock_guard<std::mutex> lock(stripe.mutex);
   Entry entry;
@@ -179,13 +179,12 @@ void TranspositionTable::RestoreEntry(
   EmplaceEntry(stripe, key, std::move(entry));
 }
 
-std::vector<TranspositionTable::EntryCopy> TranspositionTable::Entries(
-    uint64_t since, uint64_t upto) const {
+std::vector<TranspositionTable::EntryCopy> TranspositionTable::Entries()
+    const {
   std::vector<EntryCopy> entries;
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mutex);
     for (const auto& [db_hash, entry] : stripe.map) {
-      if (entry.sequence <= since || entry.sequence > upto) continue;
       entries.push_back(EntryCopy{entry.removed, entry.outcome});
     }
   }

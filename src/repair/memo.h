@@ -92,15 +92,16 @@
 // re-occurs earns a real entry, at the price of walking its subtree one
 // extra time. Results stay byte-identical — a declined insert is
 // indistinguishable from an eviction. Scratch (per-call) tables never
-// enable the filter, so single-query behavior is exactly PR 4's. Entries
-// restored from a disk snapshot bypass the filter: they already proved
-// their worth in a previous process.
+// enable the filter, so it leaves single-query runs alone. Two kinds
+// of entry bypass the filter (Admit): entries restored from a disk
+// snapshot, which already proved their worth in a previous process, and
+// a factored root's entry, which is computed without walking its inner
+// states and would otherwise be factored again by the next miss.
 
 #ifndef OPCQA_REPAIR_MEMO_H_
 #define OPCQA_REPAIR_MEMO_H_
 
 #include <atomic>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -250,19 +251,18 @@ class TranspositionTable {
   /// keep the always-admit PR-4 behavior.
   void EnableAdmissionFilter() { admission_filter_ = true; }
 
-  /// Inserts an entry reconstructed from a disk snapshot
-  /// (storage/canonical.h): bypasses the admission filter — the entry
-  /// proved its replay value in a previous process — but still competes
-  /// under the budgets. `removed` must be sorted in ascending id order
-  /// (the verification order of Lookup).
-  void RestoreEntry(const StateKey& key, std::vector<FactId> removed,
-                    std::shared_ptr<const MemoOutcome> outcome);
+  /// Records an entry past the admission filter (see file comment):
+  /// one reconstructed from a disk snapshot (storage/canonical.h), or a
+  /// factored root's. It still competes under the budgets. `removed`
+  /// must be sorted in ascending id order (the verification order of
+  /// Lookup).
+  void Admit(const StateKey& key, std::vector<FactId> removed,
+             std::shared_ptr<const MemoOutcome> outcome);
 
   /// Monotone admission clock: every entry that wins residency (Insert
-  /// past the filter, or RestoreEntry) is stamped with the next tick.
-  /// `sequence()` is the newest stamp handed out — the high-water mark a
-  /// delta spill captures. Evictions never rewind it, so "nothing new
-  /// since sequence S" is exactly "no entry carries a stamp > S".
+  /// past the filter, or Admit) advances it by one. Evictions never
+  /// rewind it, so a table still at the value a spill read has admitted
+  /// nothing since (repair/repair_cache.h skips such clean spills).
   uint64_t sequence() const {
     return sequence_.load(std::memory_order_relaxed);
   }
@@ -273,18 +273,9 @@ class TranspositionTable {
     std::shared_ptr<const MemoOutcome> outcome;  // immutable, shared
   };
 
-  /// Copies the entries stamped in (since, upto], one stripe at a time
-  /// under its lock (safe concurrently with Lookup/Insert). The defaults
-  /// take every entry — a base snapshot. A delta spill passes the window
-  /// between a previous spill's `since = sequence()` and its own
-  /// `upto = sequence()`: entries admitted mid-sweep carry stamps > upto
-  /// and are excluded, so the view is a consistent delta even under
-  /// concurrent inserts. An entry both admitted and evicted inside the
-  /// window is simply absent (sound: the disk tier only ever
-  /// under-remembers, never mis-remembers).
-  std::vector<EntryCopy> Entries(
-      uint64_t since = 0,
-      uint64_t upto = std::numeric_limits<uint64_t>::max()) const;
+  /// Copies every entry, one stripe at a time under its lock (safe
+  /// concurrently with Lookup/Insert).
+  std::vector<EntryCopy> Entries() const;
 
   size_t size() const { return stats().entries; }
   MemoStats stats() const { return stats_.Load(); }
@@ -296,8 +287,6 @@ class TranspositionTable {
     /// Second-chance credits: decremented by the eviction sweep, evicted
     /// at zero, refreshed to the cost tier on every verified hit.
     uint8_t chances = 0;
-    /// Admission stamp from sequence_ (see Entries).
-    uint64_t sequence = 0;
     size_t entry_bytes = 0;  // cached EntryBytes(*this)
   };
   struct Stripe {
@@ -340,7 +329,7 @@ class TranspositionTable {
   /// Every MemoStats row, gauges included: stats() is one Load, never
   /// a stripe lock.
   obs::AtomicStats<MemoStats> stats_;
-  /// Admission clock (see sequence()); stamped inside EmplaceEntry.
+  /// Admission clock (see sequence()); advanced inside EmplaceEntry.
   std::atomic<uint64_t> sequence_{0};
   Stripe stripes_[kNumStripes];
 };

@@ -153,13 +153,10 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
     root.last_used = ++tick_;
     root.table = table;
     if (restored.table != nullptr) {
-      root.base_on_disk = true;
-      // Every restored entry was just stamped; the on-disk state covers
+      root.on_disk = true;
+      // Every restored entry was just admitted; the snapshot covers
       // exactly them.
       root.spilled_through_seq = table->sequence();
-      root.base_bytes = restored.base_bytes;
-      root.log_bytes = restored.log_bytes;
-      root.force_compaction = restored.dirty_tail;
     }
     roots_.push_back(std::move(root));
     // The memory tier may now be over its root budget: demote the
@@ -180,8 +177,7 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
 
 double RepairSpaceCache::RetentionScoreLocked(const Root& root) const {
   MemoStats stats = root.table->stats();
-  bool clean_on_disk = store_ != nullptr && root.base_on_disk &&
-                       !root.force_compaction &&
+  bool clean_on_disk = store_ != nullptr && root.on_disk &&
                        root.table->sequence() <= root.spilled_through_seq;
   // Loss if dropped now: a clean-on-disk root costs one restore (read +
   // decode, proportional to its resident footprint); anything else costs
@@ -262,28 +258,7 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
   }
   NoteDiskSuccess();
   out.table = *decoded;
-  out.base_bytes = bytes->size();
   out.bytes = bytes->size();
-  // Delta log on top of the base: each record's entries go through the
-  // same re-interning and verification as base entries. A torn/corrupt
-  // tail keeps the valid prefix (base + prefix, never cold) and forces
-  // the next spill to compact; an unverifiable log *head* is ignored
-  // wholesale — it never matches this root's identity, so its records
-  // must not apply.
-  Result<std::string> log = store_->GetLog(fingerprint);
-  if (log.ok()) {
-    storage::DeltaLogApplyResult applied;
-    Status log_status =
-        storage::ApplyDeltaLog(*log, expected, db, out.table.get(), &applied);
-    if (!log_status.ok()) {
-      disk_.Add<&DiskTierStats::rejected_snapshots>();
-      out.dirty_tail = true;  // compact the dead log away on next spill
-    } else {
-      out.log_bytes = log->size();
-      out.bytes += log->size();
-      if (!applied.clean_tail) out.dirty_tail = true;
-    }
-  }
   if (options_.admission_filter) out.table->EnableAdmissionFilter();
   return out;
 }
@@ -294,26 +269,13 @@ void RepairSpaceCache::SpillAsync(Root root) {
   // is a consistent point-in-time view even while queries keep
   // inserting. Must be called WITHOUT mutex_ held: the task may run
   // inline on a pool worker and re-acquires mutex_ for the clean mark.
-  Database db = std::move(root.db);
-  std::string digest = std::move(root.constraints_digest);
-  std::string identity = std::move(root.generator_identity);
-  bool prune = root.prune;
-  std::shared_ptr<TranspositionTable> table = std::move(root.table);
-  bool base_on_disk = root.base_on_disk;
-  uint64_t spilled_through = root.spilled_through_seq;
-  size_t base_bytes = root.base_bytes;
-  size_t log_bytes = root.log_bytes;
-  bool force_compaction = root.force_compaction;
-  auto task = [this, db = std::move(db), digest = std::move(digest),
-               identity = std::move(identity), prune,
-               table = std::move(table), base_on_disk, spilled_through,
-               base_bytes, log_bytes, force_compaction]() {
-    bool skip = base_on_disk && !force_compaction &&
-                table->sequence() <= spilled_through;
-    // On-disk state already current (restored or spilled, and untouched
-    // since): rewriting it would only burn IO. And with the breaker
-    // open, a spill would only burn a failure — the root stays dirty
-    // and the next spill trigger retries once the tier recovers.
+  auto task = [this, root = std::move(root)]() {
+    const std::shared_ptr<TranspositionTable>& table = root.table;
+    bool skip = root.on_disk && table->sequence() <= root.spilled_through_seq;
+    // On-disk snapshot already current (restored or spilled, and
+    // untouched since): rewriting it would only burn IO. And with the
+    // breaker open, a spill would only burn a failure — the root stays
+    // dirty and the next spill trigger retries once the tier recovers.
     if (!skip && !DiskTierAvailable()) skip = true;
     if (skip) {
       std::lock_guard<std::mutex> lock(spill_mutex_);
@@ -336,114 +298,42 @@ void RepairSpaceCache::SpillAsync(Root root) {
           obs::MetricsRegistry::Global().GetHistogram("cache.spill_ms");
       obs::ScopedTimer timer(spill_latency);
       storage::SnapshotIdentity ident;
-      ident.db_text = db.ToString();
-      ident.constraints_digest = digest;
-      ident.generator_identity = identity;
-      ident.prune = prune;
+      ident.db_text = root.db.ToString();
+      ident.constraints_digest = root.constraints_digest;
+      ident.generator_identity = root.generator_identity;
+      ident.prune = root.prune;
       uint64_t fingerprint = storage::StableFingerprint(ident);
-      // The spill covers every entry stamped up to here; later inserts
+      // The spill covers every entry admitted up to here; later inserts
       // re-dirty the root (conservative if inserts land mid-encode: the
-      // full encoder may include them, a rewrite is harmless).
+      // encoder may include them, a rewrite is harmless).
       uint64_t upto = table->sequence();
-
-      // Writeback helper: stamp the live root's residency bookkeeping
-      // (SpillAsync's contract guarantees mutex_ is not held here).
-      auto mark_live = [this, &table](auto mutate) {
+      std::string bytes = storage::EncodeSnapshot(ident, root.db, *table);
+      Status put = [&]() -> Status {
+        OPCQA_FAILPOINT("repair_cache.spill");
+        return store_->Put(fingerprint, bytes);
+      }();
+      if (put.ok()) {
+        NoteDiskSuccess();
+        disk_.Add<&DiskTierStats::spills>();
+        disk_.Add<&DiskTierStats::compressed_bytes>(bytes.size());
+        // Stamp the live root clean (SpillAsync's contract guarantees
+        // mutex_ is not held here).
         std::lock_guard<std::mutex> roots_lock(mutex_);
         for (Root& live : roots_) {
           if (live.table == table) {
-            mutate(live);
+            live.on_disk = true;
+            live.spilled_through_seq =
+                std::max(live.spilled_through_seq, upto);
             break;
           }
         }
-      };
-
-      // Delta path: base exists, log still healthy, and the new record
-      // would keep the log under the compaction threshold. Everything
-      // else rewrites the base (and drops the log) — the unified
-      // "compaction" of the spill paths.
-      bool delta_done = false;
-      if (options_.log_compaction_ratio > 0 && base_on_disk &&
-          !force_compaction) {
-        size_t record_entries = 0;
-        std::string record = storage::EncodeDeltaRecord(
-            db, *table, spilled_through, upto, &record_entries);
-        if (record_entries == 0) {
-          // The window holds nothing still resident (admitted entries
-          // may have been evicted since): the on-disk state is as
-          // current as it can be made.
-          mark_live([&](Root& live) {
-            live.spilled_through_seq = std::max(live.spilled_through_seq,
-                                                upto);
-          });
-          delta_done = true;
-        } else if (static_cast<double>(log_bytes + record.size()) >
-                   options_.log_compaction_ratio *
-                       static_cast<double>(base_bytes)) {
-          // Log would outgrow the threshold: fall through to compaction.
-        } else {
-          Status appended = store_->AppendDelta(
-              fingerprint, storage::EncodeDeltaLogHead(ident), record);
-          if (appended.ok()) {
-            NoteDiskSuccess();
-            disk_.Add<&DiskTierStats::delta_appends>();
-            disk_.Add<&DiskTierStats::compressed_bytes>(record.size());
-            size_t on_disk_log = store_->LogBytes(fingerprint);
-            mark_live([&](Root& live) {
-              live.spilled_through_seq = std::max(live.spilled_through_seq,
-                                                  upto);
-              live.log_bytes = on_disk_log;
-            });
-            delta_done = true;
-          } else {
-            // The log may now end mid-record. Readers tolerate that
-            // (valid-prefix), but appending after a torn record would
-            // bury live records behind garbage — so the next spill must
-            // rewrite the base.
-            disk_.Add<&DiskTierStats::failed_spills>();
-            NoteDiskFailure();
-            mark_live([](Root& live) { live.force_compaction = true; });
-            delta_done = true;  // don't double-fail into a Put this round
-          }
-        }
-      }
-
-      if (!delta_done) {
-        bool compacting = base_on_disk && (log_bytes > 0 || force_compaction);
-        std::string bytes = storage::EncodeSnapshot(ident, db, *table);
-        Status put = [&]() -> Status {
-          if (compacting) OPCQA_FAILPOINT("repair_cache.compact");
-          OPCQA_FAILPOINT("repair_cache.spill");
-          return store_->Put(fingerprint, bytes);
-        }();
-        if (put.ok()) {
-          // The fresh base supersedes every logged record; dropping the
-          // log only after the base is durably published means a crash
-          // between the two leaves base + stale log — whose records are
-          // still true for this identity, merely redundant.
-          store_->DeleteLog(fingerprint);
-          NoteDiskSuccess();
-          disk_.Add<&DiskTierStats::spills>();
-          disk_.Add<&DiskTierStats::spill_bytes>(bytes.size());
-          disk_.Add<&DiskTierStats::compressed_bytes>(bytes.size());
-          if (compacting) disk_.Add<&DiskTierStats::compactions>();
-          mark_live([&](Root& live) {
-            live.base_on_disk = true;
-            live.spilled_through_seq = std::max(live.spilled_through_seq,
-                                                upto);
-            live.base_bytes = bytes.size();
-            live.log_bytes = 0;
-            live.force_compaction = false;
-          });
-        } else {
-          // An unwritable/full snapshot directory must be visible to the
-          // operator — "0 spills" alone cannot distinguish "nothing
-          // dirty" from "every spill failing". A failed compaction
-          // leaves the previous base (and log) untouched on disk —
-          // Put is atomic and DeleteLog was never reached.
-          disk_.Add<&DiskTierStats::failed_spills>();
-          NoteDiskFailure();
-        }
+      } else {
+        // An unwritable/full snapshot directory must be visible to the
+        // operator — "0 spills" alone cannot distinguish "nothing
+        // dirty" from "every spill failing". Put is atomic, so a failed
+        // rewrite leaves the previous snapshot untouched on disk.
+        disk_.Add<&DiskTierStats::failed_spills>();
+        NoteDiskFailure();
       }
     }
     {
@@ -485,7 +375,7 @@ void RepairSpaceCache::Persist() {
     for (const Root& root : roots_) {
       // Clean roots (restored/spilled, untouched since) would be skipped
       // by the task anyway — don't even pay the Database copy.
-      if (root.base_on_disk && !root.force_compaction &&
+      if (root.on_disk &&
           root.table->sequence() <= root.spilled_through_seq) {
         continue;
       }

@@ -33,7 +33,7 @@
 // not opt in) never get a persistent table — callers fall back to the
 // per-call scratch table, which is always sound.
 //
-// ## Disk tier (PR 5, v2 in PR 9)
+// ## Disk tier
 //
 // With `snapshot_dir` set, the cache grows a second, durable tier
 // (src/storage/): when a root demotes out of memory — and on explicit
@@ -50,28 +50,22 @@
 // means cold compute — the disk tier can change how fast answers arrive,
 // never what they are.
 //
-// Storage v2 cuts the tier's write amplification and unifies residency:
+// A root is one snapshot file. A spill of a root that admitted entries
+// since its last spill or restore (the memo's admission clock,
+// TranspositionTable::sequence) rewrites the whole snapshot; a clean
+// root writes nothing, so a read-only warm process leaves the directory
+// untouched.
 //
-//   * Delta spills. Once a root's base snapshot exists, a spill appends
-//     only the entries stamped since the last spill (the memo's
-//     admission-sequence clock, TranspositionTable::Entries) as one
-//     CRC-framed record to the root's delta log, instead of rewriting
-//     the whole base. The log compacts back into a fresh base once it
-//     outgrows `log_compaction_ratio` of the base (and after any append
-//     failure or torn-tail restore). Restore = base + valid log prefix,
-//     each entry re-verified exactly like base entries — never cold just
-//     because a tail record tore.
-//   * One residency model. Memory and disk are two residency levels of
-//     the same state, not a cache and a backup. Dropping a root from
-//     memory is a *demotion* (its table keeps serving from disk);
-//     restoring one is a *promotion*. This cache alone decides which
-//     roots stay live, by one rule: at most `max_roots` of them, and the
-//     victim on overflow is picked by retention score — what dropping
-//     costs (cheap restore for clean-on-disk roots, full recompute
-//     otherwise) per tick of idleness — so a hot disk-backed root is
-//     pinned back while a cold dirty one spills early. Memory is bounded
-//     by `max_roots` times the per-root budget (`max_bytes_per_root`,
-//     and always TranspositionTable::kDefaultMaxEntries entries).
+// Memory and disk are two residency levels of the same state, not a
+// cache and a backup. Dropping a root from memory is a *demotion* (its
+// table keeps serving from disk); restoring one is a *promotion*. This
+// cache alone decides which roots stay live, by one rule: at most
+// `max_roots` of them, and the victim on overflow is picked by retention
+// score — what dropping costs (cheap restore for clean-on-disk roots,
+// full recompute otherwise) per tick of idleness — so a hot disk-backed
+// root is pinned back while a cold dirty one spills early. Memory is
+// bounded by `max_roots` times the per-root budget (`max_bytes_per_root`,
+// and always TranspositionTable::kDefaultMaxEntries entries).
 
 #ifndef OPCQA_REPAIR_REPAIR_CACHE_H_
 #define OPCQA_REPAIR_REPAIR_CACHE_H_
@@ -101,16 +95,9 @@ struct RepairCacheOptions {
   /// Directory of the disk tier (storage/snapshot_store.h); empty keeps
   /// the cache memory-only (the PR-4 behavior).
   std::string snapshot_dir;
-  /// Byte budget for the snapshot directory (bases + delta logs),
-  /// enforced oldest-root-first after every spill; 0 disables disk GC.
+  /// Byte budget for the snapshot directory, enforced oldest-snapshot-
+  /// first after every spill; 0 disables disk GC.
   size_t max_disk_bytes = 0;
-  /// Once a root's base snapshot exists, a spill appends only the
-  /// entries admitted since the last spill to the root's delta log, and
-  /// compacts the log back into a fresh base once its size would exceed
-  /// this fraction of the base snapshot's size. <= 0 rewrites the whole
-  /// base on every spill (a log never exists); large values let the log
-  /// grow long — restores pay proportionally more decode.
-  double log_compaction_ratio = 0.5;
   /// Persistent tables normally require a key to miss twice before its
   /// subtree is recorded (the PR-5 churn filter for disk-backed sweeps).
   /// A serving front end that batches many same-root requests behind one
@@ -177,47 +164,30 @@ class RepairSpaceCache {
     bool prune = false;
     uint64_t last_used = 0;
     std::shared_ptr<TranspositionTable> table;
-    /// True once a base snapshot for this root exists on disk (written
-    /// by a spill, or found there by the restore) — the precondition for
-    /// appending delta records instead of rewriting the base.
-    bool base_on_disk = false;
+    /// True once a snapshot for this root exists on disk (written by a
+    /// spill, or found there by the restore).
+    bool on_disk = false;
     /// Admission-sequence stamp (TranspositionTable::sequence) through
-    /// which the on-disk state — base plus delta log — is current. A
-    /// spill whose table still sits at this stamp has nothing new to say
-    /// and is skipped, so a read-only warm process never rewrites its
-    /// snapshot and an explicit Persist() followed by session close
-    /// writes once, not twice.
+    /// which the on-disk snapshot is current. A spill whose table still
+    /// sits at this stamp has nothing new to say and is skipped, so a
+    /// read-only warm process never rewrites its snapshot and an
+    /// explicit Persist() followed by session close writes once, not
+    /// twice.
     uint64_t spilled_through_seq = 0;
-    /// Size of the last written/restored base snapshot and of the
-    /// current delta log — the compaction-ratio inputs. Advisory (policy
-    /// only): staleness can mistime a compaction, never corrupt one.
-    size_t base_bytes = 0;
-    size_t log_bytes = 0;
-    /// The next spill must rewrite the base and drop the log: set after
-    /// a failed append (the log may end mid-record) and after a restore
-    /// that hit a torn log tail.
-    bool force_compaction = false;
   };
 
-  /// What RestoreFromDisk hands back besides the table: the numbers the
-  /// installed Root and the stats counters need.
+  /// What RestoreFromDisk hands back: the table and its snapshot size.
   struct RestoredDisk {
     std::shared_ptr<TranspositionTable> table;
-    size_t bytes = 0;       // base + applied log bytes (restore_bytes)
-    size_t base_bytes = 0;  // base snapshot alone
-    size_t log_bytes = 0;   // applied delta log (0 when none)
-    bool dirty_tail = false;  // log tail torn/corrupt → force compaction
+    size_t bytes = 0;  // restore_bytes
   };
 
   /// Probes the disk tier for this root; a null `table` means miss or a
-  /// rejected snapshot (counted). Restores the base snapshot, then
-  /// applies the delta log's valid prefix on top (same per-entry
-  /// verification; a torn tail sets dirty_tail, an unverifiable log head
-  /// is ignored wholesale — base-only, never cold). Called without
-  /// mutex_ held — decode can be slow and verification needs no cache
-  /// state. The caller counts the restore/promotion only once the table
-  /// actually wins installation (a concurrent loser's decode must not
-  /// inflate DiskTierStats).
+  /// rejected snapshot (counted). Called without mutex_ held — decode
+  /// can be slow and verification needs no cache state. The caller
+  /// counts the restore/promotion only once the table actually wins
+  /// installation (a concurrent loser's decode must not inflate
+  /// DiskTierStats).
   RestoredDisk RestoreFromDisk(const Database& db, const std::string& digest,
                                const std::string& identity, bool prune);
   /// Enqueues a spill on the shared pool (the background writer); the

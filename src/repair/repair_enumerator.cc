@@ -76,10 +76,13 @@ class SubtreeWalker {
       // The split step (repair/localization.h): a root whose conflicts
       // fall into independent components is solved per component, and
       // its outcome, equal to what walking it would record, is replayed.
+      // It is recorded at its first miss, past the admission filter.
       std::shared_ptr<const MemoOutcome> factored =
           FactorRoot(state.context(), generator_, budget_);
       if (factored != nullptr && Replay(*factored, state, mass)) {
-        if (memo_ != nullptr) memo_->Insert(state, factored);
+        if (memo_ != nullptr) {
+          memo_->Admit(KeyOf(state), state.removed(), factored);
+        }
         return factored->depth_below;
       }
     }

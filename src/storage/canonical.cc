@@ -18,10 +18,8 @@ namespace {
 // ---------------------------------------------------------------------
 
 constexpr char kMagic[8] = {'O', 'P', 'C', 'Q', 'S', 'N', 'A', 'P'};
-constexpr char kLogMagic[8] = {'O', 'P', 'C', 'Q', 'D', 'L', 'O', 'G'};
 constexpr uint32_t kSectionIdentity = 1;
 constexpr uint32_t kSectionEntries = 2;
-constexpr uint32_t kSectionDelta = 3;
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the ubiquitous choice for
 /// detecting accidental corruption in storage formats.
@@ -303,7 +301,7 @@ bool DecodeMass(Reader* reader, StringDictDecoder* dict, Rational* out) {
 }
 
 // ---------------------------------------------------------------------
-// Identity payload (shared by base snapshots and the delta-log head)
+// Identity payload
 // ---------------------------------------------------------------------
 
 std::string EncodeIdentityPayload(const SnapshotIdentity& identity) {
@@ -404,8 +402,7 @@ std::string EncodeEntriesPayload(
 /// against the live process.
 Status RestoreEntriesPayload(const char* data, size_t size,
                              const std::vector<FactId>& dictionary,
-                             size_t root_hash, TranspositionTable* table,
-                             size_t* entries_applied) {
+                             size_t root_hash, TranspositionTable* table) {
   Reader reader(data, size);
   StringDictDecoder dict;
   uint64_t stored_dictionary_size = reader.U64();
@@ -461,9 +458,7 @@ Status RestoreEntriesPayload(const char* data, size_t size,
     outcome->depth_below = reader.Var();
     if (!reader.ok()) return Corrupt("outcome counters");
 
-    table->RestoreEntry(StateKey{db_hash}, std::move(removed),
-                        std::move(outcome));
-    if (entries_applied != nullptr) ++*entries_applied;
+    table->Admit(StateKey{db_hash}, std::move(removed), std::move(outcome));
   }
   if (!reader.AtEnd()) return Corrupt("trailing entry bytes");
   return Status::Ok();
@@ -564,95 +559,9 @@ Result<std::shared_ptr<TranspositionTable>> DecodeSnapshot(
   auto table = std::make_shared<TranspositionTable>(max_entries, max_bytes);
   Status entries_ok = RestoreEntriesPayload(
       sections[1].first, sections[1].second, dictionary, live_root.Hash(),
-      table.get(), nullptr);
+      table.get());
   if (!entries_ok.ok()) return entries_ok;
   return table;
-}
-
-std::string EncodeDeltaLogHead(const SnapshotIdentity& identity) {
-  std::string out;
-  out.append(kLogMagic, sizeof(kLogMagic));
-  Writer header(&out);
-  header.U32(kSnapshotFormatVersion);
-  AppendSection(&out, kSectionIdentity, EncodeIdentityPayload(identity));
-  return out;
-}
-
-std::string EncodeDeltaRecord(const Database& root_db,
-                              const TranspositionTable& table,
-                              uint64_t since_seq, uint64_t upto_seq,
-                              size_t* entry_count) {
-  std::vector<TranspositionTable::EntryCopy> entries =
-      table.Entries(since_seq, upto_seq);
-  *entry_count = entries.size();
-  std::string payload = EncodeEntriesPayload(root_db, entries);
-  std::string out;
-  AppendSection(&out, kSectionDelta, payload);
-  return out;
-}
-
-Status ApplyDeltaLog(const std::string& log_bytes,
-                     const SnapshotIdentity& expected,
-                     const Database& live_root, TranspositionTable* table,
-                     DeltaLogApplyResult* result) {
-  *result = DeltaLogApplyResult{};
-  Reader top(log_bytes.data(), log_bytes.size());
-  auto [magic, magic_size] = top.Span(sizeof(kLogMagic));
-  if (!top.ok() || std::memcmp(magic, kLogMagic, sizeof(kLogMagic)) != 0) {
-    return Corrupt("bad delta-log magic");
-  }
-  uint32_t version = top.U32();
-  if (!top.ok() || version != kSnapshotFormatVersion) {
-    return Corrupt("delta-log format version " + std::to_string(version));
-  }
-  // The head's identity section is load-bearing, not advisory: a record
-  // only ever applies after the same string-equality verification a base
-  // snapshot passes. Head damage rejects the whole log (the caller keeps
-  // its base-only table and compacts the log away on the next spill).
-  {
-    uint32_t id = top.U32();
-    uint64_t size = top.U64();
-    uint32_t crc = top.U32();
-    auto span = top.Span(size);
-    if (!top.ok() || id != kSectionIdentity) {
-      return Corrupt("delta-log head framing");
-    }
-    if (Crc32(span.first, span.second) != crc) {
-      return Corrupt("delta-log head checksum mismatch");
-    }
-    Status identity_ok = VerifyIdentityPayload(span.first, span.second,
-                                               expected);
-    if (!identity_ok.ok()) return identity_ok;
-  }
-
-  std::vector<FactId> dictionary = Dictionary(live_root);
-  size_t root_hash = live_root.Hash();
-  // Records apply in append order; the first torn or corrupt one ends
-  // application at the valid prefix. A record damaged halfway through
-  // may have restored some of its entries already — sound either way,
-  // since every entry is an independently true fact about this root.
-  while (!top.AtEnd()) {
-    uint32_t id = top.U32();
-    uint64_t size = top.U64();
-    uint32_t crc = top.U32();
-    auto span = top.Span(size);
-    if (!top.ok() || id != kSectionDelta ||
-        Crc32(span.first, span.second) != crc) {
-      result->clean_tail = false;
-      break;
-    }
-    size_t entries_applied = 0;
-    Status record_ok = RestoreEntriesPayload(span.first, span.second,
-                                             dictionary, root_hash, table,
-                                             &entries_applied);
-    result->entries_applied += entries_applied;
-    if (!record_ok.ok()) {
-      result->clean_tail = false;
-      break;
-    }
-    ++result->records_applied;
-  }
-  return Status::Ok();
 }
 
 }  // namespace storage

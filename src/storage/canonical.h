@@ -35,20 +35,15 @@
 // corruption; the format is not authenticated against deliberate
 // tampering — point snapshot_dir at a trusted location.)
 //
-// ## Version and the delta log
+// ## Version
 //
 // This build reads and writes format v3 only — varint integers,
 // gap-coded removed-index sets, and a streaming string dictionary over
 // the mass strings. Any other version (the retired v1 and v2 included) is
-// rejected, which a caller treats as a cache miss (cold compute).
-// Alongside the base snapshot a root may carry a *delta log*: an
-// append-only file of CRC-framed records, each holding only the entries
-// admitted since the previous spill, so a warm root's Persist writes
-// kilobytes instead of rewriting the whole snapshot. A torn or corrupt
-// record ends log application at the last valid prefix — base plus
-// prefix, never cold. The normative byte-level spec of the snapshot and
-// delta-record grammar lives in docs/SNAPSHOT_FORMAT.md; keep that
-// document in lockstep with this file.
+// rejected, which a caller treats as a cache miss (cold compute). A root
+// is one base snapshot: every spill rewrites it whole. The normative
+// byte-level spec lives in docs/SNAPSHOT_FORMAT.md; keep that document in
+// lockstep with this file.
 
 #ifndef OPCQA_STORAGE_CANONICAL_H_
 #define OPCQA_STORAGE_CANONICAL_H_
@@ -85,7 +80,7 @@ std::string RenderConstraints(const Schema& schema,
 uint64_t StableFingerprint(const SnapshotIdentity& identity);
 
 /// The on-disk format version: what EncodeSnapshot writes and the only
-/// one DecodeSnapshot and ApplyDeltaLog accept.
+/// one DecodeSnapshot accepts.
 inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// Serializes the table's current entries (a point-in-time view; safe
@@ -109,47 +104,6 @@ std::string EncodeSnapshot(const SnapshotIdentity& identity,
 Result<std::shared_ptr<TranspositionTable>> DecodeSnapshot(
     const std::string& bytes, const SnapshotIdentity& expected,
     const Database& live_root, size_t max_entries, size_t max_bytes);
-
-// ---------------------------------------------------------------------
-// Delta log
-// ---------------------------------------------------------------------
-
-/// The head a delta-log file starts with: log magic, format version, and
-/// the full identity section — so a log is verified by string equality
-/// exactly like a base snapshot before a single record applies (a
-/// fingerprint collision in the file name can never alias roots through
-/// the log either). Records are appended after the head.
-std::string EncodeDeltaLogHead(const SnapshotIdentity& identity);
-
-/// One CRC-framed delta record holding the still-resident table entries
-/// stamped in (since_seq, upto_seq] (TranspositionTable::Entries), in the
-/// canonical entry order of EncodeSnapshot.
-/// `*entry_count` gets the number of entries serialized; when it is 0 the
-/// record carries nothing and need not be appended.
-std::string EncodeDeltaRecord(const Database& root_db,
-                              const TranspositionTable& table,
-                              uint64_t since_seq, uint64_t upto_seq,
-                              size_t* entry_count);
-
-struct DeltaLogApplyResult {
-  size_t records_applied = 0;
-  size_t entries_applied = 0;
-  /// False when a torn or corrupt record ended application early: the
-  /// valid prefix IS applied (base + prefix, never cold), and the caller
-  /// should compact the log away on its next spill.
-  bool clean_tail = true;
-};
-
-/// Applies a delta log on top of a freshly restored base table: verifies
-/// the log head (magic, version, identity string equality against
-/// `expected`), then re-interns each record's entries into `table` in
-/// append order. A bad head returns an error status and applies nothing
-/// (the caller keeps the base-only table); a bad record merely stops
-/// application at the valid prefix (`result->clean_tail = false`).
-Status ApplyDeltaLog(const std::string& log_bytes,
-                     const SnapshotIdentity& expected,
-                     const Database& live_root, TranspositionTable* table,
-                     DeltaLogApplyResult* result);
 
 }  // namespace storage
 }  // namespace opcqa

@@ -20,20 +20,15 @@
 //     fingerprint is never probed again until a fresh Put replaces it —
 //     the corrupt bytes are kept for post-mortem instead of being
 //     re-decoded on every miss or silently deleted.
-//   * Delta-log append. Alongside the base snapshot a root may own an
-//     append-only delta log (`root-<hex>.log`, format in
-//     storage/canonical.h): AppendDelta() writes the log head on first
-//     use and then one CRC-framed record per call, fsynced, in a single
-//     write() each — a crash tears at most the last record, which the
-//     reader's valid-prefix rule drops.
-//   * Oldest-first GC. With max_disk_bytes > 0, every Put() and
-//     AppendDelta() deletes the stalest *roots* (base + delta log
-//     together, by base modification time) until the directory fits the
-//     budget again. Both files count toward the budget, a root's log is
-//     never orphaned by GC, and a log without a base is swept outright.
-//     The just-written root is always kept, so a budget smaller than one
-//     snapshot degrades to "keep the newest" instead of making the tier
-//     useless.
+//   * Oldest-first GC. With max_disk_bytes > 0, every Put() deletes the
+//     stalest snapshots (by modification time) until the directory fits
+//     the budget again. The just-written snapshot is always kept, so a
+//     budget smaller than one snapshot degrades to "keep the newest"
+//     instead of making the tier useless.
+//   * Only `root-<hex>.snap` files and its own temps are the store's.
+//     Anything else in the directory — a `root-<hex>.log` delta log left
+//     by an older build included — is never read, counted toward the
+//     budget, or deleted.
 //   * Crashed-writer sweep. Temp files older than an hour are removed at
 //     construction and before every GC pass, so a long-lived process
 //     cannot count orphaned temps against its disk budget.
@@ -63,7 +58,6 @@ namespace opcqa {
 /// (repair/repair_cache.h) everything else; disk_stats() sums the two.
 struct DiskTierStats {
   uint64_t spills = 0;         // snapshots written
-  uint64_t spill_bytes = 0;    // bytes written across all spills
   uint64_t restores = 0;       // snapshots verified + re-interned
   uint64_t restore_bytes = 0;  // bytes of the restored snapshots
   /// Snapshots rejected by verification (corruption, truncation, version
@@ -84,15 +78,8 @@ struct DiskTierStats {
   uint64_t breaker_trips = 0;
   /// Restores/spills skipped because the breaker was open.
   uint64_t breaker_skips = 0;
-  /// Delta records appended to per-root logs (spills that did NOT
-  /// rewrite the base).
-  uint64_t delta_appends = 0;
-  /// Delta logs compacted back into a fresh base snapshot.
-  uint64_t compactions = 0;
-  /// Total bytes written to the disk tier in the compressed v2 encoding
-  /// (base snapshots + delta records) — the write-amplification figure
-  /// the pr9_disk_delta_ms bench gates. spill_bytes counts base
-  /// snapshots only.
+  /// Total bytes of the snapshots written (the v3 encoding is
+  /// compressed: varints, gap-coded sets, a string dictionary).
   uint64_t compressed_bytes = 0;
   /// Disk-resident roots promoted back into the memory tier (every one
   /// is also counted in `restores`).
@@ -107,7 +94,6 @@ struct DiskTierStats {
     using enum obs::FieldKind;
     return std::to_array<obs::Field<DiskTierStats>>({
         {"spills", &DiskTierStats::spills, kCounter},
-        {"spill_bytes", &DiskTierStats::spill_bytes, kCounter},
         {"restores", &DiskTierStats::restores, kCounter},
         {"restore_bytes", &DiskTierStats::restore_bytes, kCounter},
         {"rejected_snapshots", &DiskTierStats::rejected_snapshots, kCounter},
@@ -117,8 +103,6 @@ struct DiskTierStats {
         {"swept_temps", &DiskTierStats::swept_temps, kCounter},
         {"breaker_trips", &DiskTierStats::breaker_trips, kCounter},
         {"breaker_skips", &DiskTierStats::breaker_skips, kCounter},
-        {"delta_appends", &DiskTierStats::delta_appends, kCounter},
-        {"compactions", &DiskTierStats::compactions, kCounter},
         {"compressed_bytes", &DiskTierStats::compressed_bytes, kCounter},
         {"promotions", &DiskTierStats::promotions, kCounter},
         {"demotions", &DiskTierStats::demotions, kCounter},
@@ -153,9 +137,6 @@ class SnapshotStore {
   /// "root-<16 hex digits>.snap" — the canonical snapshot file name.
   static std::string FileName(uint64_t fingerprint);
 
-  /// "root-<16 hex digits>.log" — the root's delta-log file name.
-  static std::string LogFileName(uint64_t fingerprint);
-
   /// Subdirectory (under the store directory) holding quarantined
   /// snapshots.
   static constexpr const char* kQuarantineDirName = "quarantine";
@@ -180,31 +161,9 @@ class SnapshotStore {
   /// True once `fingerprint` has been quarantined (and not re-Put).
   bool IsQuarantined(uint64_t fingerprint) const;
 
-  /// Appends `record` to the root's delta log, creating the file with
-  /// `head` first when it does not exist (or is empty). Head+record (or
-  /// record alone) go down in one write() followed by fsync, so a crash
-  /// tears at most the tail record. No retry: a failed append leaves the
-  /// log possibly mid-record — the caller should force a compaction,
-  /// which rewrites the base and deletes the log. Quarantined roots
-  /// reject appends. Runs the same sweeps as Put().
-  Status AppendDelta(uint64_t fingerprint, const std::string& head,
-                     const std::string& record);
-
-  /// The root's delta-log bytes; NotFound when no log exists or the
-  /// root is quarantined. A missing log is the common case (freshly
-  /// compacted root), not an error worth logging.
-  Result<std::string> GetLog(uint64_t fingerprint) const;
-
-  /// Removes the root's delta log (no-op when absent) — called after a
-  /// compaction publishes a fresh base that supersedes the log.
-  void DeleteLog(uint64_t fingerprint);
-
-  /// Size in bytes of the root's delta log, 0 when absent.
-  size_t LogBytes(uint64_t fingerprint) const;
-
-  /// Total bytes of committed snapshots AND delta logs currently in the
-  /// directory (temp files and the quarantine subdirectory excluded).
-  /// 0 when the directory does not exist.
+  /// Total bytes of committed snapshots currently in the directory
+  /// (temp files, the quarantine subdirectory and foreign files
+  /// excluded). 0 when the directory does not exist.
   size_t TotalBytes() const;
 
   /// The store's rows of the disk-tier counters (quarantined,
@@ -218,10 +177,9 @@ class SnapshotStore {
   Status PutAttemptLocked(uint64_t fingerprint, const std::string& bytes);
   /// Removes temp files older than kTempMaxAge (snapshot_store.cc).
   void SweepStaleTempsLocked();
-  /// Deletes whole roots (base + log) oldest-first by base mtime — never
-  /// the root named `keep_stem` — until within max_disk_bytes; sweeps
-  /// orphan logs (log without base) first.
-  void GarbageCollectLocked(const std::string& keep_stem);
+  /// Deletes snapshots oldest-first by mtime — never `keep_name` — until
+  /// the directory is within max_disk_bytes.
+  void GarbageCollectLocked(const std::string& keep_name);
 
   SnapshotStoreOptions options_;
   mutable std::mutex mutex_;

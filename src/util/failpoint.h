@@ -114,9 +114,7 @@ inline constexpr const char* kFailpointSites[] = {
     "storage.snapshot_store.rename",   // error: publish rename
     "storage.snapshot_store.read",     // error: Get() stream read
     "storage.snapshot_store.corrupt",  // corrupt: Get() returned bytes
-    "storage.snapshot_store.append",   // error|delay: delta-log append
     "repair_cache.spill",              // error|delay: spill task, pre-Put
-    "repair_cache.compact",            // error|delay: log compaction, pre-Put
     "repair_cache.restore",            // error|delay: restore, pre-Get
     "server.unit",                     // crash|delay: read member, pre-exec
     "engine.session.enumerate",        // crash|delay: chain walk entry

@@ -205,11 +205,6 @@ ChaosRun RunServed(const gen::Workload& w, const std::vector<Request>& trace,
   // keeps spilling and re-restoring — the storage and repair_cache
   // sites see real traffic inside a single run.
   options.cache.max_roots = 3;
-  // Aggressive compaction threshold: re-restored roots that dirty again
-  // flip between delta appends and log compactions within one run, so
-  // the storage.snapshot_store.append and repair_cache.compact sites
-  // see real traffic (not just the base-spill path).
-  options.cache.log_compaction_ratio = 0.05;
   // Short cooldown so a tripped breaker also exercises half-open
   // recovery within the run instead of staying memory-only to the end.
   options.cache.breaker_cooldown_ms = 20;

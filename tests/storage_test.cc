@@ -198,7 +198,7 @@ TEST(StorageSnapshotTest, EncodeDecodeRoundTripAndIdentityVerification) {
 TEST(StorageSnapshotTest, EqualEntrySetsEncodeToEqualBytes) {
   // Entries are written in canonical order, not in the order the stripes
   // happen to hold them: two tables filled with the same entries in
-  // opposite orders produce the same base snapshot and delta record.
+  // opposite orders produce the same snapshot.
   gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/7);
   gen::Walked<UniformChainGenerator> generator;
   RepairSpaceCache cache;
@@ -230,13 +230,6 @@ TEST(StorageSnapshotTest, EqualEntrySetsEncodeToEqualBytes) {
   identity.prune = true;
   EXPECT_EQ(storage::EncodeSnapshot(identity, w.db, forward),
             storage::EncodeSnapshot(identity, w.db, backward));
-  size_t forward_count = 0, backward_count = 0;
-  EXPECT_EQ(storage::EncodeDeltaRecord(w.db, forward, 0, forward.sequence(),
-                                       &forward_count),
-            storage::EncodeDeltaRecord(w.db, backward, 0,
-                                       backward.sequence(), &backward_count));
-  EXPECT_EQ(forward_count, entries.size());
-  EXPECT_EQ(backward_count, entries.size());
 }
 
 // ---------------------------------------------------------------------
@@ -485,7 +478,7 @@ TEST(AdmissionFilterTest, RecordsOnlyTwiceMissedKeys) {
   // value in a previous process.
   TranspositionTable restored;
   restored.EnableAdmissionFilter();
-  restored.RestoreEntry(key, {}, outcome);
+  restored.Admit(key, {}, outcome);
   EXPECT_EQ(restored.size(), 1u);
   EXPECT_EQ(restored.Lookup(key, removed), outcome);
 }
