@@ -1,10 +1,12 @@
 // E7 — The point of Section 5: one Sample walk is polynomial in |D| while
 // exact enumeration is exponential in the number of conflicts. Times both
-// on the same workload family (google-benchmark).
+// on the same workload family (google-benchmark), and the sampler's exact
+// path against the walks it replaces.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "repair/ocqa.h"
@@ -66,6 +68,34 @@ void BM_ExactOcqaSameInstances(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactOcqaSameInstances)
     ->DenseRange(1, 5, 2)
+    ->Unit(benchmark::kMillisecond);
+
+// EstimateOca at ε = 0.01, δ = 0.05 (n = 18,445 walks) on an instance
+// shaped like perfbench's approx_sample inputs: 8 keys, 6 of them
+// conflicting pairs. Under uniform (arg 0) the root's product, 24
+// component states and 729 repairs, fits the budget and is scored
+// exactly; its walked copy (arg 1) runs the n walks. A fresh sampler per
+// iteration, so the product is built every time.
+void BM_EstimateOcaKeyPairs(benchmark::State& state) {
+  gen::Workload w = gen::MakeKeyViolationWorkload(8, 6, 2, /*seed=*/404);
+  UniformChainGenerator uniform;
+  gen::Walked<UniformChainGenerator> walked;
+  const ChainGenerator* generator =
+      state.range(0) == 0 ? static_cast<const ChainGenerator*>(&uniform)
+                          : &walked;
+  Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
+  size_t walks = 0;
+  for (auto _ : state) {
+    Sampler sampler(w.db, w.constraints, generator, /*seed=*/405);
+    ApproxOcaResult result = sampler.EstimateOca(*q, 0.01, 0.05);
+    walks = result.walks;
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["walks"] = static_cast<double>(walks);
+}
+BENCHMARK(BM_EstimateOcaKeyPairs)
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // Parallel estimation: walks sharded across threads on per-walk RNG

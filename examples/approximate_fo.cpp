@@ -2,7 +2,9 @@
 // tractability frontier: a quantified, negated query over a database with
 // dozens of key conflicts. Exact enumeration would need ~3^40 chain
 // states; the Theorem 9 sampler answers it in milliseconds with an
-// explicit (ε,δ) guarantee.
+// explicit (ε,δ) guarantee. (EstimateOca answers a root exactly when its
+// repair distribution costs no more than the n walks; 3^40 repairs do
+// not, so this one is walked.)
 
 #include <cstdio>
 
@@ -46,8 +48,9 @@ int main() {
     }
   }
   std::printf("R(x,y) tuples: %zu with estimate > 0.95 (clean keys), %zu "
-              "contested\n",
-              certain_like, contested);
+              "contested (%s)\n",
+              certain_like, contested,
+              approx.exact() ? "exact, no walk" : "sampled");
 
   // Show a handful of contested estimates (exact value would be 1/3 for
   // each value of a 2-conflict under the uniform chain: keep-this,

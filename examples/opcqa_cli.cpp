@@ -37,6 +37,7 @@
 #include "server/ocqa_server.h"
 #include "server/trace.h"
 #include "sql/approx_runner.h"
+#include "util/hash.h"
 #include "util/string_util.h"
 
 namespace {
@@ -815,20 +816,32 @@ int main(int argc, char** argv) {
   } else {  // --mode=approx
     SamplerOptions sampler_options;
     sampler_options.threads = opt.threads;
-    Sampler sampler(*db, *constraints, generator, opt.seed, sampler_options);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const Query& query = queries[qi];
       OPCQA_TRACE_REQUEST(qi + 1, "cli");
       OPCQA_TRACE_SPAN("cli.query");
+      std::string text = query.ToString(*schema);
       if (queries.size() > 1) {
-        std::printf("== query %zu: %s\n", qi + 1,
-                    query.ToString(*schema).c_str());
+        std::printf("== query %zu: %s\n", qi + 1, text.c_str());
       }
+      // Each query walks its own streams, derived from (--seed, query
+      // text), so its estimates do not depend on its --query position.
+      Sampler sampler(*db, *constraints, generator,
+                      HashMix64(HashCombine(opt.seed, FnvHash(text))),
+                      sampler_options);
       ApproxOcaResult approx =
           sampler.EstimateOca(query, opt.eps, opt.delta);
-      std::printf("approximate answers (n = %zu walks, additive error ≤ "
-                  "%.3f with confidence ≥ %.3f, per tuple):\n",
-                  approx.walks, opt.eps, 1 - opt.delta);
+      if (approx.exact()) {
+        std::printf("approximate answers (n = 0 walks; exact from %zu "
+                    "repairs of %zu conflict component%s, additive error "
+                    "0, per tuple):\n",
+                    approx.exact_repairs, approx.exact_components,
+                    approx.exact_components == 1 ? "" : "s");
+      } else {
+        std::printf("approximate answers (n = %zu walks, additive error ≤ "
+                    "%.3f with confidence ≥ %.3f, per tuple):\n",
+                    approx.walks, opt.eps, 1 - opt.delta);
+      }
       for (const auto& [tuple, estimate] : approx.estimates) {
         std::printf("  %-24s ≈ %.4f\n", TupleToString(tuple).c_str(),
                     estimate);

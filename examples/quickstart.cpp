@@ -46,12 +46,27 @@ int main() {
                 p.ToDouble());
   }
 
-  // 6. The same, approximated with additive error ε = δ = 0.1
-  //    (Theorem 9; n = 150 chain walks).
+  // 6. The same with additive error ε = δ = 0.1 (Theorem 9: n = 150
+  //    chain walks). This root's chain is small: its 4 states and 3
+  //    repairs cost less than the 150 walks, so EstimateOca answers it
+  //    exactly and runs no walk.
   Sampler sampler(db, sigma, &generator, /*seed=*/2024);
   ApproxOcaResult approx = sampler.EstimateOca(q, 0.1, 0.1);
-  std::printf("\napproximate OCA (n = %zu walks):\n", approx.walks);
+  if (approx.exact()) {
+    std::printf("\n(ε,δ)-answers (exact: %zu repairs, no walk):\n",
+                approx.exact_repairs);
+  } else {
+    std::printf("\n(ε,δ)-answers (n = %zu walks):\n", approx.walks);
+  }
   for (const auto& [tuple, estimate] : approx.estimates) {
+    std::printf("  %s with estimate %.4f\n", TupleToString(tuple).c_str(),
+                estimate);
+  }
+
+  // 6b. The chain walks themselves: EstimateOcaWithWalks always samples.
+  ApproxOcaResult walked = sampler.EstimateOcaWithWalks(q, 150);
+  std::printf("\nsampled OCA (n = %zu walks):\n", walked.walks);
+  for (const auto& [tuple, estimate] : walked.estimates) {
     std::printf("  %s with estimate %.4f\n", TupleToString(tuple).c_str(),
                 estimate);
   }

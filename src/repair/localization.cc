@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iterator>
 #include <map>
+#include <optional>
 
 #include "constraints/violation.h"
 #include "obs/metrics.h"
@@ -104,12 +105,18 @@ struct ChainSummary {
 
 // Solves one component's chain depth-first, memoized by database.
 // `visited` counts the states of the unmemoized tree reached so far (a
-// memoized state adds its whole subtree), so the solve stops as soon as
-// the component alone has more states than the budget.
+// memoized state adds its whole subtree) and `solved` the distinct states
+// solved, so the solve stops as soon as the component alone has more
+// states than either budget.
 class ComponentSolver {
  public:
-  ComponentSolver(const ChainGenerator& generator, size_t max_states)
-      : generator_(generator), max_states_(max_states) {}
+  ComponentSolver(const ChainGenerator& generator, size_t max_states,
+                  size_t max_solved)
+      : generator_(generator),
+        max_states_(max_states),
+        max_solved_(max_solved) {}
+
+  size_t solved() const { return solved_; }
 
   std::shared_ptr<const ChainSummary> Solve(RepairingState& state) {
     auto cached = memo_.find(state.removed());
@@ -117,7 +124,7 @@ class ComponentSolver {
       visited_ = SaturatingAdd(visited_, Total(cached->second->states));
       return visited_ > max_states_ ? nullptr : cached->second;
     }
-    if (++visited_ > max_states_) return nullptr;
+    if (++visited_ > max_states_ || ++solved_ > max_solved_) return nullptr;
     auto node = std::make_shared<ChainSummary>();
     node->states = {1};
     std::vector<Operation> extensions = state.ValidExtensions();
@@ -162,18 +169,11 @@ class ComponentSolver {
  private:
   const ChainGenerator& generator_;
   size_t max_states_;
+  size_t max_solved_;
   size_t visited_ = 0;
+  size_t solved_ = 0;
   std::map<std::vector<FactId>, std::shared_ptr<const ChainSummary>> memo_;
 };
-
-// The chain of `component` by itself, or nullptr when it has more than
-// `max_states` states.
-std::shared_ptr<const ChainSummary> SolveComponent(
-    const Database& component, const ConstraintSet& constraints,
-    const ChainGenerator& generator, size_t max_states) {
-  RepairingState root(RepairContext::Make(component, constraints));
-  return ComponentSolver(generator, max_states).Solve(root);
-}
 
 // A chain root's summary as the memo outcome the walk records for it.
 std::shared_ptr<const MemoOutcome> RootOutcome(const ChainSummary& root) {
@@ -225,6 +225,82 @@ std::vector<std::vector<FactId>> ComponentIds(const ConstraintSet& constraints,
   return components;
 }
 
+// Caps on one fold of a root's components. The exact engine caps the
+// states of the full chain, so a chain the walk would truncate is not
+// factored either, and needs the depth profiles the memo outcome is made
+// of. The sampler caps the work of the fold itself, component states
+// solved plus product repairs built, and needs only the masses.
+struct FoldLimits {
+  size_t max_states = SIZE_MAX;
+  size_t max_work = SIZE_MAX;
+  bool profiles = true;
+};
+
+// The root's summary, folded one component at a time: the states and
+// leaves interleave, and the repairs form the product of the component
+// distributions (one repair per choice of a repair in every component,
+// its mass the product of theirs, its sequences the interleavings of
+// theirs). A partial fold counts states of the full chain with the other
+// components still at their roots, and a partial product has at most the
+// final product's repairs, so either may stop the fold early. Returns the
+// work done, or nullopt when a cap is passed.
+std::optional<size_t> FoldComponents(
+    const RepairContext& context, const ChainGenerator& generator,
+    const std::vector<std::vector<FactId>>& components,
+    const FoldLimits& limits, ChainSummary* root) {
+  OPCQA_CHECK(limits.profiles || limits.max_states == SIZE_MAX);
+  root->repairs.assign(1, {{}, Rational(1), Profile{1}});  // nothing removed
+  root->states = root->leaves = Profile{1};
+  size_t solved = 0;
+  for (const std::vector<FactId>& component : components) {
+    // The work still allowed once the product has at least its current
+    // repairs.
+    size_t spent = SaturatingAdd(solved, root->repairs.size());
+    if (spent > limits.max_work) return std::nullopt;
+    Database sub_db(&context.initial.schema());
+    for (FactId id : component) sub_db.InsertId(id);
+    RepairingState state(RepairContext::Make(sub_db, context.constraints));
+    ComponentSolver solver(generator, limits.max_states,
+                           limits.max_work - spent);
+    std::shared_ptr<const ChainSummary> node = solver.Solve(state);
+    if (node == nullptr) return std::nullopt;
+    solved += solver.solved();
+    size_t repairs =
+        SaturatingMul(root->repairs.size(), node->repairs.size());
+    if (SaturatingAdd(solved, repairs) > limits.max_work) return std::nullopt;
+    if (limits.profiles) {
+      root->states = Interleave(root->states, node->states);
+      if (Total(root->states) > limits.max_states) return std::nullopt;
+      root->leaves = Interleave(root->leaves, node->leaves);
+    }
+    std::vector<ChainSummary::Share> product;
+    product.reserve(repairs);
+    for (const ChainSummary::Share& mine : root->repairs) {
+      for (const ChainSummary::Share& theirs : node->repairs) {
+        ChainSummary::Share& combined = product.emplace_back();
+        std::merge(mine.removed.begin(), mine.removed.end(),
+                   theirs.removed.begin(), theirs.removed.end(),
+                   std::back_inserter(combined.removed));
+        combined.mass = mine.mass * theirs.mass;
+        if (limits.profiles) {
+          combined.sequences = Interleave(mine.sequences, theirs.sequences);
+        }
+      }
+    }
+    root->repairs = std::move(product);
+  }
+  return solved + root->repairs.size();
+}
+
+// True when the chain on context.initial is a product of independent
+// component chains: Σ is denial-only and the generator local and history
+// independent.
+bool Factorable(const RepairContext& context,
+                const ChainGenerator& generator) {
+  return context.denial_only && generator.local() &&
+         generator.history_independent();
+}
+
 }  // namespace
 
 std::vector<std::vector<Fact>> ConflictComponents(
@@ -271,51 +347,51 @@ Result<LocalizedRepairs> LocalizeAndEnumerate(
   return result;
 }
 
+std::optional<ProductDistribution> LocalProduct(
+    const RepairContext& context, const ChainGenerator& generator,
+    size_t max_work) {
+  if (!Factorable(context, generator) || context.initial_violations.empty()) {
+    return std::nullopt;
+  }
+  std::vector<std::vector<FactId>> components =
+      ComponentIds(context.constraints, context.initial_violations);
+  ChainSummary root;
+  std::optional<size_t> work =
+      FoldComponents(context, generator, components,
+                     FoldLimits{SIZE_MAX, max_work, /*profiles=*/false}, &root);
+  if (!work.has_value()) return std::nullopt;
+  ProductDistribution product;
+  product.components = components.size();
+  product.work = *work;
+  EnumerationResult& distribution = product.distribution;
+  distribution.initial = context.initial;
+  distribution.repairs.reserve(root.repairs.size());
+  for (ChainSummary::Share& share : root.repairs) {
+    distribution.success_mass += share.mass;
+    RepairInfo& info = distribution.repairs.emplace_back();
+    info.removed = std::move(share.removed);
+    info.probability = std::move(share.mass);
+  }
+  return product;
+}
+
 std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
                                               const ChainGenerator& generator,
                                               size_t max_states) {
   // Two components need two violations: a root with fewer is declined
   // before any work.
-  if (!context.denial_only || !generator.local() ||
-      !generator.history_independent() ||
+  if (!Factorable(context, generator) ||
       context.initial_violations.size() < 2) {
     return nullptr;
   }
   std::vector<std::vector<FactId>> components =
       ComponentIds(context.constraints, context.initial_violations);
   if (components.size() < 2) return nullptr;
-  // The root's summary, folded one component at a time: the states and
-  // leaves interleave, and the repairs form the product of the component
-  // distributions (one repair per choice of a repair in every component,
-  // its mass the product of theirs, its sequences the interleavings of
-  // theirs). A partial fold counts states of the full chain with the other
-  // components still at their roots, so it never exceeds the total and
-  // may stop the fold early.
   ChainSummary root;
-  root.repairs.push_back({{}, Rational(1), Profile{1}});  // nothing removed
-  root.states = root.leaves = Profile{1};
-  for (const std::vector<FactId>& component : components) {
-    Database sub_db(&context.initial.schema());
-    for (FactId id : component) sub_db.InsertId(id);
-    std::shared_ptr<const ChainSummary> node =
-        SolveComponent(sub_db, context.constraints, generator, max_states);
-    if (node == nullptr) return nullptr;
-    root.states = Interleave(root.states, node->states);
-    if (Total(root.states) > max_states) return nullptr;
-    root.leaves = Interleave(root.leaves, node->leaves);
-    std::vector<ChainSummary::Share> product;
-    product.reserve(root.repairs.size() * node->repairs.size());
-    for (const ChainSummary::Share& mine : root.repairs) {
-      for (const ChainSummary::Share& theirs : node->repairs) {
-        ChainSummary::Share& combined = product.emplace_back();
-        std::merge(mine.removed.begin(), mine.removed.end(),
-                   theirs.removed.begin(), theirs.removed.end(),
-                   std::back_inserter(combined.removed));
-        combined.mass = mine.mass * theirs.mass;
-        combined.sequences = Interleave(mine.sequences, theirs.sequences);
-      }
-    }
-    root.repairs = std::move(product);
+  if (!FoldComponents(context, generator, components,
+                      FoldLimits{max_states, SIZE_MAX, /*profiles=*/true},
+                      &root)) {
+    return nullptr;
   }
   // The walk records its shares in delta order.
   std::sort(root.repairs.begin(), root.repairs.end(),

@@ -32,12 +32,15 @@
 // the component profiles. FactorRoot turns them into the root's memo
 // entry, equal in every field to the one the walk records;
 // EnumerateRepairs replays it instead of walking the interleavings.
+// LocalProduct runs the same fold under a work cap for the sampler, which
+// answers a root that fits its (ε,δ) budget exactly (repair/sampler.h).
 // LocalizeAndEnumerate exposes the components themselves, each enumerated
 // by EnumerateRepairs, without materializing their product.
 
 #ifndef OPCQA_REPAIR_LOCALIZATION_H_
 #define OPCQA_REPAIR_LOCALIZATION_H_
 
+#include <optional>
 #include <vector>
 
 #include "repair/memo.h"
@@ -108,6 +111,30 @@ Result<LocalizedRepairs> LocalizeAndEnumerate(
 std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
                                               const ChainGenerator& generator,
                                               size_t max_states);
+
+/// A local root's repair distribution, built as the product of its
+/// conflict components' distributions.
+struct ProductDistribution {
+  /// [[D]]_MΣ with exact masses relative to the root: `repairs` come in no
+  /// particular order and without sequence counts, `success_mass` is their
+  /// sum and `initial` is D. The chain counters and `repairs_by_delta` are
+  /// not filled in.
+  EnumerationResult distribution;
+  /// Conflict components of D.
+  size_t components = 0;
+  /// Component chain states solved plus product repairs built.
+  size_t work = 0;
+};
+
+/// The distribution of the chain on context.initial when building it
+/// takes at most `max_work` (ProductDistribution::work). The components
+/// are solved and multiplied out by the fold FactorRoot uses, capped by
+/// work instead of chain states and without the depth profiles. Nullopt,
+/// as soon as the cap is passed, or when Σ is not denial-only, the
+/// generator is not local and history independent, or D is consistent.
+std::optional<ProductDistribution> LocalProduct(const RepairContext& context,
+                                                const ChainGenerator& generator,
+                                                size_t max_work);
 
 /// The conflict components themselves (sorted fact lists), exposed for
 /// diagnostics and tests.

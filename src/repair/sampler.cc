@@ -99,22 +99,54 @@ std::vector<WalkRange> ChunkWalks(size_t walks, size_t chunks) {
 
 // The sampler's share of the metric catalog, recorded once per estimation
 // call (a per-walk clock read would cost more than a walk's bookkeeping).
-obs::Histogram* EstimateLatency() {
-  static obs::Histogram* const histogram =
-      obs::MetricsRegistry::Global().GetHistogram("sampler.estimate_ms");
-  return histogram;
+// Registered together, so --metrics lists every one after any call.
+struct SamplerMetrics {
+  obs::Histogram* estimate_ms;
+  obs::Counter* walks;
+  obs::Counter* steps;
+  obs::Counter* exact_estimates;
+};
+
+const SamplerMetrics& Metrics() {
+  static const SamplerMetrics metrics{
+      obs::MetricsRegistry::Global().GetHistogram("sampler.estimate_ms"),
+      obs::MetricsRegistry::Global().GetCounter("sampler.walks"),
+      obs::MetricsRegistry::Global().GetCounter("sampler.steps"),
+      obs::MetricsRegistry::Global().GetCounter("sampler.exact_estimates")};
+  return metrics;
 }
 
 void RecordWalks(size_t walks, size_t steps) {
-  static obs::Counter* const walk_counter =
-      obs::MetricsRegistry::Global().GetCounter("sampler.walks");
-  static obs::Counter* const step_counter =
-      obs::MetricsRegistry::Global().GetCounter("sampler.steps");
-  walk_counter->Add(walks);
-  step_counter->Add(steps);
+  Metrics().walks->Add(walks);
+  Metrics().steps->Add(steps);
+}
+
+// CP(t̄) over the product's repairs for every tuple with CP > 0: the exact
+// masses ComputeOca sums, converted once.
+std::map<Tuple, double> ExactEstimates(const EnumerationResult& distribution,
+                                       const Query& query) {
+  std::map<Tuple, double> estimates;
+  for (const auto& [tuple, mass] : SumOverRepairs<Rational>(
+           distribution, query, [](const RepairInfo& info) -> const Rational& {
+             return info.probability;
+           })) {
+    estimates.emplace_hint(estimates.end(), tuple,
+                           (mass / distribution.success_mass).ToDouble());
+  }
+  Metrics().exact_estimates->Add();
+  return estimates;
 }
 
 }  // namespace
+
+const ProductDistribution* Sampler::ExactProduct(size_t max_work) {
+  if (!product_.has_value() && max_work > declined_work_) {
+    product_ = LocalProduct(*context_, *generator_, max_work);
+    if (!product_.has_value()) declined_work_ = max_work;
+  }
+  return product_.has_value() && product_->work <= max_work ? &*product_
+                                                            : nullptr;
+}
 
 template <typename Tally, typename Score>
 std::vector<Tally> Sampler::RunWalks(size_t walks, const Tally& empty,
@@ -138,8 +170,14 @@ std::vector<Tally> Sampler::RunWalks(size_t walks, const Tally& empty,
 
 double Sampler::EstimateTuple(const Query& query, const Tuple& tuple,
                               double epsilon, double delta) {
-  obs::ScopedTimer timer(EstimateLatency());
+  obs::ScopedTimer timer(Metrics().estimate_ms);
   size_t n = NumSamples(epsilon, delta);
+  if (const ProductDistribution* product = ExactProduct(n)) {
+    std::map<Tuple, double> estimates =
+        ExactEstimates(product->distribution, query);
+    auto it = estimates.find(tuple);
+    return it == estimates.end() ? 0.0 : it->second;
+  }
   std::optional<WitnessTable> table =
       WitnessTable::Build(query, context_->initial);
   size_t answer = table.has_value() ? table->Find(tuple) : 0;
@@ -168,7 +206,11 @@ double Sampler::EstimateTuple(const Query& query, const Tuple& tuple,
 
 ApproxOcaResult Sampler::EstimateOcaWithWalks(const Query& query,
                                               size_t walks) {
-  obs::ScopedTimer timer(EstimateLatency());
+  obs::ScopedTimer timer(Metrics().estimate_ms);
+  return SampleOca(query, walks);
+}
+
+ApproxOcaResult Sampler::SampleOca(const Query& query, size_t walks) {
   ApproxOcaResult result;
   result.walks = walks;
   std::optional<WitnessTable> table =
@@ -223,8 +265,16 @@ ApproxOcaResult Sampler::EstimateOcaWithWalks(const Query& query,
 
 ApproxOcaResult Sampler::EstimateOca(const Query& query, double epsilon,
                                      double delta) {
-  ApproxOcaResult result =
-      EstimateOcaWithWalks(query, NumSamples(epsilon, delta));
+  obs::ScopedTimer timer(Metrics().estimate_ms);
+  size_t n = NumSamples(epsilon, delta);
+  ApproxOcaResult result;
+  if (const ProductDistribution* product = ExactProduct(n)) {
+    result.estimates = ExactEstimates(product->distribution, query);
+    result.exact_repairs = product->distribution.repairs.size();
+    result.exact_components = product->components;
+  } else {
+    result = SampleOca(query, n);
+  }
   result.epsilon = epsilon;
   result.delta = delta;
   return result;

@@ -11,6 +11,23 @@
 // (ε,δ)-approximation: Pr(|estimate − CP(t̄)| ≤ ε) ≥ 1 − δ. (ε = δ = 0.1
 // gives the paper's n = 150.)
 //
+// The (ε,δ) entry points, EstimateOca and EstimateTuple, first try to
+// answer exactly, which meets any (ε,δ). When Σ is denial-only and the
+// generator local() and history independent, the chain on D is a product
+// of independent conflict-component chains (repair/localization.h), and
+// LocalProduct builds its repair distribution with the fold FactorRoot
+// uses. The work allowed is n itself: component states solved plus
+// product repairs built may not pass the n walks the sampler would run
+// instead, and the solve stops as soon as they do. A root that fits is
+// scored through SumOverRepairs with exact Rational masses, so every
+// estimate equals ComputeOca's CP(t̄).ToDouble(); the result has walks = 0
+// and exact_repairs > 0, draws no random number, claims no walk index and
+// does not depend on the seed or the thread count. The product is built
+// once per sampler and reused by later calls whose budget it fits. Every
+// other root (TGDs, non-local generators, products over budget, a
+// consistent D) is walked as below, bit-identical to a sampler without
+// the exact path. EstimateOcaWithWalks, RunWalk and RunWalkAt always walk.
+//
 // The estimation loops are embarrassingly parallel: walk i draws from its
 // own RNG stream Rng::Stream(seed, i), a pure function of (seed, i), and
 // per-walk tallies are integers merged in index order — so estimates are
@@ -33,16 +50,19 @@
 // Query::Evaluate on current() instead. Either way the tally of a walk is
 // the same integer, so estimates do not depend on the path taken.
 //
-// Each estimation call records sampler.estimate_ms, sampler.walks and
-// sampler.steps in the metrics registry (docs/OBSERVABILITY.md).
+// Each estimation call records sampler.estimate_ms and either
+// sampler.walks and sampler.steps or, when it was answered exactly,
+// sampler.exact_estimates in the metrics registry (docs/OBSERVABILITY.md).
 
 #ifndef OPCQA_REPAIR_SAMPLER_H_
 #define OPCQA_REPAIR_SAMPLER_H_
 
 #include <map>
+#include <optional>
 
 #include "logic/query.h"
 #include "repair/chain_generator.h"
+#include "repair/localization.h"
 #include "util/random.h"
 
 namespace opcqa {
@@ -62,6 +82,10 @@ struct ApproxOcaResult {
   /// individual tuple estimate carries the (ε,δ) additive guarantee.
   std::map<Tuple, double> estimates;
   size_t walks = 0;
+  /// Repairs and conflict components of the product an exact answer was
+  /// scored from (Sampler::EstimateOca); 0 when the estimates were walked.
+  size_t exact_repairs = 0;
+  size_t exact_components = 0;
   size_t successful_walks = 0;
   size_t failing_walks = 0;
   size_t total_steps = 0;
@@ -69,6 +93,8 @@ struct ApproxOcaResult {
   double delta = 0;
 
   double Estimate(const Tuple& tuple) const;
+  /// True when every estimate is the exact CP (no walk was run).
+  bool exact() const { return exact_repairs > 0; }
 };
 
 struct SamplerOptions {
@@ -108,16 +134,19 @@ class Sampler {
   WalkResult RunWalkAt(uint64_t walk_index) const;
 
   /// Estimates CP(t̄) for a single tuple with additive error ε at
-  /// confidence 1−δ. Failing walks (impossible for non-failing generators)
+  /// confidence 1−δ, exactly when the root's product fits n(ε,δ) (see
+  /// above). Failing walks (impossible for non-failing generators)
   /// contribute 0, matching Pr(Sample = 1) = Σ_{t̄∈Q(D′)} p.
   double EstimateTuple(const Query& query, const Tuple& tuple, double epsilon,
                        double delta);
 
-  /// Runs n(ε,δ) walks once and scores every answer tuple encountered.
+  /// The exact CP of every tuple when the root's product fits n(ε,δ);
+  /// otherwise runs n(ε,δ) walks once and scores every answer tuple
+  /// encountered.
   ApproxOcaResult EstimateOca(const Query& query, double epsilon,
                               double delta);
 
-  /// Same, with an explicit number of walks.
+  /// Runs exactly `walks` walks, never the exact path.
   ApproxOcaResult EstimateOcaWithWalks(const Query& query, size_t walks);
 
  private:
@@ -130,6 +159,12 @@ class Sampler {
   // to an absorbing state drawing from `rng`. Returns the number of steps.
   size_t Walk(RepairingState* state, Rng* rng, WalkBuffers* buffers) const;
   WalkResult WalkWithRng(Rng* rng) const;
+  // The walked half of EstimateOca and EstimateOcaWithWalks.
+  ApproxOcaResult SampleOca(const Query& query, size_t walks);
+  // The root's product distribution when building it takes at most
+  // `max_work`, or null. Built once, by the first call it fits; a budget
+  // no larger than one already declined is declined without a retry.
+  const ProductDistribution* ExactProduct(size_t max_work);
   // Claims walk indices [cursor, cursor + walks) and runs them in
   // per-worker chunks, each on one reused state and a copy of `empty`;
   // score(state, steps, &tally) sees every finished walk. Tallies come
@@ -146,6 +181,8 @@ class Sampler {
   // repeated calls are independent yet reproducible from (seed, call
   // sequence) alone.
   uint64_t walk_cursor_ = 0;
+  std::optional<ProductDistribution> product_;
+  size_t declined_work_ = 0;
 };
 
 }  // namespace opcqa

@@ -6,24 +6,13 @@
 #include <cstdlib>
 #include <thread>
 
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace opcqa {
 
 namespace {
-
-/// FNV-1a over the site name — the per-site stream offset. Matches the
-/// storage tier's stable-fingerprint choice: independent of std::hash,
-/// identical across processes and builds.
-uint64_t FnvHash(std::string_view text) {
-  uint64_t hash = 1469598103934665603ull;
-  for (char c : text) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 /// SplitMix64 step — the same mixer util/random.h seeds xoshiro with. A
 /// full Rng per site would work too; failpoints only need a stream of

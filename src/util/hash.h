@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 namespace opcqa {
 
@@ -25,6 +26,17 @@ inline uint64_t HashMix64(uint64_t h) {
   h *= 0x94d049bb133111ebULL;
   h ^= h >> 31;
   return h;
+}
+
+/// FNV-1a over `text`: independent of std::hash, identical across
+/// processes and builds (failpoint site streams, per-query sampler seeds).
+inline uint64_t FnvHash(std::string_view text) {
+  uint64_t hash = 1469598103934665603ull;
+  for (char c : text) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
 }
 
 /// Order-dependent combine for composite element hashes (boost-style).

@@ -409,8 +409,9 @@ TEST(CliTest, TableKeyedTwiceIsAUsageError) {
 TEST(CliTest, ApproxRunReportsSamplerMetrics) {
   CliInputs inputs;
   std::vector<std::string> args = inputs.Args();
+  // minchange is not local, so the estimate walks (uniform is exact here).
   for (const char* flag : {"--mode=approx", "--eps=0.1", "--delta=0.1",
-                           "--seed=7", "--metrics"}) {
+                           "--seed=7", "--metrics", "--generator=minchange"}) {
     args.push_back(flag);
   }
   CliRun run = RunCli(args, inputs);
@@ -422,6 +423,64 @@ TEST(CliTest, ApproxRunReportsSamplerMetrics) {
   EXPECT_NE(run.err.find("sampler.estimate_ms"), std::string::npos)
       << run.err;
   EXPECT_NE(run.err.find("count=1 "), std::string::npos) << run.err;
+}
+
+TEST(CliTest, ApproxRunOnALocalRootIsExact) {
+  // R(a,b), R(a,c) is one conflict component: 4 chain states and 3
+  // repairs fit the 150 walks of ε = δ = 0.1, so no walk runs.
+  CliInputs inputs;
+  std::vector<std::string> args = inputs.Args();
+  for (const char* flag :
+       {"--mode=approx", "--eps=0.1", "--delta=0.1", "--metrics"}) {
+    args.push_back(flag);
+  }
+  CliRun run = RunCli(args, inputs);
+  ASSERT_EQ(run.exit_code, 0) << run.err;
+  EXPECT_NE(run.out.find("approximate answers (n = 0 walks; exact from 3 "
+                         "repairs of 1 conflict component, additive error "
+                         "0, per tuple):\n"
+                         "  (a,b)                    ≈ 0.3333\n"
+                         "  (a,c)                    ≈ 0.3333\n"
+                         "  (d,e)                    ≈ 1.0000\n"),
+            std::string::npos)
+      << run.out;
+  size_t counter = run.err.find("sampler.exact_estimates ");
+  ASSERT_NE(counter, std::string::npos) << run.err;
+  EXPECT_EQ(run.err.substr(run.err.find('\n', counter) - 2, 3), " 1\n")
+      << run.err;
+  // Another seed or thread count prints the same answers.
+  args.push_back("--seed=99");
+  args.push_back("--threads=4");
+  EXPECT_EQ(RunCli(args, inputs).out, run.out);
+}
+
+TEST(CliTest, ApproxEstimatesDoNotDependOnQueryPosition) {
+  // Each query draws its walks from (--seed, query text): the same query
+  // as query 1 and as query 2 prints the same estimates.
+  CliInputs inputs;
+  inputs.Write("db.txt", "R(a,a). R(b,c). R(b,d).\n");
+  std::vector<std::string> args = inputs.Args();
+  for (const char* flag : {"--mode=approx", "--generator=minchange",
+                           "--seed=7", "--query=Q(x) := R(x,x)"}) {
+    args.push_back(flag);
+  }
+  CliRun first = RunCli(args, inputs);
+  ASSERT_EQ(first.exit_code, 0) << first.err;
+  args.erase(args.begin() + 3);  // the leading --query=Q(x,y) := R(x,y)
+  args.push_back("--query=Q(x,y) := R(x,y)");
+  CliRun second = RunCli(args, inputs);
+  ASSERT_EQ(second.exit_code, 0) << second.err;
+  auto block = [](const std::string& out, const std::string& query) {
+    size_t begin = out.find(query + "\napproximate answers");
+    size_t end = out.find("== query", begin + 1);
+    return begin == std::string::npos ? std::string()
+                                      : out.substr(begin, end - begin);
+  };
+  std::string at_1 = block(first.out, "== query 1: Q(x,y) := R(x,y)");
+  std::string at_2 = block(second.out, "== query 2: Q(x,y) := R(x,y)");
+  ASSERT_NE(at_1, "") << first.out;
+  EXPECT_EQ(at_1.substr(at_1.find('\n')), at_2.substr(at_2.find('\n')));
+  EXPECT_NE(at_1.find("walks"), std::string::npos);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "constraints/constraint_parser.h"
+#include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "relational/fact_parser.h"
@@ -168,8 +169,9 @@ TEST(OcqaTest, QuantifierRebindingAHeadVariableAnswersLikeItsFoSpelling) {
                                     {Const("b")}),
             Rational(2, 3));
   std::map<Tuple, double> estimates[2];
+  gen::Walked<UniformChainGenerator> walked;  // local: answered exactly
   for (int i = 0; i < 2; ++i) {
-    Sampler sampler(db, sigma, &gen, /*seed=*/7);
+    Sampler sampler(db, sigma, &walked, /*seed=*/7);
     estimates[i] =
         sampler.EstimateOca(i == 0 ? conjunction : disjunction, 0.1, 0.1)
             .estimates;

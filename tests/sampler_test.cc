@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "repair/ocqa.h"
@@ -74,7 +75,7 @@ TEST(SamplerTest, EstimateMatchesExactWithinEpsilon) {
 
 TEST(SamplerTest, EstimateOcaCoversAllLikelyTuples) {
   gen::Workload w = gen::PaperKeyPairExample();
-  UniformChainGenerator gen;
+  gen::Walked<UniformChainGenerator> gen;  // local: answered exactly
   Result<Query> q = ParseQuery(*w.schema, "Q(y) := R(a, y)");
   ASSERT_TRUE(q.ok());
   Sampler sampler(w.db, w.constraints, &gen, /*seed=*/9);
@@ -92,7 +93,7 @@ TEST(SamplerTest, HoeffdingGuaranteeHoldsAcrossSeeds) {
   // error > ε must not wildly exceed δ. With ε=0.15, δ=0.2 and 40 seeds,
   // expected failures ≤ 8; assert ≤ 16 (twice the budget).
   gen::Workload w = gen::PaperKeyPairExample();
-  UniformChainGenerator gen;
+  gen::Walked<UniformChainGenerator> gen;  // local: answered exactly
   Result<Query> q = ParseQuery(*w.schema, "Q(y) := R(a, y)");
   ASSERT_TRUE(q.ok());
   const double eps = 0.15, delta = 0.2, exact = 1.0 / 3;

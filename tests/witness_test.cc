@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "repair/counting.h"
@@ -108,8 +109,9 @@ TEST(WitnessTableTest, SelfJoinImagesAreDeduplicated) {
 }
 
 TEST(WitnessTest, SamplerTalliesEqualEvaluateOnEveryWalk) {
-  UniformChainGenerator uniform;
-  DeletionOnlyUniformGenerator deletions;
+  // Walked copies: a local generator answers small roots exactly.
+  gen::Walked<UniformChainGenerator> uniform;
+  gen::Walked<DeletionOnlyUniformGenerator> deletions;
   constexpr size_t kWalks = 60;
   constexpr double kEps = 0.2, kDelta = 0.2;
   const size_t tuple_walks = Sampler::NumSamples(kEps, kDelta);
