@@ -739,8 +739,15 @@ int main(int argc, char** argv) {
           continue;
         }
       }
+      // --show-repairs lists the repairs, so it enumerates them; every
+      // other run lets ComputeOca answer a local root from its marginals.
       OcaResult oca =
-          ComputeOca(*db, *constraints, *generator, query, enum_options);
+          opt.show_repairs
+              ? OcaFromEnumeration(EnumerateRepairs(*db, *constraints,
+                                                    *generator, enum_options),
+                                   query)
+              : ComputeOca(*db, *constraints, *generator, query,
+                           enum_options);
       if (oca.enumeration.truncated) {
         return Fail(Status::ResourceExhausted(
             "chain too large for exact answering; use --mode=approx"));

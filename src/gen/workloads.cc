@@ -1,6 +1,7 @@
 #include "gen/workloads.h"
 
 #include <algorithm>
+#include <random>
 #include <set>
 
 #include "constraints/constraint_parser.h"
@@ -170,6 +171,42 @@ Workload MakeInclusionWorkload(size_t r_facts, double missing_fraction,
   OPCQA_CHECK(sigma.ok());
   return Workload{std::move(schema), std::move(db),
                   std::move(sigma).value()};
+}
+
+Workload MakeDenialWorkload(uint64_t seed) {
+  std::mt19937_64 rng(seed * 7919 + 11);
+  auto below = [&](size_t bound) {
+    return static_cast<size_t>(rng() % bound);
+  };
+  bool big = seed % 4 == 0;
+  std::string facts;
+  size_t groups = big ? 1 : 2 + below(2);
+  for (size_t g = 0; g < groups; ++g) {
+    // Only the first of two groups beside no big component may reach 4.
+    size_t size = 1 + below(g == 0 && !big && groups == 2 ? 4 : 2);
+    for (size_t i = 0; i < size; ++i) {
+      std::string value = "v" + std::to_string(g) + "_" + std::to_string(i);
+      facts += "R(k" + std::to_string(g) + "," + value + "). ";
+      if (below(6) == 0) facts += "S(" + value + ",s). ";
+    }
+  }
+  if (big) {
+    // A path of five violations: key, denial, denial, key, denial.
+    facts +=
+        "R(p,b0). R(p,b1). S(b1,t). R(q,b1). R(q,b2). S(b2,t). ";
+  }
+  for (size_t i = below(3); i > 0; --i) {
+    facts += "S(free" + std::to_string(i) + ",u). ";
+  }
+  auto schema = std::make_shared<Schema>();
+  schema->AddRelation("R", 2);
+  schema->AddRelation("S", 2);
+  Result<Database> db = ParseDatabase(*schema, facts);
+  Result<ConstraintSet> constraints = ParseConstraints(
+      *schema, "key: R(x,y), R(x,z) -> y = z\nR(x,y), S(y,z) -> false\n");
+  OPCQA_CHECK(db.ok() && constraints.ok());
+  return Workload{schema, std::move(db).value(),
+                  std::move(constraints).value()};
 }
 
 Workload MakeJoinWorkload(size_t rows, size_t violating_keys, uint64_t seed) {

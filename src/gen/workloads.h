@@ -87,6 +87,15 @@ TrustWorkload MakeTrustWorkload(size_t keys, size_t violating_keys,
 Workload MakeInclusionWorkload(size_t r_facts, double missing_fraction,
                                uint64_t seed);
 
+/// Seeded denial-only workload over R/2 and S/2: a key on R and the
+/// two-relation denial R(x,y), S(y,z) → ⊥. Key groups hold 1–4 facts (a
+/// group of one is untouched unless an S fact meets it), S facts either
+/// meet an R value or dangle untouched, and every fourth seed adds one
+/// component of 6 facts whose five violations form a path. Sizes stay
+/// small enough for the walk to enumerate every interleaving quickly, so
+/// differential tests compare the factored and marginal paths with it.
+Workload MakeDenialWorkload(uint64_t seed);
+
 /// Join workload for the Section 5 rewriting experiment: relations
 /// R(a,b), S(b,c), T(c,d) with `rows` rows each and `violating_keys`
 /// key-violating groups in each relation (keys: first attribute).

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iterator>
 #include <map>
+#include <numeric>
 #include <optional>
 
 #include "constraints/violation.h"
@@ -93,11 +94,7 @@ Profile Interleave(const Profile& f, const Profile& g) {
 // memoized by their removed set, so a summary's repairs are stored as the
 // ids removed from the chain root, identical for every path reaching it.
 struct ChainSummary {
-  struct Share {
-    std::vector<FactId> removed;  // ascending
-    Rational mass;                // relative to this state
-    Profile sequences;            // successful sequences by length below
-  };
+  using Share = ComponentDistribution::Repair;
   std::vector<Share> repairs;  // ascending removed
   Profile states;              // states by depth below, this one at 0
   Profile leaves;              // absorbing states by depth below
@@ -175,21 +172,6 @@ class ComponentSolver {
   std::map<std::vector<FactId>, std::shared_ptr<const ChainSummary>> memo_;
 };
 
-// A chain root's summary as the memo outcome the walk records for it.
-std::shared_ptr<const MemoOutcome> RootOutcome(const ChainSummary& root) {
-  auto outcome = std::make_shared<MemoOutcome>();
-  outcome->states = Total(root.states);
-  outcome->absorbing_states = Total(root.leaves);
-  outcome->successful_sequences = outcome->absorbing_states;
-  outcome->depth_below = root.states.size() - 1;
-  for (const ChainSummary::Share& share : root.repairs) {
-    outcome->success_mass += share.mass;
-    outcome->repairs.push_back(MemoOutcome::RepairShare{
-        share.removed, share.mass, Total(share.sequences)});
-  }
-  return outcome;
-}
-
 // The conflict components of a database as ascending fact-id lists, read
 // off its violations: two facts share a component when a chain of
 // violations links them.
@@ -223,73 +205,6 @@ std::vector<std::vector<FactId>> ComponentIds(const ConstraintSet& constraints,
     components[slot].push_back(facts[i]);
   }
   return components;
-}
-
-// Caps on one fold of a root's components. The exact engine caps the
-// states of the full chain, so a chain the walk would truncate is not
-// factored either, and needs the depth profiles the memo outcome is made
-// of. The sampler caps the work of the fold itself, component states
-// solved plus product repairs built, and needs only the masses.
-struct FoldLimits {
-  size_t max_states = SIZE_MAX;
-  size_t max_work = SIZE_MAX;
-  bool profiles = true;
-};
-
-// The root's summary, folded one component at a time: the states and
-// leaves interleave, and the repairs form the product of the component
-// distributions (one repair per choice of a repair in every component,
-// its mass the product of theirs, its sequences the interleavings of
-// theirs). A partial fold counts states of the full chain with the other
-// components still at their roots, and a partial product has at most the
-// final product's repairs, so either may stop the fold early. Returns the
-// work done, or nullopt when a cap is passed.
-std::optional<size_t> FoldComponents(
-    const RepairContext& context, const ChainGenerator& generator,
-    const std::vector<std::vector<FactId>>& components,
-    const FoldLimits& limits, ChainSummary* root) {
-  OPCQA_CHECK(limits.profiles || limits.max_states == SIZE_MAX);
-  root->repairs.assign(1, {{}, Rational(1), Profile{1}});  // nothing removed
-  root->states = root->leaves = Profile{1};
-  size_t solved = 0;
-  for (const std::vector<FactId>& component : components) {
-    // The work still allowed once the product has at least its current
-    // repairs.
-    size_t spent = SaturatingAdd(solved, root->repairs.size());
-    if (spent > limits.max_work) return std::nullopt;
-    Database sub_db(&context.initial.schema());
-    for (FactId id : component) sub_db.InsertId(id);
-    RepairingState state(RepairContext::Make(sub_db, context.constraints));
-    ComponentSolver solver(generator, limits.max_states,
-                           limits.max_work - spent);
-    std::shared_ptr<const ChainSummary> node = solver.Solve(state);
-    if (node == nullptr) return std::nullopt;
-    solved += solver.solved();
-    size_t repairs =
-        SaturatingMul(root->repairs.size(), node->repairs.size());
-    if (SaturatingAdd(solved, repairs) > limits.max_work) return std::nullopt;
-    if (limits.profiles) {
-      root->states = Interleave(root->states, node->states);
-      if (Total(root->states) > limits.max_states) return std::nullopt;
-      root->leaves = Interleave(root->leaves, node->leaves);
-    }
-    std::vector<ChainSummary::Share> product;
-    product.reserve(repairs);
-    for (const ChainSummary::Share& mine : root->repairs) {
-      for (const ChainSummary::Share& theirs : node->repairs) {
-        ChainSummary::Share& combined = product.emplace_back();
-        std::merge(mine.removed.begin(), mine.removed.end(),
-                   theirs.removed.begin(), theirs.removed.end(),
-                   std::back_inserter(combined.removed));
-        combined.mass = mine.mass * theirs.mass;
-        if (limits.profiles) {
-          combined.sequences = Interleave(mine.sequences, theirs.sequences);
-        }
-      }
-    }
-    root->repairs = std::move(product);
-  }
-  return solved + root->repairs.size();
 }
 
 // True when the chain on context.initial is a product of independent
@@ -347,64 +262,112 @@ Result<LocalizedRepairs> LocalizeAndEnumerate(
   return result;
 }
 
-std::optional<ProductDistribution> LocalProduct(
-    const RepairContext& context, const ChainGenerator& generator,
-    size_t max_work) {
-  if (!Factorable(context, generator) || context.initial_violations.empty()) {
+std::optional<LocalRoot> SolveLocalRoot(const RepairContext& context,
+                                        const ChainGenerator& generator,
+                                        const LocalLimits& limits) {
+  // Every component holds a violation: a root with too few violations is
+  // declined before any work.
+  if (!Factorable(context, generator) ||
+      context.initial_violations.size() < limits.min_components) {
     return std::nullopt;
   }
   std::vector<std::vector<FactId>> components =
       ComponentIds(context.constraints, context.initial_violations);
-  ChainSummary root;
-  std::optional<size_t> work =
-      FoldComponents(context, generator, components,
-                     FoldLimits{SIZE_MAX, max_work, /*profiles=*/false}, &root);
-  if (!work.has_value()) return std::nullopt;
-  ProductDistribution product;
-  product.components = components.size();
-  product.work = *work;
-  EnumerationResult& distribution = product.distribution;
-  distribution.initial = context.initial;
-  distribution.repairs.reserve(root.repairs.size());
-  for (ChainSummary::Share& share : root.repairs) {
-    distribution.success_mass += share.mass;
-    RepairInfo& info = distribution.repairs.emplace_back();
-    info.removed = std::move(share.removed);
-    info.probability = std::move(share.mass);
+  if (components.size() < limits.min_components) return std::nullopt;
+  // A partial root counts states of the full chain with the other
+  // components still at their roots, and a partial product has at most
+  // the final product's repairs, so either may stop the solve early.
+  LocalRoot root;
+  Profile states{1}, leaves{1};
+  for (std::vector<FactId>& facts : components) {
+    // The work still allowed once the product has at least its current
+    // repairs.
+    size_t spent = SaturatingAdd(root.solved, root.product_repairs);
+    if (spent > limits.max_work) return std::nullopt;
+    Database sub_db(&context.initial.schema());
+    for (FactId id : facts) sub_db.InsertId(id);
+    RepairingState state(RepairContext::Make(sub_db, context.constraints));
+    ComponentSolver solver(generator, limits.max_states,
+                           limits.max_work - spent);
+    std::shared_ptr<const ChainSummary> node = solver.Solve(state);
+    if (node == nullptr) return std::nullopt;
+    root.solved += solver.solved();
+    root.product_repairs =
+        SaturatingMul(root.product_repairs, node->repairs.size());
+    if (SaturatingAdd(root.solved, root.product_repairs) > limits.max_work) {
+      return std::nullopt;
+    }
+    states = Interleave(states, node->states);
+    if (Total(states) > limits.max_states) return std::nullopt;
+    leaves = Interleave(leaves, node->leaves);
+    root.components.push_back(
+        ComponentDistribution{std::move(facts), node->repairs});
   }
-  return product;
+  root.states = Total(states);
+  root.absorbing_states = Total(leaves);
+  root.max_depth = states.size() - 1;
+  return root;
 }
 
 std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
                                               const ChainGenerator& generator,
                                               size_t max_states) {
-  // Two components need two violations: a root with fewer is declined
-  // before any work.
-  if (!Factorable(context, generator) ||
-      context.initial_violations.size() < 2) {
-    return nullptr;
+  std::optional<LocalRoot> root = SolveLocalRoot(
+      context, generator, LocalLimits{.max_states = max_states});
+  if (!root.has_value()) return nullptr;
+  // The product of the component distributions: one repair per choice of
+  // a repair in every component, its mass the product of theirs and its
+  // sequences the interleavings of theirs.
+  std::vector<ChainSummary::Share> product(1, {{}, Rational(1), Profile{1}});
+  for (const ComponentDistribution& component : root->components) {
+    std::vector<ChainSummary::Share> next;
+    next.reserve(product.size() * component.repairs.size());
+    for (const ChainSummary::Share& mine : product) {
+      for (const ChainSummary::Share& theirs : component.repairs) {
+        ChainSummary::Share& combined = next.emplace_back();
+        std::merge(mine.removed.begin(), mine.removed.end(),
+                   theirs.removed.begin(), theirs.removed.end(),
+                   std::back_inserter(combined.removed));
+        combined.mass = mine.mass * theirs.mass;
+        combined.sequences = Interleave(mine.sequences, theirs.sequences);
+      }
+    }
+    product = std::move(next);
   }
-  std::vector<std::vector<FactId>> components =
-      ComponentIds(context.constraints, context.initial_violations);
-  if (components.size() < 2) return nullptr;
-  ChainSummary root;
-  if (!FoldComponents(context, generator, components,
-                      FoldLimits{max_states, SIZE_MAX, /*profiles=*/true},
-                      &root)) {
-    return nullptr;
+  // The walk records its shares in delta order. Positions are sorted, not
+  // the shares, which move vectors and BigInts.
+  std::vector<uint32_t> order(product.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return product[a].removed < product[b].removed;
+  });
+  auto outcome = std::make_shared<MemoOutcome>();
+  outcome->states = root->states;
+  outcome->absorbing_states = root->absorbing_states;
+  outcome->successful_sequences = root->absorbing_states;
+  outcome->depth_below = root->max_depth;
+  for (uint32_t position : order) {
+    const ChainSummary::Share& share = product[position];
+    outcome->repairs.push_back(MemoOutcome::RepairShare{
+        share.removed, share.mass, Total(share.sequences)});
   }
-  // The walk records its shares in delta order.
-  std::sort(root.repairs.begin(), root.repairs.end(),
-            [](const ChainSummary::Share& a, const ChainSummary::Share& b) {
-              return a.removed < b.removed;
-            });
+  // The sum of the product's masses is the product of the components'
+  // sums, exactly.
+  outcome->success_mass = Rational(1);
+  for (const ComponentDistribution& component : root->components) {
+    Rational sum;
+    for (const ChainSummary::Share& share : component.repairs) {
+      sum += share.mass;
+    }
+    outcome->success_mass = outcome->success_mass * sum;
+  }
   static obs::Counter* const factored_roots =
       obs::MetricsRegistry::Global().GetCounter("engine.factored_roots");
   static obs::Counter* const factored_components =
       obs::MetricsRegistry::Global().GetCounter("engine.factored_components");
   factored_roots->Add();
-  factored_components->Add(components.size());
-  return RootOutcome(root);
+  factored_components->Add(root->components.size());
+  return outcome;
 }
 
 BigInt LocalizedRepairs::NumRepairCombinations() const {

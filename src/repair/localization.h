@@ -29,17 +29,23 @@
 // (d_1+…+d_k)! / (d_1!…d_k!) interleavings. So the counters of the walk —
 // states visited, absorbing states, sequences per repair, depth — are the
 // binomial convolutions (products of exponential generating functions) of
-// the component profiles. FactorRoot turns them into the root's memo
-// entry, equal in every field to the one the walk records;
-// EnumerateRepairs replays it instead of walking the interleavings.
-// LocalProduct runs the same fold under a work cap for the sampler, which
-// answers a root that fits its (ε,δ) budget exactly (repair/sampler.h).
+// the component profiles.
+//
+// SolveLocalRoot stops there: it returns the components' distributions
+// and the convolved counters, and never multiplies the distributions out.
+// ComputeOca, ComputeTupleProbability (repair/ocqa.h) and the sampler's
+// exact path (repair/sampler.h) answer a conjunctive query from them
+// through the cluster scorer (repair/witness.h). Only FactorRoot builds
+// the product: it turns it into the root's memo entry, equal in every
+// field to the one the walk records, for the callers that list repairs
+// (EnumerateRepairs replays it instead of walking the interleavings).
 // LocalizeAndEnumerate exposes the components themselves, each enumerated
 // by EnumerateRepairs, without materializing their product.
 
 #ifndef OPCQA_REPAIR_LOCALIZATION_H_
 #define OPCQA_REPAIR_LOCALIZATION_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -100,41 +106,68 @@ Result<LocalizedRepairs> LocalizeAndEnumerate(
     const Database& db, const ConstraintSet& constraints,
     const ChainGenerator& generator, const EnumerationOptions& options = {});
 
+/// One conflict component of a root, solved alone.
+struct ComponentDistribution {
+  struct Repair {
+    /// Facts of the component the repair removed, ascending.
+    std::vector<FactId> removed;
+    /// Its probability; the masses of a component sum to 1.
+    Rational mass;
+    /// Successful component sequences reaching it, by length.
+    std::vector<size_t> sequences;
+  };
+  /// The component's facts, ascending.
+  std::vector<FactId> facts;
+  /// Its repair distribution, ascending removed.
+  std::vector<Repair> repairs;
+};
+
+/// The chain on a root that factors: its conflict components, each solved
+/// alone, and the counters of the whole chain.
+struct LocalRoot {
+  std::vector<ComponentDistribution> components;
+  /// States, absorbing states (all successful) and depth of the chain on
+  /// D, equal to the walk's: the binomial convolutions of the component
+  /// profiles.
+  size_t states = 0;
+  size_t absorbing_states = 0;
+  size_t max_depth = 0;
+  /// Distinct component states solved.
+  size_t solved = 0;
+  /// Repairs of the product, Π_i |repairs_i| (saturating); never built.
+  size_t product_repairs = 1;
+};
+
+/// Bounds on SolveLocalRoot.
+struct LocalLimits {
+  /// States of the chain on D (the exact engine's max_states).
+  size_t max_states = SIZE_MAX;
+  /// Component states solved plus product_repairs (the sampler's n(ε,δ)).
+  size_t max_work = SIZE_MAX;
+  /// Conflict components a root needs to be solved per component.
+  size_t min_components = 2;
+};
+
+/// The components of the chain on context.initial, read off
+/// context.initial_violations, so a root with too few violations costs one
+/// size check. Nullopt when Σ is not denial-only, the generator is not
+/// local and history independent, D has fewer than limits.min_components
+/// conflict components, or a limit is passed. Each limit is checked after
+/// every component, on counts that only grow, and the component solve
+/// itself stops at the remaining work, so a root past a limit costs at
+/// most the components solved until then.
+std::optional<LocalRoot> SolveLocalRoot(const RepairContext& context,
+                                        const ChainGenerator& generator,
+                                        const LocalLimits& limits);
+
 /// The factored root of the chain on context.initial: the completed
 /// outcome EnumerateRepairs would record for the root (masses relative to
-/// it), computed from the conflict components. The components are read
-/// off context.initial_violations, so a root with fewer than two
-/// violations costs one size check. Null when the chain is not factored:
-/// Σ is not denial-only, the generator is not local, D has fewer than two
-/// conflict components, or the chain has more than `max_states` states
-/// (the walk then truncates exactly as before).
+/// it), the product of SolveLocalRoot's components. Null when the root is
+/// declined at two components and `max_states` (the walk then truncates
+/// exactly as before).
 std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
                                               const ChainGenerator& generator,
                                               size_t max_states);
-
-/// A local root's repair distribution, built as the product of its
-/// conflict components' distributions.
-struct ProductDistribution {
-  /// [[D]]_MΣ with exact masses relative to the root: `repairs` come in no
-  /// particular order and without sequence counts, `success_mass` is their
-  /// sum and `initial` is D. The chain counters and `repairs_by_delta` are
-  /// not filled in.
-  EnumerationResult distribution;
-  /// Conflict components of D.
-  size_t components = 0;
-  /// Component chain states solved plus product repairs built.
-  size_t work = 0;
-};
-
-/// The distribution of the chain on context.initial when building it
-/// takes at most `max_work` (ProductDistribution::work). The components
-/// are solved and multiplied out by the fold FactorRoot uses, capped by
-/// work instead of chain states and without the depth profiles. Nullopt,
-/// as soon as the cap is passed, or when Σ is not denial-only, the
-/// generator is not local and history independent, or D is consistent.
-std::optional<ProductDistribution> LocalProduct(const RepairContext& context,
-                                                const ChainGenerator& generator,
-                                                size_t max_work);
 
 /// The conflict components themselves (sorted fact lists), exposed for
 /// diagnostics and tests.

@@ -1,5 +1,8 @@
 #include "repair/ocqa.h"
 
+#include "constraints/constraint.h"
+#include "obs/metrics.h"
+#include "repair/localization.h"
 #include "repair/witness.h"
 
 namespace opcqa {
@@ -40,18 +43,73 @@ OcaResult Score(const EnumerationResult& enumeration, const Query& query) {
   return result;
 }
 
+// A local root's components and the query's witness table over it.
+struct MarginalRoot {
+  LocalRoot root;
+  WitnessTable table;
+};
+
+// The marginal path's inputs when it applies: the root factors exactly
+// when EnumerateRepairs would factor it (FactorRoot's gate, so every
+// budget truncates as before), and the query has a witness table.
+std::optional<MarginalRoot> Marginal(const Database& db,
+                                     const ConstraintSet& constraints,
+                                     const ChainGenerator& generator,
+                                     const Query& query, size_t max_states) {
+  // The cheap half of the gate first: no context for roots that never
+  // factor.
+  if (!query.IsConjunctive() || !generator.local() ||
+      !generator.history_independent() || !IsDenialOnly(constraints)) {
+    return std::nullopt;
+  }
+  std::optional<LocalRoot> root =
+      SolveLocalRoot(*RepairContext::Make(db, constraints), generator,
+                     LocalLimits{.max_states = max_states});
+  if (!root.has_value()) return std::nullopt;
+  std::optional<WitnessTable> table = WitnessTable::Build(query, db);
+  if (!table.has_value()) return std::nullopt;
+  static obs::Counter* const marginal_answers =
+      obs::MetricsRegistry::Global().GetCounter("engine.marginal_answers");
+  marginal_answers->Add();
+  return MarginalRoot{std::move(*root), std::move(*table)};
+}
+
+// The chain counters of a local root, as EnumerateRepairs reports them,
+// with no repair listed.
+EnumerationResult MarginalEnumeration(const Database& db,
+                                      const LocalRoot& root) {
+  EnumerationResult enumeration;
+  enumeration.success_mass = Rational(1);
+  enumeration.states_visited = root.states;
+  enumeration.absorbing_states = root.absorbing_states;
+  enumeration.successful_sequences = root.absorbing_states;
+  enumeration.max_depth = root.max_depth;
+  enumeration.initial = db;
+  return enumeration;
+}
+
 }  // namespace
 
-OcaResult OcaFromEnumeration(const EnumerationResult& enumeration,
+OcaResult OcaFromEnumeration(EnumerationResult enumeration,
                              const Query& query) {
   OcaResult result = Score(enumeration, query);
-  result.enumeration = enumeration;
+  result.enumeration = std::move(enumeration);
   return result;
 }
 
 OcaResult ComputeOca(const Database& db, const ConstraintSet& constraints,
                      const ChainGenerator& generator, const Query& query,
                      const EnumerationOptions& options) {
+  if (std::optional<MarginalRoot> marginal =
+          Marginal(db, constraints, generator, query, options.max_states)) {
+    OcaResult result;
+    result.answers =
+        ClusterScorer(marginal->table, marginal->root.components)
+            .Probabilities();
+    result.success_mass = Rational(1);
+    result.enumeration = MarginalEnumeration(db, marginal->root);
+    return result;
+  }
   EnumerationResult enumeration =
       EnumerateRepairs(db, constraints, generator, options);
   OcaResult result = Score(enumeration, query);
@@ -64,6 +122,14 @@ Rational ComputeTupleProbability(const Database& db,
                                  const ChainGenerator& generator,
                                  const Query& query, const Tuple& tuple,
                                  const EnumerationOptions& options) {
+  if (std::optional<MarginalRoot> marginal =
+          Marginal(db, constraints, generator, query, options.max_states)) {
+    size_t answer = marginal->table.Find(tuple);
+    return answer < marginal->table.answers().size()
+               ? ClusterScorer(marginal->table, marginal->root.components)
+                     .Probability(answer)
+               : Rational(0);
+  }
   EnumerationResult enumeration =
       EnumerateRepairs(db, constraints, generator, options);
   if (enumeration.success_mass.is_zero()) return Rational(0);

@@ -22,6 +22,20 @@
 // added facts, non-conjunctive queries and tables above
 // WitnessTable::kMaxImages images are scored by Query::Evaluate on each
 // materialized repair. Both give the same exact answers.
+//
+// A local root is never enumerated. When Σ is denial-only, the generator
+// local() and history independent, D has at least two conflict
+// components and the chain fits options.max_states — exactly the roots
+// EnumerateRepairs would factor (FactorRoot, repair/localization.h) —
+// and the query has a witness table, ComputeOca and
+// ComputeTupleProbability solve the components alone (SolveLocalRoot)
+// and score each answer from the clusters of components its images touch
+// (ClusterScorer, repair/witness.h). The product of the components'
+// distributions is not built, and the memo, options.cache and its disk
+// tier are not consulted: the components cost less than a restore and a
+// replay. Every other root, and every non-conjunctive query, enumerates
+// as above; a root over budget truncates exactly as before. Callers that
+// list repairs call EnumerateRepairs (and OcaFromEnumeration) themselves.
 
 #ifndef OPCQA_REPAIR_OCQA_H_
 #define OPCQA_REPAIR_OCQA_H_
@@ -40,7 +54,11 @@ struct OcaResult {
   Rational success_mass;
   /// Mass lost to failing sequences (1 − success_mass when untruncated).
   Rational failing_mass;
-  /// Underlying chain statistics.
+  /// Underlying chain statistics. From the marginal path (see above) it
+  /// carries the chain counters of the walk — states_visited,
+  /// absorbing_states, successful_sequences, max_depth — and the masses
+  /// (success 1, failing 0), but no repairs, an empty repairs_by_delta and
+  /// zero memo_stats; `initial` is D.
   EnumerationResult enumeration;
 
   /// CP of a specific tuple (0 when not an answer anywhere).
@@ -51,7 +69,8 @@ struct OcaResult {
   std::vector<Tuple> AnswersAtLeast(const Rational& threshold) const;
 };
 
-/// Computes OCA_MΣ(D,Q) exactly by enumerating the chain.
+/// Computes OCA_MΣ(D,Q) exactly, from the marginals of a local root or by
+/// enumerating the chain.
 OcaResult ComputeOca(const Database& db, const ConstraintSet& constraints,
                      const ChainGenerator& generator, const Query& query,
                      const EnumerationOptions& options = {});
@@ -63,8 +82,10 @@ Rational ComputeTupleProbability(const Database& db,
                                  const Query& query, const Tuple& tuple,
                                  const EnumerationOptions& options = {});
 
-/// Reuses an existing enumeration (many queries over one chain).
-OcaResult OcaFromEnumeration(const EnumerationResult& enumeration,
+/// Scores an existing enumeration (many queries over one chain, or a
+/// caller that lists the repairs it was answered from); the result holds
+/// the enumeration.
+OcaResult OcaFromEnumeration(EnumerationResult enumeration,
                              const Query& query);
 
 }  // namespace opcqa

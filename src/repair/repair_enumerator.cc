@@ -383,6 +383,114 @@ Database MaterializeRepair(const Database& initial,
   return db;
 }
 
+namespace {
+
+// Database order (Database::operator<) between repairs of one initial
+// database, read off their deltas without building either database. A
+// repair's changes are its removed and added facts in value order. The
+// smallest fact d of the symmetric difference of two repairs X and Y is
+// the first fact in which their change lists differ; every bucket before
+// d's is equal, and in d's bucket both agree below d. If d ∈ X, then X
+// comes first unless Y's bucket ends before d (Y is then a prefix of X);
+// if d ∈ Y, symmetrically. So each repair keeps its changes and the
+// largest fact of each of its buckets, all as ranks in the value order of
+// D's facts and the added ones, which compare as integers.
+class TieOrder {
+ public:
+  struct Key {
+    std::vector<uint64_t> changes;  // rank << 1 | added, ascending
+    std::vector<uint32_t> top;      // per relation; kNone when empty
+  };
+
+  // `added`: the facts the tied repairs added, in any order.
+  TieOrder(const Database& initial, std::vector<FactId> added)
+      : initial_(initial) {
+    // D's ids are in value order already: relation, then value.
+    std::vector<FactId> order = initial.AllFactIds();
+    if (!added.empty()) {
+      std::sort(added.begin(), added.end(), FactIdValueLess());
+      added.erase(std::unique(added.begin(), added.end()), added.end());
+      std::vector<FactId> merged;
+      std::merge(order.begin(), order.end(), added.begin(), added.end(),
+                 std::back_inserter(merged), FactIdValueLess());
+      order = std::move(merged);
+    }
+    rank_of_.reserve(order.size());
+    pred_of_.reserve(order.size());
+    for (uint32_t rank = 0; rank < order.size(); ++rank) {
+      rank_of_.emplace_back(order[rank], rank);
+      pred_of_.push_back(FactStore::Global().pred(order[rank]));
+    }
+    std::sort(rank_of_.begin(), rank_of_.end());
+  }
+
+  Key MakeKey(const RepairDelta& repair) const {
+    Key key;
+    for (FactId id : repair.removed) {
+      key.changes.push_back(uint64_t{Rank(id)} << 1);
+    }
+    for (FactId id : repair.added) {
+      key.changes.push_back(uint64_t{Rank(id)} << 1 | 1);
+    }
+    std::sort(key.changes.begin(), key.changes.end());
+    // Ranks are in relation order, so the last one names the last
+    // relation any of these repairs holds a fact of.
+    key.top.assign(pred_of_.empty() ? 0 : pred_of_.back() + 1, kNone);
+    for (PredId pred = 0; pred < key.top.size(); ++pred) {
+      const std::vector<FactId>& bucket = initial_.FactsOf(pred);
+      for (auto it = bucket.rbegin(); it != bucket.rend(); ++it) {
+        if (!std::binary_search(repair.removed.begin(), repair.removed.end(),
+                                *it)) {
+          key.top[pred] = Rank(*it);
+          break;
+        }
+      }
+    }
+    for (FactId id : repair.added) {
+      uint32_t rank = Rank(id);
+      uint32_t& top = key.top[pred_of_[rank]];
+      if (top == kNone || top < rank) top = rank;
+    }
+    return key;
+  }
+
+  bool Less(const Key& x, const Key& y) const {
+    const std::vector<uint64_t>& a = x.changes;
+    const std::vector<uint64_t>& b = y.changes;
+    size_t i = 0;
+    while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
+    if (i == a.size() && i == b.size()) return false;  // the same repair
+    // d is the change of x when it sorts first (one fact is always the
+    // same kind of change, so unequal entries have unequal ranks).
+    bool x_changed = i < a.size() && (i == b.size() || a[i] < b[i]);
+    uint64_t d = x_changed ? a[i] : b[i];
+    // A fact one repair removed is in the other; one it added is in it.
+    bool in_x = x_changed == ((d & 1) != 0);
+    return in_x ? GoesPast(y, d >> 1) : !GoesPast(x, d >> 1);
+  }
+
+ private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  uint32_t Rank(FactId id) const {
+    auto it = std::lower_bound(rank_of_.begin(), rank_of_.end(),
+                               std::make_pair(id, uint32_t{0}));
+    return it->second;
+  }
+
+  // True when the key's repair holds a fact of d's relation above d.
+  bool GoesPast(const Key& key, uint64_t d) const {
+    uint32_t top = key.top[pred_of_[d]];
+    return top != kNone && top > d;
+  }
+
+  const Database& initial_;
+  std::vector<std::pair<FactId, uint32_t>> rank_of_;  // ascending id
+  std::vector<PredId> pred_of_;                       // by rank
+};
+
+}  // namespace
+
 std::vector<RepairInfo> AssembleRepairs(const Database& initial,
                                         RepairTallies tallies) {
   std::vector<RepairInfo> repairs;
@@ -393,27 +501,42 @@ std::vector<RepairInfo> AssembleRepairs(const Database& initial,
                                  std::move(node.mapped().mass),
                                  node.mapped().sequences});
   }
-  auto more_probable = [](const RepairInfo& a, const RepairInfo& b) {
-    return a.probability.Compare(b.probability) > 0;
+  // Positions are sorted, not the repairs, which move vectors and BigInts.
+  std::vector<uint32_t> order(repairs.size());
+  std::iota(order.begin(), order.end(), 0u);
+  auto more_probable = [&](uint32_t a, uint32_t b) {
+    return repairs[a].probability.Compare(repairs[b].probability) > 0;
   };
-  std::sort(repairs.begin(), repairs.end(), more_probable);
+  std::sort(order.begin(), order.end(), more_probable);
   // Distinct repairs are distinct databases, so database order settles
-  // every tie; only tied repairs are materialized to compare.
-  for (auto run = repairs.begin(); run != repairs.end();) {
-    auto end = std::upper_bound(run, repairs.end(), *run, more_probable);
+  // every tie.
+  for (auto run = order.begin(); run != order.end();) {
+    auto end = std::upper_bound(run, order.end(), *run, more_probable);
     if (end - run > 1) {
-      std::vector<std::pair<Database, RepairInfo>> tied;
+      std::vector<FactId> added;
+      for (auto it = run; it != end; ++it) {
+        added.insert(added.end(), repairs[*it].added.begin(),
+                     repairs[*it].added.end());
+      }
+      TieOrder ties(initial, std::move(added));
+      std::vector<std::pair<TieOrder::Key, uint32_t>> tied;
       tied.reserve(end - run);
       for (auto it = run; it != end; ++it) {
-        tied.emplace_back(MaterializeRepair(initial, *it), std::move(*it));
+        tied.emplace_back(ties.MakeKey(repairs[*it]), *it);
       }
-      std::sort(tied.begin(), tied.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      for (auto& [db, info] : tied) *run++ = std::move(info);
+      std::sort(tied.begin(), tied.end(), [&](const auto& a, const auto& b) {
+        return ties.Less(a.first, b.first);
+      });
+      for (const auto& [key, position] : tied) *run++ = position;
     }
     run = end;
   }
-  return repairs;
+  std::vector<RepairInfo> sorted;
+  sorted.reserve(repairs.size());
+  for (uint32_t position : order) {
+    sorted.push_back(std::move(repairs[position]));
+  }
+  return sorted;
 }
 
 Rational EnumerationResult::ProbabilityOf(const Database& repair) const {

@@ -104,8 +104,10 @@ struct RepairTally {
 using RepairTallies = std::map<RepairDelta, RepairTally>;
 
 /// The tallied repairs as RepairInfos, most probable first; ties are
-/// broken by the order of the materialized repair databases, which is
-/// process-independent (delta order is not: FactIds are intern-order).
+/// broken by the order of the repair databases (Database::operator<),
+/// which is process-independent (delta order is not: FactIds are
+/// intern-order). The order is read off the deltas; no repair is
+/// materialized.
 /// Shared by EnumerateRepairs and TopKRepairs.
 std::vector<RepairInfo> AssembleRepairs(const Database& initial,
                                         RepairTallies tallies);

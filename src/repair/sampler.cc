@@ -121,31 +121,50 @@ void RecordWalks(size_t walks, size_t steps) {
   Metrics().steps->Add(steps);
 }
 
-// CP(t̄) over the product's repairs for every tuple with CP > 0: the exact
-// masses ComputeOca sums, converted once.
-std::map<Tuple, double> ExactEstimates(const EnumerationResult& distribution,
+// CP(t̄) of every tuple with CP > 0 on a local root: the cluster scorer's
+// or, for a query without witness table, Query::Evaluate's on every
+// repair of the product, of which a root fitting n(ε,δ) has at most n.
+std::map<Tuple, Rational> LocalAnswers(const Database& initial,
+                                       const LocalRoot& root,
                                        const Query& query) {
-  std::map<Tuple, double> estimates;
-  for (const auto& [tuple, mass] : SumOverRepairs<Rational>(
-           distribution, query, [](const RepairInfo& info) -> const Rational& {
-             return info.probability;
-           })) {
-    estimates.emplace_hint(estimates.end(), tuple,
-                           (mass / distribution.success_mass).ToDouble());
+  if (std::optional<WitnessTable> table = WitnessTable::Build(query, initial)) {
+    return ClusterScorer(*table, root.components).Probabilities();
   }
-  Metrics().exact_estimates->Add();
-  return estimates;
+  const std::vector<ComponentDistribution>& components = root.components;
+  std::map<Tuple, Rational> sums;
+  std::vector<size_t> pick(components.size(), 0);
+  for (;;) {
+    Database repair = initial;
+    Rational mass(1);
+    for (size_t c = 0; c < components.size(); ++c) {
+      const ComponentDistribution::Repair& chosen =
+          components[c].repairs[pick[c]];
+      for (FactId id : chosen.removed) repair.EraseId(id);
+      mass *= chosen.mass;
+    }
+    for (const Tuple& tuple : query.Evaluate(repair)) sums[tuple] += mass;
+    size_t c = 0;
+    while (c < components.size() && ++pick[c] == components[c].repairs.size()) {
+      pick[c++] = 0;
+    }
+    if (c == components.size()) return sums;
+  }
 }
 
 }  // namespace
 
-const ProductDistribution* Sampler::ExactProduct(size_t max_work) {
-  if (!product_.has_value() && max_work > declined_work_) {
-    product_ = LocalProduct(*context_, *generator_, max_work);
-    if (!product_.has_value()) declined_work_ = max_work;
+const LocalRoot* Sampler::ExactRoot(size_t max_work) {
+  if (!local_root_.has_value() && max_work > declined_work_) {
+    local_root_ = SolveLocalRoot(
+        *context_, *generator_,
+        LocalLimits{.max_work = max_work, .min_components = 1});
+    if (!local_root_.has_value()) declined_work_ = max_work;
   }
-  return product_.has_value() && product_->work <= max_work ? &*product_
-                                                            : nullptr;
+  return local_root_.has_value() &&
+                 local_root_->solved + local_root_->product_repairs <=
+                     max_work
+             ? &*local_root_
+             : nullptr;
 }
 
 template <typename Tally, typename Score>
@@ -172,11 +191,12 @@ double Sampler::EstimateTuple(const Query& query, const Tuple& tuple,
                               double epsilon, double delta) {
   obs::ScopedTimer timer(Metrics().estimate_ms);
   size_t n = NumSamples(epsilon, delta);
-  if (const ProductDistribution* product = ExactProduct(n)) {
-    std::map<Tuple, double> estimates =
-        ExactEstimates(product->distribution, query);
-    auto it = estimates.find(tuple);
-    return it == estimates.end() ? 0.0 : it->second;
+  if (const LocalRoot* root = ExactRoot(n)) {
+    Metrics().exact_estimates->Add();
+    std::map<Tuple, Rational> answers =
+        LocalAnswers(context_->initial, *root, query);
+    auto it = answers.find(tuple);
+    return it == answers.end() ? 0.0 : it->second.ToDouble();
   }
   std::optional<WitnessTable> table =
       WitnessTable::Build(query, context_->initial);
@@ -268,10 +288,15 @@ ApproxOcaResult Sampler::EstimateOca(const Query& query, double epsilon,
   obs::ScopedTimer timer(Metrics().estimate_ms);
   size_t n = NumSamples(epsilon, delta);
   ApproxOcaResult result;
-  if (const ProductDistribution* product = ExactProduct(n)) {
-    result.estimates = ExactEstimates(product->distribution, query);
-    result.exact_repairs = product->distribution.repairs.size();
-    result.exact_components = product->components;
+  if (const LocalRoot* root = ExactRoot(n)) {
+    for (const auto& [tuple, p] :
+         LocalAnswers(context_->initial, *root, query)) {
+      result.estimates.emplace_hint(result.estimates.end(), tuple,
+                                    p.ToDouble());
+    }
+    result.exact_repairs = root->product_repairs;
+    result.exact_components = root->components.size();
+    Metrics().exact_estimates->Add();
   } else {
     result = SampleOca(query, n);
   }

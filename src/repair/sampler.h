@@ -15,16 +15,19 @@
 // answer exactly, which meets any (ε,δ). When Σ is denial-only and the
 // generator local() and history independent, the chain on D is a product
 // of independent conflict-component chains (repair/localization.h), and
-// LocalProduct builds its repair distribution with the fold FactorRoot
-// uses. The work allowed is n itself: component states solved plus
-// product repairs built may not pass the n walks the sampler would run
-// instead, and the solve stops as soon as they do. A root that fits is
-// scored through SumOverRepairs with exact Rational masses, so every
-// estimate equals ComputeOca's CP(t̄).ToDouble(); the result has walks = 0
-// and exact_repairs > 0, draws no random number, claims no walk index and
-// does not depend on the seed or the thread count. The product is built
-// once per sampler and reused by later calls whose budget it fits. Every
-// other root (TGDs, non-local generators, products over budget, a
+// SolveLocalRoot solves the components alone. The work allowed is n
+// itself: component states solved plus the repairs of the product, Π_i
+// |repairs_i|, may not pass the n walks the sampler would run instead,
+// and the solve stops as soon as they do. The product is only counted,
+// never built. A root that fits is scored from the component
+// distributions by the cluster scorer (ClusterScorer, repair/witness.h)
+// or, for a query without witness table, by Query::Evaluate on each of
+// the at most n product repairs, with exact Rational masses, so every
+// estimate equals ComputeOca's CP(t̄).ToDouble(); the result has walks =
+// 0 and exact_repairs > 0, draws no random number, claims no walk index
+// and does not depend on the seed or the thread count. The components are
+// solved once per sampler and reused by later calls whose budget they
+// fit. Every other root (TGDs, non-local generators, roots over budget, a
 // consistent D) is walked as below, bit-identical to a sampler without
 // the exact path. EstimateOcaWithWalks, RunWalk and RunWalkAt always walk.
 //
@@ -82,8 +85,9 @@ struct ApproxOcaResult {
   /// individual tuple estimate carries the (ε,δ) additive guarantee.
   std::map<Tuple, double> estimates;
   size_t walks = 0;
-  /// Repairs and conflict components of the product an exact answer was
-  /// scored from (Sampler::EstimateOca); 0 when the estimates were walked.
+  /// Repairs of the product (Π_i |repairs_i|, counted, not built) and
+  /// conflict components of the local root an exact answer was scored
+  /// from (Sampler::EstimateOca); 0 when the estimates were walked.
   size_t exact_repairs = 0;
   size_t exact_components = 0;
   size_t successful_walks = 0;
@@ -134,13 +138,13 @@ class Sampler {
   WalkResult RunWalkAt(uint64_t walk_index) const;
 
   /// Estimates CP(t̄) for a single tuple with additive error ε at
-  /// confidence 1−δ, exactly when the root's product fits n(ε,δ) (see
+  /// confidence 1−δ, exactly when the local root fits n(ε,δ) (see
   /// above). Failing walks (impossible for non-failing generators)
   /// contribute 0, matching Pr(Sample = 1) = Σ_{t̄∈Q(D′)} p.
   double EstimateTuple(const Query& query, const Tuple& tuple, double epsilon,
                        double delta);
 
-  /// The exact CP of every tuple when the root's product fits n(ε,δ);
+  /// The exact CP of every tuple when the local root fits n(ε,δ);
   /// otherwise runs n(ε,δ) walks once and scores every answer tuple
   /// encountered.
   ApproxOcaResult EstimateOca(const Query& query, double epsilon,
@@ -161,10 +165,11 @@ class Sampler {
   WalkResult WalkWithRng(Rng* rng) const;
   // The walked half of EstimateOca and EstimateOcaWithWalks.
   ApproxOcaResult SampleOca(const Query& query, size_t walks);
-  // The root's product distribution when building it takes at most
-  // `max_work`, or null. Built once, by the first call it fits; a budget
-  // no larger than one already declined is declined without a retry.
-  const ProductDistribution* ExactProduct(size_t max_work);
+  // The root's components when solving them and counting their product
+  // takes at most `max_work`, or null. Solved once, by the first call they
+  // fit; a budget no larger than one already declined is declined without
+  // a retry.
+  const LocalRoot* ExactRoot(size_t max_work);
   // Claims walk indices [cursor, cursor + walks) and runs them in
   // per-worker chunks, each on one reused state and a copy of `empty`;
   // score(state, steps, &tally) sees every finished walk. Tallies come
@@ -181,7 +186,7 @@ class Sampler {
   // repeated calls are independent yet reproducible from (seed, call
   // sequence) alone.
   uint64_t walk_cursor_ = 0;
-  std::optional<ProductDistribution> product_;
+  std::optional<LocalRoot> local_root_;
   size_t declined_work_ = 0;
 };
 

@@ -22,15 +22,21 @@
 // of whose repairs has a non-empty `added` set (RepairWitnesses).
 // Everything else is scored by Query::Evaluate on the materialized
 // database (MaterializeRepair), on the same code path.
+//
+// On a local root (repair/localization.h) the repairs are never listed:
+// ClusterScorer reads the same images against the conflict components'
+// distributions instead.
 
 #ifndef OPCQA_REPAIR_WITNESS_H_
 #define OPCQA_REPAIR_WITNESS_H_
 
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "logic/query.h"
+#include "repair/localization.h"
 #include "repair/repair_enumerator.h"
 
 namespace opcqa {
@@ -57,6 +63,8 @@ class WitnessTable {
   bool Survives(size_t i, const std::vector<FactId>& removed) const;
 
  private:
+  friend class ClusterScorer;
+
   // True when every id of some image of answer i satisfies `alive`.
   template <typename Alive>
   bool AnyImage(size_t i, Alive alive) const {
@@ -78,6 +86,46 @@ class WitnessTable {
   std::vector<uint32_t> first_image_;
   std::vector<uint32_t> image_begin_;
   std::vector<FactId> ids_;
+};
+
+/// Answer probabilities on a local root (SolveLocalRoot,
+/// repair/localization.h), whose repairs keep every untouched fact of D
+/// and, in each conflict component independently, drop the facts one
+/// repair of the component removed. An answer holds in a repair when one
+/// of its images survives. Its images split into clusters: two components
+/// share a cluster when one image touches both. Images of different
+/// clusters survive independently, so
+///
+///   CP(t̄) = 1 − Π over clusters of P(no image of t̄ in it survives),
+///
+/// each term summed over the joint repairs of that cluster's components
+/// alone, never over the product of all components. An image made only of
+/// untouched facts always survives: its answer has CP = 1. The values are
+/// exact and equal to the ones scoring the product's repairs gives.
+class ClusterScorer {
+ public:
+  /// `table` is over D; both arguments must outlive the scorer.
+  ClusterScorer(const WitnessTable& table,
+                const std::vector<ComponentDistribution>& components);
+
+  /// CP(answers()[i]).
+  Rational Probability(size_t i) const;
+
+  /// Every answer with CP > 0, with its CP.
+  std::map<Tuple, Rational> Probabilities() const;
+
+ private:
+  static constexpr uint32_t kUntouched = UINT32_MAX;
+  uint32_t ComponentOf(FactId id) const;
+  // P(no image survives) for images over one cluster's components, each
+  // image given as its ids.
+  Rational NoneSurvives(const std::vector<uint32_t>& cluster,
+                        const std::vector<std::span<const FactId>>& images)
+      const;
+
+  const WitnessTable& table_;
+  const std::vector<ComponentDistribution>& components_;
+  std::vector<std::pair<FactId, uint32_t>> component_of_;  // ascending id
 };
 
 /// The witness table over enumeration.initial when every repair of

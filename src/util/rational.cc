@@ -99,6 +99,8 @@ Rational Rational::operator/(const Rational& other) const {
 }
 
 int Rational::Compare(const Rational& other) const {
+  // Equal denominators (ties among repair masses) need no product.
+  if (den_.Compare(other.den_) == 0) return num_.Compare(other.num_);
   // Denominators are positive, so cross-multiplication preserves order.
   return (num_ * other.den_).Compare(other.num_ * den_);
 }

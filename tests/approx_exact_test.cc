@@ -133,6 +133,17 @@ TEST(ApproxExactTest, EstimatesEqualComputeOcaOnSeededInstances) {
   EXPECT_GE(exact_roots, 200u);
 }
 
+// The sampler's admission: the root's components when solving them and
+// counting their product (solved + product_repairs) takes at most
+// `max_work`.
+std::optional<LocalRoot> SolveWithin(const RepairContext& context,
+                                     const ChainGenerator& generator,
+                                     size_t max_work) {
+  return SolveLocalRoot(
+      context, generator,
+      LocalLimits{.max_work = max_work, .min_components = 1});
+}
+
 // ε for which n(ε, δ = 1/2) is exactly `n`.
 double EpsilonFor(size_t n) {
   return std::sqrt(std::log(4.0) / (2.0 * (static_cast<double>(n) - 0.5)));
@@ -149,15 +160,14 @@ TEST(ApproxExactTest, BudgetBoundaryDecidesBetweenExactAndSampled) {
       RepairContext::Make(db, sigma);
   // Each key pair: the root, two single deletions and the pair deletion
   // are 4 states and 3 repairs, so 8 states and 3 × 3 product repairs.
-  std::optional<ProductDistribution> product =
-      LocalProduct(*context, uniform, SIZE_MAX);
+  std::optional<LocalRoot> product = SolveWithin(*context, uniform, SIZE_MAX);
   ASSERT_TRUE(product.has_value());
   const size_t work = 17;
-  EXPECT_EQ(product->work, work);
-  EXPECT_EQ(product->components, 2u);
-  EXPECT_EQ(product->distribution.repairs.size(), 9u);
-  EXPECT_TRUE(LocalProduct(*context, uniform, work).has_value());
-  EXPECT_FALSE(LocalProduct(*context, uniform, work - 1).has_value());
+  EXPECT_EQ(product->solved + product->product_repairs, work);
+  EXPECT_EQ(product->components.size(), 2u);
+  EXPECT_EQ(product->product_repairs, 9u);
+  EXPECT_TRUE(SolveWithin(*context, uniform, work).has_value());
+  EXPECT_FALSE(SolveWithin(*context, uniform, work - 1).has_value());
 
   Query q = *ParseQuery(schema, "Q(x,y) := R(x,y)");
   const double delta = 0.5;
@@ -192,12 +202,11 @@ TEST(ApproxExactTest, SingleComponentPastTheBudgetIsSampled) {
   std::shared_ptr<const RepairContext> context =
       RepairContext::Make(w.db, w.constraints);
   const size_t n = Sampler::NumSamples(0.1, 0.1);
-  std::optional<ProductDistribution> product =
-      LocalProduct(*context, uniform, SIZE_MAX);
+  std::optional<LocalRoot> product = SolveWithin(*context, uniform, SIZE_MAX);
   ASSERT_TRUE(product.has_value());
-  EXPECT_EQ(product->components, 1u);
-  EXPECT_GT(product->work, n);
-  EXPECT_FALSE(LocalProduct(*context, uniform, n).has_value());
+  EXPECT_EQ(product->components.size(), 1u);
+  EXPECT_GT(product->solved + product->product_repairs, n);
+  EXPECT_FALSE(SolveWithin(*context, uniform, n).has_value());
   Sampler sampler(w.db, w.constraints, &uniform, /*seed=*/8);
   ApproxOcaResult result =
       sampler.EstimateOca(Parse(w, "Q(x,y) := R(x,y)"), 0.1, 0.1);

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "gen/workloads.h"
+#include "relational/fact_parser.h"
 #include "repair/repair_enumerator.h"
 
 namespace opcqa {
@@ -148,6 +151,57 @@ TEST(EnumeratorTest, StatisticsAreCoherent) {
   EXPECT_EQ(aggregated, result.successful_sequences);
   EXPECT_GT(result.states_visited, result.absorbing_states);
   EXPECT_GT(result.max_depth, 0u);
+}
+
+TEST(EnumeratorTest, TiedRepairsFollowDatabaseOrderWithoutMaterializing) {
+  // Random deltas over three relations, with facts removed from D and
+  // facts added outside it, all tied: AssembleRepairs must order them as
+  // their materialized databases sort, prefixes and empty buckets
+  // included.
+  Schema schema;
+  schema.AddRelation("R", 2);
+  schema.AddRelation("S", 1);
+  schema.AddRelation("T", 2);
+  Database db = *ParseDatabase(
+      schema, "R(a,b). R(a,c). R(b,a). R(c,c). S(a). S(c). T(a,a). T(c,b).");
+  std::vector<FactId> present = db.AllFactIds();
+  std::vector<FactId> absent;
+  for (const char* fact : {"R(a,a)", "R(c,d)", "S(b)", "S(d)", "T(b,b)"}) {
+    Database extra = *ParseDatabase(schema, std::string(fact) + ".");
+    absent.push_back(extra.AllFactIds().front());
+  }
+  std::mt19937_64 rng(29);
+  for (int round = 0; round < 200; ++round) {
+    RepairTallies tallies;
+    while (tallies.size() < 12) {
+      RepairDelta delta;
+      for (FactId id : present) {
+        if (rng() % 3 == 0) delta.removed.push_back(id);
+      }
+      for (FactId id : absent) {
+        if (rng() % 4 == 0) delta.added.push_back(id);
+      }
+      std::sort(delta.removed.begin(), delta.removed.end());
+      std::sort(delta.added.begin(), delta.added.end());
+      // Half the rounds tie everything; the rest split into two masses.
+      int64_t weight = round % 2 == 0 ? 1 : 1 + static_cast<int64_t>(rng() % 2);
+      tallies.try_emplace(delta, RepairTally{Rational(weight, 24), 1});
+    }
+    std::vector<std::pair<Rational, Database>> want;
+    for (const auto& [delta, tally] : tallies) {
+      want.emplace_back(tally.mass, MaterializeRepair(db, delta));
+    }
+    std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+      int order = a.first.Compare(b.first);
+      return order != 0 ? order > 0 : a.second < b.second;
+    });
+    std::vector<RepairInfo> got = AssembleRepairs(db, std::move(tallies));
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(MaterializeRepair(db, got[i]), want[i].second)
+          << "round " << round << " position " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -14,12 +14,10 @@
 #include <string>
 #include <unistd.h>
 
-#include "constraints/constraint_parser.h"
 #include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "obs/metrics.h"
-#include "relational/fact_parser.h"
 #include "repair/counting.h"
 #include "repair/localization.h"
 #include "repair/ocqa.h"
@@ -60,49 +58,6 @@ class TempDir {
  private:
   std::string path_;
 };
-
-// A seeded denial-only instance over R/2 and S/2: a key on R and the
-// two-relation denial R(x,y), S(y,z) -> false. Key groups hold 1–4
-// facts (a group of one is untouched unless an S fact meets it), S facts
-// either meet an R value or dangle untouched, and every fourth seed adds
-// one component of 6 facts whose five violations form a path. Sizes stay
-// small enough for the walk to enumerate every
-// interleaving quickly.
-gen::Workload MakeInstance(uint64_t seed) {
-  std::mt19937_64 rng(seed * 7919 + 11);
-  auto below = [&](size_t bound) {
-    return static_cast<size_t>(rng() % bound);
-  };
-  bool big = seed % 4 == 0;
-  std::string facts;
-  size_t groups = big ? 1 : 2 + below(2);
-  for (size_t g = 0; g < groups; ++g) {
-    // Only the first of two groups beside no big component may reach 4.
-    size_t size = 1 + below(g == 0 && !big && groups == 2 ? 4 : 2);
-    for (size_t i = 0; i < size; ++i) {
-      std::string value = "v" + std::to_string(g) + "_" + std::to_string(i);
-      facts += "R(k" + std::to_string(g) + "," + value + "). ";
-      if (below(6) == 0) facts += "S(" + value + ",s). ";
-    }
-  }
-  if (big) {
-    // A path of five violations: key, denial, denial, key, denial.
-    facts +=
-        "R(p,b0). R(p,b1). S(b1,t). R(q,b1). R(q,b2). S(b2,t). ";
-  }
-  for (size_t i = below(3); i > 0; --i) {
-    facts += "S(free" + std::to_string(i) + ",u). ";
-  }
-  auto schema = std::make_shared<Schema>();
-  schema->AddRelation("R", 2);
-  schema->AddRelation("S", 2);
-  Result<Database> db = ParseDatabase(*schema, facts);
-  Result<ConstraintSet> constraints = ParseConstraints(
-      *schema, "key: R(x,y), R(x,z) -> y = z\nR(x,y), S(y,z) -> false\n");
-  OPCQA_CHECK(db.ok() && constraints.ok());
-  return gen::Workload{schema, std::move(db).value(),
-                       std::move(constraints).value()};
-}
 
 std::map<Fact, Rational> MakeTrust(const Database& db, uint64_t seed) {
   std::mt19937_64 rng(seed + 101);
@@ -301,7 +256,7 @@ TEST(FactoredRootTest, MatchesTheWalkOnSeededDenialInstances) {
   size_t factored = 0;
   size_t big_component_factored = 0;
   for (uint64_t seed = 0; seed < kInstances; ++seed) {
-    gen::Workload w = MakeInstance(seed);
+    gen::Workload w = gen::MakeDenialWorkload(seed);
     size_t components = ConflictComponents(w.db, w.constraints).size();
     // One generator per instance, rotating, so every generator sees
     // every shape.

@@ -48,6 +48,17 @@ Request ReadRequest(uint64_t id, const std::string& tenant,
   return request;
 }
 
+/// A count request: it lists the root's repairs, so it walks or replays
+/// the chain through the shared cache even on a local root, which an
+/// answer request answers from component marginals instead.
+Request CountRequest(uint64_t id, const std::string& tenant,
+                     const gen::Workload& w, const std::string& query_text,
+                     const std::string& generator = "uniform-deletions") {
+  Request request = ReadRequest(id, tenant, w, query_text, generator);
+  request.kind = RequestKind::kCount;
+  return request;
+}
+
 /// A generator that stalls every Probabilities() call until Release() —
 /// pins the (sole) worker so later submissions demonstrably queue.
 /// WaitEntered() returns once a worker is stalled inside the gate, so a
@@ -211,7 +222,7 @@ TEST(OcqaServerTest, SameRootRequestsBatchBehindOneWalk) {
   constexpr size_t kSameRoot = 6;
   for (size_t i = 0; i < kSameRoot; ++i) {
     futures.push_back(
-        server.Submit(ReadRequest(1 + i, "t0", w, "Q(x,y) := R(x,y)")));
+        server.Submit(CountRequest(1 + i, "t0", w, "Q(x,y) := R(x,y)")));
   }
   gate.Release();
   std::vector<Response> responses;
@@ -378,7 +389,7 @@ TEST(OcqaServerTest, ZeroMaxRootsMeansNoCap) {
   std::string first;
   for (uint64_t id = 0; id < 3; ++id) {
     Response response =
-        server.Submit(ReadRequest(id, "t", w, "Q(x,y) := R(x,y)", "uniform"))
+        server.Submit(CountRequest(id, "t", w, "Q(x,y) := R(x,y)", "uniform"))
             .get();
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     if (id == 0) first = response.payload;
@@ -395,9 +406,9 @@ TEST(OcqaServerTest, ColdRootDemotesTheHotOneAtMaxRoots) {
   // previous one — and answers stay byte-identical to serial replay.
   gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
   std::vector<Request> trace = {
-      ReadRequest(0, "t", w, "Q(x,y) := R(x,y)"),
-      ReadRequest(1, "t", w, "Q(x,y) := R(x,y)", "uniform"),
-      ReadRequest(2, "t", w, "Q(x) := exists y R(x,y)"),
+      CountRequest(0, "t", w, "Q(x,y) := R(x,y)"),
+      CountRequest(1, "t", w, "Q(x,y) := R(x,y)", "uniform"),
+      CountRequest(2, "t", w, "Q(x) := exists y R(x,y)"),
   };
   std::string reference = RenderResponses(
       ReplaySerial(w, trace, ReplayMode::kSessionPerTenant));

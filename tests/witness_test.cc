@@ -234,20 +234,22 @@ TEST(WitnessTest, ExactScorersEqualEvaluateOnEveryRepair) {
         }
         EXPECT_EQ(ExpectedAnswerCount(enumeration, q),
                   answer_mass / enumeration.success_mass);
-        // ComputeOca moves its enumeration into the result; memoized and
-        // parallel enumerations must score the same.
+        // Memoized and parallel runs must score the same. ComputeOca
+        // answers a local root from its marginals without listing repairs,
+        // so the listed repairs are compared on EnumerateRepairs.
         EnumerationOptions options;
         options.memoize = true;
         options.threads = 4;
         OcaResult computed = ComputeOca(instance.w.db, instance.w.constraints,
                                         *generator, q, options);
         EXPECT_EQ(computed.answers, oca.answers);
-        ASSERT_EQ(computed.enumeration.repairs.size(),
-                  enumeration.repairs.size());
+        EnumerationResult enumerated = EnumerateRepairs(
+            instance.w.db, instance.w.constraints, *generator, options);
+        ASSERT_EQ(enumerated.repairs.size(), enumeration.repairs.size());
         for (size_t i = 0; i < enumeration.repairs.size(); ++i) {
-          EXPECT_EQ(computed.enumeration.repairs[i].removed,
+          EXPECT_EQ(enumerated.repairs[i].removed,
                     enumeration.repairs[i].removed);
-          EXPECT_EQ(computed.enumeration.repairs[i].added,
+          EXPECT_EQ(enumerated.repairs[i].added,
                     enumeration.repairs[i].added);
         }
       }
