@@ -39,6 +39,7 @@ Rational OcqaSession::TupleProbability(const ChainGenerator& generator,
 CountingOcaResult OcqaSession::Count(const ChainGenerator& generator,
                                      const Query& query,
                                      const CallOptions& call) {
+  OPCQA_FAILPOINT_HIT("engine.session.enumerate");
   return CountingOca(db_, constraints_, generator, query, QueryOptions(call));
 }
 

@@ -24,11 +24,13 @@ Query::Query(std::string name, std::vector<VarId> head, FormulaPtr body)
 }
 
 void Query::AnalyzeConjunctive() {
-  // Accept: atom | And(atoms) | Exists(vars, atom|And(atoms)).
+  // Accept: atom | And(atoms) | Exists(vars, atom|And(atoms)), where a
+  // chain of Exists folds into one list: ∃x ∃y φ is ∃x,y φ.
   ConjunctiveView view;
   const Formula* f = body_.get();
-  if (f->kind() == Formula::Kind::kExists) {
-    view.existential = f->quantified();
+  while (f->kind() == Formula::Kind::kExists) {
+    view.existential.insert(view.existential.end(), f->quantified().begin(),
+                            f->quantified().end());
     f = f->child().get();
   }
   auto add_atoms = [&](const Formula& g) -> bool {

@@ -21,7 +21,8 @@ namespace opcqa {
 /// An answer tuple.
 using Tuple = std::vector<ConstId>;
 
-/// Structure of a conjunctive query: ∃ z̄ (A1 ∧ ... ∧ Ak).
+/// Structure of a conjunctive query: ∃ z̄ (A1 ∧ ... ∧ Ak). A chain of
+/// quantifiers ∃ x̄ ∃ ȳ ... is one list z̄ = x̄ ȳ ...
 struct ConjunctiveView {
   Conjunction body;
   std::vector<VarId> existential;

@@ -1,5 +1,6 @@
 #include "repair/counting.h"
 
+#include "repair/ocqa.h"
 #include "repair/witness.h"
 
 namespace opcqa {
@@ -14,6 +15,17 @@ CountingOcaResult CountingOca(const Database& db,
                               const ChainGenerator& generator,
                               const Query& query,
                               const EnumerationOptions& options) {
+  std::optional<MarginalRoot> marginal =
+      MarginalRootFor(db, constraints, generator, query, options);
+  if (marginal.has_value() && marginal->root->product_repairs != SIZE_MAX) {
+    CountingOcaResult result;
+    result.answers = ClusterScorer(marginal->table, marginal->root->components,
+                                   ClusterScorer::Weight::kCount)
+                         .Probabilities();
+    result.num_repairs = marginal->root->product_repairs;
+    result.memo_stats = marginal->memo_stats;
+    return result;
+  }
   EnumerationResult enumeration =
       EnumerateRepairs(db, constraints, generator, options);
   return CountingOcaFromEnumeration(enumeration, query);
@@ -38,10 +50,13 @@ CountingOcaResult Proportions(const std::map<Tuple, size_t>& counts,
 
 CountingOcaResult CountingOcaFromEnumeration(
     const EnumerationResult& enumeration, const Query& query) {
-  return Proportions(
+  CountingOcaResult result = Proportions(
       SumOverRepairs<size_t>(enumeration, query,
                              [](const RepairInfo&) { return size_t{1}; }),
       enumeration.repairs.size());
+  result.truncated = enumeration.truncated;
+  result.memo_stats = enumeration.memo_stats;
+  return result;
 }
 
 CountingOcaResult CountingOcaFromRepairs(const std::vector<Database>& repairs,

@@ -8,6 +8,14 @@
 //     a repairing chain), and
 //   * over an explicit repair list (e.g. classical ABC repairs),
 // so the two uncertainty semantics can be compared side by side.
+//
+// On a local root (repair/ocqa.h, MarginalRootFor) CountingOca lists no
+// repair: the operational repairs are the product of the conflict
+// components' repairs, one per choice of a repair R_i in each component,
+// so the count is Π|R_i| and each proportion is the cluster scorer's
+// value with every repair of component i weighted 1/|R_i|
+// (ClusterScorer::Weight::kCount, repair/witness.h). The components come
+// from options.cache when it holds them, as for ComputeOca.
 
 #ifndef OPCQA_REPAIR_COUNTING_H_
 #define OPCQA_REPAIR_COUNTING_H_
@@ -24,13 +32,20 @@ struct CountingOcaResult {
   /// positive count appear.
   std::map<Tuple, Rational> answers;
   size_t num_repairs = 0;
+  /// True when the enumeration hit options.max_states: the proportions
+  /// are then over the repairs found before the cut.
+  bool truncated = false;
+  /// The call's memo counters: the enumeration's, or the marginal path's
+  /// cache probe (MarginalRoot::memo_stats).
+  MemoStats memo_stats;
 
   Rational Proportion(const Tuple& tuple) const;
 };
 
-/// Enumerates the chain (honoring `options`, including shared-suffix
-/// memoization) and applies the counting semantics to its operational
-/// repairs.
+/// Applies the counting semantics to the operational repairs of the
+/// chain: from a local root's components when the marginal path applies
+/// and Π|R_i| does not saturate a size_t, otherwise by enumerating the
+/// chain (honoring `options`, including shared-suffix memoization).
 CountingOcaResult CountingOca(const Database& db,
                               const ConstraintSet& constraints,
                               const ChainGenerator& generator,
@@ -40,7 +55,8 @@ CountingOcaResult CountingOca(const Database& db,
 /// Counting semantics over the operational repairs of an enumeration,
 /// scored in place — from witness images when no repair added a fact and
 /// the query is conjunctive (repair/ocqa.h explains the gate), by
-/// Query::Evaluate on each materialized repair otherwise.
+/// Query::Evaluate on each materialized repair otherwise. The result
+/// carries the enumeration's truncation flag and memo counters.
 CountingOcaResult CountingOcaFromEnumeration(
     const EnumerationResult& enumeration, const Query& query);
 

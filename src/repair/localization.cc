@@ -314,12 +314,15 @@ std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
                                               size_t max_states) {
   std::optional<LocalRoot> root = SolveLocalRoot(
       context, generator, LocalLimits{.max_states = max_states});
-  if (!root.has_value()) return nullptr;
+  return root.has_value() ? FactorRoot(*root) : nullptr;
+}
+
+std::shared_ptr<const MemoOutcome> FactorRoot(const LocalRoot& root) {
   // The product of the component distributions: one repair per choice of
   // a repair in every component, its mass the product of theirs and its
   // sequences the interleavings of theirs.
   std::vector<ChainSummary::Share> product(1, {{}, Rational(1), Profile{1}});
-  for (const ComponentDistribution& component : root->components) {
+  for (const ComponentDistribution& component : root.components) {
     std::vector<ChainSummary::Share> next;
     next.reserve(product.size() * component.repairs.size());
     for (const ChainSummary::Share& mine : product) {
@@ -342,10 +345,10 @@ std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
     return product[a].removed < product[b].removed;
   });
   auto outcome = std::make_shared<MemoOutcome>();
-  outcome->states = root->states;
-  outcome->absorbing_states = root->absorbing_states;
-  outcome->successful_sequences = root->absorbing_states;
-  outcome->depth_below = root->max_depth;
+  outcome->states = root.states;
+  outcome->absorbing_states = root.absorbing_states;
+  outcome->successful_sequences = root.absorbing_states;
+  outcome->depth_below = root.max_depth;
   for (uint32_t position : order) {
     const ChainSummary::Share& share = product[position];
     outcome->repairs.push_back(MemoOutcome::RepairShare{
@@ -354,7 +357,7 @@ std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
   // The sum of the product's masses is the product of the components'
   // sums, exactly.
   outcome->success_mass = Rational(1);
-  for (const ComponentDistribution& component : root->components) {
+  for (const ComponentDistribution& component : root.components) {
     Rational sum;
     for (const ChainSummary::Share& share : component.repairs) {
       sum += share.mass;
@@ -366,7 +369,7 @@ std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
   static obs::Counter* const factored_components =
       obs::MetricsRegistry::Global().GetCounter("engine.factored_components");
   factored_roots->Add();
-  factored_components->Add(root->components.size());
+  factored_components->Add(root.components.size());
   return outcome;
 }
 

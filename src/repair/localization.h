@@ -33,12 +33,15 @@
 //
 // SolveLocalRoot stops there: it returns the components' distributions
 // and the convolved counters, and never multiplies the distributions out.
-// ComputeOca, ComputeTupleProbability (repair/ocqa.h) and the sampler's
-// exact path (repair/sampler.h) answer a conjunctive query from them
-// through the cluster scorer (repair/witness.h). Only FactorRoot builds
-// the product: it turns it into the root's memo entry, equal in every
-// field to the one the walk records, for the callers that list repairs
-// (EnumerateRepairs replays it instead of walking the interleavings).
+// ComputeOca, ComputeTupleProbability (repair/ocqa.h), CountingOca
+// (repair/counting.h) and the sampler's exact path (repair/sampler.h)
+// answer a conjunctive query from them through the cluster scorer
+// (repair/witness.h). A RepairSpaceCache holds a solved root on its root
+// record (RepairSpaceCache::LocalRootFor), so the readers of a cached
+// root solve its components once. Only FactorRoot builds the product: it
+// turns it into the root's memo entry, equal in every field to the one
+// the walk records, for the callers that list repairs (EnumerateRepairs
+// and TopKRepairs replay it instead of walking the interleavings).
 // LocalizeAndEnumerate exposes the components themselves, each enumerated
 // by EnumerateRepairs, without materializing their product.
 
@@ -160,11 +163,14 @@ std::optional<LocalRoot> SolveLocalRoot(const RepairContext& context,
                                         const ChainGenerator& generator,
                                         const LocalLimits& limits);
 
-/// The factored root of the chain on context.initial: the completed
-/// outcome EnumerateRepairs would record for the root (masses relative to
-/// it), the product of SolveLocalRoot's components. Null when the root is
-/// declined at two components and `max_states` (the walk then truncates
-/// exactly as before).
+/// The factored root of a local root: the completed outcome
+/// EnumerateRepairs would record for it (masses relative to the root), the
+/// product of its components' distributions.
+std::shared_ptr<const MemoOutcome> FactorRoot(const LocalRoot& root);
+
+/// FactorRoot of SolveLocalRoot(context, generator, {max_states}). Null
+/// when the root is declined at two components and `max_states` (the walk
+/// then truncates exactly as before).
 std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
                                               const ChainGenerator& generator,
                                               size_t max_states);

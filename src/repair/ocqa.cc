@@ -3,7 +3,7 @@
 #include "constraints/constraint.h"
 #include "obs/metrics.h"
 #include "repair/localization.h"
-#include "repair/witness.h"
+#include "repair/repair_cache.h"
 
 namespace opcqa {
 
@@ -43,37 +43,6 @@ OcaResult Score(const EnumerationResult& enumeration, const Query& query) {
   return result;
 }
 
-// A local root's components and the query's witness table over it.
-struct MarginalRoot {
-  LocalRoot root;
-  WitnessTable table;
-};
-
-// The marginal path's inputs when it applies: the root factors exactly
-// when EnumerateRepairs would factor it (FactorRoot's gate, so every
-// budget truncates as before), and the query has a witness table.
-std::optional<MarginalRoot> Marginal(const Database& db,
-                                     const ConstraintSet& constraints,
-                                     const ChainGenerator& generator,
-                                     const Query& query, size_t max_states) {
-  // The cheap half of the gate first: no context for roots that never
-  // factor.
-  if (!query.IsConjunctive() || !generator.local() ||
-      !generator.history_independent() || !IsDenialOnly(constraints)) {
-    return std::nullopt;
-  }
-  std::optional<LocalRoot> root =
-      SolveLocalRoot(*RepairContext::Make(db, constraints), generator,
-                     LocalLimits{.max_states = max_states});
-  if (!root.has_value()) return std::nullopt;
-  std::optional<WitnessTable> table = WitnessTable::Build(query, db);
-  if (!table.has_value()) return std::nullopt;
-  static obs::Counter* const marginal_answers =
-      obs::MetricsRegistry::Global().GetCounter("engine.marginal_answers");
-  marginal_answers->Add();
-  return MarginalRoot{std::move(*root), std::move(*table)};
-}
-
 // The chain counters of a local root, as EnumerateRepairs reports them,
 // with no repair listed.
 EnumerationResult MarginalEnumeration(const Database& db,
@@ -90,6 +59,39 @@ EnumerationResult MarginalEnumeration(const Database& db,
 
 }  // namespace
 
+std::optional<MarginalRoot> MarginalRootFor(const Database& db,
+                                            const ConstraintSet& constraints,
+                                            const ChainGenerator& generator,
+                                            const Query& query,
+                                            const EnumerationOptions& options) {
+  // The cheap half of the gate first: no context for roots that never
+  // factor. The rest is FactorRoot's, so every budget truncates as before.
+  if (!query.IsConjunctive() || !generator.local() ||
+      !generator.history_independent() || !IsDenialOnly(constraints)) {
+    return std::nullopt;
+  }
+  MarginalRoot marginal;
+  RepairSpaceCache* cache = options.memoize ? options.cache : nullptr;
+  bool held = false;
+  if (cache != nullptr) {
+    marginal.root = cache->LocalRootFor(db, constraints, generator,
+                                        options.max_states, &held);
+  } else if (std::optional<LocalRoot> root = SolveLocalRoot(
+                 *RepairContext::Make(db, constraints), generator,
+                 LocalLimits{.max_states = options.max_states})) {
+    marginal.root = std::make_shared<const LocalRoot>(std::move(*root));
+  }
+  if (marginal.root == nullptr) return std::nullopt;
+  std::optional<WitnessTable> table = WitnessTable::Build(query, db);
+  if (!table.has_value()) return std::nullopt;
+  marginal.table = std::move(*table);
+  marginal.memo_stats.hits = held ? 1 : 0;
+  static obs::Counter* const marginal_answers =
+      obs::MetricsRegistry::Global().GetCounter("engine.marginal_answers");
+  marginal_answers->Add();
+  return marginal;
+}
+
 OcaResult OcaFromEnumeration(EnumerationResult enumeration,
                              const Query& query) {
   OcaResult result = Score(enumeration, query);
@@ -101,13 +103,14 @@ OcaResult ComputeOca(const Database& db, const ConstraintSet& constraints,
                      const ChainGenerator& generator, const Query& query,
                      const EnumerationOptions& options) {
   if (std::optional<MarginalRoot> marginal =
-          Marginal(db, constraints, generator, query, options.max_states)) {
+          MarginalRootFor(db, constraints, generator, query, options)) {
     OcaResult result;
     result.answers =
-        ClusterScorer(marginal->table, marginal->root.components)
+        ClusterScorer(marginal->table, marginal->root->components)
             .Probabilities();
     result.success_mass = Rational(1);
-    result.enumeration = MarginalEnumeration(db, marginal->root);
+    result.enumeration = MarginalEnumeration(db, *marginal->root);
+    result.enumeration.memo_stats = marginal->memo_stats;
     return result;
   }
   EnumerationResult enumeration =
@@ -123,10 +126,10 @@ Rational ComputeTupleProbability(const Database& db,
                                  const Query& query, const Tuple& tuple,
                                  const EnumerationOptions& options) {
   if (std::optional<MarginalRoot> marginal =
-          Marginal(db, constraints, generator, query, options.max_states)) {
+          MarginalRootFor(db, constraints, generator, query, options)) {
     size_t answer = marginal->table.Find(tuple);
     return answer < marginal->table.answers().size()
-               ? ClusterScorer(marginal->table, marginal->root.components)
+               ? ClusterScorer(marginal->table, marginal->root->components)
                      .Probability(answer)
                : Rational(0);
   }

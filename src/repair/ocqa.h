@@ -28,22 +28,29 @@
 // components and the chain fits options.max_states — exactly the roots
 // EnumerateRepairs would factor (FactorRoot, repair/localization.h) —
 // and the query has a witness table, ComputeOca and
-// ComputeTupleProbability solve the components alone (SolveLocalRoot)
-// and score each answer from the clusters of components its images touch
-// (ClusterScorer, repair/witness.h). The product of the components'
-// distributions is not built, and the memo, options.cache and its disk
-// tier are not consulted: the components cost less than a restore and a
-// replay. Every other root, and every non-conjunctive query, enumerates
-// as above; a root over budget truncates exactly as before. Callers that
-// list repairs call EnumerateRepairs (and OcaFromEnumeration) themselves.
+// ComputeTupleProbability take the root's solved components
+// (MarginalRootFor) and score each answer from the clusters of
+// components its images touch (ClusterScorer, repair/witness.h). The
+// product of the components' distributions is not built and no table is
+// probed. With options.cache (and options.memoize) the components come
+// from the cache's root record (RepairSpaceCache::LocalRootFor): solved
+// by the first read of the root and held for every later one, in memory
+// only, so the disk tier is not consulted. Without a cache they are
+// solved per call. Every other root, and every non-conjunctive query,
+// enumerates as above; a root over budget truncates exactly as before.
+// Callers that list repairs call EnumerateRepairs (and
+// OcaFromEnumeration) themselves.
 
 #ifndef OPCQA_REPAIR_OCQA_H_
 #define OPCQA_REPAIR_OCQA_H_
 
 #include <map>
+#include <memory>
+#include <optional>
 
 #include "logic/query.h"
 #include "repair/repair_enumerator.h"
+#include "repair/witness.h"
 
 namespace opcqa {
 
@@ -57,8 +64,8 @@ struct OcaResult {
   /// Underlying chain statistics. From the marginal path (see above) it
   /// carries the chain counters of the walk — states_visited,
   /// absorbing_states, successful_sequences, max_depth — and the masses
-  /// (success 1, failing 0), but no repairs, an empty repairs_by_delta and
-  /// zero memo_stats; `initial` is D.
+  /// (success 1, failing 0), but no repairs and an empty
+  /// repairs_by_delta; `initial` is D, and memo_stats is MarginalRoot's.
   EnumerationResult enumeration;
 
   /// CP of a specific tuple (0 when not an answer anywhere).
@@ -68,6 +75,25 @@ struct OcaResult {
   /// semantics").
   std::vector<Tuple> AnswersAtLeast(const Rational& threshold) const;
 };
+
+/// The marginal path's inputs: a local root's solved components and the
+/// query's witness table over D.
+struct MarginalRoot {
+  std::shared_ptr<const LocalRoot> root;
+  WitnessTable table;
+  /// The read's cache counters: one hit when options.cache held the
+  /// components (RepairSpaceCache::TotalStats counts it too), zero when
+  /// they were solved for this read.
+  MemoStats memo_stats;
+};
+
+/// MarginalRoot of `query` on (db, constraints, generator), nullopt when
+/// the marginal path does not apply (see above).
+std::optional<MarginalRoot> MarginalRootFor(const Database& db,
+                                            const ConstraintSet& constraints,
+                                            const ChainGenerator& generator,
+                                            const Query& query,
+                                            const EnumerationOptions& options);
 
 /// Computes OCA_MΣ(D,Q) exactly, from the marginals of a local root or by
 /// enumerating the chain.

@@ -4,8 +4,10 @@
 #include <chrono>
 #include <utility>
 
+#include "constraints/constraint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "repair/localization.h"
 #include "storage/canonical.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
@@ -76,6 +78,61 @@ RepairSpaceCache::~RepairSpaceCache() {
   DrainSpills();
 }
 
+std::optional<RepairSpaceCache::RootKey> RepairSpaceCache::KeyFor(
+    const Database& db, const ConstraintSet& constraints,
+    const ChainGenerator& generator, bool prune_zero_probability) {
+  RootKey key;
+  key.generator_identity = generator.cache_identity();
+  // A generator without an identity opted out of sharing.
+  if (key.generator_identity.empty()) return std::nullopt;
+  key.constraints_digest =
+      storage::RenderConstraints(db.schema(), constraints);
+  key.prune = prune_zero_probability;
+  key.fingerprint = HashCombine(
+      HashCombine(HashCombine(db.Hash(), StringHash(key.constraints_digest)),
+                  StringHash(key.generator_identity)),
+      prune_zero_probability ? 1u : 0u);
+  return key;
+}
+
+RepairSpaceCache::Root* RepairSpaceCache::FindLiveLocked(const Database& db,
+                                                         const RootKey& key) {
+  for (Root& root : roots_) {
+    if (root.key.fingerprint != key.fingerprint) continue;
+    // Fingerprint match is only a candidate: verify every component so
+    // hash collisions split into separate roots instead of aliasing.
+    if (root.db == db &&
+        root.key.constraints_digest == key.constraints_digest &&
+        root.key.generator_identity == key.generator_identity &&
+        root.key.prune == key.prune) {
+      root.last_used = ++tick_;
+      return &root;
+    }
+  }
+  return nullptr;
+}
+
+RepairSpaceCache::Root& RepairSpaceCache::FindOrAddLocked(
+    const Database& db, const RootKey& key) {
+  if (Root* live = FindLiveLocked(db, key)) return *live;
+  Root& root = roots_.emplace_back();
+  root.db = db;
+  root.key = key;
+  root.last_used = ++tick_;
+  return root;
+}
+
+void RepairSpaceCache::SpillVictims(std::vector<Root> victims) {
+  if (store_ == nullptr) return;
+  for (Root& victim : victims) {
+    // Held components are never spilled: a root without a table has
+    // nothing to demote to disk.
+    if (victim.table == nullptr) continue;
+    disk_.Add<&DiskTierStats::demotions>();
+    SpillAsync(std::move(victim));
+  }
+}
+
 std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
     const Database& db, const ConstraintSet& constraints,
     const ChainGenerator& generator, bool prune_zero_probability) {
@@ -83,41 +140,22 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
   static obs::Histogram* const probe_latency =
       obs::MetricsRegistry::Global().GetHistogram("cache.probe_ms");
   obs::ScopedTimer timer(probe_latency);
-  std::string identity = generator.cache_identity();
-  if (identity.empty()) return nullptr;  // generator opted out of sharing
-  std::string digest = storage::RenderConstraints(db.schema(), constraints);
-  size_t fingerprint = HashCombine(
-      HashCombine(HashCombine(db.Hash(), StringHash(digest)),
-                  StringHash(identity)),
-      prune_zero_probability ? 1u : 0u);
-
-  auto find_live = [&]() -> std::shared_ptr<TranspositionTable> {
-    for (Root& root : roots_) {
-      if (root.fingerprint != fingerprint) continue;
-      // Fingerprint match is only a candidate: verify every component so
-      // hash collisions split into separate roots instead of aliasing.
-      if (root.db == db && root.constraints_digest == digest &&
-          root.generator_identity == identity &&
-          root.prune == prune_zero_probability) {
-        root.last_used = ++tick_;
-        return root.table;
-      }
-    }
-    return nullptr;
-  };
+  std::optional<RootKey> key =
+      KeyFor(db, constraints, generator, prune_zero_probability);
+  if (!key.has_value()) return nullptr;
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (std::shared_ptr<TranspositionTable> table = find_live()) {
-      return table;
-    }
+    Root* live = FindLiveLocked(db, *key);
+    if (live != nullptr && live->table != nullptr) return live->table;
   }
 
-  // In-memory miss: probe the disk tier outside the lock (decoding and
-  // its verification are self-contained and may be slow).
+  // No live table: probe the disk tier outside the lock (decoding and its
+  // verification are self-contained and may be slow).
   RestoredDisk restored;
   if (store_ != nullptr) {
-    restored = RestoreFromDisk(db, digest, identity, prune_zero_probability);
+    restored = RestoreFromDisk(db, key->constraints_digest,
+                               key->generator_identity, key->prune);
   }
   std::shared_ptr<TranspositionTable> table = restored.table;
   if (table == nullptr) {
@@ -133,32 +171,21 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
   std::vector<Root> victims;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    // Re-check: another thread may have built this root while we probed
+    Root& root = FindOrAddLocked(db, *key);
+    // Re-check: another thread may have built this table while we probed
     // the disk; the resident table wins so concurrent queries share state
     // (and a losing restore is not counted — it served no query).
-    if (std::shared_ptr<TranspositionTable> resident = find_live()) {
-      return resident;
-    }
+    if (root.table != nullptr) return root.table;
     if (restored.table != nullptr) {
       disk_.Add<&DiskTierStats::restores>();
       disk_.Add<&DiskTierStats::restore_bytes>(restored.bytes);
       disk_.Add<&DiskTierStats::promotions>();
-    }
-    Root root;
-    root.fingerprint = fingerprint;
-    root.db = db;
-    root.constraints_digest = std::move(digest);
-    root.generator_identity = std::move(identity);
-    root.prune = prune_zero_probability;
-    root.last_used = ++tick_;
-    root.table = table;
-    if (restored.table != nullptr) {
       root.on_disk = true;
       // Every restored entry was just admitted; the snapshot covers
       // exactly them.
       root.spilled_through_seq = table->sequence();
     }
-    roots_.push_back(std::move(root));
+    root.table = table;
     // The memory tier may now be over its root budget: demote the
     // lowest-retention roots to the disk tier so their chain walks
     // survive for a later query (or process). The spills run after
@@ -166,16 +193,57 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
     // never see mutex_ held.
     CollectDemotionsLocked(&victims);
   }
-  if (store_ != nullptr) {
-    for (Root& victim : victims) {
-      disk_.Add<&DiskTierStats::demotions>();
-      SpillAsync(std::move(victim));
-    }
-  }
+  SpillVictims(std::move(victims));
   return table;
 }
 
+std::shared_ptr<const LocalRoot> RepairSpaceCache::LocalRootFor(
+    const Database& db, const ConstraintSet& constraints,
+    const ChainGenerator& generator, size_t max_states, bool* held) {
+  if (held != nullptr) *held = false;
+  // The cheap half of SolveLocalRoot's gate first: no key and no context
+  // for roots that never factor.
+  if (!generator.local() || !generator.history_independent() ||
+      !IsDenialOnly(constraints)) {
+    return nullptr;
+  }
+  std::optional<RootKey> key =
+      KeyFor(db, constraints, generator, /*prune_zero_probability=*/true);
+  if (key.has_value()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    Root* live = FindLiveLocked(db, *key);
+    if (live != nullptr && live->local != nullptr) {
+      // A held root over this call's budget is declined, as its solve
+      // would be.
+      if (live->local->states > max_states) return nullptr;
+      ++live->local_hits;
+      if (held != nullptr) *held = true;
+      return live->local;
+    }
+  }
+  std::optional<LocalRoot> solved =
+      SolveLocalRoot(*RepairContext::Make(db, constraints), generator,
+                     LocalLimits{.max_states = max_states});
+  if (!solved.has_value()) return nullptr;
+  auto local = std::make_shared<const LocalRoot>(std::move(*solved));
+  if (!key.has_value()) return local;
+  std::vector<Root> victims;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    Root& root = FindOrAddLocked(db, *key);
+    // A concurrent solve of the same root may have won; either is the
+    // same distribution.
+    if (root.local == nullptr) root.local = local;
+    CollectDemotionsLocked(&victims);
+  }
+  SpillVictims(std::move(victims));
+  return local;
+}
+
 double RepairSpaceCache::RetentionScoreLocked(const Root& root) const {
+  // A root that holds only components loses nothing worth counting: they
+  // re-solve in far less than a walk.
+  if (root.table == nullptr) return 0.0;
   MemoStats stats = root.table->stats();
   bool clean_on_disk = store_ != nullptr && root.on_disk &&
                        root.table->sequence() <= root.spilled_through_seq;
@@ -299,9 +367,9 @@ void RepairSpaceCache::SpillAsync(Root root) {
       obs::ScopedTimer timer(spill_latency);
       storage::SnapshotIdentity ident;
       ident.db_text = root.db.ToString();
-      ident.constraints_digest = root.constraints_digest;
-      ident.generator_identity = root.generator_identity;
-      ident.prune = root.prune;
+      ident.constraints_digest = root.key.constraints_digest;
+      ident.generator_identity = root.key.generator_identity;
+      ident.prune = root.key.prune;
       uint64_t fingerprint = storage::StableFingerprint(ident);
       // The spill covers every entry admitted up to here; later inserts
       // re-dirty the root (conservative if inserts land mid-encode: the
@@ -374,9 +442,11 @@ void RepairSpaceCache::Persist() {
     snapshot_roots.reserve(roots_.size());
     for (const Root& root : roots_) {
       // Clean roots (restored/spilled, untouched since) would be skipped
-      // by the task anyway — don't even pay the Database copy.
-      if (root.on_disk &&
-          root.table->sequence() <= root.spilled_through_seq) {
+      // by the task anyway — don't even pay the Database copy. Roots
+      // without a table have nothing to spill.
+      if (root.table == nullptr ||
+          (root.on_disk &&
+           root.table->sequence() <= root.spilled_through_seq)) {
         continue;
       }
       snapshot_roots.push_back(root);
@@ -394,6 +464,8 @@ DiskTierStats RepairSpaceCache::disk_stats() const {
 }
 
 void RepairSpaceCache::RetireLocked(const Root& root) {
+  retired_.hits += root.local_hits;
+  if (root.table == nullptr) return;
   retired_ = obs::Sum(retired_, obs::CountersOnly(root.table->stats()));
 }
 
@@ -405,7 +477,10 @@ size_t RepairSpaceCache::roots() const {
 MemoStats RepairSpaceCache::TotalStats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MemoStats total = retired_;
-  for (const Root& root : roots_) total = obs::Sum(total, root.table->stats());
+  for (const Root& root : roots_) {
+    total.hits += root.local_hits;
+    if (root.table != nullptr) total = obs::Sum(total, root.table->stats());
+  }
   return total;
 }
 

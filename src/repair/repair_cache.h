@@ -56,13 +56,32 @@
 // root writes nothing, so a read-only warm process leaves the directory
 // untouched.
 //
+// ## Held local roots
+//
+// A root that factors (repair/localization.h: denial-only Σ, a local and
+// history-independent generator, two or more conflict components) is
+// answered from its solved conflict components, not from a table.
+// LocalRootFor holds them on the same root record, under the same
+// fingerprint and verification as TableFor, so every later read of the
+// root (answers, certain answers, tuple probabilities, counts, top-k and
+// the factored root of EnumerateRepairs) skips the solve. A root record
+// may hold components, a table, or both; a table is created (or restored
+// from disk) only when TableFor first asks for it, so a root first read
+// through its components still restores its snapshot later. Components
+// are held in memory only, never spilled, and leave with their root
+// under the residency rule below. Only a solve that fit its caller's
+// state budget is held, and a held root serves a call only when its
+// convolved states fit that call's budget, so a read over budget
+// truncates exactly as without the cache.
+//
 // Memory and disk are two residency levels of the same state, not a
 // cache and a backup. Dropping a root from memory is a *demotion* (its
 // table keeps serving from disk); restoring one is a *promotion*. This
 // cache alone decides which roots stay live, by one rule: at most
 // `max_roots` of them, and the victim on overflow is picked by retention
 // score — what dropping costs (cheap restore for clean-on-disk roots,
-// full recompute otherwise) per tick of idleness — so a hot disk-backed
+// full recompute otherwise, nothing for held components, which re-solve
+// in far less than a walk) per tick of idleness — so a hot disk-backed
 // root is pinned back while a cold dirty one spills early. Memory is
 // bounded by `max_roots` times the per-root budget (`max_bytes_per_root`,
 // and always TranspositionTable::kDefaultMaxEntries entries).
@@ -75,6 +94,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,6 +102,8 @@
 #include "storage/snapshot_store.h"
 
 namespace opcqa {
+
+struct LocalRoot;
 
 struct RepairCacheOptions {
   /// Per-root transposition-table byte budget (repair/memo.h eviction;
@@ -141,6 +163,20 @@ class RepairSpaceCache {
       const Database& db, const ConstraintSet& constraints,
       const ChainGenerator& generator, bool prune_zero_probability);
 
+  /// The solved conflict components of this exact (db, constraints,
+  /// generator) root when it factors within `max_states` (SolveLocalRoot
+  /// with the exact engine's limits, repair/localization.h): the ones held
+  /// on the root record, else solved now and held. Null when the root does
+  /// not factor, or its chain has more than `max_states` states. A
+  /// generator without a cache identity is solved per call and nothing is
+  /// held. `held`, when non-null, says whether the components were already
+  /// held; a held read counts as a cache hit (TotalStats).
+  std::shared_ptr<const LocalRoot> LocalRootFor(const Database& db,
+                                                const ConstraintSet& constraints,
+                                                const ChainGenerator& generator,
+                                                size_t max_states,
+                                                bool* held = nullptr);
+
   /// Spills every live root to the disk tier now and blocks until the
   /// snapshots are durable (no-op without a snapshot_dir). Safe to call
   /// concurrently with queries: each snapshot is a consistent
@@ -152,18 +188,31 @@ class RepairSpaceCache {
   size_t roots() const;
   /// Counters over every root this cache has held — live roots plus the
   /// demoted ones — so they never decrease; gauges (entries, bytes, ...)
-  /// cover the live roots only.
+  /// cover the live roots only. `hits` also counts the reads served from
+  /// held components; their solves are not misses, which count table
+  /// lookups only.
   MemoStats TotalStats() const;
 
  private:
-  struct Root {
+  /// What identifies a root besides its database: the fingerprint over
+  /// all of it, and the payloads that verify a fingerprint match.
+  struct RootKey {
     size_t fingerprint = 0;
-    Database db;                     // verification payloads
     std::string constraints_digest;
     std::string generator_identity;
     bool prune = false;
+  };
+
+  struct Root {
+    Database db;  // verification payload
+    RootKey key;
     uint64_t last_used = 0;
+    /// Null until TableFor first asks for this root.
     std::shared_ptr<TranspositionTable> table;
+    /// The root's solved conflict components (LocalRootFor); memory only.
+    std::shared_ptr<const LocalRoot> local;
+    /// Reads `local` served, counted as cache hits.
+    uint64_t local_hits = 0;
     /// True once a snapshot for this root exists on disk (written by a
     /// spill, or found there by the restore).
     bool on_disk = false;
@@ -175,6 +224,23 @@ class RepairSpaceCache {
     /// twice.
     uint64_t spilled_through_seq = 0;
   };
+
+  /// The key of this root; nullopt when the generator declines a cache
+  /// identity.
+  static std::optional<RootKey> KeyFor(const Database& db,
+                                       const ConstraintSet& constraints,
+                                       const ChainGenerator& generator,
+                                       bool prune_zero_probability);
+  /// The live root of (db, key), marked used; null when none. Requires
+  /// mutex_.
+  Root* FindLiveLocked(const Database& db, const RootKey& key);
+  /// The live root of (db, key), added (empty, marked used) when there is
+  /// none. The reference is valid until roots_ next changes. Requires
+  /// mutex_.
+  Root& FindOrAddLocked(const Database& db, const RootKey& key);
+  /// Spills the demoted roots that hold a table (no-op without a disk
+  /// tier). Must be called without mutex_ held.
+  void SpillVictims(std::vector<Root> victims);
 
   /// What RestoreFromDisk hands back: the table and its snapshot size.
   struct RestoredDisk {

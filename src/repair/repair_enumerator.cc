@@ -54,13 +54,15 @@ class SubtreeWalker {
   SubtreeWalker(const ChainGenerator& generator,
                 const EnumerationOptions& options, size_t budget,
                 TranspositionTable* memo, size_t threads = 1,
-                std::atomic<size_t>* shared_budget = nullptr)
+                std::atomic<size_t>* shared_budget = nullptr,
+                RepairSpaceCache* cache = nullptr)
       : generator_(generator),
         options_(options),
         budget_(budget),
         memo_(memo),
         threads_(threads),
-        shared_budget_(shared_budget) {}
+        shared_budget_(shared_budget),
+        cache_(cache) {}
 
   /// Returns the depth of the subtree below `state` (0 when absorbing);
   /// the value is meaningless after truncation.
@@ -77,8 +79,7 @@ class SubtreeWalker {
       // fall into independent components is solved per component, and
       // its outcome, equal to what walking it would record, is replayed.
       // It is recorded at its first miss, past the admission filter.
-      std::shared_ptr<const MemoOutcome> factored =
-          FactorRoot(state.context(), generator_, budget_);
+      std::shared_ptr<const MemoOutcome> factored = Factored(state);
       if (factored != nullptr && Replay(*factored, state, mass)) {
         if (memo_ != nullptr) {
           memo_->Admit(KeyOf(state), state.removed(), factored);
@@ -167,6 +168,18 @@ class SubtreeWalker {
     Rational success_mass;
     Rational failing_mass;
   };
+
+  // The factored outcome of the root, folded from the components the
+  // cache holds for it when the memo is the cache's table.
+  std::shared_ptr<const MemoOutcome> Factored(const RepairingState& root) {
+    if (cache_ == nullptr) {
+      return FactorRoot(root.context(), generator_, budget_);
+    }
+    std::shared_ptr<const LocalRoot> local =
+        cache_->LocalRootFor(root.context().initial,
+                             root.context().constraints, generator_, budget_);
+    return local != nullptr ? FactorRoot(*local) : nullptr;
+  }
 
   // A speculative child walk and the depth it reported.
   struct Branch {
@@ -364,6 +377,7 @@ class SubtreeWalker {
   TranspositionTable* memo_;
   size_t threads_;
   std::atomic<size_t>* shared_budget_;
+  RepairSpaceCache* cache_;  // non-null when memo_ is the cache's table
   EnumerationResult out_;  // counters; repairs are assembled by Take()
   RepairTallies tallies_;
   RepairDelta leaf_;  // scratch key for tallies_ lookups
@@ -570,6 +584,7 @@ EnumerationResult EnumerateRepairs(const Database& db,
   auto context = RepairContext::Make(db, constraints);
   RepairingState root(context);
   std::shared_ptr<TranspositionTable> memo;
+  RepairSpaceCache* cache = nullptr;
   if (options.memoize &&
       MemoizationApplicable(*context, generator,
                             /*prune_zero_probability=*/true)) {
@@ -578,6 +593,7 @@ EnumerationResult EnumerateRepairs(const Database& db,
       // (db, Σ, generator) replay this walk's completed subtrees.
       memo = options.cache->TableFor(db, constraints, generator,
                                      /*prune_zero_probability=*/true);
+      if (memo != nullptr) cache = options.cache;
     }
     if (memo == nullptr) {
       memo = std::make_shared<TranspositionTable>(
@@ -588,7 +604,7 @@ EnumerationResult EnumerateRepairs(const Database& db,
   if (memo != nullptr) stats_before = memo->stats();
   size_t threads = options.threads == 0 ? DefaultThreads() : options.threads;
   SubtreeWalker walker(generator, options, options.max_states, memo.get(),
-                       threads);
+                       threads, /*shared_budget=*/nullptr, cache);
   walker.Visit(root, Rational(1));
   EnumerationResult result = std::move(walker).Take(db);
   result.repairs_by_delta.resize(result.repairs.size());

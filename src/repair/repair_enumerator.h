@@ -17,9 +17,11 @@
 // chain is an interleaving of independent per-component chains: each
 // component is solved alone and their depth profiles are convolved into
 // the outcome the walk would record, equal in every field, which is then
-// replayed like a memo hit and recorded as the root's one memo entry. A
-// root whose chain exceeds max_states is walked, so truncation is
-// unchanged. Minchange and preference are not local (chain_generator.h)
+// replayed like a memo hit and recorded as the root's one memo entry. With
+// options.cache the components are the ones the cache holds for the root
+// (RepairSpaceCache::LocalRootFor), solved by whichever read of the root
+// came first. A root whose chain exceeds max_states is walked, so
+// truncation is unchanged. Minchange and preference are not local (chain_generator.h)
 // and keep the walk, as do TGDs and single-component roots.
 //
 // The walk is one depth-first pass from ε at every thread count. With

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "repair/localization.h"
 #include "repair/memo.h"
 #include "repair/repair_cache.h"
 
@@ -165,6 +166,18 @@ TopKResult TopKRepairs(const Database& db, const ConstraintSet& constraints,
 
     if (table != nullptr) {
       std::shared_ptr<const MemoOutcome> cached = table->Lookup(*state);
+      if (cached == nullptr && state->depth() == 0) {
+        // A local root the table misses: fold its factored outcome (from
+        // the components the cache holds, or solves and holds) and admit
+        // it, as EnumerateRepairs does. It fits the budget by
+        // LocalRootFor's contract.
+        if (std::shared_ptr<const LocalRoot> local =
+                options.cache->LocalRootFor(db, constraints, generator,
+                                            options.max_states)) {
+          cached = FactorRoot(*local);
+          table->Admit(KeyOf(*state), state->removed(), cached);
+        }
+      }
       if (cached != nullptr &&
           result.states_expanded + cached->states - 1 <=
               options.max_states) {

@@ -49,7 +49,12 @@ struct TopKOptions {
   /// whose completed outcome is cached folds the exact subtree masses in
   /// directly — equivalent to fully expanding it, so `exact`/certified
   /// semantics are unchanged. Best-first order cannot delimit completed
-  /// subtrees on the way out, so the search never inserts.
+  /// subtrees on the way out, so the search records none. The one entry
+  /// it admits is a local root's (repair/localization.h): when the table
+  /// misses a root that factors within max_states, the search folds
+  /// FactorRoot's outcome, built from the components the cache holds
+  /// (RepairSpaceCache::LocalRootFor), and admits it, as EnumerateRepairs
+  /// does; the result is the drained search's (`exact`).
   RepairSpaceCache* cache = nullptr;
 };
 

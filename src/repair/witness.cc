@@ -75,8 +75,8 @@ bool WitnessTable::Survives(size_t i,
 
 ClusterScorer::ClusterScorer(
     const WitnessTable& table,
-    const std::vector<ComponentDistribution>& components)
-    : table_(table), components_(components) {
+    const std::vector<ComponentDistribution>& components, Weight weight)
+    : table_(table), components_(components), weight_(weight) {
   for (uint32_t c = 0; c < components.size(); ++c) {
     for (FactId id : components[c].facts) component_of_.emplace_back(id, c);
   }
@@ -175,6 +175,8 @@ Rational ClusterScorer::NoneSurvives(
   states.emplace(std::move(all), Rational(1));
   for (size_t k = 0; k < cluster.size() && !states.empty(); ++k) {
     const ComponentDistribution& component = components_[cluster[k]];
+    const Rational count_weight(
+        1, static_cast<int64_t>(component.repairs.size()));
     // The images each repair of the component kills, repairs with equal
     // effect merged.
     std::map<Mask, Rational> kills;
@@ -189,7 +191,8 @@ Rational ClusterScorer::NoneSurvives(
           }
         }
       }
-      kills[std::move(killed)] += repair.mass;
+      kills[std::move(killed)] +=
+          weight_ == Weight::kMass ? repair.mass : count_weight;
     }
     Mask complete(words, 0);
     for (size_t j = 0; j < images.size(); ++j) {

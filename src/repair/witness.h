@@ -102,11 +102,19 @@ class WitnessTable {
 /// alone, never over the product of all components. An image made only of
 /// untouched facts always survives: its answer has CP = 1. The values are
 /// exact and equal to the ones scoring the product's repairs gives.
+///
+/// Weighted kCount, every repair of component i weighs 1/|R_i| instead of
+/// its mass, so a product repair weighs 1/Π|R_i| and the values are the
+/// counting semantics' proportions (repair/counting.h): the share of the
+/// product's repairs answering each tuple.
 class ClusterScorer {
  public:
+  enum class Weight { kMass, kCount };
+
   /// `table` is over D; both arguments must outlive the scorer.
   ClusterScorer(const WitnessTable& table,
-                const std::vector<ComponentDistribution>& components);
+                const std::vector<ComponentDistribution>& components,
+                Weight weight = Weight::kMass);
 
   /// CP(answers()[i]).
   Rational Probability(size_t i) const;
@@ -125,6 +133,7 @@ class ClusterScorer {
 
   const WitnessTable& table_;
   const std::vector<ComponentDistribution>& components_;
+  Weight weight_;
   std::vector<std::pair<FactId, uint32_t>> component_of_;  // ascending id
 };
 

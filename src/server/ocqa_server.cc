@@ -121,20 +121,17 @@ Response ExecuteOnSession(engine::OcqaSession& session,
       break;
     }
     case RequestKind::kCount: {
-      // Enumerate + fold (what CountingOca does internally) so the
-      // per-call memo delta and the truncation flag stay observable.
-      EnumerationResult chain = session.Enumerate(*generator, call);
+      CountingOcaResult counts = session.Count(*generator, request.query,
+                                               call);
       out.enumerated = true;
-      out.memo = chain.memo_stats;
-      out.truncated = chain.truncated;
-      if (chain.truncated && request.mode == ExecMode::kExact) {
+      out.memo = counts.memo_stats;
+      out.truncated = counts.truncated;
+      if (counts.truncated && request.mode == ExecMode::kExact) {
         response.status = DeadlineExceeded(request);
         response.path = Response::Path::kError;
         return response;
       }
-      CountingOcaResult counts =
-          CountingOcaFromEnumeration(chain, request.query);
-      response.truncated = chain.truncated;
+      response.truncated = counts.truncated;
       response.payload =
           "repairs=" + std::to_string(counts.num_repairs) + "\n";
       AppendTupleProbabilities(counts.answers, &response.payload);

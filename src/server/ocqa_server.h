@@ -30,7 +30,13 @@
 // same-generator read prefix into one unit: the first member walks the
 // chain cold and — with the cache's twice-miss admission filter off —
 // records every completed subtree, so each later member collapses to a
-// root-entry replay. One memoized walk amortizes across the batch.
+// root-entry replay. One memoized walk amortizes across the batch. On a
+// local root (repair/localization.h) the first answer, certain or count
+// member solves the root's conflict components instead, the cache holds
+// them on the root record (RepairSpaceCache::LocalRootFor), and every
+// later member reads them; a top-k member folds them into the root's
+// factored entry once. Either way the first member counts as a walk and
+// each later one as a replay.
 // Reads commute (they share one immutable database state), so executing
 // the prefix out of queue order is observationally equivalent; a
 // mutation is a batch barrier and runs as a singleton unit, which also
@@ -105,8 +111,10 @@ struct ServerOptions {
 
 /// Point-in-time server counters. Request/batch counters are exact;
 /// walk/replay classification comes from per-call memo deltas on the
-/// shared cache, so concurrent same-root units can shift a replay to a
-/// walk label (never the reverse) — observability, not semantics.
+/// shared cache (a read of held components is one hit and no miss, a read
+/// that solves them neither), so concurrent same-root units can shift a
+/// replay to a walk label (never the reverse) — observability, not
+/// semantics.
 struct ServerStats {
   uint64_t submitted = 0;
   uint64_t completed = 0;
@@ -125,8 +133,8 @@ struct ServerStats {
   uint64_t panics = 0;
   uint64_t batches = 0;             // read units with ≥ 2 members
   uint64_t batched_requests = 0;    // members riding in those units
-  uint64_t walks = 0;    // enumerating members that missed in the cache
-  uint64_t replays = 0;  // enumerating members served purely from it
+  uint64_t walks = 0;    // reads that computed some chain state
+  uint64_t replays = 0;  // reads served purely from the cache
   uint64_t rewriting_fast_path = 0;  // kCertain answered by the rewriting
   uint64_t topk_searches = 0;        // kTopK members (not walk-classified)
   uint64_t mutations = 0;

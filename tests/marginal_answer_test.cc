@@ -1,26 +1,33 @@
 // Differential tests for the marginal path (repair/ocqa.h): on a local
-// root, ComputeOca and ComputeTupleProbability score each answer from the
-// clusters of conflict components its witness images touch
-// (ClusterScorer, repair/witness.h) and never list a repair. They must
-// return exactly what scoring the walk of the same generator made
+// root, ComputeOca, ComputeTupleProbability and CountingOca score each
+// answer from the clusters of conflict components its witness images
+// touch (ClusterScorer, repair/witness.h) and never list a repair. They
+// must return exactly what scoring the walk of the same generator made
 // non-local (gen::Walked<>) returns, chain counters included, whatever
 // the memo, cache and thread options, and every state budget around the
-// chain's size must truncate like the walk.
+// chain's size must truncate like the walk. A cache solves a root's
+// components once and serves every later read from them. A query spelled
+// with nested existentials answers like its flat spelling on every path.
 
 #include <gtest/gtest.h>
 
 #include <random>
 #include <string>
 
+#include "engine/ocqa_session.h"
 #include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "obs/metrics.h"
+#include "repair/counting.h"
 #include "repair/localization.h"
 #include "repair/ocqa.h"
+#include "repair/priority_generator.h"
 #include "repair/repair_cache.h"
+#include "repair/sampler.h"
 #include "repair/trust_generator.h"
 #include "repair/witness.h"
+#include "server/ocqa_server.h"
 
 namespace opcqa {
 namespace {
@@ -61,6 +68,13 @@ std::map<Fact, Rational> MakeTrust(const Database& db, uint64_t seed) {
     trust.emplace(fact, Rational(static_cast<int64_t>(1 + rng() % 4), 4));
   }
   return trust;
+}
+
+void ExpectSameCounts(const CountingOcaResult& want,
+                      const CountingOcaResult& got, const std::string& label) {
+  EXPECT_EQ(want.answers, got.answers) << label;
+  EXPECT_EQ(want.num_repairs, got.num_repairs) << label;
+  EXPECT_EQ(want.truncated, got.truncated) << label;
 }
 
 void ExpectSameOca(const OcaResult& want, const OcaResult& got,
@@ -114,6 +128,8 @@ void CheckInstance(const gen::Workload& w, const Generator& local,
     Result<Query> query = ParseQuery(*w.schema, text);
     ASSERT_TRUE(query.ok()) << text << ": " << query.status().ToString();
     OcaResult oca_want = OcaFromEnumeration(want, *query);
+    CountingOcaResult counts_want = CountingOcaFromEnumeration(want, *query);
+    const bool first_query = &text == &Queries().front();
     for (size_t r = 0; r < runs.size(); ++r) {
       const std::string run = label + text + " / run " + std::to_string(r);
       uint64_t before = Counter("engine.marginal_answers");
@@ -123,12 +139,20 @@ void CheckInstance(const gen::Workload& w, const Generator& local,
       EXPECT_EQ(Counter("engine.marginal_answers") - before,
                 local_root ? 1u : 0u)
           << run;
-      // A marginal answer lists no repair and consults no memo.
+      // A marginal answer lists no repair and probes no table. Only the
+      // cached run touches the cache: the first query solves the
+      // components into it, and every later read is a hit on them.
       if (local_root) {
         EXPECT_TRUE(got.enumeration.repairs.empty()) << run;
-        EXPECT_EQ(got.enumeration.memo_stats.hits +
-                      got.enumeration.memo_stats.misses,
-                  0u)
+        bool held = runs[r].cache != nullptr && !first_query;
+        EXPECT_EQ(got.enumeration.memo_stats.hits, held ? 1u : 0u) << run;
+        EXPECT_EQ(got.enumeration.memo_stats.misses, 0u) << run;
+      }
+      CountingOcaResult counts =
+          CountingOca(w.db, w.constraints, local, *query, runs[r]);
+      ExpectSameCounts(counts_want, counts, run + " count");
+      if (local_root) {
+        EXPECT_EQ(counts.memo_stats.hits, runs[r].cache != nullptr ? 1u : 0u)
             << run;
       }
     }
@@ -176,6 +200,19 @@ void CheckInstance(const gen::Workload& w, const Generator& local,
     ExpectSameOca(OcaFromEnumeration(walked_bounded, *query),
                   ComputeOca(w.db, w.constraints, local, *query, bounded),
                   label + "budget " + std::to_string(budget));
+    ExpectSameCounts(CountingOcaFromEnumeration(walked_bounded, *query),
+                     CountingOca(w.db, w.constraints, local, *query, bounded),
+                     label + "count budget " + std::to_string(budget));
+    // The cache holds the components solved within V states; a held root
+    // serves a call only within that call's budget.
+    bounded.memoize = true;
+    bounded.cache = &cache;
+    ExpectSameOca(OcaFromEnumeration(walked_bounded, *query),
+                  ComputeOca(w.db, w.constraints, local, *query, bounded),
+                  label + "cached budget " + std::to_string(budget));
+    ExpectSameCounts(CountingOcaFromEnumeration(walked_bounded, *query),
+                     CountingOca(w.db, w.constraints, local, *query, bounded),
+                     label + "cached count budget " + std::to_string(budget));
   }
 }
 
@@ -265,6 +302,118 @@ TEST(MarginalAnswerTest, OversizedChainsStillTruncate) {
   EXPECT_TRUE(result.enumeration.truncated);
   EXPECT_EQ(result.enumeration.states_visited, options.max_states + 1);
   EXPECT_EQ(Counter("engine.marginal_answers"), marginal);
+}
+
+
+// Query::AnalyzeConjunctive folds a chain of existentials into one list,
+// so ∃x ∃y φ is the conjunctive query ∃x,y φ on every path: marginal and
+// walked answers, counts, tuple probabilities, the sampler, the planner's
+// gates and reasons, certain answers and served payloads. A nested
+// quantifier that rebinds a head variable stays non-conjunctive, like its
+// flat spelling.
+TEST(MarginalAnswerTest, NestedExistentialsAnswerLikeTheFlatSpelling) {
+  const std::vector<std::pair<std::string, std::string>> spellings = {
+      {"Q() := exists x exists y R(x,y)", "Q() := exists x, y: R(x,y)"},
+      {"Q(x) := exists y: exists z: (R(x,y), R(z,y))",
+       "Q(x) := exists y, z: (R(x,y), R(z,y))"},
+      {"Q() := exists x exists y exists x R(x,y)",
+       "Q() := exists x, y: R(x,y)"},
+      {"Q(x) := exists y exists x R(x,y)", "Q(x) := exists y, x: R(x,y)"},
+  };
+  UniformChainGenerator uniform;
+  gen::Walked<UniformChainGenerator> walked;
+  PriorityChainGenerator minchange = PriorityChainGenerator::MinimalChange();
+  // A conflicted root, and a consistent one, where the planner's
+  // existential gate passes and the rewriting answers.
+  for (size_t conflicts : {4u, 0u}) {
+    gen::Workload w =
+        gen::MakeKeyViolationWorkload(5, conflicts, 2, /*seed=*/11);
+    for (const auto& [nested_text, flat_text] : spellings) {
+      const std::string label = nested_text + " (" +
+                                std::to_string(conflicts) + " conflicts): ";
+      Result<Query> nested = ParseQuery(*w.schema, nested_text);
+      Result<Query> flat = ParseQuery(*w.schema, flat_text);
+      ASSERT_TRUE(nested.ok()) << label << nested.status().ToString();
+      ASSERT_TRUE(flat.ok()) << label << flat.status().ToString();
+      ASSERT_EQ(nested->IsConjunctive(), flat->IsConjunctive()) << label;
+      EXPECT_EQ(nested->Evaluate(w.db), flat->Evaluate(w.db)) << label;
+      bool rebinds = nested_text == spellings.back().first;
+      EXPECT_EQ(nested->IsConjunctive(), !rebinds) << label;
+
+      for (const ChainGenerator* generator :
+           std::initializer_list<const ChainGenerator*>{&uniform, &walked}) {
+        RepairSpaceCache cache;
+        EnumerationOptions options;
+        options.memoize = true;
+        options.cache = &cache;
+        ExpectSameOca(
+            ComputeOca(w.db, w.constraints, *generator, *flat, options),
+            ComputeOca(w.db, w.constraints, *generator, *nested, options),
+            label + generator->name());
+        ExpectSameCounts(
+            CountingOca(w.db, w.constraints, *generator, *flat, options),
+            CountingOca(w.db, w.constraints, *generator, *nested, options),
+            label + generator->name() + " count");
+        for (const Tuple& tuple : flat->Evaluate(w.db)) {
+          EXPECT_EQ(ComputeTupleProbability(w.db, w.constraints, *generator,
+                                            *flat, tuple),
+                    ComputeTupleProbability(w.db, w.constraints, *generator,
+                                            *nested, tuple))
+              << label << TupleToString(tuple);
+        }
+      }
+      // One fresh sampler per spelling: a sampler's walks move on from
+      // call to call.
+      auto exact = [&](const Query& query) {
+        return Sampler(w.db, w.constraints, &uniform, /*seed=*/5)
+            .EstimateOca(query, 0.1, 0.1)
+            .estimates;
+      };
+      EXPECT_EQ(exact(*flat), exact(*nested)) << label;
+      auto sampled = [&](const Query& query) {
+        return Sampler(w.db, w.constraints, &minchange, /*seed=*/5)
+            .EstimateOcaWithWalks(query, 64)
+            .estimates;
+      };
+      EXPECT_EQ(sampled(*flat), sampled(*nested)) << label;
+
+      planner::QueryPlanner planner;
+      Result<planner::QueryPlan> flat_plan =
+          planner.Plan(w.db, w.constraints, uniform, *flat);
+      Result<planner::QueryPlan> nested_plan =
+          planner.Plan(w.db, w.constraints, uniform, *nested);
+      ASSERT_TRUE(flat_plan.ok() && nested_plan.ok()) << label;
+      EXPECT_EQ(flat_plan->kind, nested_plan->kind) << label;
+      EXPECT_EQ(flat_plan->reason, nested_plan->reason) << label;
+
+      engine::OcqaSession session(w.db, w.constraints);
+      Result<engine::CertainAnswersResult> flat_certain =
+          session.CertainAnswers(uniform, *flat);
+      Result<engine::CertainAnswersResult> nested_certain =
+          session.CertainAnswers(uniform, *nested);
+      ASSERT_TRUE(flat_certain.ok() && nested_certain.ok()) << label;
+      EXPECT_EQ(flat_certain->answers, nested_certain->answers) << label;
+      EXPECT_EQ(flat_certain->plan, nested_certain->plan) << label;
+      EXPECT_EQ(flat_certain->plan_reason, nested_certain->plan_reason)
+          << label;
+
+      for (server::RequestKind kind :
+           {server::RequestKind::kAnswer, server::RequestKind::kCount,
+            server::RequestKind::kCertain}) {
+        server::Request request;
+        request.kind = kind;
+        request.query = *flat;
+        server::Response flat_response =
+            server::ExecuteOnSession(session, &uniform, request, {});
+        request.query = *nested;
+        server::Response nested_response =
+            server::ExecuteOnSession(session, &uniform, request, {});
+        EXPECT_TRUE(flat_response.status.ok()) << label;
+        EXPECT_EQ(flat_response.payload, nested_response.payload)
+            << label << server::RequestKindName(kind);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,22 +2,29 @@
 // persistence across queries over one root, verified root identity,
 // fresh answers and root reuse across database mutations, eviction
 // under byte pressure with byte-identical results (including
-// post-eviction replay), the removed-set payloads, the session/SQL layer
-// threading, and a concurrent two-query-one-cache run (TSan-gated in CI).
+// post-eviction replay), the removed-set payloads, held local roots
+// (one solve of a root's conflict components serves its answers, counts
+// and top-k, within each call's budget, beside its restored table), the
+// session/SQL layer threading, and a concurrent two-query-one-cache run
+// (TSan-gated in CI).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <iterator>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "engine/ocqa_session.h"
 #include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
+#include "repair/localization.h"
 #include "repair/repair_cache.h"
 #include "repair/top_k.h"
 #include "repair/trust_generator.h"
@@ -25,6 +32,8 @@
 
 namespace opcqa {
 namespace {
+
+namespace fs = std::filesystem;
 
 EnumerationOptions MemoOptions(RepairSpaceCache* cache) {
   EnumerationOptions options;
@@ -366,6 +375,230 @@ TEST(RepairSpaceCacheTest, TopKConsumesSubtreesRecordedByEnumeration) {
               base.repairs[i].num_sequences)
         << i;
   }
+}
+
+// ---------------------------------------------------------------------
+// Held local roots: one solve of the conflict components per root
+// ---------------------------------------------------------------------
+
+class TempDir {
+ public:
+  TempDir() {
+    std::string pattern =
+        (fs::temp_directory_path() / "opcqa_cache_XXXXXX").string();
+    std::vector<char> buffer(pattern.begin(), pattern.end());
+    buffer.push_back('\0');
+    char* made = ::mkdtemp(buffer.data());
+    EXPECT_NE(made, nullptr);
+    path_ = made == nullptr ? std::string() : made;
+  }
+  ~TempDir() {
+    std::error_code ignored;
+    if (!path_.empty()) fs::remove_all(path_, ignored);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+void ExpectSameTopK(const TopKResult& want, const TopKResult& got,
+                    const std::string& label) {
+  EXPECT_EQ(want.exact, got.exact) << label;
+  EXPECT_EQ(want.certified, got.certified) << label;
+  EXPECT_EQ(want.states_expanded, got.states_expanded) << label;
+  EXPECT_EQ(want.explored_success_mass, got.explored_success_mass) << label;
+  EXPECT_EQ(want.explored_failing_mass, got.explored_failing_mass) << label;
+  EXPECT_EQ(want.frontier_mass, got.frontier_mass) << label;
+  ASSERT_EQ(want.repairs.size(), got.repairs.size()) << label;
+  for (size_t i = 0; i < want.repairs.size(); ++i) {
+    EXPECT_EQ(want.repairs[i].removed, got.repairs[i].removed) << label << i;
+    EXPECT_EQ(want.repairs[i].added, got.repairs[i].added) << label << i;
+    EXPECT_EQ(want.repairs[i].probability, got.repairs[i].probability)
+        << label << i;
+    EXPECT_EQ(want.repairs[i].num_sequences, got.repairs[i].num_sequences)
+        << label << i;
+  }
+}
+
+TEST(RepairSpaceCacheTest, HeldComponentsServeEveryLaterReadOfTheRoot) {
+  gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
+  Result<Query> query = ParseQuery(*w.schema, "Q(x) := exists y: R(x,y)");
+  ASSERT_TRUE(query.ok());
+  UniformChainGenerator uniform;
+  gen::Walked<UniformChainGenerator> walked;
+  OcaResult want = ComputeOca(w.db, w.constraints, walked, *query);
+  CountingOcaResult want_counts =
+      CountingOca(w.db, w.constraints, walked, *query);
+
+  RepairSpaceCache cache;
+  OcaResult first =
+      ComputeOca(w.db, w.constraints, uniform, *query, MemoOptions(&cache));
+  EXPECT_EQ(first.answers, want.answers);
+  EXPECT_EQ(first.enumeration.memo_stats.hits, 0u);
+  EXPECT_EQ(cache.roots(), 1u);
+  // The root holds components, no table.
+  EXPECT_EQ(cache.TotalStats().entries, 0u);
+  OcaResult second =
+      ComputeOca(w.db, w.constraints, uniform, *query, MemoOptions(&cache));
+  EXPECT_EQ(second.answers, want.answers);
+  EXPECT_EQ(second.enumeration.states_visited, want.enumeration.states_visited);
+  EXPECT_EQ(second.enumeration.memo_stats.hits, 1u);
+  CountingOcaResult counts =
+      CountingOca(w.db, w.constraints, uniform, *query, MemoOptions(&cache));
+  EXPECT_EQ(counts.answers, want_counts.answers);
+  EXPECT_EQ(counts.num_repairs, want_counts.num_repairs);
+  EXPECT_EQ(counts.memo_stats.hits, 1u);
+  EXPECT_EQ(cache.TotalStats().hits, 2u);
+  EXPECT_EQ(cache.TotalStats().misses, 0u);
+
+  // A held root serves a call only within its budget: one state short, the
+  // read walks and truncates as without the cache.
+  EnumerationOptions short_budget = MemoOptions(&cache);
+  short_budget.max_states = want.enumeration.states_visited - 1;
+  OcaResult truncated =
+      ComputeOca(w.db, w.constraints, uniform, *query, short_budget);
+  EXPECT_TRUE(truncated.enumeration.truncated);
+  EXPECT_EQ(truncated.enumeration.states_visited,
+            want.enumeration.states_visited);
+  CountingOcaResult truncated_counts =
+      CountingOca(w.db, w.constraints, uniform, *query, short_budget);
+  EXPECT_TRUE(truncated_counts.truncated);
+  EXPECT_EQ(truncated_counts.answers,
+            CountingOca(w.db, w.constraints, walked, *query,
+                        EnumerationOptions{.max_states =
+                                               short_budget.max_states})
+                .answers);
+}
+
+TEST(RepairSpaceCacheTest, TopKFoldsALocalRootLikeTheDrainedSearch) {
+  size_t local_roots = 0;
+  for (uint64_t seed = 0; seed < 30; ++seed) {
+    gen::Workload w = gen::MakeDenialWorkload(seed);
+    if (ConflictComponents(w.db, w.constraints).size() < 2) continue;
+    ++local_roots;
+    const std::string label = "seed " + std::to_string(seed) + ": ";
+    UniformChainGenerator uniform;
+    gen::Walked<UniformChainGenerator> walked;
+    // The drained search: a k no prefix can certify, walked, no cache.
+    TopKResult drained =
+        TopKRepairs(w.db, w.constraints, walked, SIZE_MAX, TopKOptions{});
+    ASSERT_TRUE(drained.exact) << label;
+    const size_t states = drained.states_expanded;
+
+    for (bool components_first : {false, true}) {
+      RepairSpaceCache cache;
+      TopKOptions cached;
+      cached.memoize = true;
+      cached.cache = &cache;
+      Result<Query> query = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
+      ASSERT_TRUE(query.ok());
+      if (components_first) {
+        // A count holds the components; top-k then folds them.
+        CountingOca(w.db, w.constraints, uniform, *query,
+                    MemoOptions(&cache));
+      }
+      MemoStats before = cache.TotalStats();
+      ExpectSameTopK(drained,
+                     TopKRepairs(w.db, w.constraints, uniform, 1, cached),
+                     label + "cold");
+      EXPECT_EQ(cache.TotalStats().hits - before.hits,
+                components_first ? 1u : 0u)
+          << label;
+      before = cache.TotalStats();
+      ExpectSameTopK(drained,
+                     TopKRepairs(w.db, w.constraints, uniform, 2, cached),
+                     label + "warm");
+      // The warm search replays the admitted root entry.
+      EXPECT_EQ(cache.TotalStats().hits - before.hits, 1u) << label;
+      EXPECT_EQ(cache.TotalStats().misses - before.misses, 0u) << label;
+    }
+
+    // One state short of the chain, the root is not folded: the search
+    // runs best-first exactly like the walked generator's.
+    for (size_t budget : {states - 1, states}) {
+      RepairSpaceCache local_cache;
+      RepairSpaceCache walked_cache;
+      TopKOptions bounded;
+      bounded.memoize = true;
+      bounded.max_states = budget;
+      bounded.cache = &walked_cache;
+      TopKResult want = TopKRepairs(w.db, w.constraints, walked, 1, bounded);
+      bounded.cache = &local_cache;
+      TopKResult got = TopKRepairs(w.db, w.constraints, uniform, 1, bounded);
+      if (budget < states) {
+        ExpectSameTopK(want, got, label + "budget V-1");
+      } else {
+        ExpectSameTopK(drained, got, label + "budget V");
+      }
+    }
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(local_roots, 10u);
+}
+
+TEST(RepairSpaceCacheTest, ARootFirstReadThroughItsComponentsRestoresItsTable) {
+  gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
+  Result<Query> query = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
+  ASSERT_TRUE(query.ok());
+  UniformChainGenerator uniform;
+  EnumerationResult want = EnumerateRepairs(
+      w.db, w.constraints, gen::Walked<UniformChainGenerator>());
+  TempDir dir;
+  RepairCacheOptions options;
+  options.snapshot_dir = dir.path();
+  {
+    // The enumeration records the factored root entry; Persist spills it.
+    RepairSpaceCache writer(options);
+    EnumerateRepairs(w.db, w.constraints, uniform, MemoOptions(&writer));
+    writer.Persist();
+    ASSERT_EQ(writer.disk_stats().spills, 1u);
+  }
+  RepairSpaceCache reader(options);
+  ComputeOca(w.db, w.constraints, uniform, *query, MemoOptions(&reader));
+  EXPECT_EQ(reader.roots(), 1u);
+  EXPECT_EQ(reader.disk_stats().restores, 0u);
+  // The first table reader of the root restores the snapshot instead of
+  // starting an empty table beside the held components.
+  EnumerationResult restored =
+      EnumerateRepairs(w.db, w.constraints, uniform, MemoOptions(&reader));
+  EXPECT_EQ(reader.disk_stats().restores, 1u);
+  EXPECT_EQ(reader.roots(), 1u);
+  EXPECT_EQ(restored.memo_stats.hits, 1u);
+  EXPECT_EQ(restored.memo_stats.misses, 0u);
+  ASSERT_EQ(restored.repairs.size(), want.repairs.size());
+  for (size_t i = 0; i < want.repairs.size(); ++i) {
+    EXPECT_EQ(restored.repairs[i].removed, want.repairs[i].removed) << i;
+    EXPECT_EQ(restored.repairs[i].probability, want.repairs[i].probability)
+        << i;
+  }
+}
+
+TEST(RepairSpaceCacheTest, HeldComponentsAreNeverSpilledAndDemoteLikeRoots) {
+  gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
+  Result<Query> query = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
+  ASSERT_TRUE(query.ok());
+  TempDir dir;
+  RepairCacheOptions options;
+  options.snapshot_dir = dir.path();
+  options.max_roots = 1;
+  {
+    RepairSpaceCache cache(options);
+    ComputeOca(w.db, w.constraints, UniformChainGenerator(), *query,
+               MemoOptions(&cache));
+    ComputeOca(w.db, w.constraints, DeletionOnlyUniformGenerator(), *query,
+               MemoOptions(&cache));
+    // The second root demoted the first, which had nothing to spill.
+    EXPECT_EQ(cache.roots(), 1u);
+    cache.Persist();
+    EXPECT_EQ(cache.disk_stats().demotions, 0u);
+    EXPECT_EQ(cache.disk_stats().spills, 0u);
+    // The demoted root solves again: no hit.
+    OcaResult again = ComputeOca(w.db, w.constraints, UniformChainGenerator(),
+                                 *query, MemoOptions(&cache));
+    EXPECT_EQ(again.enumeration.memo_stats.hits, 0u);
+  }
+  EXPECT_TRUE(fs::is_empty(dir.path()));
 }
 
 // ---------------------------------------------------------------------
