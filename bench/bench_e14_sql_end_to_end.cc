@@ -68,7 +68,8 @@ int main() {
                                  sql::TableKey{"S", {0}},
                                  sql::TableKey{"T", {0}}},
                                 /*seed=*/13);
-    for (auto& [table, del] : runner.SampleDeletions()) {
+    Rng rng(13);
+    for (auto& [table, del] : runner.SampleDeletions(&rng)) {
       catalog.Register(table + "__del", std::move(del));
     }
     auto original = sql::Parse(kJoinSql).value();

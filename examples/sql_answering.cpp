@@ -68,7 +68,8 @@ int main() {
               "classical certain-answer semantics would simply drop.\n");
 
   // 4. Aggregation through SQL on one sampled repair: total order volume.
-  auto deletions = runner.SampleDeletions();
+  Rng rng(7);
+  auto deletions = runner.SampleDeletions(&rng);
   sql::Catalog repaired = catalog;
   for (auto& [table, del] : deletions) {
     repaired.Register(table + "__del", std::move(del));

@@ -373,6 +373,25 @@ std::shared_ptr<const MemoOutcome> FactorRoot(const LocalRoot& root) {
   return outcome;
 }
 
+RankedRepairs RankRepairs(const Database& initial, const LocalRoot& root) {
+  std::shared_ptr<const MemoOutcome> factored = FactorRoot(root);
+  // The shares come in delta order, so each tally lands at the map's end.
+  RepairTallies tallies;
+  for (const MemoOutcome::RepairShare& share : factored->repairs) {
+    tallies.emplace_hint(tallies.end(), RepairDelta{share.removed, {}},
+                         RepairTally{share.mass, share.num_sequences});
+  }
+  RankedRepairs ranked;
+  ranked.repairs = AssembleRepairs(initial, std::move(tallies));
+  ranked.states = root.states;
+  ranked.bytes = sizeof(RankedRepairs) +
+                 ranked.repairs.capacity() * sizeof(RepairInfo);
+  for (const RepairInfo& info : ranked.repairs) {
+    ranked.bytes += info.removed.capacity() * sizeof(FactId);
+  }
+  return ranked;
+}
+
 BigInt LocalizedRepairs::NumRepairCombinations() const {
   BigInt total(int64_t{1});
   for (const LocalizedComponent& component : components_) {

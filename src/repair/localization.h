@@ -41,7 +41,9 @@
 // root solve its components once. Only FactorRoot builds the product: it
 // turns it into the root's memo entry, equal in every field to the one
 // the walk records, for the callers that list repairs (EnumerateRepairs
-// and TopKRepairs replay it instead of walking the interleavings).
+// replays it instead of walking the interleavings; RankRepairs sorts it
+// into the ranked list TopKRepairs returns, which the cache holds beside
+// the components).
 // LocalizeAndEnumerate exposes the components themselves, each enumerated
 // by EnumerateRepairs, without materializing their product.
 
@@ -167,6 +169,20 @@ std::optional<LocalRoot> SolveLocalRoot(const RepairContext& context,
 /// EnumerateRepairs would record for it (masses relative to the root), the
 /// product of its components' distributions.
 std::shared_ptr<const MemoOutcome> FactorRoot(const LocalRoot& root);
+
+/// A local root's repairs, most probable first: the list TopKRepairs
+/// returns for the root once its search drains.
+struct RankedRepairs {
+  std::vector<RepairInfo> repairs;
+  /// States of the chain on D (LocalRoot::states).
+  size_t states = 0;
+  /// Approximate heap footprint, counted like a memo entry's.
+  size_t bytes = 0;
+};
+
+/// AssembleRepairs over FactorRoot(root)'s shares, against `initial`, the
+/// root's database.
+RankedRepairs RankRepairs(const Database& initial, const LocalRoot& root);
 
 /// FactorRoot of SolveLocalRoot(context, generator, {max_states}). Null
 /// when the root is declined at two components and `max_states` (the walk

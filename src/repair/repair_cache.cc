@@ -22,6 +22,14 @@ size_t StringHash(const std::string& text) {
   return std::hash<std::string>{}(text);
 }
 
+// The cheap half of SolveLocalRoot's gate: a root that fails it never
+// factors, so it costs no key and no context.
+bool MayFactor(const ConstraintSet& constraints,
+               const ChainGenerator& generator) {
+  return generator.local() && generator.history_independent() &&
+         IsDenialOnly(constraints);
+}
+
 }  // namespace
 
 RepairSpaceCache::RepairSpaceCache(RepairCacheOptions options)
@@ -201,12 +209,7 @@ std::shared_ptr<const LocalRoot> RepairSpaceCache::LocalRootFor(
     const Database& db, const ConstraintSet& constraints,
     const ChainGenerator& generator, size_t max_states, bool* held) {
   if (held != nullptr) *held = false;
-  // The cheap half of SolveLocalRoot's gate first: no key and no context
-  // for roots that never factor.
-  if (!generator.local() || !generator.history_independent() ||
-      !IsDenialOnly(constraints)) {
-    return nullptr;
-  }
+  if (!MayFactor(constraints, generator)) return nullptr;
   std::optional<RootKey> key =
       KeyFor(db, constraints, generator, /*prune_zero_probability=*/true);
   if (key.has_value()) {
@@ -240,9 +243,42 @@ std::shared_ptr<const LocalRoot> RepairSpaceCache::LocalRootFor(
   return local;
 }
 
+std::shared_ptr<const RankedRepairs> RepairSpaceCache::RankedRepairsFor(
+    const Database& db, const ConstraintSet& constraints,
+    const ChainGenerator& generator, size_t max_states) {
+  if (!MayFactor(constraints, generator)) return nullptr;
+  std::optional<RootKey> key =
+      KeyFor(db, constraints, generator, /*prune_zero_probability=*/true);
+  if (key.has_value()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    Root* live = FindLiveLocked(db, *key);
+    if (live != nullptr && live->ranked != nullptr) {
+      if (live->ranked->states > max_states) return nullptr;
+      ++live->local_hits;
+      return live->ranked;
+    }
+  }
+  std::shared_ptr<const LocalRoot> local =
+      LocalRootFor(db, constraints, generator, max_states);
+  if (local == nullptr) return nullptr;
+  auto ranked = std::make_shared<const RankedRepairs>(RankRepairs(db, *local));
+  if (!key.has_value() || (options_.max_bytes_per_root != 0 &&
+                           ranked->bytes > options_.max_bytes_per_root)) {
+    return ranked;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  // The list joins the record that holds its components; a record demoted
+  // since is not brought back for it.
+  Root* live = FindLiveLocked(db, *key);
+  if (live != nullptr && live->local != nullptr && live->ranked == nullptr) {
+    live->ranked = ranked;
+  }
+  return ranked;
+}
+
 double RepairSpaceCache::RetentionScoreLocked(const Root& root) const {
-  // A root that holds only components loses nothing worth counting: they
-  // re-solve in far less than a walk.
+  // A root that holds only components (and their ranked list) loses
+  // nothing worth counting: they re-solve in far less than a walk.
   if (root.table == nullptr) return 0.0;
   MemoStats stats = root.table->stats();
   bool clean_on_disk = store_ != nullptr && root.on_disk &&

@@ -63,15 +63,18 @@
 // answered from its solved conflict components, not from a table.
 // LocalRootFor holds them on the same root record, under the same
 // fingerprint and verification as TableFor, so every later read of the
-// root (answers, certain answers, tuple probabilities, counts, top-k and
-// the factored root of EnumerateRepairs) skips the solve. A root record
-// may hold components, a table, or both; a table is created (or restored
-// from disk) only when TableFor first asks for it, so a root first read
-// through its components still restores its snapshot later. Components
-// are held in memory only, never spilled, and leave with their root
-// under the residency rule below. Only a solve that fit its caller's
-// state budget is held, and a held root serves a call only when its
-// convolved states fit that call's budget, so a read over budget
+// root (answers, certain answers, tuple probabilities, counts and the
+// factored root of EnumerateRepairs) skips the solve. Top-k reads the
+// root's ranked repair list (RankRepairs), which RankedRepairsFor builds
+// from the held components once and holds beside them; a list larger than
+// `max_bytes_per_root` is built per call and not held. A root record may
+// hold components and their list, a table, or both; a table is created
+// (or restored from disk) only when TableFor first asks for it, so a root
+// first read through its components still restores its snapshot later.
+// Components and lists are held in memory only, never spilled, and leave
+// with their root under the residency rule below. Only a solve that fit
+// its caller's state budget is held, and a held root serves a call only
+// when its convolved states fit that call's budget, so a read over budget
 // truncates exactly as without the cache.
 //
 // Memory and disk are two residency levels of the same state, not a
@@ -104,6 +107,7 @@
 namespace opcqa {
 
 struct LocalRoot;
+struct RankedRepairs;
 
 struct RepairCacheOptions {
   /// Per-root transposition-table byte budget (repair/memo.h eviction;
@@ -177,6 +181,15 @@ class RepairSpaceCache {
                                                 size_t max_states,
                                                 bool* held = nullptr);
 
+  /// The ranked repair list of this root (RankRepairs) when LocalRootFor
+  /// admits it within `max_states`: the one held on the root record, else
+  /// built from the components now and held when it fits
+  /// `max_bytes_per_root`. Null when LocalRootFor is. A held read counts
+  /// as a cache hit, like a held LocalRootFor read.
+  std::shared_ptr<const RankedRepairs> RankedRepairsFor(
+      const Database& db, const ConstraintSet& constraints,
+      const ChainGenerator& generator, size_t max_states);
+
   /// Spills every live root to the disk tier now and blocks until the
   /// snapshots are durable (no-op without a snapshot_dir). Safe to call
   /// concurrently with queries: each snapshot is a consistent
@@ -211,7 +224,9 @@ class RepairSpaceCache {
     std::shared_ptr<TranspositionTable> table;
     /// The root's solved conflict components (LocalRootFor); memory only.
     std::shared_ptr<const LocalRoot> local;
-    /// Reads `local` served, counted as cache hits.
+    /// The ranked repair list of `local` (RankedRepairsFor); memory only.
+    std::shared_ptr<const RankedRepairs> ranked;
+    /// Reads `local` and `ranked` served, counted as cache hits.
     uint64_t local_hits = 0;
     /// True once a snapshot for this root exists on disk (written by a
     /// spill, or found there by the restore).

@@ -68,6 +68,20 @@ TopKResult TopKRepairs(const Database& db, const ConstraintSet& constraints,
                        const TopKOptions& options) {
   OPCQA_CHECK_GT(k, 0u);
   TopKResult result;
+  if (options.memoize && options.cache != nullptr) {
+    // A local root within the budget: the drained search's result, read
+    // off the root's ranked list without a context or a table.
+    if (std::shared_ptr<const RankedRepairs> ranked =
+            options.cache->RankedRepairsFor(db, constraints, generator,
+                                            options.max_states)) {
+      result.repairs = ranked->repairs;
+      result.explored_success_mass = Rational(1);
+      result.exact = true;
+      result.certified = true;
+      result.states_expanded = ranked->states;
+      return result;
+    }
+  }
   auto context = RepairContext::Make(db, constraints);
   // Best-first expansion always skips zero-probability edges, so the
   // deletions-only-generator leg of the soundness gate applies.
@@ -166,18 +180,6 @@ TopKResult TopKRepairs(const Database& db, const ConstraintSet& constraints,
 
     if (table != nullptr) {
       std::shared_ptr<const MemoOutcome> cached = table->Lookup(*state);
-      if (cached == nullptr && state->depth() == 0) {
-        // A local root the table misses: fold its factored outcome (from
-        // the components the cache holds, or solves and holds) and admit
-        // it, as EnumerateRepairs does. It fits the budget by
-        // LocalRootFor's contract.
-        if (std::shared_ptr<const LocalRoot> local =
-                options.cache->LocalRootFor(db, constraints, generator,
-                                            options.max_states)) {
-          cached = FactorRoot(*local);
-          table->Admit(KeyOf(*state), state->removed(), cached);
-        }
-      }
       if (cached != nullptr &&
           result.states_expanded + cached->states - 1 <=
               options.max_states) {

@@ -44,17 +44,17 @@ struct TopKOptions {
   /// set and masses are not comparable entry-by-entry with the unmerged run.
   bool memoize = false;
   /// Cross-query persistence (repair/repair_cache.h; not owned, applied
-  /// only when `memoize` is sound). The search *consumes* subtrees an
-  /// earlier enumeration over the same root recorded: popping a state
-  /// whose completed outcome is cached folds the exact subtree masses in
-  /// directly — equivalent to fully expanding it, so `exact`/certified
-  /// semantics are unchanged. Best-first order cannot delimit completed
-  /// subtrees on the way out, so the search records none. The one entry
-  /// it admits is a local root's (repair/localization.h): when the table
-  /// misses a root that factors within max_states, the search folds
-  /// FactorRoot's outcome, built from the components the cache holds
-  /// (RepairSpaceCache::LocalRootFor), and admits it, as EnumerateRepairs
-  /// does; the result is the drained search's (`exact`).
+  /// only when `memoize` is sound). A local root (repair/localization.h)
+  /// that factors within max_states is not searched: the result is the
+  /// drained search's (`exact`), its repairs the root's ranked list, which
+  /// the cache builds from the components it holds and holds beside them
+  /// (RepairSpaceCache::RankedRepairsFor); no context or table is built.
+  /// Any other root's search *consumes* subtrees an earlier enumeration
+  /// over the same root recorded: popping a state whose completed outcome
+  /// is cached folds the exact subtree masses in directly — equivalent to
+  /// fully expanding it, so `exact`/certified semantics are unchanged.
+  /// Best-first order cannot delimit completed subtrees on the way out, so
+  /// the search records none, and it never inserts into the table.
   RepairSpaceCache* cache = nullptr;
 };
 

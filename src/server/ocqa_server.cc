@@ -1,5 +1,6 @@
 #include "server/ocqa_server.h"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -55,6 +56,51 @@ const char* PathName(Response::Path path) {
     case Response::Path::kError: return "error";
   }
   return "?";
+}
+
+RepairRenderer::RepairRenderer(const Database& initial) : initial_(initial) {
+  const FactStore& store = FactStore::Global();
+  std::vector<FactId> ids = initial.AllFactIds();
+  ends_.reserve(ids.size());
+  position_of_.reserve(ids.size());
+  for (uint32_t position = 0; position < ids.size(); ++position) {
+    texts_ += store.ToFact(ids[position]).ToString(initial.schema());
+    texts_ += '.';
+    ends_.push_back(texts_.size());
+    position_of_.emplace_back(ids[position], position);
+  }
+  std::sort(position_of_.begin(), position_of_.end());
+}
+
+void RepairRenderer::Append(const RepairDelta& repair,
+                            std::string* out) const {
+  if (!repair.added.empty()) {
+    *out += MaterializeRepair(initial_, repair).ToString();
+    return;
+  }
+  std::vector<uint32_t> skipped;
+  skipped.reserve(repair.removed.size());
+  for (FactId id : repair.removed) {
+    auto it = std::lower_bound(position_of_.begin(), position_of_.end(),
+                               std::make_pair(id, uint32_t{0}));
+    // An id outside the database removes nothing, as in MaterializeRepair.
+    if (it != position_of_.end() && it->first == id) {
+      skipped.push_back(it->second);
+    }
+  }
+  std::sort(skipped.begin(), skipped.end());
+  auto next_skipped = skipped.begin();
+  bool first = true;
+  for (uint32_t position = 0; position < ends_.size(); ++position) {
+    if (next_skipped != skipped.end() && *next_skipped == position) {
+      ++next_skipped;
+      continue;
+    }
+    if (!first) *out += ' ';
+    first = false;
+    size_t begin = position == 0 ? 0 : ends_[position - 1];
+    out->append(texts_, begin, ends_[position] - begin);
+  }
 }
 
 namespace {
@@ -188,10 +234,19 @@ Response ExecuteOnSession(engine::OcqaSession& session,
       response.truncated = !top.exact;
       response.payload = std::string("exact=") + (top.exact ? "1" : "0") +
                          " certified=" + (top.certified ? "1" : "0") + "\n";
+      RepairRenderer renderer(session.database());
+      // Repairs come most probable first, so equal probabilities are
+      // adjacent and each distinct one is formatted once.
+      const Rational* printed = nullptr;
+      std::string probability;
       for (const RepairInfo& info : top.repairs) {
-        response.payload +=
-            "p=" + info.probability.ToString() + " " +
-            MaterializeRepair(session.database(), info).ToString() + "\n";
+        if (printed == nullptr || info.probability != *printed) {
+          probability = "p=" + info.probability.ToString() + " ";
+          printed = &info.probability;
+        }
+        response.payload += probability;
+        renderer.Append(info, &response.payload);
+        response.payload += '\n';
       }
       break;
     }

@@ -34,9 +34,12 @@
 // local root (repair/localization.h) the first answer, certain or count
 // member solves the root's conflict components instead, the cache holds
 // them on the root record (RepairSpaceCache::LocalRootFor), and every
-// later member reads them; a top-k member folds them into the root's
-// factored entry once. Either way the first member counts as a walk and
-// each later one as a replay.
+// later member reads them; a top-k member reads the root's ranked repair
+// list, which the cache builds from them once and holds beside them
+// (RepairSpaceCache::RankedRepairsFor). Either way the first member
+// counts as a walk and each later one as a replay (top-k members are
+// counted apart, as searches). A top-k payload is rendered from the
+// tenant database's fact texts, once per response (RepairRenderer).
 // Reads commute (they share one immutable database state), so executing
 // the prefix out of queue order is observationally equivalent; a
 // mutation is a batch barrier and runs as a singleton unit, which also
@@ -300,6 +303,28 @@ class OcqaServer {
   /// Last member, so the pool (whose threads the destructor joins first)
   /// outlives everything units touch.
   std::unique_ptr<ThreadPool> pool_;
+};
+
+/// Renders repairs of one database as
+/// MaterializeRepair(initial, repair).ToString() does, byte for byte, from
+/// the database's fact texts, rendered once: a repair that only removes
+/// facts prints the others; one that adds facts is materialized. The
+/// database must outlive the renderer.
+class RepairRenderer {
+ public:
+  explicit RepairRenderer(const Database& initial);
+
+  /// Appends the repair's rendering to *out.
+  void Append(const RepairDelta& repair, std::string* out) const;
+
+ private:
+  const Database& initial_;
+  /// "R(a,b)." per fact, back to back, in Database::ToString order.
+  std::string texts_;
+  /// Where each fact's text ends in texts_, by position.
+  std::vector<size_t> ends_;
+  /// (id, position) of every fact, ascending id.
+  std::vector<std::pair<FactId, uint32_t>> position_of_;
 };
 
 /// The serial execution core shared by server workers and the sequential

@@ -4,6 +4,7 @@
 #include "sql/executor.h"
 #include "sql/parser.h"
 #include "sql/rewriter.h"
+#include "util/hash.h"
 #include "util/string_util.h"
 
 namespace opcqa {
@@ -16,7 +17,7 @@ double SqlApproxResult::Frequency(const engine::Row& row) const {
 
 SqlApproxRunner::SqlApproxRunner(Catalog catalog, std::vector<TableKey> keys,
                                  uint64_t seed)
-    : catalog_(std::move(catalog)), keys_(std::move(keys)), rng_(seed) {
+    : catalog_(std::move(catalog)), keys_(std::move(keys)), seed_(seed) {
   // Precompute the violating groups of every keyed table.
   for (const TableKey& key : keys_) {
     const engine::Relation* table = catalog_.Find(key.table);
@@ -43,15 +44,16 @@ SqlApproxRunner::SqlApproxRunner(Catalog catalog, std::vector<TableKey> keys,
   }
 }
 
-std::map<std::string, engine::Relation> SqlApproxRunner::SampleDeletions() {
+std::map<std::string, engine::Relation> SqlApproxRunner::SampleDeletions(
+    Rng* rng) const {
   std::map<std::string, engine::Relation> deletions;
   for (const TableKey& key : keys_) {
     const engine::Relation* table = catalog_.Find(key.table);
     engine::Relation del(StrCat(key.table, "__del"), table->columns());
-    for (const std::vector<size_t>& group : groups_[key.table]) {
+    for (const std::vector<size_t>& group : groups_.at(key.table)) {
       // "randomly pick at most one tuple to be left there, and collect the
       // others in R_del" — always exactly one here.
-      size_t survivor = rng_.UniformInt(group.size());
+      size_t survivor = rng->UniformInt(group.size());
       for (size_t i = 0; i < group.size(); ++i) {
         if (i != survivor) del.Add(table->rows()[group[i]]);
       }
@@ -62,7 +64,7 @@ std::map<std::string, engine::Relation> SqlApproxRunner::SampleDeletions() {
 }
 
 Result<SqlApproxResult> SqlApproxRunner::Run(std::string_view sql,
-                                             size_t rounds) {
+                                             size_t rounds) const {
   OPCQA_CHECK_GT(rounds, 0u);
   Result<StatementPtr> parsed = Parse(sql);
   if (!parsed.ok()) return parsed.status();
@@ -91,10 +93,11 @@ Result<SqlApproxResult> SqlApproxRunner::Run(std::string_view sql,
   result.rounds = rounds;
   result.rewritten_sql = rewritten->ToString();
 
+  Rng rng(HashMix64(HashCombine(seed_, FnvHash(sql))));
   std::map<engine::Row, size_t> counts;
   for (size_t round = 0; round < rounds; ++round) {
     Catalog scratch = catalog_;
-    for (auto& [table, del] : SampleDeletions()) {
+    for (auto& [table, del] : SampleDeletions(&rng)) {
       scratch.Register(StrCat(table, "__del"), std::move(del));
     }
     Result<engine::Relation> answer = Execute(*rewritten, scratch);
@@ -110,7 +113,7 @@ Result<SqlApproxResult> SqlApproxRunner::Run(std::string_view sql,
 }
 
 Result<SqlApproxResult> SqlApproxRunner::RunWithGuarantee(
-    std::string_view sql, double epsilon, double delta) {
+    std::string_view sql, double epsilon, double delta) const {
   return Run(sql, Sampler::NumSamples(epsilon, delta));
 }
 

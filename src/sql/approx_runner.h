@@ -64,24 +64,27 @@ class SqlApproxRunner {
 
   /// Runs the n-round loop for `sql`, which is first checked against the
   /// dirty tables alone. InvalidArgument when a table has two keys or the
-  /// catalog already holds a keyed table's "<table>__del".
-  Result<SqlApproxResult> Run(std::string_view sql, size_t rounds);
+  /// catalog already holds a keyed table's "<table>__del". The rounds draw
+  /// from a stream keyed by (seed, statement text), so a statement's
+  /// frequencies do not depend on the statements run before it.
+  Result<SqlApproxResult> Run(std::string_view sql, size_t rounds) const;
 
   /// Runs n(ε,δ) = Sampler::NumSamples(ε, δ) rounds.
   Result<SqlApproxResult> RunWithGuarantee(std::string_view sql,
-                                           double epsilon, double delta);
+                                           double epsilon,
+                                           double delta) const;
 
   /// Samples one set of R_del tables (one entry per keyed table, possibly
-  /// empty): every key group keeps one uniformly chosen tuple. Exposed for
-  /// tests.
-  std::map<std::string, engine::Relation> SampleDeletions();
+  /// empty) from `rng`: every key group keeps one uniformly chosen tuple.
+  /// Exposed for tests.
+  std::map<std::string, engine::Relation> SampleDeletions(Rng* rng) const;
 
  private:
   Catalog catalog_;
   std::vector<TableKey> keys_;
   // Per keyed table: violating groups as row-index lists (size ≥ 2).
   std::map<std::string, std::vector<std::vector<size_t>>> groups_;
-  Rng rng_;
+  uint64_t seed_;
 };
 
 }  // namespace sql

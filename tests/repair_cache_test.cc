@@ -24,6 +24,8 @@
 #include "gen/walked_generator.h"
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
+#include "obs/metrics.h"
+#include "relational/fact_parser.h"
 #include "repair/localization.h"
 #include "repair/repair_cache.h"
 #include "repair/top_k.h"
@@ -471,6 +473,99 @@ TEST(RepairSpaceCacheTest, HeldComponentsServeEveryLaterReadOfTheRoot) {
                 .answers);
 }
 
+// Every check of one local root under `local`: a held top-k returns the
+// drained walked search's result for every k and builds no table entry.
+template <typename Generator>
+void CheckHeldTopK(const gen::Workload& w, const Generator& local,
+                   const std::string& label) {
+  gen::Walked<Generator> walked;
+  // The drained search: a k no prefix can certify, walked, no cache.
+  TopKResult drained =
+      TopKRepairs(w.db, w.constraints, walked, SIZE_MAX, TopKOptions{});
+  ASSERT_TRUE(drained.exact) << label;
+  const size_t states = drained.states_expanded;
+
+  for (bool components_first : {false, true}) {
+    RepairSpaceCache cache;
+    TopKOptions cached;
+    cached.memoize = true;
+    cached.cache = &cache;
+    Result<Query> query = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
+    ASSERT_TRUE(query.ok());
+    if (components_first) {
+      // A count holds the components; top-k then ranks them.
+      CountingOca(w.db, w.constraints, local, *query, MemoOptions(&cache));
+    }
+    MemoStats before = cache.TotalStats();
+    ExpectSameTopK(drained,
+                   TopKRepairs(w.db, w.constraints, local, 1, cached),
+                   label + "cold");
+    EXPECT_EQ(cache.TotalStats().hits - before.hits,
+              components_first ? 1u : 0u)
+        << label;
+    for (size_t k : {size_t{2}, size_t{3}, SIZE_MAX}) {
+      const std::string warm = label + "warm k=" + std::to_string(k);
+      before = cache.TotalStats();
+      ExpectSameTopK(drained,
+                     TopKRepairs(w.db, w.constraints, local, k, cached),
+                     warm);
+      // The warm search reads the held ranked list.
+      EXPECT_EQ(cache.TotalStats().hits - before.hits, 1u) << warm;
+      EXPECT_EQ(cache.TotalStats().misses - before.misses, 0u) << warm;
+    }
+    // Held top-k reads make no table and admit nothing.
+    EXPECT_EQ(cache.TotalStats().entries, 0u) << label;
+    EXPECT_EQ(cache.TotalStats().inserts, 0u) << label;
+  }
+
+  // One state short of the chain, the root is not ranked: the search
+  // runs best-first exactly like the walked generator's.
+  for (size_t budget : {states - 1, states}) {
+    RepairSpaceCache local_cache;
+    RepairSpaceCache walked_cache;
+    TopKOptions bounded;
+    bounded.memoize = true;
+    bounded.max_states = budget;
+    bounded.cache = &walked_cache;
+    TopKResult want = TopKRepairs(w.db, w.constraints, walked, 1, bounded);
+    bounded.cache = &local_cache;
+    TopKResult got = TopKRepairs(w.db, w.constraints, local, 1, bounded);
+    if (budget < states) {
+      ExpectSameTopK(want, got, label + "budget V-1");
+    } else {
+      ExpectSameTopK(drained, got, label + "budget V");
+    }
+  }
+
+  // A write moves the session to a new root, whose top-k is that root's
+  // drained search too. The write joins a key group of at most two facts
+  // (only k0 can hold more, and only beside k1). It multiplies the walked
+  // reference's states by about ten, so it runs on the small roots only.
+  if (states > 5000) return;
+  bool has_k1 = false;
+  for (const Fact& fact : w.db.AllFacts()) {
+    has_k1 |= ConstName(fact.args()[0]) == "k1";
+  }
+  Result<Fact> inserted = ParseFact(
+      *w.schema, has_k1 ? "R(k1,inserted)" : "R(k0,inserted)");
+  ASSERT_TRUE(inserted.ok());
+  RepairSpaceCache shared;
+  engine::SessionOptions options;
+  options.shared_cache = &shared;
+  engine::OcqaSession session(w.db, w.constraints, options);
+  ExpectSameTopK(drained, session.TopK(local, 3), label + "session");
+  ASSERT_TRUE(session.InsertFact(*inserted)) << label;
+  TopKResult drained_after = TopKRepairs(session.database(), w.constraints,
+                                         walked, SIZE_MAX, TopKOptions{});
+  ExpectSameTopK(drained_after, session.TopK(local, 3),
+                 label + "after insert");
+  const uint64_t hits = shared.TotalStats().hits;
+  ExpectSameTopK(drained_after, session.TopK(local, SIZE_MAX),
+                 label + "after insert, held");
+  EXPECT_EQ(shared.TotalStats().hits - hits, 1u) << label;
+  EXPECT_EQ(shared.TotalStats().entries, 0u) << label;
+}
+
 TEST(RepairSpaceCacheTest, TopKFoldsALocalRootLikeTheDrainedSearch) {
   size_t local_roots = 0;
   for (uint64_t seed = 0; seed < 30; ++seed) {
@@ -478,63 +573,39 @@ TEST(RepairSpaceCacheTest, TopKFoldsALocalRootLikeTheDrainedSearch) {
     if (ConflictComponents(w.db, w.constraints).size() < 2) continue;
     ++local_roots;
     const std::string label = "seed " + std::to_string(seed) + ": ";
-    UniformChainGenerator uniform;
-    gen::Walked<UniformChainGenerator> walked;
-    // The drained search: a k no prefix can certify, walked, no cache.
-    TopKResult drained =
-        TopKRepairs(w.db, w.constraints, walked, SIZE_MAX, TopKOptions{});
-    ASSERT_TRUE(drained.exact) << label;
-    const size_t states = drained.states_expanded;
-
-    for (bool components_first : {false, true}) {
-      RepairSpaceCache cache;
-      TopKOptions cached;
-      cached.memoize = true;
-      cached.cache = &cache;
-      Result<Query> query = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
-      ASSERT_TRUE(query.ok());
-      if (components_first) {
-        // A count holds the components; top-k then folds them.
-        CountingOca(w.db, w.constraints, uniform, *query,
-                    MemoOptions(&cache));
-      }
-      MemoStats before = cache.TotalStats();
-      ExpectSameTopK(drained,
-                     TopKRepairs(w.db, w.constraints, uniform, 1, cached),
-                     label + "cold");
-      EXPECT_EQ(cache.TotalStats().hits - before.hits,
-                components_first ? 1u : 0u)
-          << label;
-      before = cache.TotalStats();
-      ExpectSameTopK(drained,
-                     TopKRepairs(w.db, w.constraints, uniform, 2, cached),
-                     label + "warm");
-      // The warm search replays the admitted root entry.
-      EXPECT_EQ(cache.TotalStats().hits - before.hits, 1u) << label;
-      EXPECT_EQ(cache.TotalStats().misses - before.misses, 0u) << label;
-    }
-
-    // One state short of the chain, the root is not folded: the search
-    // runs best-first exactly like the walked generator's.
-    for (size_t budget : {states - 1, states}) {
-      RepairSpaceCache local_cache;
-      RepairSpaceCache walked_cache;
-      TopKOptions bounded;
-      bounded.memoize = true;
-      bounded.max_states = budget;
-      bounded.cache = &walked_cache;
-      TopKResult want = TopKRepairs(w.db, w.constraints, walked, 1, bounded);
-      bounded.cache = &local_cache;
-      TopKResult got = TopKRepairs(w.db, w.constraints, uniform, 1, bounded);
-      if (budget < states) {
-        ExpectSameTopK(want, got, label + "budget V-1");
-      } else {
-        ExpectSameTopK(drained, got, label + "budget V");
-      }
-    }
+    CheckHeldTopK(w, UniformChainGenerator(), label + "uniform: ");
+    CheckHeldTopK(w, DeletionOnlyUniformGenerator(), label + "deletions: ");
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(local_roots, 10u);
+}
+
+TEST(RepairSpaceCacheTest, ARankedListOverTheByteBudgetIsBuiltPerCall) {
+  gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
+  UniformChainGenerator uniform;
+  TopKResult want = TopKRepairs(w.db, w.constraints,
+                                gen::Walked<UniformChainGenerator>(), SIZE_MAX);
+  obs::Counter* const factored =
+      obs::MetricsRegistry::Global().GetCounter("engine.factored_roots");
+  for (size_t max_bytes : {size_t{0}, size_t{1}}) {
+    RepairCacheOptions options;
+    options.max_bytes_per_root = max_bytes;
+    RepairSpaceCache cache(options);
+    TopKOptions cached;
+    cached.memoize = true;
+    cached.cache = &cache;
+    const std::string label = "max_bytes " + std::to_string(max_bytes);
+    for (int call = 0; call < 2; ++call) {
+      uint64_t before = factored->Total();
+      ExpectSameTopK(want, TopKRepairs(w.db, w.constraints, uniform, 3, cached),
+                     label);
+      // Ranking factors the root; a held list is not ranked again.
+      bool held = max_bytes == 0 && call == 1;
+      EXPECT_EQ(factored->Total() - before, held ? 0u : 1u)
+          << label << " call " << call;
+    }
+    EXPECT_EQ(cache.TotalStats().entries, 0u) << label;
+  }
 }
 
 TEST(RepairSpaceCacheTest, ARootFirstReadThroughItsComponentsRestoresItsTable) {

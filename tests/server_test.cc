@@ -22,6 +22,7 @@
 
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
+#include "relational/fact_parser.h"
 #include "server/ocqa_server.h"
 #include "server/trace.h"
 
@@ -147,6 +148,89 @@ TEST(OcqaServerTest, ConcurrentServingMatchesSerialReplayByteForByte) {
     EXPECT_GT(stats.cache.hits, 0u);
     EXPECT_GT(stats.planner.rewrite_plans + stats.planner.walk_plans, 0u);
     EXPECT_GT(stats.tenants, 0u);
+  }
+}
+
+// RepairRenderer prints every repair as MaterializeRepair(initial,
+// repair).ToString() does.
+void ExpectRendersLikeMaterialize(const Database& initial,
+                                  const std::vector<RepairInfo>& repairs,
+                                  const std::string& label) {
+  RepairRenderer renderer(initial);
+  for (size_t i = 0; i < repairs.size(); ++i) {
+    std::string rendered = "prefix ";
+    renderer.Append(repairs[i], &rendered);
+    EXPECT_EQ(rendered,
+              "prefix " + MaterializeRepair(initial, repairs[i]).ToString())
+        << label << " repair " << i;
+  }
+}
+
+TEST(RepairRendererTest, RendersTheEmptyRepairAndTheWholeDatabase) {
+  gen::Workload w = gen::MakeKeyViolationWorkload(2, 2, 2, /*seed=*/1);
+  RepairDelta none;
+  RepairDelta all;
+  all.removed = w.db.AllFactIds();
+  std::sort(all.removed.begin(), all.removed.end());
+  RepairRenderer renderer(w.db);
+  std::string empty;
+  renderer.Append(all, &empty);
+  EXPECT_EQ(empty, "");
+  std::string whole;
+  renderer.Append(none, &whole);
+  EXPECT_EQ(whole, w.db.ToString());
+  ExpectRendersLikeMaterialize(w.db, {RepairInfo{none}, RepairInfo{all}},
+                               "key pairs");
+}
+
+TEST(RepairRendererTest, RendersRelationsInBucketOrder) {
+  Schema schema;
+  schema.AddRelation("S", 1);
+  schema.AddRelation("R", 2);
+  Result<Database> db =
+      ParseDatabase(schema, "R(b,c). S(z). R(a,c). S(a). R(a,b).");
+  ASSERT_TRUE(db.ok());
+  std::vector<FactId> ids = db->AllFactIds();
+  std::vector<RepairInfo> repairs;
+  // Every subset of the five facts, as a removed set.
+  for (uint32_t mask = 0; mask < (1u << ids.size()); ++mask) {
+    RepairInfo info;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (mask & (1u << i)) info.removed.push_back(ids[i]);
+    }
+    std::sort(info.removed.begin(), info.removed.end());
+    repairs.push_back(std::move(info));
+  }
+  ExpectRendersLikeMaterialize(*db, repairs, "two relations");
+}
+
+TEST(RepairRendererTest, MaterializesRepairsThatAddFacts) {
+  size_t with_additions = 0;
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    gen::Workload w = gen::MakeInclusionWorkload(3, 0.7, seed);
+    EnumerationResult result =
+        EnumerateRepairs(w.db, w.constraints, UniformChainGenerator());
+    ASSERT_FALSE(result.truncated);
+    for (const RepairInfo& info : result.repairs) {
+      with_additions += !info.added.empty();
+    }
+    ExpectRendersLikeMaterialize(w.db, result.repairs,
+                                 "inclusion seed " + std::to_string(seed));
+  }
+  // Not vacuous: some repairs add facts with labelled nulls.
+  EXPECT_GT(with_additions, 0u);
+}
+
+TEST(RepairRendererTest, RendersEveryRepairOfTheDenialWorkloads) {
+  for (uint64_t seed = 0; seed < 30; ++seed) {
+    gen::Workload w = gen::MakeDenialWorkload(seed);
+    EnumerationOptions options;
+    options.memoize = true;
+    EnumerationResult result = EnumerateRepairs(
+        w.db, w.constraints, UniformChainGenerator(), options);
+    ASSERT_FALSE(result.truncated);
+    ExpectRendersLikeMaterialize(w.db, result.repairs,
+                                 "denial seed " + std::to_string(seed));
   }
 }
 

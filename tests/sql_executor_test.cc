@@ -374,8 +374,9 @@ class SqlApproxTest : public ::testing::Test {
 
 TEST_F(SqlApproxTest, SampledDeletionsKeepExactlyOnePerGroup) {
   SqlApproxRunner runner(catalog_, {TableKey{"r", {0}}}, /*seed=*/7);
+  Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
-    auto deletions = runner.SampleDeletions();
+    auto deletions = runner.SampleDeletions(&rng);
     ASSERT_EQ(deletions.size(), 1u);
     const Relation& del = deletions.at("r");
     // Exactly one of the two conflicting tuples is deleted; "2" never is.
@@ -387,7 +388,8 @@ TEST_F(SqlApproxTest, SampledDeletionsKeepExactlyOnePerGroup) {
 TEST_F(SqlApproxTest, CompositeKeyGroupsOnAllKeyColumns) {
   // Key (k, v): the rows are distinct, so no group violates the key.
   SqlApproxRunner runner(catalog_, {TableKey{"r", {0, 1}}}, /*seed=*/7);
-  EXPECT_TRUE(runner.SampleDeletions().at("r").empty());
+  Rng rng(7);
+  EXPECT_TRUE(runner.SampleDeletions(&rng).at("r").empty());
 }
 
 TEST_F(SqlApproxTest, CleanTupleHasFrequencyOne) {
@@ -424,6 +426,29 @@ TEST_F(SqlApproxTest, JoinQueryOverRepairedRelations) {
   EXPECT_NEAR(result.value().Frequency(MakeRow({"wx"})), 0.5, 0.07);
   // The rewritten SQL mentions the deletion table.
   EXPECT_NE(result.value().rewritten_sql.find("r__del"), std::string::npos);
+}
+
+TEST_F(SqlApproxTest, EachStatementDrawsItsOwnStream) {
+  // Run(B) after Run(A) equals a fresh runner's Run(B): a statement's
+  // frequencies depend on the seed and its text, not on what ran before.
+  const char* a = "SELECT k FROM r";
+  const char* b = "SELECT v FROM r";
+  SqlApproxRunner used(catalog_, {TableKey{"r", {0}}}, /*seed=*/5);
+  ASSERT_TRUE(used.Run(a, 37).ok());
+  Result<SqlApproxResult> after_a = used.Run(b, 50);
+  ASSERT_TRUE(after_a.ok());
+  SqlApproxRunner fresh(catalog_, {TableKey{"r", {0}}}, /*seed=*/5);
+  Result<SqlApproxResult> alone = fresh.Run(b, 50);
+  ASSERT_TRUE(alone.ok());
+  EXPECT_EQ(after_a->frequency, alone->frequency);
+  // Not vacuous: B's conflicting rows split the 50 rounds unevenly, so a
+  // shifted stream would show.
+  EXPECT_GT(alone->Frequency(MakeRow({"x"})), 0.0);
+  EXPECT_LT(alone->Frequency(MakeRow({"x"})), 1.0);
+  // Rerunning B on the used runner repeats it too.
+  Result<SqlApproxResult> again = used.Run(b, 50);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->frequency, alone->frequency);
 }
 
 TEST_F(SqlApproxTest, InvalidSqlPropagatesStatus) {
