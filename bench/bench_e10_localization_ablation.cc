@@ -5,16 +5,19 @@
 // (linear in the number of components). EnumerateRepairs factors a
 // denial-only root under a local generator; BM_WalkedExact runs the same
 // enumeration through a generator that is not local, so it walks.
-// Results are identical; only the cost differs.
+// Results are identical; only the cost differs. BM_MarginalExact* answer
+// a query on such a root from its components, building no product.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 
 #include "gen/walked_generator.h"
 #include "gen/workloads.h"
+#include "logic/formula_parser.h"
 #include "repair/localization.h"
 #include "repair/ocqa.h"
 #include "util/logging.h"
@@ -85,63 +88,66 @@ void BM_SplitStepDeclines(benchmark::State& state) {
       RepairContext::Make(w.db, w.constraints);
   UniformChainGenerator generator;
   for (auto _ : state) {
-    std::shared_ptr<const MemoOutcome> factored =
-        FactorRoot(*context, generator, SIZE_MAX);
-    OPCQA_CHECK(factored == nullptr) << "a single component was factored";
-    benchmark::DoNotOptimize(factored);
+    std::optional<LocalRoot> root = SolveLocalRoot(
+        *context, generator, LocalLimits{.max_states = SIZE_MAX});
+    OPCQA_CHECK(!root.has_value()) << "a single component was factored";
+    benchmark::DoNotOptimize(root);
   }
 }
 BENCHMARK(BM_SplitStepDeclines)->Unit(benchmark::kMicrosecond);
 
-void BM_LocalizedExact(benchmark::State& state) {
-  size_t conflicts = static_cast<size_t>(state.range(0));
-  gen::Workload w = Conflicts(conflicts);
+// ComputeOca of the one-atom query on R, with no state budget, and the
+// root's component counters.
+void MarginalExact(benchmark::State& state, const gen::Workload& w) {
   UniformChainGenerator generator;
+  Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
+  OPCQA_CHECK(q.ok()) << q.status().ToString();
+  EnumerationOptions options{.max_states = SIZE_MAX};
   for (auto _ : state) {
-    Result<LocalizedRepairs> result =
-        LocalizeAndEnumerate(w.db, w.constraints, generator);
+    OcaResult result = ComputeOca(w.db, w.constraints, generator, *q, options);
     benchmark::DoNotOptimize(result);
   }
-  Result<LocalizedRepairs> localized =
-      LocalizeAndEnumerate(w.db, w.constraints, generator);
+  std::optional<LocalRoot> root =
+      SolveLocalRoot(*RepairContext::Make(w.db, w.constraints), generator,
+                     LocalLimits{.min_components = 1});
   state.counters["components"] =
-      static_cast<double>(localized->components().size());
+      static_cast<double>(root->components.size());
   state.counters["repair_combinations"] =
-      localized->NumRepairCombinations().ToDouble();
+      static_cast<double>(root->product_repairs);
 }
-BENCHMARK(BM_LocalizedExact)
+
+void BM_MarginalExact(benchmark::State& state) {
+  MarginalExact(state, Conflicts(static_cast<size_t>(state.range(0))));
+}
+BENCHMARK(BM_MarginalExact)
     ->DenseRange(1, 6, 1)
     ->Unit(benchmark::kMillisecond);
 
-// The localized engine keeps scaling where the monolithic one stopped:
-// hundreds of conflicts.
-void BM_LocalizedExactLarge(benchmark::State& state) {
+// The marginal path keeps scaling where the walk stopped: hundreds of
+// conflicts.
+void BM_MarginalExactLarge(benchmark::State& state) {
   size_t conflicts = static_cast<size_t>(state.range(0));
-  gen::Workload w = gen::MakeKeyViolationWorkload(
-      conflicts + 10, conflicts, 2, /*seed=*/601);
-  UniformChainGenerator generator;
-  for (auto _ : state) {
-    Result<LocalizedRepairs> result =
-        LocalizeAndEnumerate(w.db, w.constraints, generator);
-    benchmark::DoNotOptimize(result);
-  }
+  MarginalExact(state, gen::MakeKeyViolationWorkload(
+                           conflicts + 10, conflicts, 2, /*seed=*/601));
 }
-BENCHMARK(BM_LocalizedExactLarge)
+BENCHMARK(BM_MarginalExactLarge)
     ->RangeMultiplier(4)
     ->Range(16, 256)
     ->Unit(benchmark::kMillisecond);
 
-// Correctness gate run once at exit of the benchmark binary: the
-// localized marginals equal the walked chain's CPs on a verifiable size.
+// Correctness gate run once at exit of the benchmark binary: the marginal
+// CPs equal the walked chain's on a verifiable size.
 void BM_EqualityGate(benchmark::State& state) {
   gen::Workload w = gen::MakeKeyViolationWorkload(6, 4, 2, /*seed=*/602);
   UniformChainGenerator generator;
   gen::Walked<UniformChainGenerator> walked;
+  Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
+  OPCQA_CHECK(q.ok()) << q.status().ToString();
   bool equal = true;
   for (auto _ : state) {
     EnumerationResult mono = EnumerateRepairs(w.db, w.constraints, walked);
-    Result<LocalizedRepairs> localized =
-        LocalizeAndEnumerate(w.db, w.constraints, generator);
+    OcaResult marginal = ComputeOca(w.db, w.constraints, generator, *q);
+    equal = marginal.enumeration.repairs.empty();
     for (const Fact& fact : w.db.AllFacts()) {
       Rational mono_p;
       for (const RepairInfo& info : mono.repairs) {
@@ -150,7 +156,7 @@ void BM_EqualityGate(benchmark::State& state) {
         }
       }
       mono_p /= mono.success_mass;
-      if (localized->FactSurvivalProbability(fact) != mono_p) equal = false;
+      if (marginal.Probability(Tuple(fact.args())) != mono_p) equal = false;
     }
     benchmark::DoNotOptimize(equal);
   }

@@ -43,7 +43,8 @@ def load_fresh(path):
 
     The OPCQA_BENCH_SWEEP sections print human-readable tables to stdout
     before google-benchmark emits its JSON document, so parsing starts at
-    the first line that opens the JSON object.
+    the first line that opens the JSON object. A row run with
+    --benchmark_repetitions reads as the median of its repetitions.
     """
     with open(path) as f:
         text = f.read()
@@ -54,7 +55,7 @@ def load_fresh(path):
             break
     else:
         raise ValueError(f"{path} contains no JSON document")
-    times = {}
+    runs = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
@@ -68,8 +69,8 @@ def load_fresh(path):
         scale = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}.get(unit)
         if scale is None:
             raise ValueError(f"unknown time_unit {unit!r} for {name}")
-        times[name] = bench["real_time"] * scale
-    return times
+        runs.setdefault(name, []).append(bench["real_time"] * scale)
+    return {name: statistics.median(times) for name, times in runs.items()}
 
 
 def load_baseline_doc(path):

@@ -207,16 +207,13 @@ std::vector<std::vector<FactId>> ComponentIds(const ConstraintSet& constraints,
   return components;
 }
 
-// True when the chain on context.initial is a product of independent
-// component chains: Σ is denial-only and the generator local and history
-// independent.
-bool Factorable(const RepairContext& context,
-                const ChainGenerator& generator) {
-  return context.denial_only && generator.local() &&
-         generator.history_independent();
-}
-
 }  // namespace
+
+bool MayFactor(const ConstraintSet& constraints,
+               const ChainGenerator& generator) {
+  return generator.local() && generator.history_independent() &&
+         IsDenialOnly(constraints);
+}
 
 std::vector<std::vector<Fact>> ConflictComponents(
     const Database& db, const ConstraintSet& constraints) {
@@ -230,44 +227,12 @@ std::vector<std::vector<Fact>> ConflictComponents(
   return components;
 }
 
-Result<LocalizedRepairs> LocalizeAndEnumerate(
-    const Database& db, const ConstraintSet& constraints,
-    const ChainGenerator& generator, const EnumerationOptions& options) {
-  if (!IsDenialOnly(constraints)) {
-    return Status::InvalidArgument(
-        "repair localization requires a denial-only (EGD/DC) constraint "
-        "set: TGD additions couple components through the base");
-  }
-  OPCQA_CHECK(generator.local() && generator.history_independent())
-      << "repair localization needs a local generator, got '"
-      << generator.name() << "'";
-  LocalizedRepairs result;
-  result.untouched_ = db;
-  for (const std::vector<Fact>& component :
-       ConflictComponents(db, constraints)) {
-    LocalizedComponent localized;
-    localized.sub_db = Database(&db.schema());
-    for (const Fact& fact : component) {
-      localized.sub_db.Insert(fact);
-      result.untouched_.Erase(fact);
-    }
-    localized.distribution =
-        EnumerateRepairs(localized.sub_db, constraints, generator, options);
-    if (localized.distribution.truncated) {
-      return Status::ResourceExhausted(
-          "component enumeration exceeded the state budget");
-    }
-    result.components_.push_back(std::move(localized));
-  }
-  return result;
-}
-
 std::optional<LocalRoot> SolveLocalRoot(const RepairContext& context,
                                         const ChainGenerator& generator,
                                         const LocalLimits& limits) {
   // Every component holds a violation: a root with too few violations is
   // declined before any work.
-  if (!Factorable(context, generator) ||
+  if (!MayFactor(context.constraints, generator) ||
       context.initial_violations.size() < limits.min_components) {
     return std::nullopt;
   }
@@ -287,8 +252,10 @@ std::optional<LocalRoot> SolveLocalRoot(const RepairContext& context,
     Database sub_db(&context.initial.schema());
     for (FactId id : facts) sub_db.InsertId(id);
     RepairingState state(RepairContext::Make(sub_db, context.constraints));
-    ComponentSolver solver(generator, limits.max_states,
-                           limits.max_work - spent);
+    // Once the product saturates, spent is SIZE_MAX; no limit stays none.
+    ComponentSolver solver(
+        generator, limits.max_states,
+        limits.max_work == SIZE_MAX ? SIZE_MAX : limits.max_work - spent);
     std::shared_ptr<const ChainSummary> node = solver.Solve(state);
     if (node == nullptr) return std::nullopt;
     root.solved += solver.solved();
@@ -307,14 +274,6 @@ std::optional<LocalRoot> SolveLocalRoot(const RepairContext& context,
   root.absorbing_states = Total(leaves);
   root.max_depth = states.size() - 1;
   return root;
-}
-
-std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
-                                              const ChainGenerator& generator,
-                                              size_t max_states) {
-  std::optional<LocalRoot> root = SolveLocalRoot(
-      context, generator, LocalLimits{.max_states = max_states});
-  return root.has_value() ? FactorRoot(*root) : nullptr;
 }
 
 std::shared_ptr<const MemoOutcome> FactorRoot(const LocalRoot& root) {
@@ -390,67 +349,6 @@ RankedRepairs RankRepairs(const Database& initial, const LocalRoot& root) {
     ranked.bytes += info.removed.capacity() * sizeof(FactId);
   }
   return ranked;
-}
-
-BigInt LocalizedRepairs::NumRepairCombinations() const {
-  BigInt total(int64_t{1});
-  for (const LocalizedComponent& component : components_) {
-    total *= BigInt(
-        static_cast<uint64_t>(component.distribution.repairs.size()));
-  }
-  return total;
-}
-
-Rational LocalizedRepairs::FactSurvivalProbability(const Fact& fact) const {
-  if (untouched_.Contains(fact)) return Rational(1);
-  for (const LocalizedComponent& component : components_) {
-    if (!component.sub_db.Contains(fact)) continue;
-    // A fact of the component survives exactly the repairs that did not
-    // remove it.
-    FactId id = FactStore::Global().Find(fact);
-    Rational mass;
-    Rational total;
-    for (const RepairInfo& info : component.distribution.repairs) {
-      total += info.probability;
-      if (!std::binary_search(info.removed.begin(), info.removed.end(), id)) {
-        mass += info.probability;
-      }
-    }
-    OPCQA_CHECK(!total.is_zero())
-        << "component with no successful repair (cannot happen for "
-        << "denial-only constraints)";
-    return mass / total;
-  }
-  return Rational(0);  // not a fact of D
-}
-
-Database LocalizedRepairs::SampleRepair(Rng* rng) const {
-  Database repair = untouched_;
-  for (const LocalizedComponent& component : components_) {
-    std::vector<Rational> weights;
-    weights.reserve(component.distribution.repairs.size());
-    for (const RepairInfo& info : component.distribution.repairs) {
-      weights.push_back(info.probability);
-    }
-    const RepairInfo& picked =
-        component.distribution.repairs[rng->WeightedIndex(weights)];
-    for (FactId id : component.sub_db.AllFactIds()) {
-      if (!std::binary_search(picked.removed.begin(), picked.removed.end(),
-                              id)) {
-        repair.InsertId(id);
-      }
-    }
-    for (FactId id : picked.added) repair.InsertId(id);
-  }
-  return repair;
-}
-
-size_t LocalizedRepairs::MaxComponentSize() const {
-  size_t max_size = 0;
-  for (const LocalizedComponent& component : components_) {
-    max_size = std::max(max_size, component.sub_db.size());
-  }
-  return max_size;
 }
 
 }  // namespace opcqa

@@ -44,8 +44,10 @@
 // replays it instead of walking the interleavings; RankRepairs sorts it
 // into the ranked list TopKRepairs returns, which the cache holds beside
 // the components).
-// LocalizeAndEnumerate exposes the components themselves, each enumerated
-// by EnumerateRepairs, without materializing their product.
+//
+// MayFactor is the gate's cheap half. MarginalRootFor and the cache's
+// LocalRootFor and RankedRepairsFor check it before they build a context
+// or a cache key, so a root that can never factor costs neither.
 
 #ifndef OPCQA_REPAIR_LOCALIZATION_H_
 #define OPCQA_REPAIR_LOCALIZATION_H_
@@ -56,60 +58,8 @@
 
 #include "repair/memo.h"
 #include "repair/repair_enumerator.h"
-#include "util/random.h"
 
 namespace opcqa {
-
-struct LocalizedComponent {
-  /// The sub-database of this conflict component.
-  Database sub_db;
-  /// Exact repair distribution of the component.
-  EnumerationResult distribution;
-};
-
-class LocalizedRepairs {
- public:
-  const Database& untouched() const { return untouched_; }
-  const std::vector<LocalizedComponent>& components() const {
-    return components_;
-  }
-
-  /// Exact number of distinct factored repair combinations
-  /// Π_i |repairs_i| (the materialized set the factoring avoids).
-  BigInt NumRepairCombinations() const;
-
-  /// Exact probability that `fact` survives into an operational repair:
-  /// 1 for untouched facts, the component-local marginal otherwise, 0 for
-  /// facts not in the database.
-  Rational FactSurvivalProbability(const Fact& fact) const;
-
-  /// Draws one operational repair by sampling every component
-  /// independently from its exact distribution — no chain walk needed, so
-  /// approximate OCQA over localized repairs costs O(#components) per
-  /// sample plus the query evaluation.
-  Database SampleRepair(Rng* rng) const;
-
-  /// Largest component size in facts (the new exponent).
-  size_t MaxComponentSize() const;
-
- private:
-  friend Result<LocalizedRepairs> LocalizeAndEnumerate(
-      const Database& db, const ConstraintSet& constraints,
-      const ChainGenerator& generator, const EnumerationOptions& options);
-
-  Database untouched_;
-  std::vector<LocalizedComponent> components_;
-};
-
-/// Splits D into conflict components and enumerates each component's
-/// chain with EnumerateRepairs (one component never factors further, so
-/// this is the walk of that component). Requires denial-only Σ
-/// (Status::InvalidArgument otherwise) and a local generator
-/// (CHECK-fails otherwise). Component enumerations share `options`; a
-/// truncated one is Status::ResourceExhausted.
-Result<LocalizedRepairs> LocalizeAndEnumerate(
-    const Database& db, const ConstraintSet& constraints,
-    const ChainGenerator& generator, const EnumerationOptions& options = {});
 
 /// One conflict component of a root, solved alone.
 struct ComponentDistribution {
@@ -153,14 +103,20 @@ struct LocalLimits {
   size_t min_components = 2;
 };
 
+/// The cheap half of SolveLocalRoot's gate: whether the chain on any D
+/// under Σ is a product of independent component chains, that is Σ is
+/// denial-only and the generator local and history independent.
+bool MayFactor(const ConstraintSet& constraints,
+               const ChainGenerator& generator);
+
 /// The components of the chain on context.initial, read off
 /// context.initial_violations, so a root with too few violations costs one
-/// size check. Nullopt when Σ is not denial-only, the generator is not
-/// local and history independent, D has fewer than limits.min_components
-/// conflict components, or a limit is passed. Each limit is checked after
-/// every component, on counts that only grow, and the component solve
-/// itself stops at the remaining work, so a root past a limit costs at
-/// most the components solved until then.
+/// size check. Nullopt when MayFactor fails, D has fewer than
+/// limits.min_components conflict components, or a limit is passed; a
+/// limit of SIZE_MAX is none, even once the saturating counts reach it.
+/// Each limit is checked after every component, on counts that only grow,
+/// and the component solve itself stops at the remaining work, so a root
+/// past a limit costs at most the components solved until then.
 std::optional<LocalRoot> SolveLocalRoot(const RepairContext& context,
                                         const ChainGenerator& generator,
                                         const LocalLimits& limits);
@@ -183,13 +139,6 @@ struct RankedRepairs {
 /// AssembleRepairs over FactorRoot(root)'s shares, against `initial`, the
 /// root's database.
 RankedRepairs RankRepairs(const Database& initial, const LocalRoot& root);
-
-/// FactorRoot of SolveLocalRoot(context, generator, {max_states}). Null
-/// when the root is declined at two components and `max_states` (the walk
-/// then truncates exactly as before).
-std::shared_ptr<const MemoOutcome> FactorRoot(const RepairContext& context,
-                                              const ChainGenerator& generator,
-                                              size_t max_states);
 
 /// The conflict components themselves (sorted fact lists), exposed for
 /// diagnostics and tests.

@@ -65,9 +65,9 @@ std::optional<MarginalRoot> MarginalRootFor(const Database& db,
                                             const Query& query,
                                             const EnumerationOptions& options) {
   // The cheap half of the gate first: no context for roots that never
-  // factor. The rest is FactorRoot's, so every budget truncates as before.
-  if (!query.IsConjunctive() || !generator.local() ||
-      !generator.history_independent() || !IsDenialOnly(constraints)) {
+  // factor. The rest is SolveLocalRoot's, so every budget truncates as
+  // before.
+  if (!query.IsConjunctive() || !MayFactor(constraints, generator)) {
     return std::nullopt;
   }
   MarginalRoot marginal;

@@ -22,14 +22,6 @@ size_t StringHash(const std::string& text) {
   return std::hash<std::string>{}(text);
 }
 
-// The cheap half of SolveLocalRoot's gate: a root that fails it never
-// factors, so it costs no key and no context.
-bool MayFactor(const ConstraintSet& constraints,
-               const ChainGenerator& generator) {
-  return generator.local() && generator.history_independent() &&
-         IsDenialOnly(constraints);
-}
-
 }  // namespace
 
 RepairSpaceCache::RepairSpaceCache(RepairCacheOptions options)

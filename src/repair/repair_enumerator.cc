@@ -173,7 +173,9 @@ class SubtreeWalker {
   // cache holds for it when the memo is the cache's table.
   std::shared_ptr<const MemoOutcome> Factored(const RepairingState& root) {
     if (cache_ == nullptr) {
-      return FactorRoot(root.context(), generator_, budget_);
+      std::optional<LocalRoot> local = SolveLocalRoot(
+          root.context(), generator_, LocalLimits{.max_states = budget_});
+      return local.has_value() ? FactorRoot(*local) : nullptr;
     }
     std::shared_ptr<const LocalRoot> local =
         cache_->LocalRootFor(root.context().initial,
